@@ -27,7 +27,7 @@ fn bench_ablation(c: &mut Criterion) {
             |b, q| {
                 b.iter(|| {
                     let generator = AssocMomentGenerator::new(black_box(q)).unwrap();
-                    generator.h2_moments(0, 0, 3).unwrap().len()
+                    generator.h2_moments_scaled(0, 0, 3).unwrap().vectors.len()
                 })
             },
         );

@@ -23,8 +23,8 @@
 //! ```
 //!
 //! The comparison fails (non-zero exit) when an error field worsened beyond
-//! the headroom of [`vamor_bench::baseline`], when a reduced model lost
-//! stability, or when the solver-cache speedup collapsed.
+//! the headroom of [`vamor_bench::baseline`], or when a reduced model lost
+//! stability.
 //!
 //! Robustness controls: `--timeout-secs <v>` bounds the `adaptive`
 //! experiment with a wall-clock deadline — once the initial ROM exists the
@@ -955,13 +955,11 @@ fn run_chaos(_concurrent: bool, _checkpoint_dir: Option<&std::path::Path>) -> Re
 }
 
 fn print_acceptance(m: &AcceptanceMetrics) {
-    println!("\n== PR-1 acceptance: solver cache + frozen Jacobian ==");
+    println!("\n== acceptance: assoc reduce + frozen Jacobian ==");
     println!(
-        "assoc reduce (tline {} stages, 6/3/2 moments): cached {:.3} ms, uncached {:.3} ms ({:.2}x), order {}",
+        "assoc reduce (tline {} stages, 6/3/2 moments): best {:.3} ms, order {}",
         m.tline_stages,
-        m.reduce_cached.as_secs_f64() * 1e3,
-        m.reduce_uncached.as_secs_f64() * 1e3,
-        m.reduce_speedup(),
+        m.reduce_best.as_secs_f64() * 1e3,
         m.reduced_order
     );
     println!(
@@ -1087,12 +1085,9 @@ fn render_json(
     if let Some(m) = acceptance {
         let _ = write!(
             out,
-            ",\n  \"acceptance\": {{\n    \"assoc_reduce_tline{}_cached_s\": {:.6},\n    \"assoc_reduce_tline{}_uncached_s\": {:.6},\n    \"assoc_reduce_speedup\": {:.3},\n    \"assoc_reduced_order\": {},\n    \"varistor_nodes\": {},\n    \"varistor_steps\": {},\n    \"varistor_jacobian_factorizations_frozen\": {},\n    \"varistor_jacobian_factorizations_every_step\": {},\n    \"varistor_trajectory_diff\": {:.6e}\n  }}",
+            ",\n  \"acceptance\": {{\n    \"assoc_reduce_tline{}_cached_s\": {:.6},\n    \"assoc_reduced_order\": {},\n    \"varistor_nodes\": {},\n    \"varistor_steps\": {},\n    \"varistor_jacobian_factorizations_frozen\": {},\n    \"varistor_jacobian_factorizations_every_step\": {},\n    \"varistor_trajectory_diff\": {:.6e}\n  }}",
             m.tline_stages,
-            m.reduce_cached.as_secs_f64(),
-            m.tline_stages,
-            m.reduce_uncached.as_secs_f64(),
-            m.reduce_speedup(),
+            m.reduce_best.as_secs_f64(),
             m.reduced_order,
             m.varistor_nodes,
             m.varistor_steps,

@@ -615,19 +615,17 @@ pub fn fig5_varistor_with(
     })
 }
 
-/// The PR-1 acceptance measurements: solver-cache speedup of the projection
-/// build and the frozen-Jacobian factorization counts of the implicit
-/// transient, with the cross-checks that guard them.
+/// The acceptance measurements: the best-of-N projection build on the
+/// transmission line and the frozen-Jacobian factorization counts of the
+/// implicit transient, with the cross-check that guards them.
 #[derive(Debug, Clone, Copy)]
 pub struct AcceptanceMetrics {
     /// Transmission-line stages of the reduction benchmark.
     pub tline_stages: usize,
-    /// Reduced order (identical for the cached and uncached paths).
+    /// Reduced order of the transmission-line reduction.
     pub reduced_order: usize,
-    /// Best-of-N wall time of `AssocReducer::reduce` with the solver cache.
-    pub reduce_cached: Duration,
-    /// Best-of-N wall time of the legacy factor-per-call path.
-    pub reduce_uncached: Duration,
+    /// Best-of-N wall time of `AssocReducer::reduce`.
+    pub reduce_best: Duration,
     /// Ladder nodes of the varistor transient benchmark.
     pub varistor_nodes: usize,
     /// Steps taken by the implicit varistor run.
@@ -640,14 +638,7 @@ pub struct AcceptanceMetrics {
     pub trajectory_diff: f64,
 }
 
-impl AcceptanceMetrics {
-    /// Speedup of the cached projection build over the legacy path.
-    pub fn reduce_speedup(&self) -> f64 {
-        self.reduce_uncached.as_secs_f64() / self.reduce_cached.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Measures the PR-1 acceptance metrics (see [`AcceptanceMetrics`]).
+/// Measures the acceptance metrics (see [`AcceptanceMetrics`]).
 ///
 /// # Errors
 ///
@@ -663,24 +654,12 @@ pub fn acceptance_metrics(
     let full = line.qldae();
     let spec = MomentSpec::paper_default();
     let reps = 5;
-    let mut cached_best = Duration::MAX;
-    let mut uncached_best = Duration::MAX;
+    let mut reduce_best = Duration::MAX;
     let mut reduced_order = 0;
     for _ in 0..reps {
         let (rom, t) = timed(|| AssocReducer::new(spec).reduce(full));
         reduced_order = rom?.order();
-        cached_best = cached_best.min(t);
-        let (rom, t) = timed(|| {
-            AssocReducer::new(spec)
-                .with_solver_caching(false)
-                .reduce(full)
-        });
-        let uncached_order = rom?.order();
-        assert_eq!(
-            reduced_order, uncached_order,
-            "cached/uncached dimensions diverged"
-        );
-        uncached_best = uncached_best.min(t);
+        reduce_best = reduce_best.min(t);
     }
 
     let circuit = VaristorCircuit::new(varistor_nodes)?;
@@ -701,8 +680,7 @@ pub fn acceptance_metrics(
     Ok(AcceptanceMetrics {
         tline_stages,
         reduced_order,
-        reduce_cached: cached_best,
-        reduce_uncached: uncached_best,
+        reduce_best,
         varistor_nodes,
         varistor_steps: frozen.stats.steps,
         factorizations_every_step: every.stats.jacobian_factorizations,

@@ -34,11 +34,7 @@
 //! the band estimator is built exclusively from shifted solves and
 //! structured Kronecker matvecs — no `n²` object is ever formed.
 
-use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
-use vamor_linalg::{
-    Complex, LinalgError, RunControl, ShiftedLuCache, ShiftedSparseLuCache, SolverBackend,
-    StopCause,
-};
+use vamor_linalg::{Complex, LinalgError, RunControl, ShiftCache, SolverBackend, StopCause};
 use vamor_system::{CubicOde, Qldae};
 
 use crate::error::MorError;
@@ -164,35 +160,6 @@ struct FullSample {
     value: Complex,
 }
 
-/// The resolvent backend of the full-model side: a memoized shift cache over
-/// `G₁` (sparse at scale — the dense view is never materialized there).
-/// A [`ReductionSession`](crate::session) holds one per stamp, so repeated
-/// estimator builds over the same system add zero factorizations — the
-/// band shifts are factored exactly once per session.
-#[derive(Debug)]
-pub(crate) enum SamplerCache {
-    Dense(ShiftedLuCache),
-    Sparse(ShiftedSparseLuCache),
-}
-
-impl SamplerCache {
-    /// Factorizations the cache has performed (both backends).
-    pub(crate) fn misses(&self) -> usize {
-        match self {
-            SamplerCache::Dense(c) => c.misses(),
-            SamplerCache::Sparse(c) => c.misses(),
-        }
-    }
-
-    /// Approximate resident bytes, for the session memory-budget governor.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        match self {
-            SamplerCache::Dense(c) => c.approx_bytes(),
-            SamplerCache::Sparse(c) => c.approx_bytes(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SampledKind {
     Qldae,
@@ -263,8 +230,7 @@ impl BandSampler {
         opts: BandSamplerOptions,
         control: Option<&RunControl>,
     ) -> Result<Self> {
-        let n = qldae.g1_csr().rows();
-        let cache = Self::cache_for(qldae.g1_csr(), backend, n);
+        let cache = ShiftCache::new(qldae.g1_csr(), backend);
         Self::for_qldae_with_cache(qldae, band, opts, &cache, control)
     }
 
@@ -275,7 +241,7 @@ impl BandSampler {
         qldae: &Qldae,
         band: FrequencyBand,
         opts: BandSamplerOptions,
-        cache: &SamplerCache,
+        cache: &ShiftCache,
         control: Option<&RunControl>,
     ) -> Result<Self> {
         let _span = vamor_obs::span!("band_solve");
@@ -295,10 +261,7 @@ impl BandSampler {
             full_solves: 0,
         };
         for input in 0..num_inputs {
-            let kernels = match cache {
-                SamplerCache::Dense(c) => VolterraKernels::with_dense_cache(qldae, input, c)?,
-                SamplerCache::Sparse(c) => VolterraKernels::with_sparse_cache(qldae, input, c)?,
-            };
+            let kernels = VolterraKernels::with_cache(qldae, input, cache)?;
             for &omega in &band.grid(opts.h1_points) {
                 Self::checkpoint_tick(control)?;
                 let s = Complex::new(0.0, omega);
@@ -369,8 +332,7 @@ impl BandSampler {
         control: Option<&RunControl>,
     ) -> Result<Self> {
         let _span = vamor_obs::span!("band_solve");
-        let n = ode.g1_csr().rows();
-        let cache = Self::cache_for(ode.g1_csr(), backend, n);
+        let cache = ShiftCache::new(ode.g1_csr(), backend);
         let num_inputs = ode.b().cols();
         let has_quadratic = ode.g2().map(|m| m.nnz() > 0).unwrap_or(false);
         let mut sampler = BandSampler {
@@ -386,10 +348,7 @@ impl BandSampler {
             full_solves: 0,
         };
         for input in 0..num_inputs {
-            let kernels = match &cache {
-                SamplerCache::Dense(c) => CubicVolterraKernels::with_dense_cache(ode, input, c)?,
-                SamplerCache::Sparse(c) => CubicVolterraKernels::with_sparse_cache(ode, input, c)?,
-            };
+            let kernels = CubicVolterraKernels::with_cache(ode, input, &cache)?;
             for &omega in &band.grid(opts.h1_points) {
                 Self::checkpoint_tick(control)?;
                 let s = Complex::new(0.0, omega);
@@ -412,10 +371,7 @@ impl BandSampler {
                 }
             }
         }
-        sampler.full_solves = match &cache {
-            SamplerCache::Dense(c) => c.misses(),
-            SamplerCache::Sparse(c) => c.misses(),
-        };
+        sampler.full_solves = cache.misses();
         Ok(sampler)
     }
 
@@ -424,18 +380,6 @@ impl BandSampler {
             c.checkpoint("band-sample").map_err(MorError::Linalg)?;
         }
         Ok(())
-    }
-
-    pub(crate) fn cache_for(
-        csr: &vamor_linalg::CsrMatrix,
-        backend: SolverBackend,
-        n: usize,
-    ) -> SamplerCache {
-        if backend.use_sparse(n, SPARSE_AUTO_THRESHOLD) {
-            SamplerCache::Sparse(ShiftedSparseLuCache::new(csr.clone()))
-        } else {
-            SamplerCache::Dense(ShiftedLuCache::new(csr.to_dense()))
-        }
     }
 
     fn push_h1(&mut self, input: usize, omega: f64, value: Complex) {
@@ -1033,7 +977,7 @@ impl std::fmt::Debug for AdaptiveHooks<'_> {
 /// factorizations) and the shared `s = 0` chain artifacts.
 #[derive(Debug)]
 pub(crate) struct SharedAdaptiveContext<'a> {
-    pub(crate) sampler_cache: &'a SamplerCache,
+    pub(crate) sampler_cache: &'a ShiftCache,
     pub(crate) artifacts: &'a crate::assoc::SharedAssocArtifacts,
 }
 

@@ -31,11 +31,12 @@ use std::sync::Arc;
 use vamor_linalg::kron::vec_of;
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, SolverBackend, Vector,
+    kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, ShiftCache, SolverBackend,
+    Vector,
 };
 use vamor_system::{CubicOde, Qldae};
 
-use crate::bigsmall::{solve_sylvester_big_small, solve_sylvester_big_small_with_schur};
+use crate::bigsmall::solve_sylvester_big_small_with_schur;
 use crate::error::MorError;
 use crate::operators::{BlockH2Op, KronSumOp2, ShiftedSolveOp};
 use crate::Result;
@@ -151,45 +152,41 @@ pub(crate) fn rescale_state(state: &mut [&mut Vector], extra: Option<&mut Matrix
 
 /// The stamp-keyed solver artifacts a [`ReductionSession`](crate::session)
 /// shares across requests: the `s = 0` factorization of `G₁`, its Schur
-/// form, and the structured `H₂`/`H₃` block operators with their embedded
-/// shifted-solve caches. Cheap to clone (all `Arc`s); every artifact is
-/// immutable or internally synchronized, so one set serves concurrent
-/// requests.
+/// form, and the structured `H₂`/`H₃` block operator (which owns the
+/// `G₁ ⊕ G₁` operator and the shifted-solve cache). Cheap to clone (all
+/// `Arc`s); every artifact is immutable or internally synchronized, so one
+/// set serves concurrent requests.
 #[derive(Debug, Clone)]
 pub struct SharedAssocArtifacts {
     pub(crate) g1_lu: Arc<G1Factor>,
     pub(crate) recovery: PivotRecovery,
-    pub(crate) kron_op: Arc<KronSumOp2>,
     pub(crate) block_op: Arc<BlockH2Op>,
     pub(crate) g1_schur: Arc<SchurDecomposition>,
     pub(crate) n: usize,
 }
 
 impl SharedAssocArtifacts {
-    /// Factors the shared artifacts for `qldae` once (the caching
-    /// configuration of [`AssocMomentGenerator::with_options`]).
+    /// Factors the shared artifacts for `qldae` once: `LU(G₁)` through the
+    /// pivot degradation ladder, one Schur form of `G₁`, and the block
+    /// operator with a [`ShiftCache`] in the backend `backend` picks.
     ///
     /// # Errors
     ///
     /// Same contract as [`AssocMomentGenerator::new`] — a singular `G₁` is
     /// reported as a typed error.
     pub fn build(qldae: &Qldae, backend: SolverBackend) -> Result<Self> {
-        let g1 = qldae.g1();
-        let n = g1.rows();
+        let n = qldae.g1_csr().rows();
         let sparse = backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(qldae.g1_csr(), g1, sparse).map_err(MorError::Linalg)?;
+            G1Factor::build_with_recovery(qldae.g1_csr(), sparse).map_err(MorError::Linalg)?;
+        let g1 = qldae.g1();
         let kron_op = KronSumOp2::new(g1)?;
         let g1_schur = Arc::new(kron_op.a_schur());
-        let block_op = if sparse {
-            BlockH2Op::with_kron_sparse(g1, qldae.g2(), kron_op.clone(), true, qldae.g1_csr())?
-        } else {
-            BlockH2Op::with_kron(g1, qldae.g2(), kron_op.clone(), true)?
-        };
+        let cache = ShiftCache::new(qldae.g1_csr(), backend);
+        let block_op = BlockH2Op::with_kron_cache(g1, qldae.g2(), kron_op, cache)?;
         Ok(SharedAssocArtifacts {
             g1_lu: Arc::new(g1_lu),
             recovery,
-            kron_op: Arc::new(kron_op),
             block_op: Arc::new(block_op),
             g1_schur,
             n,
@@ -202,17 +199,20 @@ impl SharedAssocArtifacts {
     }
 
     /// The shared `s = 0` factorization of `G₁`.
-    pub(crate) fn g1_factor(&self) -> &G1Factor {
+    pub(crate) fn g1_lu(&self) -> &G1Factor {
         &self.g1_lu
     }
 
     /// Approximate heap footprint for the session memory-budget governor:
-    /// the `G₁` factor, the dense Schur pair, and the block operator's
-    /// resident structure (its shifted-solve cache grows beyond this as
-    /// shifts accumulate — the estimate covers the fixed part).
+    /// the `G₁` factor, the Schur pair of `G₁`, and the block operator as
+    /// built (dense `G₁`, `G₂`, the `G₁ ⊕ G₁` Schur machinery, the
+    /// shifted-solve cache's base and `σ = 0` factor — the cache grows
+    /// beyond this as shifts accumulate; the estimate covers the fixed part).
     pub fn approx_bytes(&self) -> usize {
-        let n = self.n;
-        self.g1_lu.approx_bytes() + 2 * n * n * 8 + 3 * n * n * 8
+        self.g1_lu.approx_bytes()
+            + std::mem::size_of_val(self.g1_schur.q().as_slice())
+            + std::mem::size_of_val(self.g1_schur.t().as_slice())
+            + self.block_op.approx_bytes()
     }
 }
 
@@ -220,13 +220,9 @@ impl SharedAssocArtifacts {
 #[derive(Debug)]
 pub struct AssocMomentGenerator<'a> {
     qldae: &'a Qldae,
-    g1_lu: Arc<G1Factor>,
-    recovery: PivotRecovery,
-    kron_op: Arc<KronSumOp2>,
-    block_op: Arc<BlockH2Op>,
-    /// Schur form of `G₁` (as the Schur of `(G₁ᵀ)ᵀ`), reused by every
-    /// big-left/small-right Sylvester solve when caching is on.
-    g1_schur: Option<Arc<SchurDecomposition>>,
+    /// `LU(G₁)`, the Schur form of `G₁` (reused by every big-left/small-right
+    /// Sylvester solve) and the block operator — possibly session-shared.
+    shared: SharedAssocArtifacts,
 }
 
 impl<'a> AssocMomentGenerator<'a> {
@@ -238,22 +234,7 @@ impl<'a> AssocMomentGenerator<'a> {
     /// Returns an error if `G₁` is singular — expansion about `s = 0`
     /// requires a regular `G₁`, as in the paper.
     pub fn new(qldae: &'a Qldae) -> Result<Self> {
-        Self::with_caching(qldae, true)
-    }
-
-    /// Prepares the generator with the solver-cache layer switched on or off.
-    ///
-    /// With `caching` disabled every structured operator refactorizes exactly
-    /// as the pre-cache implementation did (duplicate Schur forms, LU per
-    /// shifted solve, Schur per Sylvester call); this path exists so the
-    /// speedup and the bit-level agreement of the cached path can be measured
-    /// against it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AssocMomentGenerator::new`].
-    pub fn with_caching(qldae: &'a Qldae, caching: bool) -> Result<Self> {
-        Self::with_options(qldae, caching, SolverBackend::Auto)
+        Self::with_options(qldae, SolverBackend::Auto)
     }
 
     /// Prepares the generator with an explicit linear-solver backend for the
@@ -265,30 +246,9 @@ impl<'a> AssocMomentGenerator<'a> {
     /// # Errors
     ///
     /// Same contract as [`AssocMomentGenerator::new`].
-    pub fn with_options(qldae: &'a Qldae, caching: bool, backend: SolverBackend) -> Result<Self> {
-        if caching {
-            let shared = SharedAssocArtifacts::build(qldae, backend)?;
-            return Ok(Self::from_shared(qldae, &shared));
-        }
-        let g1 = qldae.g1();
-        let sparse = backend.use_sparse(g1.rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(qldae.g1_csr(), g1, sparse).map_err(MorError::Linalg)?;
-        let kron_op = KronSumOp2::new_uncached(g1)?;
-        let block_kron = KronSumOp2::new_uncached(g1)?;
-        let block_op = if sparse {
-            BlockH2Op::with_kron_sparse(g1, qldae.g2(), block_kron, false, qldae.g1_csr())?
-        } else {
-            BlockH2Op::with_kron(g1, qldae.g2(), block_kron, false)?
-        };
-        Ok(AssocMomentGenerator {
-            qldae,
-            g1_lu: Arc::new(g1_lu),
-            recovery,
-            kron_op: Arc::new(kron_op),
-            block_op: Arc::new(block_op),
-            g1_schur: None,
-        })
+    pub fn with_options(qldae: &'a Qldae, backend: SolverBackend) -> Result<Self> {
+        let shared = SharedAssocArtifacts::build(qldae, backend)?;
+        Ok(AssocMomentGenerator { qldae, shared })
     }
 
     /// Builds a generator on top of session-shared artifacts: no
@@ -309,40 +269,23 @@ impl<'a> AssocMomentGenerator<'a> {
                 qldae.g1().rows()
             )));
         }
-        Ok(Self::from_shared(qldae, shared))
-    }
-
-    fn from_shared(qldae: &'a Qldae, shared: &SharedAssocArtifacts) -> Self {
-        AssocMomentGenerator {
+        Ok(AssocMomentGenerator {
             qldae,
-            g1_lu: shared.g1_lu.clone(),
-            recovery: shared.recovery,
-            kron_op: shared.kron_op.clone(),
-            block_op: shared.block_op.clone(),
-            g1_schur: Some(shared.g1_schur.clone()),
-        }
+            shared: shared.clone(),
+        })
     }
 
     /// What the pivot degradation ladder did while factoring `G₁`
     /// (`PivotRecovery::default()` = healthy first try).
     pub fn pivot_recovery(&self) -> PivotRecovery {
-        self.recovery
+        self.shared.recovery
     }
 
-    /// The cached Schur form of `G₁` (present when solver caching is on), so
-    /// downstream consumers (the stabilized projection, the spectral guard)
-    /// can reuse it instead of refactorizing.
-    pub fn g1_schur(&self) -> Option<&SchurDecomposition> {
-        self.g1_schur.as_deref()
-    }
-
-    /// Solves `op · X + X · G₁ᵀ = r`, reusing the cached Schur of `G₁` when
-    /// available.
-    fn solve_big_small(&self, op: &dyn ShiftedSolveOp, g1t: &Matrix, r: &Matrix) -> Result<Matrix> {
-        match &self.g1_schur {
-            Some(schur) => solve_sylvester_big_small_with_schur(op, schur, r),
-            None => solve_sylvester_big_small(op, g1t, r),
-        }
+    /// The cached Schur form of `G₁`, so downstream consumers (the
+    /// stabilized projection, the spectral guard) can reuse it instead of
+    /// refactorizing.
+    pub fn g1_schur(&self) -> &SchurDecomposition {
+        &self.shared.g1_schur
     }
 
     fn n(&self) -> usize {
@@ -364,43 +307,39 @@ impl<'a> AssocMomentGenerator<'a> {
     }
 
     /// Moments of `H₁(s) = (sI − G₁)⁻¹ b` about `s = 0`:
-    /// `G₁⁻¹ b, G₁⁻² b, …` (signs dropped; only the span matters).
+    /// `G₁⁻¹ b, G₁⁻² b, …` (signs dropped; only the span matters), with
+    /// per-candidate normalization: the running Krylov iterate is rescaled
+    /// to unit norm after every solve, so arbitrarily long chains neither
+    /// overflow nor poison the deflation test, and the discarded magnitudes
+    /// are reported alongside (the raw moment `k` is
+    /// `vectors[k] · 10^log10_magnitudes[k]`).
     ///
     /// # Errors
     ///
     /// Returns an error for an invalid input index or a failed solve.
-    pub fn h1_moments(&self, input: usize, count: usize) -> Result<Vec<Vector>> {
-        let b = self.b_col(input)?;
-        let mut out = Vec::with_capacity(count);
-        let mut v = b;
-        for _ in 0..count {
-            v = self.g1_lu.solve(&v).map_err(MorError::Linalg)?;
-            out.push(v.clone());
-        }
-        Ok(out)
-    }
-
-    /// [`AssocMomentGenerator::h1_moments`] with per-candidate normalization:
-    /// the running Krylov iterate is rescaled to unit norm after every solve,
-    /// so arbitrarily long chains neither overflow nor poison the deflation
-    /// test, and the discarded magnitudes are reported alongside.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AssocMomentGenerator::h1_moments`].
     pub fn h1_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        h1_chain(&self.g1_lu, self.b_col(input)?, count)
+        h1_chain(&self.shared.g1_lu, self.b_col(input)?, count)
     }
 
-    /// [`AssocMomentGenerator::h2_moments`] with chain scaling: the whole
-    /// recursion state (the `w_j` Lyapunov iterate, the Cauchy accumulators
-    /// and the `D₁` chain) is rescaled by a common factor after every moment,
-    /// which is exact on the spanned subspace and keeps every intermediate
-    /// `O(1)`.
+    /// Moments of the associated second-order transfer function `H₂(s)`
+    /// about `s = 0` for the input pair `(input_a, input_b)`:
+    ///
+    /// `m_k = Σ_{i+j=k} G₁^{-(i+1)} G₂ w_j − G₁^{-(k+1)} d`,
+    /// with `w_j = (G₁⊕G₁)^{-(j+1)} (b_a ⊗ b_b)` and
+    /// `d = D₁ᵃ b_b + D₁ᵇ b_a` (halved for a repeated input so the SISO case
+    /// reduces to the paper's `D₁ b`).
+    ///
+    /// The whole recursion state (the `w_j` Lyapunov iterate, the Cauchy
+    /// accumulators and the `D₁` chain) is rescaled by a common factor after
+    /// every moment, which is exact on the spanned subspace and keeps every
+    /// intermediate `O(1)`; the candidates are unit-norm with their
+    /// magnitudes reported as in
+    /// [`AssocMomentGenerator::h1_moments_scaled`].
     ///
     /// # Errors
     ///
-    /// Same contract as [`AssocMomentGenerator::h2_moments`].
+    /// Returns an error for invalid input indices or a singular Kronecker-sum
+    /// pencil.
     pub fn h2_moments_scaled(
         &self,
         input_a: usize,
@@ -429,17 +368,19 @@ impl<'a> AssocMomentGenerator<'a> {
         let mut out = ScaledMoments::with_capacity(count);
         let mut frame = 0.0;
         for _ in 0..count {
-            w = self.kron_op.solve_shifted(0.0, &w)?;
+            w = self.shared.block_op.kron().solve_shifted(0.0, &w)?;
             let g2w_k = self.qldae.g2().matvec(&w);
             for a in acc.iter_mut() {
                 scratch.copy_from(a);
-                self.g1_lu
+                self.shared
+                    .g1_lu
                     .solve_into(&scratch, a)
                     .map_err(MorError::Linalg)?;
             }
-            acc.push(self.g1_lu.solve(&g2w_k).map_err(MorError::Linalg)?);
+            acc.push(self.shared.g1_lu.solve(&g2w_k).map_err(MorError::Linalg)?);
             scratch.copy_from(&d_chain);
-            self.g1_lu
+            self.shared
+                .g1_lu
                 .solve_into(&scratch, &mut d_chain)
                 .map_err(MorError::Linalg)?;
             let mut m_k = Vector::zeros(self.n());
@@ -457,13 +398,18 @@ impl<'a> AssocMomentGenerator<'a> {
         Ok(out)
     }
 
-    /// [`AssocMomentGenerator::h3_moments`] with chain scaling (see
-    /// [`AssocMomentGenerator::h2_moments_scaled`]; here the rescaled state
-    /// additionally includes the `Z_j` Sylvester iterate).
+    /// Moments of the associated third-order transfer function `H₃(s)` about
+    /// `s = 0` for a single input, per the realization in the module docs:
+    /// the `Z_j` sequence solves `G̃₂ Z + Z G₁ᵀ = Z_{j−1}` from `b̃₂ bᵀ`
+    /// against the cached Schur form of `G₁`, and
+    /// `ν_j = vec(c̃₂ Z_j) + vec((c̃₂ Z_j)ᵀ)` feeds the `G₂` Cauchy product.
+    /// Chain scaling as in [`AssocMomentGenerator::h2_moments_scaled`]; here
+    /// the rescaled state additionally includes the `Z_j` iterate.
     ///
     /// # Errors
     ///
-    /// Same contract as [`AssocMomentGenerator::h3_moments`].
+    /// Returns an error for an invalid input index or singular pencils in the
+    /// inner Sylvester solves.
     pub fn h3_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
@@ -471,10 +417,9 @@ impl<'a> AssocMomentGenerator<'a> {
         let n = self.n();
         let b = self.b_col(input)?;
         let d1b = self.d1(input).map(|d| d.matvec(&b));
-        let btilde = self.block_op.btilde(&b, d1b.as_ref());
-        let m = self.block_op.dim();
+        let btilde = self.shared.block_op.btilde(&b, d1b.as_ref());
+        let m = self.shared.block_op.dim();
 
-        let g1t = self.qldae.g1().transpose();
         let mut z = Matrix::zeros(m, n);
         for i in 0..m {
             for j in 0..n {
@@ -491,20 +436,26 @@ impl<'a> AssocMomentGenerator<'a> {
         let mut out = ScaledMoments::with_capacity(count);
         let mut frame = 0.0;
         for _ in 0..count {
-            z = self.solve_big_small(&*self.block_op, &g1t, &z)?;
-            let s = z.submatrix(0, n, 0, n);
+            z = solve_sylvester_big_small_with_schur(
+                &*self.shared.block_op,
+                &self.shared.g1_schur,
+                &z,
+            )?;
+            let s = z.submatrix(0, n, 0, n); // c̃₂ Z_j  (n×n)
             let mut nu = vec_of(&s);
             nu.axpy(1.0, &vec_of(&s.transpose()));
             let g2nu_k = self.qldae.g2().matvec(&nu);
             for a in acc.iter_mut() {
                 scratch.copy_from(a);
-                self.g1_lu
+                self.shared
+                    .g1_lu
                     .solve_into(&scratch, a)
                     .map_err(MorError::Linalg)?;
             }
-            acc.push(self.g1_lu.solve(&g2nu_k).map_err(MorError::Linalg)?);
+            acc.push(self.shared.g1_lu.solve(&g2nu_k).map_err(MorError::Linalg)?);
             scratch.copy_from(&d_chain);
-            self.g1_lu
+            self.shared
+                .g1_lu
                 .solve_into(&scratch, &mut d_chain)
                 .map_err(MorError::Linalg)?;
             let mut m_k = Vector::zeros(n);
@@ -519,143 +470,6 @@ impl<'a> AssocMomentGenerator<'a> {
             frame += rescale_state(&mut state, Some(&mut z));
         }
         Ok(out)
-    }
-
-    /// Moments of the associated second-order transfer function `H₂(s)`
-    /// about `s = 0` for the input pair `(input_a, input_b)`:
-    ///
-    /// `m_k = Σ_{i+j=k} G₁^{-(i+1)} G₂ w_j − G₁^{-(k+1)} d`,
-    /// with `w_j = (G₁⊕G₁)^{-(j+1)} (b_a ⊗ b_b)` and
-    /// `d = D₁ᵃ b_b + D₁ᵇ b_a` (halved for a repeated input so the SISO case
-    /// reduces to the paper's `D₁ b`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid input indices or a singular Kronecker-sum
-    /// pencil.
-    pub fn h2_moments(&self, input_a: usize, input_b: usize, count: usize) -> Result<Vec<Vector>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let b_a = self.b_col(input_a)?;
-        let b_b = self.b_col(input_b)?;
-        // Bilinear contribution of the pair.
-        let mut d_vec = Vector::zeros(self.n());
-        if let Some(da) = self.d1(input_a) {
-            d_vec.axpy(1.0, &da.matvec(&b_b));
-        }
-        if let Some(db) = self.d1(input_b) {
-            d_vec.axpy(1.0, &db.matvec(&b_a));
-        }
-        if input_a == input_b {
-            d_vec.scale_mut(0.5);
-        }
-
-        // w_j sequence via repeated Lyapunov solves.
-        let mut w = kron_vec(&b_a, &b_b);
-        let mut g2w: Vec<Vector> = Vec::with_capacity(count);
-        for _ in 0..count {
-            w = self.kron_op.solve_shifted(0.0, &w)?;
-            g2w.push(self.qldae.g2().matvec(&w));
-        }
-
-        // Cauchy-product accumulation of the moments. All repeated `G₁⁻¹`
-        // applications run through `solve_into` with one scratch buffer, so
-        // the recursion allocates only the vectors it actually keeps.
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut d_chain = d_vec;
-        let mut scratch = Vector::zeros(self.n());
-        let mut moments = Vec::with_capacity(count);
-        for g2w_k in &g2w {
-            // Bring every stored term up by one factor of G₁⁻¹ and add the
-            // newly available term G₂ w_k.
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.g1_lu.solve(g2w_k).map_err(MorError::Linalg)?);
-            scratch.copy_from(&d_chain);
-            self.g1_lu
-                .solve_into(&scratch, &mut d_chain)
-                .map_err(MorError::Linalg)?;
-            let mut m_k = Vector::zeros(self.n());
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            m_k.axpy(-1.0, &d_chain);
-            moments.push(m_k);
-        }
-        Ok(moments)
-    }
-
-    /// Moments of the associated third-order transfer function `H₃(s)` about
-    /// `s = 0` for a single input, per the realization above.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid input index or singular pencils in the
-    /// inner Sylvester solves.
-    pub fn h3_moments(&self, input: usize, count: usize) -> Result<Vec<Vector>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.n();
-        let b = self.b_col(input)?;
-        let d1b = self.d1(input).map(|d| d.matvec(&b));
-        let btilde = self.block_op.btilde(&b, d1b.as_ref());
-        let m = self.block_op.dim();
-
-        // Z_j sequence: G̃₂ Z + Z G₁ᵀ = (previous), starting from b̃₂ bᵀ.
-        let g1t = self.qldae.g1().transpose();
-        let mut rhs = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                rhs[(i, j)] = btilde[i] * b[j];
-            }
-        }
-        // ν_j = vec(c̃₂ Z_j) + vec((c̃₂ Z_j)ᵀ), then G₂ ν_j.
-        let mut g2nu: Vec<Vector> = Vec::with_capacity(count);
-        let mut z = rhs;
-        for _ in 0..count {
-            z = self.solve_big_small(&*self.block_op, &g1t, &z)?;
-            let s = z.submatrix(0, n, 0, n); // c̃₂ Z_j  (n×n)
-            let mut nu = vec_of(&s);
-            nu.axpy(1.0, &vec_of(&s.transpose()));
-            g2nu.push(self.qldae.g2().matvec(&nu));
-        }
-
-        // D₁² b contribution.
-        let d1d1b = match (self.d1(input), &d1b) {
-            (Some(d), Some(db)) => d.matvec(db),
-            _ => Vector::zeros(n),
-        };
-
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut d_chain = d1d1b;
-        let mut scratch = Vector::zeros(n);
-        let mut moments = Vec::with_capacity(count);
-        for g2nu_k in &g2nu {
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.g1_lu.solve(g2nu_k).map_err(MorError::Linalg)?);
-            scratch.copy_from(&d_chain);
-            self.g1_lu
-                .solve_into(&scratch, &mut d_chain)
-                .map_err(MorError::Linalg)?;
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            m_k.axpy(-1.0, &d_chain);
-            moments.push(m_k);
-        }
-        Ok(moments)
     }
 
     /// Explicit dense realization `(G̃₂, b̃₂, c̃₂)` of the associated `H₂(s)`
@@ -678,7 +492,7 @@ impl<'a> AssocMomentGenerator<'a> {
             n,
             &vamor_linalg::kron_sum(self.qldae.g1(), self.qldae.g1()),
         );
-        let btilde = self.block_op.btilde(&b, d1b.as_ref());
+        let btilde = self.shared.block_op.btilde(&b, d1b.as_ref());
         let mut c = Matrix::zeros(n, dim);
         for i in 0..n {
             c[(i, i)] = 1.0;
@@ -698,7 +512,7 @@ pub struct CubicAssocMomentGenerator<'a> {
     g1_lu: G1Factor,
     recovery: PivotRecovery,
     kron_op: KronSumOp2,
-    g1_schur: Option<SchurDecomposition>,
+    g1_schur: SchurDecomposition,
 }
 
 impl<'a> CubicAssocMomentGenerator<'a> {
@@ -708,17 +522,7 @@ impl<'a> CubicAssocMomentGenerator<'a> {
     ///
     /// Returns an error if `G₁` is singular.
     pub fn new(ode: &'a CubicOde) -> Result<Self> {
-        Self::with_caching(ode, true)
-    }
-
-    /// Prepares the generator with the solver-cache layer switched on or off
-    /// (see [`AssocMomentGenerator::with_caching`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `G₁` is singular.
-    pub fn with_caching(ode: &'a CubicOde, caching: bool) -> Result<Self> {
-        Self::with_options(ode, caching, SolverBackend::Auto)
+        Self::with_options(ode, SolverBackend::Auto)
     }
 
     /// Prepares the generator with an explicit linear-solver backend for the
@@ -727,16 +531,12 @@ impl<'a> CubicAssocMomentGenerator<'a> {
     /// # Errors
     ///
     /// Returns an error if `G₁` is singular.
-    pub fn with_options(ode: &'a CubicOde, caching: bool, backend: SolverBackend) -> Result<Self> {
-        let sparse = backend.use_sparse(ode.g1().rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) = G1Factor::build_with_recovery(ode.g1_csr(), ode.g1(), sparse)
-            .map_err(MorError::Linalg)?;
-        let kron_op = if caching {
-            KronSumOp2::new(ode.g1())?
-        } else {
-            KronSumOp2::new_uncached(ode.g1())?
-        };
-        let g1_schur = caching.then(|| kron_op.a_schur());
+    pub fn with_options(ode: &'a CubicOde, backend: SolverBackend) -> Result<Self> {
+        let sparse = backend.use_sparse(ode.g1_csr().rows(), SPARSE_AUTO_THRESHOLD);
+        let (g1_lu, recovery) =
+            G1Factor::build_with_recovery(ode.g1_csr(), sparse).map_err(MorError::Linalg)?;
+        let kron_op = KronSumOp2::new(ode.g1())?;
+        let g1_schur = kron_op.a_schur();
         Ok(CubicAssocMomentGenerator {
             ode,
             g1_lu,
@@ -751,9 +551,9 @@ impl<'a> CubicAssocMomentGenerator<'a> {
         self.recovery
     }
 
-    /// The cached Schur form of `G₁` (present when solver caching is on).
-    pub fn g1_schur(&self) -> Option<&SchurDecomposition> {
-        self.g1_schur.as_ref()
+    /// The cached Schur form of `G₁`.
+    pub fn g1_schur(&self) -> &SchurDecomposition {
+        &self.g1_schur
     }
 
     fn n(&self) -> usize {
@@ -770,44 +570,34 @@ impl<'a> CubicAssocMomentGenerator<'a> {
         Ok(self.ode.b().col(input))
     }
 
-    /// Moments of `H₁(s)` about `s = 0`.
+    /// Moments of `H₁(s)` about `s = 0`, with per-candidate normalization
+    /// (see [`AssocMomentGenerator::h1_moments_scaled`]).
     ///
     /// # Errors
     ///
     /// Returns an error for an invalid input index or a failed solve.
-    pub fn h1_moments(&self, input: usize, count: usize) -> Result<Vec<Vector>> {
-        let mut v = self.b_col(input)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            v = self.g1_lu.solve(&v).map_err(MorError::Linalg)?;
-            out.push(v.clone());
-        }
-        Ok(out)
-    }
-
-    /// [`CubicAssocMomentGenerator::h1_moments`] with per-candidate
-    /// normalization (see [`AssocMomentGenerator::h1_moments_scaled`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CubicAssocMomentGenerator::h1_moments`].
     pub fn h1_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
         h1_chain(&self.g1_lu, self.b_col(input)?, count)
     }
 
-    /// [`CubicAssocMomentGenerator::h3_moments`] with chain scaling (see
+    /// Moments of the associated `H₃(s)` about `s = 0`:
+    /// `m_k = Σ_{i+j=k} G₁^{-(i+1)} G₃ w_j` with
+    /// `w_j = (G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)`, with chain scaling (see
     /// [`AssocMomentGenerator::h2_moments_scaled`]).
+    ///
+    /// The triple Kronecker-sum solve is performed as a big-left/small-right
+    /// Sylvester solve: `(G₁⊕G₁) X + X G₁ᵀ = unvec(r)` with `X ∈ ℝ^{n²×n}`.
     ///
     /// # Errors
     ///
-    /// Same contract as [`CubicAssocMomentGenerator::h3_moments`].
+    /// Returns an error for an invalid input index or singular pencils.
     pub fn h3_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
         }
         let n = self.n();
         let b = self.b_col(input)?;
-        let g1t = self.ode.g1().transpose();
+        // w_0 seed: b ⊗ b ⊗ b as an n² x n matrix (column-major unvec).
         let bb = kron_vec(&b, &b);
         let mut w_mat = Matrix::zeros(n * n, n);
         for j in 0..n {
@@ -820,10 +610,7 @@ impl<'a> CubicAssocMomentGenerator<'a> {
         let mut out = ScaledMoments::with_capacity(count);
         let mut frame = 0.0;
         for _ in 0..count {
-            w_mat = match &self.g1_schur {
-                Some(schur) => solve_sylvester_big_small_with_schur(&self.kron_op, schur, &w_mat)?,
-                None => solve_sylvester_big_small(&self.kron_op, &g1t, &w_mat)?,
-            };
+            w_mat = solve_sylvester_big_small_with_schur(&self.kron_op, &self.g1_schur, &w_mat)?;
             let w_vec = vec_of(&w_mat);
             let g3w_k = self.ode.g3().matvec(&w_vec);
             for a in acc.iter_mut() {
@@ -843,61 +630,6 @@ impl<'a> CubicAssocMomentGenerator<'a> {
             frame += rescale_state(&mut state, Some(&mut w_mat));
         }
         Ok(out)
-    }
-
-    /// Moments of the associated `H₃(s)` about `s = 0`:
-    /// `m_k = Σ_{i+j=k} G₁^{-(i+1)} G₃ w_j` with
-    /// `w_j = (G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)`.
-    ///
-    /// The triple Kronecker-sum solve is performed as a big-left/small-right
-    /// Sylvester solve: `(G₁⊕G₁) X + X G₁ᵀ = unvec(r)` with `X ∈ ℝ^{n²×n}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid input index or singular pencils.
-    pub fn h3_moments(&self, input: usize, count: usize) -> Result<Vec<Vector>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.n();
-        let b = self.b_col(input)?;
-        let g1t = self.ode.g1().transpose();
-        // w_0 seed: b ⊗ b ⊗ b as an n² x n matrix (column-major unvec).
-        let bb = kron_vec(&b, &b);
-        let mut w_mat = Matrix::zeros(n * n, n);
-        for j in 0..n {
-            for i in 0..n * n {
-                w_mat[(i, j)] = b[j] * bb[i];
-            }
-        }
-        let mut g3w: Vec<Vector> = Vec::with_capacity(count);
-        for _ in 0..count {
-            w_mat = match &self.g1_schur {
-                Some(schur) => solve_sylvester_big_small_with_schur(&self.kron_op, schur, &w_mat)?,
-                None => solve_sylvester_big_small(&self.kron_op, &g1t, &w_mat)?,
-            };
-            let w_vec = vec_of(&w_mat);
-            g3w.push(self.ode.g3().matvec(&w_vec));
-        }
-
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(n);
-        let mut moments = Vec::with_capacity(count);
-        for g3w_k in &g3w {
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.g1_lu.solve(g3w_k).map_err(MorError::Linalg)?);
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            moments.push(m_k);
-        }
-        Ok(moments)
     }
 }
 
@@ -937,6 +669,40 @@ mod tests {
         builder.build().unwrap()
     }
 
+    fn small_cubic() -> CubicOde {
+        let n = 2;
+        let g1 = Matrix::from_rows(&[&[-1.0, 0.2], &[0.0, -3.0]]).unwrap();
+        let mut g3 = CooMatrix::new(n, n * n * n);
+        g3.push(0, 0, 0.5); // x0^3
+        g3.push(1, 7, -0.3); // x1^3 (index 1*4+1*2+1)
+        g3.push(1, 1, 0.1); // x0 x0 x1
+        let b = Matrix::from_rows(&[&[1.0], &[0.4]]).unwrap();
+        let c = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
+        CubicOde::new(g1, None, g3.to_csr(), b, c).unwrap()
+    }
+
+    /// The raw moments a scaled chain stands for: `vectors[k] · 10^mag[k]`.
+    fn rebuild(scaled: &ScaledMoments) -> Vec<Vector> {
+        scaled
+            .vectors
+            .iter()
+            .zip(&scaled.log10_magnitudes)
+            .map(|(v, &mag)| v.scaled(10.0_f64.powf(mag)))
+            .collect()
+    }
+
+    /// Brute-force reference: `G₁⁻¹ b, G₁⁻² b, …` by repeated dense solves.
+    fn dense_h1_moments(g1: &Matrix, b: &Vector, count: usize) -> Vec<Vector> {
+        let lu = g1.lu().unwrap();
+        let mut v = b.clone();
+        (0..count)
+            .map(|_| {
+                v = lu.solve(&v).unwrap();
+                v.clone()
+            })
+            .collect()
+    }
+
     /// Brute-force reference: moments of the associated H2(s) computed from
     /// the explicit dense realization of Eq. 17 by repeated dense solves.
     fn dense_h2_moments(q: &Qldae, count: usize) -> Vec<Vector> {
@@ -953,81 +719,37 @@ mod tests {
         out
     }
 
-    #[test]
-    fn h2_moments_match_dense_realization() {
-        for with_d1 in [false, true] {
-            let q = small_qldae(with_d1);
-            let generator = AssocMomentGenerator::new(&q).unwrap();
-            let ours = generator.h2_moments(0, 0, 4).unwrap();
-            let reference = dense_h2_moments(&q, 4);
-            for (k, (a, b)) in ours.iter().zip(reference.iter()).enumerate() {
-                // Both sequences are the Taylor coefficients of the same
-                // rational function up to sign conventions; compare spans by
-                // checking proportionality of each coefficient vector.
-                let diff_plus = (a - b).norm_inf();
-                let diff_minus = (&a.scaled(-1.0) - b).norm_inf();
-                let tol = 1e-9 * (1.0 + b.norm_inf());
-                assert!(
-                    diff_plus < tol || diff_minus < tol,
-                    "moment {k} mismatch (d1={with_d1}): |a-b|={diff_plus:.3e}, |a+b|={diff_minus:.3e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn h1_moments_are_rational_krylov_vectors() {
-        let q = small_qldae(false);
-        let generator = AssocMomentGenerator::new(&q).unwrap();
-        let m = generator.h1_moments(0, 3).unwrap();
-        let g1 = q.g1();
-        // G1 * m_0 = b, G1 * m_{k+1} = m_k.
-        assert!((&g1.matvec(&m[0]) - &q.b().col(0)).norm_inf() < 1e-12);
-        assert!((&g1.matvec(&m[1]) - &m[0]).norm_inf() < 1e-12);
-        assert!((&g1.matvec(&m[2]) - &m[1]).norm_inf() < 1e-12);
-        assert!(generator.h1_moments(1, 2).is_err());
-    }
-
-    #[test]
-    fn h3_moments_match_brute_force_dense_computation() {
-        let q = small_qldae(true);
-        let n = 3;
-        let generator = AssocMomentGenerator::new(&q).unwrap();
-        let ours = generator.h3_moments(0, 2).unwrap();
-
-        // Brute force from the dense realizations: build G̃2 densely, then the
-        // (n·(n+n²)) matrix G1 ⊕ G̃2 and compute the H̃3 moments explicitly.
+    /// Brute-force reference for the associated H3(s): build G̃2 densely,
+    /// then the (n·(n+n²)) matrix G1 ⊕ G̃2, and compute the H̃3 moments
+    /// explicitly.
+    fn dense_h3_moments(q: &Qldae, count: usize) -> Vec<Vector> {
+        let n = q.g1().rows();
+        let generator = AssocMomentGenerator::new(q).unwrap();
         let (gt2, btilde, ctilde) = generator.dense_h2_realization(0).unwrap();
         let g1 = q.g1();
         let b = q.b().col(0);
         let m_dim = n + n * n;
-        let big = kron_sum(g1, &gt2); // n·m dimensional
-        let big_lu = big.lu().unwrap();
-        let seed = kron_vec(&b, &btilde);
-        let d1 = &q.d1()[0];
-        let d1b = d1.matvec(&b);
-        let d1d1b = d1.matvec(&d1b);
+        let big_lu = kron_sum(g1, &gt2).lu().unwrap(); // n·m dimensional
         let g1_lu = g1.lu().unwrap();
+        // D₁² b contribution.
+        let mut d_chain = match q.d1().first() {
+            Some(d1) => d1.matvec(&d1.matvec(&b)),
+            None => Vector::zeros(n),
+        };
 
-        let mut z = seed;
-        let mut g2nu = Vec::new();
-        for _ in 0..2 {
+        let mut z = kron_vec(&b, &btilde);
+        let mut acc: Vec<Vector> = Vec::new();
+        let mut reference = Vec::new();
+        for _ in 0..count {
             z = big_lu.solve(&z).unwrap();
             // term1: (I ⊗ c̃2) z ; term2 equals the "transposed" pairing.
-            let zmat = unvec(&z, m_dim, n).unwrap();
-            let s = ctilde.matmul(&zmat); // n×n
+            let s = ctilde.matmul(&unvec(&z, m_dim, n).unwrap()); // n×n
             let mut nu = vec_of(&s);
             nu.axpy(1.0, &vec_of(&s.transpose()));
-            g2nu.push(q.g2().matvec(&nu));
-        }
-        let mut acc: Vec<Vector> = Vec::new();
-        let mut d_chain = d1d1b;
-        let mut reference = Vec::new();
-        for g2nu_k in &g2nu {
             for a in acc.iter_mut() {
                 *a = g1_lu.solve(a).unwrap();
             }
-            acc.push(g1_lu.solve(g2nu_k).unwrap());
+            acc.push(g1_lu.solve(&q.g2().matvec(&nu)).unwrap());
             d_chain = g1_lu.solve(&d_chain).unwrap();
             let mut m_k = Vector::zeros(n);
             for a in &acc {
@@ -1036,7 +758,80 @@ mod tests {
             m_k.axpy(-1.0, &d_chain);
             reference.push(m_k);
         }
+        reference
+    }
 
+    /// Dense reference for the cubic H3(s) with the explicit n³ Kronecker sum.
+    fn dense_cubic_h3_moments(ode: &CubicOde, count: usize) -> Vec<Vector> {
+        let g1 = ode.g1();
+        let n = g1.rows();
+        let m3_lu = kron_sum(g1, &kron_sum(g1, g1)).lu().unwrap();
+        let g1_lu = g1.lu().unwrap();
+        let b = ode.b().col(0);
+        let mut w = kron_vec(&b, &kron_vec(&b, &b));
+        let mut acc: Vec<Vector> = Vec::new();
+        let mut reference = Vec::new();
+        for _ in 0..count {
+            w = m3_lu.solve(&w).unwrap();
+            for a in acc.iter_mut() {
+                *a = g1_lu.solve(a).unwrap();
+            }
+            acc.push(g1_lu.solve(&ode.g3().matvec(&w)).unwrap());
+            let mut m_k = Vector::zeros(n);
+            for a in &acc {
+                m_k.axpy(1.0, a);
+            }
+            reference.push(m_k);
+        }
+        reference
+    }
+
+    /// Both sequences are the Taylor coefficients of the same rational
+    /// function up to sign conventions: compare each coefficient vector up to
+    /// sign.
+    fn assert_close_up_to_sign(ours: &[Vector], reference: &[Vector], rel: f64, what: &str) {
+        assert_eq!(ours.len(), reference.len(), "{what}: chain length");
+        for (k, (a, b)) in ours.iter().zip(reference).enumerate() {
+            let diff_plus = (a - b).norm_inf();
+            let diff_minus = (&a.scaled(-1.0) - b).norm_inf();
+            let tol = rel * (1.0 + b.norm_inf());
+            assert!(
+                diff_plus < tol || diff_minus < tol,
+                "{what} moment {k} mismatch: |a-b|={diff_plus:.3e}, |a+b|={diff_minus:.3e}"
+            );
+        }
+    }
+
+    #[test]
+    fn h2_moments_match_dense_realization() {
+        for with_d1 in [false, true] {
+            let q = small_qldae(with_d1);
+            let generator = AssocMomentGenerator::new(&q).unwrap();
+            let ours = rebuild(&generator.h2_moments_scaled(0, 0, 4).unwrap());
+            let what = format!("H2 (d1={with_d1})");
+            assert_close_up_to_sign(&ours, &dense_h2_moments(&q, 4), 1e-9, &what);
+        }
+    }
+
+    #[test]
+    fn h1_moments_are_rational_krylov_vectors() {
+        let q = small_qldae(false);
+        let generator = AssocMomentGenerator::new(&q).unwrap();
+        let m = rebuild(&generator.h1_moments_scaled(0, 3).unwrap());
+        let g1 = q.g1();
+        // G1 * m_0 = b, G1 * m_{k+1} = m_k.
+        assert!((&g1.matvec(&m[0]) - &q.b().col(0)).norm_inf() < 1e-12);
+        assert!((&g1.matvec(&m[1]) - &m[0]).norm_inf() < 1e-12);
+        assert!((&g1.matvec(&m[2]) - &m[1]).norm_inf() < 1e-12);
+        assert!(generator.h1_moments_scaled(1, 2).is_err());
+    }
+
+    #[test]
+    fn h3_moments_match_brute_force_dense_computation() {
+        let q = small_qldae(true);
+        let generator = AssocMomentGenerator::new(&q).unwrap();
+        let ours = rebuild(&generator.h3_moments_scaled(0, 2).unwrap());
+        let reference = dense_h3_moments(&q, 2);
         for (k, (a, b)) in ours.iter().zip(reference.iter()).enumerate() {
             assert!(
                 (a - b).norm_inf() < 1e-9 * (1.0 + b.norm_inf()),
@@ -1049,52 +844,18 @@ mod tests {
 
     #[test]
     fn cubic_h3_moments_match_dense_triple_kron_sum() {
-        // Small cubic system: n = 2.
-        let n = 2;
-        let g1 = Matrix::from_rows(&[&[-1.0, 0.2], &[0.0, -3.0]]).unwrap();
-        let mut g3 = CooMatrix::new(n, n * n * n);
-        g3.push(0, 0, 0.5); // x0^3
-        g3.push(1, 7, -0.3); // x1^3 (index 1*4+1*2+1)
-        g3.push(1, 1, 0.1); // x0 x0 x1
-        let b = Matrix::from_rows(&[&[1.0], &[0.4]]).unwrap();
-        let c = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-        let ode = CubicOde::new(g1.clone(), None, g3.to_csr(), b.clone(), c).unwrap();
+        let ode = small_cubic();
         let generator = CubicAssocMomentGenerator::new(&ode).unwrap();
-        let ours = generator.h3_moments(0, 3).unwrap();
-
-        // Dense reference with the explicit n³ Kronecker sum.
-        let m3 = kron_sum(&g1, &kron_sum(&g1, &g1));
-        let m3_lu = m3.lu().unwrap();
-        let bvec = b.col(0);
-        let seed = kron_vec(&bvec, &kron_vec(&bvec, &bvec));
-        let g1_lu = g1.lu().unwrap();
-        let mut w = seed;
-        let mut g3w = Vec::new();
-        for _ in 0..3 {
-            w = m3_lu.solve(&w).unwrap();
-            g3w.push(ode.g3().matvec(&w));
-        }
-        let mut acc: Vec<Vector> = Vec::new();
-        let mut reference = Vec::new();
-        for g3w_k in &g3w {
-            for a in acc.iter_mut() {
-                *a = g1_lu.solve(a).unwrap();
-            }
-            acc.push(g1_lu.solve(g3w_k).unwrap());
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            reference.push(m_k);
-        }
+        let ours = rebuild(&generator.h3_moments_scaled(0, 3).unwrap());
+        let reference = dense_cubic_h3_moments(&ode, 3);
         for (k, (a, b)) in ours.iter().zip(reference.iter()).enumerate() {
             assert!(
                 (a - b).norm_inf() < 1e-10 * (1.0 + b.norm_inf()),
                 "cubic H3 moment {k} mismatch"
             );
         }
-        assert!(generator.h1_moments(0, 2).unwrap().len() == 2);
-        assert!(generator.h1_moments(3, 1).is_err());
+        assert!(generator.h1_moments_scaled(0, 2).unwrap().vectors.len() == 2);
+        assert!(generator.h1_moments_scaled(3, 1).is_err());
     }
 
     #[test]
@@ -1109,8 +870,6 @@ mod tests {
     fn zero_moment_requests_return_empty() {
         let q = small_qldae(false);
         let generator = AssocMomentGenerator::new(&q).unwrap();
-        assert!(generator.h2_moments(0, 0, 0).unwrap().is_empty());
-        assert!(generator.h3_moments(0, 0).unwrap().is_empty());
         assert!(generator
             .h2_moments_scaled(0, 0, 0)
             .unwrap()
@@ -1123,9 +882,9 @@ mod tests {
             .is_empty());
     }
 
-    /// The scaled chain must span exactly the same directions as the raw one:
-    /// each scaled candidate is the unit-normalized raw moment, and the
-    /// recorded `log10` magnitude reconstructs the raw norm.
+    /// The scaled chain must span exactly the directions of the raw moments:
+    /// each scaled candidate is the unit-normalized raw moment (up to sign),
+    /// and the recorded `log10` magnitude reconstructs the raw norm.
     fn assert_scaled_matches_raw(raw: &[Vector], scaled: &ScaledMoments) {
         assert_eq!(raw.len(), scaled.vectors.len());
         for (k, (r, s)) in raw.iter().zip(scaled.vectors.iter()).enumerate() {
@@ -1136,7 +895,7 @@ mod tests {
             );
             let unit = r.scaled(1.0 / mag);
             assert!(
-                (&unit - s).norm_inf() < 1e-9,
+                (&unit - s).norm_inf() < 1e-9 || (&unit + s).norm_inf() < 1e-9,
                 "scaled candidate {k} is not parallel to the raw moment"
             );
             let rec = 10.0_f64.powf(scaled.log10_magnitudes[k]);
@@ -1153,15 +912,15 @@ mod tests {
             let q = small_qldae(with_d1);
             let generator = AssocMomentGenerator::new(&q).unwrap();
             assert_scaled_matches_raw(
-                &generator.h1_moments(0, 5).unwrap(),
+                &dense_h1_moments(q.g1(), &q.b().col(0), 5),
                 &generator.h1_moments_scaled(0, 5).unwrap(),
             );
             assert_scaled_matches_raw(
-                &generator.h2_moments(0, 0, 4).unwrap(),
+                &dense_h2_moments(&q, 4),
                 &generator.h2_moments_scaled(0, 0, 4).unwrap(),
             );
             assert_scaled_matches_raw(
-                &generator.h3_moments(0, 3).unwrap(),
+                &dense_h3_moments(&q, 3),
                 &generator.h3_moments_scaled(0, 3).unwrap(),
             );
         }
@@ -1169,21 +928,14 @@ mod tests {
 
     #[test]
     fn scaled_cubic_chains_match_raw_chains() {
-        let n = 2;
-        let g1 = Matrix::from_rows(&[&[-1.0, 0.2], &[0.0, -3.0]]).unwrap();
-        let mut g3 = CooMatrix::new(n, n * n * n);
-        g3.push(0, 0, 0.5);
-        g3.push(1, 7, -0.3);
-        let b = Matrix::from_rows(&[&[1.0], &[0.4]]).unwrap();
-        let c = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-        let ode = CubicOde::new(g1, None, g3.to_csr(), b, c).unwrap();
+        let ode = small_cubic();
         let generator = CubicAssocMomentGenerator::new(&ode).unwrap();
         assert_scaled_matches_raw(
-            &generator.h1_moments(0, 4).unwrap(),
+            &dense_h1_moments(ode.g1(), &ode.b().col(0), 4),
             &generator.h1_moments_scaled(0, 4).unwrap(),
         );
         assert_scaled_matches_raw(
-            &generator.h3_moments(0, 3).unwrap(),
+            &dense_cubic_h3_moments(&ode, 3),
             &generator.h3_moments_scaled(0, 3).unwrap(),
         );
     }
@@ -1209,13 +961,39 @@ mod tests {
         // The discarded magnitude is astronomically large and faithfully
         // tracked in log10 space (5^500 ≈ 10^349).
         assert!(scaled.log10_peak() > 300.0);
-        // The raw chain cannot represent those magnitudes.
-        let raw = generator.h1_moments(0, 500).unwrap();
+        // The raw moment cannot represent those magnitudes.
+        let raw = rebuild(&scaled);
         assert!(raw
             .last()
             .unwrap()
             .as_slice()
             .iter()
             .any(|x| !x.is_finite()));
+    }
+
+    /// The memory-budget estimate covers every matrix the artifacts hold:
+    /// the `G₁` factor, the Schur pair, the block operator's dense `G₁`, the
+    /// `G₁ ⊕ G₁` factor `A` with its Lyapunov solver (two Schur pairs and
+    /// their transposes), and the shifted-solve cache's base and `σ = 0`
+    /// factor.
+    #[test]
+    fn artifact_estimate_covers_every_held_matrix() {
+        let rx = vamor_circuits::RfReceiver::new(4).unwrap();
+        let q = rx.qldae();
+        let shared = SharedAssocArtifacts::build(q, SolverBackend::Auto).unwrap();
+        let n = shared.n();
+        let dense = n * n * std::mem::size_of::<f64>();
+        let held = shared.g1_lu.approx_bytes() // LU(G₁)
+            + 2 * dense // Schur Q, T
+            + dense // block operator G₁
+            + dense // G₁ ⊕ G₁ factor A
+            + 6 * dense // Lyapunov solver Qa, Ta, Qb, Tb, Qaᵀ, Qbᵀ
+            + 2 * dense; // shift-cache base and its σ = 0 factor
+        assert!(
+            shared.approx_bytes() >= held,
+            "estimate {} < held {held}",
+            shared.approx_bytes()
+        );
+        assert!(shared.approx_bytes() < 2 * held, "estimate overcounts");
     }
 }

@@ -62,7 +62,7 @@ pub use lowrank::{
     ReductionEngine, LOWRANK_AUTO_THRESHOLD,
 };
 pub use norm::NormReducer;
-pub use operators::{BlockH2Op, KronSumOp2, ShiftCacheBackend, ShiftedSolveOp};
+pub use operators::{BlockH2Op, KronSumOp2, ShiftedSolveOp};
 pub use par::{parallel_map, try_parallel_map};
 pub use project::{
     cubic_matvec_kron, project_cubic, project_cubic_petrov, project_qldae, project_qldae_petrov,

@@ -35,7 +35,7 @@
 //!   ([`vamor_linalg::heuristic_adi_shifts`]: Arnoldi + inverse-Arnoldi Ritz
 //!   values, greedy selection) is shared by the chain bases, the fADI top
 //!   blocks and the weight; every shifted factorization is memoized in a
-//!   capacity-bounded [`ShiftedSparseLuCache`].
+//!   [`ShiftCache`] (capacity-bounded in its sparse backend).
 //!
 //! # When `Auto` picks it
 //!
@@ -58,8 +58,7 @@ use vamor_linalg::lowrank::{
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
     kron_vec, CholeskyDecomposition, CsrMatrix, LinalgError, Matrix, PivotRecovery, RunControl,
-    ShiftedLuCache, ShiftedSparseLuCache, SolverBackend, SparseLu, SparseLuSymbolic,
-    SylvesterSolver, Vector,
+    ShiftCache, SolverBackend, SylvesterSolver, Vector,
 };
 use vamor_system::{CubicOde, Qldae};
 
@@ -177,35 +176,6 @@ impl LowRankDiagnostics {
     }
 }
 
-/// The shifted-solve backend of the engine, selected exactly like the PR-3
-/// solver backends (`Auto` → sparse from 256 states).
-#[derive(Debug)]
-pub(crate) enum ShiftedSolverBackend {
-    Dense(ShiftedLuCache),
-    Sparse(ShiftedSparseLuCache),
-}
-
-impl ShiftedSolverBackend {
-    /// Builds the backend over a CSR stamp, materializing a dense copy only
-    /// in dense mode (the 10⁴-state systems never allocate it).
-    fn over_csr(csr: &CsrMatrix, sparse: bool) -> Self {
-        if sparse {
-            ShiftedSolverBackend::Sparse(
-                ShiftedSparseLuCache::new(csr.clone()).with_capacity_bound(ADI_CACHE_CAPACITY),
-            )
-        } else {
-            ShiftedSolverBackend::Dense(ShiftedLuCache::new(csr.to_dense()))
-        }
-    }
-
-    pub(crate) fn as_dyn(&self) -> &dyn ShiftedSolve {
-        match self {
-            ShiftedSolverBackend::Dense(c) => c,
-            ShiftedSolverBackend::Sparse(c) => c,
-        }
-    }
-}
-
 /// `A · M` for a CSR matrix and a (tall, thin) dense factor, column by
 /// column — the large-`n` replacement for `g1().matmul(...)` that never
 /// materializes the dense `G₁`.
@@ -217,36 +187,6 @@ pub(crate) fn csr_matmul(a: &CsrMatrix, m: &Matrix) -> Matrix {
         out.set_col(j, &buf);
     }
     out
-}
-
-/// Builds the `G₁` factorization without touching the dense view in sparse
-/// mode, walking the pivot degradation ladder: threshold escalation inside
-/// the sparse backend first, then — only if every rung reports `Singular` —
-/// a dense fallback (which does materialize the dense view, as the last
-/// resort of the ladder).
-fn g1_factor(csr: &CsrMatrix, sparse: bool) -> Result<(G1Factor, PivotRecovery)> {
-    let mut recovery = PivotRecovery::default();
-    if sparse {
-        match SparseLuSymbolic::analyze(csr)
-            .and_then(|symbolic| SparseLu::factor_shifted_with_recovery(&symbolic, csr, 0.0))
-        {
-            Ok((lu, escalations)) => {
-                recovery.escalations = escalations;
-                return Ok((G1Factor::Sparse(lu), recovery));
-            }
-            Err(LinalgError::Singular(_)) => {
-                recovery.escalations = 2;
-                recovery.dense_fallback = true;
-                vamor_obs::event!(vamor_obs::Event::Degradation {
-                    rung: vamor_obs::event::DegradationRung::DenseFallback,
-                    detail: recovery.escalations as f64,
-                });
-            }
-            Err(e) => return Err(MorError::Linalg(e)),
-        }
-    }
-    let lu = csr.to_dense().lu().map_err(MorError::Linalg)?;
-    Ok((G1Factor::Dense(lu), recovery))
 }
 
 /// Shared construction of the shift pool: one Ritz sweep over the `G₁`
@@ -309,7 +249,7 @@ pub struct LowRankAssocMomentGenerator<'a> {
     qldae: &'a Qldae,
     g1_lu: G1Factor,
     recovery: PivotRecovery,
-    solver: ShiftedSolverBackend,
+    solver: ShiftCache,
     shifts: Vec<f64>,
     opts: LowRankOptions,
     control: RunControl,
@@ -327,9 +267,10 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
     pub fn new(qldae: &'a Qldae, backend: SolverBackend, opts: LowRankOptions) -> Result<Self> {
         let csr = qldae.g1_csr();
         let sparse = backend.use_sparse(csr.rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) = g1_factor(csr, sparse)?;
-        let solver = ShiftedSolverBackend::over_csr(csr, sparse);
-        let shifts = shift_pool(solver.as_dyn(), qldae.b(), &opts)?;
+        let (g1_lu, recovery) =
+            G1Factor::build_with_recovery(csr, sparse).map_err(MorError::Linalg)?;
+        let solver = ShiftCache::new(csr, backend).with_capacity_bound(ADI_CACHE_CAPACITY);
+        let shifts = shift_pool(&solver, qldae.b(), &opts)?;
         Ok(LowRankAssocMomentGenerator {
             qldae,
             g1_lu,
@@ -407,7 +348,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
     /// A chain basis plus its reduced matrix `H = Qᵀ G₁ Q`.
     fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<(Matrix, Vec<Vector>, Matrix)> {
         let q = rational_krylov_basis_controlled(
-            self.solver.as_dyn(),
+            &self.solver,
             seeds,
             &self.shifts,
             depth,
@@ -591,7 +532,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                 v_rhs.set_col(tu.cols() + j, qj);
             }
             let sol = fadi_lyapunov_controlled(
-                self.solver.as_dyn(),
+                &self.solver,
                 &u_rhs,
                 &v_rhs,
                 &self.shifts,
@@ -669,7 +610,7 @@ pub struct LowRankCubicMomentGenerator<'a> {
     ode: &'a CubicOde,
     g1_lu: G1Factor,
     recovery: PivotRecovery,
-    solver: ShiftedSolverBackend,
+    solver: ShiftCache,
     shifts: Vec<f64>,
     opts: LowRankOptions,
     control: RunControl,
@@ -685,9 +626,10 @@ impl<'a> LowRankCubicMomentGenerator<'a> {
     pub fn new(ode: &'a CubicOde, backend: SolverBackend, opts: LowRankOptions) -> Result<Self> {
         let csr = ode.g1_csr();
         let sparse = backend.use_sparse(csr.rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) = g1_factor(csr, sparse)?;
-        let solver = ShiftedSolverBackend::over_csr(csr, sparse);
-        let shifts = shift_pool(solver.as_dyn(), ode.b(), &opts)?;
+        let (g1_lu, recovery) =
+            G1Factor::build_with_recovery(csr, sparse).map_err(MorError::Linalg)?;
+        let solver = ShiftCache::new(csr, backend).with_capacity_bound(ADI_CACHE_CAPACITY);
+        let shifts = shift_pool(&solver, ode.b(), &opts)?;
         Ok(LowRankCubicMomentGenerator {
             ode,
             g1_lu,
@@ -755,7 +697,7 @@ impl<'a> LowRankCubicMomentGenerator<'a> {
         let n = self.n();
         let b = self.b_col(input)?;
         let q = rational_krylov_basis_controlled(
-            self.solver.as_dyn(),
+            &self.solver,
             std::slice::from_ref(&b),
             &self.shifts,
             count + 2,
@@ -859,15 +801,16 @@ impl LowRankWeight {
 pub(crate) fn lowrank_weight(
     g1_csr: &CsrMatrix,
     c: &Matrix,
-    sparse: bool,
+    backend: SolverBackend,
     opts: &LowRankOptions,
     control: &RunControl,
 ) -> Result<LowRankWeight> {
-    let solver = ShiftedSolverBackend::over_csr(&g1_csr.transpose(), sparse);
+    let solver =
+        ShiftCache::new(&g1_csr.transpose(), backend).with_capacity_bound(ADI_CACHE_CAPACITY);
     let b = c.transpose();
-    let built = shift_pool_pairs(solver.as_dyn(), &b, opts).and_then(|shifts| {
+    let built = shift_pool_pairs(&solver, &b, opts).and_then(|shifts| {
         lr_adi_lyapunov_pairs_controlled(
-            solver.as_dyn(),
+            &solver,
             &b,
             &shifts,
             // Non-strict: the 1e-4 acceptance gate below decides whether the
@@ -986,13 +929,6 @@ pub(crate) fn project_guarded_lowrank<T>(
     };
     let system = project(&v, &w)?;
     Ok((system, v))
-}
-
-/// Builds the `G₁` factorization for a backend choice without materializing
-/// the dense view in sparse mode (shared with [`crate::NormReducer`]),
-/// reporting what the pivot degradation ladder did.
-pub(crate) fn g1_factor_for(csr: &CsrMatrix, sparse: bool) -> Result<(G1Factor, PivotRecovery)> {
-    g1_factor(csr, sparse)
 }
 
 #[cfg(test)]
@@ -1121,7 +1057,7 @@ mod tests {
         let weight = lowrank_weight(
             q.g1_csr(),
             q.c(),
-            false,
+            SolverBackend::Dense,
             &LowRankOptions::default(),
             &RunControl::new(),
         )

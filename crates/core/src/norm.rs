@@ -8,14 +8,12 @@
 //! transform removes. This module implements that baseline so the paper's
 //! size and runtime comparisons (Table 1, Figs. 3–4) can be reproduced.
 
-use vamor_linalg::{OrthoBasis, RunControl, SolverBackend, Vector};
+use vamor_linalg::{OrthoBasis, RunControl, SchurDecomposition, SolverBackend, Vector};
 use vamor_system::Qldae;
 
 use crate::assoc::G1Factor;
 use crate::error::MorError;
-use crate::lowrank::{
-    g1_factor_for, lowrank_weight, project_guarded_lowrank, LowRankOptions, ReductionEngine,
-};
+use crate::lowrank::{lowrank_weight, project_guarded_lowrank, LowRankOptions, ReductionEngine};
 use crate::reduce::{
     project_guarded, reorthonormalize, MomentSpec, ReducedQldae, ReductionStats, StabilizationFrame,
 };
@@ -179,17 +177,19 @@ impl NormReducer {
         let num_inputs = qldae.b().cols();
         let sparse = self.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let use_lowrank = self.engine.use_lowrank(n);
-        let (g1_lu, recovery): (G1Factor, _) = if use_lowrank {
-            // Never materialize the dense G₁ view on the low-rank engine.
-            g1_factor_for(qldae.g1_csr(), sparse)?
+        let (g1_lu, recovery) =
+            G1Factor::build_with_recovery(qldae.g1_csr(), sparse).map_err(MorError::Linalg)?;
+        // The dense engine solves the energy weight and runs the spectral
+        // guard against one Schur form of G₁; the low-rank engine never
+        // materializes the dense G₁ view.
+        let (frame, g1_schur) = if use_lowrank {
+            (StabilizationFrame::inactive(), None)
         } else {
-            G1Factor::build_with_recovery(qldae.g1_csr(), qldae.g1(), sparse)
-                .map_err(MorError::Linalg)?
-        };
-        let frame = if use_lowrank {
-            StabilizationFrame::inactive()
-        } else {
-            StabilizationFrame::new(self.stabilized, qldae.g1(), None)
+            let schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
+            (
+                StabilizationFrame::new(self.stabilized, &schur),
+                Some(schur),
+            )
         };
         let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
         let mut stats = ReductionStats {
@@ -323,13 +323,13 @@ impl NormReducer {
         let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
         let (qtil, dropped) = reorthonormalize(&accumulated, self.qr_condition_cap)?;
         stats.qr_dropped = dropped;
-        if use_lowrank {
+        let Some(g1_schur) = &g1_schur else {
             let weight = if self.stabilized {
                 let weight_control = control.cloned().unwrap_or_default();
                 lowrank_weight(
                     qldae.g1_csr(),
                     qldae.c(),
-                    sparse,
+                    self.backend,
                     &self.lowrank_opts,
                     &weight_control,
                 )?
@@ -358,13 +358,13 @@ impl NormReducer {
             )?;
             stats.projection_dim = v.cols();
             return Ok(ReducedQldae::from_parts(system, v, stats));
-        }
+        };
         let (system, v) = project_guarded(
             qtil,
             &frame,
             self.spectral_guard,
             qldae.g1(),
-            None,
+            g1_schur,
             &mut stats,
             |v, w| crate::project::project_qldae_petrov(qldae, v, w),
         )?;

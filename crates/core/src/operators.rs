@@ -13,89 +13,12 @@
 //! big-left/small-right Sylvester solver in [`crate::bigsmall`].
 
 use vamor_linalg::{
-    Complex, CsrMatrix, Matrix, SchurDecomposition, ShiftedLuCache, ShiftedSparseLuCache,
-    SylvesterSolver, Vector,
+    Complex, CsrMatrix, Matrix, SchurDecomposition, ShiftCache, ShiftedLuCache, SylvesterSolver,
+    Vector,
 };
 
 use crate::error::MorError;
 use crate::Result;
-
-/// The shifted-solve cache of a structured operator's top block, in either
-/// the dense (`O(n³)`-per-shift) or sparse (numeric-refactor-per-shift)
-/// backend. Key quantization and hit/miss accounting are identical across
-/// backends (see [`vamor_linalg::shift_cache`]), so diagnostics compare
-/// one-for-one.
-#[derive(Debug, Clone)]
-pub enum ShiftCacheBackend {
-    /// Dense `ShiftedLuCache` over a dense base matrix.
-    Dense(ShiftedLuCache),
-    /// Sparse cache: one symbolic analysis, numeric refactor per shift.
-    Sparse(ShiftedSparseLuCache),
-}
-
-impl ShiftCacheBackend {
-    /// Number of solves served from cached factors.
-    pub fn hits(&self) -> usize {
-        match self {
-            ShiftCacheBackend::Dense(c) => c.hits(),
-            ShiftCacheBackend::Sparse(c) => c.hits(),
-        }
-    }
-
-    /// Number of fresh factorizations performed.
-    pub fn misses(&self) -> usize {
-        match self {
-            ShiftCacheBackend::Dense(c) => c.misses(),
-            ShiftCacheBackend::Sparse(c) => c.misses(),
-        }
-    }
-
-    /// Number of distinct cached factorizations.
-    pub fn len(&self) -> usize {
-        match self {
-            ShiftCacheBackend::Dense(c) => c.len(),
-            ShiftCacheBackend::Sparse(c) => c.len(),
-        }
-    }
-
-    /// True if nothing has been factored yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when this is the sparse backend.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, ShiftCacheBackend::Sparse(_))
-    }
-
-    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> vamor_linalg::Result<Vector> {
-        match self {
-            ShiftCacheBackend::Dense(c) => c.solve_shifted(sigma, rhs),
-            ShiftCacheBackend::Sparse(c) => c.solve_shifted(sigma, rhs),
-        }
-    }
-
-    fn solve_shifted_complex(
-        &self,
-        lambda: Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> vamor_linalg::Result<(Vector, Vector)> {
-        match self {
-            ShiftCacheBackend::Dense(c) => c.solve_shifted_complex(lambda, re, im),
-            ShiftCacheBackend::Sparse(c) => c.solve_shifted_complex(lambda, re, im),
-        }
-    }
-
-    /// Fails fast when the unshifted base matrix is singular (the `σ = 0`
-    /// expansion point requires a regular `G₁`).
-    fn check_regular(&self) -> vamor_linalg::Result<()> {
-        match self {
-            ShiftCacheBackend::Dense(c) => c.factor(0.0).map(|_| ()),
-            ShiftCacheBackend::Sparse(c) => c.factor(0.0).map(|_| ()),
-        }
-    }
-}
 
 /// A square operator supporting application and shifted solves
 /// `(Op + σI) x = r` with real or complex shifts.
@@ -175,29 +98,6 @@ impl KronSumOp2 {
         })
     }
 
-    /// Builds the operator the pre-cache way: two independent Schur
-    /// factorizations (`A` and `(Aᵀ)ᵀ`), kept for A/B benchmarking of the
-    /// solver-cache layer.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`KronSumOp2::new`].
-    pub fn new_uncached(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(MorError::Invalid(format!(
-                "kronecker sum operand must be square, got {}x{}",
-                a.rows(),
-                a.cols()
-            )));
-        }
-        let solver = SylvesterSolver::new_legacy(a, &a.transpose()).map_err(MorError::Linalg)?;
-        Ok(KronSumOp2 {
-            a: a.clone(),
-            solver,
-            n: a.rows(),
-        })
-    }
-
     /// The factor `A`.
     pub fn a(&self) -> &Matrix {
         &self.a
@@ -208,6 +108,12 @@ impl KronSumOp2 {
     /// big-left/small-right Sylvester solves of [`crate::bigsmall`]).
     pub fn a_schur(&self) -> SchurDecomposition {
         self.solver.a_schur_decomposition()
+    }
+
+    /// Approximate heap footprint in bytes: the factor `A` plus the Schur
+    /// machinery of the solver.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of_val(self.a.as_slice()) + self.solver.approx_bytes()
     }
 }
 
@@ -257,7 +163,9 @@ pub struct BlockH2Op {
     g1: Matrix,
     g2: CsrMatrix,
     kron: KronSumOp2,
-    g1_shifted: ShiftCacheBackend,
+    g1_shifted: ShiftCache,
+    /// Size of the operator as built (see [`BlockH2Op::approx_bytes`]).
+    built_bytes: usize,
     n: usize,
 }
 
@@ -288,53 +196,37 @@ impl BlockH2Op {
         cache_shifts: bool,
     ) -> Result<Self> {
         let cache = if cache_shifts {
-            ShiftCacheBackend::Dense(ShiftedLuCache::new(g1.clone()))
+            ShiftedLuCache::new(g1.clone())
         } else {
-            ShiftCacheBackend::Dense(ShiftedLuCache::new_uncached(g1.clone()))
+            ShiftedLuCache::new_uncached(g1.clone())
         };
-        Self::with_kron_cache(g1, g2, kron, cache)
+        Self::with_kron_cache(g1, g2, kron, ShiftCache::Dense(cache))
     }
 
-    /// Builds the operator with the top-block shifted solves routed through
-    /// the *sparse* direct solver: one symbolic analysis of `g1_sparse`'s
-    /// pattern, a numeric refactorization per distinct shift. The dense `g1`
-    /// is still required for the `G₁ ⊕ G₁` Schur machinery of the bottom
-    /// block.
+    /// Builds the operator reusing an already-constructed `G₁ ⊕ G₁` operator
+    /// with the top-block shifted solves served by `g1_shifted` — a
+    /// [`ShiftCache`] over `G₁` in either backend (the sparse one runs one
+    /// symbolic analysis and a numeric refactorization per distinct shift).
+    /// The dense `g1` is still required for the `G₁ ⊕ G₁` Schur machinery of
+    /// the bottom block.
     ///
     /// # Errors
     ///
-    /// Same contract as [`BlockH2Op::new`].
-    pub fn with_kron_sparse(
+    /// Same contract as [`BlockH2Op::new`], plus [`MorError::Invalid`] for a
+    /// cache of the wrong dimension.
+    pub fn with_kron_cache(
         g1: &Matrix,
         g2: &CsrMatrix,
         kron: KronSumOp2,
-        cache_shifts: bool,
-        g1_sparse: &CsrMatrix,
-    ) -> Result<Self> {
-        if g1_sparse.rows() != g1.rows() || g1_sparse.cols() != g1.cols() {
-            return Err(MorError::Invalid(format!(
-                "sparse G1 is {}x{}, expected {}x{}",
-                g1_sparse.rows(),
-                g1_sparse.cols(),
-                g1.rows(),
-                g1.cols()
-            )));
-        }
-        let cache = if cache_shifts {
-            ShiftCacheBackend::Sparse(ShiftedSparseLuCache::new(g1_sparse.clone()))
-        } else {
-            ShiftCacheBackend::Sparse(ShiftedSparseLuCache::new_uncached(g1_sparse.clone()))
-        };
-        Self::with_kron_cache(g1, g2, kron, cache)
-    }
-
-    fn with_kron_cache(
-        g1: &Matrix,
-        g2: &CsrMatrix,
-        kron: KronSumOp2,
-        g1_shifted: ShiftCacheBackend,
+        g1_shifted: ShiftCache,
     ) -> Result<Self> {
         let n = g1.rows();
+        if g1_shifted.dim() != n {
+            return Err(MorError::Invalid(format!(
+                "shift cache of dimension {} for a {n}-state G1",
+                g1_shifted.dim()
+            )));
+        }
         if g2.rows() != n || g2.cols() != n * n {
             return Err(MorError::Invalid(format!(
                 "G2 must be {n}x{}, got {}x{}",
@@ -345,19 +237,38 @@ impl BlockH2Op {
         }
         // Fail fast (as the pre-cache constructor did) if G1 itself is
         // singular: the σ = 0 expansion point requires a regular G1.
-        g1_shifted.check_regular().map_err(MorError::Linalg)?;
+        g1_shifted.factor(0.0).map_err(MorError::Linalg)?;
+        let built_bytes = std::mem::size_of_val(g1.as_slice())
+            + g2.nnz() * (std::mem::size_of::<f64>() + std::mem::size_of::<usize>())
+            + kron.approx_bytes()
+            + g1_shifted.approx_bytes();
         Ok(BlockH2Op {
             g1: g1.clone(),
             g2: g2.clone(),
             kron,
             g1_shifted,
+            built_bytes,
             n,
         })
     }
 
     /// The shifted-solve cache for `G₁` (exposed for diagnostics and tests).
-    pub fn shift_cache(&self) -> &ShiftCacheBackend {
+    pub fn shift_cache(&self) -> &ShiftCache {
         &self.g1_shifted
+    }
+
+    /// The `G₁ ⊕ G₁` operator of the bottom block.
+    pub fn kron(&self) -> &KronSumOp2 {
+        &self.kron
+    }
+
+    /// Approximate heap footprint of the operator as built, in bytes: the
+    /// dense `G₁`, the `G₂` stamp, the `G₁ ⊕ G₁` operator, and the
+    /// shifted-solve cache's base with the `σ = 0` factor of the regularity
+    /// probe. The cache grows beyond this as shifts accumulate
+    /// ([`ShiftCache::approx_bytes`] prices its current size).
+    pub fn approx_bytes(&self) -> usize {
+        self.built_bytes
     }
 
     /// The state dimension `n` of the underlying QLDAE.
@@ -580,8 +491,9 @@ mod tests {
         let g2 = sparse_g2(n);
         let g1_csr = CsrMatrix::from_dense(&g1, 0.0);
         let dense_op = BlockH2Op::new(&g1, &g2).unwrap();
+        let sparse_cache = ShiftCache::new(&g1_csr, vamor_linalg::SolverBackend::Sparse);
         let sparse_op =
-            BlockH2Op::with_kron_sparse(&g1, &g2, KronSumOp2::new(&g1).unwrap(), true, &g1_csr)
+            BlockH2Op::with_kron_cache(&g1, &g2, KronSumOp2::new(&g1).unwrap(), sparse_cache)
                 .unwrap();
         assert!(sparse_op.shift_cache().is_sparse());
         assert!(!dense_op.shift_cache().is_sparse());
@@ -637,5 +549,13 @@ mod tests {
         let g2 = CooMatrix::new(3, 5).to_csr();
         assert!(BlockH2Op::new(&g1, &g2).is_err());
         assert!(KronSumOp2::new(&Matrix::zeros(2, 3)).is_err());
+        let wrong = ShiftCache::new(
+            &CsrMatrix::from_dense(&stable(2, 4), 0.0),
+            Default::default(),
+        );
+        let kron = KronSumOp2::new(&g1).unwrap();
+        assert!(
+            BlockH2Op::with_kron_cache(&g1, &CooMatrix::new(3, 9).to_csr(), kron, wrong).is_err()
+        );
     }
 }

@@ -39,9 +39,8 @@
 
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    eigenvalues, lyapunov_weight, lyapunov_weight_with_schur, CholeskyDecomposition, LuFactor,
-    Matrix, OrthoBasis, PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend,
-    SparseLu, Vector,
+    eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, LuFactor, Matrix, OrthoBasis,
+    PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, SparseLu, Vector,
 };
 use vamor_system::{CubicOde, Qldae};
 
@@ -387,15 +386,13 @@ impl StabilizationFrame {
     /// degrades to the identity and the flow reduces to plain Galerkin —
     /// [`StabilizationFrame::is_active`] reports which mode was reached so
     /// the reducers can surface it in [`ReductionStats::energy_weighted`].
-    pub(crate) fn new(stabilized: bool, g1: &Matrix, schur: Option<&SchurDecomposition>) -> Self {
+    /// The weight is solved against the Schur form of `G₁` the caller
+    /// already holds.
+    pub(crate) fn new(stabilized: bool, g1_schur: &SchurDecomposition) -> Self {
         if !stabilized {
             return StabilizationFrame { chol: None };
         }
-        let weight = match schur {
-            Some(s) => lyapunov_weight_with_schur(s),
-            None => lyapunov_weight(g1),
-        };
-        let chol = weight
+        let chol = lyapunov_weight_with_schur(g1_schur)
             .ok()
             .and_then(|m| CholeskyDecomposition::new(&m).ok());
         StabilizationFrame { chol }
@@ -467,7 +464,7 @@ pub(crate) fn project_guarded<T>(
     frame: &StabilizationFrame,
     guard: bool,
     full_g1: &Matrix,
-    full_schur: Option<&SchurDecomposition>,
+    full_schur: &SchurDecomposition,
     stats: &mut ReductionStats,
     project: impl Fn(&Matrix, &Matrix) -> Result<T>,
 ) -> Result<(T, Matrix)> {
@@ -479,11 +476,7 @@ pub(crate) fn project_guarded<T>(
         stats.spectral_abscissa = eig.spectral_abscissa();
         // Only restart when stability is actually achievable: a full model
         // with an unstable G₁ legitimately produces unstable reductions.
-        let restartable = !eig.is_hurwitz()
-            && match full_schur {
-                Some(s) => s.eigenvalues().iter().all(|z| z.re < 0.0),
-                None => eigenvalues(full_g1).map_err(MorError::Linalg)?.is_hurwitz(),
-            };
+        let restartable = !eig.is_hurwitz() && full_schur.eigenvalues().iter().all(|z| z.re < 0.0);
         if restartable {
             while !eig.is_hurwitz() && qtil.cols() > 1 {
                 qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
@@ -529,7 +522,6 @@ pub(crate) fn project_guarded<T>(
 pub struct AssocReducer {
     spec: MomentSpec,
     deflation_tol: f64,
-    solver_caching: bool,
     markov_moments: usize,
     stabilized: bool,
     qr_condition_cap: f64,
@@ -549,7 +541,6 @@ impl AssocReducer {
         AssocReducer {
             spec,
             deflation_tol: OrthoBasis::DEFAULT_TOL,
-            solver_caching: true,
             markov_moments: 0,
             stabilized: true,
             qr_condition_cap: Self::DEFAULT_QR_CONDITION_CAP,
@@ -606,16 +597,6 @@ impl AssocReducer {
     /// the candidate moment vectors.
     pub fn with_deflation_tol(mut self, tol: f64) -> Self {
         self.deflation_tol = tol;
-        self
-    }
-
-    /// Enables or disables the solver-cache layer (shifted-LU memoization,
-    /// shared Schur forms). On by default; the uncached mode reproduces the
-    /// legacy factor-per-call behaviour and exists for benchmarking and
-    /// regression tests — the projection it computes is identical up to
-    /// floating-point roundoff.
-    pub fn with_solver_caching(mut self, enabled: bool) -> Self {
-        self.solver_caching = enabled;
         self
     }
 
@@ -751,15 +732,13 @@ impl AssocReducer {
         }
         let num_inputs = qldae.b().cols();
         let generator = match shared {
-            Some(shared) if self.solver_caching => {
-                AssocMomentGenerator::with_shared(qldae, shared)?
-            }
-            _ => AssocMomentGenerator::with_options(qldae, self.solver_caching, self.backend)?,
+            Some(shared) => AssocMomentGenerator::with_shared(qldae, shared)?,
+            None => AssocMomentGenerator::with_options(qldae, self.backend)?,
         };
         // The two-sided mode chooses W from the output Krylov spaces, which
         // replaces the energy-weighted W = MV — run the plain frame there.
         let stabilized = self.stabilized && self.output_krylov == 0;
-        let frame = StabilizationFrame::new(stabilized, qldae.g1(), generator.g1_schur());
+        let frame = StabilizationFrame::new(stabilized, generator.g1_schur());
         let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
         let mut stats = ReductionStats {
             energy_weighted: frame.is_active(),
@@ -960,7 +939,6 @@ impl AssocReducer {
         let csr = qldae.g1_csr();
         let n = csr.rows();
         let num_inputs = qldae.b().cols();
-        let sparse = self.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let mut generator =
             LowRankAssocMomentGenerator::new(qldae, self.backend, self.lowrank_opts)?;
         if let Some(c) = control {
@@ -1039,7 +1017,13 @@ impl AssocReducer {
         let weight = if self.stabilized {
             let _span = vamor_obs::span!("energy_weight");
             let weight_control = control.cloned().unwrap_or_default();
-            lowrank_weight(csr, qldae.c(), sparse, &self.lowrank_opts, &weight_control)?
+            lowrank_weight(
+                csr,
+                qldae.c(),
+                self.backend,
+                &self.lowrank_opts,
+                &weight_control,
+            )?
         } else {
             crate::lowrank::LowRankWeight {
                 z: None,
@@ -1124,9 +1108,8 @@ impl AssocReducer {
             return self.reduce_cubic_lowrank(ode, control);
         }
         let num_inputs = ode.b().cols();
-        let generator =
-            CubicAssocMomentGenerator::with_options(ode, self.solver_caching, self.backend)?;
-        let frame = StabilizationFrame::new(self.stabilized, ode.g1(), generator.g1_schur());
+        let generator = CubicAssocMomentGenerator::with_options(ode, self.backend)?;
+        let frame = StabilizationFrame::new(self.stabilized, generator.g1_schur());
         let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
         let mut stats = ReductionStats {
             energy_weighted: frame.is_active(),
@@ -1220,7 +1203,6 @@ impl AssocReducer {
         let csr = ode.g1_csr();
         let n = csr.rows();
         let num_inputs = ode.b().cols();
-        let sparse = self.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let mut generator = LowRankCubicMomentGenerator::new(ode, self.backend, self.lowrank_opts)?;
         if let Some(c) = control {
             generator = generator.with_control(c.clone());
@@ -1286,7 +1268,13 @@ impl AssocReducer {
         let weight = if self.stabilized {
             let _span = vamor_obs::span!("energy_weight");
             let weight_control = control.cloned().unwrap_or_default();
-            lowrank_weight(csr, ode.c(), sparse, &self.lowrank_opts, &weight_control)?
+            lowrank_weight(
+                csr,
+                ode.c(),
+                self.backend,
+                &self.lowrank_opts,
+                &weight_control,
+            )?
         } else {
             crate::lowrank::LowRankWeight {
                 z: None,

@@ -73,15 +73,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use vamor_linalg::{BudgetError, EvictionRecord, MemoryBudget, RunControl, SolverBackend, Vector};
+use vamor_linalg::{
+    BudgetError, EvictionRecord, MemoryBudget, RunControl, ShiftCache, SolverBackend, Vector,
+};
 use vamor_system::Qldae;
 
 #[cfg(feature = "fault-injection")]
 use vamor_linalg::fault::{maybe, FaultKind, FaultSite};
 
 use crate::adaptive::{
-    AdaptiveHooks, AdaptiveMove, AdaptiveOutcome, AdaptiveReducer, AdaptiveTrace, BandSampler,
-    SamplerCache, SharedAdaptiveContext,
+    AdaptiveHooks, AdaptiveMove, AdaptiveOutcome, AdaptiveReducer, AdaptiveTrace,
+    SharedAdaptiveContext,
 };
 use crate::assoc::SharedAssocArtifacts;
 use crate::error::MorError;
@@ -477,7 +479,7 @@ impl fmt::Debug for SessionCounters {
 #[derive(Debug, Clone)]
 struct StampEntry {
     artifacts: SharedAssocArtifacts,
-    sampler: Arc<SamplerCache>,
+    sampler: Arc<ShiftCache>,
     /// Probe digest of the artifacts at build time; re-derived and compared
     /// on every fetch so a corrupted entry is caught before any request
     /// consumes it.
@@ -779,8 +781,7 @@ impl ReductionSession {
     fn build_entry(&self, fp: u64, qldae: &Qldae) -> Result<StampEntry, SessionError> {
         let _span = vamor_obs::span!("stamp_build");
         let artifacts = SharedAssocArtifacts::build(qldae, self.backend)?;
-        let n = artifacts.n();
-        let sampler = Arc::new(BandSampler::cache_for(qldae.g1_csr(), self.backend, n));
+        let sampler = Arc::new(ShiftCache::new(qldae.g1_csr(), self.backend));
         let digest = Self::probe_digest(&artifacts)?;
         let entry = StampEntry {
             artifacts,
@@ -843,7 +844,7 @@ impl ReductionSession {
         let mut e1 = Vector::zeros(n);
         e1[0] = 1.0;
         let x = artifacts
-            .g1_factor()
+            .g1_lu()
             .solve(&e1)
             .map_err(|e| SessionError::Mor(MorError::Linalg(e)))?;
         let mut h = FNV_OFFSET;

@@ -14,9 +14,7 @@
 //! machinery and the reduced-order models: a correct reduction reproduces the
 //! output-level values of these kernels near the expansion point.
 
-use vamor_linalg::{
-    Complex, CsrMatrix, Matrix, ShiftedLuCache, ShiftedSparseLuCache, Vector, ZMatrix, ZVector,
-};
+use vamor_linalg::{Complex, CsrMatrix, Matrix, ShiftCache, Vector, ZMatrix, ZVector};
 use vamor_system::{CubicOde, Qldae};
 
 use crate::error::MorError;
@@ -25,17 +23,15 @@ use crate::Result;
 /// How the kernel evaluators solve the resolvent systems `(sI − G₁) x = r`.
 ///
 /// `Dense` rebuilds and factors the shifted complex matrix per call — the
-/// brute-force reference. The cached variants route every solve through a
-/// [`ShiftedLuCache`] / [`ShiftedSparseLuCache`] over `G₁`
-/// ([`ShiftedLuCache::solve_resolvent`]), so a band sweep hitting the same
-/// frequencies over and over factors each one exactly once — and shares the
-/// complex `(G₁ + λI)` entries with any moment machinery holding the same
-/// cache.
+/// brute-force reference. `Cached` routes every solve through a
+/// [`ShiftCache`] over `G₁` ([`ShiftCache::solve_resolvent`]), so a band
+/// sweep hitting the same frequencies over and over factors each one exactly
+/// once — and shares the complex `(G₁ + λI)` entries with any moment
+/// machinery holding the same cache.
 #[derive(Debug)]
 enum Resolvent<'a> {
     Dense(&'a Matrix),
-    CachedDense(&'a ShiftedLuCache),
-    CachedSparse(&'a ShiftedSparseLuCache),
+    Cached(&'a ShiftCache),
 }
 
 impl Resolvent<'_> {
@@ -45,13 +41,7 @@ impl Resolvent<'_> {
                 let m = ZMatrix::shifted_identity_minus(s, g1);
                 m.solve(rhs).map_err(MorError::Linalg)
             }
-            Resolvent::CachedDense(cache) => {
-                let (re, im) = cache
-                    .solve_resolvent(s, &rhs.real(), &rhs.imag())
-                    .map_err(MorError::Linalg)?;
-                Ok(zvector_from_parts(&re, &im))
-            }
-            Resolvent::CachedSparse(cache) => {
+            Resolvent::Cached(cache) => {
                 let (re, im) = cache
                     .solve_resolvent(s, &rhs.real(), &rhs.imag())
                     .map_err(MorError::Linalg)?;
@@ -106,44 +96,20 @@ impl<'a> VolterraKernels<'a> {
     }
 
     /// Creates an evaluator whose resolvent solves go through a memoized
-    /// dense shift cache over `G₁` (must be built on this system's `G₁`).
+    /// shift cache over `G₁` (must be built on this system's `G₁`; a sparse
+    /// cache never touches the dense `G₁` view — the 10⁴-state path).
     ///
     /// # Errors
     ///
     /// Returns [`MorError::Invalid`] for an out-of-range input or a cache of
     /// the wrong dimension.
-    pub fn with_dense_cache(
-        qldae: &'a Qldae,
-        input: usize,
-        cache: &'a ShiftedLuCache,
-    ) -> Result<Self> {
+    pub fn with_cache(qldae: &'a Qldae, input: usize, cache: &'a ShiftCache) -> Result<Self> {
         Self::check_input(qldae, input)?;
         check_cache_dim(cache.dim(), qldae.g1_csr().rows())?;
         Ok(VolterraKernels {
             qldae,
             input,
-            resolvent: Resolvent::CachedDense(cache),
-        })
-    }
-
-    /// Creates an evaluator whose resolvent solves go through a memoized
-    /// sparse shift cache over the CSR stamp of `G₁` (the 10⁴-state path:
-    /// the dense `G₁` view is never touched).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`VolterraKernels::with_dense_cache`].
-    pub fn with_sparse_cache(
-        qldae: &'a Qldae,
-        input: usize,
-        cache: &'a ShiftedSparseLuCache,
-    ) -> Result<Self> {
-        Self::check_input(qldae, input)?;
-        check_cache_dim(cache.dim(), qldae.g1_csr().rows())?;
-        Ok(VolterraKernels {
-            qldae,
-            input,
-            resolvent: Resolvent::CachedSparse(cache),
+            resolvent: Resolvent::Cached(cache),
         })
     }
 
@@ -302,44 +268,20 @@ impl<'a> CubicVolterraKernels<'a> {
         })
     }
 
-    /// Creates an evaluator over a memoized dense shift cache (see
-    /// [`VolterraKernels::with_dense_cache`]).
+    /// Creates an evaluator over a memoized shift cache (see
+    /// [`VolterraKernels::with_cache`]).
     ///
     /// # Errors
     ///
     /// Returns [`MorError::Invalid`] for an out-of-range input or a cache of
     /// the wrong dimension.
-    pub fn with_dense_cache(
-        ode: &'a CubicOde,
-        input: usize,
-        cache: &'a ShiftedLuCache,
-    ) -> Result<Self> {
+    pub fn with_cache(ode: &'a CubicOde, input: usize, cache: &'a ShiftCache) -> Result<Self> {
         Self::check_input(ode, input)?;
         check_cache_dim(cache.dim(), ode.g1_csr().rows())?;
         Ok(CubicVolterraKernels {
             ode,
             input,
-            resolvent: Resolvent::CachedDense(cache),
-        })
-    }
-
-    /// Creates an evaluator over a memoized sparse shift cache (see
-    /// [`VolterraKernels::with_sparse_cache`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CubicVolterraKernels::with_dense_cache`].
-    pub fn with_sparse_cache(
-        ode: &'a CubicOde,
-        input: usize,
-        cache: &'a ShiftedSparseLuCache,
-    ) -> Result<Self> {
-        Self::check_input(ode, input)?;
-        check_cache_dim(cache.dim(), ode.g1_csr().rows())?;
-        Ok(CubicVolterraKernels {
-            ode,
-            input,
-            resolvent: Resolvent::CachedSparse(cache),
+            resolvent: Resolvent::Cached(cache),
         })
     }
 
@@ -610,8 +552,8 @@ mod tests {
             1e-12
         ));
         // Cached resolvent variant agrees with the brute-force path.
-        let cache = vamor_linalg::ShiftedLuCache::new(ode.g1().clone());
-        let cached = CubicVolterraKernels::with_dense_cache(&ode, 0, &cache).unwrap();
+        let cache = ShiftCache::new(ode.g1_csr(), vamor_linalg::SolverBackend::Auto);
+        let cached = CubicVolterraKernels::with_cache(&ode, 0, &cache).unwrap();
         assert!(close(
             cached.output_h3(s[0], s[1], s[2]).unwrap(),
             expect,

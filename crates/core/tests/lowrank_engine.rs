@@ -260,3 +260,41 @@ fn output_krylov_rejects_the_lowrank_engine() {
         .reduce(line.qldae());
     assert!(err.is_err());
 }
+
+/// Both engines factor `G₁` through the one pivot ladder
+/// (`LuFactor::build_with_recovery`), so on the same stamp and backend they
+/// report the same recovery — and a singular stamp fails both.
+#[test]
+fn dense_and_lowrank_generators_report_the_same_pivot_recovery() {
+    use vamor_core::{
+        AssocMomentGenerator, CubicAssocMomentGenerator, LowRankAssocMomentGenerator,
+        LowRankCubicMomentGenerator, LowRankOptions,
+    };
+    use vamor_linalg::SolverBackend;
+
+    let line = TransmissionLine::voltage_driven(8).expect("circuit");
+    let varistor = VaristorCircuit::new(12).expect("circuit");
+    let opts = LowRankOptions::default();
+    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+        let dense = AssocMomentGenerator::with_options(line.qldae(), backend).expect("dense");
+        let low = LowRankAssocMomentGenerator::new(line.qldae(), backend, opts).expect("low");
+        assert_eq!(dense.pivot_recovery(), low.pivot_recovery(), "{backend:?}");
+        let dense =
+            CubicAssocMomentGenerator::with_options(varistor.ode(), backend).expect("dense");
+        let low = LowRankCubicMomentGenerator::new(varistor.ode(), backend, opts).expect("low");
+        assert_eq!(dense.pivot_recovery(), low.pivot_recovery(), "{backend:?}");
+    }
+
+    // State 1 has no conductance: G₁ is exactly singular on every rung.
+    let singular = vamor_system::QldaeBuilder::new(2, 1)
+        .g1_entry(0, 0, -1.0)
+        .g1_entry(0, 1, 0.5)
+        .b_entry(0, 0, 1.0)
+        .output_state(0)
+        .build()
+        .expect("singular stamp still builds");
+    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+        assert!(AssocMomentGenerator::with_options(&singular, backend).is_err());
+        assert!(LowRankAssocMomentGenerator::new(&singular, backend, opts).is_err());
+    }
+}

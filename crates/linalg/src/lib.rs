@@ -94,7 +94,7 @@ pub use op::{DenseOp, LinearOp, ShiftedInverseOp};
 pub use orth::OrthoBasis;
 pub use qr::{PivotedQr, QrDecomposition};
 pub use schur::SchurDecomposition;
-pub use shift_cache::{ShiftedLuCache, ShiftedSparseLuCache};
+pub use shift_cache::{ShiftCache, ShiftedLuCache, ShiftedSparseLuCache};
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use sparse_lu::{
     LuFactor, PivotRecovery, SolverBackend, SparseLu, SparseLuSymbolic, SparseZLu,

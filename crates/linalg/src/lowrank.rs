@@ -30,9 +30,10 @@
 //!   iterates from growing without bound.
 //!
 //! All shifted solves go through the [`ShiftedSolve`] trait, implemented by
-//! both [`crate::ShiftedLuCache`] (dense) and [`crate::ShiftedSparseLuCache`]
-//! (one symbolic analysis, numeric refactorization per shift) — so a consumer
-//! picks the backend once and every ADI sweep reuses the memoized factors.
+//! [`crate::ShiftCache`], which holds either a [`crate::ShiftedLuCache`]
+//! (dense) or a [`crate::ShiftedSparseLuCache`] (one symbolic analysis,
+//! numeric refactorization per shift) — so a consumer picks the backend once
+//! and every ADI sweep reuses the memoized factors.
 
 use crate::arnoldi::arnoldi;
 use crate::eig::eigenvalues;
@@ -41,7 +42,7 @@ use crate::matrix::Matrix;
 use crate::op::LinearOp;
 use crate::orth::OrthoBasis;
 use crate::qr::PivotedQr;
-use crate::shift_cache::{ShiftedLuCache, ShiftedSparseLuCache};
+use crate::shift_cache::ShiftCache;
 use crate::vector::Vector;
 use crate::Result;
 
@@ -79,17 +80,17 @@ pub trait ShiftedSolve: Sync {
     ) -> Result<(Vector, Vector)>;
 }
 
-impl ShiftedSolve for ShiftedLuCache {
+impl ShiftedSolve for ShiftCache {
     fn dim(&self) -> usize {
-        ShiftedLuCache::dim(self)
+        ShiftCache::dim(self)
     }
 
     fn apply(&self, x: &Vector) -> Vector {
-        self.base().matvec(x)
+        ShiftCache::apply(self, x)
     }
 
     fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
-        ShiftedLuCache::solve_shifted(self, sigma, rhs)
+        ShiftCache::solve_shifted(self, sigma, rhs)
     }
 
     fn solve_shifted_complex(
@@ -98,30 +99,7 @@ impl ShiftedSolve for ShiftedLuCache {
         re: &Vector,
         im: &Vector,
     ) -> Result<(Vector, Vector)> {
-        ShiftedLuCache::solve_shifted_complex(self, lambda, re, im)
-    }
-}
-
-impl ShiftedSolve for ShiftedSparseLuCache {
-    fn dim(&self) -> usize {
-        ShiftedSparseLuCache::dim(self)
-    }
-
-    fn apply(&self, x: &Vector) -> Vector {
-        self.base().matvec(x)
-    }
-
-    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
-        ShiftedSparseLuCache::solve_shifted(self, sigma, rhs)
-    }
-
-    fn solve_shifted_complex(
-        &self,
-        lambda: crate::Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> Result<(Vector, Vector)> {
-        ShiftedSparseLuCache::solve_shifted_complex(self, lambda, re, im)
+        ShiftCache::solve_shifted_complex(self, lambda, re, im)
     }
 }
 
@@ -1289,6 +1267,7 @@ fn rational_krylov_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shift_cache::{ShiftedLuCache, ShiftedSparseLuCache};
     use crate::sparse::CsrMatrix;
     use crate::sylvester::lyapunov_weight;
 
@@ -1311,8 +1290,8 @@ mod tests {
         (&(&a.matmul(x) + &x.matmul(&a.transpose())) - rhs).max_abs()
     }
 
-    fn dense_cache(a: &Matrix) -> ShiftedLuCache {
-        ShiftedLuCache::new(a.clone())
+    fn dense_cache(a: &Matrix) -> ShiftCache {
+        ShiftCache::Dense(ShiftedLuCache::new(a.clone()))
     }
 
     #[test]
@@ -1421,7 +1400,7 @@ mod tests {
         let n = 20;
         let a = stable_matrix(n, 41);
         let dense = dense_cache(&a);
-        let sparse = ShiftedSparseLuCache::new(CsrMatrix::from_dense(&a, 0.0));
+        let sparse = ShiftCache::Sparse(ShiftedSparseLuCache::new(CsrMatrix::from_dense(&a, 0.0)));
         let b = Matrix::from_fn(n, 1, |i, _| 1.0 / (1.0 + i as f64));
         let shifts = vec![8.0, 2.0, 0.5];
         let opts = LrAdiOptions {
@@ -1515,7 +1494,7 @@ mod tests {
     fn complex_pair_adi_matches_dense_weight_on_oscillatory_spectra() {
         let a = oscillatory_matrix(5);
         let at = a.transpose();
-        let sparse = ShiftedSparseLuCache::new(CsrMatrix::from_dense(&at, 0.0));
+        let sparse = ShiftCache::Sparse(ShiftedSparseLuCache::new(CsrMatrix::from_dense(&at, 0.0)));
         let seed = Vector::filled(10, 1.0);
         let shifts =
             heuristic_adi_shift_pairs(&sparse, &seed, &AdiShiftOptions::default()).unwrap();
@@ -1606,15 +1585,15 @@ mod tests {
 
     /// A solve that makes no progress (returns the right-hand side
     /// unchanged) — the shape of the injected `AdiStall` fault.
-    struct StallOp<'a>(&'a ShiftedLuCache);
+    struct StallOp<'a>(&'a ShiftCache);
 
     impl ShiftedSolve for StallOp<'_> {
         fn dim(&self) -> usize {
-            ShiftedLuCache::dim(self.0)
+            self.0.dim()
         }
 
         fn apply(&self, x: &Vector) -> Vector {
-            self.0.base().matvec(x)
+            self.0.apply(x)
         }
 
         fn solve_shifted(&self, _sigma: f64, rhs: &Vector) -> Result<Vector> {

@@ -22,10 +22,16 @@
 //! the operator's lifetime; evictions are counted
 //! ([`ShiftedSparseLuCache::evictions`]).
 //!
+//! [`ShiftCache`] holds one of the two, picked once from a
+//! [`SolverBackend`] and the CSR stamp; it is the type every consumer of
+//! memoized shifted solves (the structured block operator, the low-rank
+//! engine, the band sampler) holds.
+//!
 //! The caches are `Sync` (mutex-guarded maps, `Arc`-shared factors) so
-//! moment chains running on scoped threads can share one instance. A
-//! passthrough mode (`new_uncached`) preserves the legacy factor-per-call
-//! behaviour for A/B benchmarking and regression tests.
+//! moment chains running on scoped threads can share one instance. The
+//! dense cache keeps a passthrough mode ([`ShiftedLuCache::new_uncached`])
+//! that factors afresh on every solve, reached only through
+//! `BlockH2Op::with_kron(.., false)` in `vamor-core`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -39,7 +45,9 @@ use crate::error::LinalgError;
 use crate::lu::LuDecomposition;
 use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
-use crate::sparse_lu::{SparseLu, SparseLuSymbolic, SparseZLu};
+use crate::sparse_lu::{
+    SolverBackend, SparseLu, SparseLuSymbolic, SparseZLu, SPARSE_AUTO_THRESHOLD,
+};
 use crate::vector::Vector;
 use crate::zmatrix::{ZLuDecomposition, ZMatrix, ZVector};
 use crate::Result;
@@ -177,8 +185,8 @@ impl ShiftedLuCache {
         Self::with_mode(base, true)
     }
 
-    /// Creates a passthrough instance that factors afresh on every solve —
-    /// the pre-cache behaviour, kept for benchmarks and regression tests.
+    /// Creates a passthrough instance that factors afresh on every solve
+    /// (the behaviour of `BlockH2Op::with_kron(.., false)`).
     ///
     /// # Panics
     ///
@@ -467,7 +475,6 @@ impl Clone for ShiftedLuCache {
 pub struct ShiftedSparseLuCache {
     base: CsrMatrix,
     symbolic: Arc<SparseLuSymbolic>,
-    enabled: bool,
     real: Mutex<RealLruMap>,
     complex: Mutex<ComplexLruMap>,
     hits: AtomicUsize,
@@ -490,7 +497,9 @@ impl ShiftedSparseLuCache {
     /// Panics if `base` is not square (use [`ShiftedSparseLuCache::try_new`]
     /// for a typed error instead).
     pub fn new(base: CsrMatrix) -> Self {
-        Self::with_mode(base, true)
+        Self::try_new(base)
+            // vamor: allow(panic-freedom, reason = "doc-stated panic contract of `new` on a non-square base; `try_new` is the typed-error path")
+            .expect("ShiftedSparseLuCache requires a square base matrix")
     }
 
     /// Fallible twin of [`ShiftedSparseLuCache::new`] for callers handling
@@ -501,33 +510,10 @@ impl ShiftedSparseLuCache {
     ///
     /// Returns [`LinalgError::NotSquare`] if `base` is not square.
     pub fn try_new(base: CsrMatrix) -> Result<Self> {
-        let symbolic = SparseLuSymbolic::analyze(&base)?;
-        Ok(Self::from_parts(base, Arc::new(symbolic), true))
-    }
-
-    /// Creates a passthrough instance that refactors numerically on every
-    /// solve (the symbolic analysis is still shared — that reuse is the
-    /// point of the sparse design, not part of the memoization under test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is not square.
-    pub fn new_uncached(base: CsrMatrix) -> Self {
-        Self::with_mode(base, false)
-    }
-
-    fn with_mode(base: CsrMatrix, enabled: bool) -> Self {
-        let symbolic = SparseLuSymbolic::analyze(&base)
-            // vamor: allow(panic-freedom, reason = "doc-stated panic contract of `new`/`new_uncached` on a non-square base; `try_new` is the typed-error path")
-            .expect("ShiftedSparseLuCache requires a square base matrix");
-        Self::from_parts(base, Arc::new(symbolic), enabled)
-    }
-
-    fn from_parts(base: CsrMatrix, symbolic: Arc<SparseLuSymbolic>, enabled: bool) -> Self {
-        ShiftedSparseLuCache {
+        let symbolic = Arc::new(SparseLuSymbolic::analyze(&base)?);
+        Ok(ShiftedSparseLuCache {
             base,
             symbolic,
-            enabled,
             real: Mutex::new(HashMap::new()),
             complex: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
@@ -536,7 +522,7 @@ impl ShiftedSparseLuCache {
             tick: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             metrics: CacheCounters::sparse(),
-        }
+        })
     }
 
     /// Bounds the number of retained factorizations (real + complex combined)
@@ -626,11 +612,6 @@ impl ShiftedSparseLuCache {
         self.base.rows()
     }
 
-    /// True when memoization is active (false for the passthrough mode).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Number of solves served from cached factors.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
@@ -673,16 +654,6 @@ impl ShiftedSparseLuCache {
     ///
     /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
     pub fn factor(&self, sigma: f64) -> Result<Arc<SparseLu>> {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.metrics.misses.inc();
-            let _span = span!("shift_factor_sparse");
-            return Ok(Arc::new(SparseLu::factor_shifted(
-                &self.symbolic,
-                &self.base,
-                sigma,
-            )?));
-        }
         let key = shift_key(sigma);
         if let Some(entry) = self.lock_real().get_mut(&key) {
             entry.last_used = self.next_tick();
@@ -735,16 +706,6 @@ impl ShiftedSparseLuCache {
     ///
     /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
     pub fn factor_complex(&self, lambda: Complex) -> Result<Arc<SparseZLu>> {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.metrics.misses.inc();
-            let _span = span!("shift_factor_sparse");
-            return Ok(Arc::new(SparseZLu::factor_shifted(
-                &self.symbolic,
-                &self.base,
-                lambda,
-            )?));
-        }
         let key = (shift_key(lambda.re), shift_key(lambda.im));
         if let Some(entry) = self.lock_complex().get_mut(&key) {
             entry.last_used = self.next_tick();
@@ -844,7 +805,6 @@ impl Clone for ShiftedSparseLuCache {
         ShiftedSparseLuCache {
             base: self.base.clone(),
             symbolic: Arc::clone(&self.symbolic),
-            enabled: self.enabled,
             real: Mutex::new(self.lock_real().clone()),
             complex: Mutex::new(self.lock_complex().clone()),
             hits: AtomicUsize::new(self.hits()),
@@ -853,6 +813,178 @@ impl Clone for ShiftedSparseLuCache {
             tick: AtomicUsize::new(self.tick.load(Ordering::Relaxed)),
             evictions: AtomicUsize::new(self.evictions()),
             metrics: self.metrics.clone(),
+        }
+    }
+}
+
+/// One memoized shifted-solve cache over a `G₁` stamp, in the backend a
+/// [`SolverBackend`] picks for its dimension: a [`ShiftedSparseLuCache`]
+/// over the CSR stamp, or a [`ShiftedLuCache`] over its dense view (built
+/// only in dense mode, so 10⁴-state systems never allocate it). Key
+/// quantization and hit/miss accounting are identical on both backends.
+///
+/// ```
+/// use vamor_linalg::{CooMatrix, ShiftCache, SolverBackend, Vector};
+/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
+/// let mut coo = CooMatrix::new(2, 2);
+/// coo.push(0, 0, -2.0);
+/// coo.push(1, 1, -3.0);
+/// let cache = ShiftCache::new(&coo.to_csr(), SolverBackend::Auto);
+/// assert!(!cache.is_sparse()); // `Auto` stays dense below 256 states
+/// let b = Vector::from_slice(&[1.0, 2.0]);
+/// cache.solve_shifted(0.5, &b)?;
+/// cache.solve_shifted(0.5, &b)?;
+/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub enum ShiftCache {
+    /// Dense LU per shift over the dense view of the stamp.
+    Dense(ShiftedLuCache),
+    /// One symbolic analysis of the stamp, numeric refactorization per shift.
+    Sparse(ShiftedSparseLuCache),
+}
+
+impl ShiftCache {
+    /// Builds the cache over `stamp`, sparse when `backend` resolves to
+    /// sparse at this dimension ([`SPARSE_AUTO_THRESHOLD`] for `Auto`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stamp` is not square.
+    pub fn new(stamp: &CsrMatrix, backend: SolverBackend) -> Self {
+        if backend.use_sparse(stamp.rows(), SPARSE_AUTO_THRESHOLD) {
+            ShiftCache::Sparse(ShiftedSparseLuCache::new(stamp.clone()))
+        } else {
+            ShiftCache::Dense(ShiftedLuCache::new(stamp.to_dense()))
+        }
+    }
+
+    /// Bounds the number of retained sparse factorizations (see
+    /// [`ShiftedSparseLuCache::with_capacity_bound`]); a dense cache stays
+    /// unbounded.
+    pub fn with_capacity_bound(self, capacity: usize) -> Self {
+        match self {
+            ShiftCache::Sparse(c) => ShiftCache::Sparse(c.with_capacity_bound(capacity)),
+            dense => dense,
+        }
+    }
+
+    /// True when this is the sparse backend.
+    pub fn is_sparse(&self) -> bool {
+        matches!(self, ShiftCache::Sparse(_))
+    }
+
+    /// Dimension of the base matrix.
+    pub fn dim(&self) -> usize {
+        match self {
+            ShiftCache::Dense(c) => c.dim(),
+            ShiftCache::Sparse(c) => c.dim(),
+        }
+    }
+
+    /// Applies the base matrix: `y = G x`.
+    pub fn apply(&self, x: &Vector) -> Vector {
+        match self {
+            ShiftCache::Dense(c) => c.base().matvec(x),
+            ShiftCache::Sparse(c) => c.base().matvec(x),
+        }
+    }
+
+    /// Number of solves served from cached factors.
+    pub fn hits(&self) -> usize {
+        match self {
+            ShiftCache::Dense(c) => c.hits(),
+            ShiftCache::Sparse(c) => c.hits(),
+        }
+    }
+
+    /// Number of fresh factorizations performed.
+    pub fn misses(&self) -> usize {
+        match self {
+            ShiftCache::Dense(c) => c.misses(),
+            ShiftCache::Sparse(c) => c.misses(),
+        }
+    }
+
+    /// Number of distinct cached factorizations (real + complex).
+    pub fn len(&self) -> usize {
+        match self {
+            ShiftCache::Dense(c) => c.len(),
+            ShiftCache::Sparse(c) => c.len(),
+        }
+    }
+
+    /// True if nothing has been factored yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate resident bytes (base plus retained factors).
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            ShiftCache::Dense(c) => c.approx_bytes(),
+            ShiftCache::Sparse(c) => c.approx_bytes(),
+        }
+    }
+
+    /// Factors `base + σI` into the cache (at most once per shift).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
+    pub fn factor(&self, sigma: f64) -> Result<()> {
+        match self {
+            ShiftCache::Dense(c) => c.factor(sigma).map(|_| ()),
+            ShiftCache::Sparse(c) => c.factor(sigma).map(|_| ()),
+        }
+    }
+
+    /// Solves `(base + σI) x = rhs` through the cache.
+    ///
+    /// # Errors
+    ///
+    /// Propagates singular pencils and dimension mismatches.
+    pub fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
+        match self {
+            ShiftCache::Dense(c) => c.solve_shifted(sigma, rhs),
+            ShiftCache::Sparse(c) => c.solve_shifted(sigma, rhs),
+        }
+    }
+
+    /// Solves `(base + λI)(x_re + i·x_im) = re + i·im`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates singular pencils and dimension mismatches.
+    pub fn solve_shifted_complex(
+        &self,
+        lambda: Complex,
+        re: &Vector,
+        im: &Vector,
+    ) -> Result<(Vector, Vector)> {
+        match self {
+            ShiftCache::Dense(c) => c.solve_shifted_complex(lambda, re, im),
+            ShiftCache::Sparse(c) => c.solve_shifted_complex(lambda, re, im),
+        }
+    }
+
+    /// Solves the resolvent system `(sI − base) x = re + i·im` (see
+    /// [`ShiftedLuCache::solve_resolvent`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates singular pencils and dimension mismatches.
+    pub fn solve_resolvent(
+        &self,
+        s: Complex,
+        re: &Vector,
+        im: &Vector,
+    ) -> Result<(Vector, Vector)> {
+        match self {
+            ShiftCache::Dense(c) => c.solve_resolvent(s, re, im),
+            ShiftCache::Sparse(c) => c.solve_resolvent(s, re, im),
         }
     }
 }
@@ -977,20 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_passthrough_mode_never_caches() {
-        let cache = ShiftedSparseLuCache::new_uncached(base_csr());
-        let rhs = Vector::from_slice(&[1.0, 0.0, 0.0]);
-        cache.solve_shifted(0.5, &rhs).unwrap();
-        cache.solve_shifted(0.5, &rhs).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert!(cache.is_empty());
-        assert!(!cache.is_enabled());
-        assert_eq!(cache.dim(), 3);
-        assert_eq!(cache.base().rows(), 3);
-        assert_eq!(cache.symbolic().dim(), 3);
-    }
-
-    #[test]
     fn sparse_singular_shift_is_reported_not_cached() {
         let g = Matrix::from_rows(&[&[-2.0, 0.0], &[0.0, -1.0]]).unwrap();
         let cache = ShiftedSparseLuCache::new(CsrMatrix::from_dense(&g, 0.0));
@@ -1048,6 +1166,29 @@ mod tests {
         }
         assert_eq!(cache.len(), 5);
         assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.dim(), 3);
+        assert_eq!(cache.base().rows(), 3);
+        assert_eq!(cache.symbolic().dim(), 3);
+    }
+
+    #[test]
+    fn shift_cache_picks_the_backend_from_the_stamp() {
+        let csr = base_csr();
+        let rhs = Vector::from_slice(&[1.0, -2.0, 0.5]);
+        let dense = ShiftCache::new(&csr, SolverBackend::Auto);
+        let sparse = ShiftCache::new(&csr, SolverBackend::Sparse).with_capacity_bound(1);
+        assert!(!dense.is_sparse() && sparse.is_sparse());
+        assert_eq!((dense.dim(), sparse.dim()), (3, 3));
+        for sigma in [0.0, 0.3, 0.0] {
+            let a = dense.solve_shifted(sigma, &rhs).unwrap();
+            let b = sparse.solve_shifted(sigma, &rhs).unwrap();
+            assert!((&a - &b).norm_inf() < 1e-10);
+        }
+        // The bound applies to the sparse cache only: 0.0 was evicted by 0.3.
+        assert_eq!((dense.hits(), dense.misses(), dense.len()), (1, 2, 2));
+        assert_eq!((sparse.hits(), sparse.misses(), sparse.len()), (0, 3, 1));
+        assert!(dense.approx_bytes() > 0 && sparse.approx_bytes() > 0);
+        assert!((&dense.apply(&rhs) - &base().matvec(&rhs)).norm_inf() == 0.0);
     }
 
     /// The PR-5 reuse hook: resolvent solves go through the same complex

@@ -48,7 +48,8 @@ pub enum SolverBackend {
     /// break-even threshold (dense factorization wins for small systems).
     #[default]
     Auto,
-    /// Always use the dense path (legacy behaviour, A/B baseline).
+    /// Always use the dense direct solver — the one `Auto` picks below
+    /// [`SPARSE_AUTO_THRESHOLD`] states.
     Dense,
     /// Always use the sparse path.
     Sparse,
@@ -843,19 +844,17 @@ impl LuFactor {
         }
     }
 
-    /// [`LuFactor::build`] walking the degradation ladder: a sparse request
-    /// escalates the pivot threshold on singular pivots and finally falls
-    /// back to the dense backend, reporting every rung in the returned
-    /// [`PivotRecovery`].
+    /// Factors the stamp `a_csr` walking the pivot degradation ladder — the
+    /// one `G₁` ladder of the workspace: a sparse request escalates the
+    /// pivot threshold on singular pivots and finally falls back to the
+    /// dense backend, reporting every rung in the returned
+    /// [`PivotRecovery`]. The dense view is materialized only for a dense
+    /// request or on the dense-fallback rung.
     ///
     /// # Errors
     ///
     /// Only when every rung — including the dense fallback — fails.
-    pub fn build_with_recovery(
-        a_csr: &CsrMatrix,
-        a_dense: &Matrix,
-        sparse: bool,
-    ) -> Result<(Self, PivotRecovery)> {
+    pub fn build_with_recovery(a_csr: &CsrMatrix, sparse: bool) -> Result<(Self, PivotRecovery)> {
         let mut recovery = PivotRecovery::default();
         if sparse {
             match SparseLuSymbolic::analyze(a_csr)
@@ -876,7 +875,8 @@ impl LuFactor {
                 Err(e) => return Err(e),
             }
         }
-        Ok((LuFactor::Dense(LuDecomposition::new(a_dense)?), recovery))
+        let dense = LuDecomposition::new(&a_csr.to_dense())?;
+        Ok((LuFactor::Dense(dense), recovery))
     }
 
     /// Solves `A x = b`.

@@ -17,8 +17,6 @@ use crate::complex::Complex;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::schur::{SchurBlock, SchurDecomposition};
-use crate::vector::Vector;
-use crate::zmatrix::{ZMatrix, ZVector};
 use crate::Result;
 
 /// Cached Bartels–Stewart solver for `A X + X B = C` with fixed `A`, `B`.
@@ -52,11 +50,6 @@ pub struct SylvesterSolver {
     /// transposes.
     qat: Matrix,
     qbt: Matrix,
-    /// When true (default), the per-block back-substitution systems (at most
-    /// 4×4) are solved on the stack. The legacy heap-allocating path is kept
-    /// selectable so the solver-cache benchmarks can compare against the
-    /// original implementation faithfully.
-    fast_blocks: bool,
 }
 
 impl SylvesterSolver {
@@ -92,21 +85,7 @@ impl SylvesterSolver {
             blocks_b: sb.blocks().to_vec(),
             qat: sa.q().transpose(),
             qbt: sb.q().transpose(),
-            fast_blocks: true,
         })
-    }
-
-    /// Builds the solver with the legacy heap-allocating per-block
-    /// back-substitution, reproducing the pre-optimization implementation for
-    /// A/B benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SylvesterSolver::new`].
-    pub fn new_legacy(a: &Matrix, b: &Matrix) -> Result<Self> {
-        let mut solver = Self::new(a, b)?;
-        solver.fast_blocks = false;
-        Ok(solver)
     }
 
     /// Builds a solver for the Lyapunov-structured equation `A X + X Aᵀ = C`
@@ -139,7 +118,6 @@ impl SylvesterSolver {
             blocks_b: sa.blocks().to_vec(),
             qat: sa.q().transpose(),
             qbt: sa.q().transpose(),
-            fast_blocks: true,
         })
     }
 
@@ -163,7 +141,6 @@ impl SylvesterSolver {
             blocks_b: sa.blocks().to_vec(),
             qat: sa.q().transpose(),
             qbt: sa.q().transpose(),
-            fast_blocks: true,
         }
     }
 
@@ -176,6 +153,18 @@ impl SylvesterSolver {
             self.ta.clone(),
             self.blocks_a.clone(),
         )
+    }
+
+    /// Approximate heap footprint in bytes, for memory-budget accounting:
+    /// the two Schur pairs and their precomputed transposes (six dense
+    /// matrices; the Lyapunov-shaped constructors hold the `A` factors in
+    /// both slots) plus the block lists.
+    pub fn approx_bytes(&self) -> usize {
+        let dense: usize = [&self.qa, &self.ta, &self.qb, &self.tb, &self.qat, &self.qbt]
+            .iter()
+            .map(|m| std::mem::size_of_val(m.as_slice()))
+            .sum();
+        dense + (self.blocks_a.len() + self.blocks_b.len()) * std::mem::size_of::<SchurBlock>()
     }
 
     /// Row dimension (`A` side).
@@ -209,6 +198,10 @@ impl SylvesterSolver {
     ///
     /// Same as [`SylvesterSolver::solve`], with singularity now meaning
     /// `λ_i(A) + σ + λ_j(B) = 0`.
+    ///
+    /// The iterate `Y` and the transformed right-hand side are held
+    /// *transposed* so every coupling update is a contiguous slice
+    /// operation, and the ≤4×4 block systems are solved on the stack.
     pub fn solve_shifted(&self, shift: f64, c: &Matrix) -> Result<Matrix> {
         if c.rows() != self.na || c.cols() != self.nb {
             return Err(LinalgError::DimensionMismatch(format!(
@@ -219,92 +212,6 @@ impl SylvesterSolver {
                 self.nb
             )));
         }
-        if self.fast_blocks {
-            return self.solve_shifted_fast(shift, c);
-        }
-        // Transform to Schur coordinates: Ta Y + Y Tbᵀ = Qaᵀ C Qb.
-        let ctil = self.qa.transpose().matmul(c).matmul(&self.qb);
-        let mut y = Matrix::zeros(self.na, self.nb);
-
-        for jb in self.blocks_b.iter().rev() {
-            let (j0, sj) = (jb.start, jb.size);
-            // Right-hand side for this column block, with contributions from
-            // already-solved (later) column blocks moved over.
-            let mut rhs = ctil.submatrix(0, self.na, j0, j0 + sj);
-            for cl in 0..sj {
-                let j = j0 + cl;
-                for k in (j0 + sj)..self.nb {
-                    let coef = self.tb[(j, k)];
-                    if coef != 0.0 {
-                        for r in 0..self.na {
-                            rhs[(r, cl)] -= coef * y[(r, k)];
-                        }
-                    }
-                }
-            }
-            // S is the transposed diagonal block of Tb (acts from the right).
-            let s_block = Matrix::from_fn(sj, sj, |p, q| self.tb[(j0 + q, j0 + p)]);
-
-            for ib in self.blocks_a.iter().rev() {
-                let (i0, si) = (ib.start, ib.size);
-                let dim = si * sj;
-                // Legacy path: heap-allocated local block, dense LU.
-                let mut local = rhs.submatrix(i0, i0 + si, 0, sj);
-                for rl in 0..si {
-                    let i = i0 + rl;
-                    for k in (i0 + si)..self.na {
-                        let coef = self.ta[(i, k)];
-                        if coef != 0.0 {
-                            for cl in 0..sj {
-                                local[(rl, cl)] -= coef * y[(k, j0 + cl)];
-                            }
-                        }
-                    }
-                }
-                let mut m = Matrix::zeros(dim, dim);
-                for p in 0..si {
-                    for q in 0..si {
-                        let mut v = self.ta[(i0 + p, i0 + q)];
-                        if p == q {
-                            v += shift;
-                        }
-                        if v != 0.0 {
-                            for cc in 0..sj {
-                                m[(cc * si + p, cc * si + q)] += v;
-                            }
-                        }
-                    }
-                }
-                for p in 0..sj {
-                    for q in 0..sj {
-                        let v = s_block[(q, p)];
-                        if v != 0.0 {
-                            for rr in 0..si {
-                                m[(p * si + rr, q * si + rr)] += v;
-                            }
-                        }
-                    }
-                }
-                let rhs_vec = Vector::from_fn(dim, |k| local[(k % si, k / si)]);
-                let w = m
-                    .lu()
-                    .map_err(|_| sylvester_singular(shift))?
-                    .solve(&rhs_vec)?;
-                for cl in 0..sj {
-                    for rl in 0..si {
-                        y[(i0 + rl, j0 + cl)] = w[cl * si + rl];
-                    }
-                }
-            }
-        }
-        Ok(self.qa.matmul(&y).matmul(&self.qb.transpose()))
-    }
-
-    /// Optimized back-substitution: the iterate `Y` and the transformed
-    /// right-hand side are held *transposed* so every coupling update is a
-    /// contiguous slice operation, and the ≤4×4 block systems are solved on
-    /// the stack instead of through heap-allocated LU objects.
-    fn solve_shifted_fast(&self, shift: f64, c: &Matrix) -> Result<Matrix> {
         // C̃ᵀ = (Qaᵀ C Qb)ᵀ = Qbᵀ Cᵀ Qa, rows of `ctil_t` are columns of C̃.
         let ctil_t = self.qbt.matmul(&c.transpose()).matmul(&self.qa);
         // Rows of `yt` are columns of Y.
@@ -449,108 +356,51 @@ impl SylvesterSolver {
             for ib in self.blocks_a.iter().rev() {
                 let (i0, si) = (ib.start, ib.size);
                 let dim = si * sj;
-                if self.fast_blocks {
-                    let mut w = [Complex::ZERO; 4];
-                    for cl in 0..sj {
-                        for rl in 0..si {
-                            let i = i0 + rl;
-                            let mut acc = Complex::new(rhs_re[(i, cl)], rhs_im[(i, cl)]);
-                            for k in (i0 + si)..self.na {
-                                let coef = self.ta[(i, k)];
-                                if coef != 0.0 {
-                                    acc -= Complex::new(y_re[(k, j0 + cl)], y_im[(k, j0 + cl)])
-                                        * Complex::from_real(coef);
-                                }
-                            }
-                            w[cl * si + rl] = acc;
-                        }
-                    }
-                    let mut m = [[Complex::ZERO; 4]; 4];
-                    for p in 0..si {
-                        for q in 0..si {
-                            let mut v = Complex::from_real(self.ta[(i0 + p, i0 + q)]);
-                            if p == q {
-                                v += shift;
-                            }
-                            if v.abs() != 0.0 {
-                                for cc in 0..sj {
-                                    m[cc * si + p][cc * si + q] += v;
-                                }
-                            }
-                        }
-                    }
-                    for p in 0..sj {
-                        for q in 0..sj {
-                            let v = s_block[(q, p)];
-                            if v != 0.0 {
-                                for rr in 0..si {
-                                    m[p * si + rr][q * si + rr] += Complex::from_real(v);
-                                }
-                            }
-                        }
-                    }
-                    solve_small_complex(dim, &mut m, &mut w)
-                        .ok_or_else(|| sylvester_singular(shift.re))?;
-                    for cl in 0..sj {
-                        for rl in 0..si {
-                            y_re[(i0 + rl, j0 + cl)] = w[cl * si + rl].re;
-                            y_im[(i0 + rl, j0 + cl)] = w[cl * si + rl].im;
-                        }
-                    }
-                } else {
-                    let mut local_re = rhs_re.submatrix(i0, i0 + si, 0, sj);
-                    let mut local_im = rhs_im.submatrix(i0, i0 + si, 0, sj);
+                let mut w = [Complex::ZERO; 4];
+                for cl in 0..sj {
                     for rl in 0..si {
                         let i = i0 + rl;
+                        let mut acc = Complex::new(rhs_re[(i, cl)], rhs_im[(i, cl)]);
                         for k in (i0 + si)..self.na {
                             let coef = self.ta[(i, k)];
                             if coef != 0.0 {
-                                for cl in 0..sj {
-                                    local_re[(rl, cl)] -= coef * y_re[(k, j0 + cl)];
-                                    local_im[(rl, cl)] -= coef * y_im[(k, j0 + cl)];
-                                }
+                                acc -= Complex::new(y_re[(k, j0 + cl)], y_im[(k, j0 + cl)])
+                                    * Complex::from_real(coef);
+                            }
+                        }
+                        w[cl * si + rl] = acc;
+                    }
+                }
+                let mut m = [[Complex::ZERO; 4]; 4];
+                for p in 0..si {
+                    for q in 0..si {
+                        let mut v = Complex::from_real(self.ta[(i0 + p, i0 + q)]);
+                        if p == q {
+                            v += shift;
+                        }
+                        if v.abs() != 0.0 {
+                            for cc in 0..sj {
+                                m[cc * si + p][cc * si + q] += v;
                             }
                         }
                     }
-                    let mut m = ZMatrix::zeros(dim, dim);
-                    for p in 0..si {
-                        for q in 0..si {
-                            let mut v = Complex::from_real(self.ta[(i0 + p, i0 + q)]);
-                            if p == q {
-                                v += shift;
-                            }
-                            if v.abs() != 0.0 {
-                                for cc in 0..sj {
-                                    m[(cc * si + p, cc * si + q)] += v;
-                                }
+                }
+                for p in 0..sj {
+                    for q in 0..sj {
+                        let v = s_block[(q, p)];
+                        if v != 0.0 {
+                            for rr in 0..si {
+                                m[p * si + rr][q * si + rr] += Complex::from_real(v);
                             }
                         }
                     }
-                    for p in 0..sj {
-                        for q in 0..sj {
-                            let v = s_block[(q, p)];
-                            if v != 0.0 {
-                                for rr in 0..si {
-                                    m[(p * si + rr, q * si + rr)] += Complex::from_real(v);
-                                }
-                            }
-                        }
-                    }
-                    let rhs_vec = ZVector::from(
-                        (0..dim)
-                            .map(|k| {
-                                Complex::new(local_re[(k % si, k / si)], local_im[(k % si, k / si)])
-                            })
-                            .collect::<Vec<_>>(),
-                    );
-                    let w = m
-                        .solve(&rhs_vec)
-                        .map_err(|_| sylvester_singular(shift.re))?;
-                    for cl in 0..sj {
-                        for rl in 0..si {
-                            y_re[(i0 + rl, j0 + cl)] = w[cl * si + rl].re;
-                            y_im[(i0 + rl, j0 + cl)] = w[cl * si + rl].im;
-                        }
+                }
+                solve_small_complex(dim, &mut m, &mut w)
+                    .ok_or_else(|| sylvester_singular(shift.re))?;
+                for cl in 0..sj {
+                    for rl in 0..si {
+                        y_re[(i0 + rl, j0 + cl)] = w[cl * si + rl].re;
+                        y_im[(i0 + rl, j0 + cl)] = w[cl * si + rl].im;
                     }
                 }
             }

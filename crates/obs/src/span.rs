@@ -112,11 +112,10 @@ pub fn install() {
 }
 
 /// Stops recording and drains every flushed record: the calling thread's
-/// buffer is flushed first, then the global sink is emptied. Records of
-/// other *live* threads that have neither flushed nor exited are left in
-/// their buffers for the next drain (the workspace's worker threads are
-/// scoped, so in practice everything has flushed by the time the driver
-/// calls this).
+/// buffer is flushed first, then the global sink is emptied. Every thread
+/// flushes when its outermost span closes, so a joined worker's spans are
+/// all in the sink; only the spans of a live thread whose outermost span is
+/// still open are left for the next drain.
 pub fn take_trace() -> Vec<SpanRecord> {
     ENABLED.store(false, Ordering::SeqCst);
     let _ = LOCAL.try_with(|buf| buf.borrow_mut().flush());
@@ -209,7 +208,10 @@ impl Drop for SpanGuard {
             buf.path.truncate(open.restore);
             buf.depth = open.depth;
             buf.records.push(record);
-            if buf.records.len() >= FLUSH_THRESHOLD {
+            // Closing a thread's outermost span flushes too: a scoped worker
+            // signals its join before its thread-local destructor runs, so
+            // the exit-time flush alone can land after the driver's drain.
+            if open.depth == 0 || buf.records.len() >= FLUSH_THRESHOLD {
                 buf.flush();
             }
         });
