@@ -210,9 +210,18 @@ fn main() -> ExitCode {
         None => None,
     };
     let concurrent = args.iter().any(|a| a == "--concurrent");
-    let compare_path = match args.iter().position(|a| a == "--compare") {
+    // The baseline is read before anything runs: a missing file fails
+    // fast, and `--json` naming the same path cannot overwrite the
+    // baseline with the fresh run before the comparison reads it.
+    let baseline = match args.iter().position(|a| a == "--compare") {
         Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(path.clone()),
+            Some(path) if !path.starts_with("--") => match std::fs::read_to_string(path) {
+                Ok(text) => Some((path.clone(), Baseline::parse(&text))),
+                Err(e) => {
+                    eprintln!("failed to read baseline {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            },
             _ => {
                 eprintln!("--compare requires a path argument");
                 return ExitCode::FAILURE;
@@ -707,15 +716,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(prev_path) = compare_path {
-        let prev_text = match std::fs::read_to_string(&prev_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("failed to read baseline {prev_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let prev = Baseline::parse(&prev_text);
+    if let Some((prev_path, prev)) = baseline {
         let fresh = Baseline::parse(&json);
         let violations = compare_to_baseline(&fresh, &prev);
         if violations.is_empty() {

@@ -896,41 +896,6 @@ pub(crate) fn lowrank_vw(
     Ok((v, w))
 }
 
-/// Low-rank twin of [`crate::reduce::project_guarded`]: recovers the oblique
-/// pair from the factored weight, runs the spectral guard with the reduced
-/// `G₁ᵣ = Wᵀ G₁ V` assembled through CSR matvecs (the dense `G₁` view is
-/// never touched), and drops trailing basis columns until the reduced
-/// spectrum is clean. Unlike the dense guard it cannot verify that the
-/// *full* system is stable first (that would need an `O(n³)`
-/// eigendecomposition), so on a genuinely unstable full model the guard
-/// simply stops at one column and reports the abscissa.
-pub(crate) fn project_guarded_lowrank<T>(
-    g1_csr: &CsrMatrix,
-    mut qtil: Matrix,
-    weight_z: Option<&Matrix>,
-    regularization: f64,
-    guard: bool,
-    stats: &mut crate::reduce::ReductionStats,
-    project: impl Fn(&Matrix, &Matrix) -> Result<T>,
-) -> Result<(T, Matrix)> {
-    let (v, w) = loop {
-        let (v, w) = lowrank_vw(&qtil, weight_z, regularization)?;
-        if !guard {
-            break (v, w);
-        }
-        let g1r = w.transpose().matmul(&csr_matmul(g1_csr, &v));
-        let eig = vamor_linalg::eigenvalues(&g1r).map_err(MorError::Linalg)?;
-        stats.spectral_abscissa = eig.spectral_abscissa();
-        if eig.is_hurwitz() || qtil.cols() <= 1 {
-            break (v, w);
-        }
-        qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
-        stats.restarts += 1;
-    };
-    let system = project(&v, &w)?;
-    Ok((system, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

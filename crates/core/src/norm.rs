@@ -7,15 +7,19 @@
 //! `O(k₂³)` and `O(k₃⁴)` — the "dimensionality curse" the associated
 //! transform removes. This module implements that baseline so the paper's
 //! size and runtime comparisons (Table 1, Figs. 3–4) can be reproduced.
+//! Only the candidate generation is NORM's own: the basis is settled,
+//! weighted, guarded and projected by the proposed method's pipeline (see
+//! [`crate::reduce`]).
 
 use vamor_linalg::{OrthoBasis, RunControl, SchurDecomposition, SolverBackend, Vector};
 use vamor_system::Qldae;
 
 use crate::assoc::G1Factor;
 use crate::error::MorError;
-use crate::lowrank::{lowrank_weight, project_guarded_lowrank, LowRankOptions, ReductionEngine};
+use crate::lowrank::{LowRankOptions, ReductionEngine};
 use crate::reduce::{
-    project_guarded, reorthonormalize, MomentSpec, ReducedQldae, ReductionStats, StabilizationFrame,
+    checkpoint_stage, run_chains, AssocReducer, MomentSpec, ReducedQldae, ReductionStats,
+    StabilizationFrame,
 };
 use crate::Result;
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
@@ -38,35 +42,23 @@ use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct NormReducer {
-    spec: MomentSpec,
-    deflation_tol: f64,
-    stabilized: bool,
-    qr_condition_cap: f64,
-    spectral_guard: bool,
-    backend: SolverBackend,
-    engine: ReductionEngine,
-    lowrank_opts: LowRankOptions,
+    /// The projection-pipeline settings, shared with the proposed method so
+    /// both run under the same numerical safeguards.
+    pipeline: AssocReducer,
 }
 
 impl NormReducer {
     /// Creates a baseline reducer for the given moment specification.
     pub fn new(spec: MomentSpec) -> Self {
         NormReducer {
-            spec,
-            deflation_tol: OrthoBasis::DEFAULT_TOL,
-            stabilized: true,
-            qr_condition_cap: crate::AssocReducer::DEFAULT_QR_CONDITION_CAP,
-            spectral_guard: true,
-            backend: SolverBackend::Auto,
-            engine: ReductionEngine::Auto,
-            lowrank_opts: LowRankOptions::default(),
+            pipeline: AssocReducer::new(spec),
         }
     }
 
     /// Selects the linear-solver backend of the `G₁` resolvent chains (see
     /// [`crate::AssocReducer::with_solver_backend`]).
     pub fn with_solver_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
+        self.pipeline = self.pipeline.with_solver_backend(backend);
         self
     }
 
@@ -76,20 +68,20 @@ impl NormReducer {
     /// (LR-ADI factored Gramian instead of the dense Schur Lyapunov solve)
     /// and keeps the dense `G₁` view unmaterialized.
     pub fn with_engine(mut self, engine: ReductionEngine) -> Self {
-        self.engine = engine;
+        self.pipeline = self.pipeline.with_engine(engine);
         self
     }
 
     /// Overrides the low-rank engine tuning knobs (see
     /// [`crate::AssocReducer::with_lowrank_options`]).
     pub fn with_lowrank_options(mut self, opts: LowRankOptions) -> Self {
-        self.lowrank_opts = opts;
+        self.pipeline = self.pipeline.with_lowrank_options(opts);
         self
     }
 
     /// Overrides the deflation tolerance.
     pub fn with_deflation_tol(mut self, tol: f64) -> Self {
-        self.deflation_tol = tol;
+        self.pipeline = self.pipeline.with_deflation_tol(tol);
         self
     }
 
@@ -98,36 +90,27 @@ impl NormReducer {
     /// the baseline is compared against the proposed method under the same
     /// numerical safeguards.
     pub fn with_stabilized_projection(mut self, enabled: bool) -> Self {
-        self.stabilized = enabled;
-        self
-    }
-
-    /// Condition cap of the final pivoted-QR re-orthogonalization (see
-    /// [`crate::AssocReducer::with_qr_condition_cap`]).
-    pub fn with_qr_condition_cap(mut self, cap: f64) -> Self {
-        self.qr_condition_cap = cap;
+        self.pipeline = self.pipeline.with_stabilized_projection(enabled);
         self
     }
 
     /// Enables the post-projection spectral guard (see
     /// [`crate::AssocReducer::with_spectral_guard`]).
     pub fn with_spectral_guard(mut self, enabled: bool) -> Self {
-        self.spectral_guard = enabled;
+        self.pipeline = self.pipeline.with_spectral_guard(enabled);
         self
     }
 
     /// The moment specification.
     pub fn spec(&self) -> MomentSpec {
-        self.spec
+        self.pipeline.spec()
     }
 
     /// Number of candidate vectors the multivariate expansion generates for a
     /// single-input system (before deflation): `k₁` first-order directions,
     /// `O(k₂³)` second-order directions and `O(k₃⁴)` third-order directions.
     pub fn candidate_count(&self, num_inputs: usize) -> usize {
-        let k1 = self.spec.k1;
-        let k2 = self.spec.k2;
-        let k3 = self.spec.k3;
+        let MomentSpec { k1, k2, k3 } = self.spec();
         // Second order: indices (p, a, b) with p + a + b <= k2 - 1.
         let second = if k2 == 0 {
             0
@@ -168,56 +151,41 @@ impl NormReducer {
 
     fn reduce_impl(&self, qldae: &Qldae, control: Option<&RunControl>) -> Result<ReducedQldae> {
         let _span = vamor_obs::span!("norm_reduce");
-        if self.spec.total() == 0 {
-            return Err(MorError::Invalid(
-                "at least one moment must be requested".into(),
-            ));
-        }
+        let spec = self.spec();
+        spec.validate()?;
         let n = qldae.g1_csr().rows();
-        let num_inputs = qldae.b().cols();
-        let sparse = self.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
-        let use_lowrank = self.engine.use_lowrank(n);
+        let sparse = self.pipeline.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let (g1_lu, recovery) =
             G1Factor::build_with_recovery(qldae.g1_csr(), sparse).map_err(MorError::Linalg)?;
         // The dense engine solves the energy weight and runs the spectral
         // guard against one Schur form of G₁; the low-rank engine never
         // materializes the dense G₁ view.
-        let (frame, g1_schur) = if use_lowrank {
-            (StabilizationFrame::inactive(), None)
+        let frame = if self.pipeline.engine.use_lowrank(n) {
+            StabilizationFrame::low_rank(
+                qldae.g1_csr(),
+                qldae.c(),
+                self.pipeline.lowrank_opts.weight_regularization,
+            )
         } else {
             let schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
-            (
-                StabilizationFrame::new(self.stabilized, &schur),
-                Some(schur),
-            )
+            StabilizationFrame::dense(self.pipeline.stabilized, qldae.g1(), &schur)
         };
-        let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
-        let mut stats = ReductionStats {
-            energy_weighted: frame.is_active(),
-            lowrank_engine: use_lowrank,
-            ..ReductionStats::default()
-        };
+        let mut basis = OrthoBasis::with_tolerance(n, self.pipeline.deflation_tol);
+        let mut stats = ReductionStats::default();
         stats.degradation.absorb_pivot(recovery);
 
         // First-order chains A_a = G1^{-(a+1)} b per input, computed on
         // worker threads (one independent chain per input).
-        let max_chain = self.spec.k1.max(self.spec.k2).max(self.spec.k3).max(1);
-        let input_columns: Vec<Vector> = (0..num_inputs).map(|i| qldae.b().col(i)).collect();
+        let max_chain = spec.k1.max(spec.k2).max(spec.k3).max(1);
+        let input_columns: Vec<Vector> = (0..qldae.b().cols()).map(|i| qldae.b().col(i)).collect();
         let chains: Vec<Vec<Vector>> = run_chains(input_columns, control, |b| {
             resolvent_chain(&g1_lu, b, max_chain - 1)
         })?;
 
         for chain in &chains {
             checkpoint_stage(control, "norm-basis")?;
-            stats.h1_candidates += chain.len().min(self.spec.k1);
-            basis
-                .extend_from(
-                    chain
-                        .iter()
-                        .take(self.spec.k1)
-                        .map(|v| frame.transform(v.clone())),
-                )
-                .map_err(MorError::Linalg)?;
+            stats.h1_candidates += chain.len().min(spec.k1);
+            frame.insert(&mut basis, chain.iter().take(spec.k1).cloned())?;
         }
 
         // Second-order multivariate directions: seeds are cheap structured
@@ -225,8 +193,8 @@ impl NormReducer {
         // expensive repeated solves) run in parallel, and the results are
         // inserted into the basis in seed order.
         let mut h2_directions: Vec<(usize, Vector)> = Vec::new();
-        if self.spec.k2 > 0 {
-            let k2 = self.spec.k2;
+        if spec.k2 > 0 {
+            let k2 = spec.k2;
             let mut seeds: Vec<(Vector, usize, usize)> = Vec::new();
             for (ia, chain_a) in chains.iter().enumerate() {
                 checkpoint_stage(control, "norm-seeds")?;
@@ -257,21 +225,22 @@ impl NormReducer {
             })?;
             for (chain, base_degree) in computed.into_iter().zip(degrees) {
                 checkpoint_stage(control, "norm-basis")?;
-                for (p, v) in chain.into_iter().enumerate() {
-                    stats.h2_candidates += 1;
-                    basis
-                        .extend_from([frame.transform(v.clone())])
-                        .map_err(MorError::Linalg)?;
-                    h2_directions.push((base_degree + p, v));
-                }
+                stats.h2_candidates += chain.len();
+                frame.insert(&mut basis, chain.iter().cloned())?;
+                h2_directions.extend(
+                    chain
+                        .into_iter()
+                        .enumerate()
+                        .map(|(p, v)| (base_degree + p, v)),
+                );
             }
         }
 
         // Third-order multivariate directions: combine first-order chains with
         // the second-order directions (both Kronecker orders), plus D1 chains
         // on the second-order directions.
-        if self.spec.k3 > 0 {
-            let k3 = self.spec.k3;
+        if spec.k3 > 0 {
+            let k3 = spec.k3;
             let mut seeds: Vec<(Vector, usize, usize)> = Vec::new();
             for (ia, chain_a) in chains.iter().enumerate() {
                 checkpoint_stage(control, "norm-seeds")?;
@@ -302,74 +271,12 @@ impl NormReducer {
             for chain in computed {
                 checkpoint_stage(control, "norm-basis")?;
                 stats.h3_candidates += chain.len();
-                basis
-                    .extend_from(chain.into_iter().map(|v| frame.transform(v)))
-                    .map_err(MorError::Linalg)?;
+                frame.insert(&mut basis, chain)?;
             }
         }
 
-        if basis.is_empty() {
-            return Err(MorError::EmptyProjection);
-        }
-        stats.deflated = basis.deflated_count();
-        stats.nonfinite_deflated = basis.nonfinite_count();
-        if stats.deflated > 0 {
-            vamor_obs::event!(vamor_obs::Event::Deflation {
-                context: "basis",
-                dropped: stats.deflated as u32,
-                tol: self.deflation_tol,
-            });
-        }
-        let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
-        let (qtil, dropped) = reorthonormalize(&accumulated, self.qr_condition_cap)?;
-        stats.qr_dropped = dropped;
-        let Some(g1_schur) = &g1_schur else {
-            let weight = if self.stabilized {
-                let weight_control = control.cloned().unwrap_or_default();
-                lowrank_weight(
-                    qldae.g1_csr(),
-                    qldae.c(),
-                    self.backend,
-                    &self.lowrank_opts,
-                    &weight_control,
-                )?
-            } else {
-                crate::lowrank::LowRankWeight {
-                    z: None,
-                    adi_iterations: 0,
-                    adi_residual: f64::NAN,
-                    shift_reselections: 0,
-                    nonconverged: false,
-                }
-            };
-            stats.energy_weighted = weight.z.is_some();
-            stats.adi_iterations = weight.adi_iterations;
-            stats.adi_residual = weight.adi_residual;
-            stats.degradation.adi_shift_reselections += weight.shift_reselections;
-            stats.degradation.adi_nonconverged += usize::from(weight.nonconverged);
-            let (system, v) = project_guarded_lowrank(
-                qldae.g1_csr(),
-                qtil,
-                weight.z.as_ref(),
-                self.lowrank_opts.weight_regularization,
-                self.spectral_guard,
-                &mut stats,
-                |v, w| crate::project::project_qldae_petrov(qldae, v, w),
-            )?;
-            stats.projection_dim = v.cols();
-            return Ok(ReducedQldae::from_parts(system, v, stats));
-        };
-        let (system, v) = project_guarded(
-            qtil,
-            &frame,
-            self.spectral_guard,
-            qldae.g1(),
-            g1_schur,
-            &mut stats,
-            |v, w| crate::project::project_qldae_petrov(qldae, v, w),
-        )?;
-        stats.projection_dim = v.cols();
-        Ok(ReducedQldae::from_parts(system, v, stats))
+        self.pipeline
+            .finish_qldae(qldae, basis, frame, stats, control)
     }
 }
 
@@ -391,36 +298,6 @@ fn resolvent_chain(g1_lu: &G1Factor, seed: Vector, extra: usize) -> Result<Vec<V
         out.push(v.clone());
     }
     Ok(out)
-}
-
-/// Cooperative checkpoint for the serial stages of the reduction (seed
-/// gathering, basis insertion): polls the `control` token once so a stop or
-/// passed deadline interrupts the loop with a typed error.
-fn checkpoint_stage(control: Option<&RunControl>, stage: &'static str) -> Result<()> {
-    if let Some(c) = control {
-        c.checkpoint(stage).map_err(MorError::Linalg)?;
-    }
-    Ok(())
-}
-
-/// Runs the independent resolvent chains on the scoped worker threads: a
-/// panicking worker surfaces as a typed [`MorError::ChainPanicked`] for this
-/// reduction only, and the cooperative `control` token is checked once per
-/// chain so a stop interrupts the fan-out with a typed error.
-fn run_chains<T, F>(items: Vec<T>, control: Option<&RunControl>, f: F) -> Result<Vec<Vec<Vector>>>
-where
-    T: Send,
-    F: Fn(T) -> Result<Vec<Vector>> + Sync,
-{
-    crate::par::try_parallel_map(items, |item| {
-        if let Some(c) = control {
-            c.checkpoint("norm-chain").map_err(MorError::Linalg)?;
-        }
-        f(item)
-    })
-    .into_iter()
-    .map(|task| task.map_err(MorError::ChainPanicked).and_then(|r| r))
-    .collect()
 }
 
 /// Number of tuples of `k` non-negative integers with sum at most `max_sum`

@@ -21,9 +21,9 @@
 //!    `W = MV`, which makes the reduced `G₁ᵣ` *provably* Hurwitz whenever the
 //!    full `G₁` is (see [`vamor_linalg::lyapunov_weight`]). The accumulated
 //!    basis is then re-factored with a column-pivoted QR and columns whose
-//!    pivot falls below [`AssocReducer::with_qr_condition_cap`] are dropped,
-//!    so the working frame is orthonormal to machine precision even when
-//!    incremental Gram–Schmidt drifted.
+//!    pivot falls below `1 /` [`AssocReducer::DEFAULT_QR_CONDITION_CAP`] of
+//!    the leading one are dropped, so the working frame is orthonormal to
+//!    machine precision even when incremental Gram–Schmidt drifted.
 //! 3. **Spectral guard with restart** — after projection the reduced `G₁ᵣ`
 //!    spectrum is checked ([`ReductionStats::spectral_abscissa`]); if it is
 //!    not Hurwitz while the full `G₁` is, trailing candidates are dropped and
@@ -36,11 +36,26 @@
 //! early-time/high-frequency response that moment matching about `s = 0`
 //! leaves free — this is what removes the broadband "leak" the paper-size
 //! Fig. 2 ROM exhibited at its input frequency.
+//!
+//! # One pipeline, two stages
+//!
+//! Every reduction — QLDAE and cubic, dense and low-rank engine, and the
+//! NORM baseline — runs the same two stages and differs only in how it
+//! generates candidates. **Collect** enriches with Markov vectors, fans the
+//! chain plan out over the worker threads and inserts the chains into the
+//! basis in plan order. **Finish** settles the basis (deflation record,
+//! pivoted QR), builds the energy weight where the engine defers it, runs
+//! the spectral guard, projects, and publishes [`ReductionStats`]. The
+//! engine split lives in one private frame type: the dense engine weights
+//! candidates with the Cholesky factor of its Schur Lyapunov weight before
+//! insertion; the low-rank engine accumulates Euclidean candidates and
+//! applies its LR-ADI factored weight after re-orthogonalization.
 
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, LuFactor, Matrix, OrthoBasis,
-    PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, SparseLu, Vector,
+    eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, CsrMatrix, LuFactor, Matrix,
+    OrthoBasis, PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, SparseLu,
+    Vector,
 };
 use vamor_system::{CubicOde, Qldae};
 
@@ -49,8 +64,8 @@ use crate::assoc::{
 };
 use crate::error::MorError;
 use crate::lowrank::{
-    csr_matmul, lowrank_weight, project_guarded_lowrank, LowRankAssocMomentGenerator,
-    LowRankCubicMomentGenerator, LowRankOptions, ReductionEngine,
+    csr_matmul, lowrank_vw, lowrank_weight, LowRankAssocMomentGenerator,
+    LowRankCubicMomentGenerator, LowRankDiagnostics, LowRankOptions, ReductionEngine,
 };
 use crate::project::{project_cubic_petrov, project_qldae_petrov};
 use crate::Result;
@@ -92,7 +107,7 @@ impl MomentSpec {
         self.k1 + self.k2 + self.k3
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.total() == 0 {
             return Err(MorError::Invalid(
                 "at least one moment must be requested".into(),
@@ -241,6 +256,14 @@ impl ReductionStats {
         vamor_obs::gauge("reduce.spectral_abscissa").set(self.spectral_abscissa);
         vamor_obs::gauge("reduce.moment_log10_peak").set(self.moment_log10_peak);
     }
+
+    /// Folds the low-rank chain generator's ADI cost and recoveries in.
+    fn absorb_chain_diagnostics(&mut self, diag: LowRankDiagnostics) {
+        self.adi_iterations += diag.adi_iterations;
+        self.chain_basis_dim = diag.chain_basis_dim;
+        self.degradation.adi_shift_reselections += diag.adi_shift_reselections;
+        self.degradation.adi_nonconverged += diag.adi_nonconverged;
+    }
 }
 
 /// A reduced QLDAE together with its projection basis and statistics.
@@ -252,16 +275,6 @@ pub struct ReducedQldae {
 }
 
 impl ReducedQldae {
-    /// Assembles a reduced model from its parts (used by the reducers in
-    /// this crate).
-    pub(crate) fn from_parts(system: Qldae, projection: Matrix, stats: ReductionStats) -> Self {
-        ReducedQldae {
-            system,
-            projection,
-            stats,
-        }
-    }
-
     /// The reduced-order system.
     pub fn system(&self) -> &Qldae {
         &self.system
@@ -331,168 +344,272 @@ enum Chain {
     H3 { input: usize },
 }
 
+impl Chain {
+    /// The chains of one run in basis-insertion order: a QLDAE runs every
+    /// `H₁` chain, then the `H₂` input pairs `a ≤ b`, then every `H₃` chain;
+    /// a cubic ODE (no `H₂`) interleaves `H₁`/`H₃` per input.
+    fn plan(num_inputs: usize, spec: MomentSpec, cubic: bool) -> Vec<Chain> {
+        if cubic {
+            return (0..num_inputs)
+                .flat_map(|input| [Chain::H1 { input }, Chain::H3 { input }])
+                .collect();
+        }
+        let h1 = (0..num_inputs).map(|input| Chain::H1 { input });
+        let h2 = (0..num_inputs)
+            .filter(|_| spec.k2 > 0)
+            .flat_map(|a| (a..num_inputs).map(move |b| Chain::H2 { a, b }));
+        let h3 = (0..num_inputs)
+            .filter(|_| spec.k3 > 0)
+            .map(|input| Chain::H3 { input });
+        h1.chain(h2).chain(h3).collect()
+    }
+}
+
 /// Cooperative checkpoint for the serial stages of the reduction (Markov
-/// enrichment, basis insertion): polls the `control` token once so a stop or
-/// passed deadline interrupts the loop with a typed error.
-fn checkpoint_stage(control: Option<&RunControl>, stage: &'static str) -> Result<()> {
+/// enrichment, seed gathering, basis insertion): polls the `control` token
+/// once so a stop or passed deadline interrupts the loop with a typed error.
+pub(crate) fn checkpoint_stage(control: Option<&RunControl>, stage: &'static str) -> Result<()> {
     if let Some(c) = control {
         c.checkpoint(stage).map_err(MorError::Linalg)?;
     }
     Ok(())
 }
 
-/// Runs the independent moment chains on the scoped worker threads, with two
+/// Runs independent moment chains on the scoped worker threads, with two
 /// robustness layers on top of the raw `parallel_map`: a panicking chain
 /// worker surfaces as a typed [`MorError::ChainPanicked`] for this reduction
 /// only, and a cooperative `control` token is checked once per chain so a
 /// cancellation or passed deadline stops the fan-out with a typed
-/// `Interrupted` error instead of finishing the remaining chains.
-fn run_chains<F>(
-    chains: Vec<Chain>,
+/// `Interrupted` error instead of finishing the remaining chains. Results
+/// come back in input order.
+pub(crate) fn run_chains<T, R, F>(
+    items: Vec<T>,
     control: Option<&RunControl>,
     compute: F,
-) -> Result<Vec<(Chain, ScaledMoments)>>
+) -> Result<Vec<R>>
 where
-    F: Fn(Chain) -> Result<ScaledMoments> + Sync,
+    T: Send,
+    R: Send,
+    F: Fn(T) -> Result<R> + Sync,
 {
-    crate::par::try_parallel_map(chains, |chain| {
-        let _span = vamor_obs::span!(match chain {
-            Chain::H1 { .. } => "chain_h1",
-            Chain::H2 { .. } => "chain_h2",
-            Chain::H3 { .. } => "chain_h3",
-        });
-        if let Some(c) = control {
-            c.checkpoint("moment-chain").map_err(MorError::Linalg)?;
-        }
-        Ok((chain, compute(chain)?))
+    crate::par::try_parallel_map(items, |item| {
+        checkpoint_stage(control, "moment-chain")?;
+        compute(item)
     })
     .into_iter()
     .map(|task| task.map_err(MorError::ChainPanicked).and_then(|r| r))
     .collect()
 }
 
-/// The congruence frame of the stabilized projection: candidates are mapped
-/// through `v ↦ Lᵀv` (with `M = LLᵀ` the Lyapunov weight of `G₁`),
-/// orthonormalized in Euclidean coordinates there, and mapped back as
-/// `V = L⁻ᵀQ̃`, `W = LQ̃` — so `WᵀV = I` and `G₁ᵣ = WᵀG₁V` inherits the
-/// dissipativity of the full matrix.
-pub(crate) struct StabilizationFrame {
-    chol: Option<CholeskyDecomposition>,
+/// The engine-specific half of the projection pipeline: where the energy
+/// weight lives, how candidates enter the working frame, how the projection
+/// pair is recovered from it, and how `G₁` is applied (the dense view on the
+/// dense engine, the CSR stamp on the low-rank engine, which never
+/// materializes the dense `G₁`).
+pub(crate) enum StabilizationFrame<'a> {
+    /// The congruence frame of the dense engine: candidates are mapped
+    /// through `v ↦ Lᵀv` (with `M = LLᵀ` the Lyapunov weight of `G₁`, solved
+    /// against its Schur form before insertion), orthonormalized in Euclidean
+    /// coordinates there, and mapped back as `V = L⁻ᵀQ̃`, `W = LQ̃` — so
+    /// `WᵀV = I` and `G₁ᵣ = WᵀG₁V` inherits the dissipativity of the full
+    /// matrix. `chol` is `None` (plain Galerkin) when the weight was not
+    /// requested or `G₁` is not Hurwitz.
+    Dense {
+        g1: &'a Matrix,
+        chol: Option<CholeskyDecomposition>,
+        /// Full `G₁` Hurwitz by its Schur eigenvalues: only then can the
+        /// spectral guard restore a stable reduction by dropping columns.
+        g1_hurwitz: bool,
+    },
+    /// The low-rank engine: candidates are accumulated in Euclidean
+    /// coordinates and the LR-ADI factored weight `M ≈ ZZᵀ` is built after
+    /// re-orthogonalization ([`StabilizationFrame::weigh`]); the oblique
+    /// pair comes from [`lowrank_vw`].
+    LowRank {
+        g1: &'a CsrMatrix,
+        c: &'a Matrix,
+        z: Option<Matrix>,
+        regularization: f64,
+    },
 }
 
-impl StabilizationFrame {
-    /// Builds the frame. With `stabilized == false`, or when `G₁` is not
-    /// Hurwitz (the Lyapunov weight is then not positive definite), the frame
-    /// degrades to the identity and the flow reduces to plain Galerkin —
-    /// [`StabilizationFrame::is_active`] reports which mode was reached so
-    /// the reducers can surface it in [`ReductionStats::energy_weighted`].
-    /// The weight is solved against the Schur form of `G₁` the caller
-    /// already holds.
-    pub(crate) fn new(stabilized: bool, g1_schur: &SchurDecomposition) -> Self {
-        if !stabilized {
-            return StabilizationFrame { chol: None };
+impl<'a> StabilizationFrame<'a> {
+    /// The dense frame. With `stabilized == false`, or when `G₁` is not
+    /// Hurwitz (the Lyapunov weight is then not positive definite), it
+    /// degrades to the identity and the flow reduces to plain Galerkin.
+    pub(crate) fn dense(stabilized: bool, g1: &'a Matrix, g1_schur: &SchurDecomposition) -> Self {
+        let chol = if stabilized {
+            lyapunov_weight_with_schur(g1_schur)
+                .ok()
+                .and_then(|m| CholeskyDecomposition::new(&m).ok())
+        } else {
+            None
+        };
+        let g1_hurwitz = g1_schur.eigenvalues().iter().all(|z| z.re < 0.0);
+        StabilizationFrame::Dense {
+            g1,
+            chol,
+            g1_hurwitz,
         }
-        let chol = lyapunov_weight_with_schur(g1_schur)
-            .ok()
-            .and_then(|m| CholeskyDecomposition::new(&m).ok());
-        StabilizationFrame { chol }
     }
 
-    /// A frame that never weights (plain Galerkin) — used by the low-rank
-    /// engine, whose energy weight lives in factored form outside the frame.
-    pub(crate) fn inactive() -> Self {
-        StabilizationFrame { chol: None }
+    /// The low-rank frame (unweighted until [`StabilizationFrame::weigh`]).
+    pub(crate) fn low_rank(g1: &'a CsrMatrix, c: &'a Matrix, regularization: f64) -> Self {
+        StabilizationFrame::LowRank {
+            g1,
+            c,
+            z: None,
+            regularization,
+        }
     }
 
-    /// True when the energy inner product is in effect (the Lyapunov weight
-    /// existed and was positive definite).
-    pub(crate) fn is_active(&self) -> bool {
-        self.chol.is_some()
+    /// Solves the low-rank engine's LR-ADI energy weight into the frame and
+    /// records its ADI cost in `stats`; the dense frame was weighted at
+    /// construction, so this is a no-op there.
+    fn weigh(
+        &mut self,
+        backend: SolverBackend,
+        opts: &LowRankOptions,
+        control: Option<&RunControl>,
+        stats: &mut ReductionStats,
+    ) -> Result<()> {
+        if let StabilizationFrame::LowRank { g1, c, z, .. } = self {
+            let _span = vamor_obs::span!("energy_weight");
+            let weight =
+                lowrank_weight(g1, c, backend, opts, &control.cloned().unwrap_or_default())?;
+            stats.adi_iterations += weight.adi_iterations;
+            stats.adi_residual = weight.adi_residual;
+            stats.degradation.adi_shift_reselections += weight.shift_reselections;
+            stats.degradation.adi_nonconverged += usize::from(weight.nonconverged);
+            *z = weight.z;
+        }
+        Ok(())
     }
 
-    /// Maps a candidate into the working frame (and re-normalizes it so the
-    /// deflation test stays scale-free).
-    pub(crate) fn transform(&self, v: Vector) -> Vector {
-        match &self.chol {
-            Some(chol) => {
-                let mut t = chol.lt_matvec(&v);
-                let norm = t.norm2();
-                if norm > 0.0 && norm.is_finite() {
-                    t.scale_mut(1.0 / norm);
-                }
-                t
+    /// True when the energy inner product is in effect.
+    fn is_active(&self) -> bool {
+        match self {
+            StabilizationFrame::Dense { chol, .. } => chol.is_some(),
+            StabilizationFrame::LowRank { z, .. } => z.is_some(),
+        }
+    }
+
+    /// Markov vectors `b, G₁b, …` for one input column, unit-normalized.
+    fn markov(&self, b: Vector, count: usize) -> Vec<Vector> {
+        let mut out = Vec::with_capacity(count);
+        let mut v = b;
+        for _ in 0..count {
+            let norm = v.norm2();
+            if norm == 0.0 || !norm.is_finite() {
+                break;
             }
-            None => v,
+            v.scale_mut(1.0 / norm);
+            out.push(v.clone());
+            v = match self {
+                StabilizationFrame::Dense { g1, .. } => g1.matvec(&v),
+                StabilizationFrame::LowRank { g1, .. } => g1.matvec(&v),
+            };
         }
+        out
+    }
+
+    /// Maps candidates into the working frame (re-normalized so the
+    /// deflation test stays scale-free) and appends them to `basis` in order.
+    pub(crate) fn insert(
+        &self,
+        basis: &mut OrthoBasis,
+        candidates: impl IntoIterator<Item = Vector>,
+    ) -> Result<()> {
+        let chol = match self {
+            StabilizationFrame::Dense { chol, .. } => chol.as_ref(),
+            StabilizationFrame::LowRank { .. } => None,
+        };
+        basis
+            .extend_from(candidates.into_iter().map(|v| match chol {
+                Some(chol) => {
+                    let mut t = chol.lt_matvec(&v);
+                    let norm = t.norm2();
+                    if norm > 0.0 && norm.is_finite() {
+                        t.scale_mut(1.0 / norm);
+                    }
+                    t
+                }
+                None => v,
+            }))
+            .map_err(MorError::Linalg)?;
+        Ok(())
     }
 
     /// Recovers the projection pair `(V, W)` from the orthonormal working
     /// basis.
-    pub(crate) fn recover(&self, qtil: &Matrix) -> Result<(Matrix, Matrix)> {
-        match &self.chol {
-            Some(chol) => {
+    fn recover(&self, qtil: &Matrix) -> Result<(Matrix, Matrix)> {
+        match self {
+            StabilizationFrame::Dense {
+                chol: Some(chol), ..
+            } => {
                 let v = chol.solve_lt_matrix(qtil).map_err(MorError::Linalg)?;
                 let w = chol.l_matmul(qtil).map_err(MorError::Linalg)?;
                 Ok((v, w))
             }
-            None => Ok((qtil.clone(), qtil.clone())),
+            StabilizationFrame::Dense { chol: None, .. } => Ok((qtil.clone(), qtil.clone())),
+            StabilizationFrame::LowRank {
+                z, regularization, ..
+            } => lowrank_vw(qtil, z.as_ref(), *regularization),
+        }
+    }
+
+    /// The guard's trial product `G₁ᵣ = Wᵀ G₁ V`.
+    fn reduced_g1(&self, v: &Matrix, w: &Matrix) -> Matrix {
+        let g1v = match self {
+            StabilizationFrame::Dense { g1, .. } => g1.matmul(v),
+            StabilizationFrame::LowRank { g1, .. } => csr_matmul(g1, v),
+        };
+        w.transpose().matmul(&g1v)
+    }
+
+    /// Whether dropping columns can restore a stable reduction: on the dense
+    /// engine only when the full `G₁` is Hurwitz (a full model with an
+    /// unstable `G₁` legitimately produces unstable reductions); the
+    /// low-rank engine cannot afford that `O(n³)` check, so on a genuinely
+    /// unstable full model its guard stops at one column.
+    fn restartable(&self) -> bool {
+        match self {
+            StabilizationFrame::Dense { g1_hurwitz, .. } => *g1_hurwitz,
+            StabilizationFrame::LowRank { .. } => true,
         }
     }
 }
 
-/// Final cleanup of the accumulated working basis: pivoted QR, dropping
-/// columns whose pivot falls below `1 / condition_cap` of the leading one.
-pub(crate) fn reorthonormalize(basis: &Matrix, condition_cap: f64) -> Result<(Matrix, usize)> {
-    let _span = vamor_obs::span!("qr_reorth");
-    let qr = PivotedQr::new(basis).map_err(MorError::Linalg)?;
-    let tol = 1.0 / condition_cap.max(1.0);
-    let rank = qr.rank(tol).max(1);
-    let kept = qr.orthonormal_prefix(rank);
-    let dropped = basis.cols() - kept.cols();
-    Ok((kept, dropped))
-}
-
-/// Runs the spectral guard: while the reduced linear part `Wᵀ G₁ V` is
-/// unstable although the full `G₁` is not, drops the trailing working-basis
-/// column. Only the cheap `G₁ᵣ` trial product is formed per dropped column;
-/// the expensive full nonlinear projection (`O(q²)`/`O(q³)` structured
-/// matvecs for `G₂`/`G₃`) runs exactly once, on the final basis. Returns the
-/// projected system together with the right basis used.
-#[allow(clippy::too_many_arguments)] // one call site per reducer; a config struct would just rename the arguments
-pub(crate) fn project_guarded<T>(
+/// The spectral guard: while the reduced linear part `Wᵀ G₁ V` is unstable
+/// and `restartable`, drops the trailing working-basis column. Only the cheap
+/// `G₁ᵣ` trial product is formed per dropped column; the expensive full
+/// nonlinear projection (`O(q²)`/`O(q³)` structured matvecs for `G₂`/`G₃`)
+/// runs exactly once, on the final basis. Returns the projected system
+/// together with the right basis used.
+fn project_guarded<T>(
     mut qtil: Matrix,
     frame: &StabilizationFrame,
     guard: bool,
-    full_g1: &Matrix,
-    full_schur: &SchurDecomposition,
+    restartable: bool,
     stats: &mut ReductionStats,
     project: impl Fn(&Matrix, &Matrix) -> Result<T>,
 ) -> Result<(T, Matrix)> {
     let _span = vamor_obs::span!("project");
     let (mut v, mut w) = frame.recover(&qtil)?;
     if guard {
-        let g1r = w.transpose().matmul(&full_g1.matmul(&v));
-        let mut eig = eigenvalues(&g1r).map_err(MorError::Linalg)?;
+        let mut eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
         stats.spectral_abscissa = eig.spectral_abscissa();
-        // Only restart when stability is actually achievable: a full model
-        // with an unstable G₁ legitimately produces unstable reductions.
-        let restartable = !eig.is_hurwitz() && full_schur.eigenvalues().iter().all(|z| z.re < 0.0);
-        if restartable {
-            while !eig.is_hurwitz() && qtil.cols() > 1 {
-                qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
-                stats.restarts += 1;
-                vamor_obs::event!(vamor_obs::Event::SpectralRestart {
-                    restart: stats.restarts as u32,
-                    abscissa: eig.spectral_abscissa(),
-                    dim: qtil.cols() as u32,
-                });
-                let (v2, w2) = frame.recover(&qtil)?;
-                v = v2;
-                w = w2;
-                let g1r = w.transpose().matmul(&full_g1.matmul(&v));
-                eig = eigenvalues(&g1r).map_err(MorError::Linalg)?;
-                stats.spectral_abscissa = eig.spectral_abscissa();
-            }
+        while restartable && !eig.is_hurwitz() && qtil.cols() > 1 {
+            qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
+            stats.restarts += 1;
+            vamor_obs::event!(vamor_obs::Event::SpectralRestart {
+                restart: stats.restarts as u32,
+                abscissa: eig.spectral_abscissa(),
+                dim: qtil.cols() as u32,
+            });
+            (v, w) = frame.recover(&qtil)?;
+            eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
+            stats.spectral_abscissa = eig.spectral_abscissa();
         }
     }
     let system = project(&v, &w)?;
@@ -521,14 +638,13 @@ pub(crate) fn project_guarded<T>(
 #[derive(Debug, Clone, Copy)]
 pub struct AssocReducer {
     spec: MomentSpec,
-    deflation_tol: f64,
+    pub(crate) deflation_tol: f64,
     markov_moments: usize,
-    stabilized: bool,
-    qr_condition_cap: f64,
+    pub(crate) stabilized: bool,
     spectral_guard: bool,
-    backend: SolverBackend,
-    engine: ReductionEngine,
-    lowrank_opts: LowRankOptions,
+    pub(crate) backend: SolverBackend,
+    pub(crate) engine: ReductionEngine,
+    pub(crate) lowrank_opts: LowRankOptions,
     output_krylov: usize,
 }
 
@@ -543,7 +659,6 @@ impl AssocReducer {
             deflation_tol: OrthoBasis::DEFAULT_TOL,
             markov_moments: 0,
             stabilized: true,
-            qr_condition_cap: Self::DEFAULT_QR_CONDITION_CAP,
             spectral_guard: true,
             backend: SolverBackend::Auto,
             engine: ReductionEngine::Auto,
@@ -619,13 +734,6 @@ impl AssocReducer {
         self
     }
 
-    /// Condition cap of the final pivoted-QR pass over the accumulated
-    /// basis: columns whose pivot is smaller than `|r₀₀| / cap` are dropped.
-    pub fn with_qr_condition_cap(mut self, cap: f64) -> Self {
-        self.qr_condition_cap = cap;
-        self
-    }
-
     /// Enables the post-projection spectral check (and restart-by-dropping
     /// when the reduced matrix is unstable while the full one is not). On by
     /// default; when disabled, [`ReductionStats::spectral_abscissa`] stays
@@ -638,25 +746,6 @@ impl AssocReducer {
     /// The moment specification.
     pub fn spec(&self) -> MomentSpec {
         self.spec
-    }
-
-    /// Markov vectors `b, G₁b, …` for one input column, unit-normalized.
-    /// Generic over the `G₁` application so the dense engine uses the dense
-    /// view and the low-rank engine the CSR stamp (never materializing the
-    /// dense `G₁`).
-    fn markov_chain(g1_matvec: impl Fn(&Vector) -> Vector, b: Vector, count: usize) -> Vec<Vector> {
-        let mut out = Vec::with_capacity(count);
-        let mut v = b;
-        for _ in 0..count {
-            let norm = v.norm2();
-            if norm == 0.0 || !norm.is_finite() {
-                break;
-            }
-            v.scale_mut(1.0 / norm);
-            out.push(v.clone());
-            v = g1_matvec(&v);
-        }
-        out
     }
 
     /// Reduces a QLDAE system.
@@ -674,9 +763,8 @@ impl AssocReducer {
     /// and block-operator shift caches instead of refactorizing them, so a
     /// sequence of reductions over one stamp pays the `s = 0` and
     /// eigenvalue-shift factorizations exactly once. The shared artifacts
-    /// are consulted only on the dense engine with solver caching on (the
-    /// session builds them in exactly that configuration); other
-    /// configurations fall back to per-run factorization.
+    /// are consulted only on the dense engine; the low-rank engine ignores
+    /// them and factors per run, exactly as [`AssocReducer::reduce`].
     ///
     /// # Errors
     ///
@@ -717,129 +805,72 @@ impl AssocReducer {
     ) -> Result<ReducedQldae> {
         let _span = vamor_obs::span!("assoc_reduce");
         self.spec.validate()?;
-        let n = qldae.g1_csr().rows();
-        if self.engine.use_lowrank(n) && self.output_krylov > 0 {
-            // The two-sided mode needs the dense machinery: `Auto` simply
-            // resolves to it; an *explicit* low-rank selection is a
-            // contradiction and fails loudly.
-            if self.engine == ReductionEngine::LowRank {
-                return Err(MorError::Invalid(
-                    "the two-sided output-Krylov mode requires the dense engine".into(),
-                ));
-            }
-        } else if self.engine.use_lowrank(n) {
-            return self.reduce_lowrank(qldae, control);
-        }
-        let num_inputs = qldae.b().cols();
-        let generator = match shared {
-            Some(shared) => AssocMomentGenerator::with_shared(qldae, shared)?,
-            None => AssocMomentGenerator::with_options(qldae, self.backend)?,
-        };
-        // The two-sided mode chooses W from the output Krylov spaces, which
-        // replaces the energy-weighted W = MV — run the plain frame there.
-        let stabilized = self.stabilized && self.output_krylov == 0;
-        let frame = StabilizationFrame::new(stabilized, generator.g1_schur());
-        let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
-        let mut stats = ReductionStats {
-            energy_weighted: frame.is_active(),
-            ..ReductionStats::default()
-        };
-        stats.degradation.absorb_pivot(generator.pivot_recovery());
-
-        // Markov enrichment first: these vectors carry the high-frequency
-        // behaviour and must not be relegated behind deep moment chains.
-        for input in 0..num_inputs {
-            let _span = vamor_obs::span!("markov_enrich");
-            checkpoint_stage(control, "markov-enrich")?;
-            let markov = Self::markov_chain(
-                |v| qldae.g1().matvec(v),
-                qldae.b().col(input),
-                self.markov_moments,
-            );
-            stats.markov_candidates += markov.len();
-            basis
-                .extend_from(markov.into_iter().map(|v| frame.transform(v)))
-                .map_err(MorError::Linalg)?;
-        }
-
-        // The chains of different Volterra orders / inputs are independent
-        // given the generator's immutable cached factorizations, so they run
-        // on scoped worker threads; results are inserted into the basis in
-        // the same deterministic order as the sequential loops used to.
-        let mut chains: Vec<Chain> = Vec::new();
-        // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping over O(inputs^2) pushes; the solver work runs in run_chains, which checkpoints per chain")
-        for input in 0..num_inputs {
-            chains.push(Chain::H1 { input });
-        }
-        if self.spec.k2 > 0 {
-            // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping over O(inputs^2) pushes; the solver work runs in run_chains, which checkpoints per chain")
-            for a in 0..num_inputs {
-                for b in a..num_inputs {
-                    chains.push(Chain::H2 { a, b });
-                }
-            }
-        }
-        if self.spec.k3 > 0 {
-            // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping over O(inputs^2) pushes; the solver work runs in run_chains, which checkpoints per chain")
-            for input in 0..num_inputs {
-                chains.push(Chain::H3 { input });
-            }
+        let csr = qldae.g1_csr();
+        // The two-sided mode needs the dense machinery: `Auto` simply
+        // resolves to it; an *explicit* low-rank selection is a
+        // contradiction and fails loudly.
+        if self.output_krylov > 0 && self.engine == ReductionEngine::LowRank {
+            return Err(MorError::Invalid(
+                "the two-sided output-Krylov mode requires the dense engine".into(),
+            ));
         }
         let spec = self.spec;
-        let results = run_chains(chains, control, |chain| match chain {
-            Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-            Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
-            Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-        })?;
-        for (chain, moments) in results {
-            checkpoint_stage(control, "basis-insert")?;
-            match chain {
-                Chain::H1 { .. } => stats.h1_candidates += moments.vectors.len(),
-                Chain::H2 { .. } => stats.h2_candidates += moments.vectors.len(),
-                Chain::H3 { .. } => stats.h3_candidates += moments.vectors.len(),
-            }
-            stats.moment_log10_peak = stats.moment_log10_peak.max(moments.log10_peak());
-            basis
-                .extend_from(moments.vectors.into_iter().map(|v| frame.transform(v)))
-                .map_err(MorError::Linalg)?;
-        }
-
-        if basis.is_empty() {
-            return Err(MorError::EmptyProjection);
-        }
-        stats.deflated = basis.deflated_count();
-        stats.nonfinite_deflated = basis.nonfinite_count();
-        if stats.deflated > 0 {
-            vamor_obs::event!(vamor_obs::Event::Deflation {
-                context: "basis",
-                dropped: stats.deflated as u32,
-                tol: self.deflation_tol,
-            });
-        }
-        let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
-        let (qtil, dropped) = reorthonormalize(&accumulated, self.qr_condition_cap)?;
-        stats.qr_dropped = dropped;
-
+        let plan = Chain::plan(qldae.b().cols(), spec, false);
+        let (basis, frame, mut stats) =
+            if self.engine.use_lowrank(csr.rows()) && self.output_krylov == 0 {
+                let mut generator =
+                    LowRankAssocMomentGenerator::new(qldae, self.backend, self.lowrank_opts)?;
+                if let Some(c) = control {
+                    generator = generator.with_control(c.clone());
+                }
+                let frame = StabilizationFrame::low_rank(
+                    csr,
+                    qldae.c(),
+                    self.lowrank_opts.weight_regularization,
+                );
+                let (basis, mut stats) = self.collect(
+                    &frame,
+                    qldae.b(),
+                    plan,
+                    control,
+                    generator.pivot_recovery(),
+                    |chain| match chain {
+                        Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
+                        Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
+                        Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                    },
+                )?;
+                stats.absorb_chain_diagnostics(generator.diagnostics());
+                (basis, frame, stats)
+            } else {
+                let generator = match shared {
+                    Some(shared) => AssocMomentGenerator::with_shared(qldae, shared)?,
+                    None => AssocMomentGenerator::with_options(qldae, self.backend)?,
+                };
+                // The two-sided mode chooses W from the output Krylov
+                // spaces, which replaces the energy-weighted W = MV — run
+                // the plain frame there.
+                let stabilized = self.stabilized && self.output_krylov == 0;
+                let frame = StabilizationFrame::dense(stabilized, qldae.g1(), generator.g1_schur());
+                let (basis, stats) = self.collect(
+                    &frame,
+                    qldae.b(),
+                    plan,
+                    control,
+                    generator.pivot_recovery(),
+                    |chain| match chain {
+                        Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
+                        Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
+                        Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                    },
+                )?;
+                (basis, frame, stats)
+            };
         if self.output_krylov > 0 {
+            let qtil = self.settle(basis, &mut stats)?;
             return self.finish_two_sided(qldae, qtil, stats);
         }
-
-        let (system, v) = project_guarded(
-            qtil,
-            &frame,
-            self.spectral_guard,
-            qldae.g1(),
-            generator.g1_schur(),
-            &mut stats,
-            |v, w| project_qldae_petrov(qldae, v, w),
-        )?;
-        stats.projection_dim = v.cols();
-        stats.publish();
-        Ok(ReducedQldae {
-            system,
-            projection: v,
-            stats,
-        })
+        self.finish_qldae(qldae, basis, frame, stats, control)
     }
 
     /// Finishes a two-sided (output-Krylov Petrov–Galerkin) reduction: the
@@ -932,72 +963,62 @@ impl AssocReducer {
         })
     }
 
-    /// The low-rank engine flow: rational-Krylov chains, Euclidean candidate
-    /// accumulation, LR-ADI observability weight, factored oblique
-    /// projection (see [`crate::lowrank`]).
-    fn reduce_lowrank(&self, qldae: &Qldae, control: Option<&RunControl>) -> Result<ReducedQldae> {
-        let csr = qldae.g1_csr();
-        let n = csr.rows();
-        let num_inputs = qldae.b().cols();
-        let mut generator =
-            LowRankAssocMomentGenerator::new(qldae, self.backend, self.lowrank_opts)?;
-        if let Some(c) = control {
-            generator = generator.with_control(c.clone());
-        }
-        let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
-        let mut stats = ReductionStats {
-            lowrank_engine: true,
-            ..ReductionStats::default()
-        };
-        stats.degradation.absorb_pivot(generator.pivot_recovery());
+    /// The collect stage of the reduction pipeline: Markov enrichment, then
+    /// the chain `plan` fanned out over [`run_chains`] (one `compute` call
+    /// per chain), then insertion of every chain into the basis through
+    /// `frame`, in plan order.
+    fn collect(
+        &self,
+        frame: &StabilizationFrame,
+        b: &Matrix,
+        plan: Vec<Chain>,
+        control: Option<&RunControl>,
+        recovery: PivotRecovery,
+        compute: impl Fn(Chain) -> Result<ScaledMoments> + Sync,
+    ) -> Result<(OrthoBasis, ReductionStats)> {
+        let mut basis = OrthoBasis::with_tolerance(b.rows(), self.deflation_tol);
+        let mut stats = ReductionStats::default();
+        stats.degradation.absorb_pivot(recovery);
 
-        for input in 0..num_inputs {
+        // Markov enrichment first: these vectors carry the high-frequency
+        // behaviour and must not be relegated behind deep moment chains.
+        for input in 0..b.cols() {
             let _span = vamor_obs::span!("markov_enrich");
             checkpoint_stage(control, "markov-enrich")?;
-            let markov =
-                Self::markov_chain(|v| csr.matvec(v), qldae.b().col(input), self.markov_moments);
+            let markov = frame.markov(b.col(input), self.markov_moments);
             stats.markov_candidates += markov.len();
-            basis.extend_from(markov).map_err(MorError::Linalg)?;
+            frame.insert(&mut basis, markov)?;
         }
 
-        let mut chains: Vec<Chain> = Vec::new();
-        // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping over O(inputs^2) pushes; the solver work runs in run_chains, which checkpoints per chain")
-        for input in 0..num_inputs {
-            chains.push(Chain::H1 { input });
-        }
-        if self.spec.k2 > 0 {
-            // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping over O(inputs^2) pushes; the solver work runs in run_chains, which checkpoints per chain")
-            for a in 0..num_inputs {
-                for b in a..num_inputs {
-                    chains.push(Chain::H2 { a, b });
-                }
-            }
-        }
-        if self.spec.k3 > 0 {
-            // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping over O(inputs^2) pushes; the solver work runs in run_chains, which checkpoints per chain")
-            for input in 0..num_inputs {
-                chains.push(Chain::H3 { input });
-            }
-        }
-        let spec = self.spec;
-        let results = run_chains(chains, control, |chain| match chain {
-            Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-            Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
-            Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+        // The chains are independent given the generator's immutable cached
+        // factorizations, so they run on scoped worker threads; results are
+        // inserted in plan order, which keeps the basis deterministic.
+        let results = run_chains(plan, control, |chain| {
+            let _span = vamor_obs::span!(match chain {
+                Chain::H1 { .. } => "chain_h1",
+                Chain::H2 { .. } => "chain_h2",
+                Chain::H3 { .. } => "chain_h3",
+            });
+            Ok((chain, compute(chain)?))
         })?;
         for (chain, moments) in results {
             checkpoint_stage(control, "basis-insert")?;
-            match chain {
-                Chain::H1 { .. } => stats.h1_candidates += moments.vectors.len(),
-                Chain::H2 { .. } => stats.h2_candidates += moments.vectors.len(),
-                Chain::H3 { .. } => stats.h3_candidates += moments.vectors.len(),
-            }
+            *match chain {
+                Chain::H1 { .. } => &mut stats.h1_candidates,
+                Chain::H2 { .. } => &mut stats.h2_candidates,
+                Chain::H3 { .. } => &mut stats.h3_candidates,
+            } += moments.vectors.len();
             stats.moment_log10_peak = stats.moment_log10_peak.max(moments.log10_peak());
-            basis
-                .extend_from(moments.vectors)
-                .map_err(MorError::Linalg)?;
+            frame.insert(&mut basis, moments.vectors)?;
         }
+        Ok((basis, stats))
+    }
 
+    /// Settles a collected basis: rejects an empty one, records deflation,
+    /// and re-factors it with a column-pivoted QR, dropping columns whose
+    /// pivot falls below `1 /` [`AssocReducer::DEFAULT_QR_CONDITION_CAP`] of
+    /// the leading one.
+    fn settle(&self, basis: OrthoBasis, stats: &mut ReductionStats) -> Result<Matrix> {
         if basis.is_empty() {
             return Err(MorError::EmptyProjection);
         }
@@ -1011,52 +1032,60 @@ impl AssocReducer {
             });
         }
         let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
-        let (qtil, dropped) = reorthonormalize(&accumulated, self.qr_condition_cap)?;
-        stats.qr_dropped = dropped;
+        let _span = vamor_obs::span!("qr_reorth");
+        let qr = PivotedQr::new(&accumulated).map_err(MorError::Linalg)?;
+        let rank = qr.rank(1.0 / Self::DEFAULT_QR_CONDITION_CAP).max(1);
+        let qtil = qr.orthonormal_prefix(rank);
+        stats.qr_dropped = accumulated.cols() - qtil.cols();
+        Ok(qtil)
+    }
 
-        let weight = if self.stabilized {
-            let _span = vamor_obs::span!("energy_weight");
-            let weight_control = control.cloned().unwrap_or_default();
-            lowrank_weight(
-                csr,
-                qldae.c(),
-                self.backend,
-                &self.lowrank_opts,
-                &weight_control,
-            )?
-        } else {
-            crate::lowrank::LowRankWeight {
-                z: None,
-                adi_iterations: 0,
-                adi_residual: f64::NAN,
-                shift_reselections: 0,
-                nonconverged: false,
-            }
-        };
-        stats.energy_weighted = weight.z.is_some();
-        stats.adi_residual = weight.adi_residual;
-        let diag = generator.diagnostics();
-        stats.adi_iterations = weight.adi_iterations + diag.adi_iterations;
-        stats.chain_basis_dim = diag.chain_basis_dim;
-        stats.degradation.adi_shift_reselections +=
-            diag.adi_shift_reselections + weight.shift_reselections;
-        stats.degradation.adi_nonconverged +=
-            diag.adi_nonconverged + usize::from(weight.nonconverged);
-
-        let (system, v) = project_guarded_lowrank(
-            csr,
+    /// The finish stage of the reduction pipeline: settles the basis, builds
+    /// the low-rank energy weight, runs the spectral guard, projects, and
+    /// publishes the run's statistics.
+    fn finish<T>(
+        &self,
+        basis: OrthoBasis,
+        mut frame: StabilizationFrame,
+        mut stats: ReductionStats,
+        control: Option<&RunControl>,
+        project: impl Fn(&Matrix, &Matrix) -> Result<T>,
+    ) -> Result<(T, Matrix, ReductionStats)> {
+        let qtil = self.settle(basis, &mut stats)?;
+        if self.stabilized {
+            frame.weigh(self.backend, &self.lowrank_opts, control, &mut stats)?;
+        }
+        stats.energy_weighted = frame.is_active();
+        stats.lowrank_engine = matches!(frame, StabilizationFrame::LowRank { .. });
+        let restartable = frame.restartable();
+        let (system, v) = project_guarded(
             qtil,
-            weight.z.as_ref(),
-            self.lowrank_opts.weight_regularization,
+            &frame,
             self.spectral_guard,
+            restartable,
             &mut stats,
-            |v, w| project_qldae_petrov(qldae, v, w),
+            project,
         )?;
         stats.projection_dim = v.cols();
         stats.publish();
+        Ok((system, v, stats))
+    }
+
+    /// [`AssocReducer::finish`] for a QLDAE (shared with the NORM baseline).
+    pub(crate) fn finish_qldae(
+        &self,
+        qldae: &Qldae,
+        basis: OrthoBasis,
+        frame: StabilizationFrame,
+        stats: ReductionStats,
+        control: Option<&RunControl>,
+    ) -> Result<ReducedQldae> {
+        let (system, projection, stats) = self.finish(basis, frame, stats, control, |v, w| {
+            project_qldae_petrov(qldae, v, w)
+        })?;
         Ok(ReducedQldae {
             system,
-            projection: v,
+            projection,
             stats,
         })
     }
@@ -1103,211 +1132,55 @@ impl AssocReducer {
                 "the two-sided output-Krylov mode is implemented for QLDAE reductions only".into(),
             ));
         }
-        let n = ode.g1_csr().rows();
-        if self.engine.use_lowrank(n) {
-            return self.reduce_cubic_lowrank(ode, control);
-        }
-        let num_inputs = ode.b().cols();
-        let generator = CubicAssocMomentGenerator::with_options(ode, self.backend)?;
-        let frame = StabilizationFrame::new(self.stabilized, generator.g1_schur());
-        let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
-        let mut stats = ReductionStats {
-            energy_weighted: frame.is_active(),
-            ..ReductionStats::default()
-        };
-        stats.degradation.absorb_pivot(generator.pivot_recovery());
-
-        for input in 0..num_inputs {
-            let _span = vamor_obs::span!("markov_enrich");
-            checkpoint_stage(control, "markov-enrich")?;
-            let markov = Self::markov_chain(
-                |v| ode.g1().matvec(v),
-                ode.b().col(input),
-                self.markov_moments,
-            );
-            stats.markov_candidates += markov.len();
-            basis
-                .extend_from(markov.into_iter().map(|v| frame.transform(v)))
-                .map_err(MorError::Linalg)?;
-        }
-
-        // Interleave H1/H3 per input in the same order the sequential loop
-        // used, computing the chains on worker threads.
-        let mut chains: Vec<Chain> = Vec::new();
-        // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping only; the solver work runs in run_chains, which checkpoints per chain")
-        for input in 0..num_inputs {
-            chains.push(Chain::H1 { input });
-            chains.push(Chain::H3 { input });
-        }
-        let spec = self.spec;
-        let results = run_chains(chains, control, |chain| match chain {
-            Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-            Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-            // vamor: allow(panic-freedom, reason = "statically unreachable: the chains vec built above contains only H1/H3 entries")
-            Chain::H2 { .. } => unreachable!("cubic systems have no H2 chains"),
-        })?;
-        for (chain, moments) in results {
-            checkpoint_stage(control, "basis-insert")?;
-            match chain {
-                Chain::H1 { .. } => stats.h1_candidates += moments.vectors.len(),
-                Chain::H3 { .. } => stats.h3_candidates += moments.vectors.len(),
-                Chain::H2 { .. } => {}
-            }
-            stats.moment_log10_peak = stats.moment_log10_peak.max(moments.log10_peak());
-            basis
-                .extend_from(moments.vectors.into_iter().map(|v| frame.transform(v)))
-                .map_err(MorError::Linalg)?;
-        }
-
-        if basis.is_empty() {
-            return Err(MorError::EmptyProjection);
-        }
-        stats.deflated = basis.deflated_count();
-        stats.nonfinite_deflated = basis.nonfinite_count();
-        if stats.deflated > 0 {
-            vamor_obs::event!(vamor_obs::Event::Deflation {
-                context: "basis",
-                dropped: stats.deflated as u32,
-                tol: self.deflation_tol,
-            });
-        }
-        let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
-        let (qtil, dropped) = reorthonormalize(&accumulated, self.qr_condition_cap)?;
-        stats.qr_dropped = dropped;
-
-        let (system, v) = project_guarded(
-            qtil,
-            &frame,
-            self.spectral_guard,
-            ode.g1(),
-            generator.g1_schur(),
-            &mut stats,
-            |v, w| project_cubic_petrov(ode, v, w),
-        )?;
-        stats.projection_dim = v.cols();
-        stats.publish();
-        Ok(ReducedCubicOde {
-            system,
-            projection: v,
-            stats,
-        })
-    }
-
-    /// The low-rank engine flow for cubic ODEs (Tucker-core `H₃` chains, see
-    /// [`AssocReducer::reduce_lowrank`] for the shared structure).
-    fn reduce_cubic_lowrank(
-        &self,
-        ode: &CubicOde,
-        control: Option<&RunControl>,
-    ) -> Result<ReducedCubicOde> {
         let csr = ode.g1_csr();
-        let n = csr.rows();
-        let num_inputs = ode.b().cols();
-        let mut generator = LowRankCubicMomentGenerator::new(ode, self.backend, self.lowrank_opts)?;
-        if let Some(c) = control {
-            generator = generator.with_control(c.clone());
-        }
-        let mut basis = OrthoBasis::with_tolerance(n, self.deflation_tol);
-        let mut stats = ReductionStats {
-            lowrank_engine: true,
-            ..ReductionStats::default()
-        };
-        stats.degradation.absorb_pivot(generator.pivot_recovery());
-
-        for input in 0..num_inputs {
-            let _span = vamor_obs::span!("markov_enrich");
-            checkpoint_stage(control, "markov-enrich")?;
-            let markov =
-                Self::markov_chain(|v| csr.matvec(v), ode.b().col(input), self.markov_moments);
-            stats.markov_candidates += markov.len();
-            basis.extend_from(markov).map_err(MorError::Linalg)?;
-        }
-
-        let mut chains: Vec<Chain> = Vec::new();
-        // vamor: allow(checkpoint-coverage, reason = "enum bookkeeping only; the solver work runs in run_chains, which checkpoints per chain")
-        for input in 0..num_inputs {
-            chains.push(Chain::H1 { input });
-            chains.push(Chain::H3 { input });
-        }
         let spec = self.spec;
-        let results = run_chains(chains, control, |chain| match chain {
-            Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-            Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-            // vamor: allow(panic-freedom, reason = "statically unreachable: the chains vec built above contains only H1/H3 entries")
-            Chain::H2 { .. } => unreachable!("cubic systems have no H2 chains"),
-        })?;
-        for (chain, moments) in results {
-            checkpoint_stage(control, "basis-insert")?;
-            match chain {
-                Chain::H1 { .. } => stats.h1_candidates += moments.vectors.len(),
-                Chain::H3 { .. } => stats.h3_candidates += moments.vectors.len(),
-                Chain::H2 { .. } => {}
+        let plan = Chain::plan(ode.b().cols(), spec, true);
+        let no_h2 = || Err(MorError::Invalid("cubic systems have no H2 chains".into()));
+        let (basis, frame, stats) = if self.engine.use_lowrank(csr.rows()) {
+            let mut generator =
+                LowRankCubicMomentGenerator::new(ode, self.backend, self.lowrank_opts)?;
+            if let Some(c) = control {
+                generator = generator.with_control(c.clone());
             }
-            stats.moment_log10_peak = stats.moment_log10_peak.max(moments.log10_peak());
-            basis
-                .extend_from(moments.vectors)
-                .map_err(MorError::Linalg)?;
-        }
-
-        if basis.is_empty() {
-            return Err(MorError::EmptyProjection);
-        }
-        stats.deflated = basis.deflated_count();
-        stats.nonfinite_deflated = basis.nonfinite_count();
-        if stats.deflated > 0 {
-            vamor_obs::event!(vamor_obs::Event::Deflation {
-                context: "basis",
-                dropped: stats.deflated as u32,
-                tol: self.deflation_tol,
-            });
-        }
-        let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
-        let (qtil, dropped) = reorthonormalize(&accumulated, self.qr_condition_cap)?;
-        stats.qr_dropped = dropped;
-
-        let weight = if self.stabilized {
-            let _span = vamor_obs::span!("energy_weight");
-            let weight_control = control.cloned().unwrap_or_default();
-            lowrank_weight(
-                csr,
-                ode.c(),
-                self.backend,
-                &self.lowrank_opts,
-                &weight_control,
-            )?
+            let frame =
+                StabilizationFrame::low_rank(csr, ode.c(), self.lowrank_opts.weight_regularization);
+            let (basis, mut stats) = self.collect(
+                &frame,
+                ode.b(),
+                plan,
+                control,
+                generator.pivot_recovery(),
+                |chain| match chain {
+                    Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
+                    Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                    Chain::H2 { .. } => no_h2(),
+                },
+            )?;
+            stats.absorb_chain_diagnostics(generator.diagnostics());
+            (basis, frame, stats)
         } else {
-            crate::lowrank::LowRankWeight {
-                z: None,
-                adi_iterations: 0,
-                adi_residual: f64::NAN,
-                shift_reselections: 0,
-                nonconverged: false,
-            }
+            let generator = CubicAssocMomentGenerator::with_options(ode, self.backend)?;
+            let frame = StabilizationFrame::dense(self.stabilized, ode.g1(), generator.g1_schur());
+            let (basis, stats) = self.collect(
+                &frame,
+                ode.b(),
+                plan,
+                control,
+                generator.pivot_recovery(),
+                |chain| match chain {
+                    Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
+                    Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                    Chain::H2 { .. } => no_h2(),
+                },
+            )?;
+            (basis, frame, stats)
         };
-        stats.energy_weighted = weight.z.is_some();
-        stats.adi_residual = weight.adi_residual;
-        let diag = generator.diagnostics();
-        stats.adi_iterations = weight.adi_iterations + diag.adi_iterations;
-        stats.chain_basis_dim = diag.chain_basis_dim;
-        stats.degradation.adi_shift_reselections +=
-            diag.adi_shift_reselections + weight.shift_reselections;
-        stats.degradation.adi_nonconverged +=
-            diag.adi_nonconverged + usize::from(weight.nonconverged);
-
-        let (system, v) = project_guarded_lowrank(
-            csr,
-            qtil,
-            weight.z.as_ref(),
-            self.lowrank_opts.weight_regularization,
-            self.spectral_guard,
-            &mut stats,
-            |v, w| project_cubic_petrov(ode, v, w),
-        )?;
-        stats.projection_dim = v.cols();
-        stats.publish();
+        let (system, projection, stats) = self.finish(basis, frame, stats, control, |v, w| {
+            project_cubic_petrov(ode, v, w)
+        })?;
         Ok(ReducedCubicOde {
             system,
-            projection: v,
+            projection,
             stats,
         })
     }

@@ -1,15 +1,21 @@
-//! Event↔trace consistency (ISSUE 10): the adaptive driver's
-//! `AdaptiveTrace` and the numerical-health event stream describe the same
-//! run — every accepted move in the trace appears as a `greedy_accept`
-//! event (same move name, same order), in the same order, and the probe
-//! events account for every evaluation the trace counted.
+//! Event↔trace consistency: the adaptive driver's `AdaptiveTrace` and the
+//! numerical-health event stream describe the same run — every accepted
+//! move in the trace appears as a `greedy_accept` event (same move name,
+//! same order), and the probe events account for every evaluation the
+//! trace counted. Every reduction path also publishes its `reduce.*`
+//! metrics, and the spectral guard reports each restart it counts as an
+//! event, on both engines.
 //!
-//! The event subscriber is process-global; this file keeps all
-//! event-installing assertions inside one `#[test]` so the harness's test
-//! threads cannot interleave two capture windows.
+//! The event subscriber and the metrics registry are process-global; this
+//! file keeps all event-installing and counter-reading assertions inside
+//! one `#[test]` so the harness's test threads cannot interleave two
+//! capture windows.
 
-use vamor_circuits::TransmissionLine;
-use vamor_core::{AdaptiveReducer, AdaptiveSpec, FrequencyBand};
+use vamor_circuits::{RfReceiver, TransmissionLine};
+use vamor_core::{
+    AdaptiveReducer, AdaptiveSpec, AssocReducer, FrequencyBand, MomentSpec, NormReducer,
+    ReductionEngine,
+};
 use vamor_obs::Event;
 
 #[test]
@@ -75,6 +81,44 @@ fn accepted_moves_appear_in_the_event_stream() {
             "residual mismatch: trace {:.6e} vs event {:.6e}",
             step.residual.max(),
             res
+        );
+    }
+
+    // The NORM baseline publishes its run like every other reduction.
+    let line30 = TransmissionLine::current_driven(30).unwrap();
+    let runs_before = vamor_obs::counter("reduce.runs").get();
+    NormReducer::new(MomentSpec::new(4, 2, 1))
+        .reduce(line30.qldae())
+        .unwrap();
+    assert_eq!(
+        vamor_obs::counter("reduce.runs").get() - runs_before,
+        1,
+        "a NORM reduction must publish exactly one reduce.* run"
+    );
+
+    // Every guard restart is reported as an event, on both engines: the
+    // plain-Galerkin receiver reduction needs dozens of them.
+    let receiver = RfReceiver::new(16).unwrap();
+    for engine in [ReductionEngine::DenseSchur, ReductionEngine::LowRank] {
+        vamor_obs::event::install();
+        let rom = AssocReducer::new(MomentSpec::new(8, 4, 2))
+            .with_markov_moments(2)
+            .with_stabilized_projection(false)
+            .with_engine(engine)
+            .reduce(receiver.qldae())
+            .unwrap();
+        let log = vamor_obs::event::take();
+        assert_eq!(log.dropped, 0);
+        let restart_events = log
+            .records
+            .iter()
+            .filter(|r| matches!(r.event, Event::SpectralRestart { .. }))
+            .count();
+        assert!(rom.stats().restarts > 0, "{engine:?}: the guard never ran");
+        assert_eq!(
+            restart_events,
+            rom.stats().restarts,
+            "{engine:?}: restart events vs stats().restarts"
         );
     }
 }
