@@ -22,11 +22,9 @@ fn ladder_nodes() -> usize {
 
 fn bench_fig5(c: &mut Criterion) {
     let circuit = VaristorCircuit::new(ladder_nodes()).expect("circuit");
-    let full = circuit.ode();
+    let full = circuit.qldae();
     let spec = MomentSpec::new(6, 0, 2);
-    let rom = AssocReducer::new(spec)
-        .reduce_cubic(full)
-        .expect("reduction");
+    let rom = AssocReducer::new(spec).reduce(full).expect("reduction");
     let input = ExpPulse::new(VaristorCircuit::surge_amplitude(), 0.5, 6.0);
     let opts =
         TransientOptions::new(0.0, 30.0, 0.02).with_method(IntegrationMethod::ImplicitTrapezoidal);
@@ -36,7 +34,7 @@ fn bench_fig5(c: &mut Criterion) {
     group.bench_function("projection_build_proposed", |b| {
         b.iter(|| {
             AssocReducer::new(spec)
-                .reduce_cubic(black_box(full))
+                .reduce(black_box(full))
                 .unwrap()
                 .order()
         })

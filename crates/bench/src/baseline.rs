@@ -14,9 +14,12 @@
 /// `old · ERROR_HEADROOM` counts as a regression.
 pub const ERROR_HEADROOM: f64 = 1.10;
 
-/// Absolute noise floor on error fields: errors below this are considered
-/// equivalent regardless of ratio (run-to-run integrator noise dominates).
-pub const ERROR_NOISE_FLOOR: f64 = 1e-3;
+/// Absolute floor of the error gate, at double-precision roundoff. The gate's
+/// noise allowance is otherwise scaled to the baseline's own value
+/// (`ERROR_HEADROOM ×` it), so a `--small` run's 1e-7 errors are gated as
+/// tightly as the paper-size ones; this floor only decides the case of an
+/// exactly-zero baseline error.
+pub const ERROR_ROUNDOFF_FLOOR: f64 = 1e-15;
 
 /// One experiment entry of a baseline file.
 #[derive(Debug, Clone, Default)]
@@ -135,10 +138,10 @@ fn check_error(
         violations.push(format!("{experiment}: {field} is not finite ({new})"));
         return;
     }
-    let bound = (old * ERROR_HEADROOM).max(ERROR_NOISE_FLOOR);
+    let bound = (old * ERROR_HEADROOM).max(ERROR_ROUNDOFF_FLOOR);
     if new > bound {
         violations.push(format!(
-            "{experiment}: {field} worsened: {new:.6e} > max({ERROR_HEADROOM} x {old:.6e}, {ERROR_NOISE_FLOOR:.0e})"
+            "{experiment}: {field} worsened: {new:.6e} > {ERROR_HEADROOM} x {old:.6e}"
         ));
     }
 }
@@ -294,6 +297,34 @@ mod tests {
             violations.iter().any(|v| v.contains("not Hurwitz")),
             "missing stability violation: {violations:?}"
         );
+    }
+
+    /// Errors far below 1e-3 are gated too: a 100× regression at the fig3
+    /// `--small` magnitudes fails, the unchanged run passes.
+    #[test]
+    fn small_errors_are_gated_relative_to_their_baseline() {
+        let small = r#"{"pr": 16, "experiments": [
+            {"name": "fig3", "max_rel_error_proposed": 2.05e-9, "max_rel_error_norm": 4.91e-8}
+        ]}"#;
+        let old = Baseline::parse(small);
+        assert!(compare_to_baseline(&old, &old).is_empty());
+        let regressed = Baseline::parse(
+            &small
+                .replace("2.05e-9", "2.05e-7")
+                .replace("4.91e-8", "4.91e-6"),
+        );
+        let violations = compare_to_baseline(&regressed, &old);
+        for field in ["max_rel_error_proposed", "max_rel_error_norm"] {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.contains(field) && v.contains("worsened")),
+                "missing {field} violation: {violations:?}"
+            );
+        }
+        // Inside the headroom is noise, not a regression.
+        let noisy = Baseline::parse(&small.replace("2.05e-9", "2.2e-9"));
+        assert!(compare_to_baseline(&noisy, &old).is_empty());
     }
 
     #[test]

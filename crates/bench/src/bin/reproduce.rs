@@ -793,7 +793,7 @@ fn print_deadline_run(r: &DeadlineRunReport) {
 }
 
 /// The checkpointed adaptive session run behind `--checkpoint-dir` /
-/// `--resume`: one fig3-band adaptive search through a [`ReductionSession`],
+/// `--resume`: one fig3-band adaptive search through a [`ReductionSession`](vamor_core::ReductionSession),
 /// writing a checkpoint after every accepted move. With `--timeout-secs` a
 /// deadline interrupt before the first ROM is the *expected* shape of a kill
 /// smoke (the checkpoint written so far is retained), not a failure; on a

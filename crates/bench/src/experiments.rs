@@ -557,7 +557,7 @@ pub fn fig5_varistor_with(
     adaptive: bool,
 ) -> Result<TransientComparison> {
     let circuit = VaristorCircuit::new(ladder_nodes)?;
-    let full = circuit.ode();
+    let full = circuit.qldae();
 
     // Pinned reference: the varistor system has no quadratic term; 6
     // first-order and 2 third-order moments on plain Galerkin reproduce the
@@ -569,7 +569,7 @@ pub fn fig5_varistor_with(
             AdaptiveReducer::new(fig5_adaptive_spec())
                 .with_solver_backend(backend)
                 .with_engine(engine)
-                .reduce_cubic(full)
+                .reduce(full)
         });
         let out = out?;
         (out.rom, t, Some(AdaptiveSummary::from_trace(&out.trace)))
@@ -579,7 +579,7 @@ pub fn fig5_varistor_with(
                 .with_stabilized_projection(false)
                 .with_solver_backend(backend)
                 .with_engine(engine)
-                .reduce_cubic(full)
+                .reduce(full)
         });
         (rom?, t, None)
     };
@@ -667,12 +667,12 @@ pub fn acceptance_metrics(
     let opts =
         TransientOptions::new(0.0, 30.0, dt).with_method(IntegrationMethod::ImplicitTrapezoidal);
     let every = simulate(
-        circuit.ode(),
+        circuit.qldae(),
         &surge,
         &opts.with_jacobian_policy(JacobianPolicy::EveryStep),
     )?;
     let frozen = simulate(
-        circuit.ode(),
+        circuit.qldae(),
         &surge,
         &opts.with_jacobian_policy(JacobianPolicy::FrozenReuse),
     )?;
@@ -1234,16 +1234,16 @@ pub fn lowrank_scaling(
     // --- paper-size agreement: fig5 varistor, dense vs low-rank reduced
     // surge transients ---
     let circuit = VaristorCircuit::new(fig5_ladder)?;
-    let ode = circuit.ode();
+    let ode = circuit.qldae();
     let vspec = MomentSpec::new(6, 0, 2);
     let vdense = AssocReducer::new(vspec)
         .with_stabilized_projection(false)
         .with_engine(ReductionEngine::DenseSchur)
-        .reduce_cubic(ode)?;
+        .reduce(ode)?;
     let vlow = AssocReducer::new(vspec)
         .with_stabilized_projection(false)
         .with_engine(ReductionEngine::LowRank)
-        .reduce_cubic(ode)?;
+        .reduce(ode)?;
     let surge = ExpPulse::new(VaristorCircuit::surge_amplitude(), 0.5, 6.0);
     let vopts =
         TransientOptions::new(0.0, 30.0, dt).with_method(IntegrationMethod::ImplicitTrapezoidal);
@@ -1394,12 +1394,12 @@ pub fn adaptive_report(
     // --- fig5 varistor: adaptive vs pinned on the cubic path, plus the
     // embedded-error step controller against the fixed grid ---
     let circuit = VaristorCircuit::new(fig5_ladder)?;
-    let ode = circuit.ode();
-    let (vout, vwall) = timed(|| AdaptiveReducer::new(fig5_adaptive_spec()).reduce_cubic(ode));
+    let ode = circuit.qldae();
+    let (vout, vwall) = timed(|| AdaptiveReducer::new(fig5_adaptive_spec()).reduce(ode));
     let vout = vout?;
     let vpinned = AssocReducer::new(MomentSpec::new(6, 0, 2))
         .with_stabilized_projection(false)
-        .reduce_cubic(ode)?;
+        .reduce(ode)?;
     let surge = ExpPulse::new(VaristorCircuit::surge_amplitude(), 0.5, 6.0);
     let vopts =
         TransientOptions::new(0.0, 30.0, dt).with_method(IntegrationMethod::ImplicitTrapezoidal);

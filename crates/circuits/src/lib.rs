@@ -15,7 +15,8 @@
 //! The generators assemble the quadratic-linear (QLDAE) or cubic polynomial
 //! equations directly via modified-nodal-analysis style stamping; the
 //! MOR algorithms in `vamor-core` only ever see the resulting
-//! [`vamor_system::Qldae`] / [`vamor_system::CubicOde`] systems, which is why
+//! [`vamor_system::Qldae`] systems (the varistor's with `G₂ = 0` and a cubic
+//! `G₃`), which is why
 //! these synthetic stand-ins preserve the behaviour the paper's experiments
 //! probe (sizes, sparsity, nonlinearity type, stability and input coupling).
 //!

@@ -1,10 +1,11 @@
 //! ZnO varistor surge-protection circuit (paper §3.4).
 
 use vamor_linalg::{CooMatrix, Matrix};
-use vamor_system::{CubicOde, SystemError};
+use vamor_system::{Qldae, SystemError};
 
 /// A surge-protection circuit with a ZnO varistor, described by an ODE with a
-/// cubic Kronecker term `G₃ (x ⊗ x ⊗ x)` as in the paper's §3.4.
+/// cubic Kronecker term `G₃ (x ⊗ x ⊗ x)` as in the paper's §3.4 — a
+/// [`Qldae`] with `G₂ = 0` and a `G₃`.
 ///
 /// The equivalent circuit follows the paper's Fig. 5(a): a high-voltage surge
 /// source with internal resistance `Rᵢ` feeds an `L₁/R₁ — L₂/R₂ — C` filter;
@@ -23,13 +24,13 @@ use vamor_system::{CubicOde, SystemError};
 /// use vamor_system::PolynomialStateSpace;
 /// # fn main() -> Result<(), vamor_system::SystemError> {
 /// let circuit = VaristorCircuit::paper_size()?;
-/// assert_eq!(circuit.ode().order(), 102);
+/// assert_eq!(circuit.qldae().order(), 102);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct VaristorCircuit {
-    ode: CubicOde,
+    qldae: Qldae,
     ladder_nodes: usize,
 }
 
@@ -120,8 +121,12 @@ impl VaristorCircuit {
         let mut c = Matrix::zeros(1, n);
         c[(0, 3)] = 1.0;
 
-        let ode = CubicOde::new(g1, None, g3.into_csr(), b, c)?;
-        Ok(VaristorCircuit { ode, ladder_nodes })
+        let no_g2 = CooMatrix::new(n, n * n).into_csr();
+        let qldae = Qldae::new(g1, no_g2, Vec::new(), b, c)?.with_g3(g3.into_csr())?;
+        Ok(VaristorCircuit {
+            qldae,
+            ladder_nodes,
+        })
     }
 
     /// The 102-state instance matching the paper (98 consumer ladder nodes).
@@ -133,9 +138,14 @@ impl VaristorCircuit {
         Self::new(98)
     }
 
-    /// The assembled cubic ODE.
-    pub fn ode(&self) -> &CubicOde {
-        &self.ode
+    /// The assembled polynomial system (`G₂ = 0`, cubic `G₃`).
+    pub fn qldae(&self) -> &Qldae {
+        &self.qldae
+    }
+
+    /// Forwarding name of [`VaristorCircuit::qldae`].
+    pub fn ode(&self) -> &Qldae {
+        self.qldae()
     }
 
     /// Number of consumer-side ladder nodes.
@@ -177,23 +187,23 @@ mod tests {
     #[test]
     fn paper_size_is_102_states() {
         let c = VaristorCircuit::paper_size().unwrap();
-        assert_eq!(c.ode().order(), 102);
+        assert_eq!(c.qldae().order(), 102);
         assert_eq!(c.ladder_nodes(), 98);
-        assert_eq!(c.ode().num_inputs(), 1);
+        assert_eq!(c.qldae().num_inputs(), 1);
         assert!(VaristorCircuit::new(0).is_err());
     }
 
     #[test]
     fn linear_part_is_stable() {
         let c = VaristorCircuit::new(20).unwrap();
-        assert!(eigenvalues(c.ode().g1()).unwrap().is_hurwitz());
+        assert!(eigenvalues(c.qldae().g1()).unwrap().is_hurwitz());
     }
 
     #[test]
     fn origin_is_an_equilibrium() {
         let c = VaristorCircuit::new(10).unwrap();
-        let n = c.ode().order();
-        assert!(c.ode().rhs(&Vector::zeros(n), &[0.0]).norm_inf() < 1e-14);
+        let n = c.qldae().order();
+        assert!(c.qldae().rhs(&Vector::zeros(n), &[0.0]).norm_inf() < 1e-14);
     }
 
     #[test]
@@ -211,7 +221,13 @@ mod tests {
     #[test]
     fn cubic_term_only_touches_the_varistor_nodes() {
         let c = VaristorCircuit::new(30).unwrap();
-        let rows: Vec<usize> = c.ode().g3().iter().map(|(r, _, _)| r).collect();
+        let rows: Vec<usize> = c
+            .qldae()
+            .g3()
+            .expect("cubic term")
+            .iter()
+            .map(|(r, _, _)| r)
+            .collect();
         assert!(!rows.is_empty());
         assert!(rows.iter().all(|&r| r == 1 || r == 3));
     }
@@ -219,10 +235,10 @@ mod tests {
     #[test]
     fn cubic_term_opposes_large_voltages() {
         let c = VaristorCircuit::new(5).unwrap();
-        let n = c.ode().order();
+        let n = c.qldae().order();
         let mut x = Vector::zeros(n);
         x[1] = 300.0;
-        let dx = c.ode().rhs(&x, &[0.0]);
+        let dx = c.qldae().rhs(&x, &[0.0]);
         // The varistor discharges the node strongly at 300 V, and the cubic
         // branch dominates the linear leakage by an order of magnitude.
         assert!(dx[1] < -100.0);

@@ -8,13 +8,12 @@
 //! 1. **Estimate** — [`BandSampler`] evaluates the full-model and ROM
 //!    transfer functions `H₁(iω)` / `H₂(iω, iω)` / `H₃(iω, iω, iω)` on a
 //!    sample grid over a user-declared input [`FrequencyBand`]. Full-model
-//!    solves are routed through the existing
-//!    [`ShiftedLuCache`]/[`ShiftedSparseLuCache`] resolvent hooks
-//!    ([`ShiftedLuCache::solve_resolvent`]) so every frequency is factored
+//!    solves are routed through the resolvent hook of one [`ShiftCache`]
+//!    ([`ShiftCache::solve_resolvent`]) so every frequency is factored
 //!    exactly once for the whole adaptive run, and the full-model samples
-//!    themselves are computed once at construction. The ROM side is the
-//!    lightweight [`ReducedVolterra`] evaluator — dense `k × k` complex
-//!    solves, negligible next to a reduction. The estimator reports per-band
+//!    themselves are computed once at construction. The ROM side is a
+//!    [`VolterraKernels`] evaluator with dense per-call resolvents — `k × k`
+//!    complex solves, negligible next to a reduction. The estimator reports per-band
 //!    relative residuals plus the argmax frequency
 //!    ([`BandResidual::worst_frequency`]).
 //! 2. **Enrich** — [`AdaptiveReducer`] wraps [`AssocReducer`] /
@@ -35,13 +34,13 @@
 //! structured Kronecker matvecs — no `n²` object is ever formed.
 
 use vamor_linalg::{Complex, LinalgError, RunControl, ShiftCache, SolverBackend, StopCause};
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::Qldae;
 
 use crate::error::MorError;
 use crate::lowrank::{LowRankOptions, ReductionEngine};
 use crate::norm::NormReducer;
-use crate::reduce::{AssocReducer, MomentSpec, ReducedCubicOde, ReducedQldae};
-use crate::volterra::{CubicVolterraKernels, VolterraKernels};
+use crate::reduce::{AssocReducer, MomentSpec, ReducedQldae};
+use crate::volterra::VolterraKernels;
 use crate::Result;
 
 /// A user-declared input frequency band `[ω_min, ω_max]` (rad per unit
@@ -160,20 +159,14 @@ struct FullSample {
     value: Complex,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SampledKind {
-    Qldae,
-    Cubic,
-}
-
 /// The frequency-band residual estimator (see the module docs): full-model
 /// `H₁`/`H₂`/`H₃` band samples computed once through the shift-cache
 /// resolvent hooks, compared against any candidate ROM via
-/// [`ReducedVolterra`].
+/// [`VolterraKernels`]. The `H₂` grid is sampled only for a system with a
+/// quadratic part, the `H₃` grid for one with a quadratic or a cubic part.
 #[derive(Debug)]
 pub struct BandSampler {
     band: FrequencyBand,
-    kind: SampledKind,
     num_inputs: usize,
     h1: Vec<FullSample>,
     h2: Vec<FullSample>,
@@ -185,7 +178,7 @@ pub struct BandSampler {
 }
 
 impl BandSampler {
-    /// Builds the estimator for a QLDAE full model: one shifted cache over
+    /// Builds the estimator for a full model: one shifted cache over
     /// `G₁`, every band frequency factored exactly once, all full-model
     /// samples evaluated up front.
     ///
@@ -247,10 +240,10 @@ impl BandSampler {
         let _span = vamor_obs::span!("band_solve");
         let misses_before = cache.misses();
         let num_inputs = qldae.b().cols();
-        let has_quadratic = qldae.g2().nnz() > 0 || qldae.has_d1();
+        let has_quadratic = qldae.has_quadratic();
+        let has_h3 = has_quadratic || qldae.g3().is_some();
         let mut sampler = BandSampler {
             band,
-            kind: SampledKind::Qldae,
             num_inputs,
             h1: Vec::new(),
             h2: Vec::new(),
@@ -278,7 +271,7 @@ impl BandSampler {
                     sampler.push_h2(input, omega, true, kernels.output_h2(s, -s)?);
                 }
             }
-            if has_quadratic && opts.h3_points > 0 {
+            if has_h3 && opts.h3_points > 0 {
                 for &omega in &band.grid(opts.h3_points) {
                     Self::checkpoint_tick(control)?;
                     let s = Complex::new(0.0, omega);
@@ -292,87 +285,19 @@ impl BandSampler {
         Ok(sampler)
     }
 
-    /// Builds the estimator for a cubic-ODE full model (`H₁`, the
-    /// `G₂`-mediated `H₂` when present, and the structured-Kronecker `H₃`).
+    /// Forwarding name of [`BandSampler::for_qldae`], which covers cubic
+    /// systems.
     ///
     /// # Errors
     ///
     /// Same contract as [`BandSampler::for_qldae`].
     pub fn for_cubic(
-        ode: &CubicOde,
+        qldae: &Qldae,
         band: FrequencyBand,
         backend: SolverBackend,
         opts: BandSamplerOptions,
     ) -> Result<Self> {
-        Self::for_cubic_impl(ode, band, backend, opts, None)
-    }
-
-    /// [`BandSampler::for_cubic`] under a [`RunControl`] token (see
-    /// [`BandSampler::for_qldae_controlled`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BandSampler::for_cubic`], plus
-    /// [`LinalgError::Interrupted`] when the token stops the build.
-    pub fn for_cubic_controlled(
-        ode: &CubicOde,
-        band: FrequencyBand,
-        backend: SolverBackend,
-        opts: BandSamplerOptions,
-        control: &RunControl,
-    ) -> Result<Self> {
-        Self::for_cubic_impl(ode, band, backend, opts, Some(control))
-    }
-
-    fn for_cubic_impl(
-        ode: &CubicOde,
-        band: FrequencyBand,
-        backend: SolverBackend,
-        opts: BandSamplerOptions,
-        control: Option<&RunControl>,
-    ) -> Result<Self> {
-        let _span = vamor_obs::span!("band_solve");
-        let cache = ShiftCache::new(ode.g1_csr(), backend);
-        let num_inputs = ode.b().cols();
-        let has_quadratic = ode.g2().map(|m| m.nnz() > 0).unwrap_or(false);
-        let mut sampler = BandSampler {
-            band,
-            kind: SampledKind::Cubic,
-            num_inputs,
-            h1: Vec::new(),
-            h2: Vec::new(),
-            h3: Vec::new(),
-            scale_h1: 0.0,
-            scale_h2: 0.0,
-            scale_h3: 0.0,
-            full_solves: 0,
-        };
-        for input in 0..num_inputs {
-            let kernels = CubicVolterraKernels::with_cache(ode, input, &cache)?;
-            for &omega in &band.grid(opts.h1_points) {
-                Self::checkpoint_tick(control)?;
-                let s = Complex::new(0.0, omega);
-                sampler.push_h1(input, omega, kernels.output_h1(s)?);
-            }
-            if has_quadratic && opts.h2_points > 0 {
-                for &omega in &band.grid(opts.h2_points) {
-                    Self::checkpoint_tick(control)?;
-                    let s = Complex::new(0.0, omega);
-                    sampler.push_h2(input, omega, false, kernels.output_h2(s, s)?);
-                    sampler.push_h2(input, omega, true, kernels.output_h2(s, -s)?);
-                }
-            }
-            if opts.h3_points > 0 {
-                for &omega in &band.grid(opts.h3_points) {
-                    Self::checkpoint_tick(control)?;
-                    let s = Complex::new(0.0, omega);
-                    sampler.push_h3(input, omega, false, kernels.output_h3(s, s, s)?);
-                    sampler.push_h3(input, omega, true, kernels.output_h3(s, s, -s)?);
-                }
-            }
-        }
-        sampler.full_solves = cache.misses();
-        Ok(sampler)
+        Self::for_qldae(qldae, band, backend, opts)
     }
 
     fn checkpoint_tick(control: Option<&RunControl>) -> Result<()> {
@@ -439,45 +364,29 @@ impl BandSampler {
         self.full_solves
     }
 
-    /// Band residual of a reduced QLDAE against the cached full-model
+    /// Band residual of a reduced model against the cached full-model
     /// samples.
     ///
     /// # Errors
     ///
-    /// Returns [`MorError::Invalid`] when the sampler was built for a cubic
-    /// system, or a ROM resolvent is singular on the band.
+    /// Returns an error when a ROM resolvent is singular on the band.
     pub fn residual_qldae(&self, rom: &Qldae) -> Result<BandResidual> {
-        if self.kind != SampledKind::Qldae {
-            return Err(MorError::Invalid(
-                "band sampler was built for a cubic system".into(),
-            ));
-        }
-        let evaluators: Vec<ReducedVolterra<'_>> = (0..self.num_inputs.min(rom.b().cols()))
-            .map(|input| ReducedVolterra::qldae(rom, input))
+        let evaluators: Vec<VolterraKernels<'_>> = (0..self.num_inputs.min(rom.b().cols()))
+            .map(|input| VolterraKernels::new(rom, input))
             .collect::<Result<_>>()?;
         self.residual_with(&evaluators)
     }
 
-    /// Band residual of a reduced cubic ODE against the cached full-model
-    /// samples.
+    /// Forwarding name of [`BandSampler::residual_qldae`].
     ///
     /// # Errors
     ///
-    /// Returns [`MorError::Invalid`] when the sampler was built for a QLDAE,
-    /// or a ROM resolvent is singular on the band.
-    pub fn residual_cubic(&self, rom: &CubicOde) -> Result<BandResidual> {
-        if self.kind != SampledKind::Cubic {
-            return Err(MorError::Invalid(
-                "band sampler was built for a QLDAE system".into(),
-            ));
-        }
-        let evaluators: Vec<ReducedVolterra<'_>> = (0..self.num_inputs.min(rom.b().cols()))
-            .map(|input| ReducedVolterra::cubic(rom, input))
-            .collect::<Result<_>>()?;
-        self.residual_with(&evaluators)
+    /// Same contract as [`BandSampler::residual_qldae`].
+    pub fn residual_cubic(&self, rom: &Qldae) -> Result<BandResidual> {
+        self.residual_qldae(rom)
     }
 
-    fn residual_with(&self, evaluators: &[ReducedVolterra<'_>]) -> Result<BandResidual> {
+    fn residual_with(&self, evaluators: &[VolterraKernels<'_>]) -> Result<BandResidual> {
         let mut out = BandResidual {
             h1: 0.0,
             h2: 0.0,
@@ -539,81 +448,6 @@ impl BandSampler {
         out.h2 = rms(acc2);
         out.h3 = rms(acc3);
         Ok(out)
-    }
-}
-
-/// The lightweight ROM-side kernel evaluator: dense `k × k` complex solves
-/// over a reduced QLDAE or cubic ODE — the cost of an evaluation is
-/// negligible next to a reduction, so the greedy driver can afford one per
-/// candidate move.
-#[derive(Debug)]
-pub struct ReducedVolterra<'a> {
-    inner: ReducedKernels<'a>,
-}
-
-#[derive(Debug)]
-enum ReducedKernels<'a> {
-    Qldae(VolterraKernels<'a>),
-    Cubic(CubicVolterraKernels<'a>),
-}
-
-impl<'a> ReducedVolterra<'a> {
-    /// Creates an evaluator over a reduced QLDAE.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorError::Invalid`] for an out-of-range input.
-    pub fn qldae(rom: &'a Qldae, input: usize) -> Result<Self> {
-        Ok(ReducedVolterra {
-            inner: ReducedKernels::Qldae(VolterraKernels::new(rom, input)?),
-        })
-    }
-
-    /// Creates an evaluator over a reduced cubic ODE.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorError::Invalid`] for an out-of-range input.
-    pub fn cubic(rom: &'a CubicOde, input: usize) -> Result<Self> {
-        Ok(ReducedVolterra {
-            inner: ReducedKernels::Cubic(CubicVolterraKernels::new(rom, input)?),
-        })
-    }
-
-    /// Output-level `H₁(s)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the ROM resolvent is singular at `s`.
-    pub fn output_h1(&self, s: Complex) -> Result<Complex> {
-        match &self.inner {
-            ReducedKernels::Qldae(k) => k.output_h1(s),
-            ReducedKernels::Cubic(k) => k.output_h1(s),
-        }
-    }
-
-    /// Output-level `H₂(s₁, s₂)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when an involved ROM resolvent is singular.
-    pub fn output_h2(&self, s1: Complex, s2: Complex) -> Result<Complex> {
-        match &self.inner {
-            ReducedKernels::Qldae(k) => k.output_h2(s1, s2),
-            ReducedKernels::Cubic(k) => k.output_h2(s1, s2),
-        }
-    }
-
-    /// Output-level `H₃(s₁, s₂, s₃)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when an involved ROM resolvent is singular.
-    pub fn output_h3(&self, s1: Complex, s2: Complex, s3: Complex) -> Result<Complex> {
-        match &self.inner {
-            ReducedKernels::Qldae(k) => k.output_h3(s1, s2, s3),
-            ReducedKernels::Cubic(k) => k.output_h3(s1, s2, s3),
-        }
     }
 }
 
@@ -945,7 +779,7 @@ impl AdaptiveTrace {
 
 /// Checkpoint/resume plumbing of the greedy loop (see [`crate::session`]
 /// for the on-disk format). `replay` re-applies the accepted moves of a
-/// prior run deterministically — [`AdaptiveConfig::apply`] transitions plus
+/// prior run deterministically — `AdaptiveConfig::apply` transitions plus
 /// one reduction per move — before the greedy loop continues, so a resumed
 /// run converges to exactly the configuration an uninterrupted run reaches.
 /// `on_accept` fires after the initial reduction and after every accepted
@@ -1067,12 +901,17 @@ impl AdaptiveReducer {
         self.spec
     }
 
-    /// Adaptively reduces a QLDAE (see the module docs).
+    /// Adaptively reduces a polynomial system (see the module docs). The
+    /// initial spec and the legal moves follow the system's terms: `H₂`
+    /// moves only with a quadratic part, `H₃` moves with a quadratic or a
+    /// cubic part, and no output-Krylov move for a system with a `G₃`.
     ///
     /// # Errors
     ///
     /// Returns an error when even the initial minimal reduction fails, or
-    /// the band estimator hits a singular resolvent.
+    /// the band estimator hits a singular resolvent, and
+    /// [`MorError::Invalid`] for the NORM baseline on a system with a `G₃`
+    /// ([`NormReducer`] has no cubic path).
     pub fn reduce(&self, qldae: &Qldae) -> Result<AdaptiveOutcome<ReducedQldae>> {
         self.reduce_impl(qldae, None, None, None)
     }
@@ -1142,7 +981,8 @@ impl AdaptiveReducer {
         hooks: Option<&AdaptiveHooks<'_>>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
         let n = qldae.g1_csr().rows();
-        let has_quadratic = qldae.g2().nnz() > 0 || qldae.has_d1();
+        let quadratic = qldae.has_quadratic();
+        let cubic = qldae.g3().is_some();
         let sampler = match shared {
             Some(sh) => BandSampler::for_qldae_with_cache(
                 qldae,
@@ -1160,7 +1000,7 @@ impl AdaptiveReducer {
             )?,
         };
         let initial = AdaptiveConfig {
-            spec: MomentSpec::new(2, usize::from(has_quadratic), usize::from(has_quadratic)),
+            spec: MomentSpec::new(2, usize::from(quadratic), usize::from(quadratic || cubic)),
             markov: 0,
             output_krylov: 0,
             deflation_tol: vamor_linalg::OrthoBasis::DEFAULT_TOL,
@@ -1169,7 +1009,8 @@ impl AdaptiveReducer {
         let legal = |mv: AdaptiveMove, cfg: &AdaptiveConfig| match mv {
             AdaptiveMove::Initial => false,
             AdaptiveMove::DeepenH1 => true,
-            AdaptiveMove::DeepenH2 | AdaptiveMove::DeepenH3 => has_quadratic,
+            AdaptiveMove::DeepenH2 => quadratic,
+            AdaptiveMove::DeepenH3 => quadratic || cubic,
             AdaptiveMove::AddMarkov => cfg.markov < MARKOV_CAP,
             AdaptiveMove::AddOutputKrylov => {
                 // The two-sided mode needs the dense machinery, and it only
@@ -1177,8 +1018,9 @@ impl AdaptiveReducer {
                 // chains double the matched H₁ moments per column but the
                 // ROM is restricted to their span, so on a
                 // nonlinearity-dominated response the move is a dead end the
-                // greedy search cannot leave.
+                // greedy search cannot leave. The mode has no cubic path.
                 self.kind == ReducerKind::Assoc
+                    && !cubic
                     && !self.engine.use_lowrank(n)
                     && sampler.h1_dominated()
             }
@@ -1230,132 +1072,42 @@ impl AdaptiveReducer {
                 && !(self.kind == ReducerKind::Norm
                     && matches!(mv, AdaptiveMove::AddMarkov | AdaptiveMove::AddOutputKrylov))
         };
-        self.run(
-            initial,
-            &legal_norm,
-            &reduce,
-            &|rom| rom.order(),
-            &|rom| rom.stats().is_stable(),
-            &|rom| sampler.residual_qldae(rom.system()),
-            sampler.full_solves(),
-            control,
-            hooks,
-        )
+        self.run(initial, &legal_norm, &reduce, &sampler, control, hooks)
     }
 
-    /// Adaptively reduces a cubic ODE (associated reducer only —
-    /// [`NormReducer`] has no cubic path).
+    /// Forwarding name of [`AdaptiveReducer::reduce`], which covers cubic
+    /// systems.
     ///
     /// # Errors
     ///
-    /// Same contract as [`AdaptiveReducer::reduce`]; additionally rejects
-    /// the NORM baseline.
-    pub fn reduce_cubic(&self, ode: &CubicOde) -> Result<AdaptiveOutcome<ReducedCubicOde>> {
-        self.reduce_cubic_impl(ode, None)
+    /// Same contract as [`AdaptiveReducer::reduce`].
+    pub fn reduce_cubic(&self, qldae: &Qldae) -> Result<AdaptiveOutcome<ReducedQldae>> {
+        self.reduce(qldae)
     }
 
-    /// [`AdaptiveReducer::reduce_cubic`] under a [`RunControl`] token (see
-    /// [`AdaptiveReducer::reduce_controlled`] for the best-so-far
-    /// cancellation semantics).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AdaptiveReducer::reduce_cubic`], plus
-    /// [`LinalgError::Interrupted`] when the token stops the run before the
-    /// first ROM is available.
-    pub fn reduce_cubic_controlled(
-        &self,
-        ode: &CubicOde,
-        control: &RunControl,
-    ) -> Result<AdaptiveOutcome<ReducedCubicOde>> {
-        self.reduce_cubic_impl(ode, Some(control))
-    }
-
-    fn reduce_cubic_impl(
-        &self,
-        ode: &CubicOde,
-        control: Option<&RunControl>,
-    ) -> Result<AdaptiveOutcome<ReducedCubicOde>> {
-        if self.kind == ReducerKind::Norm {
-            return Err(MorError::Invalid(
-                "the NORM baseline is implemented for QLDAE reductions only".into(),
-            ));
-        }
-        let sampler = BandSampler::for_cubic_impl(
-            ode,
-            self.spec.band,
-            self.backend,
-            self.sampler_opts,
-            control,
-        )?;
-        let initial = AdaptiveConfig {
-            spec: MomentSpec::new(2, 0, 1),
-            markov: 0,
-            output_krylov: 0,
-            deflation_tol: vamor_linalg::OrthoBasis::DEFAULT_TOL,
-            stabilized: true,
-        };
-        let legal = |mv: AdaptiveMove, cfg: &AdaptiveConfig| match mv {
-            AdaptiveMove::DeepenH1 | AdaptiveMove::DeepenH3 | AdaptiveMove::Boost => true,
-            AdaptiveMove::AddMarkov => cfg.markov < MARKOV_CAP,
-            AdaptiveMove::LoosenDeflation => cfg.deflation_tol < 1e-8,
-            AdaptiveMove::TightenDeflation => cfg.deflation_tol > 1e-14,
-            AdaptiveMove::ToggleStabilization => true,
-            _ => false,
-        };
-        let reduce = |cfg: &AdaptiveConfig| -> Result<ReducedCubicOde> {
-            let reducer = AssocReducer::new(cfg.spec)
-                .with_markov_moments(cfg.markov)
-                .with_deflation_tol(cfg.deflation_tol)
-                .with_stabilized_projection(cfg.stabilized)
-                .with_engine(self.engine)
-                .with_solver_backend(self.backend)
-                .with_lowrank_options(self.lowrank_opts);
-            match control {
-                Some(c) => reducer.reduce_cubic_controlled(ode, c),
-                None => reducer.reduce_cubic(ode),
-            }
-        };
-        self.run(
-            initial,
-            &legal,
-            &reduce,
-            &|rom| rom.order(),
-            &|rom| rom.stats().is_stable(),
-            &|rom| sampler.residual_cubic(rom.system()),
-            sampler.full_solves(),
-            control,
-            None,
-        )
-    }
-
-    /// The shared greedy loop: estimate, probe every legal move, accept the
-    /// best residual-decrease-per-added-column, stop on
+    /// The greedy loop: estimate, probe every legal move, accept the best
+    /// residual-decrease-per-added-column, stop on
     /// tolerance/saturation/budget. Returns the best ROM *seen* (which is
     /// the final one — moves are only accepted when they improve).
-    #[allow(clippy::too_many_arguments)] // two call sites; the closures *are* the type dispatch
-    fn run<R>(
+    fn run(
         &self,
         initial: AdaptiveConfig,
         legal: &dyn Fn(AdaptiveMove, &AdaptiveConfig) -> bool,
-        reduce: &dyn Fn(&AdaptiveConfig) -> Result<R>,
-        order_of: &dyn Fn(&R) -> usize,
-        stable_of: &dyn Fn(&R) -> bool,
-        residual_of: &dyn Fn(&R) -> Result<BandResidual>,
-        full_model_solves: usize,
+        reduce: &dyn Fn(&AdaptiveConfig) -> Result<ReducedQldae>,
+        sampler: &BandSampler,
         control: Option<&RunControl>,
         hooks: Option<&AdaptiveHooks<'_>>,
-    ) -> Result<AdaptiveOutcome<R>> {
+    ) -> Result<AdaptiveOutcome<ReducedQldae>> {
         let _span = vamor_obs::span!("adaptive_reduce");
         let mut cfg = initial;
         let mut rom = reduce(&cfg)?;
-        let mut res = residual_of(&rom)?;
+        let mut res = sampler.residual_qldae(rom.system())?;
         let replay: &[(AdaptiveMove, f64)] = hooks.map_or(&[], |h| h.replay);
         let mut trace = AdaptiveTrace {
             steps: vec![AdaptiveStep {
                 mv: AdaptiveMove::Initial,
                 config: cfg,
-                order: order_of(&rom),
+                order: rom.order(),
                 residual: res,
                 gain_per_column: 0.0,
             }],
@@ -1365,12 +1117,12 @@ impl AdaptiveReducer {
                 0 => 1,
                 prior => prior,
             },
-            full_model_solves,
+            full_model_solves: sampler.full_solves(),
             stop: StopReason::IterationBudget,
         };
         vamor_obs::event!(vamor_obs::Event::GreedyAccept {
             mv: AdaptiveMove::Initial.name(),
-            order: order_of(&rom) as u32,
+            order: rom.order() as u32,
             residual: res.max(),
             gain: 0.0,
         });
@@ -1394,17 +1146,17 @@ impl AdaptiveReducer {
                 }
                 Err(e) => return Err(e),
             };
-            res = residual_of(&rom)?;
+            res = sampler.residual_qldae(rom.system())?;
             trace.steps.push(AdaptiveStep {
                 mv,
                 config: cfg,
-                order: order_of(&rom),
+                order: rom.order(),
                 residual: res,
                 gain_per_column: gain,
             });
             vamor_obs::event!(vamor_obs::Event::GreedyAccept {
                 mv: mv.name(),
-                order: order_of(&rom) as u32,
+                order: rom.order() as u32,
                 residual: res.max(),
                 gain,
             });
@@ -1432,8 +1184,14 @@ impl AdaptiveReducer {
                     return Ok(AdaptiveOutcome { rom, trace });
                 }
             }
-            let order = order_of(&rom);
-            let mut best: Option<(AdaptiveMove, AdaptiveConfig, R, BandResidual, f64)> = None;
+            let order = rom.order();
+            let mut best: Option<(
+                AdaptiveMove,
+                AdaptiveConfig,
+                ReducedQldae,
+                BandResidual,
+                f64,
+            )> = None;
             let mut saw_over_budget = false;
             let mut saw_valid_probe = false;
             for mv in ALL_MOVES {
@@ -1473,7 +1231,7 @@ impl AdaptiveReducer {
                     }
                 };
                 trace.evaluations += 1;
-                let order2 = order_of(&rom2);
+                let order2 = rom2.order();
                 if order2 > self.spec.max_order {
                     saw_over_budget = true;
                     vamor_obs::event!(vamor_obs::Event::GreedyProbe {
@@ -1489,7 +1247,7 @@ impl AdaptiveReducer {
                 // whose reduced spectrum the guard could not clean (e.g. a
                 // two-sided pairing collapsing to a marginal 1-dim ROM) is
                 // never taken, however good its band residual looks.
-                if !stable_of(&rom2) {
+                if !rom2.stats().is_stable() {
                     vamor_obs::event!(vamor_obs::Event::GreedyProbe {
                         mv: mv.name(),
                         order: order2 as u32,
@@ -1500,7 +1258,7 @@ impl AdaptiveReducer {
                     continue;
                 }
                 saw_valid_probe = true;
-                let res2 = residual_of(&rom2)?;
+                let res2 = sampler.residual_qldae(rom2.system())?;
                 let added = order2.saturating_sub(order).max(1);
                 let gain = (res.max() - res2.max()) / added as f64;
                 vamor_obs::event!(vamor_obs::Event::GreedyProbe {
@@ -1541,13 +1299,13 @@ impl AdaptiveReducer {
             trace.steps.push(AdaptiveStep {
                 mv,
                 config: cfg,
-                order: order_of(&rom),
+                order: rom.order(),
                 residual: res,
                 gain_per_column: gain,
             });
             vamor_obs::event!(vamor_obs::Event::GreedyAccept {
                 mv: mv.name(),
-                order: order_of(&rom) as u32,
+                order: rom.order() as u32,
                 residual: res.max(),
                 gain,
             });
@@ -1712,31 +1470,57 @@ mod tests {
 
     #[test]
     fn cubic_driver_rejects_norm_and_reduces_with_assoc() {
-        use vamor_linalg::{CooMatrix, Matrix};
+        use vamor_linalg::CooMatrix;
         let n = 12;
-        let mut g1 = Matrix::zeros(n, n);
+        let mut builder = QldaeBuilder::new(n, 1);
         for i in 0..n {
-            g1[(i, i)] = -(1.0 + 0.2 * i as f64);
+            builder = builder.g1_entry(i, i, -(1.0 + 0.2 * i as f64)).b_entry(
+                i,
+                0,
+                if i == 0 { 1.0 } else { 0.1 },
+            );
             if i + 1 < n {
-                g1[(i, i + 1)] = 0.3;
-                g1[(i + 1, i)] = 0.2;
+                builder = builder.g1_entry(i, i + 1, 0.3).g1_entry(i + 1, i, 0.2);
             }
         }
         let mut g3 = CooMatrix::new(n, n * n * n);
         g3.push(0, 0, 0.4);
         g3.push(1, n * n + n + 1, -0.2);
-        let b = Matrix::from_fn(n, 1, |i, _| if i == 0 { 1.0 } else { 0.1 });
-        let c = Matrix::from_fn(1, n, |_, j| if j == n - 1 { 1.0 } else { 0.0 });
-        let ode = CubicOde::new(g1, None, g3.to_csr(), b, c).unwrap();
+        let ode = builder
+            .output_state(n - 1)
+            .build()
+            .unwrap()
+            .with_g3(g3.to_csr())
+            .unwrap();
         let spec =
             AdaptiveSpec::new(FrequencyBand::new(0.1, 2.0).unwrap(), 1e-6).with_max_iterations(8);
         assert!(AdaptiveReducer::new(spec)
             .with_baseline(ReducerKind::Norm)
-            .reduce_cubic(&ode)
+            .reduce(&ode)
             .is_err());
-        let outcome = AdaptiveReducer::new(spec).reduce_cubic(&ode).unwrap();
+        // The NORM baseline itself refuses a G₃ instead of projecting
+        // without it.
+        let norm = NormReducer::new(MomentSpec::new(2, 0, 1));
+        assert!(matches!(norm.reduce(&ode), Err(MorError::Invalid(_))));
+        assert!(matches!(
+            norm.reduce_controlled(&ode, &RunControl::new()),
+            Err(MorError::Invalid(_))
+        ));
+        // So does the two-sided mode, which has no cubic path either.
+        assert!(matches!(
+            AssocReducer::new(MomentSpec::new(2, 0, 1))
+                .with_output_krylov(1)
+                .reduce(&ode),
+            Err(MorError::Invalid(_))
+        ));
+        let outcome = AdaptiveReducer::new(spec).reduce(&ode).unwrap();
         assert!(outcome.rom.order() < n);
+        assert!(outcome.rom.system().g3().is_some());
         assert!(outcome.trace.final_residual() <= outcome.trace.initial_residual());
+        for step in &outcome.trace.steps {
+            assert_eq!(step.config.spec.k2, 0);
+            assert_eq!(step.config.output_krylov, 0);
+        }
     }
 
     #[test]

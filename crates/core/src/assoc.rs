@@ -2,12 +2,13 @@
 //! functions — the heart of the paper's method.
 //!
 //! Applying the association of variables to the multivariate kernels of a
-//! QLDAE yields single-variable transfer functions with explicit state-space
-//! realizations (Eqs. 15–17 of the paper):
+//! polynomial system `ẋ = G₁x + G₂(x⊗x) + G₃(x⊗x⊗x) + D₁xu + bu` yields
+//! single-variable transfer functions with explicit state-space realizations
+//! (Eqs. 15–17 of the paper, and Corollary 1 applied three ways for `G₃`):
 //!
 //! ```text
 //! H₂(s) = (sI − G₁)⁻¹ [ G₂ (sI − G₁⊕G₁)⁻¹ (b ⊗ b) + D₁ b ]
-//! H₃(s) = (sI − G₁)⁻¹ [ G₂ H̃₃(s) + D₁² b ]
+//! H₃(s) = (sI − G₁)⁻¹ [ G₂ H̃₃(s) + G₃ (sI − G₁⊕G₁⊕G₁)⁻¹ (b⊗b⊗b) + D₁² b ]
 //! H̃₃(s) = (Iₙ⊗c̃₂)(sI − G₁⊕G̃₂)⁻¹(b⊗b̃₂) + (c̃₂⊗Iₙ)(sI − G̃₂⊕G₁)⁻¹(b̃₂⊗b)
 //! ```
 //!
@@ -20,7 +21,10 @@
 //! * the `G₁⊕G̃₂` resolvent powers are big-left/small-right Sylvester solves
 //!   ([`crate::bigsmall`]) against the structured block operator
 //!   [`crate::operators::BlockH2Op`], and the two terms of `H̃₃` are
-//!   transposes of one another so only one solve sequence is required,
+//!   transposes of one another so only one solve sequence is required. The
+//!   bottom block of that walk is the `G₁⊕G₁⊕G₁` resolvent the `G₃` term
+//!   reads, so one Kronecker walk serves both nonlinear orders (without a
+//!   quadratic part it runs on `G₁⊕G₁` alone),
 //!
 //! exactly the computational structure §2.3 of the paper describes, with the
 //! dimension growing as `O(k₁+k₂+k₃)` instead of the `O(k₁+k₂³+k₃⁴)` of
@@ -34,7 +38,7 @@ use vamor_linalg::{
     kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, ShiftCache, SolverBackend,
     Vector,
 };
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::Qldae;
 
 use crate::bigsmall::solve_sylvester_big_small_with_schur;
 use crate::error::MorError;
@@ -102,8 +106,8 @@ impl ScaledMoments {
     }
 }
 
-/// The scaled `H₁` chain shared by every generator (dense and low-rank,
-/// QLDAE and cubic): repeated `G₁⁻¹` applications with the running iterate
+/// The scaled `H₁` chain shared by both generators (dense and low-rank):
+/// repeated `G₁⁻¹` applications with the running iterate
 /// renormalized after every solve, the discarded magnitudes tracked as
 /// `log10` frames.
 pub(crate) fn h1_chain(g1_lu: &G1Factor, seed: Vector, count: usize) -> Result<ScaledMoments> {
@@ -124,30 +128,141 @@ pub(crate) fn h1_chain(g1_lu: &G1Factor, seed: Vector, count: usize) -> Result<S
     Ok(out)
 }
 
-/// Rescales the recursion state of a moment chain so every stored vector
-/// stays `O(1)`; returns the `log10` of the applied factor (to be added to
-/// the running frame magnitude).
-pub(crate) fn rescale_state(state: &mut [&mut Vector], extra: Option<&mut Matrix>) -> f64 {
-    let mut peak = 0.0_f64;
-    for v in state.iter() {
-        peak = peak.max(v.norm_inf());
+/// The `D₁` seed of the `H₂` chain of the input pair `(a, b)`:
+/// `D₁ᵃ b_b + D₁ᵇ b_a`, halved for a repeated input so the SISO case
+/// reduces to the paper's `D₁ b`; `None` for a system without `D₁`.
+pub(crate) fn h2_d1_seed(
+    qldae: &Qldae,
+    (a, b): (usize, usize),
+    b_a: &Vector,
+    b_b: &Vector,
+) -> Option<Vector> {
+    let (da, db) = (qldae.d1().get(a), qldae.d1().get(b));
+    if da.is_none() && db.is_none() {
+        return None;
     }
-    if let Some(m) = &extra {
-        peak = peak.max(m.max_abs());
+    let mut d = Vector::zeros(b_a.len());
+    if let Some(da) = da {
+        d.axpy(1.0, &da.matvec(b_b));
     }
-    if peak == 0.0 || !peak.is_finite() {
-        return 0.0;
+    if let Some(db) = db {
+        d.axpy(1.0, &db.matvec(b_a));
     }
-    let inv = 1.0 / peak;
-    for v in state.iter_mut() {
-        v.scale_mut(inv);
+    if a == b {
+        d.scale_mut(0.5);
     }
-    if let Some(m) = extra {
-        for x in m.as_mut_slice() {
-            *x *= inv;
+    Some(d)
+}
+
+/// The forcing of one `H₃` step: the `G₂` read-out of the top block plus the
+/// `G₃` read-out of the bottom block, each present only when the system has
+/// that term.
+pub(crate) fn h3_forcing(quadratic: Option<Vector>, cubic: Option<Vector>, n: usize) -> Vector {
+    match (quadratic, cubic) {
+        (Some(mut f), Some(c)) => {
+            f.axpy(1.0, &c);
+            f
+        }
+        (Some(f), None) | (None, Some(f)) => f,
+        (None, None) => Vector::zeros(n),
+    }
+}
+
+/// The Cauchy accumulator of an `H₂`/`H₃` moment chain, shared by both
+/// engines: fed one forcing vector `f_j` per step, it records moment
+/// `m_k = Σ_{i+j=k} G₁^{-(i+1)} f_j − G₁^{-(k+1)} d`, where the `d` chain is
+/// the `D₁` term (absent without one). After every moment the whole
+/// recursion state — the accumulators, the `d` chain and the chain's own
+/// iterates — is rescaled by a common factor, which is exact on the spanned
+/// subspace and keeps every intermediate `O(1)`; the candidates are
+/// unit-norm with their magnitudes reported as in [`h1_chain`].
+pub(crate) struct CauchyAccumulator<'a> {
+    g1_lu: &'a G1Factor,
+    acc: Vec<Vector>,
+    d_chain: Option<Vector>,
+    scratch: Vector,
+    out: ScaledMoments,
+    frame: f64,
+}
+
+impl<'a> CauchyAccumulator<'a> {
+    pub(crate) fn new(
+        g1_lu: &'a G1Factor,
+        n: usize,
+        count: usize,
+        d_chain: Option<Vector>,
+    ) -> Self {
+        CauchyAccumulator {
+            g1_lu,
+            acc: Vec::with_capacity(count),
+            d_chain,
+            scratch: Vector::zeros(n),
+            out: ScaledMoments::with_capacity(count),
+            frame: 0.0,
         }
     }
-    peak.log10()
+
+    /// Feeds the forcing `f_j` of the current step and records the next
+    /// moment.
+    pub(crate) fn push(&mut self, forcing: &Vector) -> Result<()> {
+        for a in self.acc.iter_mut() {
+            self.scratch.copy_from(a);
+            self.g1_lu
+                .solve_into(&self.scratch, a)
+                .map_err(MorError::Linalg)?;
+        }
+        self.acc
+            .push(self.g1_lu.solve(forcing).map_err(MorError::Linalg)?);
+        if let Some(d) = self.d_chain.as_mut() {
+            self.scratch.copy_from(d);
+            self.g1_lu
+                .solve_into(&self.scratch, d)
+                .map_err(MorError::Linalg)?;
+        }
+        let mut m_k = Vector::zeros(self.scratch.len());
+        for a in &self.acc {
+            m_k.axpy(1.0, a);
+        }
+        if let Some(d) = &self.d_chain {
+            m_k.axpy(-1.0, d);
+        }
+        self.out.push(m_k, self.frame);
+        Ok(())
+    }
+
+    /// Rescales the accumulators, the `d` chain and the chain's iterates
+    /// (`vectors`, `matrices`) by their common peak magnitude, adding its
+    /// `log10` to the running frame.
+    pub(crate) fn rescale(&mut self, vectors: &mut [&mut Vector], matrices: &mut [&mut Matrix]) {
+        let mut state: Vec<&mut Vector> = self.acc.iter_mut().collect();
+        state.extend(vectors.iter_mut().map(|v| &mut **v));
+        state.extend(self.d_chain.as_mut());
+        let mut peak = 0.0_f64;
+        for v in &state {
+            peak = peak.max(v.norm_inf());
+        }
+        for m in matrices.iter() {
+            peak = peak.max(m.max_abs());
+        }
+        if peak == 0.0 || !peak.is_finite() {
+            return;
+        }
+        let inv = 1.0 / peak;
+        for v in state {
+            v.scale_mut(inv);
+        }
+        for m in matrices.iter_mut() {
+            for x in m.as_mut_slice() {
+                *x *= inv;
+            }
+        }
+        self.frame += peak.log10();
+    }
+
+    /// The recorded moments.
+    pub(crate) fn finish(self) -> ScaledMoments {
+        self.out
+    }
 }
 
 /// The stamp-keyed solver artifacts a [`ReductionSession`](crate::session)
@@ -216,7 +331,8 @@ impl SharedAssocArtifacts {
     }
 }
 
-/// Moment-vector generator for the associated transfer functions of a QLDAE.
+/// Moment-vector generator for the associated transfer functions of a
+/// polynomial system.
 #[derive(Debug)]
 pub struct AssocMomentGenerator<'a> {
     qldae: &'a Qldae,
@@ -351,60 +467,29 @@ impl<'a> AssocMomentGenerator<'a> {
         }
         let b_a = self.b_col(input_a)?;
         let b_b = self.b_col(input_b)?;
-        let mut d_chain = Vector::zeros(self.n());
-        if let Some(da) = self.d1(input_a) {
-            d_chain.axpy(1.0, &da.matvec(&b_b));
-        }
-        if let Some(db) = self.d1(input_b) {
-            d_chain.axpy(1.0, &db.matvec(&b_a));
-        }
-        if input_a == input_b {
-            d_chain.scale_mut(0.5);
-        }
-
+        let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
+        let mut chain = CauchyAccumulator::new(&self.shared.g1_lu, self.n(), count, d_seed);
         let mut w = kron_vec(&b_a, &b_b);
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(self.n());
-        let mut out = ScaledMoments::with_capacity(count);
-        let mut frame = 0.0;
         for _ in 0..count {
             w = self.shared.block_op.kron().solve_shifted(0.0, &w)?;
-            let g2w_k = self.qldae.g2().matvec(&w);
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.shared
-                    .g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.shared.g1_lu.solve(&g2w_k).map_err(MorError::Linalg)?);
-            scratch.copy_from(&d_chain);
-            self.shared
-                .g1_lu
-                .solve_into(&scratch, &mut d_chain)
-                .map_err(MorError::Linalg)?;
-            let mut m_k = Vector::zeros(self.n());
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            m_k.axpy(-1.0, &d_chain);
-            out.push(m_k, frame);
-
-            let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            state.push(&mut w);
-            state.push(&mut d_chain);
-            frame += rescale_state(&mut state, None);
+            chain.push(&self.qldae.g2().matvec(&w))?;
+            chain.rescale(&mut [&mut w], &mut []);
         }
-        Ok(out)
+        Ok(chain.finish())
     }
 
     /// Moments of the associated third-order transfer function `H₃(s)` about
-    /// `s = 0` for a single input, per the realization in the module docs:
-    /// the `Z_j` sequence solves `G̃₂ Z + Z G₁ᵀ = Z_{j−1}` from `b̃₂ bᵀ`
-    /// against the cached Schur form of `G₁`, and
-    /// `ν_j = vec(c̃₂ Z_j) + vec((c̃₂ Z_j)ᵀ)` feeds the `G₂` Cauchy product.
-    /// Chain scaling as in [`AssocMomentGenerator::h2_moments_scaled`]; here
-    /// the rescaled state additionally includes the `Z_j` iterate.
+    /// `s = 0` for a single input, per the realization in the module docs.
+    /// One Kronecker walk: `Z_j` solves `Op Z + Z G₁ᵀ = Z_{j−1}` against the
+    /// cached Schur form of `G₁`, with `Op = G̃₂` from `b̃₂ bᵀ` when the
+    /// system has a `G₂` (its top block feeds
+    /// `ν_j = vec(c̃₂ Z_j) + vec((c̃₂ Z_j)ᵀ)` to `G₂`) and `Op = G₁⊕G₁` from
+    /// `(b⊗b) bᵀ` otherwise; the `n² × n` bottom block is
+    /// `(G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)`, read out through `G₃` when the system
+    /// has one. Both read-outs feed one Cauchy accumulator, the `D₁² b`
+    /// chain is added when the input has a `D₁`. Chain scaling as in
+    /// [`AssocMomentGenerator::h2_moments_scaled`]; here the rescaled state
+    /// additionally includes the `Z_j` iterate.
     ///
     /// # Errors
     ///
@@ -416,60 +501,34 @@ impl<'a> AssocMomentGenerator<'a> {
         }
         let n = self.n();
         let b = self.b_col(input)?;
-        let d1b = self.d1(input).map(|d| d.matvec(&b));
-        let btilde = self.shared.block_op.btilde(&b, d1b.as_ref());
-        let m = self.shared.block_op.dim();
-
-        let mut z = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                z[(i, j)] = btilde[i] * b[j];
-            }
-        }
-        let mut d_chain = match (self.d1(input), &d1b) {
-            (Some(d), Some(db)) => d.matvec(db),
-            _ => Vector::zeros(n),
+        let d1 = self.d1(input);
+        let d1b = d1.map(|d| d.matvec(&b));
+        let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
+        let g3 = self.qldae.g3();
+        let block = &*self.shared.block_op;
+        let (walk, seed, top): (&dyn ShiftedSolveOp, Vector, usize) = match g2 {
+            Some(_) => (block, block.btilde(&b, d1b.as_ref()), n),
+            None => (block.kron(), kron_vec(&b, &b), 0),
         };
-
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(n);
-        let mut out = ScaledMoments::with_capacity(count);
-        let mut frame = 0.0;
+        let mut z = Matrix::from_fn(seed.len(), n, |i, j| seed[i] * b[j]);
+        let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
+        let mut chain = CauchyAccumulator::new(&self.shared.g1_lu, n, count, d_chain);
         for _ in 0..count {
-            z = solve_sylvester_big_small_with_schur(
-                &*self.shared.block_op,
-                &self.shared.g1_schur,
-                &z,
-            )?;
-            let s = z.submatrix(0, n, 0, n); // c̃₂ Z_j  (n×n)
-            let mut nu = vec_of(&s);
-            nu.axpy(1.0, &vec_of(&s.transpose()));
-            let g2nu_k = self.qldae.g2().matvec(&nu);
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.shared
-                    .g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.shared.g1_lu.solve(&g2nu_k).map_err(MorError::Linalg)?);
-            scratch.copy_from(&d_chain);
-            self.shared
-                .g1_lu
-                .solve_into(&scratch, &mut d_chain)
-                .map_err(MorError::Linalg)?;
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            m_k.axpy(-1.0, &d_chain);
-            out.push(m_k, frame);
-
-            let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            state.push(&mut d_chain);
-            frame += rescale_state(&mut state, Some(&mut z));
+            z = solve_sylvester_big_small_with_schur(walk, &self.shared.g1_schur, &z)?;
+            let quadratic = g2.map(|g2| {
+                let s = z.submatrix(0, n, 0, n); // c̃₂ Z_j  (n×n)
+                let mut nu = vec_of(&s);
+                nu.axpy(1.0, &vec_of(&s.transpose()));
+                g2.matvec(&nu)
+            });
+            let cubic = g3.map(|g3| {
+                let nn = n * n;
+                g3.matvec(&Vector::from_fn(nn * n, |k| z[(top + k % nn, k / nn)]))
+            });
+            chain.push(&h3_forcing(quadratic, cubic, n))?;
+            chain.rescale(&mut [], &mut [&mut z]);
         }
-        Ok(out)
+        Ok(chain.finish())
     }
 
     /// Explicit dense realization `(G̃₂, b̃₂, c̃₂)` of the associated `H₂(s)`
@@ -501,138 +560,6 @@ impl<'a> AssocMomentGenerator<'a> {
     }
 }
 
-/// Moment-vector generator for cubic polynomial ODEs (`G₃` nonlinearity),
-/// used for the varistor experiment. The associated third-order transfer
-/// function of `ẋ = G₁x + G₃ x^{(3⊗)} + b u` is
-/// `H₃(s) = (sI − G₁)⁻¹ G₃ (sI − G₁⊕G₁⊕G₁)⁻¹ (b⊗b⊗b)` (Corollary 1 of the
-/// paper applied three ways).
-#[derive(Debug)]
-pub struct CubicAssocMomentGenerator<'a> {
-    ode: &'a CubicOde,
-    g1_lu: G1Factor,
-    recovery: PivotRecovery,
-    kron_op: KronSumOp2,
-    g1_schur: SchurDecomposition,
-}
-
-impl<'a> CubicAssocMomentGenerator<'a> {
-    /// Prepares the cached factorizations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `G₁` is singular.
-    pub fn new(ode: &'a CubicOde) -> Result<Self> {
-        Self::with_options(ode, SolverBackend::Auto)
-    }
-
-    /// Prepares the generator with an explicit linear-solver backend for the
-    /// `G₁` solves (see [`AssocMomentGenerator::with_options`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `G₁` is singular.
-    pub fn with_options(ode: &'a CubicOde, backend: SolverBackend) -> Result<Self> {
-        let sparse = backend.use_sparse(ode.g1_csr().rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(ode.g1_csr(), sparse).map_err(MorError::Linalg)?;
-        let kron_op = KronSumOp2::new(ode.g1())?;
-        let g1_schur = kron_op.a_schur();
-        Ok(CubicAssocMomentGenerator {
-            ode,
-            g1_lu,
-            recovery,
-            kron_op,
-            g1_schur,
-        })
-    }
-
-    /// What the pivot degradation ladder did while factoring `G₁`.
-    pub fn pivot_recovery(&self) -> PivotRecovery {
-        self.recovery
-    }
-
-    /// The cached Schur form of `G₁`.
-    pub fn g1_schur(&self) -> &SchurDecomposition {
-        &self.g1_schur
-    }
-
-    fn n(&self) -> usize {
-        self.ode.g1().rows()
-    }
-
-    fn b_col(&self, input: usize) -> Result<Vector> {
-        if input >= self.ode.b().cols() {
-            return Err(MorError::Invalid(format!(
-                "input index {input} out of range for a {}-input system",
-                self.ode.b().cols()
-            )));
-        }
-        Ok(self.ode.b().col(input))
-    }
-
-    /// Moments of `H₁(s)` about `s = 0`, with per-candidate normalization
-    /// (see [`AssocMomentGenerator::h1_moments_scaled`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid input index or a failed solve.
-    pub fn h1_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        h1_chain(&self.g1_lu, self.b_col(input)?, count)
-    }
-
-    /// Moments of the associated `H₃(s)` about `s = 0`:
-    /// `m_k = Σ_{i+j=k} G₁^{-(i+1)} G₃ w_j` with
-    /// `w_j = (G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)`, with chain scaling (see
-    /// [`AssocMomentGenerator::h2_moments_scaled`]).
-    ///
-    /// The triple Kronecker-sum solve is performed as a big-left/small-right
-    /// Sylvester solve: `(G₁⊕G₁) X + X G₁ᵀ = unvec(r)` with `X ∈ ℝ^{n²×n}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid input index or singular pencils.
-    pub fn h3_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        if count == 0 {
-            return Ok(ScaledMoments::with_capacity(0));
-        }
-        let n = self.n();
-        let b = self.b_col(input)?;
-        // w_0 seed: b ⊗ b ⊗ b as an n² x n matrix (column-major unvec).
-        let bb = kron_vec(&b, &b);
-        let mut w_mat = Matrix::zeros(n * n, n);
-        for j in 0..n {
-            for i in 0..n * n {
-                w_mat[(i, j)] = b[j] * bb[i];
-            }
-        }
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(n);
-        let mut out = ScaledMoments::with_capacity(count);
-        let mut frame = 0.0;
-        for _ in 0..count {
-            w_mat = solve_sylvester_big_small_with_schur(&self.kron_op, &self.g1_schur, &w_mat)?;
-            let w_vec = vec_of(&w_mat);
-            let g3w_k = self.ode.g3().matvec(&w_vec);
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.g1_lu.solve(&g3w_k).map_err(MorError::Linalg)?);
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            out.push(m_k, frame);
-
-            let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            frame += rescale_state(&mut state, Some(&mut w_mat));
-        }
-        Ok(out)
-    }
-}
-
 /// Checks the Kronecker-ordering convention used in the seeds above: the
 /// `vec`-space image of `b ⊗ b ⊗ b` as an `n² × n` matrix is `(b⊗b) bᵀ`.
 #[cfg(test)]
@@ -643,7 +570,7 @@ fn triple_kron_as_matrix(b: &Vector) -> Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vamor_linalg::kron::unvec;
     use vamor_linalg::{kron_sum, CooMatrix};
@@ -669,16 +596,58 @@ mod tests {
         builder.build().unwrap()
     }
 
-    fn small_cubic() -> CubicOde {
+    fn small_cubic() -> Qldae {
         let n = 2;
-        let g1 = Matrix::from_rows(&[&[-1.0, 0.2], &[0.0, -3.0]]).unwrap();
         let mut g3 = CooMatrix::new(n, n * n * n);
         g3.push(0, 0, 0.5); // x0^3
         g3.push(1, 7, -0.3); // x1^3 (index 1*4+1*2+1)
         g3.push(1, 1, 0.1); // x0 x0 x1
-        let b = Matrix::from_rows(&[&[1.0], &[0.4]]).unwrap();
-        let c = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
-        CubicOde::new(g1, None, g3.to_csr(), b, c).unwrap()
+        QldaeBuilder::new(n, 1)
+            .g1_entry(0, 0, -1.0)
+            .g1_entry(0, 1, 0.2)
+            .g1_entry(1, 1, -3.0)
+            .b_entry(0, 0, 1.0)
+            .b_entry(1, 0, 0.4)
+            .output_state(0)
+            .build()
+            .unwrap()
+            .with_g3(g3.to_csr())
+            .unwrap()
+    }
+
+    /// A seeded `n`-state system with a quadratic and a cubic part: a
+    /// stable banded `G₁` and pseudo-random sparse `G₂`, `G₃` and `b` from a
+    /// fixed linear congruential stream.
+    pub(crate) fn mixed_qldae(n: usize, seed: u64) -> Qldae {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut builder = QldaeBuilder::new(n, 1);
+        let mut g3 = CooMatrix::new(n, n * n * n);
+        for i in 0..n {
+            builder = builder.g1_entry(i, i, -(1.0 + next()));
+            if i + 1 < n {
+                builder = builder
+                    .g1_entry(i, i + 1, 0.4 * next())
+                    .g1_entry(i + 1, i, 0.4 * next());
+            }
+            let pick = |u: f64| ((u * n as f64) as usize).min(n - 1);
+            let (p, q, r) = (pick(next()), pick(next()), pick(next()));
+            builder = builder
+                .g2_entry(i, p, q, next() - 0.5)
+                .b_entry(i, 0, next() - 0.5);
+            g3.push(i, p * n * n + q * n + r, next() - 0.5);
+        }
+        builder
+            .output_state(n - 1)
+            .build()
+            .unwrap()
+            .with_g3(g3.to_csr())
+            .unwrap()
     }
 
     /// The raw moments a scaled chain stands for: `vectors[k] · 10^mag[k]`.
@@ -761,9 +730,11 @@ mod tests {
         reference
     }
 
-    /// Dense reference for the cubic H3(s) with the explicit n³ Kronecker sum.
-    fn dense_cubic_h3_moments(ode: &CubicOde, count: usize) -> Vec<Vector> {
+    /// Dense reference for the `G₃` part of H3(s) with the explicit n³
+    /// Kronecker sum.
+    fn dense_cubic_h3_moments(ode: &Qldae, count: usize) -> Vec<Vector> {
         let g1 = ode.g1();
+        let g3 = ode.g3().expect("cubic term");
         let n = g1.rows();
         let m3_lu = kron_sum(g1, &kron_sum(g1, g1)).lu().unwrap();
         let g1_lu = g1.lu().unwrap();
@@ -776,7 +747,7 @@ mod tests {
             for a in acc.iter_mut() {
                 *a = g1_lu.solve(a).unwrap();
             }
-            acc.push(g1_lu.solve(&ode.g3().matvec(&w)).unwrap());
+            acc.push(g1_lu.solve(&g3.matvec(&w)).unwrap());
             let mut m_k = Vector::zeros(n);
             for a in &acc {
                 m_k.axpy(1.0, a);
@@ -845,7 +816,7 @@ mod tests {
     #[test]
     fn cubic_h3_moments_match_dense_triple_kron_sum() {
         let ode = small_cubic();
-        let generator = CubicAssocMomentGenerator::new(&ode).unwrap();
+        let generator = AssocMomentGenerator::new(&ode).unwrap();
         let ours = rebuild(&generator.h3_moments_scaled(0, 3).unwrap());
         let reference = dense_cubic_h3_moments(&ode, 3);
         for (k, (a, b)) in ours.iter().zip(reference.iter()).enumerate() {
@@ -856,6 +827,40 @@ mod tests {
         }
         assert!(generator.h1_moments_scaled(0, 2).unwrap().vectors.len() == 2);
         assert!(generator.h1_moments_scaled(3, 1).is_err());
+    }
+
+    /// A system with both a quadratic and a cubic part: the `H₂` chain and
+    /// the one `H₃` recursion (the `G₂(H₁⊗H₂)` cross terms plus the `G₃`
+    /// read-out of the same Kronecker walk) match the brute-force dense
+    /// references, and the reduction keeps its `H₂` candidates.
+    #[test]
+    fn mixed_quadratic_cubic_moments_match_dense_references() {
+        let q = mixed_qldae(12, 7);
+        let generator = AssocMomentGenerator::new(&q).unwrap();
+        let assert_rel = |ours: &[Vector], reference: &[Vector], what: &str| {
+            assert_eq!(ours.len(), reference.len(), "{what}: chain length");
+            // Up to the sign convention of the dense realizations.
+            for (k, (a, b)) in ours.iter().zip(reference).enumerate() {
+                let err = (a - b).norm_inf().min((a + b).norm_inf()) / b.norm_inf();
+                assert!(err <= 1e-8, "{what} moment {k}: relative error {err:.3e}");
+            }
+        };
+        let h2 = rebuild(&generator.h2_moments_scaled(0, 0, 2).unwrap());
+        let h2_ref = dense_h2_moments(&q, 2);
+        assert_rel(&h2, &h2_ref, "H2");
+        // H₃ is linear in its forcing: the G₂/D₁ part plus the G₃ part.
+        let h3 = rebuild(&generator.h3_moments_scaled(0, 1).unwrap());
+        let h3_ref: Vec<Vector> = dense_h3_moments(&q, 1)
+            .iter()
+            .zip(dense_cubic_h3_moments(&q, 1))
+            .map(|(quadratic, cubic)| quadratic + &cubic)
+            .collect();
+        assert_rel(&h3, &h3_ref, "H3");
+        let rom = crate::AssocReducer::new(crate::MomentSpec::new(2, 2, 1))
+            .reduce(&q)
+            .unwrap();
+        assert!(rom.stats().h2_candidates > 0);
+        assert!(rom.system().g3().is_some());
     }
 
     #[test]
@@ -929,7 +934,7 @@ mod tests {
     #[test]
     fn scaled_cubic_chains_match_raw_chains() {
         let ode = small_cubic();
-        let generator = CubicAssocMomentGenerator::new(&ode).unwrap();
+        let generator = AssocMomentGenerator::new(&ode).unwrap();
         assert_scaled_matches_raw(
             &dense_h1_moments(ode.g1(), &ode.b().col(0), 4),
             &generator.h1_moments_scaled(0, 4).unwrap(),

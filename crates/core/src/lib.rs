@@ -7,7 +7,8 @@
 //!
 //! The flow is:
 //!
-//! 1. describe the weakly/strongly nonlinear circuit as a QLDAE
+//! 1. describe the weakly/strongly nonlinear circuit as one polynomial
+//!    system — a QLDAE, optionally with a cubic `G₃` term
 //!    (`vamor-system` / `vamor-circuits`);
 //! 2. the association of variables collapses each multivariate Volterra
 //!    kernel `Hₙ(s₁,…,sₙ)` into a single-`s` transfer function with an
@@ -49,11 +50,9 @@ pub mod volterra;
 pub use adaptive::{
     AdaptiveConfig, AdaptiveHooks, AdaptiveMove, AdaptiveOutcome, AdaptiveReducer, AdaptiveSpec,
     AdaptiveStep, AdaptiveTrace, BandResidual, BandSampler, BandSamplerOptions, FrequencyBand,
-    ReducedVolterra, ReducerKind, StopReason,
+    ReducerKind, StopReason,
 };
-pub use assoc::{
-    AssocMomentGenerator, CubicAssocMomentGenerator, ScaledMoments, SharedAssocArtifacts,
-};
+pub use assoc::{AssocMomentGenerator, ScaledMoments, SharedAssocArtifacts};
 pub use bigsmall::{solve_sylvester_big_small, solve_sylvester_big_small_with_schur};
 pub use control::{ProgressEvent, RunControl, StopCause};
 pub use error::MorError;
@@ -64,9 +63,7 @@ pub use lowrank::{
 pub use norm::NormReducer;
 pub use operators::{BlockH2Op, KronSumOp2, ShiftedSolveOp};
 pub use par::{parallel_map, try_parallel_map};
-pub use project::{
-    cubic_matvec_kron, project_cubic, project_cubic_petrov, project_qldae, project_qldae_petrov,
-};
+pub use project::{cubic_matvec_kron, project_qldae, project_qldae_petrov};
 pub use reduce::{
     AssocReducer, DegradationReport, MomentSpec, ReducedCubicOde, ReducedQldae, ReductionStats,
 };
@@ -75,7 +72,7 @@ pub use session::{
     SessionStats, STAMP_BUDGET_OWNER,
 };
 pub use vamor_linalg::{MemoryBudget, SolverBackend};
-pub use volterra::{CubicVolterraKernels, VolterraKernels};
+pub use volterra::VolterraKernels;
 
 /// Result alias for reduction routines.
 pub type Result<T> = std::result::Result<T, MorError>;

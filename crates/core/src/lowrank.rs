@@ -60,9 +60,9 @@ use vamor_linalg::{
     kron_vec, CholeskyDecomposition, CsrMatrix, LinalgError, Matrix, PivotRecovery, RunControl,
     ShiftCache, SolverBackend, SylvesterSolver, Vector,
 };
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::Qldae;
 
-use crate::assoc::{h1_chain, rescale_state, G1Factor, ScaledMoments};
+use crate::assoc::{h1_chain, h2_d1_seed, h3_forcing, CauchyAccumulator, G1Factor, ScaledMoments};
 use crate::bigsmall::solve_sylvester_big_small_with_schur;
 use crate::error::MorError;
 use crate::operators::KronSumOp2;
@@ -240,10 +240,10 @@ fn pool_seed(n: usize, b: &Matrix) -> Vector {
 }
 
 /// Rational-Krylov moment-vector generator for the associated transfer
-/// functions of a QLDAE — the low-rank twin of
+/// functions of a polynomial system — the low-rank engine's counterpart of
 /// [`crate::AssocMomentGenerator`]. Produces the same `H₁`/`H₂`/`H₃` scaled
-/// moment chains, with every `G₁ ⊕ G₁` / `G₁ ⊕ G̃₂` resolvent realized
-/// through shifted sparse solves (see the module docs).
+/// moment chains, with every `G₁ ⊕ G₁` / `G₁ ⊕ G̃₂` / `G₁⊕G₁⊕G₁` resolvent
+/// realized through shifted sparse solves (see the module docs).
 #[derive(Debug)]
 pub struct LowRankAssocMomentGenerator<'a> {
     qldae: &'a Qldae,
@@ -285,8 +285,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
 
     /// Attaches a cooperative [`RunControl`]: every chain step and every ADI
     /// sweep of this generator then runs a checkpoint, so a cancellation or
-    /// a passed deadline surfaces as a typed
-    /// [`LinalgError::Interrupted`](vamor_linalg::LinalgError::Interrupted)
+    /// a passed deadline surfaces as a typed [`LinalgError::Interrupted`]
     /// from the moment routines.
     #[must_use]
     pub fn with_control(mut self, control: RunControl) -> Self {
@@ -383,16 +382,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         let n = self.n();
         let b_a = self.b_col(input_a)?;
         let b_b = self.b_col(input_b)?;
-        let mut d_chain = Vector::zeros(n);
-        if let Some(da) = self.d1(input_a) {
-            d_chain.axpy(1.0, &da.matvec(&b_b));
-        }
-        if let Some(db) = self.d1(input_b) {
-            d_chain.axpy(1.0, &db.matvec(&b_a));
-        }
-        if input_a == input_b {
-            d_chain.scale_mut(0.5);
-        }
+        let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
 
         let mut seeds = vec![b_a.clone()];
         if input_a != input_b {
@@ -406,10 +396,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         // Ŵ₀ = b̂_b b̂_aᵀ  (W₀ = unvec(b_a ⊗ b_b) = b_b b_aᵀ).
         let mut what = Matrix::from_fn(k, k, |i, j| bhat_b[i] * bhat_a[j]);
 
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(n);
-        let mut out = ScaledMoments::with_capacity(count);
-        let mut frame = 0.0;
+        let mut chain = CauchyAccumulator::new(&self.g1_lu, n, count, d_seed);
         for _ in 0..count {
             self.control
                 .checkpoint("lowrank-chain-step")
@@ -422,35 +409,19 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                 let cj = q.matvec(&what.col(j));
                 g2w_k.axpy(1.0, &self.qldae.g2().matvec_kron(qj, &cj));
             }
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.g1_lu.solve(&g2w_k).map_err(MorError::Linalg)?);
-            scratch.copy_from(&d_chain);
-            self.g1_lu
-                .solve_into(&scratch, &mut d_chain)
-                .map_err(MorError::Linalg)?;
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            m_k.axpy(-1.0, &d_chain);
-            out.push(m_k, frame);
-
-            let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            state.push(&mut d_chain);
-            frame += rescale_state(&mut state, Some(&mut what));
+            chain.push(&g2w_k)?;
+            chain.rescale(&mut [], &mut [&mut what]);
         }
-        Ok(out)
+        Ok(chain.finish())
     }
 
     /// `H₃` scaled moments: the `(G₁⊕G₁) ⊕ G₁` bottom block runs as a Tucker
-    /// core chain in the `Q`-frame, the `G̃₂` top block is recovered by
-    /// factored ADI with rank compression (see the module docs). Mirrors
-    /// [`crate::AssocMomentGenerator::h3_moments_scaled`] term for term.
+    /// core chain in the `Q`-frame; with a `G₂` the `G̃₂` top block is
+    /// recovered by factored ADI with rank compression (see the module
+    /// docs), and with a `G₃` the core is read out through `k²` structured
+    /// triple-Kronecker matvecs per step. Both read-outs feed one Cauchy
+    /// accumulator. Mirrors [`crate::AssocMomentGenerator::h3_moments_scaled`]
+    /// term for term.
     ///
     /// # Errors
     ///
@@ -463,6 +434,8 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         let b = self.b_col(input)?;
         let d1 = self.d1(input);
         let d1b = d1.map(|d| d.matvec(&b));
+        let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
+        let g3 = self.qldae.g3();
 
         let (q, q_cols, h) = self.chain_frame(std::slice::from_ref(&b), count + 2)?;
         let k = q.cols();
@@ -473,18 +446,15 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         // Tucker core of the bottom block: B_j = (Q ⊗ Q) Ĉ_j Qᵀ,
         // Ĉ₀ = (b̂ ⊗ b̂) b̂ᵀ.
         let mut core = Matrix::from_fn(k * k, k, |i, l| bhat_kron[i] * bhat[l]);
-        // Top block T_j = U Vᵀ, T₀ = (D₁b) bᵀ.
-        let (mut tu, mut tv) = match &d1b {
+        // Top block T_j = U Vᵀ, T₀ = (D₁b) bᵀ — only `G₂` reads it.
+        let mut top = g2.map(|_| match &d1b {
             Some(db) if db.norm2() > 0.0 => (
                 Matrix::from_fn(n, 1, |i, _| db[i]),
                 Matrix::from_fn(n, 1, |i, _| b[i]),
             ),
             _ => (Matrix::zeros(n, 1), Matrix::zeros(n, 1)),
-        };
-        let mut d_chain = match (d1, &d1b) {
-            (Some(d), Some(db)) => d.matvec(db),
-            _ => Vector::zeros(n),
-        };
+        });
+        let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
         // Non-strict: the chain tolerates a residual above `adi_tol` (the
         // stall ladder still perturbs shifts), and the nonconvergence is
         // recorded in the diagnostics instead of aborting the chain.
@@ -495,270 +465,88 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
             ..LrAdiOptions::default()
         };
 
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(n);
-        let mut out = ScaledMoments::with_capacity(count);
-        let mut frame = 0.0;
+        let mut chain = CauchyAccumulator::new(&self.g1_lu, n, count, d_chain);
         for _ in 0..count {
             self.control
                 .checkpoint("lowrank-chain-step")
                 .map_err(MorError::Linalg)?;
             // Bottom block: (H ⊕ H) Ĉ + Ĉ Hᵀ = Ĉ_prev in the small frame.
             core = solve_sylvester_big_small_with_schur(&kron_small, &schur_small, &core)?;
-            // M = G₂ ∘ ((Q ⊗ Q) Ĉ): column l is G₂ vec(Q Ĉ_l Qᵀ).
-            let mut m = Matrix::zeros(n, k);
-            let mut mcol = Vector::zeros(n);
+            // One pass over the core columns: M = G₂ ∘ ((Q ⊗ Q) Ĉ) (column l
+            // is G₂ vec(Q Ĉ_l Qᵀ)) and G₃ vec(W) with
+            // vec(W) = Σ_{l,j} q_l ⊗ q_j ⊗ (Q Ĉ_l e_j).
+            let mut m = g2.map(|_| Matrix::zeros(n, k));
+            let mut g3w_k = g3.map(|_| Vector::zeros(n));
             for l in 0..k {
                 let cl = unvec(&core.col(l), k, k).map_err(MorError::Linalg)?;
-                for x in mcol.as_mut_slice() {
-                    *x = 0.0;
-                }
+                let mut mcol = Vector::zeros(n);
                 for (j, qj) in q_cols.iter().enumerate() {
                     let c_lj = q.matvec(&cl.col(j));
-                    mcol.axpy(1.0, &self.qldae.g2().matvec_kron(qj, &c_lj));
+                    if let Some(g2) = g2 {
+                        mcol.axpy(1.0, &g2.matvec_kron(qj, &c_lj));
+                    }
+                    if let (Some(g3), Some(w)) = (g3, g3w_k.as_mut()) {
+                        w.axpy(1.0, &cubic_matvec_kron(g3, &q_cols[l], qj, &c_lj));
+                    }
                 }
-                m.set_col(l, &mcol);
-            }
-            // Top block: G₁ T + T G₁ᵀ = T_prev − M Qᵀ, solved by factored ADI.
-            let cols = tu.cols() + k;
-            let mut u_rhs = Matrix::zeros(n, cols);
-            let mut v_rhs = Matrix::zeros(n, cols);
-            for j in 0..tu.cols() {
-                u_rhs.set_col(j, &tu.col(j));
-                v_rhs.set_col(j, &tv.col(j));
-            }
-            for (j, qj) in q_cols.iter().enumerate() {
-                u_rhs.set_col(tu.cols() + j, &m.col(j).scaled(-1.0));
-                v_rhs.set_col(tu.cols() + j, qj);
-            }
-            let sol = fadi_lyapunov_controlled(
-                &self.solver,
-                &u_rhs,
-                &v_rhs,
-                &self.shifts,
-                &adi,
-                &self.control,
-            )
-            .map_err(MorError::Linalg)?;
-            self.diagnostics
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .absorb_adi(&sol.stats, adi.tol, k);
-            let (cu, cv) = compress_factors(&sol.u, &sol.v, self.opts.compress_tol)
-                .map_err(MorError::Linalg)?;
-            tu = cu;
-            tv = cv;
-            // ν = vec(S) + vec(Sᵀ) with S = T = U Vᵀ, then G₂ ν.
-            let mut g2nu_k = Vector::zeros(n);
-            for l in 0..tu.cols() {
-                let ul = tu.col(l);
-                let vl = tv.col(l);
-                g2nu_k.axpy(1.0, &self.qldae.g2().matvec_kron(&vl, &ul));
-                g2nu_k.axpy(1.0, &self.qldae.g2().matvec_kron(&ul, &vl));
-            }
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
-                    .map_err(MorError::Linalg)?;
-            }
-            acc.push(self.g1_lu.solve(&g2nu_k).map_err(MorError::Linalg)?);
-            scratch.copy_from(&d_chain);
-            self.g1_lu
-                .solve_into(&scratch, &mut d_chain)
-                .map_err(MorError::Linalg)?;
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            m_k.axpy(-1.0, &d_chain);
-            out.push(m_k, frame);
-
-            // Common rescale across the whole recursion state (acc, D₁
-            // chain, Tucker core, top factor) — exact on the spanned
-            // subspace, keeps every intermediate O(1).
-            let mut peak = d_chain.norm_inf();
-            for a in &acc {
-                peak = peak.max(a.norm_inf());
-            }
-            peak = peak.max(core.max_abs()).max(tu.max_abs());
-            if peak > 0.0 && peak.is_finite() {
-                let inv = 1.0 / peak;
-                for a in acc.iter_mut() {
-                    a.scale_mut(inv);
+                if let Some(m) = m.as_mut() {
+                    m.set_col(l, &mcol);
                 }
-                d_chain.scale_mut(inv);
-                for x in core.as_mut_slice() {
-                    *x *= inv;
-                }
-                for x in tu.as_mut_slice() {
-                    *x *= inv;
-                }
-                frame += peak.log10();
             }
-        }
-        Ok(out)
-    }
-}
-
-/// The cubic-ODE twin of [`LowRankAssocMomentGenerator`] (varistor-style
-/// systems): the `G₁⊕G₁⊕G₁` chains run as Tucker cores in the same
-/// rational-Krylov frame, with `G₃` applied through `k²` structured
-/// triple-Kronecker matvecs per step.
-#[derive(Debug)]
-pub struct LowRankCubicMomentGenerator<'a> {
-    ode: &'a CubicOde,
-    g1_lu: G1Factor,
-    recovery: PivotRecovery,
-    solver: ShiftCache,
-    shifts: Vec<f64>,
-    opts: LowRankOptions,
-    control: RunControl,
-    diagnostics: Mutex<LowRankDiagnostics>,
-}
-
-impl<'a> LowRankCubicMomentGenerator<'a> {
-    /// Prepares the generator (see [`LowRankAssocMomentGenerator::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `G₁` is singular.
-    pub fn new(ode: &'a CubicOde, backend: SolverBackend, opts: LowRankOptions) -> Result<Self> {
-        let csr = ode.g1_csr();
-        let sparse = backend.use_sparse(csr.rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(csr, sparse).map_err(MorError::Linalg)?;
-        let solver = ShiftCache::new(csr, backend).with_capacity_bound(ADI_CACHE_CAPACITY);
-        let shifts = shift_pool(&solver, ode.b(), &opts)?;
-        Ok(LowRankCubicMomentGenerator {
-            ode,
-            g1_lu,
-            recovery,
-            solver,
-            shifts,
-            opts,
-            control: RunControl::new(),
-            diagnostics: Mutex::new(LowRankDiagnostics::default()),
-        })
-    }
-
-    /// Attaches a cooperative [`RunControl`] (see
-    /// [`LowRankAssocMomentGenerator::with_control`]).
-    #[must_use]
-    pub fn with_control(mut self, control: RunControl) -> Self {
-        self.control = control;
-        self
-    }
-
-    /// What the pivot degradation ladder did while factoring `G₁`.
-    pub fn pivot_recovery(&self) -> PivotRecovery {
-        self.recovery
-    }
-
-    /// Aggregated ADI/basis diagnostics.
-    pub fn diagnostics(&self) -> LowRankDiagnostics {
-        *self.diagnostics.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn n(&self) -> usize {
-        self.ode.g1_csr().rows()
-    }
-
-    fn b_col(&self, input: usize) -> Result<Vector> {
-        if input >= self.ode.b().cols() {
-            return Err(MorError::Invalid(format!(
-                "input index {input} out of range for a {}-input system",
-                self.ode.b().cols()
-            )));
-        }
-        Ok(self.ode.b().col(input))
-    }
-
-    /// `H₁` scaled moments (plain `G₁⁻¹` chains).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid input index or a failed solve.
-    pub fn h1_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        h1_chain(&self.g1_lu, self.b_col(input)?, count)
-    }
-
-    /// `H₃` scaled moments: the triple-Kronecker chain
-    /// `w_j = (G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)` as a Tucker core walk in the
-    /// rational-Krylov frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an invalid input index or singular pencils.
-    pub fn h3_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        if count == 0 {
-            return Ok(ScaledMoments::with_capacity(0));
-        }
-        let n = self.n();
-        let b = self.b_col(input)?;
-        let q = rational_krylov_basis_controlled(
-            &self.solver,
-            std::slice::from_ref(&b),
-            &self.shifts,
-            count + 2,
-            self.opts.chain_basis_cap,
-            &self.control,
-        )
-        .map_err(MorError::Linalg)?;
-        let k = q.cols();
-        let q_cols: Vec<Vector> = (0..k).map(|j| q.col(j)).collect();
-        let f = csr_matmul(self.ode.g1_csr(), &q);
-        let h = q.transpose().matmul(&f);
-        self.diagnostics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .absorb(0, 0.0, k);
-        let kron_small = KronSumOp2::new(&h)?;
-        let schur_small = kron_small.a_schur();
-        let bhat = q.matvec_transpose(&b);
-        let bhat_kron = kron_vec(&bhat, &bhat);
-        let mut core = Matrix::from_fn(k * k, k, |i, l| bhat_kron[i] * bhat[l]);
-
-        let mut acc: Vec<Vector> = Vec::with_capacity(count);
-        let mut scratch = Vector::zeros(n);
-        let mut out = ScaledMoments::with_capacity(count);
-        let mut frame = 0.0;
-        for _ in 0..count {
-            self.control
-                .checkpoint("lowrank-chain-step")
-                .map_err(MorError::Linalg)?;
-            core = solve_sylvester_big_small_with_schur(&kron_small, &schur_small, &core)?;
-            // G₃ vec(W) with vec(W) = Σ_{l,j} q_l ⊗ q_j ⊗ (Q Ĉ_l e_j).
-            let mut g3w_k = Vector::zeros(n);
-            for l in 0..k {
-                let cl = unvec(&core.col(l), k, k).map_err(MorError::Linalg)?;
+            let mut quadratic = None;
+            if let (Some(g2), Some(m), Some((tu, tv))) = (g2, &m, top.as_mut()) {
+                // Top block: G₁ T + T G₁ᵀ = T_prev − M Qᵀ, solved by factored
+                // ADI.
+                let cols = tu.cols() + k;
+                let mut u_rhs = Matrix::zeros(n, cols);
+                let mut v_rhs = Matrix::zeros(n, cols);
+                for j in 0..tu.cols() {
+                    u_rhs.set_col(j, &tu.col(j));
+                    v_rhs.set_col(j, &tv.col(j));
+                }
                 for (j, qj) in q_cols.iter().enumerate() {
-                    let c_lj = q.matvec(&cl.col(j));
-                    g3w_k.axpy(
-                        1.0,
-                        &cubic_matvec_kron(self.ode.g3(), &q_cols[l], qj, &c_lj),
-                    );
+                    u_rhs.set_col(tu.cols() + j, &m.col(j).scaled(-1.0));
+                    v_rhs.set_col(tu.cols() + j, qj);
                 }
-            }
-            for a in acc.iter_mut() {
-                scratch.copy_from(a);
-                self.g1_lu
-                    .solve_into(&scratch, a)
+                let sol = fadi_lyapunov_controlled(
+                    &self.solver,
+                    &u_rhs,
+                    &v_rhs,
+                    &self.shifts,
+                    &adi,
+                    &self.control,
+                )
+                .map_err(MorError::Linalg)?;
+                self.diagnostics
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .absorb_adi(&sol.stats, adi.tol, k);
+                (*tu, *tv) = compress_factors(&sol.u, &sol.v, self.opts.compress_tol)
                     .map_err(MorError::Linalg)?;
+                // ν = vec(S) + vec(Sᵀ) with S = T = U Vᵀ, then G₂ ν.
+                let mut g2nu_k = Vector::zeros(n);
+                for l in 0..tu.cols() {
+                    let ul = tu.col(l);
+                    let vl = tv.col(l);
+                    g2nu_k.axpy(1.0, &g2.matvec_kron(&vl, &ul));
+                    g2nu_k.axpy(1.0, &g2.matvec_kron(&ul, &vl));
+                }
+                quadratic = Some(g2nu_k);
             }
-            acc.push(self.g1_lu.solve(&g3w_k).map_err(MorError::Linalg)?);
-            let mut m_k = Vector::zeros(n);
-            for a in &acc {
-                m_k.axpy(1.0, a);
-            }
-            out.push(m_k, frame);
-
-            let mut state: Vec<&mut Vector> = acc.iter_mut().collect();
-            frame += rescale_state(&mut state, Some(&mut core));
+            chain.push(&h3_forcing(quadratic, g3w_k, n))?;
+            // The Tucker core and the top factor are part of the rescaled
+            // recursion state.
+            let mut matrices: Vec<&mut Matrix> = vec![&mut core];
+            matrices.extend(top.as_mut().map(|(tu, _)| tu));
+            chain.rescale(&mut [], &mut matrices);
         }
-        Ok(out)
+        Ok(chain.finish())
     }
 }
+
+/// Forwarding name of [`LowRankAssocMomentGenerator`], which covers cubic
+/// systems.
+pub type LowRankCubicMomentGenerator<'a> = LowRankAssocMomentGenerator<'a>;
 
 /// The LR-ADI energy weight `M ≈ Z Zᵀ` of `G₁ᵀ M + M G₁ = −CᵀC`, or `None`
 /// when the ADI run fails or stalls (the caller degrades to plain Galerkin
@@ -946,8 +734,12 @@ mod tests {
     /// the two generators agree to roundoff.
     #[test]
     fn lowrank_chains_match_dense_chains() {
-        for with_d1 in [false, true] {
-            let q = chain_qldae(14, with_d1);
+        let systems = [
+            chain_qldae(14, false),
+            chain_qldae(14, true),
+            crate::assoc::tests::mixed_qldae(12, 7),
+        ];
+        for q in systems {
             let dense = AssocMomentGenerator::new(&q).unwrap();
             let low = LowRankAssocMomentGenerator::new(
                 &q,
@@ -981,26 +773,31 @@ mod tests {
 
     #[test]
     fn lowrank_cubic_chains_match_dense_chains() {
-        use crate::assoc::CubicAssocMomentGenerator;
         let n = 10;
-        let mut g1 = Matrix::zeros(n, n);
+        let mut builder = QldaeBuilder::new(n, 1);
         for i in 0..n {
-            g1[(i, i)] = -(1.0 + 0.2 * i as f64);
+            builder = builder.g1_entry(i, i, -(1.0 + 0.2 * i as f64)).b_entry(
+                i,
+                0,
+                if i == 0 { 1.0 } else { 0.1 },
+            );
             if i + 1 < n {
-                g1[(i, i + 1)] = 0.3;
-                g1[(i + 1, i)] = 0.2;
+                builder = builder.g1_entry(i, i + 1, 0.3).g1_entry(i + 1, i, 0.2);
             }
         }
         let mut g3 = CooMatrix::new(n, n * n * n);
         g3.push(0, 0, 0.5);
         g3.push(1, n * n + n + 1, -0.3);
         g3.push(2, 2 * n * n, 0.1);
-        let b = Matrix::from_fn(n, 1, |i, _| if i == 0 { 1.0 } else { 0.1 });
-        let c = Matrix::from_fn(1, n, |_, j| if j == n - 1 { 1.0 } else { 0.0 });
-        let ode = CubicOde::new(g1, None, g3.to_csr(), b, c).unwrap();
-        let dense = CubicAssocMomentGenerator::new(&ode).unwrap();
+        let ode = builder
+            .output_state(n - 1)
+            .build()
+            .unwrap()
+            .with_g3(g3.to_csr())
+            .unwrap();
+        let dense = AssocMomentGenerator::new(&ode).unwrap();
         let low =
-            LowRankCubicMomentGenerator::new(&ode, SolverBackend::Dense, LowRankOptions::default())
+            LowRankAssocMomentGenerator::new(&ode, SolverBackend::Dense, LowRankOptions::default())
                 .unwrap();
         assert_chains_close(
             &dense.h1_moments_scaled(0, 4).unwrap(),

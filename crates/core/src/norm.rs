@@ -127,11 +127,14 @@ impl NormReducer {
         num_inputs * (k1 + second + third) * if num_inputs > 1 { num_inputs } else { 1 }
     }
 
-    /// Reduces a QLDAE with multivariate moment matching.
+    /// Reduces a QLDAE with multivariate moment matching. The baseline has
+    /// no cubic path: a system with a `G₃` is refused rather than projected
+    /// without it.
     ///
     /// # Errors
     ///
-    /// Returns an error if `G₁` is singular or every candidate deflates.
+    /// Returns an error if `G₁` is singular or every candidate deflates, and
+    /// [`MorError::Invalid`] for a system with a cubic term.
     pub fn reduce(&self, qldae: &Qldae) -> Result<ReducedQldae> {
         self.reduce_impl(qldae, None)
     }
@@ -153,6 +156,12 @@ impl NormReducer {
         let _span = vamor_obs::span!("norm_reduce");
         let spec = self.spec();
         spec.validate()?;
+        if qldae.g3().is_some() {
+            return Err(MorError::Invalid(
+                "the NORM baseline has no cubic path; reduce systems with a G3 with AssocReducer"
+                    .into(),
+            ));
+        }
         let n = qldae.g1_csr().rows();
         let sparse = self.pipeline.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let (g1_lu, recovery) =
@@ -275,8 +284,7 @@ impl NormReducer {
             }
         }
 
-        self.pipeline
-            .finish_qldae(qldae, basis, frame, stats, control)
+        self.pipeline.finish(qldae, basis, frame, stats, control)
     }
 }
 

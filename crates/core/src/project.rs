@@ -4,13 +4,13 @@
 //! The classic one-sided flow uses `W = V` with Euclidean-orthonormal `V`.
 //! The *stabilized* flow of [`crate::AssocReducer`] instead orthonormalizes
 //! `V` in an energy inner product `⟨u, v⟩_M` and projects with `W = M V`
-//! (so `Wᵀ V = I`); [`project_qldae_petrov`] / [`project_cubic_petrov`]
-//! implement that oblique projection. Moment matching only depends on the
+//! (so `Wᵀ V = I`); [`project_qldae_petrov`] implements that oblique
+//! projection. Moment matching only depends on the
 //! *column span* of `V`, so the associated-transform matching properties are
 //! unaffected by the choice of `W`.
 
 use vamor_linalg::{CooMatrix, CsrMatrix, Matrix, Vector};
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::Qldae;
 
 use crate::error::MorError;
 use crate::Result;
@@ -19,8 +19,8 @@ use crate::Result;
 /// columns):
 ///
 /// ```text
-/// G₁ᵣ = Vᵀ G₁ V,   G₂ᵣ = Vᵀ G₂ (V ⊗ V),   D₁ᵣ = Vᵀ D₁ V,
-/// Bᵣ = Vᵀ B,       Cᵣ = C V.
+/// G₁ᵣ = Vᵀ G₁ V,   G₂ᵣ = Vᵀ G₂ (V ⊗ V),   G₃ᵣ = Vᵀ G₃ (V ⊗ V ⊗ V),
+/// D₁ᵣ = Vᵀ D₁ V,   Bᵣ = Vᵀ B,             Cᵣ = C V.
 /// ```
 ///
 /// # Errors
@@ -36,14 +36,16 @@ pub fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
 /// (`Wᵀ V = I` is the caller's responsibility):
 ///
 /// ```text
-/// G₁ᵣ = Wᵀ G₁ V,   G₂ᵣ = Wᵀ G₂ (V ⊗ V),   D₁ᵣ = Wᵀ D₁ V,
-/// Bᵣ = Wᵀ B,       Cᵣ = C V.
+/// G₁ᵣ = Wᵀ G₁ V,   G₂ᵣ = Wᵀ G₂ (V ⊗ V),   G₃ᵣ = Wᵀ G₃ (V ⊗ V ⊗ V),
+/// D₁ᵣ = Wᵀ D₁ V,   Bᵣ = Wᵀ B,             Cᵣ = C V.
 /// ```
 ///
-/// The reduced quadratic coupling is assembled column-by-column through the
-/// Kronecker-structured product `G₂ (v_p ⊗ v_q)` so the `n × n²` matrix is
-/// never densified, and each reduced bilinear term `D₁ₖ` is likewise built
-/// one sparse matvec per basis column — no `O(n²)` densification.
+/// The reduced quadratic and cubic couplings are assembled column-by-column
+/// through the Kronecker-structured products `G₂ (v_p ⊗ v_q)` and
+/// `G₃ (v_p ⊗ v_q ⊗ v_r)` ([`cubic_matvec_kron`]) so neither `n × n²` nor
+/// `n × n³` matrix is densified, and each reduced bilinear term `D₁ₖ` is
+/// likewise built one sparse matvec per basis column — no `O(n²)`
+/// densification. An absent `G₂`/`G₃` stays absent and costs nothing.
 ///
 /// # Errors
 ///
@@ -66,17 +68,38 @@ pub fn project_qldae_petrov(qldae: &Qldae, v: &Matrix, w: &Matrix) -> Result<Qld
     // Reduced quadratic term.
     let mut g2r = CooMatrix::new(q, q * q);
     let columns: Vec<Vector> = (0..q).map(|j| v.col(j)).collect();
-    for (p, vp) in columns.iter().enumerate() {
-        for (r, vr) in columns.iter().enumerate() {
-            let col = qldae.g2().matvec_kron(vp, vr);
-            let reduced = w.matvec_transpose(&col);
-            for i in 0..q {
-                if reduced[i] != 0.0 {
-                    g2r.push(i, p * q + r, reduced[i]);
+    if qldae.g2().nnz() > 0 {
+        for (p, vp) in columns.iter().enumerate() {
+            for (r, vr) in columns.iter().enumerate() {
+                let col = qldae.g2().matvec_kron(vp, vr);
+                let reduced = w.matvec_transpose(&col);
+                for i in 0..q {
+                    if reduced[i] != 0.0 {
+                        g2r.push(i, p * q + r, reduced[i]);
+                    }
                 }
             }
         }
     }
+
+    // Reduced cubic term.
+    let g3r = qldae.g3().map(|g3| {
+        let mut g3r = CooMatrix::new(q, q * q * q);
+        for (p, vp) in columns.iter().enumerate() {
+            for (r, vr) in columns.iter().enumerate() {
+                for (s, vs) in columns.iter().enumerate() {
+                    let col = cubic_matvec_kron(g3, vp, vr, vs);
+                    let reduced = w.matvec_transpose(&col);
+                    for i in 0..q {
+                        if reduced[i] != 0.0 {
+                            g3r.push(i, p * q * q + r * q + s, reduced[i]);
+                        }
+                    }
+                }
+            }
+        }
+        g3r.into_csr()
+    });
 
     // Reduced bilinear terms, row-by-row via the allocation-free transposed
     // sparse matvec: (D₁ᵣ)ᵢⱼ = wᵢᵀ D₁ vⱼ = (D₁ᵀ wᵢ)·vⱼ, with one shared
@@ -99,73 +122,11 @@ pub fn project_qldae_petrov(qldae: &Qldae, v: &Matrix, w: &Matrix) -> Result<Qld
         }
     }
 
-    Qldae::new(g1r, g2r.into_csr(), d1r, br, cr).map_err(MorError::System)
-}
-
-/// Projects a cubic ODE onto the column space of `V`:
-/// `G₃ᵣ = Vᵀ G₃ (V ⊗ V ⊗ V)` (and `G₂ᵣ` analogously when present).
-///
-/// # Errors
-///
-/// Same contract as [`project_qldae`].
-pub fn project_cubic(ode: &CubicOde, v: &Matrix) -> Result<CubicOde> {
-    project_cubic_petrov(ode, v, v)
-}
-
-/// Oblique (Petrov–Galerkin) projection of a cubic ODE (see
-/// [`project_qldae_petrov`] for the conventions).
-///
-/// # Errors
-///
-/// Same contract as [`project_qldae_petrov`].
-pub fn project_cubic_petrov(ode: &CubicOde, v: &Matrix, w: &Matrix) -> Result<CubicOde> {
-    let n = ode.g1_csr().rows();
-    validate_basis_pair(v, w, n)?;
-    let q = v.cols();
-
-    // CSR-based G₁V (see `project_qldae_petrov`).
-    let g1r = w
-        .transpose()
-        .matmul(&crate::lowrank::csr_matmul(ode.g1_csr(), v));
-    let br = w.transpose().matmul(ode.b());
-    let cr = ode.c().matmul(v);
-    let columns: Vec<Vector> = (0..q).map(|j| v.col(j)).collect();
-
-    let g2r = match ode.g2() {
-        Some(g2) => {
-            let mut coo = CooMatrix::new(q, q * q);
-            for (p, vp) in columns.iter().enumerate() {
-                for (r, vr) in columns.iter().enumerate() {
-                    let col = g2.matvec_kron(vp, vr);
-                    let reduced = w.matvec_transpose(&col);
-                    for i in 0..q {
-                        if reduced[i] != 0.0 {
-                            coo.push(i, p * q + r, reduced[i]);
-                        }
-                    }
-                }
-            }
-            Some(coo.into_csr())
-        }
-        None => None,
-    };
-
-    let mut g3r = CooMatrix::new(q, q * q * q);
-    for (p, vp) in columns.iter().enumerate() {
-        for (r, vr) in columns.iter().enumerate() {
-            for (s, vs) in columns.iter().enumerate() {
-                let col = cubic_matvec_kron(ode.g3(), vp, vr, vs);
-                let reduced = w.matvec_transpose(&col);
-                for i in 0..q {
-                    if reduced[i] != 0.0 {
-                        g3r.push(i, p * q * q + r * q + s, reduced[i]);
-                    }
-                }
-            }
-        }
+    let reduced = Qldae::new(g1r, g2r.into_csr(), d1r, br, cr).map_err(MorError::System)?;
+    match g3r {
+        Some(g3r) => reduced.with_g3(g3r).map_err(MorError::System),
+        None => Ok(reduced),
     }
-
-    CubicOde::new(g1r, g2r, g3r.into_csr(), br, cr).map_err(MorError::System)
 }
 
 /// `G₃ (x ⊗ y ⊗ z)` without materializing the Kronecker product.
@@ -320,19 +281,22 @@ mod tests {
         g3.push(0, 0, 0.4);
         g3.push(1, 14, -0.2);
         g3.push(2, 5, 0.1);
-        let ode = CubicOde::new(
+        let ode = Qldae::new(
             g1,
-            None,
-            g3.to_csr(),
+            CooMatrix::new(n, n * n).to_csr(),
+            Vec::new(),
             Matrix::from_rows(&[&[1.0], &[0.0], &[0.5]]).unwrap(),
             Matrix::from_rows(&[&[0.0, 0.0, 1.0]]).unwrap(),
         )
+        .unwrap()
+        .with_g3(g3.to_csr())
         .unwrap();
         let mut basis = OrthoBasis::new(3);
         basis.insert(Vector::from_slice(&[1.0, 0.5, 0.0])).unwrap();
         basis.insert(Vector::from_slice(&[0.0, 0.5, 1.0])).unwrap();
         let v = basis.to_matrix().unwrap();
-        let reduced = project_cubic(&ode, &v).unwrap();
+        let reduced = project_qldae(&ode, &v).unwrap();
+        assert!(reduced.g3().is_some() && reduced.g2().nnz() == 0);
         let xr = Vector::from_slice(&[0.2, -0.6]);
         let x_full = v.matvec(&xr);
         let expected = v.matvec_transpose(&ode.rhs(&x_full, &[0.1]));

@@ -39,11 +39,11 @@
 //!
 //! # One pipeline, two stages
 //!
-//! Every reduction — QLDAE and cubic, dense and low-rank engine, and the
-//! NORM baseline — runs the same two stages and differs only in how it
-//! generates candidates. **Collect** enriches with Markov vectors, fans the
-//! chain plan out over the worker threads and inserts the chains into the
-//! basis in plan order. **Finish** settles the basis (deflation record,
+//! Every reduction — with or without a cubic term, dense and low-rank
+//! engine, and the NORM baseline — runs the same two stages and differs only
+//! in how it generates candidates. **Collect** enriches with Markov vectors,
+//! fans the chain plan out over the worker threads and inserts the chains
+//! into the basis in plan order. **Finish** settles the basis (deflation record,
 //! pivoted QR), builds the energy weight where the engine defers it, runs
 //! the spectral guard, projects, and publishes [`ReductionStats`]. The
 //! engine split lives in one private frame type: the dense engine weights
@@ -57,17 +57,15 @@ use vamor_linalg::{
     OrthoBasis, PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, SparseLu,
     Vector,
 };
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::Qldae;
 
-use crate::assoc::{
-    AssocMomentGenerator, CubicAssocMomentGenerator, ScaledMoments, SharedAssocArtifacts,
-};
+use crate::assoc::{AssocMomentGenerator, ScaledMoments, SharedAssocArtifacts};
 use crate::error::MorError;
 use crate::lowrank::{
-    csr_matmul, lowrank_vw, lowrank_weight, LowRankAssocMomentGenerator,
-    LowRankCubicMomentGenerator, LowRankDiagnostics, LowRankOptions, ReductionEngine,
+    csr_matmul, lowrank_vw, lowrank_weight, LowRankAssocMomentGenerator, LowRankDiagnostics,
+    LowRankOptions, ReductionEngine,
 };
-use crate::project::{project_cubic_petrov, project_qldae_petrov};
+use crate::project::project_qldae_petrov;
 use crate::Result;
 
 /// How many moments of each Volterra order the reduced model must match.
@@ -266,7 +264,8 @@ impl ReductionStats {
     }
 }
 
-/// A reduced QLDAE together with its projection basis and statistics.
+/// A reduced polynomial system together with its projection basis and
+/// statistics.
 #[derive(Debug, Clone)]
 pub struct ReducedQldae {
     system: Qldae,
@@ -304,36 +303,8 @@ impl ReducedQldae {
     }
 }
 
-/// A reduced cubic ODE together with its projection basis and statistics.
-#[derive(Debug, Clone)]
-pub struct ReducedCubicOde {
-    system: CubicOde,
-    projection: Matrix,
-    stats: ReductionStats,
-}
-
-impl ReducedCubicOde {
-    /// The reduced-order system.
-    pub fn system(&self) -> &CubicOde {
-        &self.system
-    }
-
-    /// The projection basis `V` (`n × q`; see [`ReducedQldae::projection`]
-    /// for the inner-product caveat).
-    pub fn projection(&self) -> &Matrix {
-        &self.projection
-    }
-
-    /// Reduction statistics.
-    pub fn stats(&self) -> &ReductionStats {
-        &self.stats
-    }
-
-    /// Order of the reduced model.
-    pub fn order(&self) -> usize {
-        self.projection.cols()
-    }
-}
+/// Forwarding name of [`ReducedQldae`], which covers cubic systems.
+pub type ReducedCubicOde = ReducedQldae;
 
 /// One independent moment chain of a reduction run (the unit of work
 /// distributed over the scoped worker threads).
@@ -345,21 +316,19 @@ enum Chain {
 }
 
 impl Chain {
-    /// The chains of one run in basis-insertion order: a QLDAE runs every
-    /// `H₁` chain, then the `H₂` input pairs `a ≤ b`, then every `H₃` chain;
-    /// a cubic ODE (no `H₂`) interleaves `H₁`/`H₃` per input.
-    fn plan(num_inputs: usize, spec: MomentSpec, cubic: bool) -> Vec<Chain> {
-        if cubic {
-            return (0..num_inputs)
-                .flat_map(|input| [Chain::H1 { input }, Chain::H3 { input }])
-                .collect();
-        }
+    /// The chains of one run in basis-insertion order: every `H₁` chain,
+    /// then the `H₂` input pairs `a ≤ b`, then every `H₃` chain. `H₂` runs
+    /// only when the system has a quadratic part (a nonzero `G₂` or a `D₁`),
+    /// `H₃` when it has a quadratic or a cubic part.
+    fn plan(qldae: &Qldae, spec: MomentSpec) -> Vec<Chain> {
+        let num_inputs = qldae.b().cols();
+        let quadratic = qldae.has_quadratic();
         let h1 = (0..num_inputs).map(|input| Chain::H1 { input });
         let h2 = (0..num_inputs)
-            .filter(|_| spec.k2 > 0)
+            .filter(|_| spec.k2 > 0 && quadratic)
             .flat_map(|a| (a..num_inputs).map(move |b| Chain::H2 { a, b }));
         let h3 = (0..num_inputs)
-            .filter(|_| spec.k3 > 0)
+            .filter(|_| spec.k3 > 0 && (quadratic || qldae.g3().is_some()))
             .map(|input| Chain::H3 { input });
         h1.chain(h2).chain(h3).collect()
     }
@@ -586,14 +555,14 @@ impl<'a> StabilizationFrame<'a> {
 /// nonlinear projection (`O(q²)`/`O(q³)` structured matvecs for `G₂`/`G₃`)
 /// runs exactly once, on the final basis. Returns the projected system
 /// together with the right basis used.
-fn project_guarded<T>(
+fn project_guarded(
+    qldae: &Qldae,
     mut qtil: Matrix,
     frame: &StabilizationFrame,
     guard: bool,
     restartable: bool,
     stats: &mut ReductionStats,
-    project: impl Fn(&Matrix, &Matrix) -> Result<T>,
-) -> Result<(T, Matrix)> {
+) -> Result<(Qldae, Matrix)> {
     let _span = vamor_obs::span!("project");
     let (mut v, mut w) = frame.recover(&qtil)?;
     if guard {
@@ -612,7 +581,7 @@ fn project_guarded<T>(
             stats.spectral_abscissa = eig.spectral_abscissa();
         }
     }
-    let system = project(&v, &w)?;
+    let system = project_qldae_petrov(qldae, &v, &w)?;
     Ok((system, v))
 }
 
@@ -690,8 +659,8 @@ impl AssocReducer {
     /// `q`). Choosing `W` this way replaces the energy-weighted `W = MV`, so
     /// this mode runs the plain (unweighted) frame and relies on the
     /// spectral guard for stability; it requires the dense engine and is
-    /// implemented for QLDAE reductions only ([`AssocReducer::reduce_cubic`]
-    /// rejects it).
+    /// not implemented for systems with a cubic `G₃` (the reduction rejects
+    /// those with [`MorError::Invalid`]).
     pub fn with_output_krylov(mut self, count: usize) -> Self {
         self.output_krylov = count;
         self
@@ -748,12 +717,16 @@ impl AssocReducer {
         self.spec
     }
 
-    /// Reduces a QLDAE system.
+    /// Reduces a polynomial system. The `H₂` chains run only when the
+    /// system has a quadratic part (a nonzero `G₂` or a `D₁`) and the `H₃`
+    /// chains when it has a quadratic or a cubic part, so `k₂` is ignored
+    /// for a purely cubic system such as the varistor.
     ///
     /// # Errors
     ///
     /// Returns an error if `G₁` is singular, a Kronecker-sum pencil is
-    /// singular, or every candidate vector deflates.
+    /// singular, or every candidate vector deflates, and
+    /// [`MorError::Invalid`] for the two-sided mode on a system with a `G₃`.
     pub fn reduce(&self, qldae: &Qldae) -> Result<ReducedQldae> {
         self.reduce_impl(qldae, None, None)
     }
@@ -805,6 +778,14 @@ impl AssocReducer {
     ) -> Result<ReducedQldae> {
         let _span = vamor_obs::span!("assoc_reduce");
         self.spec.validate()?;
+        if self.output_krylov > 0 && qldae.g3().is_some() {
+            // Reject loudly rather than silently returning a one-sided
+            // reduction the caller believes is two-sided.
+            return Err(MorError::Invalid(
+                "the two-sided output-Krylov mode is not implemented for systems with a cubic term"
+                    .into(),
+            ));
+        }
         let csr = qldae.g1_csr();
         // The two-sided mode needs the dense machinery: `Auto` simply
         // resolves to it; an *explicit* low-rank selection is a
@@ -815,7 +796,7 @@ impl AssocReducer {
             ));
         }
         let spec = self.spec;
-        let plan = Chain::plan(qldae.b().cols(), spec, false);
+        let plan = Chain::plan(qldae, spec);
         let (basis, frame, mut stats) =
             if self.engine.use_lowrank(csr.rows()) && self.output_krylov == 0 {
                 let mut generator =
@@ -870,7 +851,7 @@ impl AssocReducer {
             let qtil = self.settle(basis, &mut stats)?;
             return self.finish_two_sided(qldae, qtil, stats);
         }
-        self.finish_qldae(qldae, basis, frame, stats, control)
+        self.finish(qldae, basis, frame, stats, control)
     }
 
     /// Finishes a two-sided (output-Krylov Petrov–Galerkin) reduction: the
@@ -1040,17 +1021,17 @@ impl AssocReducer {
         Ok(qtil)
     }
 
-    /// The finish stage of the reduction pipeline: settles the basis, builds
-    /// the low-rank energy weight, runs the spectral guard, projects, and
-    /// publishes the run's statistics.
-    fn finish<T>(
+    /// The finish stage of the reduction pipeline (shared with the NORM
+    /// baseline): settles the basis, builds the low-rank energy weight, runs
+    /// the spectral guard, projects, and publishes the run's statistics.
+    pub(crate) fn finish(
         &self,
+        qldae: &Qldae,
         basis: OrthoBasis,
         mut frame: StabilizationFrame,
         mut stats: ReductionStats,
         control: Option<&RunControl>,
-        project: impl Fn(&Matrix, &Matrix) -> Result<T>,
-    ) -> Result<(T, Matrix, ReductionStats)> {
+    ) -> Result<ReducedQldae> {
         let qtil = self.settle(basis, &mut stats)?;
         if self.stabilized {
             frame.weigh(self.backend, &self.lowrank_opts, control, &mut stats)?;
@@ -1058,127 +1039,17 @@ impl AssocReducer {
         stats.energy_weighted = frame.is_active();
         stats.lowrank_engine = matches!(frame, StabilizationFrame::LowRank { .. });
         let restartable = frame.restartable();
-        let (system, v) = project_guarded(
+        let (system, projection) = project_guarded(
+            qldae,
             qtil,
             &frame,
             self.spectral_guard,
             restartable,
             &mut stats,
-            project,
         )?;
-        stats.projection_dim = v.cols();
+        stats.projection_dim = projection.cols();
         stats.publish();
-        Ok((system, v, stats))
-    }
-
-    /// [`AssocReducer::finish`] for a QLDAE (shared with the NORM baseline).
-    pub(crate) fn finish_qldae(
-        &self,
-        qldae: &Qldae,
-        basis: OrthoBasis,
-        frame: StabilizationFrame,
-        stats: ReductionStats,
-        control: Option<&RunControl>,
-    ) -> Result<ReducedQldae> {
-        let (system, projection, stats) = self.finish(basis, frame, stats, control, |v, w| {
-            project_qldae_petrov(qldae, v, w)
-        })?;
         Ok(ReducedQldae {
-            system,
-            projection,
-            stats,
-        })
-    }
-
-    /// Reduces a cubic polynomial ODE (the varistor-style system of §3.4)
-    /// through the same stabilization pipeline.
-    ///
-    /// The second-order request `k2` is ignored when the system has no
-    /// quadratic term.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AssocReducer::reduce`].
-    pub fn reduce_cubic(&self, ode: &CubicOde) -> Result<ReducedCubicOde> {
-        self.reduce_cubic_impl(ode, None)
-    }
-
-    /// [`AssocReducer::reduce_cubic`] under a cooperative [`RunControl`]
-    /// (see [`AssocReducer::reduce_controlled`] for the stop semantics).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AssocReducer::reduce_cubic`], plus `Interrupted`
-    /// on a stop.
-    pub fn reduce_cubic_controlled(
-        &self,
-        ode: &CubicOde,
-        control: &RunControl,
-    ) -> Result<ReducedCubicOde> {
-        self.reduce_cubic_impl(ode, Some(control))
-    }
-
-    fn reduce_cubic_impl(
-        &self,
-        ode: &CubicOde,
-        control: Option<&RunControl>,
-    ) -> Result<ReducedCubicOde> {
-        let _span = vamor_obs::span!("assoc_reduce");
-        self.spec.validate()?;
-        if self.output_krylov > 0 {
-            // Reject loudly rather than silently returning a one-sided
-            // reduction the caller believes is two-sided.
-            return Err(MorError::Invalid(
-                "the two-sided output-Krylov mode is implemented for QLDAE reductions only".into(),
-            ));
-        }
-        let csr = ode.g1_csr();
-        let spec = self.spec;
-        let plan = Chain::plan(ode.b().cols(), spec, true);
-        let no_h2 = || Err(MorError::Invalid("cubic systems have no H2 chains".into()));
-        let (basis, frame, stats) = if self.engine.use_lowrank(csr.rows()) {
-            let mut generator =
-                LowRankCubicMomentGenerator::new(ode, self.backend, self.lowrank_opts)?;
-            if let Some(c) = control {
-                generator = generator.with_control(c.clone());
-            }
-            let frame =
-                StabilizationFrame::low_rank(csr, ode.c(), self.lowrank_opts.weight_regularization);
-            let (basis, mut stats) = self.collect(
-                &frame,
-                ode.b(),
-                plan,
-                control,
-                generator.pivot_recovery(),
-                |chain| match chain {
-                    Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-                    Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-                    Chain::H2 { .. } => no_h2(),
-                },
-            )?;
-            stats.absorb_chain_diagnostics(generator.diagnostics());
-            (basis, frame, stats)
-        } else {
-            let generator = CubicAssocMomentGenerator::with_options(ode, self.backend)?;
-            let frame = StabilizationFrame::dense(self.stabilized, ode.g1(), generator.g1_schur());
-            let (basis, stats) = self.collect(
-                &frame,
-                ode.b(),
-                plan,
-                control,
-                generator.pivot_recovery(),
-                |chain| match chain {
-                    Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-                    Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-                    Chain::H2 { .. } => no_h2(),
-                },
-            )?;
-            (basis, frame, stats)
-        };
-        let (system, projection, stats) = self.finish(basis, frame, stats, control, |v, w| {
-            project_cubic_petrov(ode, v, w)
-        })?;
-        Ok(ReducedCubicOde {
             system,
             projection,
             stats,

@@ -63,7 +63,7 @@
 //! # Lock discipline
 //!
 //! The stamp registry mutex is a leaf lock acquired only through
-//! [`ReductionSession::lock_registry`], never held across a reduction
+//! `ReductionSession::lock_registry`, never held across a reduction
 //! callback or a budget call (enforced by `cargo xtask analyze`).
 
 use std::collections::HashMap;
@@ -578,12 +578,15 @@ impl ReductionSession {
     }
 
     /// Stamp fingerprint of a system: FNV-1a over the CSR sparsity patterns
-    /// and exact value bits of every matrix that feeds the shared artifacts.
+    /// and exact value bits of every matrix that feeds the shared artifacts,
+    /// plus the cubic `G₃` when the system has one (so checkpoints bind to
+    /// it too).
     pub fn fingerprint(qldae: &Qldae) -> u64 {
         let mut h = FNV_OFFSET;
         for csr in std::iter::once(qldae.g1_csr())
             .chain(std::iter::once(qldae.g2()))
             .chain(qldae.d1().iter())
+            .chain(qldae.g3())
         {
             h = fnv1a_u64(csr.rows() as u64, h);
             h = fnv1a_u64(csr.cols() as u64, h);

@@ -1,4 +1,4 @@
-//! Multivariate Volterra transfer functions of QLDAE systems.
+//! Multivariate Volterra transfer functions of polynomial systems.
 //!
 //! These are the frequency-domain objects the paper starts from (Eq. 14,
 //! derived by harmonic probing / growing exponentials):
@@ -7,15 +7,19 @@
 //! H₁(s)          = (sI − G₁)⁻¹ b
 //! H₂(s₁,s₂)      = ½ ((s₁+s₂)I − G₁)⁻¹ { G₂ [H₁(s₁)⊗H₁(s₂) + H₁(s₂)⊗H₁(s₁)]
 //!                                        + D₁ (H₁(s₁) + H₁(s₂)) }
-//! H₃(s₁,s₂,s₃)   = ⅓ ((s₁+s₂+s₃)I − G₁)⁻¹ { G₂ [sym(H₁ ⊗ H₂)] + D₁ [sym(H₂)] }
+//! H₃(s₁,s₂,s₃)   = ⅓ ((s₁+s₂+s₃)I − G₁)⁻¹ { G₂ [sym(H₁ ⊗ H₂)] + D₁ [sym(H₂)]
+//!                                          + G₃ [sym(H₁ ⊗ H₁ ⊗ H₁)] }
 //! ```
+//!
+//! The `G₂`/`D₁` terms are evaluated only when the system has a quadratic
+//! part, the `G₃` term only when it has a cubic one.
 //!
 //! They serve as the ground truth for validating the associated-transform
 //! machinery and the reduced-order models: a correct reduction reproduces the
 //! output-level values of these kernels near the expansion point.
 
 use vamor_linalg::{Complex, CsrMatrix, Matrix, ShiftCache, Vector, ZMatrix, ZVector};
-use vamor_system::{CubicOde, Qldae};
+use vamor_system::Qldae;
 
 use crate::error::MorError;
 use crate::Result;
@@ -70,8 +74,11 @@ fn zvector_from_parts(re: &Vector, im: &Vector) -> ZVector {
     )
 }
 
-/// Evaluator for the first three Volterra transfer functions of a QLDAE
-/// system, with all frequencies referring to a single chosen input channel.
+/// Evaluator for the first three Volterra transfer functions of a
+/// polynomial system, with all frequencies referring to a single chosen
+/// input channel. The Kronecker products are applied through the structured
+/// `G₂ (x ⊗ y)` and [`crate::project::cubic_matvec_kron`] matvecs
+/// (real/imaginary split), so the `n²`/`n³` vectors are never formed.
 #[derive(Debug)]
 pub struct VolterraKernels<'a> {
     qldae: &'a Qldae,
@@ -175,31 +182,51 @@ impl<'a> VolterraKernels<'a> {
         Ok(h2)
     }
 
-    /// Third-order kernel `H₃(s₁, s₂, s₃)` (an `n`-vector).
+    /// Third-order kernel `H₃(s₁, s₂, s₃)` (an `n`-vector): the
+    /// `G₂`/`D₁`-mediated `H₁⊗H₂` terms when the system has a quadratic
+    /// part, plus the direct cubic contribution
+    /// `G₃ Σ_perms H₁(s_{σ1})⊗H₁(s_{σ2})⊗H₁(s_{σ3})` when it has a `G₃`.
     ///
     /// # Errors
     ///
     /// Returns an error if any involved resolvent is singular.
     pub fn h3(&self, s1: Complex, s2: Complex, s3: Complex) -> Result<ZVector> {
         let h1 = [self.h1(s1)?, self.h1(s2)?, self.h1(s3)?];
-        let h2_pairs = [(1usize, 2usize), (0, 2), (0, 1)];
-        let h2 = [
-            self.h2(s2, s3)?, // partner of s1
-            self.h2(s1, s3)?, // partner of s2
-            self.h2(s1, s2)?, // partner of s3
-        ];
-        let _ = h2_pairs;
         let n = self.n();
         let mut rhs = ZVector::zeros(n);
-        for k in 0..3 {
-            let g2_term = g2_kron_complex(self.qldae.g2(), &h1[k], &h2[k]);
-            zaxpy(&mut rhs, Complex::ONE, &g2_term);
-            let g2_term_rev = g2_kron_complex(self.qldae.g2(), &h2[k], &h1[k]);
-            zaxpy(&mut rhs, Complex::ONE, &g2_term_rev);
+        if self.qldae.has_quadratic() {
+            let h2 = [
+                self.h2(s2, s3)?, // partner of s1
+                self.h2(s1, s3)?, // partner of s2
+                self.h2(s1, s2)?, // partner of s3
+            ];
+            for k in 0..3 {
+                let g2_term = g2_kron_complex(self.qldae.g2(), &h1[k], &h2[k]);
+                zaxpy(&mut rhs, Complex::ONE, &g2_term);
+                let g2_term_rev = g2_kron_complex(self.qldae.g2(), &h2[k], &h1[k]);
+                zaxpy(&mut rhs, Complex::ONE, &g2_term_rev);
+            }
+            if let Some(d1) = self.d1() {
+                for h2k in &h2 {
+                    zaxpy(&mut rhs, Complex::ONE, &sparse_times_complex(d1, h2k));
+                }
+            }
         }
-        if let Some(d1) = self.d1() {
-            for h2k in &h2 {
-                zaxpy(&mut rhs, Complex::ONE, &sparse_times_complex(d1, h2k));
+        if let Some(g3) = self.qldae.g3() {
+            // All six orderings of H₁(s₁)⊗H₁(s₂)⊗H₁(s₃).
+            for (a, b, c) in [
+                (0usize, 1usize, 2usize),
+                (0, 2, 1),
+                (1, 0, 2),
+                (1, 2, 0),
+                (2, 0, 1),
+                (2, 1, 0),
+            ] {
+                zaxpy(
+                    &mut rhs,
+                    Complex::ONE,
+                    &cubic_times_complex(g3, &h1[a], &h1[b], &h1[c]),
+                );
             }
         }
         let mut h3 = self.resolvent_solve(s1 + s2 + s3, &rhs)?;
@@ -234,165 +261,6 @@ impl<'a> VolterraKernels<'a> {
     /// See [`VolterraKernels::h3`].
     pub fn output_h3(&self, s1: Complex, s2: Complex, s3: Complex) -> Result<Complex> {
         Ok(output_row(self.qldae.c(), &self.h3(s1, s2, s3)?))
-    }
-}
-
-/// Evaluator for the Volterra transfer functions of a cubic polynomial ODE
-/// (the varistor-style systems of §3.4): `H₁`, the `G₂`-mediated `H₂` (zero
-/// when the system has no quadratic term) and `H₃`, which combines the
-/// `G₂`-mediated `H₁⊗H₂` terms with the direct cubic contribution
-/// `G₃ Σ_perms H₁(s_{σ1})⊗H₁(s_{σ2})⊗H₁(s_{σ3})`. The triple Kronecker
-/// products are applied through the structured
-/// [`crate::project::cubic_matvec_kron`] (real/imaginary split — the `n³`
-/// vector is never formed).
-#[derive(Debug)]
-pub struct CubicVolterraKernels<'a> {
-    ode: &'a CubicOde,
-    input: usize,
-    resolvent: Resolvent<'a>,
-}
-
-impl<'a> CubicVolterraKernels<'a> {
-    /// Creates an evaluator for input channel `input` (dense per-call
-    /// resolvent factorizations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorError::Invalid`] if the input index is out of range.
-    pub fn new(ode: &'a CubicOde, input: usize) -> Result<Self> {
-        Self::check_input(ode, input)?;
-        Ok(CubicVolterraKernels {
-            ode,
-            input,
-            resolvent: Resolvent::Dense(ode.g1()),
-        })
-    }
-
-    /// Creates an evaluator over a memoized shift cache (see
-    /// [`VolterraKernels::with_cache`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorError::Invalid`] for an out-of-range input or a cache of
-    /// the wrong dimension.
-    pub fn with_cache(ode: &'a CubicOde, input: usize, cache: &'a ShiftCache) -> Result<Self> {
-        Self::check_input(ode, input)?;
-        check_cache_dim(cache.dim(), ode.g1_csr().rows())?;
-        Ok(CubicVolterraKernels {
-            ode,
-            input,
-            resolvent: Resolvent::Cached(cache),
-        })
-    }
-
-    fn check_input(ode: &CubicOde, input: usize) -> Result<()> {
-        if input >= ode.b().cols() {
-            return Err(MorError::Invalid(format!(
-                "input index {input} out of range for a {}-input system",
-                ode.b().cols()
-            )));
-        }
-        Ok(())
-    }
-
-    fn n(&self) -> usize {
-        self.ode.g1_csr().rows()
-    }
-
-    /// First-order kernel `H₁(s)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `sI − G₁` is singular at the requested frequency.
-    pub fn h1(&self, s: Complex) -> Result<ZVector> {
-        self.resolvent
-            .solve(s, &ZVector::from_real(&self.ode.b().col(self.input)))
-    }
-
-    /// Second-order kernel `H₂(s₁, s₂)` — identically zero when the system
-    /// has no quadratic term.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any involved resolvent is singular.
-    pub fn h2(&self, s1: Complex, s2: Complex) -> Result<ZVector> {
-        let Some(g2) = self.ode.g2() else {
-            return Ok(ZVector::zeros(self.n()));
-        };
-        let h1_a = self.h1(s1)?;
-        let h1_b = self.h1(s2)?;
-        let mut rhs = g2_kron_complex(g2, &h1_a, &h1_b);
-        zaxpy(&mut rhs, Complex::ONE, &g2_kron_complex(g2, &h1_b, &h1_a));
-        let mut h2 = self.resolvent.solve(s1 + s2, &rhs)?;
-        h2.scale_mut(Complex::from_real(0.5));
-        Ok(h2)
-    }
-
-    /// Third-order kernel `H₃(s₁, s₂, s₃)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any involved resolvent is singular.
-    pub fn h3(&self, s1: Complex, s2: Complex, s3: Complex) -> Result<ZVector> {
-        let n = self.n();
-        let h1 = [self.h1(s1)?, self.h1(s2)?, self.h1(s3)?];
-        let mut rhs = ZVector::zeros(n);
-        if let Some(g2) = self.ode.g2() {
-            let h2 = [
-                self.h2(s2, s3)?, // partner of s1
-                self.h2(s1, s3)?, // partner of s2
-                self.h2(s1, s2)?, // partner of s3
-            ];
-            for k in 0..3 {
-                zaxpy(&mut rhs, Complex::ONE, &g2_kron_complex(g2, &h1[k], &h2[k]));
-                zaxpy(&mut rhs, Complex::ONE, &g2_kron_complex(g2, &h2[k], &h1[k]));
-            }
-        }
-        // Direct cubic contribution: all six orderings of H₁(s₁)⊗H₁(s₂)⊗H₁(s₃).
-        for (a, b, c) in [
-            (0usize, 1usize, 2usize),
-            (0, 2, 1),
-            (1, 0, 2),
-            (1, 2, 0),
-            (2, 0, 1),
-            (2, 1, 0),
-        ] {
-            zaxpy(
-                &mut rhs,
-                Complex::ONE,
-                &cubic_times_complex(self.ode.g3(), &h1[a], &h1[b], &h1[c]),
-            );
-        }
-        let mut h3 = self.resolvent.solve(s1 + s2 + s3, &rhs)?;
-        h3.scale_mut(Complex::from_real(1.0 / 3.0));
-        Ok(h3)
-    }
-
-    /// Output-level first-order response `C H₁(s)` (first output channel).
-    ///
-    /// # Errors
-    ///
-    /// See [`CubicVolterraKernels::h1`].
-    pub fn output_h1(&self, s: Complex) -> Result<Complex> {
-        Ok(output_row(self.ode.c(), &self.h1(s)?))
-    }
-
-    /// Output-level second-order response `C H₂(s₁, s₂)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`CubicVolterraKernels::h2`].
-    pub fn output_h2(&self, s1: Complex, s2: Complex) -> Result<Complex> {
-        Ok(output_row(self.ode.c(), &self.h2(s1, s2)?))
-    }
-
-    /// Output-level third-order response `C H₃(s₁, s₂, s₃)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`CubicVolterraKernels::h3`].
-    pub fn output_h3(&self, s1: Complex, s2: Complex, s3: Complex) -> Result<Complex> {
-        Ok(output_row(self.ode.c(), &self.h3(s1, s2, s3)?))
     }
 }
 
@@ -517,21 +385,19 @@ mod tests {
 
     #[test]
     fn scalar_cubic_h3_matches_analytic_formula() {
-        use super::CubicVolterraKernels;
-        use vamor_system::CubicOde;
         // x' = a x + g x³ + b u:  H₃ = 2 g H₁(s₁)H₁(s₂)H₁(s₃)/(s₁+s₂+s₃ − a).
         let (a, g, b) = (-1.1, 0.6, 1.4);
         let mut g3 = CooMatrix::new(1, 1);
         g3.push(0, 0, g);
-        let ode = CubicOde::new(
-            Matrix::from_rows(&[&[a]]).unwrap(),
-            None,
-            g3.to_csr(),
-            Matrix::from_rows(&[&[b]]).unwrap(),
-            Matrix::from_rows(&[&[1.0]]).unwrap(),
-        )
-        .unwrap();
-        let kern = CubicVolterraKernels::new(&ode, 0).unwrap();
+        let ode = QldaeBuilder::new(1, 1)
+            .g1_entry(0, 0, a)
+            .b_entry(0, 0, b)
+            .output_state(0)
+            .build()
+            .unwrap()
+            .with_g3(g3.to_csr())
+            .unwrap();
+        let kern = VolterraKernels::new(&ode, 0).unwrap();
         let s = [
             Complex::new(0.1, 0.3),
             Complex::new(-0.05, 0.2),
@@ -553,7 +419,7 @@ mod tests {
         ));
         // Cached resolvent variant agrees with the brute-force path.
         let cache = ShiftCache::new(ode.g1_csr(), vamor_linalg::SolverBackend::Auto);
-        let cached = CubicVolterraKernels::with_cache(&ode, 0, &cache).unwrap();
+        let cached = VolterraKernels::with_cache(&ode, 0, &cache).unwrap();
         assert!(close(
             cached.output_h3(s[0], s[1], s[2]).unwrap(),
             expect,

@@ -60,14 +60,14 @@ fn band_sampler_matches_brute_force_dense_kernels_at_paper_sizes() {
 
     // Fig. 5's 102-state varistor (cubic path, structured-Kronecker H₃).
     let circuit = VaristorCircuit::new(98).unwrap();
-    let sampler = BandSampler::for_cubic(
-        circuit.ode(),
+    let sampler = BandSampler::for_qldae(
+        circuit.qldae(),
         FrequencyBand::new(0.02, 4.0).unwrap(),
         SolverBackend::Auto,
         opts,
     )
     .unwrap();
-    let self_res = sampler.residual_cubic(circuit.ode()).unwrap();
+    let self_res = sampler.residual_qldae(circuit.qldae()).unwrap();
     assert!(
         self_res.max() <= 1e-8,
         "cubic sampler vs brute force disagree by {:.3e}",
@@ -154,9 +154,7 @@ fn driver_runs_under_both_engines_with_monotone_traces() {
 fn cubic_driver_reaches_tolerance_on_the_varistor() {
     let circuit = VaristorCircuit::new(40).unwrap();
     let spec = AdaptiveSpec::new(FrequencyBand::new(0.02, 4.0).unwrap(), 1e-3);
-    let outcome = AdaptiveReducer::new(spec)
-        .reduce_cubic(circuit.ode())
-        .unwrap();
+    let outcome = AdaptiveReducer::new(spec).reduce(circuit.qldae()).unwrap();
     assert!(
         matches!(
             outcome.trace.stop,
@@ -166,6 +164,6 @@ fn cubic_driver_reaches_tolerance_on_the_varistor() {
         outcome.trace.stop
     );
     assert!(outcome.trace.final_residual() <= 1e-2);
-    assert!(outcome.rom.order() < circuit.ode().g1_csr().rows());
+    assert!(outcome.rom.order() < circuit.qldae().g1_csr().rows());
     assert!(outcome.rom.stats().is_stable());
 }

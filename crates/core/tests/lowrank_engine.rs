@@ -106,17 +106,17 @@ fn lowrank_engine_handles_the_bilinear_voltage_line() {
 #[test]
 fn lowrank_engine_reduces_the_varistor_cubic_ode() {
     let circuit = VaristorCircuit::new(16).expect("circuit");
-    let full = circuit.ode();
+    let full = circuit.qldae();
     let spec = MomentSpec::new(6, 0, 2);
     let dense = AssocReducer::new(spec)
         .with_stabilized_projection(false)
         .with_engine(ReductionEngine::DenseSchur)
-        .reduce_cubic(full)
+        .reduce(full)
         .expect("dense reduction");
     let low = AssocReducer::new(spec)
         .with_stabilized_projection(false)
         .with_engine(ReductionEngine::LowRank)
-        .reduce_cubic(full)
+        .reduce(full)
         .expect("low-rank reduction");
     assert!(low.stats().lowrank_engine);
     // Same surge transient through both reduced models.
@@ -266,10 +266,7 @@ fn output_krylov_rejects_the_lowrank_engine() {
 /// report the same recovery — and a singular stamp fails both.
 #[test]
 fn dense_and_lowrank_generators_report_the_same_pivot_recovery() {
-    use vamor_core::{
-        AssocMomentGenerator, CubicAssocMomentGenerator, LowRankAssocMomentGenerator,
-        LowRankCubicMomentGenerator, LowRankOptions,
-    };
+    use vamor_core::{AssocMomentGenerator, LowRankAssocMomentGenerator, LowRankOptions};
     use vamor_linalg::SolverBackend;
 
     let line = TransmissionLine::voltage_driven(8).expect("circuit");
@@ -279,9 +276,8 @@ fn dense_and_lowrank_generators_report_the_same_pivot_recovery() {
         let dense = AssocMomentGenerator::with_options(line.qldae(), backend).expect("dense");
         let low = LowRankAssocMomentGenerator::new(line.qldae(), backend, opts).expect("low");
         assert_eq!(dense.pivot_recovery(), low.pivot_recovery(), "{backend:?}");
-        let dense =
-            CubicAssocMomentGenerator::with_options(varistor.ode(), backend).expect("dense");
-        let low = LowRankCubicMomentGenerator::new(varistor.ode(), backend, opts).expect("low");
+        let dense = AssocMomentGenerator::with_options(varistor.qldae(), backend).expect("dense");
+        let low = LowRankAssocMomentGenerator::new(varistor.qldae(), backend, opts).expect("low");
         assert_eq!(dense.pivot_recovery(), low.pivot_recovery(), "{backend:?}");
     }
 

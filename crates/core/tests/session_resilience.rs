@@ -6,7 +6,7 @@
 
 use std::cell::RefCell;
 
-use vamor_circuits::TransmissionLine;
+use vamor_circuits::{TransmissionLine, VaristorCircuit};
 use vamor_core::{
     AdaptiveCheckpoint, AdaptiveHooks, AdaptiveReducer, AdaptiveSpec, AssocReducer,
     CheckpointError, CheckpointPlan, FrequencyBand, MomentSpec, ReductionSession, RunControl,
@@ -82,6 +82,35 @@ fn shared_reduction_matches_unshared_bit_for_bit() {
     }
     assert_eq!(session.stats().stamp_builds, 1);
     assert_eq!(session.stats().stamp_hits, 2);
+}
+
+/// The session path covers systems with a cubic `G₃`: a session reduction
+/// of a small varistor ladder is bit-identical to the plain reduction.
+#[test]
+fn shared_cubic_reduction_matches_unshared_bit_for_bit() {
+    let varistor = VaristorCircuit::new(12).unwrap();
+    let reducer = AssocReducer::new(MomentSpec::new(4, 0, 2));
+    let session = ReductionSession::unbounded();
+
+    let direct = reducer.reduce(varistor.qldae()).unwrap();
+    let shared = session
+        .reduce(varistor.qldae(), &reducer, &RunControl::new())
+        .unwrap();
+    assert_eq!(shared.order(), direct.order());
+    assert_eq!(
+        shared.projection().as_slice(),
+        direct.projection().as_slice()
+    );
+    assert_eq!(
+        shared.system().g1().as_slice(),
+        direct.system().g1().as_slice()
+    );
+    let g3_entries = |rom: &vamor_core::ReducedQldae| -> Vec<(usize, usize, u64)> {
+        let g3 = rom.system().g3().expect("reduced cubic term");
+        g3.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+    };
+    assert_eq!(g3_entries(&shared), g3_entries(&direct));
+    assert_eq!(session.stats().stamp_builds, 1);
 }
 
 /// A budget too small for even one stamp entry refuses the request with

@@ -109,12 +109,12 @@ fn cubic_reducer_sparse_and_dense_backends_agree() {
     let dense = AssocReducer::new(spec)
         .with_stabilized_projection(false)
         .with_solver_backend(SolverBackend::Dense)
-        .reduce_cubic(circuit.ode())
+        .reduce(circuit.qldae())
         .expect("dense reduction");
     let sparse = AssocReducer::new(spec)
         .with_stabilized_projection(false)
         .with_solver_backend(SolverBackend::Sparse)
-        .reduce_cubic(circuit.ode())
+        .reduce(circuit.qldae())
         .expect("sparse reduction");
     assert_eq!(dense.order(), sparse.order());
     // The projection basis is only determined up to tiny roundoff-driven

@@ -16,7 +16,7 @@
 //! caller can report *what* was sacrificed before the budget ran dry.
 //!
 //! Lock discipline (enforced by `cargo xtask analyze`): the ledger mutex is
-//! a leaf lock acquired only through the [`MemoryBudget::lock_ledger`]
+//! a leaf lock acquired only through the `MemoryBudget::lock_ledger`
 //! helper, never held across a callback, and never nested with any other
 //! lock.
 //!

@@ -15,10 +15,10 @@
 //! * Sylvester / Lyapunov solvers (Bartels–Stewart) in real and
 //!   complex-shifted forms ([`sylvester`]),
 //! * Kronecker product / Kronecker sum algebra with *structured* operators
-//!   that never form the \(n^2 \times n^2\) matrices ([`kron`]),
+//!   that never form the \(n^2 \times n^2\) matrices ([`kron`](mod@kron)),
 //! * Krylov machinery: modified Gram–Schmidt orthonormalization with
 //!   deflation ([`orth`]), Arnoldi iteration over abstract linear operators
-//!   ([`arnoldi`], [`op`]),
+//!   ([`arnoldi`](mod@arnoldi), [`op`]),
 //! * sparse CSR matrices and GMRES ([`sparse`]),
 //! * a sparse direct LU ([`sparse_lu`]): reverse Cuthill–McKee symbolic
 //!   analysis reused across shifts, Gilbert–Peierls left-looking numeric

@@ -712,8 +712,8 @@ pub fn lr_adi_lyapunov_pairs(
     lr_adi_pairs_impl(op, b, shifts, opts, None)
 }
 
-/// [`lr_adi_lyapunov_pairs`] with a cooperative [`RunControl`] checked once
-/// per ADI sweep.
+/// [`lr_adi_lyapunov_pairs`] with a cooperative
+/// [`RunControl`](crate::RunControl) checked once per ADI sweep.
 ///
 /// # Errors
 ///
@@ -928,8 +928,8 @@ pub fn fadi_lyapunov(
     fadi_impl(op, u0, v0, shifts, opts, None)
 }
 
-/// [`fadi_lyapunov`] with a cooperative [`RunControl`] checked once per
-/// sweep.
+/// [`fadi_lyapunov`] with a cooperative [`RunControl`](crate::RunControl)
+/// checked once per sweep.
 ///
 /// # Errors
 ///
@@ -1185,8 +1185,8 @@ pub fn rational_krylov_basis(
     rational_krylov_impl(op, seeds, shifts, inverse_powers, cap, None)
 }
 
-/// [`rational_krylov_basis`] with a cooperative [`RunControl`] checked once
-/// per shifted solve.
+/// [`rational_krylov_basis`] with a cooperative
+/// [`RunControl`](crate::RunControl) checked once per shifted solve.
 ///
 /// # Errors
 ///

@@ -1,6 +1,6 @@
 //! Structured numerical-health events with typed payloads.
 //!
-//! Where [`crate::span`] answers *where the time went*, this module answers
+//! Where [`crate::span`](mod@crate::span) answers *where the time went*, this module answers
 //! *why the run converged, degraded, or stalled*: per-sweep ADI residuals,
 //! greedy move evaluations with their scores, degradation-ladder rungs,
 //! Newton step accept/reject decisions, budget evictions and cache

@@ -5,7 +5,7 @@
 //!
 //! The crate has two halves:
 //!
-//! - **Spans** ([`span`]): `span!("adi_sweep")`-style RAII guards over a
+//! - **Spans** ([`span`](mod@span)): `span!("adi_sweep")`-style RAII guards over a
 //!   thread-aware span tree. When no subscriber is installed
 //!   ([`span::install`] has not been called), entering a span is a single
 //!   relaxed atomic load and the guard's drop is a no-op — solver hot paths
@@ -22,7 +22,7 @@
 //!   [`metrics::CounterHandle`] once (registry lookup takes a mutex) and
 //!   then increment a bare atomic.
 //!
-//! - **Events** ([`event`]): `event!(Event::AdiSweep { .. })`-style typed
+//! - **Events** ([`event`](mod@event)): `event!(Event::AdiSweep { .. })`-style typed
 //!   numerical-health records — per-sweep ADI residuals, greedy move
 //!   scores, degradation rungs, Newton accept/reject decisions. Same
 //!   no-subscriber design as spans (one relaxed load, payload never built),

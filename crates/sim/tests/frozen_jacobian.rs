@@ -21,13 +21,13 @@ fn varistor_surge_needs_at_most_five_factorizations() {
     let opts = implicit(30.0, 0.01);
 
     let every = simulate(
-        circuit.ode(),
+        circuit.qldae(),
         &surge,
         &opts.with_jacobian_policy(JacobianPolicy::EveryStep),
     )
     .expect("every-step run");
     let frozen = simulate(
-        circuit.ode(),
+        circuit.qldae(),
         &surge,
         &opts.with_jacobian_policy(JacobianPolicy::FrozenReuse),
     )

@@ -20,13 +20,13 @@ fn varistor_sparse_and_dense_transients_agree_to_1e9() {
     let opts = implicit(30.0, 0.01);
 
     let dense = simulate(
-        circuit.ode(),
+        circuit.qldae(),
         &surge,
         &opts.with_linear_solver(SolverBackend::Dense),
     )
     .expect("dense run");
     let sparse = simulate(
-        circuit.ode(),
+        circuit.qldae(),
         &surge,
         &opts.with_linear_solver(SolverBackend::Sparse),
     )

@@ -5,11 +5,11 @@
 //! * [`LtiSystem`] — a plain linear time-invariant system `ẋ = A x + B u`,
 //!   `y = C x`, used for the first-order Volterra kernel and frequency-domain
 //!   validation.
-//! * [`Qldae`] — the quadratic-linear differential(-algebraic) equation form
-//!   of the DAC 2012 paper (Eq. 2):
-//!   `ẋ = G₁ x + G₂ (x ⊗ x) + Σ_k D₁ᵏ x u_k + B u`, `y = C x`.
-//! * [`CubicOde`] — the cubic polynomial ODE of the paper's §3.4:
-//!   `ẋ = G₁ x + G₃ (x ⊗ x ⊗ x) + B u`, `y = C x`.
+//! * [`Qldae`] — the one polynomial form of the DAC 2012 paper: the
+//!   quadratic-linear differential(-algebraic) equation of Eq. 2 with the
+//!   optional cubic term of §3.4,
+//!   `ẋ = G₁ x + G₂ (x ⊗ x) + G₃ (x ⊗ x ⊗ x) + Σ_k D₁ᵏ x u_k + B u`,
+//!   `y = C x`, where any of the higher-order terms may be absent.
 //!
 //! All polynomial systems implement [`PolynomialStateSpace`], the interface
 //! the transient simulator (`vamor-sim`) and the reduction engines
@@ -37,13 +37,13 @@
 //! # }
 //! ```
 
+#[cfg(test)]
 mod cubic;
 mod error;
 mod lti;
 mod qldae;
 mod traits;
 
-pub use cubic::CubicOde;
 pub use error::SystemError;
 pub use lti::LtiSystem;
 pub use qldae::{Qldae, QldaeBuilder};

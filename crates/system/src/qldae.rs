@@ -1,4 +1,4 @@
-//! Quadratic-linear differential algebraic equation (QLDAE) systems.
+//! Polynomial (quadratic-linear, optionally cubic) state-space systems.
 
 use std::sync::OnceLock;
 
@@ -9,15 +9,20 @@ use crate::lti::LtiSystem;
 use crate::traits::PolynomialStateSpace;
 use crate::Result;
 
-/// The quadratic-linear form of the DAC 2012 paper (Eq. 2):
+/// The polynomial form of the DAC 2012 paper — the quadratic-linear QLDAE of
+/// Eq. 2 with the optional cubic term of §3.4:
 ///
 /// ```text
-/// ẋ = G₁ x + G₂ (x ⊗ x) + Σ_k D₁ᵏ x u_k + B u,     y = C x,
+/// ẋ = G₁ x + G₂ (x ⊗ x) + G₃ (x ⊗ x ⊗ x) + Σ_k D₁ᵏ x u_k + B u,     y = C x,
 /// ```
 ///
 /// with `x ∈ ℝⁿ`, `u ∈ ℝᵐ`, `y ∈ ℝᵖ`. `G₂` has shape `n × n²` and is stored
-/// sparsely; the optional bilinear input matrices `D₁ᵏ` (one per input) are
-/// sparse `n × n`.
+/// sparsely (an all-zero `G₂` means no quadratic term); the optional bilinear
+/// input matrices `D₁ᵏ` (one per input) are sparse `n × n`; the optional
+/// cubic coupling `G₃` (`n × n³`, sparse) is attached with
+/// [`Qldae::with_g3`]. The varistor of §3.4 is the case `G₂ = 0`. An absent
+/// term costs no allocation and no flop in the right-hand side and the
+/// Jacobians.
 ///
 /// A regular descriptor matrix `E` (`E ẋ = …`) can be folded in with
 /// [`Qldae::from_descriptor`], mirroring the paper's assumption of an
@@ -34,6 +39,7 @@ pub struct Qldae {
     g1: CsrMatrix,
     g1_dense: OnceLock<Matrix>,
     g2: CsrMatrix,
+    g3: Option<CsrMatrix>,
     d1: Vec<CsrMatrix>,
     b: Matrix,
     c: Matrix,
@@ -146,10 +152,32 @@ impl Qldae {
             g1,
             g1_dense,
             g2,
+            g3: None,
             d1,
             b,
             c,
         })
+    }
+
+    /// Attaches the cubic coupling `G₃` (`n × n³`, sparse; column
+    /// `p·n² + q·n + r` holds the coefficient of `x_p x_q x_r`). A `G₃`
+    /// without a nonzero entry leaves the system without a cubic term.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::Dimension`] when `G₃` is not `n × n³`.
+    pub fn with_g3(mut self, g3: CsrMatrix) -> Result<Self> {
+        let n = self.order();
+        if g3.rows() != n || g3.cols() != n * n * n {
+            return Err(SystemError::Dimension(format!(
+                "G3 must be {n}x{}, got {}x{}",
+                n * n * n,
+                g3.rows(),
+                g3.cols()
+            )));
+        }
+        self.g3 = (g3.nnz() > 0).then_some(g3);
+        Ok(self)
     }
 
     /// Builds a QLDAE from descriptor form `E ẋ = G₁ x + …` by folding the
@@ -208,9 +236,16 @@ impl Qldae {
         &self.g1
     }
 
-    /// The quadratic coupling matrix `G₂` (`n × n²`, sparse).
+    /// The quadratic coupling matrix `G₂` (`n × n²`, sparse; no nonzero
+    /// entry when the system has no quadratic term).
     pub fn g2(&self) -> &CsrMatrix {
         &self.g2
+    }
+
+    /// The cubic coupling matrix `G₃` (`n × n³`, sparse), if the system has
+    /// a cubic term.
+    pub fn g3(&self) -> Option<&CsrMatrix> {
+        self.g3.as_ref()
     }
 
     /// The bilinear input matrices `D₁ᵏ` (empty slice if absent).
@@ -242,6 +277,12 @@ impl Qldae {
         self.d1.iter().any(|d| d.nnz() > 0)
     }
 
+    /// True if the system has a second-order part — a nonzero `G₂` or a
+    /// bilinear `D₁` term — and hence a nonzero `H₂`.
+    pub fn has_quadratic(&self) -> bool {
+        self.g2.nnz() > 0 || self.has_d1()
+    }
+
     /// Evaluates the quadratic term `G₂ (x ⊗ x)` without forming `x ⊗ x`.
     ///
     /// # Panics
@@ -250,6 +291,19 @@ impl Qldae {
     pub fn quadratic_term(&self, x: &Vector) -> Vector {
         assert_eq!(x.len(), self.order(), "quadratic_term: dimension mismatch");
         self.g2.matvec_kron(x, x)
+    }
+
+    /// Evaluates `G₃ (x ⊗ x ⊗ x)` without forming the Kronecker cube.
+    fn cubic_term(g3: &CsrMatrix, x: &Vector) -> Vector {
+        let n = x.len();
+        let mut out = Vector::zeros(n);
+        for (i, col, g) in g3.iter() {
+            let p = col / (n * n);
+            let q = (col / n) % n;
+            let r = col % n;
+            out[i] += g * x[p] * x[q] * x[r];
+        }
+        out
     }
 
     /// The linearization around the origin as an [`LtiSystem`]
@@ -312,7 +366,12 @@ impl PolynomialStateSpace for Qldae {
             "qldae rhs: input dimension mismatch"
         );
         let mut dx = self.g1.matvec(x);
-        dx.axpy(1.0, &self.quadratic_term(x));
+        if self.g2.nnz() > 0 {
+            dx.axpy(1.0, &self.quadratic_term(x));
+        }
+        if let Some(g3) = &self.g3 {
+            dx.axpy(1.0, &Self::cubic_term(g3, x));
+        }
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
                 dx.axpy(uk, &self.b.col(k));
@@ -347,6 +406,14 @@ impl PolynomialStateSpace for Qldae {
             jac[(i, p)] += g * x[q];
             jac[(i, q)] += g * x[p];
         }
+        for (i, col, g) in self.g3.iter().flat_map(CsrMatrix::iter) {
+            let p = col / (n * n);
+            let q = (col / n) % n;
+            let r = col % n;
+            jac[(i, p)] += g * x[q] * x[r];
+            jac[(i, q)] += g * x[p] * x[r];
+            jac[(i, r)] += g * x[p] * x[q];
+        }
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
                 if let Some(dk) = self.d1.get(k) {
@@ -380,6 +447,14 @@ impl PolynomialStateSpace for Qldae {
             let q = col % n;
             coo.push(i, p, g * x[q]);
             coo.push(i, q, g * x[p]);
+        }
+        for (i, col, g) in self.g3.iter().flat_map(CsrMatrix::iter) {
+            let p = col / (n * n);
+            let q = (col / n) % n;
+            let r = col % n;
+            coo.push(i, p, g * x[q] * x[r]);
+            coo.push(i, q, g * x[p] * x[r]);
+            coo.push(i, r, g * x[p] * x[q]);
         }
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
@@ -566,6 +641,7 @@ mod tests {
         assert!((dx[1] + 4.0).abs() < 1e-14);
         assert_eq!(q.output(&x).as_slice(), &[3.0]);
         assert!(q.has_d1());
+        assert!(q.g3().is_none());
     }
 
     #[test]

@@ -20,12 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .transpose()?
         .unwrap_or(98);
     let circuit = VaristorCircuit::new(ladder_nodes)?;
-    let full = circuit.ode();
+    let full = circuit.qldae();
     println!("surge-protection circuit states: {}", full.order());
 
     // 6 first-order and 2 third-order moments (the system has no quadratic
     // term), giving an order-8 reduced model as in the paper.
-    let rom = AssocReducer::new(MomentSpec::new(6, 0, 2)).reduce_cubic(full)?;
+    let rom = AssocReducer::new(MomentSpec::new(6, 0, 2)).reduce(full)?;
     println!("reduced order: {} (paper: 8)", rom.order());
 
     let surge = ExpPulse::new(VaristorCircuit::surge_amplitude(), 0.5, 6.0);

@@ -9,8 +9,8 @@
 //!
 //! * [`linalg`] — dense/sparse linear algebra, Schur, Sylvester/Lyapunov,
 //!   Kronecker algebra and Krylov machinery (no external math dependencies).
-//! * [`system`] — state-space representations: LTI, QLDAE and cubic
-//!   polynomial ODE systems.
+//! * [`system`] — state-space representations: LTI and the one polynomial
+//!   system (QLDAE with an optional cubic term).
 //! * [`circuits`] — synthetic circuit generators (nonlinear transmission
 //!   line, RF receiver, ZnO varistor surge protector).
 //! * [`core`] — the paper's contribution: associated transforms of

@@ -112,9 +112,9 @@ fn miso_receiver_reduction_handles_two_inputs() {
 #[test]
 fn varistor_surge_is_clamped_and_reproduced_by_the_cubic_rom() {
     let circuit = VaristorCircuit::new(20).expect("circuit");
-    let full = circuit.ode();
+    let full = circuit.qldae();
     let rom = AssocReducer::new(MomentSpec::new(6, 0, 2))
-        .reduce_cubic(full)
+        .reduce(full)
         .expect("reduce");
     assert!(rom.order() <= 8, "rom order {}", rom.order());
 
