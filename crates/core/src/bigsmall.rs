@@ -5,11 +5,14 @@
 //! Op · X + X · B = R,        Op: m×m structured, B: p×p dense, X, R: m×p.
 //! ```
 //!
-//! This is the computational core of the third-order associated transform:
-//! the resolvent `(sI − G₁ ⊕ G̃₂)⁻¹` applied to a vector is, in `vec` space, a
-//! Sylvester equation whose *left* coefficient is the huge block matrix `G̃₂`
-//! (never formed) and whose *right* coefficient is the small `G₁ᵀ`. The same
-//! routine also solves for the decoupling matrix `Π` of Eq. (18).
+//! The resolvent `(sI − G₁ ⊕ G̃₂)⁻¹` of the third-order associated transform
+//! is, in `vec` space, a Sylvester equation of this shape: its *left*
+//! coefficient is the huge block matrix `G̃₂` (never formed) and its *right*
+//! coefficient the small `G₁ᵀ`. This generic solver serves the low-rank
+//! engine's Tucker core (`Op = H ⊕ H` for the small projected `H`) and the
+//! public API; the dense moment generator runs the same back-substitution
+//! with every mode held in `G₁`'s Schur coordinates instead
+//! ([`crate::assoc`]).
 //!
 //! The right coefficient is reduced to real Schur form; the left coefficient
 //! only needs shifted solves, which [`ShiftedSolveOp`] provides. Columns are
@@ -139,6 +142,81 @@ fn column_minus_coupling(
     rhs
 }
 
+/// The diagonalization `M = W Λ W⁻¹` of a 2×2 Schur block
+/// `M = [[m00, m01], [m10, m11]]` that couples two columns of a
+/// back-substitution: `Op X + X M = R` splits into the shifted solves
+/// `(Op + λᵢ I) yᵢ = R wᵢ`, and `X = Y W⁻¹`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PairSplit {
+    /// Real eigenvalues (rare after Schur standardization, but possible on
+    /// the margin): the two shifts, their eigenvectors and `W⁻¹`.
+    Real {
+        shifts: [f64; 2],
+        w: [(f64, f64); 2],
+        inv: [[f64; 2]; 2],
+    },
+    /// A complex-conjugate pair `λ = mean ± i·nu`: one complex shift, its
+    /// eigenvector `(w0, w1)` and the first row of `W⁻¹` for
+    /// `W = [w, conj(w)]` — the columns of `X` are `2·Re(inv0ₚ · y)`.
+    Complex {
+        lambda: Complex,
+        w: (Complex, Complex),
+        inv0: (Complex, Complex),
+    },
+}
+
+impl PairSplit {
+    /// Diagonalizes `M`.
+    ///
+    /// # Errors
+    ///
+    /// [`MorError::Invalid`] for a defective block.
+    pub(crate) fn new(m00: f64, m01: f64, m10: f64, m11: f64) -> Result<Self> {
+        let mean = 0.5 * (m00 + m11);
+        let disc = 0.25 * (m00 - m11) * (m00 - m11) + m01 * m10;
+        if disc >= 0.0 {
+            let sq = disc.sqrt();
+            let l1 = mean + sq;
+            let l2 = mean - sq;
+            let w1 = real_eigenvector(m00, m01, m10, m11, l1);
+            let w2 = real_eigenvector(m00, m01, m10, m11, l2);
+            let det = w1.0 * w2.1 - w1.1 * w2.0;
+            if det.abs() < 1e-14 {
+                return Err(MorError::Invalid(
+                    "defective 2x2 block in sylvester back-substitution".into(),
+                ));
+            }
+            Ok(PairSplit::Real {
+                shifts: [l1, l2],
+                w: [w1, w2],
+                inv: [[w2.1 / det, -w2.0 / det], [-w1.1 / det, w1.0 / det]],
+            })
+        } else {
+            let nu = (-disc).sqrt();
+            let lambda = Complex::new(mean, nu);
+            // Eigenvector of M for λ (choose the better-conditioned expression).
+            let (w0, w1): (Complex, Complex) = if m01.abs() >= m10.abs() {
+                (Complex::from_real(m01), lambda - Complex::from_real(m00))
+            } else {
+                (lambda - Complex::from_real(m11), Complex::from_real(m10))
+            };
+            // W⁻¹ first row = [conj(w1), -conj(w0)] / det with
+            // det = w0 conj(w1) − conj(w0) w1 (purely imaginary).
+            let det = w0 * w1.conj() - w0.conj() * w1;
+            if det.abs() < 1e-300 {
+                return Err(MorError::Invalid(
+                    "defective complex 2x2 block in sylvester back-substitution".into(),
+                ));
+            }
+            Ok(PairSplit::Complex {
+                lambda,
+                w: (w0, w1),
+                inv0: (w1.conj() / det, -w0.conj() / det),
+            })
+        }
+    }
+}
+
 /// Solves the coupled two-column system `Op [x_a x_b] + [x_a x_b] M = [r_a r_b]`
 /// for a 2×2 matrix `M = [[m00, m01], [m10, m11]]` by diagonalizing `M`.
 fn solve_two_column_block(
@@ -150,69 +228,45 @@ fn solve_two_column_block(
     r_a: &Vector,
     r_b: &Vector,
 ) -> Result<(Vector, Vector)> {
-    let mean = 0.5 * (m00 + m11);
-    let disc = 0.25 * (m00 - m11) * (m00 - m11) + m01 * m10;
-    if disc >= 0.0 {
-        // Real eigenvalues (rare after Schur standardization, but possible on
-        // the margin): diagonalize over the reals.
-        let sq = disc.sqrt();
-        let l1 = mean + sq;
-        let l2 = mean - sq;
-        let w1 = real_eigenvector(m00, m01, m10, m11, l1);
-        let w2 = real_eigenvector(m00, m01, m10, m11, l2);
-        let det = w1.0 * w2.1 - w1.1 * w2.0;
-        if det.abs() < 1e-14 {
-            return Err(MorError::Invalid(
-                "defective 2x2 block in sylvester back-substitution".into(),
-            ));
+    match PairSplit::new(m00, m01, m10, m11)? {
+        PairSplit::Real {
+            shifts: [l1, l2],
+            w: [w1, w2],
+            inv,
+        } => {
+            // Y = X W, columns satisfy (Op + λ_i I) y_i = (R W)_i.
+            let mut rw1 = r_a.scaled(w1.0);
+            rw1.axpy(w1.1, r_b);
+            let mut rw2 = r_a.scaled(w2.0);
+            rw2.axpy(w2.1, r_b);
+            let y1 = op.solve_shifted(l1, &rw1)?;
+            let y2 = op.solve_shifted(l2, &rw2)?;
+            // X = Y W⁻¹ with W = [w1 w2] (columns).
+            let mut x_a = y1.scaled(inv[0][0]);
+            x_a.axpy(inv[1][0], &y2);
+            let mut x_b = y1.scaled(inv[0][1]);
+            x_b.axpy(inv[1][1], &y2);
+            Ok((x_a, x_b))
         }
-        // Y = X W, columns satisfy (Op + λ_i I) y_i = (R W)_i.
-        let mut rw1 = r_a.scaled(w1.0);
-        rw1.axpy(w1.1, r_b);
-        let mut rw2 = r_a.scaled(w2.0);
-        rw2.axpy(w2.1, r_b);
-        let y1 = op.solve_shifted(l1, &rw1)?;
-        let y2 = op.solve_shifted(l2, &rw2)?;
-        // X = Y W⁻¹ with W = [w1 w2] (columns).
-        let inv = [[w2.1 / det, -w2.0 / det], [-w1.1 / det, w1.0 / det]];
-        let mut x_a = y1.scaled(inv[0][0]);
-        x_a.axpy(inv[1][0], &y2);
-        let mut x_b = y1.scaled(inv[0][1]);
-        x_b.axpy(inv[1][1], &y2);
-        Ok((x_a, x_b))
-    } else {
-        // Complex-conjugate pair λ = mean ± i·nu.
-        let nu = (-disc).sqrt();
-        let lambda = Complex::new(mean, nu);
-        // Eigenvector of M for λ (choose the better-conditioned expression).
-        let (w0, w1): (Complex, Complex) = if m01.abs() >= m10.abs() {
-            (Complex::from_real(m01), lambda - Complex::from_real(m00))
-        } else {
-            (lambda - Complex::from_real(m11), Complex::from_real(m10))
-        };
-        // Complex right-hand side (R W)_1 = w0 r_a + w1 r_b.
-        let mut rhs_re = r_a.scaled(w0.re);
-        rhs_re.axpy(w1.re, r_b);
-        let mut rhs_im = r_a.scaled(w0.im);
-        rhs_im.axpy(w1.im, r_b);
-        let (y_re, y_im) = op.solve_shifted_complex(lambda, &rhs_re, &rhs_im)?;
-        // W = [w, conj(w)]; W⁻¹ first row = [conj(w1), -conj(w0)] / det with
-        // det = w0 conj(w1) − conj(w0) w1 (purely imaginary).
-        let det = w0 * w1.conj() - w0.conj() * w1;
-        if det.abs() < 1e-300 {
-            return Err(MorError::Invalid(
-                "defective complex 2x2 block in sylvester back-substitution".into(),
-            ));
+        PairSplit::Complex {
+            lambda,
+            w: (w0, w1),
+            inv0: (inv00, inv01),
+        } => {
+            // Complex right-hand side (R W)_1 = w0 r_a + w1 r_b.
+            let mut rhs_re = r_a.scaled(w0.re);
+            rhs_re.axpy(w1.re, r_b);
+            let mut rhs_im = r_a.scaled(w0.im);
+            rhs_im.axpy(w1.im, r_b);
+            let (y_re, y_im) = op.solve_shifted_complex(lambda, &rhs_re, &rhs_im)?;
+            // X columns are 2·Re(inv0p · y).
+            let combine = |c: Complex| {
+                let mut out = y_re.scaled(2.0 * c.re);
+                out.axpy(-2.0 * c.im, &y_im);
+                out
+            };
+            Ok((combine(inv00), combine(inv01)))
         }
-        let inv00 = w1.conj() / det;
-        let inv01 = -w0.conj() / det;
-        // X columns are 2·Re(inv0p · y).
-        let combine = |c: Complex| {
-            let mut out = y_re.scaled(2.0 * c.re);
-            out.axpy(-2.0 * c.im, &y_im);
-            out
-        };
-        Ok((combine(inv00), combine(inv01)))
     }
 }
 

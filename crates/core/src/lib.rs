@@ -12,7 +12,9 @@
 //!    (`vamor-system` / `vamor-circuits`);
 //! 2. the association of variables collapses each multivariate Volterra
 //!    kernel `Hₙ(s₁,…,sₙ)` into a single-`s` transfer function with an
-//!    explicit linear realization ([`assoc`], [`operators`], [`bigsmall`]);
+//!    explicit linear realization ([`assoc`], whose dense moment chains run
+//!    in `G₁`'s Schur coordinates; [`operators`] and [`bigsmall`] hold the
+//!    structured operators and the generic big-small Sylvester solver);
 //! 3. Krylov/moment vectors of those single-`s` functions are orthonormalized
 //!    into one projection matrix and the QLDAE is projected
 //!    ([`AssocReducer`], [`project`]);

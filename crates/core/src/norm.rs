@@ -166,9 +166,10 @@ impl NormReducer {
         let sparse = self.pipeline.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         let (g1_lu, recovery) =
             G1Factor::build_with_recovery(qldae.g1_csr(), sparse).map_err(MorError::Linalg)?;
-        // The dense engine solves the energy weight and runs the spectral
-        // guard against one Schur form of G₁; the low-rank engine never
-        // materializes the dense G₁ view.
+        // The dense engine solves the energy weight against one Schur form
+        // of G₁, factored only when the weight is wanted (an unstabilized
+        // frame asks the spectral guard's Hurwitz question lazily); the
+        // low-rank engine never materializes the dense G₁ view.
         let frame = if self.pipeline.engine.use_lowrank(n) {
             StabilizationFrame::low_rank(
                 qldae.g1_csr(),
@@ -176,8 +177,13 @@ impl NormReducer {
                 self.pipeline.lowrank_opts.weight_regularization,
             )
         } else {
-            let schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
-            StabilizationFrame::dense(self.pipeline.stabilized, qldae.g1(), &schur)
+            let schur = self
+                .pipeline
+                .stabilized
+                .then(|| SchurDecomposition::new(qldae.g1()))
+                .transpose()
+                .map_err(MorError::Linalg)?;
+            StabilizationFrame::dense(self.pipeline.stabilized, qldae.g1(), schur.as_ref())
         };
         let mut basis = OrthoBasis::with_tolerance(n, self.pipeline.deflation_tol);
         let mut stats = ReductionStats::default();

@@ -51,6 +51,8 @@
 //! insertion; the low-rank engine accumulates Euclidean candidates and
 //! applies its LR-ADI factored weight after re-orthogonalization.
 
+use std::cell::OnceCell;
+
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
     eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, CsrMatrix, LuFactor, Matrix,
@@ -388,7 +390,9 @@ pub(crate) enum StabilizationFrame<'a> {
         chol: Option<CholeskyDecomposition>,
         /// Full `G₁` Hurwitz by its Schur eigenvalues: only then can the
         /// spectral guard restore a stable reduction by dropping columns.
-        g1_hurwitz: bool,
+        /// Read off the frame's Schur form when it has one, else computed
+        /// on first use — only a reduction the guard finds unstable asks.
+        g1_hurwitz: OnceCell<bool>,
     },
     /// The low-rank engine: candidates are accumulated in Euclidean
     /// coordinates and the LR-ADI factored weight `M ≈ ZZᵀ` is built after
@@ -403,18 +407,24 @@ pub(crate) enum StabilizationFrame<'a> {
 }
 
 impl<'a> StabilizationFrame<'a> {
-    /// The dense frame. With `stabilized == false`, or when `G₁` is not
-    /// Hurwitz (the Lyapunov weight is then not positive definite), it
-    /// degrades to the identity and the flow reduces to plain Galerkin.
-    pub(crate) fn dense(stabilized: bool, g1: &'a Matrix, g1_schur: &SchurDecomposition) -> Self {
-        let chol = if stabilized {
-            lyapunov_weight_with_schur(g1_schur)
-                .ok()
-                .and_then(|m| CholeskyDecomposition::new(&m).ok())
-        } else {
-            None
-        };
-        let g1_hurwitz = g1_schur.eigenvalues().iter().all(|z| z.re < 0.0);
+    /// The dense frame. The energy weight is solved against `g1_schur`,
+    /// which a `stabilized` frame needs; without it, or when `G₁` is not
+    /// Hurwitz (the Lyapunov weight is then not positive definite), the
+    /// frame degrades to the identity and the flow reduces to plain
+    /// Galerkin.
+    pub(crate) fn dense(
+        stabilized: bool,
+        g1: &'a Matrix,
+        g1_schur: Option<&SchurDecomposition>,
+    ) -> Self {
+        let chol = g1_schur
+            .filter(|_| stabilized)
+            .and_then(|schur| lyapunov_weight_with_schur(schur).ok())
+            .and_then(|m| CholeskyDecomposition::new(&m).ok());
+        let g1_hurwitz = OnceCell::new();
+        if let Some(schur) = g1_schur {
+            let _ = g1_hurwitz.set(schur.eigenvalues().iter().all(|z| z.re < 0.0));
+        }
         StabilizationFrame::Dense {
             g1,
             chol,
@@ -543,24 +553,25 @@ impl<'a> StabilizationFrame<'a> {
     /// unstable full model its guard stops at one column.
     fn restartable(&self) -> bool {
         match self {
-            StabilizationFrame::Dense { g1_hurwitz, .. } => *g1_hurwitz,
+            StabilizationFrame::Dense { g1, g1_hurwitz, .. } => {
+                *g1_hurwitz.get_or_init(|| eigenvalues(g1).is_ok_and(|eig| eig.is_hurwitz()))
+            }
             StabilizationFrame::LowRank { .. } => true,
         }
     }
 }
 
 /// The spectral guard: while the reduced linear part `Wᵀ G₁ V` is unstable
-/// and `restartable`, drops the trailing working-basis column. Only the cheap
-/// `G₁ᵣ` trial product is formed per dropped column; the expensive full
-/// nonlinear projection (`O(q²)`/`O(q³)` structured matvecs for `G₂`/`G₃`)
-/// runs exactly once, on the final basis. Returns the projected system
-/// together with the right basis used.
+/// and the frame is restartable, drops the trailing working-basis column.
+/// Only the cheap `G₁ᵣ` trial product is formed per dropped column; the
+/// expensive full nonlinear projection (`O(q²)`/`O(q³)` structured matvecs
+/// for `G₂`/`G₃`) runs exactly once, on the final basis. Returns the
+/// projected system together with the right basis used.
 fn project_guarded(
     qldae: &Qldae,
     mut qtil: Matrix,
     frame: &StabilizationFrame,
     guard: bool,
-    restartable: bool,
     stats: &mut ReductionStats,
 ) -> Result<(Qldae, Matrix)> {
     let _span = vamor_obs::span!("project");
@@ -568,7 +579,7 @@ fn project_guarded(
     if guard {
         let mut eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
         stats.spectral_abscissa = eig.spectral_abscissa();
-        while restartable && !eig.is_hurwitz() && qtil.cols() > 1 {
+        while !eig.is_hurwitz() && qtil.cols() > 1 && frame.restartable() {
             qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
             stats.restarts += 1;
             vamor_obs::event!(vamor_obs::Event::SpectralRestart {
@@ -732,12 +743,12 @@ impl AssocReducer {
     }
 
     /// [`AssocReducer::reduce`] against session-shared solver artifacts: the
-    /// moment generator reuses the session's `G₁` factorization, Schur form
-    /// and block-operator shift caches instead of refactorizing them, so a
-    /// sequence of reductions over one stamp pays the `s = 0` and
-    /// eigenvalue-shift factorizations exactly once. The shared artifacts
-    /// are consulted only on the dense engine; the low-rank engine ignores
-    /// them and factors per run, exactly as [`AssocReducer::reduce`].
+    /// moment generator reuses the session's `G₁` factorization and Schur
+    /// form instead of refactorizing them, so a sequence of reductions over
+    /// one stamp pays the `s = 0` factorization and the Schur decomposition
+    /// exactly once. The shared artifacts are consulted only on the dense
+    /// engine; the low-rank engine ignores them and factors per run, exactly
+    /// as [`AssocReducer::reduce`].
     ///
     /// # Errors
     ///
@@ -832,7 +843,8 @@ impl AssocReducer {
                 // spaces, which replaces the energy-weighted W = MV — run
                 // the plain frame there.
                 let stabilized = self.stabilized && self.output_krylov == 0;
-                let frame = StabilizationFrame::dense(stabilized, qldae.g1(), generator.g1_schur());
+                let frame =
+                    StabilizationFrame::dense(stabilized, qldae.g1(), Some(generator.g1_schur()));
                 let (basis, stats) = self.collect(
                     &frame,
                     qldae.b(),
@@ -1038,15 +1050,8 @@ impl AssocReducer {
         }
         stats.energy_weighted = frame.is_active();
         stats.lowrank_engine = matches!(frame, StabilizationFrame::LowRank { .. });
-        let restartable = frame.restartable();
-        let (system, projection) = project_guarded(
-            qldae,
-            qtil,
-            &frame,
-            self.spectral_guard,
-            restartable,
-            &mut stats,
-        )?;
+        let (system, projection) =
+            project_guarded(qldae, qtil, &frame, self.spectral_guard, &mut stats)?;
         stats.projection_dim = projection.cols();
         stats.publish();
         Ok(ReducedQldae {
@@ -1093,6 +1098,27 @@ mod tests {
         assert!(AssocReducer::new(MomentSpec::new(0, 0, 0))
             .reduce(&small_qldae())
             .is_err());
+    }
+
+    /// A dense frame built without a Schur form (an unstabilized NORM
+    /// reduction) answers the guard's Hurwitz question on demand, with the
+    /// verdict a Schur-carrying frame reads off its eigenvalues.
+    #[test]
+    fn schur_free_dense_frame_decides_restartability_lazily() {
+        let stable = small_qldae().g1().clone();
+        let mut unstable = stable.clone();
+        unstable[(3, 3)] = 0.5;
+        for (g1, hurwitz) in [(&stable, true), (&unstable, false)] {
+            let schur = SchurDecomposition::new(g1).unwrap();
+            let eager = StabilizationFrame::dense(false, g1, Some(&schur));
+            let lazy = StabilizationFrame::dense(false, g1, None);
+            assert!(!lazy.is_active() && !eager.is_active());
+            assert_eq!(eager.restartable(), hurwitz);
+            assert_eq!(lazy.restartable(), hurwitz);
+        }
+        // A stabilized frame needs the Schur form for its weight.
+        let schur = SchurDecomposition::new(&stable).unwrap();
+        assert!(StabilizationFrame::dense(true, &stable, Some(&schur)).is_active());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! A [`ReductionSession`] owns, per sparsity-stamp fingerprint:
 //!
 //! * the shared `s = 0` chain artifacts ([`SharedAssocArtifacts`] — `LU(G₁)`,
-//!   its Schur form, the structured `H₂` block operator with its embedded
-//!   shifted-solve caches), and
+//!   its Schur form and the Lyapunov solver over it, fixed in size once
+//!   built), and
 //! * the band-estimator shift cache (so every band frequency is factored
 //!   exactly once per session, not once per estimator build).
 //!
@@ -797,8 +797,8 @@ impl ReductionSession {
         Ok(entry)
     }
 
-    /// Re-prices a stamp entry after a request (its embedded shift caches
-    /// grew). A refused re-price demotes the entry to uncached — the request
+    /// Re-prices a stamp entry after a request (its band-estimator shift
+    /// cache grew). A refused re-price demotes the entry to uncached — the request
     /// already completed, so the budget wins and the cache loses.
     fn reprice(&self, fp: u64, entry: &StampEntry) {
         match self.budget.charge(STAMP_BUDGET_OWNER, fp, entry.bytes()) {

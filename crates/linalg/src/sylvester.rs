@@ -199,9 +199,8 @@ impl SylvesterSolver {
     /// Same as [`SylvesterSolver::solve`], with singularity now meaning
     /// `λ_i(A) + σ + λ_j(B) = 0`.
     ///
-    /// The iterate `Y` and the transformed right-hand side are held
-    /// *transposed* so every coupling update is a contiguous slice
-    /// operation, and the ≤4×4 block systems are solved on the stack.
+    /// The right-hand side is moved into Schur coordinates, solved there by
+    /// [`SylvesterSolver::solve_schur_shifted_into`] and moved back.
     pub fn solve_shifted(&self, shift: f64, c: &Matrix) -> Result<Matrix> {
         if c.rows() != self.na || c.cols() != self.nb {
             return Err(LinalgError::DimensionMismatch(format!(
@@ -212,29 +211,52 @@ impl SylvesterSolver {
                 self.nb
             )));
         }
-        // C̃ᵀ = (Qaᵀ C Qb)ᵀ = Qbᵀ Cᵀ Qa, rows of `ctil_t` are columns of C̃.
-        let ctil_t = self.qbt.matmul(&c.transpose()).matmul(&self.qa);
-        // Rows of `yt` are columns of Y.
-        let mut yt = Matrix::zeros(self.nb, self.na);
-        // Reusable right-hand-side rows for the current column block (sj ≤ 2).
-        let mut rhs_rows = Matrix::zeros(2, self.na);
+        // C̃ᵀ = (Qaᵀ C Qb)ᵀ = Qbᵀ Cᵀ Qa, rows of `yt` are columns of C̃ (and,
+        // after the solve, of Y).
+        let mut yt = self.qbt.matmul(&c.transpose()).matmul(&self.qa);
+        self.solve_schur_shifted_into(shift, yt.as_mut_slice())?;
+        // X = Qa Y Qbᵀ = (Qb Yt Qaᵀ)ᵀ with Y = Ytᵀ.
+        Ok(self.qb.matmul(&yt).matmul(&self.qat).transpose())
+    }
 
+    /// Solves `(Ta + σ I) Y + Y Tbᵀ = C̃` in Schur coordinates, in place:
+    /// `yt` holds `C̃` on entry and `Y` on return, both *transposed* —
+    /// row `j` of the `nb × na` row-major buffer is column `j`, so `yt` is
+    /// `vec(C̃)` in column-major order. For the Lyapunov-shaped solvers
+    /// (`Ta = Tb`) this is the `(T ⊕ T + σI) vec(Y) = vec(C̃)` solve of a
+    /// Kronecker-sum operator that stays in `T`'s Schur basis.
+    ///
+    /// Every coupling update is a contiguous slice operation, the ≤4×4
+    /// block systems are solved on the stack, and nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] for a buffer that is not
+    /// `na · nb` long, [`LinalgError::Singular`] when
+    /// `λ_i(A) + σ + λ_j(B) = 0`.
+    pub fn solve_schur_shifted_into(&self, shift: f64, yt: &mut [f64]) -> Result<()> {
+        let (na, nb) = (self.na, self.nb);
+        self.check_schur_len("sylvester schur solve", yt.len())?;
         for jb in self.blocks_b.iter().rev() {
             let (j0, sj) = (jb.start, jb.size);
+            // Rows ≥ j0+sj are solved columns; rows j0..j0+sj still hold
+            // the right-hand side of the current column block.
+            let (head, solved) = yt.split_at_mut((j0 + sj) * na);
             // rhs row cl = C̃ᵀ row (j0+cl) − Σ_{k ≥ j0+sj} Tb[j0+cl, k] · Y col k.
             for cl in 0..sj {
                 let j = j0 + cl;
-                rhs_rows.row_mut(cl).copy_from_slice(ctil_t.row(j));
-                for k in (j0 + sj)..self.nb {
+                let row = &mut head[j * na..(j + 1) * na];
+                for k in (j0 + sj)..nb {
                     let coef = self.tb[(j, k)];
                     if coef != 0.0 {
-                        let ycol = yt.row(k);
-                        for (r, &v) in rhs_rows.row_mut(cl).iter_mut().zip(ycol.iter()) {
+                        let ycol = &solved[(k - j0 - sj) * na..(k - j0 - sj + 1) * na];
+                        for (r, &v) in row.iter_mut().zip(ycol.iter()) {
                             *r -= coef * v;
                         }
                     }
                 }
             }
+            let cols = &mut head[j0 * na..];
             // S is the transposed diagonal block of Tb (acts from the right).
             let mut s_block = [[0.0f64; 2]; 2];
             for (p, row) in s_block.iter_mut().enumerate().take(sj) {
@@ -250,11 +272,11 @@ impl SylvesterSolver {
                 // both the Ta row and the Y column are contiguous slices.
                 let mut w = [0.0f64; 4];
                 for cl in 0..sj {
-                    let ycol = yt.row(j0 + cl);
+                    let ycol = &cols[cl * na..(cl + 1) * na];
                     for rl in 0..si {
                         let i = i0 + rl;
                         let ta_row = self.ta.row(i);
-                        let mut acc = rhs_rows[(cl, i)];
+                        let mut acc = ycol[i];
                         for (t, v) in ta_row[(i0 + si)..].iter().zip(ycol[(i0 + si)..].iter()) {
                             acc -= t * v;
                         }
@@ -289,13 +311,12 @@ impl SylvesterSolver {
                 solve_small_real(dim, &mut m, &mut w).ok_or_else(|| sylvester_singular(shift))?;
                 for cl in 0..sj {
                     for rl in 0..si {
-                        yt[(j0 + cl, i0 + rl)] = w[cl * si + rl];
+                        cols[cl * na + i0 + rl] = w[cl * si + rl];
                     }
                 }
             }
         }
-        // X = Qa Y Qbᵀ = (Qb Yᵀᵀ…): with Y = Ytᵀ, X = (Qb Yt Qaᵀ)ᵀ.
-        Ok(self.qb.matmul(&yt).matmul(&self.qat).transpose())
+        Ok(())
     }
 
     /// Solves `(A + λ I) X + X B = C` with a complex shift `λ` and a complex
@@ -303,7 +324,9 @@ impl SylvesterSolver {
     ///
     /// This is used when an outer Bartels–Stewart recursion over *another*
     /// matrix hits a 2×2 (complex-pair) Schur block and the per-eigenvalue
-    /// shifted solves become complex.
+    /// shifted solves become complex. The solve itself is
+    /// [`SylvesterSolver::solve_schur_shifted_complex_into`] between the
+    /// transforms into and out of Schur coordinates.
     ///
     /// # Errors
     ///
@@ -330,46 +353,75 @@ impl SylvesterSolver {
                 self.nb
             )));
         }
-        let ctil_re = self.qa.transpose().matmul(c_re).matmul(&self.qb);
-        let ctil_im = self.qa.transpose().matmul(c_im).matmul(&self.qb);
-        let mut y_re = Matrix::zeros(self.na, self.nb);
-        let mut y_im = Matrix::zeros(self.na, self.nb);
+        let mut yt_re = self.qat.matmul(c_re).matmul(&self.qb).transpose();
+        let mut yt_im = self.qat.matmul(c_im).matmul(&self.qb).transpose();
+        self.solve_schur_shifted_complex_into(shift, yt_re.as_mut_slice(), yt_im.as_mut_slice())?;
+        let x_re = self.qa.matmul(&yt_re.transpose()).matmul(&self.qbt);
+        let x_im = self.qa.matmul(&yt_im.transpose()).matmul(&self.qbt);
+        Ok((x_re, x_im))
+    }
 
+    /// Complex analogue of [`SylvesterSolver::solve_schur_shifted_into`]:
+    /// solves `(Ta + λ I) Y + Y Tbᵀ = C̃` in place on the split real and
+    /// imaginary parts, each in the same transposed (column-major `vec`)
+    /// layout. The coefficients of `Ta`/`Tb` are real, so every coupling
+    /// update is a pair of real contiguous slice operations.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] for buffers that are not
+    /// `na · nb` long, [`LinalgError::Singular`] when
+    /// `λ_i(A) + λ + λ_j(B) = 0`.
+    pub fn solve_schur_shifted_complex_into(
+        &self,
+        shift: Complex,
+        yt_re: &mut [f64],
+        yt_im: &mut [f64],
+    ) -> Result<()> {
+        let (na, nb) = (self.na, self.nb);
+        self.check_schur_len("sylvester complex schur solve", yt_re.len())?;
+        self.check_schur_len("sylvester complex schur solve", yt_im.len())?;
         for jb in self.blocks_b.iter().rev() {
             let (j0, sj) = (jb.start, jb.size);
-            let mut rhs_re = ctil_re.submatrix(0, self.na, j0, j0 + sj);
-            let mut rhs_im = ctil_im.submatrix(0, self.na, j0, j0 + sj);
+            let (head_re, solved_re) = yt_re.split_at_mut((j0 + sj) * na);
+            let (head_im, solved_im) = yt_im.split_at_mut((j0 + sj) * na);
             for cl in 0..sj {
                 let j = j0 + cl;
-                for k in (j0 + sj)..self.nb {
+                let row_re = &mut head_re[j * na..(j + 1) * na];
+                let row_im = &mut head_im[j * na..(j + 1) * na];
+                for k in (j0 + sj)..nb {
                     let coef = self.tb[(j, k)];
                     if coef != 0.0 {
-                        for r in 0..self.na {
-                            rhs_re[(r, cl)] -= coef * y_re[(r, k)];
-                            rhs_im[(r, cl)] -= coef * y_im[(r, k)];
+                        let off = (k - j0 - sj) * na;
+                        let (y_re, y_im) = (&solved_re[off..off + na], &solved_im[off..off + na]);
+                        for (r, &v) in row_re.iter_mut().zip(y_re.iter()) {
+                            *r -= coef * v;
+                        }
+                        for (r, &v) in row_im.iter_mut().zip(y_im.iter()) {
+                            *r -= coef * v;
                         }
                     }
                 }
             }
-            let s_block = Matrix::from_fn(sj, sj, |p, q| self.tb[(j0 + q, j0 + p)]);
+            let cols_re = &mut head_re[j0 * na..];
+            let cols_im = &mut head_im[j0 * na..];
+            let mut s_block = [[0.0f64; 2]; 2];
+            for (p, row) in s_block.iter_mut().enumerate().take(sj) {
+                for (q, v) in row.iter_mut().enumerate().take(sj) {
+                    *v = self.tb[(j0 + q, j0 + p)];
+                }
+            }
 
             for ib in self.blocks_a.iter().rev() {
                 let (i0, si) = (ib.start, ib.size);
                 let dim = si * sj;
                 let mut w = [Complex::ZERO; 4];
-                for cl in 0..sj {
-                    for rl in 0..si {
-                        let i = i0 + rl;
-                        let mut acc = Complex::new(rhs_re[(i, cl)], rhs_im[(i, cl)]);
-                        for k in (i0 + si)..self.na {
-                            let coef = self.ta[(i, k)];
-                            if coef != 0.0 {
-                                acc -= Complex::new(y_re[(k, j0 + cl)], y_im[(k, j0 + cl)])
-                                    * Complex::from_real(coef);
-                            }
-                        }
-                        w[cl * si + rl] = acc;
-                    }
+                let (ta, cols) = (&self.ta, (&*cols_re, &*cols_im));
+                match (si, sj) {
+                    (1, 1) => block_coupling::<1, 1>(ta, i0, cols, na, &mut w),
+                    (1, _) => block_coupling::<1, 2>(ta, i0, cols, na, &mut w),
+                    (_, 1) => block_coupling::<2, 1>(ta, i0, cols, na, &mut w),
+                    _ => block_coupling::<2, 2>(ta, i0, cols, na, &mut w),
                 }
                 let mut m = [[Complex::ZERO; 4]; 4];
                 for p in 0..si {
@@ -387,7 +439,7 @@ impl SylvesterSolver {
                 }
                 for p in 0..sj {
                     for q in 0..sj {
-                        let v = s_block[(q, p)];
+                        let v = s_block[q][p];
                         if v != 0.0 {
                             for rr in 0..si {
                                 m[p * si + rr][q * si + rr] += Complex::from_real(v);
@@ -399,15 +451,70 @@ impl SylvesterSolver {
                     .ok_or_else(|| sylvester_singular(shift.re))?;
                 for cl in 0..sj {
                     for rl in 0..si {
-                        y_re[(i0 + rl, j0 + cl)] = w[cl * si + rl].re;
-                        y_im[(i0 + rl, j0 + cl)] = w[cl * si + rl].im;
+                        cols_re[cl * na + i0 + rl] = w[cl * si + rl].re;
+                        cols_im[cl * na + i0 + rl] = w[cl * si + rl].im;
                     }
                 }
             }
         }
-        let x_re = self.qa.matmul(&y_re).matmul(&self.qb.transpose());
-        let x_im = self.qa.matmul(&y_im).matmul(&self.qb.transpose());
-        Ok((x_re, x_im))
+        Ok(())
+    }
+
+    fn check_schur_len(&self, what: &str, len: usize) -> Result<()> {
+        if len == self.na * self.nb {
+            Ok(())
+        } else {
+            Err(LinalgError::DimensionMismatch(format!(
+                "{what}: buffer has {len} entries, expected {}x{}",
+                self.nb, self.na
+            )))
+        }
+    }
+}
+
+/// The local right-hand sides of one `SI × SJ` block of the complex
+/// back-substitution: `w[cl·SI + rl] = Y[i0+rl, cl] − Σ_{k ≥ i0+SI}
+/// Ta[i0+rl, k] · Y[k, cl]` over the column block's split parts `cols`
+/// (`SJ` rows of `na` entries each). Every accumulator sums its terms in
+/// ascending `k`, as a one-entry-at-a-time loop would; running all
+/// `2·SI·SJ` of them in one pass only hides the add latency.
+#[inline(always)]
+fn block_coupling<const SI: usize, const SJ: usize>(
+    ta: &Matrix,
+    i0: usize,
+    (cols_re, cols_im): (&[f64], &[f64]),
+    na: usize,
+    w: &mut [Complex; 4],
+) {
+    let from = i0 + SI;
+    let len = na - from;
+    let rows: [&[f64]; SI] = std::array::from_fn(|rl| &ta.row(i0 + rl)[from..na]);
+    let y_re: [&[f64]; SJ] = std::array::from_fn(|cl| &cols_re[cl * na..(cl + 1) * na]);
+    let y_im: [&[f64]; SJ] = std::array::from_fn(|cl| &cols_im[cl * na..(cl + 1) * na]);
+    let mut re = [[0.0f64; SI]; SJ];
+    let mut im = [[0.0f64; SI]; SJ];
+    for cl in 0..SJ {
+        for rl in 0..SI {
+            re[cl][rl] = y_re[cl][i0 + rl];
+            im[cl][rl] = y_im[cl][i0 + rl];
+        }
+    }
+    let tail_re: [&[f64]; SJ] = std::array::from_fn(|cl| &y_re[cl][from..na]);
+    let tail_im: [&[f64]; SJ] = std::array::from_fn(|cl| &y_im[cl][from..na]);
+    for k in 0..len {
+        for cl in 0..SJ {
+            let (vr, vi) = (tail_re[cl][k], tail_im[cl][k]);
+            for rl in 0..SI {
+                let t = rows[rl][k];
+                re[cl][rl] -= t * vr;
+                im[cl][rl] -= t * vi;
+            }
+        }
+    }
+    for cl in 0..SJ {
+        for rl in 0..SI {
+            w[cl * SI + rl] = Complex::new(re[cl][rl], im[cl][rl]);
+        }
     }
 }
 

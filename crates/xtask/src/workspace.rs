@@ -27,8 +27,9 @@ impl AnalyzeConfig {
     /// The vamor solver surface (see ISSUE/README): linalg + core + sim +
     /// obs sources, indexing checks on the cache/control/par orchestration
     /// modules, lock discipline on `shift_cache.rs` and the session shared
-    /// state (`budget.rs`, `session.rs`), allocation checks on the four
-    /// kernel files.
+    /// state (`budget.rs`, `session.rs`), allocation checks on the dense
+    /// kernel files and the Schur-coordinate chain kernels (`sylvester.rs`,
+    /// `assoc.rs`).
     pub fn vamor() -> Self {
         AnalyzeConfig {
             panic_dirs: [
@@ -57,6 +58,8 @@ impl AnalyzeConfig {
                 "crates/linalg/src/vector.rs",
                 "crates/linalg/src/sparse.rs",
                 "crates/linalg/src/kron.rs",
+                "crates/linalg/src/sylvester.rs",
+                "crates/core/src/assoc.rs",
             ]
             .iter()
             .map(PathBuf::from)
@@ -208,6 +211,9 @@ mod tests {
         assert!(cfg
             .lock_files
             .contains(&PathBuf::from("crates/core/src/session.rs")));
-        assert_eq!(cfg.alloc_files.len(), 4);
+        assert_eq!(cfg.alloc_files.len(), 6);
+        assert!(cfg
+            .alloc_files
+            .contains(&PathBuf::from("crates/linalg/src/sylvester.rs")));
     }
 }
