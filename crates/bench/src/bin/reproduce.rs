@@ -14,17 +14,20 @@
 //! transient (default: automatic, sparse from 256 states up), so the gate
 //! can exercise both backends.
 //!
-//! The run writes a machine-readable snapshot (`BENCH_PR<n>.json` by
-//! default, `--json <path>` to override, `--no-json` to skip) and can gate
-//! itself against a previous PR's committed snapshot:
+//! `ablation` times the paper's §2.3 argument on 8/16/24-stage lines:
+//! structured `H₂` moments against dense solves on the explicit Eq. 17
+//! realization. `all` runs every experiment except `overhead`, `chaos` and
+//! `resume`, which run only when named. An unknown experiment or option is a
+//! usage error (exit 2) before anything runs.
+//!
+//! `--json <path>` writes a machine-readable snapshot of the run; without it
+//! nothing is written. `cargo xtask bench-trend --fresh <path>` gates such a
+//! snapshot against the newest committed `BENCH_PR<n>.json`:
 //!
 //! ```text
-//! cargo run --release -p vamor-bench --bin reproduce -- all --compare BENCH_PR1.json
+//! cargo run --release -p vamor-bench --bin reproduce -- all --json bench-paper.json
+//! cargo xtask bench-trend --fresh bench-paper.json
 //! ```
-//!
-//! The comparison fails (non-zero exit) when an error field worsened beyond
-//! the headroom of [`vamor_bench::baseline`], or when a reduced model lost
-//! stability.
 //!
 //! Robustness controls: `--timeout-secs <v>` bounds the `adaptive`
 //! experiment with a wall-clock deadline — once the initial ROM exists the
@@ -71,16 +74,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use vamor_bench::{
-    acceptance_metrics, adaptive_deadline_run, adaptive_report, adaptive_resume_run,
-    compare_to_baseline, fig2_voltage_line_with, fig3_current_line_with, fig4_rf_receiver_with,
-    fig5_varistor_with, lowrank_scaling, scaling_subspace_dims, sparse_scaling, AcceptanceMetrics,
-    AdaptiveExperimentReport, AdaptiveSummary, Baseline, DeadlineRunReport, LowRankScalingReport,
-    ResumeReport, SparseScalingReport, TransientComparison,
+    ablation_structured_vs_dense, acceptance_metrics, adaptive_deadline_run, adaptive_report,
+    adaptive_resume_run, fig2_voltage_line_with, fig3_current_line_with, fig4_rf_receiver_with,
+    fig5_varistor_with, lowrank_scaling, scaling_subspace_dims, sparse_scaling, AblationRow,
+    AcceptanceMetrics, AdaptiveExperimentReport, AdaptiveSummary, DeadlineRunReport,
+    LowRankScalingReport, ResumeReport, SparseScalingReport, TransientComparison,
 };
 use vamor_core::{ReductionEngine, SolverBackend};
-
-/// PR number stamped into the emitted baseline snapshot.
-const PR_NUMBER: u32 = 10;
 
 struct Sizes {
     fig2_stages: usize,
@@ -120,21 +120,128 @@ impl Sizes {
     }
 }
 
+/// Experiments that `all` (or no experiment name) runs, in order.
+const ALL_EXPERIMENTS: [&str; 11] = [
+    "fig2", "fig3", "fig4", "fig5", "table1", "scaling", "sparse", "lowrank", "adaptive", "perf",
+    "ablation",
+];
+
+/// Experiments that run only when named: `overhead` toggles the global
+/// tracer, `chaos` needs fault injection compiled in, `resume` kills and
+/// resumes its own run.
+const STANDALONE_EXPERIMENTS: [&str; 3] = ["overhead", "chaos", "resume"];
+
+/// Options that take a value, with the value each expects. The one table
+/// drives both the value lookup and the scan that tells experiment names
+/// from option values.
+const VALUE_OPTIONS: [(&str, &str); 8] = [
+    ("--json", "a path"),
+    ("--engine", "one of dense|lowrank|auto"),
+    ("--timeout-secs", "a non-negative number of seconds"),
+    ("--resume", "a checkpoint path"),
+    ("--checkpoint-dir", "a directory"),
+    ("--trace-out", "a path"),
+    ("--flame-out", "a path"),
+    ("--report", "a directory"),
+];
+
+/// Options without a value.
+const SWITCHES: [&str; 6] = [
+    "--small",
+    "--adaptive",
+    "--sparse",
+    "--dense",
+    "--concurrent",
+    "--trace",
+];
+
+/// The command line, checked before any experiment runs: every `--option`
+/// is one of [`VALUE_OPTIONS`] or [`SWITCHES`], and every other word names
+/// an experiment.
+#[derive(Default)]
+struct Cli {
+    experiments: Vec<String>,
+    switches: Vec<&'static str>,
+    values: Vec<(&'static str, String)>,
+}
+
+impl Cli {
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if let Some(&(option, expects)) = VALUE_OPTIONS.iter().find(|(o, _)| o == arg) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        cli.values.push((option, value.clone()));
+                    }
+                    _ => return Err(format!("{option} requires {expects}")),
+                }
+            } else if let Some(&switch) = SWITCHES.iter().find(|s| *s == arg) {
+                cli.switches.push(switch);
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown option `{arg}`"));
+            } else if arg == "all"
+                || ALL_EXPERIMENTS.contains(&arg.as_str())
+                || STANDALONE_EXPERIMENTS.contains(&arg.as_str())
+            {
+                cli.experiments.push(arg.clone());
+            } else {
+                return Err(format!("unknown experiment `{arg}`"));
+            }
+        }
+        Ok(cli)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The value of the first occurrence of a [`VALUE_OPTIONS`] entry.
+    fn value(&self, option: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(o, _)| *o == option)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn path(&self, option: &str) -> Option<PathBuf> {
+        self.value(option).map(PathBuf::from)
+    }
+}
+
+fn usage() -> String {
+    let values: Vec<String> = VALUE_OPTIONS
+        .iter()
+        .map(|(option, expects)| format!("    {option} <{expects}>\n"))
+        .collect();
+    format!(
+        "usage: reproduce [EXPERIMENT...] [OPTION...]\n\nexperiments: {} (`all`, the default, runs these)\nrun only when named: {}\n\noptions: {}\n{}",
+        ALL_EXPERIMENTS.join(" "),
+        STANDALONE_EXPERIMENTS.join(" "),
+        SWITCHES.join(" "),
+        values.concat()
+    )
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    let no_json = args.iter().any(|a| a == "--no-json");
+    let cli = match Cli::parse(&args) {
+        Ok(cli) => cli,
+        Err(msg) => {
+            eprintln!("reproduce: {msg}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let small = cli.has("--small");
     // `--adaptive` replaces every hand-pinned fig2–fig5 configuration with
     // the adaptive driver: each experiment keeps only its input band and
     // residual tolerance (see `vamor_bench::fig2_adaptive_spec` etc.).
-    let mut adaptive = args.iter().any(|a| a == "--adaptive");
+    let mut adaptive = cli.has("--adaptive");
     // Linear-solver backend toggle for the gate: `--sparse` / `--dense`
     // force every reduction and full-model transient onto one backend;
     // the default `Auto` picks dense below 256 states.
-    let backend = match (
-        args.iter().any(|a| a == "--sparse"),
-        args.iter().any(|a| a == "--dense"),
-    ) {
+    let backend = match (cli.has("--sparse"), cli.has("--dense")) {
         (true, true) => {
             eprintln!("--sparse and --dense are mutually exclusive");
             return ExitCode::FAILURE;
@@ -149,161 +256,57 @@ fn main() -> ExitCode {
     // automatic, low-rank from 512 states). The `lowrank` experiment always
     // runs the low-rank engine and `perf`/`scaling` always measure the
     // dense machinery — they are engine benchmarks, not toggled consumers.
-    let engine_forced = args.iter().any(|a| a == "--engine");
-    let mut engine = match args.iter().position(|a| a == "--engine") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("dense") => ReductionEngine::DenseSchur,
-            Some("lowrank") => ReductionEngine::LowRank,
-            Some("auto") => ReductionEngine::Auto,
-            other => {
-                eprintln!(
-                    "--engine requires one of dense|lowrank|auto, got {:?}",
-                    other.unwrap_or("<missing>")
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        None => ReductionEngine::Auto,
+    let engine_forced = cli.value("--engine").is_some();
+    let mut engine = match cli.value("--engine") {
+        Some("dense") => ReductionEngine::DenseSchur,
+        Some("lowrank") => ReductionEngine::LowRank,
+        Some("auto") | None => ReductionEngine::Auto,
+        Some(other) => {
+            eprintln!("--engine requires one of dense|lowrank|auto, got {other:?}");
+            return ExitCode::FAILURE;
+        }
     };
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => path.clone(),
-            _ => {
-                eprintln!("--json requires a path argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => format!("BENCH_PR{PR_NUMBER}.json"),
-    };
+    // The snapshot is written only where `--json` says.
+    let json_path = cli.path("--json");
     // `--timeout-secs <v>`: wall-clock deadline for the adaptive experiment,
     // exercising the preemption contract (best-so-far ROM on expiry).
-    let timeout = match args.iter().position(|a| a == "--timeout-secs") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-            Some(v) if v >= 0.0 && v.is_finite() => Some(Duration::from_secs_f64(v)),
-            _ => {
-                eprintln!("--timeout-secs requires a non-negative number of seconds");
-                return ExitCode::FAILURE;
-            }
-        },
+    let timeout = match cli.value("--timeout-secs").map(str::parse::<f64>) {
+        Some(Ok(v)) if v >= 0.0 && v.is_finite() => Some(Duration::from_secs_f64(v)),
+        Some(_) => {
+            eprintln!("--timeout-secs requires a non-negative number of seconds");
+            return ExitCode::FAILURE;
+        }
         None => None,
     };
     // `--resume <path>`: continue a killed adaptive run from its checkpoint;
     // `--checkpoint-dir <dir>`: where the adaptive run writes checkpoints.
-    let resume_path = match args.iter().position(|a| a == "--resume") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(PathBuf::from(path)),
-            _ => {
-                eprintln!("--resume requires a checkpoint path argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let checkpoint_dir = match args.iter().position(|a| a == "--checkpoint-dir") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(PathBuf::from(path)),
-            _ => {
-                eprintln!("--checkpoint-dir requires a directory argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let concurrent = args.iter().any(|a| a == "--concurrent");
-    // The baseline is read before anything runs: a missing file fails
-    // fast, and `--json` naming the same path cannot overwrite the
-    // baseline with the fresh run before the comparison reads it.
-    let baseline = match args.iter().position(|a| a == "--compare") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => match std::fs::read_to_string(path) {
-                Ok(text) => Some((path.clone(), Baseline::parse(&text))),
-                Err(e) => {
-                    eprintln!("failed to read baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => {
-                eprintln!("--compare requires a path argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let resume_path = cli.path("--resume");
+    let checkpoint_dir = cli.path("--checkpoint-dir");
+    let concurrent = cli.has("--concurrent");
     // Trace exports: `--trace-out` (Chrome trace_event JSON) and
     // `--flame-out` (folded flamegraph stacks) imply `--trace`.
-    let trace_out = match args.iter().position(|a| a == "--trace-out") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(PathBuf::from(path)),
-            _ => {
-                eprintln!("--trace-out requires a path argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let flame_out = match args.iter().position(|a| a == "--flame-out") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(PathBuf::from(path)),
-            _ => {
-                eprintln!("--flame-out requires a path argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let trace = args.iter().any(|a| a == "--trace") || trace_out.is_some() || flame_out.is_some();
+    let trace_out = cli.path("--trace-out");
+    let flame_out = cli.path("--flame-out");
+    let trace = cli.has("--trace") || trace_out.is_some() || flame_out.is_some();
     // `--report <dir>`: per-experiment numerical-health run reports (JSON +
     // self-contained HTML) assembled from the event stream, the metrics
     // snapshot, and the span trace. The report documents the production
     // low-rank solve path, so it implies the adaptive driver and — unless
     // the user forced one — the low-rank reduction engine; a dense Schur
     // solve has no ADI sweeps or greedy moves to plot.
-    let report_dir = match args.iter().position(|a| a == "--report") {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(PathBuf::from(path)),
-            _ => {
-                eprintln!("--report requires a directory argument");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let report_dir = cli.path("--report");
     if report_dir.is_some() {
         adaptive = true;
         if !engine_forced {
             engine = ReductionEngine::LowRank;
         }
     }
-    let mut which: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--json"
-            || a == "--compare"
-            || a == "--engine"
-            || a == "--timeout-secs"
-            || a == "--resume"
-            || a == "--checkpoint-dir"
-            || a == "--trace-out"
-            || a == "--flame-out"
-            || a == "--report"
-        {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            which.push(a.as_str());
-        }
-    }
-    if which.is_empty() || which.contains(&"all") {
-        which = vec![
-            "fig2", "fig3", "fig4", "fig5", "table1", "scaling", "sparse", "lowrank", "adaptive",
-            "perf",
-        ];
-    }
+    let which: Vec<&str> =
+        if cli.experiments.is_empty() || cli.experiments.iter().any(|e| e == "all") {
+            ALL_EXPERIMENTS.to_vec()
+        } else {
+            cli.experiments.iter().map(String::as_str).collect()
+        };
     let sizes = if small {
         Sizes::small()
     } else {
@@ -325,12 +328,7 @@ fn main() -> ExitCode {
     let mut all_spans: Vec<vamor_obs::SpanRecord> = Vec::new();
 
     let mut table1_rows: Vec<(String, TransientComparison)> = Vec::new();
-    let mut metrics_blocks: Vec<(String, String)> = Vec::new();
-    let mut json_rows: Vec<(String, TransientComparison)> = Vec::new();
-    let mut acceptance: Option<AcceptanceMetrics> = None;
-    let mut sparse_report: Option<SparseScalingReport> = None;
-    let mut lowrank_report: Option<LowRankScalingReport> = None;
-    let mut adaptive_rep: Option<AdaptiveExperimentReport> = None;
+    let mut snapshot = Snapshot::default();
     for experiment in &which {
         // Each experiment gets its own metrics window; the snapshot taken
         // after the run lands in the JSON under `"metrics".<experiment>`.
@@ -343,7 +341,7 @@ fn main() -> ExitCode {
                 fig2_voltage_line_with(sizes.fig2_stages, sizes.dt, backend, engine, adaptive).map(
                     |c| {
                         print_figure("Fig. 2", &c);
-                        json_rows.push(("fig2".into(), c));
+                        snapshot.rows.push(("fig2".into(), c));
                         None
                     },
                 )
@@ -352,7 +350,7 @@ fn main() -> ExitCode {
                 fig3_current_line_with(sizes.fig3_stages, sizes.dt, backend, engine, adaptive).map(
                     |c| {
                         print_figure("Fig. 3", &c);
-                        json_rows.push(("fig3".into(), c.clone()));
+                        snapshot.rows.push(("fig3".into(), c.clone()));
                         Some(("Sect 3.2 Ex. (transmission line)".to_string(), c))
                     },
                 )
@@ -361,7 +359,7 @@ fn main() -> ExitCode {
                 fig4_rf_receiver_with(sizes.fig4_sections, sizes.dt, backend, engine, adaptive).map(
                     |c| {
                         print_figure("Fig. 4", &c);
-                        json_rows.push(("fig4".into(), c.clone()));
+                        snapshot.rows.push(("fig4".into(), c.clone()));
                         Some(("Sect 3.3 Ex. (RF receiver)".to_string(), c))
                     },
                 )
@@ -369,13 +367,13 @@ fn main() -> ExitCode {
             "fig5" => fig5_varistor_with(sizes.fig5_ladder, sizes.dt, backend, engine, adaptive)
                 .map(|c| {
                     print_figure("Fig. 5", &c);
-                    json_rows.push(("fig5".into(), c));
+                    snapshot.rows.push(("fig5".into(), c));
                     None
                 }),
             "sparse" => match sparse_scaling(sizes.sparse_mid, sizes.sparse_big, sizes.dt) {
                 Ok(r) => {
                     print_sparse_scaling(&r);
-                    sparse_report = Some(r);
+                    snapshot.sparse = Some(r);
                     Ok(None)
                 }
                 Err(e) => Err(e),
@@ -389,7 +387,7 @@ fn main() -> ExitCode {
             ) {
                 Ok(r) => {
                     print_lowrank_scaling(&r);
-                    lowrank_report = Some(r);
+                    snapshot.lowrank = Some(r);
                     Ok(None)
                 }
                 Err(e) => Err(e),
@@ -436,7 +434,7 @@ fn main() -> ExitCode {
                 ) {
                     Ok(r) => {
                         print_adaptive_report(&r);
-                        adaptive_rep = Some(r);
+                        snapshot.adaptive = Some(r);
                         Ok(None)
                     }
                     Err(e) => Err(e),
@@ -492,7 +490,7 @@ fn main() -> ExitCode {
             "perf" => match acceptance_metrics(35, if small { 16 } else { 98 }, sizes.dt) {
                 Ok(m) => {
                     print_acceptance(&m);
-                    acceptance = Some(m);
+                    snapshot.acceptance = Some(m);
                     Ok(None)
                 }
                 Err(e) => Err(e),
@@ -556,12 +554,15 @@ fn main() -> ExitCode {
                     Err(e) => Err(e),
                 }
             }
-            other => {
-                eprintln!(
-                    "unknown experiment '{other}' (expected fig2..fig5, table1, scaling, sparse, lowrank, adaptive, perf, overhead, chaos, resume, all)"
-                );
-                return ExitCode::FAILURE;
-            }
+            "ablation" => match ablation_structured_vs_dense(&[8, 16, 24], 5) {
+                Ok(rows) => {
+                    print_ablation(&rows);
+                    snapshot.ablation = rows;
+                    Ok(None)
+                }
+                Err(e) => Err(e),
+            },
+            other => unreachable!("Cli::parse admits no experiment named `{other}`"),
         };
         match outcome {
             Ok(Some(row)) => table1_rows.push(row),
@@ -604,7 +605,9 @@ fn main() -> ExitCode {
             all_spans.append(&mut spans);
         }
         if !(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty()) {
-            metrics_blocks.push(((*experiment).to_string(), snap.to_json("    ")));
+            snapshot
+                .metrics
+                .push(((*experiment).to_string(), snap.to_json("    ")));
         }
     }
 
@@ -626,7 +629,8 @@ fn main() -> ExitCode {
             })
             .map(|r| r.dur_ns)
             .sum();
-        let reduce_wall: f64 = json_rows
+        let reduce_wall: f64 = snapshot
+            .rows
             .iter()
             .map(|(_, c)| {
                 c.timings.reduce_proposed.as_secs_f64() + c.timings.reduce_norm.as_secs_f64()
@@ -658,7 +662,8 @@ fn main() -> ExitCode {
             .filter(|r| r.depth == 0 && r.name == "transient_sim")
             .map(|r| r.dur_ns)
             .sum();
-        let sim_wall: f64 = json_rows
+        let sim_wall: f64 = snapshot
+            .rows
             .iter()
             .map(|(_, c)| {
                 c.timings.sim_full.as_secs_f64()
@@ -697,40 +702,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = render_json(
-        small,
-        &json_rows,
-        acceptance.as_ref(),
-        sparse_report.as_ref(),
-        lowrank_report.as_ref(),
-        adaptive_rep.as_ref(),
-        &metrics_blocks,
-    );
-    if !no_json {
-        match std::fs::write(&json_path, &json) {
-            Ok(()) => println!("\nwrote {json_path}"),
-            Err(e) => {
-                eprintln!("failed to write {json_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some((prev_path, prev)) = baseline {
-        let fresh = Baseline::parse(&json);
-        let violations = compare_to_baseline(&fresh, &prev);
-        if violations.is_empty() {
-            println!(
-                "baseline comparison vs {prev_path} (pr {}): OK",
-                prev.pr.map(|p| p.to_string()).unwrap_or_else(|| "?".into())
-            );
-        } else {
-            eprintln!("baseline comparison vs {prev_path} FAILED:");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
+    let json = render_json(small, &snapshot);
+    if let Some(path) = &json_path {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("failed to write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
+        println!("\nwrote {}", path.display());
     }
     ExitCode::SUCCESS
 }
@@ -973,6 +951,29 @@ fn print_acceptance(m: &AcceptanceMetrics) {
     );
 }
 
+fn print_ablation(rows: &[AblationRow]) {
+    println!(
+        "\n== Ablation (Section 2.3): structured H2 moments vs the explicit Eq. 17 realization =="
+    );
+    println!(
+        "{:>7} {:>7} {:>10} | {:>14} {:>14} {:>8}",
+        "stages", "n", "n + n^2", "structured", "dense LU", "ratio"
+    );
+    for r in rows {
+        let structured = r.structured.as_secs_f64();
+        let dense = r.dense.as_secs_f64();
+        println!(
+            "{:>7} {:>7} {:>10} | {:>12.3} ms {:>11.3} ms {:>7.1}x",
+            r.stages,
+            r.states,
+            r.states + r.states * r.states,
+            structured * 1e3,
+            dense * 1e3,
+            dense / structured.max(1e-12)
+        );
+    }
+}
+
 fn print_sparse_scaling(r: &SparseScalingReport) {
     println!("\n== PR-3 sparse LU scaling (current-driven transmission line) ==");
     println!(
@@ -1014,22 +1015,34 @@ fn print_sparse_scaling(r: &SparseScalingReport) {
     );
 }
 
+/// What a run records for its JSON snapshot, one field per block.
+#[derive(Default)]
+struct Snapshot {
+    rows: Vec<(String, TransientComparison)>,
+    acceptance: Option<AcceptanceMetrics>,
+    sparse: Option<SparseScalingReport>,
+    lowrank: Option<LowRankScalingReport>,
+    adaptive: Option<AdaptiveExperimentReport>,
+    ablation: Vec<AblationRow>,
+    /// Per-experiment metrics-registry snapshots, already rendered.
+    metrics: Vec<(String, String)>,
+}
+
 /// Hand-rolled JSON (the workspace builds without external crates): one
-/// perf-trajectory entry per reproduced experiment plus the PR acceptance
-/// metrics and the sparse-LU scaling block, so later PRs can diff
-/// machine-readable baselines.
-fn render_json(
-    small: bool,
-    rows: &[(String, TransientComparison)],
-    acceptance: Option<&AcceptanceMetrics>,
-    sparse: Option<&SparseScalingReport>,
-    lowrank: Option<&LowRankScalingReport>,
-    adaptive: Option<&AdaptiveExperimentReport>,
-    metrics: &[(String, String)],
-) -> String {
+/// perf-trajectory entry per reproduced experiment plus one block per
+/// non-figure experiment that ran, for `cargo xtask bench-trend` to read.
+fn render_json(small: bool, snapshot: &Snapshot) -> String {
+    let Snapshot {
+        rows,
+        acceptance,
+        sparse,
+        lowrank,
+        adaptive,
+        ablation,
+        metrics,
+    } = snapshot;
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"pr\": {PR_NUMBER},");
     out.push_str("  \"tool\": \"vamor-bench reproduce\",\n");
     let _ = writeln!(
         out,
@@ -1188,6 +1201,21 @@ fn render_json(
             r.step_rejected,
             r.step_trajectory_diff
         );
+    }
+    if !ablation.is_empty() {
+        out.push_str(",\n  \"ablation\": [");
+        for (i, r) in ablation.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(
+                out,
+                "{sep}\n    {{\"name\": \"tline{}\", \"states\": {}, \"structured_h2_s\": {:.6e}, \"dense_h2_realization_s\": {:.6e}}}",
+                r.stages,
+                r.states,
+                r.structured.as_secs_f64(),
+                r.dense.as_secs_f64()
+            );
+        }
+        out.push_str("\n  ]");
     }
     if !metrics.is_empty() {
         out.push_str(",\n  \"metrics\": {");

@@ -6,10 +6,10 @@ use std::time::{Duration, Instant};
 
 use vamor_circuits::{RfReceiver, TransmissionLine, VaristorCircuit};
 use vamor_core::{
-    AdaptiveCheckpoint, AdaptiveReducer, AdaptiveSpec, AdaptiveTrace, AssocReducer, BandSampler,
-    BandSamplerOptions, CheckpointPlan, FrequencyBand, MomentSpec, MorError, NormReducer,
-    ReducerKind, ReductionEngine, ReductionSession, RunControl, SessionError, SolverBackend,
-    StopReason, VolterraKernels,
+    AdaptiveCheckpoint, AdaptiveReducer, AdaptiveSpec, AdaptiveTrace, AssocMomentGenerator,
+    AssocReducer, BandSampler, BandSamplerOptions, CheckpointPlan, FrequencyBand, MomentSpec,
+    MorError, NormReducer, ReducerKind, ReductionEngine, ReductionSession, RunControl,
+    SessionError, SolverBackend, StopReason, VolterraKernels,
 };
 use vamor_linalg::{Complex, CsrMatrix, Matrix, SparseLu, SparseLuSymbolic, Vector};
 use vamor_sim::{
@@ -1516,6 +1516,71 @@ pub fn scaling_subspace_dims(stages: usize, orders: &[usize]) -> Result<Vec<Scal
             proposed_candidates: proposed.stats().total_candidates(),
             norm_dim: baseline.order(),
             norm_candidates: baseline.stats().total_candidates(),
+        });
+    }
+    Ok(rows)
+}
+
+/// One line size of the §2.3 ablation (see [`ablation_structured_vs_dense`]).
+#[derive(Debug, Clone, Copy)]
+pub struct AblationRow {
+    /// Transmission-line stages.
+    pub stages: usize,
+    /// State dimension `n` of the line; the explicit realization has
+    /// `n + n²` states.
+    pub states: usize,
+    /// Best wall time of the structured path: three `H₂` moments from the
+    /// Kronecker-sum solves.
+    pub structured: Duration,
+    /// Best wall time of the brute-force path: the explicit Eq. 17
+    /// realization, one dense LU of it and three solves.
+    pub dense: Duration,
+}
+
+/// §2.3 ablation: the structured `H₂` moment generation against Arnoldi-style
+/// solves on the explicit `(n + n²)`-state realization of the associated
+/// `H₂(s)` (Eq. 17), whose `O((n + n²)³)` factorization is why the paper
+/// decouples the Kronecker sums. Each path runs `repeats` times per line
+/// size and keeps its best wall time; both include building the generator.
+///
+/// # Errors
+///
+/// Propagates circuit construction, moment generation and dense
+/// factorization failures.
+pub fn ablation_structured_vs_dense(
+    stage_sizes: &[usize],
+    repeats: usize,
+) -> Result<Vec<AblationRow>> {
+    let mut rows = Vec::with_capacity(stage_sizes.len());
+    for &stages in stage_sizes {
+        let line = TransmissionLine::current_driven(stages)?;
+        let qldae = line.qldae();
+        let mut structured = Duration::MAX;
+        let mut dense = Duration::MAX;
+        for _ in 0..repeats.max(1) {
+            let (moments, t) = timed(|| {
+                AssocMomentGenerator::new(qldae).and_then(|g| g.h2_moments_scaled(0, 0, 3))
+            });
+            moments?;
+            structured = structured.min(t);
+            let (solves, t) = timed(|| -> std::result::Result<(), MorError> {
+                let generator = AssocMomentGenerator::new(qldae)?;
+                let (a, btilde, _) = generator.dense_h2_realization(0)?;
+                let lu = a.lu()?;
+                let mut v = btilde;
+                for _ in 0..3 {
+                    v = lu.solve(&v)?;
+                }
+                Ok(())
+            });
+            solves?;
+            dense = dense.min(t);
+        }
+        rows.push(AblationRow {
+            stages,
+            states: qldae.order(),
+            structured,
+            dense,
         });
     }
     Ok(rows)

@@ -2,9 +2,9 @@
 //!
 //! Reproduction harness for the evaluation section of the DAC 2012 paper.
 //! Every table and figure has a corresponding experiment function here; the
-//! `reproduce` binary prints the series/rows and the Criterion benches time
-//! the two pipeline stages the paper reports (projection construction and
-//! repeated transient simulation).
+//! `reproduce` binary runs them, prints the series/rows and timings, and
+//! writes the machine-readable snapshot that `cargo xtask bench-trend`
+//! gates.
 //!
 //! | Paper artefact | Function |
 //! |---|---|
@@ -14,21 +14,19 @@
 //! | Fig. 5 (ZnO varistor, cubic ODE)               | [`experiments::fig5_varistor`] |
 //! | §4 size-scaling remark                          | [`experiments::scaling_subspace_dims`] |
 //! | Low-rank engine scaling (10⁴-state reductions)  | [`experiments::lowrank_scaling`] |
+//! | §2.3 structured solves vs the Eq. 17 realization | [`experiments::ablation_structured_vs_dense`] |
 
-pub mod baseline;
 pub mod experiments;
-pub mod harness;
 
-pub use baseline::{compare_to_baseline, Baseline, ExperimentBaseline};
 pub use experiments::{
-    acceptance_metrics, adaptive_deadline_run, adaptive_report, adaptive_resume_run,
-    fig2_adaptive_spec, fig2_voltage_line, fig2_voltage_line_with, fig3_adaptive_spec,
-    fig3_current_line, fig3_current_line_with, fig4_adaptive_spec, fig4_rf_receiver,
-    fig4_rf_receiver_with, fig5_adaptive_spec, fig5_varistor, fig5_varistor_with, lowrank_scaling,
-    scaling_subspace_dims, sparse_scaling, trace_overhead, AcceptanceMetrics,
-    AdaptiveExperimentReport, AdaptiveFigReport, AdaptiveSummary, DeadlineRunReport,
-    ExperimentError, LowRankScalingReport, ResumeReport, ScalingRow, SparseScalingReport, Timings,
-    TraceOverheadReport, TransientComparison,
+    ablation_structured_vs_dense, acceptance_metrics, adaptive_deadline_run, adaptive_report,
+    adaptive_resume_run, fig2_adaptive_spec, fig2_voltage_line, fig2_voltage_line_with,
+    fig3_adaptive_spec, fig3_current_line, fig3_current_line_with, fig4_adaptive_spec,
+    fig4_rf_receiver, fig4_rf_receiver_with, fig5_adaptive_spec, fig5_varistor, fig5_varistor_with,
+    lowrank_scaling, scaling_subspace_dims, sparse_scaling, trace_overhead, AblationRow,
+    AcceptanceMetrics, AdaptiveExperimentReport, AdaptiveFigReport, AdaptiveSummary,
+    DeadlineRunReport, ExperimentError, LowRankScalingReport, ResumeReport, ScalingRow,
+    SparseScalingReport, Timings, TraceOverheadReport, TransientComparison,
 };
 
 #[cfg(feature = "fault-injection")]

@@ -1,7 +1,7 @@
 //! Workspace observability: hierarchical tracing spans, a process-wide
 //! metrics registry, and trace exporters — all hand-rolled, with zero
-//! external dependencies, in the same style as `vamor_bench::harness` and
-//! `cargo xtask analyze`.
+//! external dependencies, in the same style as `cargo xtask analyze` and the
+//! `cargo xtask bench-trend` snapshot reader.
 //!
 //! The crate has two halves:
 //!

@@ -3,8 +3,7 @@
 //! Run as `cargo xtask analyze` (the alias lives in `.cargo/config.toml`).
 //! Four project-specific lints are implemented over a self-contained Rust
 //! lexer (the workspace carries no third-party dependencies, so there is no
-//! `syn` here — same precedent as the criterion/proptest replacements of
-//! PR 1):
+//! `syn` here):
 //!
 //! - **panic-freedom** — no `unwrap`/`expect`/panic macros in non-test
 //!   solver code; `[]`-indexing additionally flagged in Result-returning
@@ -21,6 +20,9 @@
 //! `// vamor: allow(<lint>, reason = "...")`; the analyzer fails on any
 //! unannotated finding, on malformed annotations, and on stale (unused)
 //! allows.
+//!
+//! `cargo xtask bench-trend` ([`trend`]) is the one regression gate over the
+//! committed `BENCH_PR*.json` snapshots and a fresh `reproduce --json` run.
 
 pub mod lexer;
 pub mod lints;

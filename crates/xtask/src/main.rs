@@ -1,12 +1,12 @@
 //! CLI entry point: `cargo xtask analyze [--json <path>] [--fix-allow]
 //! [--root <dir>]` and `cargo xtask bench-trend [--dir <dir>]
-//! [--out <path>] [--expect-regression]`.
+//! [--fresh <path>] [--out <path>] [--expect-regression]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::report::{render_human, render_json};
-use xtask::trend::{analyze_trends, load_history, render_markdown, TrendConfig};
+use xtask::trend::{analyze_trends, load_history, load_snapshot, render_markdown, TrendConfig};
 use xtask::workspace::{analyze, find_workspace_root, fix_allow, AnalyzeConfig};
 
 const USAGE: &str = "\
@@ -25,6 +25,9 @@ ANALYZE OPTIONS:
 BENCH-TREND OPTIONS:
     --dir <dir>     Directory holding BENCH_PR*.json (default: the
                     workspace root)
+    --fresh <path>  Gate an uncommitted snapshot (`reproduce --json <path>`)
+                    as the newest point, numbered after the last committed
+                    one
     --out <path>    Write the markdown report to a file (default: stdout)
     --expect-regression
                     Invert the exit status: succeed only when at least one
@@ -34,7 +37,10 @@ EXIT STATUS:
     analyze: 0 when every finding is covered by a well-formed allow
     annotation, 1 when blocking findings remain, 2 on usage errors.
     bench-trend: 0 when the newest snapshot is clean, 1 when a regression
-    is flagged (inverted under --expect-regression), 2 on usage errors.
+    is flagged — by the change-point test against the metric's history or
+    by the step gate against the previous snapshot (error headroom 1.1x,
+    error ceiling 0.1, no lost error field, every Hurwitz flag true) —
+    inverted under --expect-regression, 2 on usage errors.
 ";
 
 fn main() -> ExitCode {
@@ -135,10 +141,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// `cargo xtask bench-trend`: regression detection over the committed
-/// `BENCH_PR*.json` history (see [`xtask::trend`]).
+/// `cargo xtask bench-trend`: the regression gate over the committed
+/// `BENCH_PR*.json` history, optionally extended by a fresh snapshot (see
+/// [`xtask::trend`]).
 fn bench_trend(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut dir_arg: Option<PathBuf> = None;
+    let mut fresh: Option<PathBuf> = None;
     let mut out_path: Option<PathBuf> = None;
     let mut expect_regression = false;
     while let Some(arg) = args.next() {
@@ -147,6 +155,13 @@ fn bench_trend(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(p) => dir_arg = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("--dir requires a directory");
+                    return ExitCode::from(2);
+                }
+            },
+            "--fresh" => match args.next() {
+                Some(p) => fresh = Some(PathBuf::from(p)),
+                None => {
+                    eprintln!("--fresh requires a path");
                     return ExitCode::from(2);
                 }
             },
@@ -175,13 +190,27 @@ fn bench_trend(mut args: impl Iterator<Item = String>) -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let history = match load_history(&dir) {
+    let mut history = match load_history(&dir) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
+    if let Some(path) = &fresh {
+        let pr = history.last().map_or(1, |s| s.pr + 1);
+        match load_snapshot(pr, path) {
+            Ok(snapshot) => history.push(snapshot),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(2);
+            }
+        }
+        println!(
+            "bench-trend: {} is the newest point, PR{pr}",
+            path.display()
+        );
+    }
     let rows = analyze_trends(&history, &TrendConfig::default());
     let markdown = render_markdown(&history, &rows);
     match &out_path {

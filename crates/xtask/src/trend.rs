@@ -1,13 +1,17 @@
-//! `cargo xtask bench-trend` — regression detection over the committed
-//! bench-snapshot history (`BENCH_PR1.json` … `BENCH_PR<n>.json`).
+//! `cargo xtask bench-trend` — the regression gate over the bench-snapshot
+//! history (`BENCH_PR1.json` … `BENCH_PR<n>.json`, plus an optional fresh
+//! uncommitted snapshot as the newest point).
 //!
 //! Every PR commits the machine-readable output of `reproduce all` at the
 //! repo root. This module parses the whole history (the workspace carries
-//! no third-party crates, so the JSON reader below is hand-rolled, same
-//! precedent as `vamor_bench::baseline`), flattens each snapshot into
-//! dotted metric paths (`experiments.fig3.max_rel_error_proposed`,
-//! `acceptance.assoc_reduce_speedup`, …), and compares the newest value of
-//! each metric against a robust baseline of its own history:
+//! no third-party crates, so the JSON reader below is hand-rolled),
+//! flattens each snapshot into dotted metric paths
+//! (`experiments.fig3.max_rel_error_proposed`,
+//! `acceptance.assoc_reduce_speedup`, …), and judges the newest point of
+//! each metric two ways.
+//!
+//! The **change-point test** compares it against a robust baseline of its
+//! own history:
 //!
 //! - the baseline is the **median** of the prior points and the scale is
 //!   the **MAD** (median absolute deviation, scaled by 1.4826 to estimate
@@ -21,6 +25,13 @@
 //!   raises the tolerance of every metric sharing its leading name token,
 //!   and wall-clock metrics carry a generous relative floor because the
 //!   history spans different machines.
+//!
+//! The **step gate** ([`step_gate`]) compares it against the snapshot just
+//! before it, on the accuracy and stability fields only: every
+//! `experiments.*.max_rel_error_*` stays within [`ERROR_HEADROOM`] of its
+//! previous value and under the absolute [`ERROR_CEILING`], every gated path
+//! of the previous snapshot is still present (a non-finite value is not),
+//! and every `*hurwitz*` leaf is true.
 //!
 //! The result is a markdown report (stdout, `--out <path>` to write) with
 //! the flagged regressions first and the full per-metric trajectories
@@ -69,7 +80,8 @@ impl Json {
 }
 
 /// Recursive-descent JSON parser for the bench-snapshot dialect: standard
-/// JSON plus the bare `NaN`/`Infinity`/`-Infinity` words some tools emit.
+/// JSON plus the bare `NaN`/`Infinity`/`-Infinity` words some tools emit and
+/// the `inf`/`-inf` that Rust's float formatting writes.
 ///
 /// # Errors
 ///
@@ -105,9 +117,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         b'n' => parse_word(bytes, pos, "null", Json::Null),
         b'N' => parse_word(bytes, pos, "NaN", Json::Num(f64::NAN)),
         b'I' => parse_word(bytes, pos, "Infinity", Json::Num(f64::INFINITY)),
+        b'i' => parse_word(bytes, pos, "inf", Json::Num(f64::INFINITY)),
         b'-' if bytes.get(*pos + 1) == Some(&b'I') => {
             *pos += 1;
             parse_word(bytes, pos, "Infinity", Json::Num(f64::NEG_INFINITY))
+        }
+        b'-' if bytes.get(*pos + 1) == Some(&b'i') => {
+            *pos += 1;
+            parse_word(bytes, pos, "inf", Json::Num(f64::NEG_INFINITY))
         }
         b'-' | b'0'..=b'9' => parse_number(bytes, pos),
         other => Err(format!("unexpected byte {:?} at {}", other as char, *pos)),
@@ -399,6 +416,13 @@ pub fn direction(path: &str) -> Direction {
     Direction::Neutral
 }
 
+/// Absolute floor, in seconds, on the change-point tolerance of wall-clock
+/// metrics. A single-shot wall of a millisecond-scale stage is scheduler
+/// noise at that scale: the paper-size fig3 NORM reduce took 1.2–8.6 ms
+/// over sixteen runs of unchanged solver code on one 2-core machine, so
+/// only a jump of more than 10 ms counts.
+const TIMING_ABS_FLOOR_S: f64 = 0.01;
+
 /// Wall-clock metrics get a wide relative floor: the committed history
 /// spans different machines and load conditions, and a 2× wall swing
 /// between PR snapshots is machine noise, not a regression.
@@ -441,6 +465,9 @@ pub struct TrendRow {
     pub mad: f64,
     /// Tolerance the newest point had to stay inside.
     pub tolerance: f64,
+    /// Step-gate violations of the newest point (see [`step_gate`]).
+    pub gate: Vec<String>,
+    /// The change-point test fired or the step gate found a violation.
     pub regressed: bool,
 }
 
@@ -489,9 +516,102 @@ impl Default for TrendConfig {
     }
 }
 
+/// Multiplicative headroom of the step gate: a newest error above
+/// `previous · ERROR_HEADROOM` is a regression, however small both are, so
+/// a `--small` run's 1e-7 errors are gated as tightly as paper-size ones.
+pub const ERROR_HEADROOM: f64 = 1.10;
+
+/// Step-gate bound for an exactly-zero previous error (double-precision
+/// roundoff); a nonzero previous error is gated by [`ERROR_HEADROOM`] alone.
+pub const ERROR_ROUNDOFF_FLOOR: f64 = 1e-15;
+
+/// Absolute ceiling on every `experiments.*.max_rel_error_*`: a ROM this far
+/// off the full model fails even when the previous snapshot was as wrong.
+pub const ERROR_CEILING: f64 = 0.1;
+
+fn leaf(path: &str) -> &str {
+    path.rsplit('.').next().unwrap_or(path)
+}
+
+/// `experiments.<name>.max_rel_error_<reducer>`: a ROM's transient error.
+fn is_gated_error(path: &str) -> bool {
+    path.strip_prefix("experiments.")
+        .and_then(|rest| rest.split_once('.'))
+        .is_some_and(|(_, field)| field.starts_with("max_rel_error_"))
+}
+
+fn is_hurwitz(path: &str) -> bool {
+    leaf(path).contains("hurwitz")
+}
+
+/// The step gate: checks the newest snapshot against the one before it
+/// (`None` when the history has a single point, which leaves only the
+/// ceiling and Hurwitz checks). Returns the violations keyed by metric path.
+///
+/// - A gated error above `ERROR_HEADROOM ×` its previous value (or above
+///   [`ERROR_ROUNDOFF_FLOOR`] after an exact zero) fails, as does any gated
+///   error above [`ERROR_CEILING`].
+/// - A gated error or `*hurwitz*` path of the previous snapshot that is
+///   missing from the newest fails; [`flatten`] drops non-finite values, so
+///   this also catches a NaN or infinite error.
+/// - A `*hurwitz*` leaf of the newest snapshot that is not true fails.
+pub fn step_gate(
+    previous: Option<&FlatSnapshot>,
+    newest: &FlatSnapshot,
+) -> BTreeMap<String, Vec<String>> {
+    let mut violations: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut flag = |path: &str, reason: String| {
+        violations.entry(path.to_string()).or_default().push(reason);
+    };
+    if let Some(prev) = previous {
+        for (path, &old) in &prev.metrics {
+            if !(is_gated_error(path) || is_hurwitz(path)) {
+                continue;
+            }
+            let Some(&new) = newest.metrics.get(path) else {
+                flag(
+                    path,
+                    format!(
+                        "present in PR{} but missing or not finite in PR{}",
+                        prev.pr, newest.pr
+                    ),
+                );
+                continue;
+            };
+            let bound = if old == 0.0 {
+                ERROR_ROUNDOFF_FLOOR
+            } else {
+                old * ERROR_HEADROOM
+            };
+            // Hurwitz flags are judged on the newest snapshot alone, below.
+            if is_gated_error(path) && new > bound {
+                flag(
+                    path,
+                    format!(
+                        "worsened: {new:.6e} > {ERROR_HEADROOM} x {old:.6e} (PR{})",
+                        prev.pr
+                    ),
+                );
+            }
+        }
+    }
+    for (path, &value) in &newest.metrics {
+        if is_gated_error(path) && value > ERROR_CEILING {
+            flag(
+                path,
+                format!("above the ceiling: {value:.6e} > {ERROR_CEILING}"),
+            );
+        }
+        if is_hurwitz(path) && value != 1.0 {
+            flag(path, "reduced G1r is not Hurwitz".to_string());
+        }
+    }
+    violations
+}
+
 /// Builds the per-metric trend table over a history of flattened
-/// snapshots (ascending PR order) and applies the change-point test to
-/// the newest point of each series.
+/// snapshots (ascending PR order) and applies the change-point test and
+/// the [`step_gate`] to the newest point of each series.
 pub fn analyze_trends(history: &[FlatSnapshot], cfg: &TrendConfig) -> Vec<TrendRow> {
     let mut paths: BTreeMap<&str, Vec<(u32, f64)>> = BTreeMap::new();
     let mut noise: BTreeMap<&str, f64> = BTreeMap::new();
@@ -505,6 +625,11 @@ pub fn analyze_trends(history: &[FlatSnapshot], cfg: &TrendConfig) -> Vec<TrendR
         }
     }
     let last_pr = history.last().map(|s| s.pr).unwrap_or(0);
+    let mut gate = match history {
+        [.., prev, newest] => step_gate(Some(prev), newest),
+        [newest] => step_gate(None, newest),
+        [] => BTreeMap::new(),
+    };
     paths
         .into_iter()
         .map(|(path, series)| {
@@ -518,27 +643,28 @@ pub fn analyze_trends(history: &[FlatSnapshot], cfg: &TrendConfig) -> Vec<TrendR
                 prior.drain(..prior.len() - cfg.baseline_window);
             }
             let (med, mad) = robust_stats(&prior);
-            let rel = if is_timing(path) {
-                cfg.timing_rel_floor
+            let (rel, abs) = if is_timing(path) {
+                (cfg.timing_rel_floor, TIMING_ABS_FLOOR_S.max(cfg.abs_floor))
             } else {
-                cfg.rel_floor
+                (cfg.rel_floor, cfg.abs_floor)
             };
             let tolerance = (cfg.mad_sigmas * mad)
                 .max(rel * med.abs())
                 .max(noise.get(path).copied().unwrap_or(0.0))
-                .max(cfg.abs_floor);
+                .max(abs);
             let newest = series.last().map(|(_, v)| *v).unwrap_or(f64::NAN);
             let has_newest = series.last().map(|(pr, _)| *pr == last_pr).unwrap_or(false);
             let eligible = has_newest
                 && series.len() >= cfg.min_points
                 && prior.len() >= cfg.min_points - 1
                 && direction != Direction::Neutral;
-            let regressed = eligible
+            let change_point = eligible
                 && match direction {
                     Direction::HigherWorse => newest - med > tolerance,
                     Direction::LowerWorse => med - newest > tolerance,
                     Direction::Neutral => false,
                 };
+            let gate = gate.remove(path).unwrap_or_default();
             TrendRow {
                 path: path.to_string(),
                 series,
@@ -546,7 +672,8 @@ pub fn analyze_trends(history: &[FlatSnapshot], cfg: &TrendConfig) -> Vec<TrendR
                 median: med,
                 mad,
                 tolerance,
-                regressed,
+                regressed: change_point || !gate.is_empty(),
+                gate,
             }
         })
         .collect()
@@ -596,14 +723,20 @@ pub fn load_history(dir: &Path) -> Result<Vec<FlatSnapshot>, String> {
     }
     files
         .into_iter()
-        .map(|(pr, path)| {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let json =
-                parse_json(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))?;
-            Ok(flatten(pr, &json))
-        })
+        .map(|(pr, path)| load_snapshot(pr, &path))
         .collect()
+}
+
+/// Loads and flattens one snapshot file as the point of PR `pr`.
+///
+/// # Errors
+///
+/// Fails when the file cannot be read or is not JSON.
+pub fn load_snapshot(pr: u32, path: &Path) -> Result<FlatSnapshot, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let json = parse_json(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))?;
+    Ok(flatten(pr, &json))
 }
 
 fn fmt_value(v: f64) -> String {
@@ -642,27 +775,38 @@ pub fn render_markdown(history: &[FlatSnapshot], rows: &[TrendRow]) -> String {
     } else {
         let _ = writeln!(out, "## Regressions: {} flagged", regressions.len());
         let _ = writeln!(out);
+        let last_pr = prs.last().copied().unwrap_or(0);
         let _ = writeln!(
             out,
-            "| metric | median | robust σ | tolerance | PR{} value | drift |",
-            prs.last().copied().unwrap_or(0)
+            "| metric | median | robust σ | tolerance | PR{last_pr} value | drift | why |"
         );
-        let _ = writeln!(out, "|---|---|---|---|---|---|");
+        let _ = writeln!(out, "|---|---|---|---|---|---|---|");
         for r in &regressions {
-            let (_, newest) = r.last();
-            let drift = match r.direction {
-                Direction::LowerWorse => r.median - newest,
-                _ => newest - r.median,
+            let (pr, newest) = r.last();
+            let (value, drift) = if pr == last_pr {
+                let drift = match r.direction {
+                    Direction::LowerWorse => r.median - newest,
+                    _ => newest - r.median,
+                };
+                (
+                    format!("**{}**", fmt_value(newest)),
+                    format!("{} worse", fmt_value(drift)),
+                )
+            } else {
+                ("**missing**".to_string(), "—".to_string())
+            };
+            let why = if r.gate.is_empty() {
+                "change point".to_string()
+            } else {
+                r.gate.join("; ")
             };
             let _ = writeln!(
                 out,
-                "| `{}` | {} | {} | {} | **{}** | {} worse |",
+                "| `{}` | {} | {} | {} | {value} | {drift} | {why} |",
                 r.path,
                 fmt_value(r.median),
                 fmt_value(r.mad),
                 fmt_value(r.tolerance),
-                fmt_value(newest),
-                fmt_value(drift),
             );
         }
     }
@@ -811,7 +955,10 @@ mod tests {
 
     #[test]
     fn change_point_flags_a_jump_but_not_noise() {
-        let path = "experiments.fig3.max_rel_error_proposed";
+        // An error the step gate does not read, so only the change-point
+        // test judges it (the gated `experiments.*.max_rel_error_*` fields
+        // are tested with the step gate below).
+        let path = "lowrank_scaling.rom_error_big";
         let cfg = TrendConfig::default();
         // Stable history with last-point noise inside the relative floor.
         let hist = snapshots(&[(1, 1e-4), (2, 1.1e-4), (3, 0.9e-4), (4, 1.2e-4)], path);
@@ -862,12 +1009,23 @@ mod tests {
     }
 
     #[test]
+    fn millisecond_walls_need_a_ten_millisecond_jump() {
+        let path = "experiments.fig3.wall_s.reduce_norm";
+        let cfg = TrendConfig::default();
+        let hist = snapshots(&[(1, 1.4e-3), (2, 5.3e-4), (3, 6.8e-4), (4, 8.6e-3)], path);
+        assert!(!analyze_trends(&hist, &cfg)[0].regressed);
+        let hist = snapshots(&[(1, 1.4e-3), (2, 5.3e-4), (3, 6.8e-4), (4, 1.2e-2)], path);
+        assert!(analyze_trends(&hist, &cfg)[0].regressed);
+    }
+
+    #[test]
     fn short_and_neutral_series_never_flag() {
         let cfg = TrendConfig::default();
-        // Three points < min_points: even a huge jump stays quiet.
+        // Three points < min_points: even a huge jump stays quiet (on an
+        // error outside the step gate, which needs no history length).
         let hist = snapshots(
             &[(1, 1e-4), (2, 1e-4), (3, 1.0)],
-            "experiments.fig2.max_rel_error_proposed",
+            "lowrank_scaling.rom_error_big",
         );
         assert!(!analyze_trends(&hist, &cfg)[0].regressed);
         // Neutral direction: a reduced-order change is information, not a
@@ -889,5 +1047,182 @@ mod tests {
         assert!(md.contains(path));
         assert!(md.contains("## Trajectories"));
         assert!(md.contains("PR4"));
+    }
+
+    // --- step gate -------------------------------------------------------
+
+    const SAMPLE_OLD: &str = r#"{
+  "experiments": [
+    {"name": "fig2", "full_order": 100, "reduced_order": 11, "max_rel_error_proposed": 4.870609e-2, "wall_s": {"reduce_proposed": 0.711746}},
+    {"name": "fig3", "full_order": 70, "max_rel_error_proposed": 5.777224e-5, "max_rel_error_norm": 1.746290e-3, "wall_s": {"sim_full": 0.09}}
+  ],
+  "acceptance": {
+    "assoc_reduce_speedup": 2.719
+  }
+}
+"#;
+
+    const SAMPLE_NEW: &str = r#"{
+  "experiments": [
+    {"name": "fig2", "max_rel_error_proposed": 1.8e-2, "g1r_hurwitz": true, "g1r_spectral_abscissa": -2.3e-2, "wall_s": {"reduce_proposed": 1.0}},
+    {"name": "fig3", "max_rel_error_proposed": 3.4e-5, "max_rel_error_norm": 1.75e-3, "g1r_hurwitz": true, "norm_g1r_hurwitz": true, "wall_s": {"sim_full": 0.09}}
+  ],
+  "acceptance": {
+    "assoc_reduce_tline35_cached_s": 0.011
+  }
+}
+"#;
+
+    fn snapshot(pr: u32, text: &str) -> FlatSnapshot {
+        flatten(pr, &parse_json(text).unwrap())
+    }
+
+    fn gate(old: &str, new: &str) -> BTreeMap<String, Vec<String>> {
+        step_gate(Some(&snapshot(1, old)), &snapshot(2, new))
+    }
+
+    #[track_caller]
+    fn assert_flagged(violations: &BTreeMap<String, Vec<String>>, path: &str, reason: &str) {
+        let hit = violations
+            .get(path)
+            .is_some_and(|reasons| reasons.iter().any(|r| r.contains(reason)));
+        assert!(hit, "no `{reason}` violation on {path}: {violations:?}");
+    }
+
+    #[test]
+    fn parses_the_reproduce_format() {
+        let old = snapshot(1, SAMPLE_OLD);
+        let fig2 = old.metrics["experiments.fig2.max_rel_error_proposed"];
+        assert!((fig2 - 4.870609e-2).abs() < 1e-12);
+        assert!(!old
+            .metrics
+            .contains_key("experiments.fig2.max_rel_error_norm"));
+        assert!(!old.metrics.contains_key("experiments.fig2.g1r_hurwitz"));
+        let fig3 = old.metrics["experiments.fig3.max_rel_error_norm"];
+        assert!((fig3 - 1.746290e-3).abs() < 1e-15);
+        assert_eq!(
+            old.metrics.get("experiments.fig2.wall_s.reduce_proposed"),
+            Some(&0.711746)
+        );
+        // Rust's float formatting writes `inf`; the parser reads it.
+        assert_eq!(
+            parse_json("[inf, -inf]").unwrap(),
+            Json::Arr(vec![Json::Num(f64::INFINITY), Json::Num(f64::NEG_INFINITY)])
+        );
+    }
+
+    #[test]
+    fn improvements_and_noise_level_changes_pass() {
+        let violations = gate(SAMPLE_OLD, SAMPLE_NEW);
+        assert!(
+            violations.is_empty(),
+            "unexpected violations: {violations:?}"
+        );
+        // Inside the headroom is noise, not a regression.
+        let noisy = SAMPLE_NEW.replace("3.4e-5", "6.3e-5");
+        assert!(gate(SAMPLE_OLD, &noisy).is_empty());
+    }
+
+    #[test]
+    fn worsened_errors_and_lost_stability_fail() {
+        let regressed = SAMPLE_NEW
+            .replace(
+                "\"max_rel_error_proposed\": 1.8e-2",
+                "\"max_rel_error_proposed\": 6.0e-2",
+            )
+            .replace(
+                "\"g1r_hurwitz\": true, \"g1r",
+                "\"g1r_hurwitz\": false, \"g1r",
+            )
+            .replace("\"norm_g1r_hurwitz\": true", "\"norm_g1r_hurwitz\": false");
+        let violations = gate(SAMPLE_OLD, &regressed);
+        assert_flagged(
+            &violations,
+            "experiments.fig2.max_rel_error_proposed",
+            "worsened",
+        );
+        // Any `*hurwitz*` leaf counts, not only the proposed ROM's.
+        assert_flagged(&violations, "experiments.fig2.g1r_hurwitz", "not Hurwitz");
+        assert_flagged(
+            &violations,
+            "experiments.fig3.norm_g1r_hurwitz",
+            "not Hurwitz",
+        );
+        assert_eq!(violations.len(), 3, "{violations:?}");
+    }
+
+    /// Errors far below 1e-3 are gated too: a 100× regression at the fig3
+    /// `--small` magnitudes fails on both fields, the unchanged run passes.
+    #[test]
+    fn small_errors_are_gated_relative_to_their_baseline() {
+        let small = r#"{"experiments": [
+            {"name": "fig3", "max_rel_error_proposed": 2.05e-9, "max_rel_error_norm": 4.91e-8}
+        ]}"#;
+        assert!(gate(small, small).is_empty());
+        let regressed = small
+            .replace("2.05e-9", "2.05e-7")
+            .replace("4.91e-8", "4.91e-6");
+        let violations = gate(small, &regressed);
+        assert_flagged(
+            &violations,
+            "experiments.fig3.max_rel_error_proposed",
+            "worsened",
+        );
+        assert_flagged(
+            &violations,
+            "experiments.fig3.max_rel_error_norm",
+            "worsened",
+        );
+        let noisy = small.replace("2.05e-9", "2.2e-9");
+        assert!(gate(small, &noisy).is_empty());
+        // Only an exactly-zero baseline falls back to the roundoff floor.
+        let zero = small.replace("2.05e-9", "0.0");
+        assert!(gate(&zero, &zero.replace("0.0", "1e-16")).is_empty());
+        assert!(!gate(&zero, &zero.replace("0.0", "1e-14")).is_empty());
+    }
+
+    #[test]
+    fn nonfinite_errors_fail() {
+        for word in ["inf", "NaN"] {
+            let broken = SAMPLE_NEW.replace(
+                "\"max_rel_error_proposed\": 1.8e-2",
+                &format!("\"max_rel_error_proposed\": {word}"),
+            );
+            let violations = gate(SAMPLE_OLD, &broken);
+            assert_flagged(
+                &violations,
+                "experiments.fig2.max_rel_error_proposed",
+                "not finite",
+            );
+        }
+    }
+
+    #[test]
+    fn missing_experiments_are_flagged() {
+        let new = r#"{"experiments": [{"name": "fig2", "max_rel_error_proposed": 1e-2}]}"#;
+        let violations = gate(SAMPLE_OLD, new);
+        assert_flagged(
+            &violations,
+            "experiments.fig3.max_rel_error_proposed",
+            "missing",
+        );
+        assert_flagged(
+            &violations,
+            "experiments.fig3.max_rel_error_norm",
+            "missing",
+        );
+    }
+
+    /// A ROM as wrong as the 3.055 low-rank fig4 one fails on the absolute
+    /// ceiling even when the previous snapshot held the same error.
+    #[test]
+    fn errors_above_the_ceiling_fail_even_when_unchanged() {
+        let wrong = r#"{"experiments": [
+            {"name": "fig4", "max_rel_error_proposed": 3.055, "g1r_hurwitz": true}
+        ]}"#;
+        let path = "experiments.fig4.max_rel_error_proposed";
+        assert_flagged(&gate(wrong, wrong), path, "ceiling");
+        // A single-snapshot history still gets the ceiling.
+        assert_flagged(&step_gate(None, &snapshot(1, wrong)), path, "ceiling");
     }
 }
