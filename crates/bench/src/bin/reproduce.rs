@@ -131,18 +131,17 @@ const ALL_EXPERIMENTS: [&str; 11] = [
 /// resumes its own run.
 const STANDALONE_EXPERIMENTS: [&str; 3] = ["overhead", "chaos", "resume"];
 
-/// Options that take a value, with the value each expects. The one table
-/// drives both the value lookup and the scan that tells experiment names
-/// from option values.
-const VALUE_OPTIONS: [(&str, &str); 8] = [
-    ("--json", "a path"),
-    ("--engine", "one of dense|lowrank|auto"),
-    ("--timeout-secs", "a non-negative number of seconds"),
-    ("--resume", "a checkpoint path"),
-    ("--checkpoint-dir", "a directory"),
-    ("--trace-out", "a path"),
-    ("--flame-out", "a path"),
-    ("--report", "a directory"),
+/// Options that take a value. The one table drives both the value lookup
+/// and the scan that tells experiment names from option values.
+const VALUE_OPTIONS: [&str; 8] = [
+    "--json",
+    "--engine",
+    "--timeout-secs",
+    "--resume",
+    "--checkpoint-dir",
+    "--trace-out",
+    "--flame-out",
+    "--report",
 ];
 
 /// Options without a value.
@@ -155,93 +154,77 @@ const SWITCHES: [&str; 6] = [
     "--trace",
 ];
 
-/// The command line, checked before any experiment runs: every `--option`
-/// is one of [`VALUE_OPTIONS`] or [`SWITCHES`], and every other word names
-/// an experiment.
-#[derive(Default)]
-struct Cli {
-    experiments: Vec<String>,
-    switches: Vec<&'static str>,
-    values: Vec<(&'static str, String)>,
-}
+const USAGE: &str = "\
+usage: reproduce [EXPERIMENT...] [OPTION...]
 
-impl Cli {
-    fn parse(args: &[String]) -> Result<Cli, String> {
-        let mut cli = Cli::default();
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            if let Some(&(option, expects)) = VALUE_OPTIONS.iter().find(|(o, _)| o == arg) {
-                match args.next() {
-                    Some(value) if !value.starts_with("--") => {
-                        cli.values.push((option, value.clone()));
-                    }
-                    _ => return Err(format!("{option} requires {expects}")),
-                }
-            } else if let Some(&switch) = SWITCHES.iter().find(|s| *s == arg) {
-                cli.switches.push(switch);
-            } else if arg.starts_with("--") {
-                return Err(format!("unknown option `{arg}`"));
-            } else if arg == "all"
-                || ALL_EXPERIMENTS.contains(&arg.as_str())
-                || STANDALONE_EXPERIMENTS.contains(&arg.as_str())
-            {
-                cli.experiments.push(arg.clone());
-            } else {
-                return Err(format!("unknown experiment `{arg}`"));
+experiments (`all`, the default, runs these):
+    fig2 fig3 fig4 fig5 table1 scaling sparse lowrank adaptive perf ablation
+run only when named:
+    overhead chaos resume
+
+options:
+    --small --adaptive --sparse --dense --concurrent --trace
+    --json <path> --engine <dense|lowrank|auto> --timeout-secs <seconds>
+    --resume <checkpoint> --checkpoint-dir <dir> --trace-out <path>
+    --flame-out <path> --report <dir>
+";
+
+/// Checks the command line before any experiment runs and returns the
+/// experiments it names: every `--option` is one of [`SWITCHES`] or of
+/// [`VALUE_OPTIONS`] followed by its value, and every other word names an
+/// experiment.
+fn experiments(args: &[String]) -> Result<Vec<&str>, String> {
+    let mut named = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let arg = arg.as_str();
+        if VALUE_OPTIONS.contains(&arg) {
+            if args.next().is_none_or(|value| value.starts_with("--")) {
+                return Err(format!("{arg} requires a value"));
             }
+        } else if arg.starts_with("--") {
+            if !SWITCHES.contains(&arg) {
+                return Err(format!("unknown option `{arg}`"));
+            }
+        } else if arg == "all"
+            || ALL_EXPERIMENTS.contains(&arg)
+            || STANDALONE_EXPERIMENTS.contains(&arg)
+        {
+            named.push(arg);
+        } else {
+            return Err(format!("unknown experiment `{arg}`"));
         }
-        Ok(cli)
     }
-
-    fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
-    }
-
-    /// The value of the first occurrence of a [`VALUE_OPTIONS`] entry.
-    fn value(&self, option: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(o, _)| *o == option)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn path(&self, option: &str) -> Option<PathBuf> {
-        self.value(option).map(PathBuf::from)
-    }
-}
-
-fn usage() -> String {
-    let values: Vec<String> = VALUE_OPTIONS
-        .iter()
-        .map(|(option, expects)| format!("    {option} <{expects}>\n"))
-        .collect();
-    format!(
-        "usage: reproduce [EXPERIMENT...] [OPTION...]\n\nexperiments: {} (`all`, the default, runs these)\nrun only when named: {}\n\noptions: {}\n{}",
-        ALL_EXPERIMENTS.join(" "),
-        STANDALONE_EXPERIMENTS.join(" "),
-        SWITCHES.join(" "),
-        values.concat()
-    )
+    Ok(named)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match Cli::parse(&args) {
-        Ok(cli) => cli,
+    let named = match experiments(&args) {
+        Ok(named) => named,
         Err(msg) => {
-            eprintln!("reproduce: {msg}\n\n{}", usage());
+            eprintln!("reproduce: {msg}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let small = cli.has("--small");
+    let has = |switch: &str| args.iter().any(|a| a == switch);
+    // The value of a [`VALUE_OPTIONS`] entry; `experiments` checked that
+    // one follows it.
+    let value = |option: &str| {
+        args.iter()
+            .position(|a| a == option)
+            .map(|i| args[i + 1].as_str())
+    };
+    let path = |option: &str| value(option).map(PathBuf::from);
+    let small = has("--small");
     // `--adaptive` replaces every hand-pinned fig2–fig5 configuration with
     // the adaptive driver: each experiment keeps only its input band and
     // residual tolerance (see `vamor_bench::fig2_adaptive_spec` etc.).
-    let mut adaptive = cli.has("--adaptive");
+    let mut adaptive = has("--adaptive");
     // Linear-solver backend toggle for the gate: `--sparse` / `--dense`
     // force every reduction and full-model transient onto one backend;
     // the default `Auto` picks dense below 256 states.
-    let backend = match (cli.has("--sparse"), cli.has("--dense")) {
+    let backend = match (has("--sparse"), has("--dense")) {
         (true, true) => {
             eprintln!("--sparse and --dense are mutually exclusive");
             return ExitCode::FAILURE;
@@ -256,8 +239,8 @@ fn main() -> ExitCode {
     // automatic, low-rank from 512 states). The `lowrank` experiment always
     // runs the low-rank engine and `perf`/`scaling` always measure the
     // dense machinery — they are engine benchmarks, not toggled consumers.
-    let engine_forced = cli.value("--engine").is_some();
-    let mut engine = match cli.value("--engine") {
+    let engine_forced = value("--engine").is_some();
+    let mut engine = match value("--engine") {
         Some("dense") => ReductionEngine::DenseSchur,
         Some("lowrank") => ReductionEngine::LowRank,
         Some("auto") | None => ReductionEngine::Auto,
@@ -267,10 +250,10 @@ fn main() -> ExitCode {
         }
     };
     // The snapshot is written only where `--json` says.
-    let json_path = cli.path("--json");
+    let json_path = path("--json");
     // `--timeout-secs <v>`: wall-clock deadline for the adaptive experiment,
     // exercising the preemption contract (best-so-far ROM on expiry).
-    let timeout = match cli.value("--timeout-secs").map(str::parse::<f64>) {
+    let timeout = match value("--timeout-secs").map(str::parse::<f64>) {
         Some(Ok(v)) if v >= 0.0 && v.is_finite() => Some(Duration::from_secs_f64(v)),
         Some(_) => {
             eprintln!("--timeout-secs requires a non-negative number of seconds");
@@ -280,33 +263,32 @@ fn main() -> ExitCode {
     };
     // `--resume <path>`: continue a killed adaptive run from its checkpoint;
     // `--checkpoint-dir <dir>`: where the adaptive run writes checkpoints.
-    let resume_path = cli.path("--resume");
-    let checkpoint_dir = cli.path("--checkpoint-dir");
-    let concurrent = cli.has("--concurrent");
+    let resume_path = path("--resume");
+    let checkpoint_dir = path("--checkpoint-dir");
+    let concurrent = has("--concurrent");
     // Trace exports: `--trace-out` (Chrome trace_event JSON) and
     // `--flame-out` (folded flamegraph stacks) imply `--trace`.
-    let trace_out = cli.path("--trace-out");
-    let flame_out = cli.path("--flame-out");
-    let trace = cli.has("--trace") || trace_out.is_some() || flame_out.is_some();
+    let trace_out = path("--trace-out");
+    let flame_out = path("--flame-out");
+    let trace = has("--trace") || trace_out.is_some() || flame_out.is_some();
     // `--report <dir>`: per-experiment numerical-health run reports (JSON +
     // self-contained HTML) assembled from the event stream, the metrics
     // snapshot, and the span trace. The report documents the production
     // low-rank solve path, so it implies the adaptive driver and — unless
     // the user forced one — the low-rank reduction engine; a dense Schur
     // solve has no ADI sweeps or greedy moves to plot.
-    let report_dir = cli.path("--report");
+    let report_dir = path("--report");
     if report_dir.is_some() {
         adaptive = true;
         if !engine_forced {
             engine = ReductionEngine::LowRank;
         }
     }
-    let which: Vec<&str> =
-        if cli.experiments.is_empty() || cli.experiments.iter().any(|e| e == "all") {
-            ALL_EXPERIMENTS.to_vec()
-        } else {
-            cli.experiments.iter().map(String::as_str).collect()
-        };
+    let which: Vec<&str> = if named.is_empty() || named.contains(&"all") {
+        ALL_EXPERIMENTS.to_vec()
+    } else {
+        named
+    };
     let sizes = if small {
         Sizes::small()
     } else {
@@ -562,7 +544,7 @@ fn main() -> ExitCode {
                 }
                 Err(e) => Err(e),
             },
-            other => unreachable!("Cli::parse admits no experiment named `{other}`"),
+            other => unreachable!("`experiments` admits no experiment named `{other}`"),
         };
         match outcome {
             Ok(Some(row)) => table1_rows.push(row),
@@ -952,24 +934,15 @@ fn print_acceptance(m: &AcceptanceMetrics) {
 }
 
 fn print_ablation(rows: &[AblationRow]) {
-    println!(
-        "\n== Ablation (Section 2.3): structured H2 moments vs the explicit Eq. 17 realization =="
-    );
-    println!(
-        "{:>7} {:>7} {:>10} | {:>14} {:>14} {:>8}",
-        "stages", "n", "n + n^2", "structured", "dense LU", "ratio"
-    );
+    println!("\n== Ablation (Section 2.3): structured H2 moments vs the Eq. 17 realization ==");
+    println!("stages       n | structured [ms] | dense LU [ms] | ratio");
     for r in rows {
-        let structured = r.structured.as_secs_f64();
-        let dense = r.dense.as_secs_f64();
+        let (structured, dense) = (r.structured.as_secs_f64(), r.dense.as_secs_f64());
+        let ratio = dense / structured.max(1e-12);
+        let (structured, dense) = (structured * 1e3, dense * 1e3);
         println!(
-            "{:>7} {:>7} {:>10} | {:>12.3} ms {:>11.3} ms {:>7.1}x",
-            r.stages,
-            r.states,
-            r.states + r.states * r.states,
-            structured * 1e3,
-            dense * 1e3,
-            dense / structured.max(1e-12)
+            "{:>6} {:>7} | {structured:>15.3} | {dense:>13.3} | {ratio:>4.1}x",
+            r.stages, r.states
         );
     }
 }
@@ -1032,15 +1005,6 @@ struct Snapshot {
 /// perf-trajectory entry per reproduced experiment plus one block per
 /// non-figure experiment that ran, for `cargo xtask bench-trend` to read.
 fn render_json(small: bool, snapshot: &Snapshot) -> String {
-    let Snapshot {
-        rows,
-        acceptance,
-        sparse,
-        lowrank,
-        adaptive,
-        ablation,
-        metrics,
-    } = snapshot;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"vamor-bench reproduce\",\n");
@@ -1050,7 +1014,7 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
         if small { "small" } else { "paper" }
     );
     out.push_str("  \"experiments\": [\n");
-    for (i, (name, cmp)) in rows.iter().enumerate() {
+    for (i, (name, cmp)) in snapshot.rows.iter().enumerate() {
         let _ = write!(
             out,
             "    {{\"name\": \"{name}\", \"full_order\": {}, \"reduced_order\": {}, ",
@@ -1093,10 +1057,14 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
             t.sim_proposed.as_secs_f64(),
             t.sim_norm.as_secs_f64()
         );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < snapshot.rows.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("  ]");
-    if let Some(m) = acceptance {
+    if let Some(m) = &snapshot.acceptance {
         let _ = write!(
             out,
             ",\n  \"acceptance\": {{\n    \"assoc_reduce_tline{}_cached_s\": {:.6},\n    \"assoc_reduced_order\": {},\n    \"varistor_nodes\": {},\n    \"varistor_steps\": {},\n    \"varistor_jacobian_factorizations_frozen\": {},\n    \"varistor_jacobian_factorizations_every_step\": {},\n    \"varistor_trajectory_diff\": {:.6e}\n  }}",
@@ -1110,7 +1078,7 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
             m.trajectory_diff
         );
     }
-    if let Some(r) = sparse {
+    if let Some(r) = &snapshot.sparse {
         let _ = write!(
             out,
             ",\n  \"sparse_scaling\": {{\n    \"mid_states\": {},\n    \"big_states\": {},\n    \"dense_factor_mid_s\": {:.6},\n    \"sparse_factor_mid_s\": {:.6},\n    \"sparse_factor_big_s\": {:.6},\n    \"factor_speedup_mid\": {:.3},\n    \"factor_speedup_big_vs_dense_mid\": {:.3},\n    \"factor_solution_diff\": {:.6e},\n    \"dense_transient_mid_s\": {:.6},\n    \"sparse_transient_mid_s\": {:.6},\n    \"sparse_transient_big_s\": {:.6},\n    \"transient_steps\": {},\n    \"trajectory_diff_mid\": {:.6e},\n    \"sparse_lu_nnz_big\": {},\n    \"factor_scaling_exponent\": {:.3},\n    \"factor_exponent_repeats\": {},\n    \"factor_exponent_spread\": {:.3},\n    \"rom_order_dense\": {},\n    \"rom_order_sparse\": {},\n    \"rom_trajectory_diff\": {:.6e}\n  }}",
@@ -1136,7 +1104,7 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
             r.rom_trajectory_diff
         );
     }
-    if let Some(r) = lowrank {
+    if let Some(r) = &snapshot.lowrank {
         let _ = write!(
             out,
             ",\n  \"lowrank_scaling\": {{\n    \"mid_states\": {},\n    \"big_states\": {},\n    \"reduce_mid_s\": {:.6},\n    \"reduce_big_s\": {:.6},\n    \"rom_order_mid\": {},\n    \"rom_order_big\": {},\n    \"mid_g1r_hurwitz\": {},\n    \"big_g1r_hurwitz\": {},\n    \"mid_spectral_abscissa\": {:.6e},\n    \"big_spectral_abscissa\": {:.6e},\n    \"adi_iterations_big\": {},\n    \"adi_residual_big\": {:.6e},\n    \"chain_basis_dim_big\": {},\n    \"rom_error_mid\": {:.6e},\n    \"rom_error_big\": {:.6e},\n    \"reduce_scaling_exponent\": {:.3},\n    \"fig3_kernel_diff\": {:.6e},\n    \"fig5_rom_diff\": {:.6e}\n  }}",
@@ -1174,7 +1142,7 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
             r.receiver_band_residual
         );
     }
-    if let Some(r) = adaptive {
+    if let Some(r) = &snapshot.adaptive {
         let _ = write!(
             out,
             ",\n  \"adaptive\": {{\n    \"fig3_order\": {},\n    \"fig3_adaptive_error\": {:.6e},\n    \"fig3_pinned_error\": {:.6e},\n    \"fig3_g1r_hurwitz\": {},\n    \"fig3_wall_s\": {:.6},\n    \"fig3_trace\": {},\n    \"fig5_order\": {},\n    \"fig5_adaptive_error\": {:.6e},\n    \"fig5_pinned_error\": {:.6e},\n    \"fig5_g1r_hurwitz\": {},\n    \"fig5_wall_s\": {:.6},\n    \"fig5_trace\": {},\n    \"lowrank_states\": {},\n    \"lowrank_order\": {},\n    \"lowrank_rom_error\": {:.6e},\n    \"lowrank_g1r_hurwitz\": {},\n    \"lowrank_wall_s\": {:.6},\n    \"lowrank_trace\": {},\n    \"step_fixed_steps\": {},\n    \"step_adaptive_steps\": {},\n    \"step_rejected_steps\": {},\n    \"step_trajectory_diff\": {:.6e}\n  }}",
@@ -1202,9 +1170,9 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
             r.step_trajectory_diff
         );
     }
-    if !ablation.is_empty() {
+    if !snapshot.ablation.is_empty() {
         out.push_str(",\n  \"ablation\": [");
-        for (i, r) in ablation.iter().enumerate() {
+        for (i, r) in snapshot.ablation.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(
                 out,
@@ -1217,9 +1185,9 @@ fn render_json(small: bool, snapshot: &Snapshot) -> String {
         }
         out.push_str("\n  ]");
     }
-    if !metrics.is_empty() {
+    if !snapshot.metrics.is_empty() {
         out.push_str(",\n  \"metrics\": {");
-        for (i, (name, block)) in metrics.iter().enumerate() {
+        for (i, (name, block)) in snapshot.metrics.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(out, "{sep}\n    \"{name}\": {block}");
         }

@@ -206,10 +206,6 @@ fn bench_trend(mut args: impl Iterator<Item = String>) -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        println!(
-            "bench-trend: {} is the newest point, PR{pr}",
-            path.display()
-        );
     }
     let rows = analyze_trends(&history, &TrendConfig::default());
     let markdown = render_markdown(&history, &rows);

@@ -26,12 +26,8 @@
 //!   and wall-clock metrics carry a generous relative floor because the
 //!   history spans different machines.
 //!
-//! The **step gate** ([`step_gate`]) compares it against the snapshot just
-//! before it, on the accuracy and stability fields only: every
-//! `experiments.*.max_rel_error_*` stays within [`ERROR_HEADROOM`] of its
-//! previous value and under the absolute [`ERROR_CEILING`], every gated path
-//! of the previous snapshot is still present (a non-finite value is not),
-//! and every `*hurwitz*` leaf is true.
+//! The **step gate** ([`step_gate`]) compares the accuracy and stability
+//! fields against the snapshot just before it and an absolute ceiling.
 //!
 //! The result is a markdown report (stdout, `--out <path>` to write) with
 //! the flagged regressions first and the full per-metric trajectories
@@ -416,13 +412,6 @@ pub fn direction(path: &str) -> Direction {
     Direction::Neutral
 }
 
-/// Absolute floor, in seconds, on the change-point tolerance of wall-clock
-/// metrics. A single-shot wall of a millisecond-scale stage is scheduler
-/// noise at that scale: the paper-size fig3 NORM reduce took 1.2–8.6 ms
-/// over sixteen runs of unchanged solver code on one 2-core machine, so
-/// only a jump of more than 10 ms counts.
-const TIMING_ABS_FLOOR_S: f64 = 0.01;
-
 /// Wall-clock metrics get a wide relative floor: the committed history
 /// spans different machines and load conditions, and a 2× wall swing
 /// between PR snapshots is machine noise, not a regression.
@@ -643,15 +632,15 @@ pub fn analyze_trends(history: &[FlatSnapshot], cfg: &TrendConfig) -> Vec<TrendR
                 prior.drain(..prior.len() - cfg.baseline_window);
             }
             let (med, mad) = robust_stats(&prior);
-            let (rel, abs) = if is_timing(path) {
-                (cfg.timing_rel_floor, TIMING_ABS_FLOOR_S.max(cfg.abs_floor))
+            let rel = if is_timing(path) {
+                cfg.timing_rel_floor
             } else {
-                (cfg.rel_floor, cfg.abs_floor)
+                cfg.rel_floor
             };
             let tolerance = (cfg.mad_sigmas * mad)
                 .max(rel * med.abs())
                 .max(noise.get(path).copied().unwrap_or(0.0))
-                .max(abs);
+                .max(cfg.abs_floor);
             let newest = series.last().map(|(_, v)| *v).unwrap_or(f64::NAN);
             let has_newest = series.last().map(|(pr, _)| *pr == last_pr).unwrap_or(false);
             let eligible = has_newest
@@ -775,25 +764,17 @@ pub fn render_markdown(history: &[FlatSnapshot], rows: &[TrendRow]) -> String {
     } else {
         let _ = writeln!(out, "## Regressions: {} flagged", regressions.len());
         let _ = writeln!(out);
-        let last_pr = prs.last().copied().unwrap_or(0);
         let _ = writeln!(
             out,
-            "| metric | median | robust σ | tolerance | PR{last_pr} value | drift | why |"
+            "| metric | median | robust σ | tolerance | PR{} value | drift | why |",
+            prs.last().copied().unwrap_or(0)
         );
         let _ = writeln!(out, "|---|---|---|---|---|---|---|");
         for r in &regressions {
-            let (pr, newest) = r.last();
-            let (value, drift) = if pr == last_pr {
-                let drift = match r.direction {
-                    Direction::LowerWorse => r.median - newest,
-                    _ => newest - r.median,
-                };
-                (
-                    format!("**{}**", fmt_value(newest)),
-                    format!("{} worse", fmt_value(drift)),
-                )
-            } else {
-                ("**missing**".to_string(), "—".to_string())
+            let (_, newest) = r.last();
+            let drift = match r.direction {
+                Direction::LowerWorse => r.median - newest,
+                _ => newest - r.median,
             };
             let why = if r.gate.is_empty() {
                 "change point".to_string()
@@ -802,11 +783,13 @@ pub fn render_markdown(history: &[FlatSnapshot], rows: &[TrendRow]) -> String {
             };
             let _ = writeln!(
                 out,
-                "| `{}` | {} | {} | {} | {value} | {drift} | {why} |",
+                "| `{}` | {} | {} | {} | **{}** | {} worse | {why} |",
                 r.path,
                 fmt_value(r.median),
                 fmt_value(r.mad),
                 fmt_value(r.tolerance),
+                fmt_value(newest),
+                fmt_value(drift),
             );
         }
     }
@@ -1009,16 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn millisecond_walls_need_a_ten_millisecond_jump() {
-        let path = "experiments.fig3.wall_s.reduce_norm";
-        let cfg = TrendConfig::default();
-        let hist = snapshots(&[(1, 1.4e-3), (2, 5.3e-4), (3, 6.8e-4), (4, 8.6e-3)], path);
-        assert!(!analyze_trends(&hist, &cfg)[0].regressed);
-        let hist = snapshots(&[(1, 1.4e-3), (2, 5.3e-4), (3, 6.8e-4), (4, 1.2e-2)], path);
-        assert!(analyze_trends(&hist, &cfg)[0].regressed);
-    }
-
-    #[test]
     fn short_and_neutral_series_never_flag() {
         let cfg = TrendConfig::default();
         // Three points < min_points: even a huge jump stays quiet (on an
@@ -1051,27 +1024,15 @@ mod tests {
 
     // --- step gate -------------------------------------------------------
 
-    const SAMPLE_OLD: &str = r#"{
-  "experiments": [
-    {"name": "fig2", "full_order": 100, "reduced_order": 11, "max_rel_error_proposed": 4.870609e-2, "wall_s": {"reduce_proposed": 0.711746}},
-    {"name": "fig3", "full_order": 70, "max_rel_error_proposed": 5.777224e-5, "max_rel_error_norm": 1.746290e-3, "wall_s": {"sim_full": 0.09}}
-  ],
-  "acceptance": {
-    "assoc_reduce_speedup": 2.719
-  }
-}
-"#;
+    const SAMPLE_OLD: &str = r#"{"experiments": [
+        {"name": "fig2", "full_order": 100, "max_rel_error_proposed": 4.870609e-2, "wall_s": {"reduce_proposed": 0.711746}},
+        {"name": "fig3", "max_rel_error_proposed": 5.777224e-5, "max_rel_error_norm": 1.746290e-3}
+    ], "acceptance": {"assoc_reduce_speedup": 2.719}}"#;
 
-    const SAMPLE_NEW: &str = r#"{
-  "experiments": [
-    {"name": "fig2", "max_rel_error_proposed": 1.8e-2, "g1r_hurwitz": true, "g1r_spectral_abscissa": -2.3e-2, "wall_s": {"reduce_proposed": 1.0}},
-    {"name": "fig3", "max_rel_error_proposed": 3.4e-5, "max_rel_error_norm": 1.75e-3, "g1r_hurwitz": true, "norm_g1r_hurwitz": true, "wall_s": {"sim_full": 0.09}}
-  ],
-  "acceptance": {
-    "assoc_reduce_tline35_cached_s": 0.011
-  }
-}
-"#;
+    const SAMPLE_NEW: &str = r#"{"experiments": [
+        {"name": "fig2", "max_rel_error_proposed": 1.8e-2, "g1r_hurwitz": true, "wall_s": {"reduce_proposed": 1.0}},
+        {"name": "fig3", "max_rel_error_proposed": 3.4e-5, "max_rel_error_norm": 1.75e-3, "g1r_hurwitz": true, "norm_g1r_hurwitz": true}
+    ], "acceptance": {"assoc_reduce_tline35_cached_s": 0.011}}"#;
 
     fn snapshot(pr: u32, text: &str) -> FlatSnapshot {
         flatten(pr, &parse_json(text).unwrap())
@@ -1081,10 +1042,11 @@ mod tests {
         step_gate(Some(&snapshot(1, old)), &snapshot(2, new))
     }
 
+    /// Asserts a violation on `experiments.<path>` whose reason names `reason`.
     #[track_caller]
     fn assert_flagged(violations: &BTreeMap<String, Vec<String>>, path: &str, reason: &str) {
         let hit = violations
-            .get(path)
+            .get(&format!("experiments.{path}"))
             .is_some_and(|reasons| reasons.iter().any(|r| r.contains(reason)));
         assert!(hit, "no `{reason}` violation on {path}: {violations:?}");
     }
@@ -1092,18 +1054,21 @@ mod tests {
     #[test]
     fn parses_the_reproduce_format() {
         let old = snapshot(1, SAMPLE_OLD);
-        let fig2 = old.metrics["experiments.fig2.max_rel_error_proposed"];
-        assert!((fig2 - 4.870609e-2).abs() < 1e-12);
+        assert_eq!(
+            old.metrics["experiments.fig2.max_rel_error_proposed"],
+            4.870609e-2
+        );
+        assert_eq!(
+            old.metrics["experiments.fig3.max_rel_error_norm"],
+            1.746290e-3
+        );
+        assert_eq!(
+            old.metrics["experiments.fig2.wall_s.reduce_proposed"],
+            0.711746
+        );
         assert!(!old
             .metrics
             .contains_key("experiments.fig2.max_rel_error_norm"));
-        assert!(!old.metrics.contains_key("experiments.fig2.g1r_hurwitz"));
-        let fig3 = old.metrics["experiments.fig3.max_rel_error_norm"];
-        assert!((fig3 - 1.746290e-3).abs() < 1e-15);
-        assert_eq!(
-            old.metrics.get("experiments.fig2.wall_s.reduce_proposed"),
-            Some(&0.711746)
-        );
         // Rust's float formatting writes `inf`; the parser reads it.
         assert_eq!(
             parse_json("[inf, -inf]").unwrap(),
@@ -1114,40 +1079,25 @@ mod tests {
     #[test]
     fn improvements_and_noise_level_changes_pass() {
         let violations = gate(SAMPLE_OLD, SAMPLE_NEW);
-        assert!(
-            violations.is_empty(),
-            "unexpected violations: {violations:?}"
-        );
+        assert!(violations.is_empty(), "{violations:?}");
         // Inside the headroom is noise, not a regression.
-        let noisy = SAMPLE_NEW.replace("3.4e-5", "6.3e-5");
-        assert!(gate(SAMPLE_OLD, &noisy).is_empty());
+        assert!(gate(SAMPLE_OLD, &SAMPLE_NEW.replace("3.4e-5", "6.3e-5")).is_empty());
     }
 
     #[test]
     fn worsened_errors_and_lost_stability_fail() {
         let regressed = SAMPLE_NEW
+            .replace("1.8e-2", "6.0e-2")
             .replace(
-                "\"max_rel_error_proposed\": 1.8e-2",
-                "\"max_rel_error_proposed\": 6.0e-2",
-            )
-            .replace(
-                "\"g1r_hurwitz\": true, \"g1r",
-                "\"g1r_hurwitz\": false, \"g1r",
+                "\"g1r_hurwitz\": true, \"wall",
+                "\"g1r_hurwitz\": false, \"wall",
             )
             .replace("\"norm_g1r_hurwitz\": true", "\"norm_g1r_hurwitz\": false");
         let violations = gate(SAMPLE_OLD, &regressed);
-        assert_flagged(
-            &violations,
-            "experiments.fig2.max_rel_error_proposed",
-            "worsened",
-        );
+        assert_flagged(&violations, "fig2.max_rel_error_proposed", "worsened");
         // Any `*hurwitz*` leaf counts, not only the proposed ROM's.
-        assert_flagged(&violations, "experiments.fig2.g1r_hurwitz", "not Hurwitz");
-        assert_flagged(
-            &violations,
-            "experiments.fig3.norm_g1r_hurwitz",
-            "not Hurwitz",
-        );
+        assert_flagged(&violations, "fig2.g1r_hurwitz", "not Hurwitz");
+        assert_flagged(&violations, "fig3.norm_g1r_hurwitz", "not Hurwitz");
         assert_eq!(violations.len(), 3, "{violations:?}");
     }
 
@@ -1163,18 +1113,9 @@ mod tests {
             .replace("2.05e-9", "2.05e-7")
             .replace("4.91e-8", "4.91e-6");
         let violations = gate(small, &regressed);
-        assert_flagged(
-            &violations,
-            "experiments.fig3.max_rel_error_proposed",
-            "worsened",
-        );
-        assert_flagged(
-            &violations,
-            "experiments.fig3.max_rel_error_norm",
-            "worsened",
-        );
-        let noisy = small.replace("2.05e-9", "2.2e-9");
-        assert!(gate(small, &noisy).is_empty());
+        assert_flagged(&violations, "fig3.max_rel_error_proposed", "worsened");
+        assert_flagged(&violations, "fig3.max_rel_error_norm", "worsened");
+        assert!(gate(small, &small.replace("2.05e-9", "2.2e-9")).is_empty());
         // Only an exactly-zero baseline falls back to the roundoff floor.
         let zero = small.replace("2.05e-9", "0.0");
         assert!(gate(&zero, &zero.replace("0.0", "1e-16")).is_empty());
@@ -1184,16 +1125,8 @@ mod tests {
     #[test]
     fn nonfinite_errors_fail() {
         for word in ["inf", "NaN"] {
-            let broken = SAMPLE_NEW.replace(
-                "\"max_rel_error_proposed\": 1.8e-2",
-                &format!("\"max_rel_error_proposed\": {word}"),
-            );
-            let violations = gate(SAMPLE_OLD, &broken);
-            assert_flagged(
-                &violations,
-                "experiments.fig2.max_rel_error_proposed",
-                "not finite",
-            );
+            let violations = gate(SAMPLE_OLD, &SAMPLE_NEW.replace("1.8e-2", word));
+            assert_flagged(&violations, "fig2.max_rel_error_proposed", "not finite");
         }
     }
 
@@ -1201,26 +1134,16 @@ mod tests {
     fn missing_experiments_are_flagged() {
         let new = r#"{"experiments": [{"name": "fig2", "max_rel_error_proposed": 1e-2}]}"#;
         let violations = gate(SAMPLE_OLD, new);
-        assert_flagged(
-            &violations,
-            "experiments.fig3.max_rel_error_proposed",
-            "missing",
-        );
-        assert_flagged(
-            &violations,
-            "experiments.fig3.max_rel_error_norm",
-            "missing",
-        );
+        assert_flagged(&violations, "fig3.max_rel_error_proposed", "missing");
+        assert_flagged(&violations, "fig3.max_rel_error_norm", "missing");
     }
 
     /// A ROM as wrong as the 3.055 low-rank fig4 one fails on the absolute
     /// ceiling even when the previous snapshot held the same error.
     #[test]
     fn errors_above_the_ceiling_fail_even_when_unchanged() {
-        let wrong = r#"{"experiments": [
-            {"name": "fig4", "max_rel_error_proposed": 3.055, "g1r_hurwitz": true}
-        ]}"#;
-        let path = "experiments.fig4.max_rel_error_proposed";
+        let wrong = r#"{"experiments": [{"name": "fig4", "max_rel_error_proposed": 3.055}]}"#;
+        let path = "fig4.max_rel_error_proposed";
         assert_flagged(&gate(wrong, wrong), path, "ceiling");
         // A single-snapshot history still gets the ceiling.
         assert_flagged(&step_gate(None, &snapshot(1, wrong)), path, "ceiling");
