@@ -1299,7 +1299,8 @@ pub(crate) mod tests {
     /// moving every column into and out of the Schur basis.
     fn oracle_h3_moments(q: &Qldae, input: usize, count: usize) -> ScaledMoments {
         use crate::bigsmall::solve_sylvester_big_small_with_schur;
-        use crate::operators::{BlockH2Op, KronSumOp2, ShiftedSolveOp};
+        use crate::operators::{BlockH2Op, KronSumOp2};
+        use vamor_linalg::ShiftedSolve;
         let n = q.g1().rows();
         let b = q.b().col(input);
         let d1 = q.d1().get(input);
@@ -1308,7 +1309,7 @@ pub(crate) mod tests {
         let kron = KronSumOp2::new(q.g1()).unwrap();
         let schur = kron.a_schur();
         let block = BlockH2Op::with_kron(q.g1(), q.g2(), kron.clone(), true).unwrap();
-        let (walk, seed, top): (&dyn ShiftedSolveOp, Vector, usize) = match g2 {
+        let (walk, seed, top): (&dyn ShiftedSolve, Vector, usize) = match g2 {
             Some(_) => (&block, block.btilde(&b, d1b.as_ref()), n),
             None => (&kron, kron_vec(&b, &b), 0),
         };
@@ -1337,7 +1338,8 @@ pub(crate) mod tests {
     /// The pre-Schur-resident `H₂` walk: `w_j` solved through
     /// [`crate::operators::KronSumOp2`] in original coordinates.
     fn oracle_h2_moments(q: &Qldae, pair: (usize, usize), count: usize) -> ScaledMoments {
-        use crate::operators::{KronSumOp2, ShiftedSolveOp};
+        use crate::operators::KronSumOp2;
+        use vamor_linalg::ShiftedSolve;
         let (b_a, b_b) = (q.b().col(pair.0), q.b().col(pair.1));
         let kron = KronSumOp2::new(q.g1()).unwrap();
         let lu = G1Factor::build_with_recovery(q.g1_csr(), false).unwrap().0;

@@ -15,15 +15,14 @@
 //! ([`crate::assoc`]).
 //!
 //! The right coefficient is reduced to real Schur form; the left coefficient
-//! only needs shifted solves, which [`ShiftedSolveOp`] provides. Columns are
+//! only needs shifted solves, which [`ShiftedSolve`] provides. Columns are
 //! recovered by back-substitution over the Schur blocks; 2×2 blocks
 //! (complex-conjugate eigenvalue pairs of `B`) lead to a single complex
 //! shifted solve per block.
 
-use vamor_linalg::{Complex, Matrix, SchurDecomposition, Vector};
+use vamor_linalg::{Complex, Matrix, SchurDecomposition, ShiftedSolve, Vector};
 
 use crate::error::MorError;
-use crate::operators::ShiftedSolveOp;
 use crate::Result;
 
 /// Solves `Op · X + X · B = R` for `X` (`Op.dim() × B.rows()`).
@@ -34,11 +33,7 @@ use crate::Result;
 /// * [`MorError::Linalg`] if the Schur factorization of `B` fails or a
 ///   shifted solve encounters a singular pencil (an eigenvalue of `Op` plus an
 ///   eigenvalue of `B` hits zero).
-pub fn solve_sylvester_big_small(
-    op: &dyn ShiftedSolveOp,
-    b: &Matrix,
-    r: &Matrix,
-) -> Result<Matrix> {
+pub fn solve_sylvester_big_small(op: &dyn ShiftedSolve, b: &Matrix, r: &Matrix) -> Result<Matrix> {
     if !b.is_square() {
         return Err(MorError::Invalid(format!(
             "right coefficient must be square, got {}x{}",
@@ -63,7 +58,7 @@ pub fn solve_sylvester_big_small(
 ///
 /// Same contract as [`solve_sylvester_big_small`].
 pub fn solve_sylvester_big_small_with_schur(
-    op: &dyn ShiftedSolveOp,
+    op: &dyn ShiftedSolve,
     schur: &SchurDecomposition,
     r: &Matrix,
 ) -> Result<Matrix> {
@@ -220,7 +215,7 @@ impl PairSplit {
 /// Solves the coupled two-column system `Op [x_a x_b] + [x_a x_b] M = [r_a r_b]`
 /// for a 2×2 matrix `M = [[m00, m01], [m10, m11]]` by diagonalizing `M`.
 fn solve_two_column_block(
-    op: &dyn ShiftedSolveOp,
+    op: &dyn ShiftedSolve,
     m00: f64,
     m01: f64,
     m10: f64,

@@ -63,7 +63,7 @@ pub use lowrank::{
     ReductionEngine, LOWRANK_AUTO_THRESHOLD,
 };
 pub use norm::NormReducer;
-pub use operators::{BlockH2Op, KronSumOp2, ShiftedSolveOp};
+pub use operators::{BlockH2Op, KronSumOp2};
 pub use par::{parallel_map, try_parallel_map};
 pub use project::{cubic_matvec_kron, project_qldae, project_qldae_petrov};
 pub use reduce::{

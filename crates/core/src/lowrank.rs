@@ -35,7 +35,7 @@
 //!   ([`vamor_linalg::heuristic_adi_shifts`]: Arnoldi + inverse-Arnoldi Ritz
 //!   values, greedy selection) is shared by the chain bases, the fADI top
 //!   blocks and the weight; every shifted factorization is memoized in a
-//!   [`ShiftCache`] (capacity-bounded in its sparse backend).
+//!   capacity-bounded [`ShiftCache`].
 //!
 //! # When `Auto` picks it
 //!

@@ -7,50 +7,18 @@
 //! * `G̃₂ = [[G₁, G₂], [0, G₁ ⊕ G₁]]` (dimension `n + n²`, Eq. 17 of the
 //!   paper),
 //!
-//! which must never be formed explicitly. Both are exposed here through the
-//! [`ShiftedSolveOp`] trait — the minimal interface (`apply`, real/complex
-//! shifted solves) required by the moment recursions and by the
-//! big-left/small-right Sylvester solver in [`crate::bigsmall`].
+//! which must never be formed explicitly. Both implement
+//! [`vamor_linalg::ShiftedSolve`] — the minimal interface (`apply`,
+//! real/complex shifted solves) required by the moment recursions and by
+//! the big-left/small-right Sylvester solver in [`crate::bigsmall`].
 
 use vamor_linalg::{
-    Complex, CsrMatrix, Matrix, SchurDecomposition, ShiftCache, ShiftedLuCache, SylvesterSolver,
-    Vector,
+    Complex, CsrMatrix, Matrix, SchurDecomposition, ShiftCache, ShiftedSolve, SolverBackend,
+    SylvesterSolver, Vector,
 };
 
 use crate::error::MorError;
 use crate::Result;
-
-/// A square operator supporting application and shifted solves
-/// `(Op + σI) x = r` with real or complex shifts.
-pub trait ShiftedSolveOp {
-    /// Operator dimension.
-    fn dim(&self) -> usize;
-
-    /// Applies the operator.
-    fn apply(&self, x: &Vector) -> Vector;
-
-    /// Solves `(Op + σ I) x = rhs` for a real shift `σ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shifted operator is singular or the dimensions
-    /// mismatch.
-    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector>;
-
-    /// Solves `(Op + λ I) x = rhs` for a complex shift `λ` and complex
-    /// right-hand side `rhs = re + i·im`, returning `(x_re, x_im)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shifted operator is singular or the dimensions
-    /// mismatch.
-    fn solve_shifted_complex(
-        &self,
-        lambda: Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> Result<(Vector, Vector)>;
-}
 
 /// Reshapes a length-`rows*cols` vector into a `rows x cols` matrix
 /// (column-major), panicking on mismatch. Internal helper.
@@ -117,7 +85,7 @@ impl KronSumOp2 {
     }
 }
 
-impl ShiftedSolveOp for KronSumOp2 {
+impl ShiftedSolve for KronSumOp2 {
     fn dim(&self) -> usize {
         self.n * self.n
     }
@@ -129,14 +97,10 @@ impl ShiftedSolveOp for KronSumOp2 {
         vec_of(&y)
     }
 
-    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
+    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> vamor_linalg::Result<Vector> {
         // (A ⊕ A + σI) x = rhs  <=>  (A + σI) X + X Aᵀ = unvec(rhs).
         let r = unvec(rhs, self.n, self.n);
-        let x = self
-            .solver
-            .solve_shifted(sigma, &r)
-            .map_err(MorError::Linalg)?;
-        Ok(vec_of(&x))
+        Ok(vec_of(&self.solver.solve_shifted(sigma, &r)?))
     }
 
     fn solve_shifted_complex(
@@ -144,13 +108,10 @@ impl ShiftedSolveOp for KronSumOp2 {
         lambda: Complex,
         re: &Vector,
         im: &Vector,
-    ) -> Result<(Vector, Vector)> {
+    ) -> vamor_linalg::Result<(Vector, Vector)> {
         let r_re = unvec(re, self.n, self.n);
         let r_im = unvec(im, self.n, self.n);
-        let (x_re, x_im) = self
-            .solver
-            .solve_shifted_complex(lambda, &r_re, &r_im)
-            .map_err(MorError::Linalg)?;
+        let (x_re, x_im) = self.solver.solve_shifted_complex(lambda, &r_re, &r_im)?;
         Ok((vec_of(&x_re), vec_of(&x_im)))
     }
 }
@@ -171,7 +132,7 @@ pub struct BlockH2Op {
 
 impl BlockH2Op {
     /// Builds the operator from the QLDAE coefficient matrices, with shifted
-    /// solves against `G₁` memoized in a [`ShiftedLuCache`].
+    /// solves against `G₁` memoized in a dense [`ShiftCache`].
     ///
     /// # Errors
     ///
@@ -184,7 +145,8 @@ impl BlockH2Op {
 
     /// Builds the operator reusing an already-constructed `G₁ ⊕ G₁` operator
     /// (avoiding a redundant Schur factorization) and selecting whether
-    /// shifted top-block solves are cached or refactorized per call.
+    /// shifted top-block solves are cached or refactorized per call (a
+    /// dense [`ShiftCache`] of capacity 0).
     ///
     /// # Errors
     ///
@@ -195,12 +157,11 @@ impl BlockH2Op {
         kron: KronSumOp2,
         cache_shifts: bool,
     ) -> Result<Self> {
-        let cache = if cache_shifts {
-            ShiftedLuCache::new(g1.clone())
-        } else {
-            ShiftedLuCache::new_uncached(g1.clone())
-        };
-        Self::with_kron_cache(g1, g2, kron, ShiftCache::Dense(cache))
+        let mut cache = ShiftCache::new(&CsrMatrix::from_dense(g1, 0.0), SolverBackend::Dense);
+        if !cache_shifts {
+            cache = cache.with_capacity_bound(0);
+        }
+        Self::with_kron_cache(g1, g2, kron, cache)
     }
 
     /// Builds the operator reusing an already-constructed `G₁ ⊕ G₁` operator
@@ -300,7 +261,7 @@ impl BlockH2Op {
     }
 }
 
-impl ShiftedSolveOp for BlockH2Op {
+impl ShiftedSolve for BlockH2Op {
     fn dim(&self) -> usize {
         self.n + self.n * self.n
     }
@@ -313,17 +274,14 @@ impl ShiftedSolveOp for BlockH2Op {
         top.concat(&bottom)
     }
 
-    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
+    fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> vamor_linalg::Result<Vector> {
         let (r1, r2) = self.split(rhs);
         // Bottom block first: (G1⊕G1 + σI) v2 = r2.
         let v2 = self.kron.solve_shifted(sigma, &r2)?;
         // Top block: (G1 + σI) v1 = r1 − G2 v2, via the memoized shifted LU.
         let mut top_rhs = r1.clone();
         top_rhs.axpy(-1.0, &self.g2.matvec(&v2));
-        let v1 = self
-            .g1_shifted
-            .solve_shifted(sigma, &top_rhs)
-            .map_err(MorError::Linalg)?;
+        let v1 = self.g1_shifted.solve_shifted(sigma, &top_rhs)?;
         Ok(v1.concat(&v2))
     }
 
@@ -332,7 +290,7 @@ impl ShiftedSolveOp for BlockH2Op {
         lambda: Complex,
         re: &Vector,
         im: &Vector,
-    ) -> Result<(Vector, Vector)> {
+    ) -> vamor_linalg::Result<(Vector, Vector)> {
         let (r1_re, r2_re) = self.split(re);
         let (r1_im, r2_im) = self.split(im);
         let (v2_re, v2_im) = self.kron.solve_shifted_complex(lambda, &r2_re, &r2_im)?;
@@ -343,8 +301,7 @@ impl ShiftedSolveOp for BlockH2Op {
         rhs_im.axpy(-1.0, &self.g2.matvec(&v2_im));
         let (v1_re, v1_im) = self
             .g1_shifted
-            .solve_shifted_complex(lambda, &rhs_re, &rhs_im)
-            .map_err(MorError::Linalg)?;
+            .solve_shifted_complex(lambda, &rhs_re, &rhs_im)?;
         Ok((v1_re.concat(&v2_re), v1_im.concat(&v2_im)))
     }
 }

@@ -5,9 +5,9 @@
 //! cache.
 
 use vamor_circuits::TransmissionLine;
-use vamor_core::{AssocMomentGenerator, BlockH2Op, ScaledMoments, ShiftedSolveOp};
+use vamor_core::{AssocMomentGenerator, BlockH2Op, ScaledMoments};
 use vamor_linalg::kron::{unvec, vec_of};
-use vamor_linalg::{kron_sum, kron_vec, Vector};
+use vamor_linalg::{kron_sum, kron_vec, ShiftedSolve, Vector};
 use vamor_system::Qldae;
 
 /// The raw moments a scaled chain stands for: `vectors[k] · 10^mag[k]`.

@@ -41,8 +41,8 @@ pub enum FaultKind {
 /// The instrumented seams a plan can fire at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// `ShiftedLuCache` / `ShiftedSparseLuCache` shifted solves (the
-    /// `ShiftedSolve` seam of the ADI and rational-Krylov loops).
+    /// `ShiftCache` shifted solves (the `ShiftedSolve` seam of the ADI and
+    /// rational-Krylov loops).
     ShiftedSolve,
     /// The transient integrator's Jacobian factorization path.
     IntegratorFactor,

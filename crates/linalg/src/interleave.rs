@@ -3,15 +3,16 @@
 //!
 //! The container ships no external crates, so instead of the `loom` crate
 //! this module vendors the part of its method that applies here: the shared
-//! structures under test ([`crate::ShiftedSparseLuCache`],
-//! `vamor_core::par`) synchronize exclusively through coarse `Mutex`es and
-//! monotone atomics, so every observable outcome of a concurrent execution
-//! is some *linearization* of the complete API calls — an order-preserving
-//! merge of the per-thread operation sequences. Enumerating all such merges
-//! and checking the invariants after each one therefore covers the same
-//! schedule space loom would explore at lock granularity, deterministically
-//! and without instrumented sync primitives. (Operations on one model
-//! thread stay in program order; only the cross-thread shuffles vary.)
+//! structures under test ([`crate::ShiftCache`], whose factor map sits
+//! under one mutex, and `vamor_core::par`) synchronize exclusively through
+//! coarse `Mutex`es and monotone atomics, so every observable outcome of a
+//! concurrent execution is some *linearization* of the complete API calls —
+//! an order-preserving merge of the per-thread operation sequences.
+//! Enumerating all such merges and checking the invariants after each one
+//! therefore covers the same schedule space loom would explore at lock
+//! granularity, deterministically and without instrumented sync primitives.
+//! (Operations on one model thread stay in program order; only the
+//! cross-thread shuffles vary.)
 //!
 //! The tests live in `crates/linalg/tests/loom_cache.rs` and
 //! `crates/core/tests/loom_par.rs`; run them with

@@ -22,14 +22,16 @@
 //! * sparse CSR matrices and GMRES ([`sparse`]),
 //! * a sparse direct LU ([`sparse_lu`]): reverse Cuthill–McKee symbolic
 //!   analysis reused across shifts, Gilbert–Peierls left-looking numeric
-//!   factorization with threshold pivoting, real and complex-shift variants,
-//!   and the memoizing [`ShiftedSparseLuCache`] (with an optional LRU
-//!   capacity bound for one-shot ADI shift sweeps),
+//!   factorization with threshold pivoting, and real and complex-shift
+//!   variants,
+//! * the memoizing [`ShiftCache`] of shifted factorizations in either
+//!   backend, with an optional LRU capacity bound for one-shot ADI shift
+//!   sweeps,
 //! * low-rank Lyapunov machinery ([`lowrank`]): heuristic Penzl/Wachspress
 //!   ADI shift selection from Arnoldi + inverse-Arnoldi Ritz sweeps, the
 //!   LR-ADI solver producing `X ≈ Z Zᵀ` Cholesky-style factors, factored ADI
 //!   for indefinite right-hand sides, rational-Krylov bases and factored-rank
-//!   compression — every shifted solve served by the caches above.
+//!   compression — every shifted solve served by the cache above.
 //!
 //! ## Example
 //!
@@ -94,7 +96,7 @@ pub use op::{DenseOp, LinearOp, ShiftedInverseOp};
 pub use orth::OrthoBasis;
 pub use qr::{PivotedQr, QrDecomposition};
 pub use schur::SchurDecomposition;
-pub use shift_cache::{ShiftCache, ShiftedLuCache, ShiftedSparseLuCache};
+pub use shift_cache::ShiftCache;
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use sparse_lu::{
     LuFactor, PivotRecovery, SolverBackend, SparseLu, SparseLuSymbolic, SparseZLu,

@@ -30,10 +30,10 @@
 //!   iterates from growing without bound.
 //!
 //! All shifted solves go through the [`ShiftedSolve`] trait, implemented by
-//! [`crate::ShiftCache`], which holds either a [`crate::ShiftedLuCache`]
-//! (dense) or a [`crate::ShiftedSparseLuCache`] (one symbolic analysis,
-//! numeric refactorization per shift) — so a consumer picks the backend once
-//! and every ADI sweep reuses the memoized factors.
+//! [`crate::ShiftCache`], which factors each shift densely or through one
+//! symbolic analysis with a numeric refactorization per shift — so a
+//! consumer picks the backend once and every ADI sweep reuses the memoized
+//! factors.
 
 use crate::arnoldi::arnoldi;
 use crate::eig::eigenvalues;
@@ -1267,8 +1267,8 @@ fn rational_krylov_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shift_cache::{ShiftedLuCache, ShiftedSparseLuCache};
     use crate::sparse::CsrMatrix;
+    use crate::sparse_lu::SolverBackend;
     use crate::sylvester::lyapunov_weight;
 
     fn stable_matrix(n: usize, seed: u64) -> Matrix {
@@ -1291,7 +1291,11 @@ mod tests {
     }
 
     fn dense_cache(a: &Matrix) -> ShiftCache {
-        ShiftCache::Dense(ShiftedLuCache::new(a.clone()))
+        ShiftCache::new(&CsrMatrix::from_dense(a, 0.0), SolverBackend::Dense)
+    }
+
+    fn sparse_cache(a: &Matrix) -> ShiftCache {
+        ShiftCache::new(&CsrMatrix::from_dense(a, 0.0), SolverBackend::Sparse)
     }
 
     #[test]
@@ -1400,7 +1404,7 @@ mod tests {
         let n = 20;
         let a = stable_matrix(n, 41);
         let dense = dense_cache(&a);
-        let sparse = ShiftCache::Sparse(ShiftedSparseLuCache::new(CsrMatrix::from_dense(&a, 0.0)));
+        let sparse = sparse_cache(&a);
         let b = Matrix::from_fn(n, 1, |i, _| 1.0 / (1.0 + i as f64));
         let shifts = vec![8.0, 2.0, 0.5];
         let opts = LrAdiOptions {
@@ -1494,7 +1498,7 @@ mod tests {
     fn complex_pair_adi_matches_dense_weight_on_oscillatory_spectra() {
         let a = oscillatory_matrix(5);
         let at = a.transpose();
-        let sparse = ShiftCache::Sparse(ShiftedSparseLuCache::new(CsrMatrix::from_dense(&at, 0.0)));
+        let sparse = sparse_cache(&at);
         let seed = Vector::filled(10, 1.0);
         let shifts =
             heuristic_adi_shift_pairs(&sparse, &seed, &AdiShiftOptions::default()).unwrap();

@@ -1,37 +1,24 @@
 //! Memoized LU factorizations of shifted matrices `(G + σI)` / `(G + λI)`.
 //!
-//! The associated-transform moment recursions solve against the *same* base
-//! matrix `G₁` over and over, with shifts drawn from a small fixed set (the
-//! eigenvalues of a Schur factor walked by the Bartels–Stewart
-//! back-substitution, plus `σ = 0` for the expansion point itself). Before
-//! this cache existed every such solve cloned `G₁` and refactorized it;
-//! [`ShiftedLuCache`] keys the LU factors by the shift's bit pattern (with
-//! the one normalization that both IEEE zero encodings, `+0.0` and `-0.0`,
-//! share a single entry — they denote the same shifted matrix) so each
-//! distinct shift is factored exactly once per operator lifetime.
+//! The associated-transform moment recursions, the ADI sweeps and the band
+//! samplers solve against the *same* base matrix `G₁` over and over, with
+//! shifts drawn from a small set (spectrum walks, ADI shift sets, band
+//! frequencies). [`ShiftCache`] keys the LU factors by the shift's bit
+//! pattern (with the one normalization that both IEEE zero encodings,
+//! `+0.0` and `-0.0`, share a single entry — they denote the same shifted
+//! matrix) so each distinct shift is factored once while it is retained.
 //!
-//! [`ShiftedSparseLuCache`] is the structurally sparse twin: one symbolic
-//! analysis (fill-reducing ordering) is computed for the base pattern and
-//! every shift is a *numeric-only* refactorization through
-//! [`crate::sparse_lu::SparseLu`]. Key quantization and the hit/miss
-//! accounting are identical on both backends, so cache statistics can be
-//! compared across backends one-for-one. The sparse cache additionally
-//! supports an LRU capacity bound
-//! ([`ShiftedSparseLuCache::with_capacity_bound`]): ADI sweeps generate many
-//! one-shot shifts, and without a bound every factor would be retained for
-//! the operator's lifetime; evictions are counted
-//! ([`ShiftedSparseLuCache::evictions`]).
+//! The base is either a dense matrix (one dense LU per shift) or a CSR stamp
+//! with one symbolic analysis (fill-reducing ordering) shared by every
+//! shift, so each miss is a numeric-only refactorization through
+//! [`crate::sparse_lu::SparseLu`]. Real and complex factors live in one map
+//! under one mutex, and one optional LRU capacity bound
+//! ([`ShiftCache::with_capacity_bound`]) governs both backends: ADI sweeps
+//! generate many one-shot shifts, and without a bound every factor would be
+//! retained for the cache's lifetime. A capacity of 0 retains nothing.
 //!
-//! [`ShiftCache`] holds one of the two, picked once from a
-//! [`SolverBackend`] and the CSR stamp; it is the type every consumer of
-//! memoized shifted solves (the structured block operator, the low-rank
-//! engine, the band sampler) holds.
-//!
-//! The caches are `Sync` (mutex-guarded maps, `Arc`-shared factors) so
-//! moment chains running on scoped threads can share one instance. The
-//! dense cache keeps a passthrough mode ([`ShiftedLuCache::new_uncached`])
-//! that factors afresh on every solve, reached only through
-//! `BlockH2Op::with_kron(.., false)` in `vamor-core`.
+//! The cache is `Sync` (a mutex-guarded map of `Arc`-shared factors) so
+//! moment chains running on scoped threads can share one instance.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -42,11 +29,10 @@ use vamor_obs::{span, CounterHandle};
 
 use crate::complex::Complex;
 use crate::error::LinalgError;
-use crate::lu::LuDecomposition;
 use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
 use crate::sparse_lu::{
-    SolverBackend, SparseLu, SparseLuSymbolic, SparseZLu, SPARSE_AUTO_THRESHOLD,
+    LuFactor, SolverBackend, SparseLu, SparseLuSymbolic, SparseZLu, SPARSE_AUTO_THRESHOLD,
 };
 use crate::vector::Vector;
 use crate::zmatrix::{ZLuDecomposition, ZMatrix, ZVector};
@@ -93,7 +79,7 @@ fn injected_complex_solve(re: &Vector, im: &Vector) -> Option<Result<(Vector, Ve
 
 /// Normalizes a shift component for use as a cache key: both zero encodings
 /// map to the `+0.0` bit pattern; every other value is keyed exactly.
-fn shift_key(v: f64) -> u64 {
+fn shift_bits(v: f64) -> u64 {
     if v == 0.0 {
         0.0f64.to_bits()
     } else {
@@ -101,70 +87,85 @@ fn shift_key(v: f64) -> u64 {
     }
 }
 
-/// LRU-stamped map of cached real-shift factors.
-type RealLruMap = HashMap<u64, LruEntry<Arc<SparseLu>>>;
-/// LRU-stamped map of cached complex-shift factors.
-type ComplexLruMap = HashMap<(u64, u64), LruEntry<Arc<SparseZLu>>>;
+/// A cache key. A real shift `σ` and the complex shift `σ + 0i` are
+/// distinct keys: they hold different factor types.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ShiftKey {
+    Real(u64),
+    Complex(u64, u64),
+}
+
+/// The matrix every shift is applied to.
+#[derive(Debug, Clone)]
+enum Base {
+    /// Dense LU per shift.
+    Dense(Matrix),
+    /// One symbolic analysis of the stamp, numeric refactorization per shift.
+    Sparse {
+        csr: CsrMatrix,
+        symbolic: Arc<SparseLuSymbolic>,
+    },
+}
+
+/// One cached factorization: the real LU of `base + σI`, or the complex LU
+/// of `base + λI` in the base's backend.
+#[derive(Debug)]
+enum Factor {
+    Real(LuFactor),
+    DenseComplex(ZLuDecomposition),
+    SparseComplex(SparseZLu),
+}
+
+impl Factor {
+    /// Resident bytes of the factor: coefficients plus pivot/index vectors.
+    fn approx_bytes(&self) -> usize {
+        match self {
+            Factor::Real(lu) => lu.approx_bytes(),
+            Factor::DenseComplex(lu) => {
+                let n = lu.dim();
+                n * n * 16 + n * 8
+            }
+            Factor::SparseComplex(lu) => lu.factor_nnz() * (16 + 8) + lu.dim() * 16,
+        }
+    }
+}
 
 /// A cached factor stamped with its last-use tick (for LRU eviction).
 #[derive(Debug, Clone)]
-struct LruEntry<T> {
-    value: T,
+struct Entry {
+    factor: Arc<Factor>,
     last_used: usize,
 }
 
-/// A cache of LU factorizations of `base + shift·I`, keyed by shift.
-///
-/// ```
-/// use vamor_linalg::{Matrix, ShiftedLuCache, Vector};
-/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
-/// let g = Matrix::from_rows(&[&[-2.0, 1.0], &[0.0, -3.0]])?;
-/// let cache = ShiftedLuCache::new(g.clone());
-/// let b = Vector::from_slice(&[1.0, 2.0]);
-/// let x1 = cache.solve_shifted(0.5, &b)?;
-/// let x2 = cache.solve_shifted(0.5, &b)?; // served from the cache
-/// assert_eq!(x1.as_slice(), x2.as_slice());
-/// assert_eq!(cache.misses(), 1);
-/// assert_eq!(cache.hits(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShiftedLuCache {
-    base: Matrix,
-    enabled: bool,
-    real: Mutex<HashMap<u64, Arc<LuDecomposition>>>,
-    complex: Mutex<HashMap<(u64, u64), Arc<ZLuDecomposition>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    metrics: CacheCounters,
-}
-
-/// Registry handles mirroring the per-instance hit/miss counters into the
-/// process-wide metrics registry (`shift_cache.dense.*` /
-/// `shift_cache.sparse.*`). Resolved once at cache construction so the hot
-/// paths pay one relaxed atomic add, never a registry lookup.
+/// Registry handles mirroring the per-instance hit/miss/eviction counters
+/// into the process-wide metrics registry (`shift_cache.dense.*` /
+/// `shift_cache.sparse.*`), plus the backend's factorization span name.
+/// Resolved once at cache construction so the hot paths pay one relaxed
+/// atomic add, never a registry lookup.
 #[derive(Clone)]
 struct CacheCounters {
     hits: CounterHandle,
     misses: CounterHandle,
     evictions: CounterHandle,
+    span: &'static str,
 }
 
 impl CacheCounters {
-    fn dense() -> Self {
-        CacheCounters {
-            hits: vamor_obs::counter("shift_cache.dense.hits"),
-            misses: vamor_obs::counter("shift_cache.dense.misses"),
-            evictions: vamor_obs::counter("shift_cache.dense.evictions"),
-        }
-    }
-
-    fn sparse() -> Self {
-        CacheCounters {
-            hits: vamor_obs::counter("shift_cache.sparse.hits"),
-            misses: vamor_obs::counter("shift_cache.sparse.misses"),
-            evictions: vamor_obs::counter("shift_cache.sparse.evictions"),
+    fn for_backend(sparse: bool) -> Self {
+        if sparse {
+            CacheCounters {
+                hits: vamor_obs::counter("shift_cache.sparse.hits"),
+                misses: vamor_obs::counter("shift_cache.sparse.misses"),
+                evictions: vamor_obs::counter("shift_cache.sparse.evictions"),
+                span: "shift_factor_sparse",
+            }
+        } else {
+            CacheCounters {
+                hits: vamor_obs::counter("shift_cache.dense.hits"),
+                misses: vamor_obs::counter("shift_cache.dense.misses"),
+                evictions: vamor_obs::counter("shift_cache.dense.evictions"),
+                span: "shift_factor_dense",
+            }
         }
     }
 }
@@ -175,73 +176,112 @@ impl fmt::Debug for CacheCounters {
     }
 }
 
-impl ShiftedLuCache {
-    /// Creates a cache over the given base matrix.
+/// One memoized shifted-solve cache over a `G₁` stamp, in the backend a
+/// [`SolverBackend`] picks for its dimension: one symbolic analysis of the
+/// CSR stamp with a numeric refactorization per shift, or a dense LU per
+/// shift over the stamp's dense view (built only in dense mode, so
+/// 10⁴-state systems never allocate it). Key quantization, hit/miss
+/// accounting and the capacity bound are identical on both backends.
+///
+/// ```
+/// use vamor_linalg::{CooMatrix, ShiftCache, SolverBackend, Vector};
+/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
+/// let mut coo = CooMatrix::new(2, 2);
+/// coo.push(0, 0, -2.0);
+/// coo.push(1, 1, -3.0);
+/// let cache = ShiftCache::new(&coo.to_csr(), SolverBackend::Auto);
+/// assert!(!cache.is_sparse()); // `Auto` stays dense below 256 states
+/// let b = Vector::from_slice(&[1.0, 2.0]);
+/// cache.solve_shifted(0.5, &b)?;
+/// cache.solve_shifted(0.5, &b)?;
+/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct ShiftCache {
+    base: Base,
+    entries: Mutex<HashMap<ShiftKey, Entry>>,
+    /// Maximum number of cached factorizations (real + complex combined).
+    /// `None` = unbounded; `Some(0)` retains nothing.
+    capacity: Option<usize>,
+    /// Logical clock driving least-recently-used eviction.
+    tick: AtomicUsize,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+    evictions: AtomicUsize,
+    metrics: CacheCounters,
+}
+
+impl ShiftCache {
+    /// Builds an unbounded cache over `stamp`, sparse when `backend`
+    /// resolves to sparse at this dimension ([`SPARSE_AUTO_THRESHOLD`] for
+    /// `Auto`).
     ///
     /// # Panics
     ///
-    /// Panics if `base` is not square.
-    pub fn new(base: Matrix) -> Self {
-        Self::with_mode(base, true)
-    }
-
-    /// Creates a passthrough instance that factors afresh on every solve
-    /// (the behaviour of `BlockH2Op::with_kron(.., false)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is not square.
-    pub fn new_uncached(base: Matrix) -> Self {
-        Self::with_mode(base, false)
-    }
-
-    fn with_mode(base: Matrix, enabled: bool) -> Self {
-        assert!(
-            base.is_square(),
-            "ShiftedLuCache requires a square base matrix"
-        );
-        ShiftedLuCache {
+    /// Panics if `stamp` is not square.
+    pub fn new(stamp: &CsrMatrix, backend: SolverBackend) -> Self {
+        let sparse = backend.use_sparse(stamp.rows(), SPARSE_AUTO_THRESHOLD);
+        let base = if sparse {
+            let symbolic = SparseLuSymbolic::analyze(stamp)
+                // vamor: allow(panic-freedom, reason = "doc-stated panic contract of `new` on a non-square stamp")
+                .expect("ShiftCache requires a square base matrix");
+            Base::Sparse {
+                csr: stamp.clone(),
+                symbolic: Arc::new(symbolic),
+            }
+        } else {
+            assert!(
+                stamp.rows() == stamp.cols(),
+                "ShiftCache requires a square base matrix"
+            );
+            Base::Dense(stamp.to_dense())
+        };
+        ShiftCache {
             base,
-            enabled,
-            real: Mutex::new(HashMap::new()),
-            complex: Mutex::new(HashMap::new()),
+            entries: Mutex::new(HashMap::new()),
+            capacity: None,
+            tick: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            metrics: CacheCounters::dense(),
+            evictions: AtomicUsize::new(0),
+            metrics: CacheCounters::for_backend(sparse),
         }
     }
 
-    /// Locks the real-shift map, recovering from mutex poisoning: factors
-    /// are built *outside* the lock and entries are only ever inserted
-    /// whole, so a map observed after a sibling worker's panic is still
-    /// internally consistent — discarding it would only throw away valid
-    /// factorizations.
-    ///
-    /// This is also the single sanctioned real-map acquisition point for the
-    /// `lock-discipline` lint (lock order: real before complex).
-    fn lock_real(&self) -> MutexGuard<'_, HashMap<u64, Arc<LuDecomposition>>> {
-        self.real.lock().unwrap_or_else(|e| e.into_inner())
+    /// Bounds the number of retained factorizations (real + complex
+    /// combined) and evicts least-recently-used entries beyond it. A
+    /// capacity of 0 retains nothing: every solve factors afresh.
+    pub fn with_capacity_bound(mut self, capacity: usize) -> Self {
+        self.capacity = Some(capacity);
+        self
     }
 
-    /// Complex-map twin of [`ShiftedLuCache::lock_real`]; must never be held
-    /// when `lock_real` is called (lock order: real before complex).
-    fn lock_complex(&self) -> MutexGuard<'_, HashMap<(u64, u64), Arc<ZLuDecomposition>>> {
-        self.complex.lock().unwrap_or_else(|e| e.into_inner())
+    /// The configured capacity bound (`None` = unbounded).
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
     }
 
-    /// The base matrix `G`.
-    pub fn base(&self) -> &Matrix {
-        &self.base
+    /// True when this is the sparse backend.
+    pub fn is_sparse(&self) -> bool {
+        matches!(self.base, Base::Sparse { .. })
     }
 
     /// Dimension of the base matrix.
     pub fn dim(&self) -> usize {
-        self.base.rows()
+        match &self.base {
+            Base::Dense(g) => g.rows(),
+            Base::Sparse { csr, .. } => csr.rows(),
+        }
     }
 
-    /// True when memoization is active (false for the passthrough mode).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// Applies the base matrix: `y = G x`.
+    pub fn apply(&self, x: &Vector) -> Vector {
+        match &self.base {
+            Base::Dense(g) => g.matvec(x),
+            Base::Sparse { csr, .. } => csr.matvec(x),
+        }
     }
 
     /// Number of solves served from cached factors.
@@ -254,75 +294,138 @@ impl ShiftedLuCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct cached factorizations (real + complex).
-    pub fn len(&self) -> usize {
-        self.lock_real().len() + self.lock_complex().len()
+    /// Number of factorizations evicted by the capacity bound.
+    pub fn evictions(&self) -> usize {
+        self.evictions.load(Ordering::Relaxed)
     }
 
-    /// True if nothing has been factored yet.
+    /// Number of distinct cached factorizations (real + complex).
+    pub fn len(&self) -> usize {
+        self.lock_entries().len()
+    }
+
+    /// True if no factorization is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Approximate resident bytes of the cache (base matrix plus every
-    /// retained factorization) — the unit the session memory-budget governor
-    /// accounts in. Dense factors are exact up to bookkeeping; this is a
+    /// Approximate resident bytes of the cache — the base matrix (with the
+    /// symbolic ordering on the sparse backend) plus every held factor's own
+    /// size. The unit the session memory-budget governor accounts in; a
     /// sizing estimate, not an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
-        let n = self.dim();
-        let dense = n * n * std::mem::size_of::<f64>();
-        let real_entries = self.lock_real().len();
-        let complex_entries = self.lock_complex().len();
-        dense + real_entries * dense + complex_entries * 2 * dense
+        let base = match &self.base {
+            Base::Dense(g) => std::mem::size_of_val(g.as_slice()),
+            Base::Sparse { csr, .. } => csr.nnz() * (8 + 8) + (2 * csr.rows() + 1) * 8,
+        };
+        let held: usize = self
+            .lock_entries()
+            .values()
+            .map(|e| e.factor.approx_bytes())
+            .sum();
+        base + held
     }
 
-    fn shifted(&self, sigma: f64) -> Matrix {
-        let mut m = self.base.clone();
-        for i in 0..m.rows() {
-            m[(i, i)] += sigma;
-        }
-        m
+    /// Locks the factor map, recovering from mutex poisoning: factors are
+    /// built *outside* the lock and entries are only ever inserted whole, so
+    /// a map observed after a sibling worker's panic is still internally
+    /// consistent — discarding it would only throw away valid
+    /// factorizations. The single acquisition point the `lock-discipline`
+    /// lint tracks.
+    fn lock_entries(&self) -> MutexGuard<'_, HashMap<ShiftKey, Entry>> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn shifted_complex(&self, lambda: Complex) -> ZMatrix {
-        let mut m = ZMatrix::from_real(&self.base);
-        for i in 0..self.base.rows() {
-            m[(i, i)] += lambda;
-        }
-        m
+    fn next_tick(&self) -> usize {
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The LU factorization of `base + σI`, computed at most once per shift.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
-    pub fn factor(&self, sigma: f64) -> Result<Arc<LuDecomposition>> {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.metrics.misses.inc();
-            let _span = span!("shift_factor_dense");
-            return Ok(Arc::new(self.shifted(sigma).lu()?));
-        }
-        let key = shift_key(sigma);
-        if let Some(lu) = self.lock_real().get(&key) {
+    /// The cached factor under `key`, or `build()`'s, inserted.
+    fn get_or_insert(
+        &self,
+        key: ShiftKey,
+        build: impl FnOnce() -> Result<Factor>,
+    ) -> Result<Arc<Factor>> {
+        if let Some(entry) = self.lock_entries().get_mut(&key) {
+            entry.last_used = self.next_tick();
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.hits.inc();
-            return Ok(Arc::clone(lu));
+            return Ok(Arc::clone(&entry.factor));
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.misses.inc();
         // Factor OUTSIDE the lock: holding the map mutex across an O(n³)
         // factorization would serialize the parallel moment chains during
         // their warm-up sweep over the spectrum. A racing thread may factor
         // the same shift concurrently; both produce identical factors and the
         // first insert wins.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.inc();
-        let lu = {
-            let _span = span!("shift_factor_dense");
-            Arc::new(self.shifted(sigma).lu()?)
+        let factor = {
+            let _span = span!(self.metrics.span);
+            Arc::new(build()?)
         };
-        let mut map = self.lock_real();
-        Ok(Arc::clone(map.entry(key).or_insert(lu)))
+        let tick = self.next_tick();
+        let mut entries = self.lock_entries();
+        let held = Arc::clone(
+            &entries
+                .entry(key)
+                .or_insert(Entry {
+                    factor,
+                    last_used: tick,
+                })
+                .factor,
+        );
+        self.enforce_capacity(&mut entries);
+        Ok(held)
+    }
+
+    /// Evicts least-recently-used entries until the map fits the capacity
+    /// bound.
+    fn enforce_capacity(&self, entries: &mut HashMap<ShiftKey, Entry>) {
+        let Some(cap) = self.capacity else { return };
+        while entries.len() > cap {
+            let Some(oldest) = entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            entries.remove(&oldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evictions.inc();
+        }
+    }
+
+    fn real_factor(&self, sigma: f64) -> Result<Arc<Factor>> {
+        self.get_or_insert(ShiftKey::Real(shift_bits(sigma)), || {
+            Ok(Factor::Real(match &self.base {
+                Base::Dense(g) => LuFactor::Dense(shifted(g, sigma).lu()?),
+                Base::Sparse { csr, symbolic } => {
+                    LuFactor::Sparse(SparseLu::factor_shifted(symbolic, csr, sigma)?)
+                }
+            }))
+        })
+    }
+
+    fn complex_factor(&self, lambda: Complex) -> Result<Arc<Factor>> {
+        let key = ShiftKey::Complex(shift_bits(lambda.re), shift_bits(lambda.im));
+        self.get_or_insert(key, || {
+            Ok(match &self.base {
+                Base::Dense(g) => Factor::DenseComplex(shifted_complex(g, lambda).lu()?),
+                Base::Sparse { csr, symbolic } => {
+                    Factor::SparseComplex(SparseZLu::factor_shifted(symbolic, csr, lambda)?)
+                }
+            })
+        })
+    }
+
+    /// Factors `base + σI` into the cache (at most once per retained shift).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
+    pub fn factor(&self, sigma: f64) -> Result<()> {
+        self.real_factor(sigma).map(|_| ())
     }
 
     /// Solves `(base + σI) x = rhs` through the cache.
@@ -335,36 +438,10 @@ impl ShiftedLuCache {
         if let Some(injected) = injected_real_solve(rhs) {
             return injected;
         }
-        self.factor(sigma)?.solve(rhs)
-    }
-
-    /// The LU factorization of `base + λI` for a complex shift.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
-    pub fn factor_complex(&self, lambda: Complex) -> Result<Arc<ZLuDecomposition>> {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.metrics.misses.inc();
-            let _span = span!("shift_factor_dense");
-            return Ok(Arc::new(self.shifted_complex(lambda).lu()?));
+        match &*self.real_factor(sigma)? {
+            Factor::Real(lu) => lu.solve(rhs),
+            Factor::DenseComplex(_) | Factor::SparseComplex(_) => Err(key_mismatch()),
         }
-        let key = (shift_key(lambda.re), shift_key(lambda.im));
-        if let Some(lu) = self.lock_complex().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.metrics.hits.inc();
-            return Ok(Arc::clone(lu));
-        }
-        // Factor outside the lock (see `factor` for the rationale).
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.inc();
-        let lu = {
-            let _span = span!("shift_factor_dense");
-            Arc::new(self.shifted_complex(lambda).lu()?)
-        };
-        let mut map = self.lock_complex();
-        Ok(Arc::clone(map.entry(key).or_insert(lu)))
     }
 
     /// Solves `(base + λI)(x_re + i·x_im) = re + i·im`, returning the real
@@ -391,16 +468,21 @@ impl ShiftedLuCache {
         if let Some(injected) = injected_complex_solve(re, im) {
             return injected;
         }
-        let lu = self.factor_complex(lambda)?;
-        let rhs = ZVector::from(
-            re.as_slice()
-                .iter()
-                .zip(im.as_slice())
-                .map(|(&r, &i)| Complex::new(r, i))
-                .collect::<Vec<_>>(),
-        );
-        let x = lu.solve(&rhs)?;
-        Ok((x.real(), x.imag()))
+        match &*self.complex_factor(lambda)? {
+            Factor::DenseComplex(lu) => {
+                let rhs = ZVector::from(
+                    re.as_slice()
+                        .iter()
+                        .zip(im.as_slice())
+                        .map(|(&r, &i)| Complex::new(r, i))
+                        .collect::<Vec<_>>(),
+                );
+                let x = lu.solve(&rhs)?;
+                Ok((x.real(), x.imag()))
+            }
+            Factor::SparseComplex(lu) => lu.solve_parts(re, im),
+            Factor::Real(_) => Err(key_mismatch()),
+        }
     }
 
     /// Solves the *resolvent* system `(sI − base) x = re + i·im`.
@@ -408,7 +490,7 @@ impl ShiftedLuCache {
     /// The factorization is the cached `(base + λI)` entry with `λ = −s`, so
     /// transfer-function samplers hitting the same frequencies as the
     /// Bartels–Stewart eigenvalue walks share their factors — and every
-    /// repeated frequency of a band sweep is factored exactly once.
+    /// repeated frequency of a band sweep is factored once while retained.
     ///
     /// # Errors
     ///
@@ -427,564 +509,46 @@ impl ShiftedLuCache {
     }
 }
 
-impl Clone for ShiftedLuCache {
-    /// Snapshots the cached factors. Cloning recovers from a poisoned map
-    /// (a sibling worker panicked while holding a guard) instead of
-    /// propagating the panic: entries are only ever inserted whole, so the
-    /// snapshot is always a consistent — if possibly slightly stale — view.
+/// `g + σI`.
+fn shifted(g: &Matrix, sigma: f64) -> Matrix {
+    let mut m = g.clone();
+    for i in 0..m.rows() {
+        m[(i, i)] += sigma;
+    }
+    m
+}
+
+/// `g + λI` for a complex shift.
+fn shifted_complex(g: &Matrix, lambda: Complex) -> ZMatrix {
+    let mut m = ZMatrix::from_real(g);
+    for i in 0..g.rows() {
+        m[(i, i)] += lambda;
+    }
+    m
+}
+
+/// A real key always holds a real factor and a complex key a complex one;
+/// this error marks the unreachable crossing.
+fn key_mismatch() -> LinalgError {
+    LinalgError::InvalidArgument("shift cache: factor kind does not match its key".into())
+}
+
+impl Clone for ShiftCache {
+    /// Snapshots the cached factors, the bound and the counters. Cloning
+    /// recovers from a poisoned map (a sibling worker panicked while holding
+    /// the guard) instead of propagating the panic: entries are only ever
+    /// inserted whole, so the snapshot is always a consistent — if possibly
+    /// slightly stale — view.
     fn clone(&self) -> Self {
-        ShiftedLuCache {
+        ShiftCache {
             base: self.base.clone(),
-            enabled: self.enabled,
-            real: Mutex::new(self.lock_real().clone()),
-            complex: Mutex::new(self.lock_complex().clone()),
-            hits: AtomicUsize::new(self.hits()),
-            misses: AtomicUsize::new(self.misses()),
-            metrics: self.metrics.clone(),
-        }
-    }
-}
-
-/// The sparse twin of [`ShiftedLuCache`]: memoized [`SparseLu`] /
-/// [`SparseZLu`] factorizations of `base + σI` / `base + λI` over a CSR base
-/// matrix. One symbolic analysis (fill-reducing ordering of the base
-/// pattern) is shared by every shift — each cache miss is a numeric-only
-/// refactorization.
-///
-/// Shift-key quantization and hit/miss accounting are deliberately identical
-/// to the dense cache: running the same solve sequence against either
-/// backend produces the same `hits()` / `misses()` / `len()` trajectory.
-///
-/// ```
-/// use vamor_linalg::{CooMatrix, ShiftedSparseLuCache, Vector};
-/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
-/// let mut coo = CooMatrix::new(2, 2);
-/// coo.push(0, 0, -2.0);
-/// coo.push(0, 1, 1.0);
-/// coo.push(1, 1, -3.0);
-/// let cache = ShiftedSparseLuCache::new(coo.to_csr());
-/// let b = Vector::from_slice(&[1.0, 2.0]);
-/// let x1 = cache.solve_shifted(0.5, &b)?;
-/// let x2 = cache.solve_shifted(0.5, &b)?; // served from the cache
-/// assert_eq!(x1.as_slice(), x2.as_slice());
-/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShiftedSparseLuCache {
-    base: CsrMatrix,
-    symbolic: Arc<SparseLuSymbolic>,
-    real: Mutex<RealLruMap>,
-    complex: Mutex<ComplexLruMap>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    /// Maximum number of cached factorizations (real + complex combined).
-    /// `None` = unbounded (the historical behaviour).
-    capacity: Option<usize>,
-    /// Logical clock driving least-recently-used eviction.
-    tick: AtomicUsize,
-    evictions: AtomicUsize,
-    metrics: CacheCounters,
-}
-
-impl ShiftedSparseLuCache {
-    /// Creates a cache over the given base matrix, running the symbolic
-    /// analysis once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is not square (use [`ShiftedSparseLuCache::try_new`]
-    /// for a typed error instead).
-    pub fn new(base: CsrMatrix) -> Self {
-        Self::try_new(base)
-            // vamor: allow(panic-freedom, reason = "doc-stated panic contract of `new` on a non-square base; `try_new` is the typed-error path")
-            .expect("ShiftedSparseLuCache requires a square base matrix")
-    }
-
-    /// Fallible twin of [`ShiftedSparseLuCache::new`] for callers handling
-    /// user-supplied systems: a non-square base is a typed error, not a
-    /// panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] if `base` is not square.
-    pub fn try_new(base: CsrMatrix) -> Result<Self> {
-        let symbolic = Arc::new(SparseLuSymbolic::analyze(&base)?);
-        Ok(ShiftedSparseLuCache {
-            base,
-            symbolic,
-            real: Mutex::new(HashMap::new()),
-            complex: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            capacity: None,
-            tick: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            metrics: CacheCounters::sparse(),
-        })
-    }
-
-    /// Bounds the number of retained factorizations (real + complex combined)
-    /// and evicts least-recently-used entries beyond it. ADI shift sweeps
-    /// generate many one-shot shifts; without a bound the cache holds every
-    /// factor for the operator's lifetime. A capacity of 0 is clamped to 1.
-    pub fn with_capacity_bound(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// The configured capacity bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Number of factorizations evicted by the LRU capacity bound.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    fn next_tick(&self) -> usize {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Evicts least-recently-used entries until the combined map size fits
-    /// the capacity bound. Both maps must be passed locked so the combined
-    /// size is consistent.
-    fn enforce_capacity(&self, real: &mut RealLruMap, complex: &mut ComplexLruMap) {
-        let Some(cap) = self.capacity else { return };
-        while real.len() + complex.len() > cap {
-            let oldest_real = real
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (*k, e.last_used));
-            let oldest_complex = complex
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (*k, e.last_used));
-            match (oldest_real, oldest_complex) {
-                (Some((rk, rt)), Some((_, ct))) if rt <= ct => {
-                    real.remove(&rk);
-                }
-                (Some(_), Some((ck, _))) => {
-                    complex.remove(&ck);
-                }
-                (Some((rk, _)), None) => {
-                    real.remove(&rk);
-                }
-                (None, Some((ck, _))) => {
-                    complex.remove(&ck);
-                }
-                (None, None) => break,
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.metrics.evictions.inc();
-        }
-    }
-
-    /// Locks the real-shift map, recovering from mutex poisoning (see
-    /// [`ShiftedLuCache::lock_real`]: factors are built outside the lock and
-    /// inserted whole, so a post-panic map is still consistent). The single
-    /// sanctioned real-map acquisition point for the `lock-discipline` lint;
-    /// lock order is real before complex.
-    fn lock_real(&self) -> MutexGuard<'_, RealLruMap> {
-        self.real.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Complex-map twin of [`ShiftedSparseLuCache::lock_real`]; must never
-    /// be held when `lock_real` is called (lock order: real before complex).
-    fn lock_complex(&self) -> MutexGuard<'_, ComplexLruMap> {
-        self.complex.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The base matrix `G`.
-    pub fn base(&self) -> &CsrMatrix {
-        &self.base
-    }
-
-    /// The shared symbolic analysis.
-    pub fn symbolic(&self) -> &Arc<SparseLuSymbolic> {
-        &self.symbolic
-    }
-
-    /// Dimension of the base matrix.
-    pub fn dim(&self) -> usize {
-        self.base.rows()
-    }
-
-    /// Number of solves served from cached factors.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of fresh (numeric) factorizations performed.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct cached factorizations (real + complex).
-    pub fn len(&self) -> usize {
-        self.lock_real().len() + self.lock_complex().len()
-    }
-
-    /// True if nothing has been factored yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate resident bytes of the cache (base + symbolic analysis +
-    /// retained numeric factors, sized from the base sparsity with a nominal
-    /// 4× fill factor) — the unit the session memory-budget governor
-    /// accounts in. An estimate for eviction ordering, not an allocator
-    /// measurement.
-    pub fn approx_bytes(&self) -> usize {
-        let n = self.dim();
-        let per_factor = (self.base.nnz() * 4 + 2 * n)
-            * (std::mem::size_of::<f64>() + std::mem::size_of::<usize>());
-        let base = self.base.nnz() * (std::mem::size_of::<f64>() + std::mem::size_of::<usize>());
-        let real_entries = self.lock_real().len();
-        let complex_entries = self.lock_complex().len();
-        base + per_factor + real_entries * per_factor + complex_entries * 2 * per_factor
-    }
-
-    /// The sparse LU of `base + σI`, computed (numerically) at most once per
-    /// shift.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
-    pub fn factor(&self, sigma: f64) -> Result<Arc<SparseLu>> {
-        let key = shift_key(sigma);
-        if let Some(entry) = self.lock_real().get_mut(&key) {
-            entry.last_used = self.next_tick();
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.metrics.hits.inc();
-            return Ok(Arc::clone(&entry.value));
-        }
-        // Factor outside the lock (see `ShiftedLuCache::factor`).
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.inc();
-        let lu = {
-            let _span = span!("shift_factor_sparse");
-            Arc::new(SparseLu::factor_shifted(&self.symbolic, &self.base, sigma)?)
-        };
-        let tick = self.next_tick();
-        // Lock order real → complex everywhere capacity is enforced.
-        let mut real = self.lock_real();
-        let arc = Arc::clone(
-            &real
-                .entry(key)
-                .or_insert(LruEntry {
-                    value: lu,
-                    last_used: tick,
-                })
-                .value,
-        );
-        if self.capacity.is_some() {
-            let mut complex = self.lock_complex();
-            self.enforce_capacity(&mut real, &mut complex);
-        }
-        Ok(arc)
-    }
-
-    /// Solves `(base + σI) x = rhs` through the cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular pencils and dimension mismatches.
-    pub fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
-        #[cfg(feature = "fault-injection")]
-        if let Some(injected) = injected_real_solve(rhs) {
-            return injected;
-        }
-        self.factor(sigma)?.solve(rhs)
-    }
-
-    /// The sparse LU of `base + λI` for a complex shift.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
-    pub fn factor_complex(&self, lambda: Complex) -> Result<Arc<SparseZLu>> {
-        let key = (shift_key(lambda.re), shift_key(lambda.im));
-        if let Some(entry) = self.lock_complex().get_mut(&key) {
-            entry.last_used = self.next_tick();
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.metrics.hits.inc();
-            return Ok(Arc::clone(&entry.value));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.inc();
-        let lu = {
-            let _span = span!("shift_factor_sparse");
-            Arc::new(SparseZLu::factor_shifted(
-                &self.symbolic,
-                &self.base,
-                lambda,
-            )?)
-        };
-        let tick = self.next_tick();
-        let insert = |complex: &mut ComplexLruMap| {
-            Arc::clone(
-                &complex
-                    .entry(key)
-                    .or_insert(LruEntry {
-                        value: lu,
-                        last_used: tick,
-                    })
-                    .value,
-            )
-        };
-        if self.capacity.is_some() {
-            // Lock order real → complex, matching `factor` — only eviction
-            // needs the combined view.
-            let mut real = self.lock_real();
-            let mut complex = self.lock_complex();
-            let arc = insert(&mut complex);
-            self.enforce_capacity(&mut real, &mut complex);
-            Ok(arc)
-        } else {
-            // Unbounded mode never touches the real map, so complex
-            // factorizations cannot contend with concurrent real-shift hits.
-            let mut complex = self.lock_complex();
-            Ok(insert(&mut complex))
-        }
-    }
-
-    /// Solves `(base + λI)(x_re + i·x_im) = re + i·im`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular pencils and dimension mismatches.
-    pub fn solve_shifted_complex(
-        &self,
-        lambda: Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> Result<(Vector, Vector)> {
-        if re.len() != self.dim() || im.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "sparse shifted complex solve: rhs lengths {}/{} for dimension {}",
-                re.len(),
-                im.len(),
-                self.dim()
-            )));
-        }
-        #[cfg(feature = "fault-injection")]
-        if let Some(injected) = injected_complex_solve(re, im) {
-            return injected;
-        }
-        self.factor_complex(lambda)?.solve_parts(re, im)
-    }
-
-    /// Solves the resolvent system `(sI − base) x = re + i·im` through the
-    /// cached `(base − sI)` factor (see [`ShiftedLuCache::solve_resolvent`] —
-    /// key quantization is identical on both backends).
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular pencils and dimension mismatches.
-    pub fn solve_resolvent(
-        &self,
-        s: Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> Result<(Vector, Vector)> {
-        let (mut xr, mut xi) = self.solve_shifted_complex(-s, re, im)?;
-        xr.scale_mut(-1.0);
-        xi.scale_mut(-1.0);
-        Ok((xr, xi))
-    }
-}
-
-impl Clone for ShiftedSparseLuCache {
-    /// Snapshots the cached factors, recovering from a poisoned map instead
-    /// of propagating a sibling worker's panic (see
-    /// [`ShiftedLuCache::clone`]).
-    fn clone(&self) -> Self {
-        ShiftedSparseLuCache {
-            base: self.base.clone(),
-            symbolic: Arc::clone(&self.symbolic),
-            real: Mutex::new(self.lock_real().clone()),
-            complex: Mutex::new(self.lock_complex().clone()),
-            hits: AtomicUsize::new(self.hits()),
-            misses: AtomicUsize::new(self.misses()),
+            entries: Mutex::new(self.lock_entries().clone()),
             capacity: self.capacity,
             tick: AtomicUsize::new(self.tick.load(Ordering::Relaxed)),
+            hits: AtomicUsize::new(self.hits()),
+            misses: AtomicUsize::new(self.misses()),
             evictions: AtomicUsize::new(self.evictions()),
             metrics: self.metrics.clone(),
-        }
-    }
-}
-
-/// One memoized shifted-solve cache over a `G₁` stamp, in the backend a
-/// [`SolverBackend`] picks for its dimension: a [`ShiftedSparseLuCache`]
-/// over the CSR stamp, or a [`ShiftedLuCache`] over its dense view (built
-/// only in dense mode, so 10⁴-state systems never allocate it). Key
-/// quantization and hit/miss accounting are identical on both backends.
-///
-/// ```
-/// use vamor_linalg::{CooMatrix, ShiftCache, SolverBackend, Vector};
-/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
-/// let mut coo = CooMatrix::new(2, 2);
-/// coo.push(0, 0, -2.0);
-/// coo.push(1, 1, -3.0);
-/// let cache = ShiftCache::new(&coo.to_csr(), SolverBackend::Auto);
-/// assert!(!cache.is_sparse()); // `Auto` stays dense below 256 states
-/// let b = Vector::from_slice(&[1.0, 2.0]);
-/// cache.solve_shifted(0.5, &b)?;
-/// cache.solve_shifted(0.5, &b)?;
-/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub enum ShiftCache {
-    /// Dense LU per shift over the dense view of the stamp.
-    Dense(ShiftedLuCache),
-    /// One symbolic analysis of the stamp, numeric refactorization per shift.
-    Sparse(ShiftedSparseLuCache),
-}
-
-impl ShiftCache {
-    /// Builds the cache over `stamp`, sparse when `backend` resolves to
-    /// sparse at this dimension ([`SPARSE_AUTO_THRESHOLD`] for `Auto`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stamp` is not square.
-    pub fn new(stamp: &CsrMatrix, backend: SolverBackend) -> Self {
-        if backend.use_sparse(stamp.rows(), SPARSE_AUTO_THRESHOLD) {
-            ShiftCache::Sparse(ShiftedSparseLuCache::new(stamp.clone()))
-        } else {
-            ShiftCache::Dense(ShiftedLuCache::new(stamp.to_dense()))
-        }
-    }
-
-    /// Bounds the number of retained sparse factorizations (see
-    /// [`ShiftedSparseLuCache::with_capacity_bound`]); a dense cache stays
-    /// unbounded.
-    pub fn with_capacity_bound(self, capacity: usize) -> Self {
-        match self {
-            ShiftCache::Sparse(c) => ShiftCache::Sparse(c.with_capacity_bound(capacity)),
-            dense => dense,
-        }
-    }
-
-    /// True when this is the sparse backend.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, ShiftCache::Sparse(_))
-    }
-
-    /// Dimension of the base matrix.
-    pub fn dim(&self) -> usize {
-        match self {
-            ShiftCache::Dense(c) => c.dim(),
-            ShiftCache::Sparse(c) => c.dim(),
-        }
-    }
-
-    /// Applies the base matrix: `y = G x`.
-    pub fn apply(&self, x: &Vector) -> Vector {
-        match self {
-            ShiftCache::Dense(c) => c.base().matvec(x),
-            ShiftCache::Sparse(c) => c.base().matvec(x),
-        }
-    }
-
-    /// Number of solves served from cached factors.
-    pub fn hits(&self) -> usize {
-        match self {
-            ShiftCache::Dense(c) => c.hits(),
-            ShiftCache::Sparse(c) => c.hits(),
-        }
-    }
-
-    /// Number of fresh factorizations performed.
-    pub fn misses(&self) -> usize {
-        match self {
-            ShiftCache::Dense(c) => c.misses(),
-            ShiftCache::Sparse(c) => c.misses(),
-        }
-    }
-
-    /// Number of distinct cached factorizations (real + complex).
-    pub fn len(&self) -> usize {
-        match self {
-            ShiftCache::Dense(c) => c.len(),
-            ShiftCache::Sparse(c) => c.len(),
-        }
-    }
-
-    /// True if nothing has been factored yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate resident bytes (base plus retained factors).
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            ShiftCache::Dense(c) => c.approx_bytes(),
-            ShiftCache::Sparse(c) => c.approx_bytes(),
-        }
-    }
-
-    /// Factors `base + σI` into the cache (at most once per shift).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the shifted matrix is singular.
-    pub fn factor(&self, sigma: f64) -> Result<()> {
-        match self {
-            ShiftCache::Dense(c) => c.factor(sigma).map(|_| ()),
-            ShiftCache::Sparse(c) => c.factor(sigma).map(|_| ()),
-        }
-    }
-
-    /// Solves `(base + σI) x = rhs` through the cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular pencils and dimension mismatches.
-    pub fn solve_shifted(&self, sigma: f64, rhs: &Vector) -> Result<Vector> {
-        match self {
-            ShiftCache::Dense(c) => c.solve_shifted(sigma, rhs),
-            ShiftCache::Sparse(c) => c.solve_shifted(sigma, rhs),
-        }
-    }
-
-    /// Solves `(base + λI)(x_re + i·x_im) = re + i·im`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular pencils and dimension mismatches.
-    pub fn solve_shifted_complex(
-        &self,
-        lambda: Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> Result<(Vector, Vector)> {
-        match self {
-            ShiftCache::Dense(c) => c.solve_shifted_complex(lambda, re, im),
-            ShiftCache::Sparse(c) => c.solve_shifted_complex(lambda, re, im),
-        }
-    }
-
-    /// Solves the resolvent system `(sI − base) x = re + i·im` (see
-    /// [`ShiftedLuCache::solve_resolvent`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular pencils and dimension mismatches.
-    pub fn solve_resolvent(
-        &self,
-        s: Complex,
-        re: &Vector,
-        im: &Vector,
-    ) -> Result<(Vector, Vector)> {
-        match self {
-            ShiftCache::Dense(c) => c.solve_resolvent(s, re, im),
-            ShiftCache::Sparse(c) => c.solve_resolvent(s, re, im),
         }
     }
 }
@@ -997,10 +561,22 @@ mod tests {
         Matrix::from_rows(&[&[-2.0, 0.7, 0.0], &[0.1, -3.0, 0.4], &[0.0, 0.2, -1.5]]).unwrap()
     }
 
+    fn base_csr() -> CsrMatrix {
+        CsrMatrix::from_dense(&base(), 0.0)
+    }
+
+    fn dense(g: &Matrix) -> ShiftCache {
+        ShiftCache::new(&CsrMatrix::from_dense(g, 0.0), SolverBackend::Dense)
+    }
+
+    fn sparse(g: &Matrix) -> ShiftCache {
+        ShiftCache::new(&CsrMatrix::from_dense(g, 0.0), SolverBackend::Sparse)
+    }
+
     #[test]
     fn cached_and_fresh_real_solves_agree() {
         let g = base();
-        let cache = ShiftedLuCache::new(g.clone());
+        let cache = dense(&g);
         let rhs = Vector::from_slice(&[1.0, -2.0, 0.5]);
         for sigma in [0.0, 0.3, -0.8, 0.3, 0.0] {
             let cached = cache.solve_shifted(sigma, &rhs).unwrap();
@@ -1020,7 +596,7 @@ mod tests {
     #[test]
     fn cached_and_fresh_complex_solves_agree() {
         let g = base();
-        let cache = ShiftedLuCache::new(g.clone());
+        let cache = dense(&g);
         let re = Vector::from_slice(&[0.3, 1.0, -0.4]);
         let im = Vector::from_slice(&[-1.0, 0.2, 0.9]);
         let lambda = Complex::new(0.4, 1.3);
@@ -1041,21 +617,49 @@ mod tests {
         assert!(res_re.norm_inf() < 1e-10 && res_im.norm_inf() < 1e-10);
     }
 
+    /// The merged map must keep a real shift `σ` and the complex shift
+    /// `σ + 0i` apart: each solve matches a fresh factorization of its own
+    /// kind, on both backends.
     #[test]
-    fn passthrough_mode_never_caches() {
-        let cache = ShiftedLuCache::new_uncached(base());
+    fn real_and_complex_zero_imaginary_shifts_are_distinct_entries() {
+        let g = base();
+        let rhs = Vector::from_slice(&[1.0, -2.0, 0.5]);
+        let im = Vector::from_slice(&[0.25, 0.0, -1.0]);
+        let mut shifted = g.clone();
+        for i in 0..3 {
+            shifted[(i, i)] += 0.3;
+        }
+        let fresh_re = shifted.solve(&rhs).unwrap();
+        let fresh_im = shifted.solve(&im).unwrap();
+        for cache in [dense(&g), sparse(&g)] {
+            for _ in 0..2 {
+                let x = cache.solve_shifted(0.3, &rhs).unwrap();
+                assert!((&x - &fresh_re).norm_inf() < 1e-10);
+                let (xr, xi) = cache
+                    .solve_shifted_complex(Complex::new(0.3, 0.0), &rhs, &im)
+                    .unwrap();
+                assert!((&xr - &fresh_re).norm_inf() < 1e-10);
+                assert!((&xi - &fresh_im).norm_inf() < 1e-10);
+            }
+            assert_eq!((cache.len(), cache.misses(), cache.hits()), (2, 2, 2));
+        }
+    }
+
+    #[test]
+    fn capacity_zero_retains_nothing() {
+        let cache = dense(&base()).with_capacity_bound(0);
         let rhs = Vector::from_slice(&[1.0, 0.0, 0.0]);
         cache.solve_shifted(0.5, &rhs).unwrap();
         cache.solve_shifted(0.5, &rhs).unwrap();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
         assert!(cache.is_empty());
-        assert!(!cache.is_enabled());
+        assert_eq!(cache.capacity(), Some(0));
     }
 
     #[test]
     fn negative_zero_shift_shares_the_zero_entry() {
-        let cache = ShiftedLuCache::new(base());
+        let cache = dense(&base());
         let rhs = Vector::from_slice(&[1.0, 1.0, 1.0]);
         cache.solve_shifted(0.0, &rhs).unwrap();
         cache.solve_shifted(-0.0, &rhs).unwrap();
@@ -1067,23 +671,18 @@ mod tests {
     fn singular_shift_is_reported_not_cached() {
         // base + 2I makes the first row zero for this matrix.
         let g = Matrix::from_rows(&[&[-2.0, 0.0], &[0.0, -1.0]]).unwrap();
-        let cache = ShiftedLuCache::new(g);
+        let cache = dense(&g);
         let rhs = Vector::from_slice(&[1.0, 1.0]);
         assert!(cache.solve_shifted(2.0, &rhs).is_err());
         assert!(cache.is_empty());
     }
 
-    fn base_csr() -> CsrMatrix {
-        CsrMatrix::from_dense(&base(), 0.0)
-    }
-
-    /// The satellite guarantee: both backends quantize shift keys the same
-    /// way, so an identical solve sequence produces identical hit/miss/len
-    /// statistics.
+    /// Both backends quantize shift keys the same way, so an identical solve
+    /// sequence produces identical hit/miss/len statistics.
     #[test]
     fn sparse_and_dense_caches_count_hits_and_misses_identically() {
-        let dense = ShiftedLuCache::new(base());
-        let sparse = ShiftedSparseLuCache::new(base_csr());
+        let dense = dense(&base());
+        let sparse = sparse(&base());
         let rhs = Vector::from_slice(&[1.0, -2.0, 0.5]);
         let re = Vector::from_slice(&[0.3, 1.0, -0.4]);
         let im = Vector::from_slice(&[-1.0, 0.2, 0.9]);
@@ -1111,7 +710,7 @@ mod tests {
     #[test]
     fn sparse_singular_shift_is_reported_not_cached() {
         let g = Matrix::from_rows(&[&[-2.0, 0.0], &[0.0, -1.0]]).unwrap();
-        let cache = ShiftedSparseLuCache::new(CsrMatrix::from_dense(&g, 0.0));
+        let cache = sparse(&g);
         let rhs = Vector::from_slice(&[1.0, 1.0]);
         assert!(cache.solve_shifted(2.0, &rhs).is_err());
         assert!(cache.is_empty());
@@ -1124,7 +723,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used_factors() {
-        let cache = ShiftedSparseLuCache::new(base_csr()).with_capacity_bound(2);
+        let cache = sparse(&base()).with_capacity_bound(2);
         assert_eq!(cache.capacity(), Some(2));
         let rhs = Vector::from_slice(&[1.0, 1.0, 1.0]);
         cache.solve_shifted(0.0, &rhs).unwrap(); // cache {0.0}
@@ -1158,7 +757,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let cache = ShiftedSparseLuCache::new(base_csr());
+        let cache = sparse(&base());
         assert_eq!(cache.capacity(), None);
         let rhs = Vector::from_slice(&[1.0, 1.0, 1.0]);
         for sigma in [0.0, 0.25, 0.5, 0.75, 1.0] {
@@ -1167,15 +766,14 @@ mod tests {
         assert_eq!(cache.len(), 5);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.dim(), 3);
-        assert_eq!(cache.base().rows(), 3);
-        assert_eq!(cache.symbolic().dim(), 3);
+        assert!(cache.is_sparse());
     }
 
     #[test]
     fn shift_cache_picks_the_backend_from_the_stamp() {
         let csr = base_csr();
         let rhs = Vector::from_slice(&[1.0, -2.0, 0.5]);
-        let dense = ShiftCache::new(&csr, SolverBackend::Auto);
+        let dense = ShiftCache::new(&csr, SolverBackend::Auto).with_capacity_bound(1);
         let sparse = ShiftCache::new(&csr, SolverBackend::Sparse).with_capacity_bound(1);
         assert!(!dense.is_sparse() && sparse.is_sparse());
         assert_eq!((dense.dim(), sparse.dim()), (3, 3));
@@ -1184,20 +782,20 @@ mod tests {
             let b = sparse.solve_shifted(sigma, &rhs).unwrap();
             assert!((&a - &b).norm_inf() < 1e-10);
         }
-        // The bound applies to the sparse cache only: 0.0 was evicted by 0.3.
-        assert_eq!((dense.hits(), dense.misses(), dense.len()), (1, 2, 2));
+        // The bound applies to both backends: 0.0 was evicted by 0.3.
+        assert_eq!((dense.hits(), dense.misses(), dense.len()), (0, 3, 1));
         assert_eq!((sparse.hits(), sparse.misses(), sparse.len()), (0, 3, 1));
         assert!(dense.approx_bytes() > 0 && sparse.approx_bytes() > 0);
         assert!((&dense.apply(&rhs) - &base().matvec(&rhs)).norm_inf() == 0.0);
     }
 
-    /// The PR-5 reuse hook: resolvent solves go through the same complex
-    /// `(G + λI)` entries (keyed at `λ = −s`), on both backends.
+    /// Resolvent solves go through the same complex `(G + λI)` entries
+    /// (keyed at `λ = −s`), on both backends.
     #[test]
     fn resolvent_solves_share_the_shifted_complex_entries() {
         let g = base();
-        let dense = ShiftedLuCache::new(g.clone());
-        let sparse = ShiftedSparseLuCache::new(base_csr());
+        let dense = dense(&g);
+        let sparse = sparse(&g);
         let re = Vector::from_slice(&[1.0, 0.5, -0.25]);
         let im = Vector::from_slice(&[0.0, -0.3, 0.1]);
         let s = Complex::new(0.2, 0.7);
@@ -1236,7 +834,7 @@ mod tests {
 
     #[test]
     fn clone_carries_cached_factors() {
-        let cache = ShiftedLuCache::new(base());
+        let cache = dense(&base());
         let rhs = Vector::from_slice(&[1.0, 2.0, 3.0]);
         cache.solve_shifted(0.7, &rhs).unwrap();
         let cloned = cache.clone();

@@ -1,18 +1,19 @@
 //! Exhaustive-interleaving models of the LRU shift cache
 //! (`RUSTFLAGS="--cfg loom" cargo test -p vamor-linalg --test loom_cache`).
 //!
-//! The cache synchronizes through two coarse mutexes (real / complex map,
-//! acquired in that order) and monotone atomics, so every concurrent
-//! outcome is a linearization of complete API calls; see
-//! [`vamor_linalg::interleave`] for why enumerating those merges covers the
-//! same schedule space loom would at lock granularity. Each model applies
-//! every order-preserving merge of the per-thread op sequences to a fresh
-//! cache and checks the bookkeeping invariants that hold in *every*
-//! schedule — not just the sequential ones the unit tests exercise.
+//! The cache synchronizes through one coarse mutex over its factor map and
+//! monotone atomics, so every concurrent outcome is a linearization of
+//! complete API calls; see [`vamor_linalg::interleave`] for why enumerating
+//! those merges covers the same schedule space loom would at lock
+//! granularity. Each model applies every order-preserving merge of the
+//! per-thread op sequences to a fresh cache — once per backend, dense and
+//! sparse, with the same capacity — and checks the bookkeeping invariants
+//! that hold in *every* schedule, not just the sequential ones the unit
+//! tests exercise.
 #![cfg(loom)]
 
 use vamor_linalg::interleave::{explore_named, interleaving_count};
-use vamor_linalg::{Complex, CooMatrix, CsrMatrix, ShiftedSparseLuCache, Vector};
+use vamor_linalg::{Complex, CooMatrix, CsrMatrix, ShiftCache, SolverBackend, Vector};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
@@ -20,7 +21,7 @@ enum Op {
     Real(f64),
     /// `solve_shifted_complex(lambda)` — complex get-or-insert.
     Cplx(f64, f64),
-    /// `clone()` — snapshot under both locks.
+    /// `clone()` — snapshot under the map lock.
     Clone,
 }
 
@@ -34,6 +35,17 @@ fn base_csr() -> CsrMatrix {
     coo.to_csr()
 }
 
+/// The two backends every model runs against.
+const BACKENDS: [SolverBackend; 2] = [SolverBackend::Dense, SolverBackend::Sparse];
+
+/// Applies a schedule to a fresh bounded cache on each backend.
+fn run_schedule(ops: &[Op], capacity: usize) -> Result<(), String> {
+    for backend in BACKENDS {
+        run_schedule_on(ops, capacity, backend).map_err(|e| format!("{backend:?}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Applies a schedule to a fresh bounded cache and checks the invariants
 /// that must survive any interleaving:
 ///   1. `len() <= capacity` at every step (eviction is never deferred);
@@ -41,8 +53,8 @@ fn base_csr() -> CsrMatrix {
 ///   3. entries enter on miss and leave only by eviction
 ///      (`len == misses - evictions`);
 ///   4. the solution is the true shifted solve regardless of schedule.
-fn run_schedule(ops: &[Op], capacity: usize) -> Result<(), String> {
-    let cache = ShiftedSparseLuCache::new(base_csr()).with_capacity_bound(capacity);
+fn run_schedule_on(ops: &[Op], capacity: usize, backend: SolverBackend) -> Result<(), String> {
+    let cache = ShiftCache::new(&base_csr(), backend).with_capacity_bound(capacity);
     let rhs = Vector::from_slice(&[1.0, -2.0, 0.5]);
     let mut solves = 0usize;
     for (step, op) in ops.iter().enumerate() {
@@ -120,9 +132,8 @@ fn model_real_get_insert_evict() {
     });
 }
 
-/// Real and complex factors share one LRU budget: a worker of each kind,
-/// every merge, combined len never exceeds the bound and the real→complex
-/// lock order (exercised by every eviction) never deadlocks.
+/// Real and complex factors share one LRU budget in one map: a worker of
+/// each kind, every merge, combined len never exceeds the bound.
 #[test]
 fn model_real_and_complex_share_budget() {
     let t0 = vec![Op::Real(0.0), Op::Real(0.25), Op::Real(0.75)];
@@ -134,8 +145,7 @@ fn model_real_and_complex_share_budget() {
 
 /// A snapshotting reader (`clone`) races two writers: every snapshot
 /// observed in every merge is internally consistent (never over capacity,
-/// ledger balanced) — the clone-path poison recovery keeps the locks in the
-/// real→complex order like everything else.
+/// ledger balanced).
 #[test]
 fn model_clone_races_inserts() {
     let t0 = vec![Op::Real(0.0), Op::Real(0.5), Op::Real(1.0)];
@@ -150,26 +160,28 @@ fn model_unbounded_never_evicts() {
     let t0 = vec![Op::Real(0.0), Op::Real(0.5)];
     let t1 = vec![Op::Real(0.5), Op::Real(0.0)];
     explore_named("unbounded-never-evicts", &[t0, t1], |ops| {
-        let cache = ShiftedSparseLuCache::new(base_csr());
-        let rhs = Vector::from_slice(&[1.0, 1.0, 1.0]);
-        for op in ops {
-            if let Op::Real(sigma) = *op {
-                cache
-                    .solve_shifted(sigma, &rhs)
-                    .map_err(|e| e.to_string())?;
+        for backend in BACKENDS {
+            let cache = ShiftCache::new(&base_csr(), backend);
+            let rhs = Vector::from_slice(&[1.0, 1.0, 1.0]);
+            for op in ops {
+                if let Op::Real(sigma) = *op {
+                    cache
+                        .solve_shifted(sigma, &rhs)
+                        .map_err(|e| e.to_string())?;
+                }
             }
-        }
-        if cache.evictions() != 0 {
-            return Err("unbounded cache evicted".into());
-        }
-        // Two distinct shifts solved twice each: exactly two misses.
-        if cache.misses() != 2 || cache.hits() != 2 || cache.len() != 2 {
-            return Err(format!(
-                "ledger {}h/{}m/{}len, expected 2/2/2",
-                cache.hits(),
-                cache.misses(),
-                cache.len()
-            ));
+            if cache.evictions() != 0 {
+                return Err(format!("{backend:?}: unbounded cache evicted"));
+            }
+            // Two distinct shifts solved twice each: exactly two misses.
+            if cache.misses() != 2 || cache.hits() != 2 || cache.len() != 2 {
+                return Err(format!(
+                    "{backend:?}: ledger {}h/{}m/{}len, expected 2/2/2",
+                    cache.hits(),
+                    cache.misses(),
+                    cache.len()
+                ));
+            }
         }
         Ok(())
     });

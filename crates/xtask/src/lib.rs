@@ -10,9 +10,9 @@
 //!   functions of the orchestration modules.
 //! - **checkpoint-coverage** — every outermost loop of a function taking
 //!   `&RunControl` must call `checkpoint*`.
-//! - **lock-discipline** — the shift-cache `real`/`complex` mutex pair is
-//!   only ever acquired in the order real → complex, never re-entrantly,
-//!   and never around calls into caller-supplied code.
+//! - **lock-discipline** — the shift cache's factor-map mutex and the
+//!   session's leaf locks are never acquired re-entrantly, never nested
+//!   (leaf locks), and never held around calls into caller-supplied code.
 //! - **hot-path-alloc** — `*_into` kernels never allocate
 //!   (`Vec::new`/`vec!`/`.clone()`/`.to_vec()`).
 //!

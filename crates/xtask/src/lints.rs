@@ -309,27 +309,23 @@ fn loop_body(
     None
 }
 
-/// L3 — lock discipline over the cache mutexes. Two lock families are
-/// covered:
+/// L3 — lock discipline over the cache mutexes:
 ///
-/// - the shift-cache `real`/`complex` pair, whose single sanctioned
-///   acquisition order is `real` → `complex` (the PR 4 "lock-order-safe"
-///   claim) — acquiring `real` while holding `complex` is an order
-///   inversion;
+/// - the shift cache's one factor-map mutex, `entries`;
 /// - the session shared state: the budget `ledger` and the session
 ///   `registry` are *leaf* locks — holding either while acquiring the other
 ///   (in any order) is a violation, because the budget's eviction callbacks
 ///   and the session's quarantine path each take one lock and must never be
 ///   entered under the other.
 ///
-/// For every family: re-acquiring the held mutex is a violation
+/// For every mutex: re-acquiring it while its guard is held is a violation
 /// (self-deadlock), and calling a *caller-supplied* callback (any parameter
 /// of the enclosing function) while a guard is held is a violation (user
 /// code must never run under a cache lock).
 ///
 /// Acquisitions are recognized as `<field>.lock(` and as the
-/// `lock_real(`/`lock_complex(`/`lock_ledger(`/`lock_registry(`
-/// poison-recovering helpers.
+/// `lock_entries(`/`lock_ledger(`/`lock_registry(` poison-recovering
+/// helpers.
 pub fn lock_discipline(model: &FileModel, file: &Path) -> Vec<Finding> {
     let toks = model.tokens();
     let mut out = Vec::new();
@@ -355,16 +351,6 @@ pub fn lock_discipline(model: &FileModel, file: &Path) -> Vec<Finding> {
                     format!(
                         "`{other}` mutex re-acquired while its guard is still held (self-deadlock)"
                     ),
-                ));
-            } else if field == "complex" && other == "real" {
-                out.push(Finding::new(
-                    LOCK_DISCIPLINE,
-                    file,
-                    toks[j].line,
-                    toks[j].col,
-                    "`real` acquired while holding `complex`: inverts the sanctioned real → complex \
-                     lock order"
-                        .to_string(),
                 ));
             } else if is_leaf_lock(field) && is_leaf_lock(other) {
                 out.push(Finding::new(
@@ -414,8 +400,7 @@ fn acquisition_at(toks: &[Tok], i: usize) -> Option<&'static str> {
         return None;
     }
     match t.text.as_str() {
-        "lock_real" if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) => Some("real"),
-        "lock_complex" if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) => Some("complex"),
+        "lock_entries" if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) => Some("entries"),
         "lock_ledger" if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) => Some("ledger"),
         "lock_registry" if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) => Some("registry"),
         "lock"
@@ -424,8 +409,7 @@ fn acquisition_at(toks: &[Tok], i: usize) -> Option<&'static str> {
                 && toks[i - 1].is_punct('.') =>
         {
             match toks[i - 2].text.as_str() {
-                "real" => Some("real"),
-                "complex" => Some("complex"),
+                "entries" => Some("entries"),
                 "ledger" => Some("ledger"),
                 "registry" => Some("registry"),
                 _ => None,
@@ -829,38 +813,37 @@ mod tests {
     fn lock_discipline_order_and_callbacks() {
         let src = r#"
             fn good(&self) {
-                let mut real = self.real.lock().unwrap_or_else(|e| e.into_inner());
-                let mut complex = self.complex.lock().unwrap_or_else(|e| e.into_inner());
-                evict(&mut real, &mut complex);
+                let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+                evict(&mut entries);
             }
-            fn inverted(&self) {
-                let c = self.complex.lock().unwrap_or_else(|e| e.into_inner());
-                let r = self.real.lock().unwrap_or_else(|e| e.into_inner());
+            fn nested_leaves(&self) {
+                let l = self.ledger.lock().unwrap_or_else(|e| e.into_inner());
+                let r = self.registry.lock().unwrap_or_else(|e| e.into_inner());
             }
             fn callback<F: Fn()>(&self, factor: F) {
-                let g = self.real.lock().unwrap_or_else(|e| e.into_inner());
+                let g = self.entries.lock().unwrap_or_else(|e| e.into_inner());
                 factor();
             }
             fn temporary_guard_dies_at_statement_end<F: Fn()>(&self, factor: F) {
-                let n = self.real.lock().unwrap_or_else(|e| e.into_inner()).len();
+                let n = self.entries.lock().unwrap_or_else(|e| e.into_inner()).len();
                 factor();
             }
         "#;
         let f = run(src, lock_discipline);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f[0].message.contains("inverts"));
-        assert_eq!(f[0].line, 9);
+        assert!(f[0].message.contains("leaf locks"));
+        assert_eq!(f[0].line, 8);
         assert!(f[1].message.contains("factor"));
-        assert_eq!(f[1].line, 13);
+        assert_eq!(f[1].line, 12);
     }
 
     #[test]
     fn lock_discipline_drop_ends_liveness() {
         let src = r#"
             fn ok(&self) {
-                let c = self.complex.lock().unwrap_or_else(|e| e.into_inner());
-                drop(c);
-                let r = self.real.lock().unwrap_or_else(|e| e.into_inner());
+                let a = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+                drop(a);
+                let b = self.entries.lock().unwrap_or_else(|e| e.into_inner());
             }
         "#;
         assert!(run(src, lock_discipline).is_empty());

@@ -1,21 +1,15 @@
-//! Known-bad lock-discipline fixture: order inversion, re-acquisition, and
-//! a caller-supplied callback run under the guard.
+//! Known-bad lock-discipline fixture: re-acquisition and a caller-supplied
+//! callback run under the guard.
 
 impl Cache {
-    fn inverted_order(&self) -> usize {
-        let complex = self.complex.lock().unwrap_or_else(|e| e.into_inner());
-        let real = self.real.lock().unwrap_or_else(|e| e.into_inner());
-        real.len() + complex.len()
-    }
-
     fn double_acquire(&self) -> usize {
-        let a = self.lock_real();
-        let b = self.lock_real();
+        let a = self.lock_entries();
+        let b = self.lock_entries();
         a.len() + b.len()
     }
 
     fn callback_under_guard(&self, refresh: impl Fn(usize) -> usize) -> usize {
-        let real = self.lock_real();
-        refresh(real.len())
+        let entries = self.lock_entries();
+        refresh(entries.len())
     }
 }

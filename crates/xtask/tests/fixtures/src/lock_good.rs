@@ -1,24 +1,17 @@
-//! Known-good lock-discipline fixture: the sanctioned real → complex order,
-//! statement-scoped temporaries, drop-ended liveness, and callbacks invoked
-//! only after release.
+//! Known-good lock-discipline fixture: statement-scoped temporaries,
+//! drop-ended liveness, and callbacks invoked only after release.
 
 impl Cache {
-    fn sanctioned_order(&self) -> usize {
-        let real = self.lock_real();
-        let complex = self.lock_complex();
-        real.len() + complex.len()
-    }
-
     fn temporaries_do_not_overlap(&self) -> usize {
-        let r = self.real.lock().unwrap_or_else(|e| e.into_inner()).len();
-        let c = self.complex.lock().unwrap_or_else(|e| e.into_inner()).len();
-        r + c
+        let a = self.entries.lock().unwrap_or_else(|e| e.into_inner()).len();
+        let b = self.entries.lock().unwrap_or_else(|e| e.into_inner()).len();
+        a + b
     }
 
     fn dropped_before_callback(&self, refresh: impl Fn(usize) -> usize) -> usize {
-        let real = self.lock_real();
-        let n = real.len();
-        drop(real);
+        let entries = self.lock_entries();
+        let n = entries.len();
+        drop(entries);
         refresh(n)
     }
 }
