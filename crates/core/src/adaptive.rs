@@ -192,50 +192,22 @@ impl BandSampler {
         backend: SolverBackend,
         opts: BandSamplerOptions,
     ) -> Result<Self> {
-        Self::for_qldae_impl(qldae, band, backend, opts, None)
-    }
-
-    /// [`BandSampler::for_qldae`] under a [`RunControl`] token: the
-    /// per-frequency full-model solves checkpoint as `band-sample`, so a
-    /// cancellation or deadline interrupts the (potentially expensive)
-    /// estimator construction with a typed
-    /// [`LinalgError::Interrupted`] error — no ROM exists yet at this stage,
-    /// so there is no best-so-far result to degrade to.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BandSampler::for_qldae`], plus
-    /// [`LinalgError::Interrupted`] when the token stops the build.
-    pub fn for_qldae_controlled(
-        qldae: &Qldae,
-        band: FrequencyBand,
-        backend: SolverBackend,
-        opts: BandSamplerOptions,
-        control: &RunControl,
-    ) -> Result<Self> {
-        Self::for_qldae_impl(qldae, band, backend, opts, Some(control))
-    }
-
-    fn for_qldae_impl(
-        qldae: &Qldae,
-        band: FrequencyBand,
-        backend: SolverBackend,
-        opts: BandSamplerOptions,
-        control: Option<&RunControl>,
-    ) -> Result<Self> {
         let cache = ShiftCache::new(qldae.g1_csr(), backend);
-        Self::for_qldae_with_cache(qldae, band, opts, &cache, control)
+        Self::for_qldae_with_cache(qldae, band, opts, &cache, &RunControl::new())
     }
 
     /// The estimator build against a borrowed (possibly session-shared)
     /// shift cache: `full_solves` reports only the factorizations *this*
-    /// build added, so a second build over a warm cache reports zero.
+    /// build added, so a second build over a warm cache reports zero. The
+    /// per-frequency full-model solves checkpoint as `band-sample`; a stop
+    /// returns the typed [`LinalgError::Interrupted`] error, because no ROM
+    /// exists yet to degrade to.
     pub(crate) fn for_qldae_with_cache(
         qldae: &Qldae,
         band: FrequencyBand,
         opts: BandSamplerOptions,
         cache: &ShiftCache,
-        control: Option<&RunControl>,
+        control: &RunControl,
     ) -> Result<Self> {
         let _span = vamor_obs::span!("band_solve");
         let misses_before = cache.misses();
@@ -256,13 +228,13 @@ impl BandSampler {
         for input in 0..num_inputs {
             let kernels = VolterraKernels::with_cache(qldae, input, cache)?;
             for &omega in &band.grid(opts.h1_points) {
-                Self::checkpoint_tick(control)?;
+                control.checkpoint("band-sample")?;
                 let s = Complex::new(0.0, omega);
                 sampler.push_h1(input, omega, kernels.output_h1(s)?);
             }
             if has_quadratic && opts.h2_points > 0 {
                 for &omega in &band.grid(opts.h2_points) {
-                    Self::checkpoint_tick(control)?;
+                    control.checkpoint("band-sample")?;
                     let s = Complex::new(0.0, omega);
                     // Sum (2ω, second harmonic) and difference (0,
                     // rectification/envelope) products both land back in the
@@ -273,7 +245,7 @@ impl BandSampler {
             }
             if has_h3 && opts.h3_points > 0 {
                 for &omega in &band.grid(opts.h3_points) {
-                    Self::checkpoint_tick(control)?;
+                    control.checkpoint("band-sample")?;
                     let s = Complex::new(0.0, omega);
                     // Third harmonic (3ω) and in-band compression (ω).
                     sampler.push_h3(input, omega, false, kernels.output_h3(s, s, s)?);
@@ -298,13 +270,6 @@ impl BandSampler {
         opts: BandSamplerOptions,
     ) -> Result<Self> {
         Self::for_qldae(qldae, band, backend, opts)
-    }
-
-    fn checkpoint_tick(control: Option<&RunControl>) -> Result<()> {
-        if let Some(c) = control {
-            c.checkpoint("band-sample").map_err(MorError::Linalg)?;
-        }
-        Ok(())
     }
 
     fn push_h1(&mut self, input: usize, omega: f64, value: Complex) {
@@ -913,7 +878,7 @@ impl AdaptiveReducer {
     /// [`MorError::Invalid`] for the NORM baseline on a system with a `G₃`
     /// ([`NormReducer`] has no cubic path).
     pub fn reduce(&self, qldae: &Qldae) -> Result<AdaptiveOutcome<ReducedQldae>> {
-        self.reduce_impl(qldae, None, None, None)
+        self.reduce_impl(qldae, &RunControl::new(), None, None)
     }
 
     /// [`AdaptiveReducer::reduce`] under a [`RunControl`] token.
@@ -939,7 +904,7 @@ impl AdaptiveReducer {
         qldae: &Qldae,
         control: &RunControl,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
-        self.reduce_impl(qldae, Some(control), None, None)
+        self.reduce_impl(qldae, control, None, None)
     }
 
     /// [`AdaptiveReducer::reduce`] with checkpoint/resume hooks: the
@@ -955,7 +920,7 @@ impl AdaptiveReducer {
     pub fn reduce_with_hooks(
         &self,
         qldae: &Qldae,
-        control: Option<&RunControl>,
+        control: &RunControl,
         hooks: &AdaptiveHooks<'_>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
         self.reduce_impl(qldae, control, None, Some(hooks))
@@ -966,7 +931,7 @@ impl AdaptiveReducer {
     pub(crate) fn reduce_session(
         &self,
         qldae: &Qldae,
-        control: Option<&RunControl>,
+        control: &RunControl,
         shared: &SharedAdaptiveContext<'_>,
         hooks: Option<&AdaptiveHooks<'_>>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
@@ -976,7 +941,7 @@ impl AdaptiveReducer {
     fn reduce_impl(
         &self,
         qldae: &Qldae,
-        control: Option<&RunControl>,
+        control: &RunControl,
         shared: Option<&SharedAdaptiveContext<'_>>,
         hooks: Option<&AdaptiveHooks<'_>>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
@@ -991,11 +956,11 @@ impl AdaptiveReducer {
                 sh.sampler_cache,
                 control,
             )?,
-            None => BandSampler::for_qldae_impl(
+            None => BandSampler::for_qldae_with_cache(
                 qldae,
                 self.spec.band,
-                self.backend,
                 self.sampler_opts,
+                &ShiftCache::new(qldae.g1_csr(), self.backend),
                 control,
             )?,
         };
@@ -1040,13 +1005,12 @@ impl AdaptiveReducer {
                         .with_engine(self.engine)
                         .with_solver_backend(self.backend)
                         .with_lowrank_options(self.lowrank_opts);
-                    match (shared, control) {
+                    match shared {
                         // Every probe of a session run solves against the
                         // session's shared `s = 0` artifacts — the duplicate
                         // G₁/Schur factorization per probe is gone.
-                        (Some(sh), c) => reducer.reduce_with_shared(qldae, sh.artifacts, c),
-                        (None, Some(c)) => reducer.reduce_controlled(qldae, c),
-                        (None, None) => reducer.reduce(qldae),
+                        Some(sh) => reducer.reduce_with_shared(qldae, sh.artifacts, control),
+                        None => reducer.reduce_controlled(qldae, control),
                     }
                 }
                 ReducerKind::Norm => {
@@ -1056,10 +1020,7 @@ impl AdaptiveReducer {
                         .with_engine(self.engine)
                         .with_solver_backend(self.backend)
                         .with_lowrank_options(self.lowrank_opts);
-                    match control {
-                        Some(c) => reducer.reduce_controlled(qldae, c),
-                        None => reducer.reduce(qldae),
-                    }
+                    reducer.reduce_controlled(qldae, control)
                 }
             }
         };
@@ -1095,7 +1056,7 @@ impl AdaptiveReducer {
         legal: &dyn Fn(AdaptiveMove, &AdaptiveConfig) -> bool,
         reduce: &dyn Fn(&AdaptiveConfig) -> Result<ReducedQldae>,
         sampler: &BandSampler,
-        control: Option<&RunControl>,
+        control: &RunControl,
         hooks: Option<&AdaptiveHooks<'_>>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
         let _span = vamor_obs::span!("adaptive_reduce");
@@ -1178,11 +1139,9 @@ impl AdaptiveReducer {
             // Preemption point of the greedy search: from here on a ROM
             // always exists, so a stop degrades to best-so-far instead of
             // erroring.
-            if let Some(c) = control {
-                if c.checkpoint_with("adaptive-move", res.max()).is_err() {
-                    trace.stop = StopReason::from_cause(c.stop_cause());
-                    return Ok(AdaptiveOutcome { rom, trace });
-                }
+            if control.checkpoint_with("adaptive-move", res.max()).is_err() {
+                trace.stop = StopReason::from_cause(control.stop_cause());
+                return Ok(AdaptiveOutcome { rom, trace });
             }
             let order = rom.order();
             let mut best: Option<(

@@ -10,6 +10,11 @@
 //! granularity; the adaptive driver answers a stop with the **best ROM seen
 //! so far** and a typed [`StopCause`] in its trace, never a panic.
 //!
+//! Every long-running kernel takes `&RunControl`; there is no uncontrolled
+//! twin. The plain entries (`AssocReducer::reduce`, `NormReducer::reduce`,
+//! `BandSampler::for_qldae`, ...) run the same code on an inert
+//! [`RunControl::new`] token, which never stops.
+//!
 //! Panic-freedom here is enforced by the `cargo xtask analyze`
 //! `panic-freedom` lint, which replaced the per-module clippy attributes.
 

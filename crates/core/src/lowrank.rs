@@ -51,9 +51,9 @@ use std::sync::Mutex;
 
 use vamor_linalg::kron::unvec;
 use vamor_linalg::lowrank::{
-    compress_factors, fadi_lyapunov_controlled, heuristic_adi_shift_pairs, heuristic_adi_shifts,
-    lr_adi_lyapunov_pairs_controlled, rational_krylov_basis_controlled, AdiShift, AdiShiftOptions,
-    LrAdiOptions, LrAdiStats, ShiftedSolve,
+    compress_factors, fadi_lyapunov, heuristic_adi_shift_pairs, heuristic_adi_shifts,
+    lr_adi_lyapunov, rational_krylov_basis, AdiShift, AdiShiftOptions, LrAdiOptions, LrAdiStats,
+    ShiftedSolve,
 };
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
@@ -118,12 +118,6 @@ pub struct LowRankOptions {
     /// (keeps the factored `Z Zᵀ` inner product invertible on directions the
     /// low-rank Gramian barely observes).
     pub weight_regularization: f64,
-    /// Allow complex-conjugate ADI shift pairs for the energy-weight solve
-    /// (served through the shifted cache's `SparseZLu` entries). On strongly
-    /// oscillatory spectra (the LC receiver cascade) pairs converge in far
-    /// fewer sweeps; on near-real spectra the selection degrades to the
-    /// classic real shifts, so this is on by default.
-    pub complex_weight_shifts: bool,
 }
 
 impl Default for LowRankOptions {
@@ -135,7 +129,6 @@ impl Default for LowRankOptions {
             chain_basis_cap: 96,
             compress_tol: 1e-13,
             weight_regularization: 1e-10,
-            complex_weight_shifts: true,
         }
     }
 }
@@ -204,19 +197,15 @@ fn shift_pool(solver: &dyn ShiftedSolve, b: &Matrix, opts: &LowRankOptions) -> R
 }
 
 /// Pair-aware shift pool of the energy-weight LR-ADI solve: keeps the
-/// imaginary Ritz parts when [`LowRankOptions::complex_weight_shifts`] is on
-/// (oscillatory receiver spectra), real magnitudes otherwise.
+/// imaginary Ritz parts as complex-conjugate pairs (served through the
+/// shifted cache's `SparseZLu` entries). On strongly oscillatory spectra
+/// (the LC receiver cascade) pairs converge in far fewer sweeps; on
+/// near-real spectra the selection degrades to the classic real shifts.
 fn shift_pool_pairs(
     solver: &dyn ShiftedSolve,
     b: &Matrix,
     opts: &LowRankOptions,
 ) -> Result<Vec<AdiShift>> {
-    if !opts.complex_weight_shifts {
-        return Ok(shift_pool(solver, b, opts)?
-            .into_iter()
-            .map(AdiShift::Real)
-            .collect());
-    }
     heuristic_adi_shift_pairs(
         solver,
         &pool_seed(solver.dim(), b),
@@ -346,7 +335,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
 
     /// A chain basis plus its reduced matrix `H = Qᵀ G₁ Q`.
     fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<(Matrix, Vec<Vector>, Matrix)> {
-        let q = rational_krylov_basis_controlled(
+        let q = rational_krylov_basis(
             &self.solver,
             seeds,
             &self.shifts,
@@ -508,7 +497,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                     u_rhs.set_col(tu.cols() + j, &m.col(j).scaled(-1.0));
                     v_rhs.set_col(tu.cols() + j, qj);
                 }
-                let sol = fadi_lyapunov_controlled(
+                let sol = fadi_lyapunov(
                     &self.solver,
                     &u_rhs,
                     &v_rhs,
@@ -597,7 +586,7 @@ pub(crate) fn lowrank_weight(
         ShiftCache::new(&g1_csr.transpose(), backend).with_capacity_bound(ADI_CACHE_CAPACITY);
     let b = c.transpose();
     let built = shift_pool_pairs(&solver, &b, opts).and_then(|shifts| {
-        lr_adi_lyapunov_pairs_controlled(
+        lr_adi_lyapunov(
             &solver,
             &b,
             &shifts,

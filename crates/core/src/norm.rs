@@ -18,8 +18,7 @@ use crate::assoc::G1Factor;
 use crate::error::MorError;
 use crate::lowrank::{LowRankOptions, ReductionEngine};
 use crate::reduce::{
-    checkpoint_stage, run_chains, AssocReducer, MomentSpec, ReducedQldae, ReductionStats,
-    StabilizationFrame,
+    run_chains, AssocReducer, MomentSpec, ReducedQldae, ReductionStats, StabilizationFrame,
 };
 use crate::Result;
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
@@ -136,7 +135,7 @@ impl NormReducer {
     /// Returns an error if `G₁` is singular or every candidate deflates, and
     /// [`MorError::Invalid`] for a system with a cubic term.
     pub fn reduce(&self, qldae: &Qldae) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, None)
+        self.reduce_controlled(qldae, &RunControl::new())
     }
 
     /// [`NormReducer::reduce`] under a cooperative [`RunControl`], checked
@@ -149,10 +148,6 @@ impl NormReducer {
     /// Same contract as [`NormReducer::reduce`], plus `Interrupted` on a
     /// stop.
     pub fn reduce_controlled(&self, qldae: &Qldae, control: &RunControl) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, Some(control))
-    }
-
-    fn reduce_impl(&self, qldae: &Qldae, control: Option<&RunControl>) -> Result<ReducedQldae> {
         let _span = vamor_obs::span!("norm_reduce");
         let spec = self.spec();
         spec.validate()?;
@@ -198,7 +193,7 @@ impl NormReducer {
         })?;
 
         for chain in &chains {
-            checkpoint_stage(control, "norm-basis")?;
+            control.checkpoint("norm-basis")?;
             stats.h1_candidates += chain.len().min(spec.k1);
             frame.insert(&mut basis, chain.iter().take(spec.k1).cloned())?;
         }
@@ -212,7 +207,7 @@ impl NormReducer {
             let k2 = spec.k2;
             let mut seeds: Vec<(Vector, usize, usize)> = Vec::new();
             for (ia, chain_a) in chains.iter().enumerate() {
-                checkpoint_stage(control, "norm-seeds")?;
+                control.checkpoint("norm-seeds")?;
                 for chain_b in chains.iter() {
                     for (a, dir_a) in chain_a.iter().enumerate().take(k2) {
                         for (b, dir_b) in chain_b.iter().enumerate().take(k2) {
@@ -239,7 +234,7 @@ impl NormReducer {
                 resolvent_chain(&g1_lu, seed, extra)
             })?;
             for (chain, base_degree) in computed.into_iter().zip(degrees) {
-                checkpoint_stage(control, "norm-basis")?;
+                control.checkpoint("norm-basis")?;
                 stats.h2_candidates += chain.len();
                 frame.insert(&mut basis, chain.iter().cloned())?;
                 h2_directions.extend(
@@ -258,7 +253,7 @@ impl NormReducer {
             let k3 = spec.k3;
             let mut seeds: Vec<(Vector, usize, usize)> = Vec::new();
             for (ia, chain_a) in chains.iter().enumerate() {
-                checkpoint_stage(control, "norm-seeds")?;
+                control.checkpoint("norm-seeds")?;
                 for (a, dir_a) in chain_a.iter().enumerate().take(k3) {
                     for (deg2, dir2) in &h2_directions {
                         if a + deg2 + 1 > k3 {
@@ -284,7 +279,7 @@ impl NormReducer {
                 resolvent_chain(&g1_lu, seed, extra)
             })?;
             for chain in computed {
-                checkpoint_stage(control, "norm-basis")?;
+                control.checkpoint("norm-basis")?;
                 stats.h3_candidates += chain.len();
                 frame.insert(&mut basis, chain)?;
             }

@@ -336,16 +336,6 @@ impl Chain {
     }
 }
 
-/// Cooperative checkpoint for the serial stages of the reduction (Markov
-/// enrichment, seed gathering, basis insertion): polls the `control` token
-/// once so a stop or passed deadline interrupts the loop with a typed error.
-pub(crate) fn checkpoint_stage(control: Option<&RunControl>, stage: &'static str) -> Result<()> {
-    if let Some(c) = control {
-        c.checkpoint(stage).map_err(MorError::Linalg)?;
-    }
-    Ok(())
-}
-
 /// Runs independent moment chains on the scoped worker threads, with two
 /// robustness layers on top of the raw `parallel_map`: a panicking chain
 /// worker surfaces as a typed [`MorError::ChainPanicked`] for this reduction
@@ -353,18 +343,14 @@ pub(crate) fn checkpoint_stage(control: Option<&RunControl>, stage: &'static str
 /// cancellation or passed deadline stops the fan-out with a typed
 /// `Interrupted` error instead of finishing the remaining chains. Results
 /// come back in input order.
-pub(crate) fn run_chains<T, R, F>(
-    items: Vec<T>,
-    control: Option<&RunControl>,
-    compute: F,
-) -> Result<Vec<R>>
+pub(crate) fn run_chains<T, R, F>(items: Vec<T>, control: &RunControl, compute: F) -> Result<Vec<R>>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> Result<R> + Sync,
 {
     crate::par::try_parallel_map(items, |item| {
-        checkpoint_stage(control, "moment-chain")?;
+        control.checkpoint("moment-chain")?;
         compute(item)
     })
     .into_iter()
@@ -449,13 +435,12 @@ impl<'a> StabilizationFrame<'a> {
         &mut self,
         backend: SolverBackend,
         opts: &LowRankOptions,
-        control: Option<&RunControl>,
+        control: &RunControl,
         stats: &mut ReductionStats,
     ) -> Result<()> {
         if let StabilizationFrame::LowRank { g1, c, z, .. } = self {
             let _span = vamor_obs::span!("energy_weight");
-            let weight =
-                lowrank_weight(g1, c, backend, opts, &control.cloned().unwrap_or_default())?;
+            let weight = lowrank_weight(g1, c, backend, opts, control)?;
             stats.adi_iterations += weight.adi_iterations;
             stats.adi_residual = weight.adi_residual;
             stats.degradation.adi_shift_reselections += weight.shift_reselections;
@@ -739,7 +724,7 @@ impl AssocReducer {
     /// singular, or every candidate vector deflates, and
     /// [`MorError::Invalid`] for the two-sided mode on a system with a `G₃`.
     pub fn reduce(&self, qldae: &Qldae) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, None, None)
+        self.reduce_impl(qldae, &RunControl::new(), None)
     }
 
     /// [`AssocReducer::reduce`] against session-shared solver artifacts: the
@@ -755,11 +740,11 @@ impl AssocReducer {
     /// Same contract as [`AssocReducer::reduce_controlled`], plus
     /// [`MorError::Invalid`] when `shared` was factored for a different
     /// system order.
-    pub fn reduce_with_shared(
+    pub(crate) fn reduce_with_shared(
         &self,
         qldae: &Qldae,
         shared: &SharedAssocArtifacts,
-        control: Option<&RunControl>,
+        control: &RunControl,
     ) -> Result<ReducedQldae> {
         self.reduce_impl(qldae, control, Some(shared))
     }
@@ -778,13 +763,13 @@ impl AssocReducer {
     /// Same contract as [`AssocReducer::reduce`], plus `Interrupted` on a
     /// stop.
     pub fn reduce_controlled(&self, qldae: &Qldae, control: &RunControl) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, Some(control), None)
+        self.reduce_impl(qldae, control, None)
     }
 
     fn reduce_impl(
         &self,
         qldae: &Qldae,
-        control: Option<&RunControl>,
+        control: &RunControl,
         shared: Option<&SharedAssocArtifacts>,
     ) -> Result<ReducedQldae> {
         let _span = vamor_obs::span!("assoc_reduce");
@@ -810,11 +795,9 @@ impl AssocReducer {
         let plan = Chain::plan(qldae, spec);
         let (basis, frame, mut stats) =
             if self.engine.use_lowrank(csr.rows()) && self.output_krylov == 0 {
-                let mut generator =
-                    LowRankAssocMomentGenerator::new(qldae, self.backend, self.lowrank_opts)?;
-                if let Some(c) = control {
-                    generator = generator.with_control(c.clone());
-                }
+                let generator =
+                    LowRankAssocMomentGenerator::new(qldae, self.backend, self.lowrank_opts)?
+                        .with_control(control.clone());
                 let frame = StabilizationFrame::low_rank(
                     csr,
                     qldae.c(),
@@ -965,7 +948,7 @@ impl AssocReducer {
         frame: &StabilizationFrame,
         b: &Matrix,
         plan: Vec<Chain>,
-        control: Option<&RunControl>,
+        control: &RunControl,
         recovery: PivotRecovery,
         compute: impl Fn(Chain) -> Result<ScaledMoments> + Sync,
     ) -> Result<(OrthoBasis, ReductionStats)> {
@@ -977,7 +960,7 @@ impl AssocReducer {
         // behaviour and must not be relegated behind deep moment chains.
         for input in 0..b.cols() {
             let _span = vamor_obs::span!("markov_enrich");
-            checkpoint_stage(control, "markov-enrich")?;
+            control.checkpoint("markov-enrich")?;
             let markov = frame.markov(b.col(input), self.markov_moments);
             stats.markov_candidates += markov.len();
             frame.insert(&mut basis, markov)?;
@@ -995,7 +978,7 @@ impl AssocReducer {
             Ok((chain, compute(chain)?))
         })?;
         for (chain, moments) in results {
-            checkpoint_stage(control, "basis-insert")?;
+            control.checkpoint("basis-insert")?;
             *match chain {
                 Chain::H1 { .. } => &mut stats.h1_candidates,
                 Chain::H2 { .. } => &mut stats.h2_candidates,
@@ -1042,7 +1025,7 @@ impl AssocReducer {
         basis: OrthoBasis,
         mut frame: StabilizationFrame,
         mut stats: ReductionStats,
-        control: Option<&RunControl>,
+        control: &RunControl,
     ) -> Result<ReducedQldae> {
         let qtil = self.settle(basis, &mut stats)?;
         if self.stabilized {
@@ -1098,6 +1081,36 @@ mod tests {
         assert!(AssocReducer::new(MomentSpec::new(0, 0, 0))
             .reduce(&small_qldae())
             .is_err());
+    }
+
+    /// The cancellation contract of the plain reducers: a stop surfaces as
+    /// the typed `Interrupted` error on both engines and on NORM — there is
+    /// no partial ROM to return.
+    #[test]
+    fn zero_deadline_interrupts_every_plain_reducer_with_a_typed_error() {
+        use crate::norm::NormReducer;
+        use vamor_linalg::{LinalgError, StopCause};
+        let q = small_qldae();
+        let control = RunControl::new().with_deadline(std::time::Duration::ZERO);
+        let spec = MomentSpec::new(2, 1, 1);
+        let results = [
+            AssocReducer::new(spec)
+                .with_engine(ReductionEngine::DenseSchur)
+                .reduce_controlled(&q, &control),
+            AssocReducer::new(spec)
+                .with_engine(ReductionEngine::LowRank)
+                .reduce_controlled(&q, &control),
+            NormReducer::new(spec).reduce_controlled(&q, &control),
+        ];
+        for (run, result) in ["assoc dense", "assoc low-rank", "norm"]
+            .iter()
+            .zip(results)
+        {
+            match result {
+                Err(MorError::Linalg(LinalgError::Interrupted(StopCause::DeadlineExceeded))) => {}
+                other => panic!("{run}: expected a typed deadline interrupt, got {other:?}"),
+            }
+        }
     }
 
     /// A dense frame built without a Schur form (an unstabilized NORM

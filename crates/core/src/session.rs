@@ -558,10 +558,9 @@ impl ReductionSession {
         self
     }
 
-    /// The session's budget ledger. Hand it to
-    /// [`simulate_budgeted`](https://docs.rs) (`vamor_sim`) so transient
-    /// integrator factors compete under the same byte budget as the
-    /// reduction caches.
+    /// The session's budget ledger. Hand it to `vamor_sim::simulate_controlled`
+    /// (its `budget` argument) so transient integrator factors compete under
+    /// the same byte budget as the reduction caches.
     pub fn budget(&self) -> &Arc<MemoryBudget> {
         &self.budget
     }
@@ -636,7 +635,7 @@ impl ReductionSession {
             let fp = Self::fingerprint(qldae);
             let entry = self.acquire(fp, qldae)?;
             let _pin = self.budget.pin(STAMP_BUDGET_OWNER, fp);
-            let rom = reducer.reduce_with_shared(qldae, &entry.artifacts, Some(child))?;
+            let rom = reducer.reduce_with_shared(qldae, &entry.artifacts, child)?;
             self.reprice(fp, &entry);
             Ok(rom)
         })
@@ -708,7 +707,7 @@ impl ReductionSession {
                 resume_evaluations,
                 on_accept: plan.map(|_| &writer as &dyn Fn(&AdaptiveTrace)),
             };
-            let out = reducer.reduce_session(qldae, Some(child), &shared, Some(&hooks))?;
+            let out = reducer.reduce_session(qldae, child, &shared, Some(&hooks))?;
             if let Some(e) = write_error.into_inner() {
                 return Err(e.into());
             }

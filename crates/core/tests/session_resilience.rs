@@ -272,7 +272,7 @@ fn resumed_run_converges_to_the_uninterrupted_config() {
         on_accept: Some(&capture),
     };
     reducer
-        .reduce_with_hooks(line.qldae(), None, &hooks)
+        .reduce_with_hooks(line.qldae(), &RunControl::new(), &hooks)
         .unwrap();
     let snaps = snaps.into_inner();
     assert!(snaps.len() >= 2);

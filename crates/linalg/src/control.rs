@@ -12,7 +12,8 @@
 //! panic.
 //!
 //! The default token ([`RunControl::new`]) never stops and its checkpoints
-//! are a few atomic operations, so uncontrolled call paths pay nothing.
+//! are a few atomic operations, so every kernel takes `&RunControl` and the
+//! uncontrolled entry points simply pass an inert one.
 //!
 //! Panic-freedom of this module (and the rest of the solver surface) is
 //! enforced by `cargo xtask analyze` — the workspace-wide `panic-freedom`

@@ -2,10 +2,10 @@
 //!
 //! The associated-transform MOR flow manipulates operators such as
 //! `G₁ ⊕ G₁ = G₁ ⊗ I + I ⊗ G₁` whose explicit form is `n² × n²`. This module
-//! provides both the explicit (small-scale / test) constructions and the
-//! *structured* operator [`KronSumOp`] that applies and solves with the
-//! Kronecker sum using only `n × n` storage, which is what the production
-//! reduction path uses.
+//! provides the explicit (small-scale / test) constructions and the `vec`
+//! reshaping helpers. The production reduction path never forms a Kronecker
+//! sum: it applies and solves one through `n × n` factors (the
+//! [`SylvesterSolver`](crate::SylvesterSolver) image below).
 //!
 //! ## Conventions
 //!
@@ -15,8 +15,6 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::op::LinearOp;
-use crate::sylvester::SylvesterSolver;
 use crate::vector::Vector;
 use crate::Result;
 
@@ -114,141 +112,10 @@ pub fn unvec(x: &Vector, rows: usize, cols: usize) -> Result<Matrix> {
     Ok(Matrix::from_fn(rows, cols, |i, j| x[j * rows + i]))
 }
 
-/// Structured operator for the Kronecker sum `A ⊕ B` of two square matrices.
-///
-/// `apply` and `solve` act on length `rows(A)*rows(B)` vectors without ever
-/// forming the explicit Kronecker sum. Solves are Bartels–Stewart Sylvester
-/// solves and reuse cached Schur factorizations, so repeated applications
-/// (as in moment generation) cost `O(n³)` each instead of `O(n⁶)`.
-///
-/// ```
-/// use vamor_linalg::{kron_sum, KronSumOp, LinearOp, Matrix, Vector};
-/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[-2.0, 1.0], &[0.0, -1.0]])?;
-/// let op = KronSumOp::new(&a, &a)?;
-/// let x = Vector::from_fn(4, |i| i as f64 + 1.0);
-/// let dense = kron_sum(&a, &a);
-/// assert!((&op.apply(&x) - &dense.matvec(&x)).norm_inf() < 1e-12);
-/// let y = op.solve(&x)?;
-/// assert!((&dense.matvec(&y) - &x).norm_inf() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct KronSumOp {
-    a: Matrix,
-    b: Matrix,
-    /// Solver for `B X + X Aᵀ = C` (the `vec`-space image of `A ⊕ B`).
-    solver: SylvesterSolver,
-}
-
-impl KronSumOp {
-    /// Builds the structured operator for `A ⊕ B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either matrix is not square or a Schur
-    /// factorization fails.
-    pub fn new(a: &Matrix, b: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if !b.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: b.rows(),
-                cols: b.cols(),
-            });
-        }
-        let solver = SylvesterSolver::new(b, &a.transpose())?;
-        Ok(KronSumOp {
-            a: a.clone(),
-            b: b.clone(),
-            solver,
-        })
-    }
-
-    /// Dimension of the (implicit) square operator.
-    pub fn dim(&self) -> usize {
-        self.a.rows() * self.b.rows()
-    }
-
-    /// Applies `(A ⊕ B) x` using the identity `vec(B X + X Aᵀ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn apply_vec(&self, x: &Vector) -> Vector {
-        let nb = self.b.rows();
-        let na = self.a.rows();
-        // vamor: allow(panic-freedom, reason = "doc-stated panic contract (`# Panics`) of apply_vec on a length mismatch")
-        let xm = unvec(x, nb, na).expect("kron sum apply: length mismatch");
-        let mut y = self.b.matmul(&xm);
-        y.axpy(1.0, &xm.matmul(&self.a.transpose()));
-        vec_of(&y)
-    }
-
-    /// Solves `(A ⊕ B) y = x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying Sylvester equation is singular
-    /// (i.e. `λ_i(A) + λ_j(B) = 0` for some pair) or the dimensions mismatch.
-    pub fn solve(&self, x: &Vector) -> Result<Vector> {
-        let nb = self.b.rows();
-        let na = self.a.rows();
-        let xm = unvec(x, nb, na)?;
-        let y = self.solver.solve(&xm)?;
-        Ok(vec_of(&y))
-    }
-
-    /// Solves `(σ I − (A ⊕ B)) y = x`, the shifted resolvent solve used when
-    /// expanding associated transfer functions at a non-zero point `σ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shifted equation is singular or the dimensions
-    /// mismatch.
-    pub fn solve_shifted_resolvent(&self, sigma: f64, x: &Vector) -> Result<Vector> {
-        let nb = self.b.rows();
-        let na = self.a.rows();
-        let xm = unvec(x, nb, na)?;
-        // (σI − A⊕B) y = x  <=>  (B − σI) Y + Y Aᵀ = −X.
-        let y = self.solver.solve_shifted(-sigma, &xm.scaled(-1.0))?;
-        Ok(vec_of(&y))
-    }
-
-    /// The left factor `A`.
-    pub fn a(&self) -> &Matrix {
-        &self.a
-    }
-
-    /// The right factor `B`.
-    pub fn b(&self) -> &Matrix {
-        &self.b
-    }
-
-    /// Access to the cached Sylvester solver (`B X + X Aᵀ = C`).
-    pub fn sylvester(&self) -> &SylvesterSolver {
-        &self.solver
-    }
-}
-
-impl LinearOp for KronSumOp {
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn apply(&self, x: &Vector) -> Vector {
-        self.apply_vec(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sylvester::SylvesterSolver;
 
     fn small(seed: u64, n: usize) -> Matrix {
         let mut state = seed.max(1);
@@ -316,32 +183,38 @@ mod tests {
         assert!(unvec(&v, 4, 4).is_err());
     }
 
+    /// `(A ⊕ B) vec(X) = vec(B X + X Aᵀ)`: the explicit Kronecker sum agrees
+    /// with its Sylvester image, and a Sylvester solve inverts it.
     #[test]
     fn kron_sum_matches_dense_and_solves() {
         let a = small(7, 3);
         let b = small(8, 2);
-        let op = KronSumOp::new(&a, &b).unwrap();
         let dense = kron_sum(&a, &b);
-        assert_eq!(op.dim(), 6);
-        let x = Vector::from_fn(6, |i| (i as f64).cos());
-        assert!((&op.apply(&x) - &dense.matvec(&x)).norm_inf() < 1e-12);
-        let y = op.solve(&x).unwrap();
+        assert_eq!(dense.rows(), 6);
+        let xm = Matrix::from_fn(2, 3, |i, j| ((2 * j + i) as f64).cos());
+        let x = vec_of(&xm);
+        let image = &b.matmul(&xm) + &xm.matmul(&a.transpose());
+        assert!((&vec_of(&image) - &dense.matvec(&x)).norm_inf() < 1e-12);
+        let solver = SylvesterSolver::new(&b, &a.transpose()).unwrap();
+        let y = vec_of(&solver.solve(&xm).unwrap());
         assert!((&dense.matvec(&y) - &x).norm_inf() < 1e-9);
     }
 
+    /// `(σ I − A ⊕ A) y = x` is the shifted Sylvester equation
+    /// `(A − σI) Y + Y Aᵀ = −X`.
     #[test]
     fn shifted_resolvent_solve_matches_dense() {
         let a = small(11, 3);
-        let op = KronSumOp::new(&a, &a).unwrap();
         let dense = kron_sum(&a, &a);
         let sigma = 0.7;
-        let x = Vector::from_fn(9, |i| (i as f64 + 1.0).sin());
-        let y = op.solve_shifted_resolvent(sigma, &x).unwrap();
+        let xm = Matrix::from_fn(3, 3, |i, j| ((3 * j + i) as f64 + 1.0).sin());
+        let solver = SylvesterSolver::new(&a, &a.transpose()).unwrap();
+        let y = vec_of(&solver.solve_shifted(-sigma, &xm.scaled(-1.0)).unwrap());
         let mut shifted = dense.scaled(-1.0);
         for i in 0..9 {
             shifted[(i, i)] += sigma;
         }
-        assert!((&shifted.matvec(&y) - &x).norm_inf() < 1e-9);
+        assert!((&shifted.matvec(&y) - &vec_of(&xm)).norm_inf() < 1e-9);
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   double-shift QR) with eigenvalue extraction,
 //! * Sylvester / Lyapunov solvers (Bartels–Stewart) in real and
 //!   complex-shifted forms ([`sylvester`]),
-//! * Kronecker product / Kronecker sum algebra with *structured* operators
-//!   that never form the \(n^2 \times n^2\) matrices ([`kron`](mod@kron)),
+//! * explicit Kronecker product / Kronecker sum constructions and the `vec`
+//!   reshaping identities ([`kron`](mod@kron)),
 //! * Krylov machinery: modified Gram–Schmidt orthonormalization with
 //!   deflation ([`orth`]), Arnoldi iteration over abstract linear operators
 //!   ([`arnoldi`](mod@arnoldi), [`op`]),
-//! * sparse CSR matrices and GMRES ([`sparse`]),
+//! * sparse COO/CSR matrices ([`sparse`]),
 //! * a sparse direct LU ([`sparse_lu`]): reverse Cuthill–McKee symbolic
 //!   analysis reused across shifts, Gilbert–Peierls left-looking numeric
 //!   factorization with threshold pivoting, and real and complex-shift
@@ -83,16 +83,15 @@ pub use control::{ProgressEvent, RunControl, StopCause};
 pub use eig::{eigenvalues, Eigenvalues};
 pub use error::LinalgError;
 pub use hessenberg::HessenbergDecomposition;
-pub use kron::{kron, kron_sum, kron_vec, KronSumOp};
+pub use kron::{kron, kron_sum, kron_vec};
 pub use lowrank::{
-    compress_factors, fadi_lyapunov, fadi_lyapunov_controlled, heuristic_adi_shift_pairs,
-    heuristic_adi_shifts, lr_adi_lyapunov, lr_adi_lyapunov_pairs, lr_adi_lyapunov_pairs_controlled,
-    rational_krylov_basis, rational_krylov_basis_controlled, AdiShift, AdiShiftOptions,
-    FadiSolution, LrAdiOptions, LrAdiSolution, LrAdiStats, ShiftedSolve,
+    compress_factors, fadi_lyapunov, heuristic_adi_shift_pairs, heuristic_adi_shifts,
+    lr_adi_lyapunov, rational_krylov_basis, AdiShift, AdiShiftOptions, FadiSolution, LrAdiOptions,
+    LrAdiSolution, LrAdiStats, ShiftedSolve,
 };
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use op::{DenseOp, LinearOp, ShiftedInverseOp};
+pub use op::{DenseOp, LinearOp};
 pub use orth::OrthoBasis;
 pub use qr::{PivotedQr, QrDecomposition};
 pub use schur::SchurDecomposition;

@@ -2,20 +2,17 @@
 //!
 //! Krylov subspace construction in the MOR flow operates on matrices that are
 //! never formed explicitly (Kronecker sums, block realizations of associated
-//! transfer functions, shifted inverses). The [`LinearOp`] trait is the
-//! minimal interface those algorithms need.
+//! transfer functions). The [`LinearOp`] trait is the minimal interface those
+//! algorithms need; shifted inverses are served by [`crate::ShiftCache`]
+//! through the [`crate::ShiftedSolve`] trait.
 
-use crate::error::LinalgError;
-use crate::lu::LuDecomposition;
 use crate::matrix::Matrix;
 use crate::vector::Vector;
-use crate::Result;
 
 /// A real square linear operator `y = A x` of dimension [`LinearOp::dim`].
 ///
-/// The trait is object safe so heterogeneous operator pipelines can be built
-/// at runtime (e.g. `(s₀ I − A)⁻¹` composed with a structured Kronecker-sum
-/// operator).
+/// The trait is object safe so operators can be chosen at runtime (a dense
+/// matrix, a CSR stamp, or a structured Kronecker-sum operator).
 pub trait LinearOp {
     /// Dimension of the operator (both row and column count).
     fn dim(&self) -> usize;
@@ -68,102 +65,6 @@ impl LinearOp for DenseOp {
     }
 }
 
-/// The operator `x ↦ (σ I − A)⁻¹ x`, backed by a cached LU factorization.
-///
-/// This is the basic building block of shifted (rational) Krylov moment
-/// matching: expanding a transfer function `(s I − A)⁻¹ b` around `s = σ`
-/// produces the Krylov space of this operator.
-#[derive(Debug, Clone)]
-pub struct ShiftedInverseOp {
-    lu: LuDecomposition,
-    dim: usize,
-    sigma: f64,
-}
-
-impl ShiftedInverseOp {
-    /// Builds the operator for the shift `σ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `σ I − A` is singular or `a` is not square.
-    pub fn new(sigma: f64, a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut shifted = a.scaled(-1.0);
-        for i in 0..n {
-            shifted[(i, i)] += sigma;
-        }
-        let lu = shifted.lu()?;
-        Ok(ShiftedInverseOp { lu, dim: n, sigma })
-    }
-
-    /// The expansion point `σ`.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Fallible application (propagates solver errors rather than panicking).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the right-hand side has the wrong length.
-    pub fn try_apply(&self, x: &Vector) -> Result<Vector> {
-        self.lu.solve(x)
-    }
-}
-
-impl LinearOp for ShiftedInverseOp {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn apply(&self, x: &Vector) -> Vector {
-        self.lu
-            .solve(x)
-            // vamor: allow(panic-freedom, reason = "LinearOp::apply is an infallible trait signature; the factor dimension is fixed at construction, so a mismatch is a caller bug, not a data-dependent failure")
-            .expect("ShiftedInverseOp::apply: dimension mismatch")
-    }
-}
-
-/// Composition `x ↦ A (B x)` of two operators.
-pub struct ComposedOp<'a> {
-    outer: &'a dyn LinearOp,
-    inner: &'a dyn LinearOp,
-}
-
-impl<'a> ComposedOp<'a> {
-    /// Composes `outer ∘ inner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the dimensions differ.
-    pub fn new(outer: &'a dyn LinearOp, inner: &'a dyn LinearOp) -> Result<Self> {
-        if outer.dim() != inner.dim() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "composed operator: {} vs {}",
-                outer.dim(),
-                inner.dim()
-            )));
-        }
-        Ok(ComposedOp { outer, inner })
-    }
-}
-
-impl LinearOp for ComposedOp<'_> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &Vector) -> Vector {
-        self.outer.apply(&self.inner.apply(x))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,39 +76,5 @@ mod tests {
         assert_eq!(op.dim(), 2);
         let x = Vector::from_slice(&[1.0, 1.0]);
         assert_eq!(op.apply(&x), a.matvec(&x));
-    }
-
-    #[test]
-    fn shifted_inverse_matches_dense_solve() {
-        let a = Matrix::from_rows(&[&[-1.0, 0.3], &[0.0, -2.0]]).unwrap();
-        let sigma = 0.5;
-        let op = ShiftedInverseOp::new(sigma, &a).unwrap();
-        assert_eq!(op.sigma(), 0.5);
-        let x = Vector::from_slice(&[1.0, -1.0]);
-        let y = op.apply(&x);
-        // Check (σI - A) y = x.
-        let mut shifted = a.scaled(-1.0);
-        shifted[(0, 0)] += sigma;
-        shifted[(1, 1)] += sigma;
-        assert!((&shifted.matvec(&y) - &x).norm_inf() < 1e-12);
-        assert!(op.try_apply(&Vector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn shifted_inverse_rejects_singular_shift() {
-        // σ = 1 is an eigenvalue of A, so σI - A is singular.
-        let a = Matrix::from_diagonal(&[1.0, 2.0]);
-        assert!(ShiftedInverseOp::new(1.0, &a).is_err());
-    }
-
-    #[test]
-    fn composition_applies_in_order() {
-        let a = DenseOp::new(Matrix::from_diagonal(&[2.0, 3.0]));
-        let b = DenseOp::new(Matrix::from_diagonal(&[10.0, 100.0]));
-        let c = ComposedOp::new(&a, &b).unwrap();
-        let y = c.apply(&Vector::from_slice(&[1.0, 1.0]));
-        assert_eq!(y.as_slice(), &[20.0, 300.0]);
-        let bad = DenseOp::new(Matrix::identity(3));
-        assert!(ComposedOp::new(&a, &bad).is_err());
     }
 }

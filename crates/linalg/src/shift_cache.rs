@@ -20,7 +20,7 @@
 //! The cache is `Sync` (a mutex-guarded map of `Arc`-shared factors) so
 //! moment chains running on scoped threads can share one instance.
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -284,12 +284,15 @@ impl ShiftCache {
         }
     }
 
-    /// Number of solves served from cached factors.
+    /// Number of solves served from cached factors. A call whose own
+    /// factorization lost the insert race to a concurrent call for the same
+    /// shift is served the winner's factor and counts here.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of fresh factorizations performed.
+    /// Number of factorizations inserted into the cache, so that
+    /// `len() == misses() − evictions()` holds at every quiescent point.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -340,20 +343,30 @@ impl ShiftCache {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// Counts one solve served from a cached factor.
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.hits.inc();
+    }
+
     /// The cached factor under `key`, or `build()`'s, inserted.
+    ///
+    /// The miss is counted by the call whose insert fills the vacant entry,
+    /// not by every call that found it vacant: a call whose factor lost the
+    /// race counts a hit, and a failed `build()` counts neither.
     fn get_or_insert(
         &self,
         key: ShiftKey,
         build: impl FnOnce() -> Result<Factor>,
     ) -> Result<Arc<Factor>> {
-        if let Some(entry) = self.lock_entries().get_mut(&key) {
+        let cached = self.lock_entries().get_mut(&key).map(|entry| {
             entry.last_used = self.next_tick();
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.metrics.hits.inc();
-            return Ok(Arc::clone(&entry.factor));
+            Arc::clone(&entry.factor)
+        });
+        if let Some(factor) = cached {
+            self.count_hit();
+            return Ok(factor);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.inc();
         // Factor OUTSIDE the lock: holding the map mutex across an O(n³)
         // factorization would serialize the parallel moment chains during
         // their warm-up sweep over the spectrum. A racing thread may factor
@@ -365,15 +378,25 @@ impl ShiftCache {
         };
         let tick = self.next_tick();
         let mut entries = self.lock_entries();
-        let held = Arc::clone(
-            &entries
-                .entry(key)
-                .or_insert(Entry {
-                    factor,
-                    last_used: tick,
-                })
-                .factor,
-        );
+        let held = match entries.entry(key) {
+            hash_map::Entry::Occupied(mut won) => {
+                won.get_mut().last_used = tick;
+                self.count_hit();
+                Arc::clone(&won.get().factor)
+            }
+            hash_map::Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.metrics.misses.inc();
+                Arc::clone(
+                    &slot
+                        .insert(Entry {
+                            factor,
+                            last_used: tick,
+                        })
+                        .factor,
+                )
+            }
+        };
         self.enforce_capacity(&mut entries);
         Ok(held)
     }
@@ -643,6 +666,26 @@ mod tests {
             }
             assert_eq!((cache.len(), cache.misses(), cache.hits()), (2, 2, 2));
         }
+    }
+
+    /// The lookup/insert race, replayed on one thread: the build closure
+    /// re-enters the cache on the same shift before returning, as a racing
+    /// call would. The racer's insert fills the entry and counts the one
+    /// miss; the outer call's factor loses and counts a hit.
+    #[test]
+    fn a_factor_that_loses_the_insert_race_counts_a_hit() {
+        let g = base();
+        let cache = dense(&g);
+        let rhs = Vector::from_slice(&[1.0, -1.0, 2.0]);
+        let sigma = 0.25;
+        cache
+            .get_or_insert(ShiftKey::Real(shift_bits(sigma)), || {
+                cache.solve_shifted(sigma, &rhs)?;
+                Ok(Factor::Real(LuFactor::Dense(shifted(&g, sigma).lu()?)))
+            })
+            .unwrap();
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 1, 1));
+        assert_eq!(cache.len(), cache.misses() - cache.evictions());
     }
 
     #[test]

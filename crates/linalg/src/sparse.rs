@@ -1,4 +1,4 @@
-//! Sparse matrices (COO / CSR) and an iterative GMRES solver.
+//! Sparse matrices (COO / CSR).
 //!
 //! Circuit Jacobians and the quadratic/cubic coupling tensors `G₂`, `G₃`
 //! produced by modified nodal analysis are extremely sparse; `G₂` in
@@ -6,11 +6,9 @@
 //! realistic `n`. [`CsrMatrix`] supports the rectangular shapes and the
 //! `matvec` / `mat-times-Kronecker-column` products the MOR flow needs.
 
-use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::op::LinearOp;
 use crate::vector::Vector;
-use crate::Result;
 
 /// A coordinate-format (triplet) sparse matrix builder.
 ///
@@ -467,150 +465,6 @@ impl LinearOp for CsrMatrix {
     }
 }
 
-/// Options for [`gmres`].
-#[derive(Debug, Clone, Copy)]
-pub struct GmresOptions {
-    /// Relative residual tolerance.
-    pub tol: f64,
-    /// Restart length (Krylov subspace size per cycle).
-    pub restart: usize,
-    /// Maximum number of outer (restart) cycles.
-    pub max_cycles: usize,
-}
-
-impl Default for GmresOptions {
-    fn default() -> Self {
-        GmresOptions {
-            tol: 1e-10,
-            restart: 50,
-            max_cycles: 40,
-        }
-    }
-}
-
-/// Solves `A x = b` with restarted GMRES.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if `b.len() != op.dim()`.
-/// * [`LinalgError::NotConverged`] if the residual target is not met within
-///   the cycle budget.
-///
-/// ```
-/// use vamor_linalg::sparse::{gmres, GmresOptions};
-/// use vamor_linalg::{CsrMatrix, Matrix, Vector};
-/// # fn main() -> Result<(), vamor_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-/// let csr = CsrMatrix::from_dense(&a, 0.0);
-/// let b = Vector::from_slice(&[1.0, 2.0]);
-/// let x = gmres(&csr, &b, &GmresOptions::default())?;
-/// assert!((&a.matvec(&x) - &b).norm2() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn gmres(op: &dyn LinearOp, b: &Vector, opts: &GmresOptions) -> Result<Vector> {
-    let n = op.dim();
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "gmres: rhs of length {} for operator of dimension {n}",
-            b.len()
-        )));
-    }
-    let bnorm = b.norm2();
-    if bnorm == 0.0 {
-        return Ok(Vector::zeros(n));
-    }
-    let m = opts.restart.max(1).min(n);
-    let mut x = Vector::zeros(n);
-
-    for _cycle in 0..opts.max_cycles {
-        let r = b - &op.apply(&x);
-        let beta = r.norm2();
-        if beta <= opts.tol * bnorm {
-            return Ok(x);
-        }
-        // Arnoldi with Givens-rotated least squares.
-        let mut v: Vec<Vector> = vec![r.scaled(1.0 / beta)];
-        let mut h = Matrix::zeros(m + 1, m);
-        let mut cs = vec![0.0f64; m];
-        let mut sn = vec![0.0f64; m];
-        let mut g = Vector::zeros(m + 1);
-        g[0] = beta;
-        let mut k_used = 0;
-
-        for k in 0..m {
-            let mut w = op.apply(&v[k]);
-            for (i, vi) in v.iter().enumerate() {
-                let hik = vi.dot(&w);
-                h[(i, k)] = hik;
-                w.axpy(-hik, vi);
-            }
-            let hk1 = w.norm2();
-            h[(k + 1, k)] = hk1;
-            // Apply previous Givens rotations to the new column.
-            for i in 0..k {
-                let t1 = cs[i] * h[(i, k)] + sn[i] * h[(i + 1, k)];
-                let t2 = -sn[i] * h[(i, k)] + cs[i] * h[(i + 1, k)];
-                h[(i, k)] = t1;
-                h[(i + 1, k)] = t2;
-            }
-            // New rotation to annihilate h[k+1, k].
-            let denom = h[(k, k)].hypot(h[(k + 1, k)]);
-            if denom == 0.0 {
-                cs[k] = 1.0;
-                sn[k] = 0.0;
-            } else {
-                cs[k] = h[(k, k)] / denom;
-                sn[k] = h[(k + 1, k)] / denom;
-            }
-            h[(k, k)] = cs[k] * h[(k, k)] + sn[k] * h[(k + 1, k)];
-            h[(k + 1, k)] = 0.0;
-            let g_k = g[k];
-            g[k] = cs[k] * g_k;
-            g[k + 1] = -sn[k] * g_k;
-            k_used = k + 1;
-
-            let converged = g[k + 1].abs() <= opts.tol * bnorm;
-            if hk1 > 0.0 && !converged {
-                v.push(w.scaled(1.0 / hk1));
-            }
-            if converged || hk1 == 0.0 {
-                break;
-            }
-        }
-
-        // Solve the triangular system and update x.
-        let mut y = Vector::zeros(k_used);
-        for i in (0..k_used).rev() {
-            let mut acc = g[i];
-            for j in (i + 1)..k_used {
-                acc -= h[(i, j)] * y[j];
-            }
-            y[i] = if h[(i, i)] != 0.0 {
-                acc / h[(i, i)]
-            } else {
-                0.0
-            };
-        }
-        for i in 0..k_used {
-            x.axpy(y[i], &v[i]);
-        }
-        let final_res = (b - &op.apply(&x)).norm2();
-        if final_res <= opts.tol * bnorm {
-            return Ok(x);
-        }
-    }
-    let r = (b - &op.apply(&x)).norm2();
-    if r <= opts.tol * bnorm * 10.0 {
-        // Close enough to the target to be useful; accept with the looser bound.
-        return Ok(x);
-    }
-    Err(LinalgError::NotConverged {
-        algorithm: "gmres",
-        iterations: opts.max_cycles,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,36 +531,6 @@ mod tests {
         let back = CsrMatrix::from_dense(&csr.to_dense(), 0.0);
         assert_eq!(back, csr);
         assert_eq!(CsrMatrix::identity(4).to_dense(), Matrix::identity(4));
-    }
-
-    #[test]
-    fn gmres_solves_spd_system() {
-        let a = ladder(40);
-        let xref = Vector::from_fn(40, |i| ((i * 7) % 5) as f64 - 2.0);
-        let b = a.matvec(&xref);
-        let x = gmres(&a, &b, &GmresOptions::default()).unwrap();
-        assert!((&x - &xref).norm2() < 1e-7 * xref.norm2().max(1.0));
-    }
-
-    #[test]
-    fn gmres_zero_rhs_returns_zero() {
-        let a = ladder(5);
-        let x = gmres(&a, &Vector::zeros(5), &GmresOptions::default()).unwrap();
-        assert_eq!(x, Vector::zeros(5));
-        assert!(gmres(&a, &Vector::zeros(4), &GmresOptions::default()).is_err());
-    }
-
-    #[test]
-    fn gmres_with_small_restart_still_converges() {
-        let a = ladder(30);
-        let b = Vector::filled(30, 1.0);
-        let opts = GmresOptions {
-            tol: 1e-8,
-            restart: 5,
-            max_cycles: 200,
-        };
-        let x = gmres(&a, &b, &opts).unwrap();
-        assert!((&a.matvec(&x) - &b).norm2() < 1e-6);
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //! (`RUSTFLAGS="--cfg loom" cargo test -p vamor-linalg --test loom_cache`).
 //!
 //! The cache synchronizes through one coarse mutex over its factor map and
-//! monotone atomics, so every concurrent outcome is a linearization of
-//! complete API calls; see [`vamor_linalg::interleave`] for why enumerating
-//! those merges covers the same schedule space loom would at lock
-//! granularity. Each model applies every order-preserving merge of the
+//! monotone atomics. Each model applies every order-preserving merge of the
 //! per-thread op sequences to a fresh cache — once per backend, dense and
 //! sparse, with the same capacity — and checks the bookkeeping invariants
 //! that hold in *every* schedule, not just the sequential ones the unit
-//! tests exercise.
+//! tests exercise; see [`vamor_linalg::interleave`] for why enumerating
+//! those merges covers the schedule space of complete API calls.
+//!
+//! A solve is not one critical section, though: a lookup that misses
+//! releases the lock, factors outside it, and re-acquires it to insert, so
+//! two calls that miss the same shift can overlap between lookup and
+//! insert. Merges of whole calls never produce that overlap. The unit test
+//! `shift_cache::tests::a_factor_that_loses_the_insert_race_counts_a_hit`
+//! replays it deterministically on one thread and checks the same ledger.
 #![cfg(loom)]
 
 use vamor_linalg::interleave::{explore_named, interleaving_count};

@@ -39,9 +39,8 @@ pub use error::SimError;
 pub use input::{Constant, ExpPulse, InputSignal, MultiChannel, SinePulse, Step, TwoTone, Zero};
 pub use metrics::{max_relative_error, relative_error_series, rms_error};
 pub use transient::{
-    simulate, simulate_budgeted, simulate_budgeted_controlled, simulate_controlled,
-    AdaptiveStepOptions, IntegrationMethod, JacobianPolicy, SolverStats, TransientOptions,
-    TransientResult, INTEGRATOR_BUDGET_OWNER,
+    simulate, simulate_controlled, AdaptiveStepOptions, IntegrationMethod, JacobianPolicy,
+    SolverStats, TransientOptions, TransientResult, INTEGRATOR_BUDGET_OWNER,
 };
 pub use vamor_linalg::{
     BudgetError, MemoryBudget, ProgressEvent, RunControl, SolverBackend, StopCause,

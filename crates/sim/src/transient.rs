@@ -299,25 +299,48 @@ pub fn simulate(
     input: &dyn InputSignal,
     opts: &TransientOptions,
 ) -> Result<TransientResult> {
-    simulate_impl(system, input, opts, None, None)
+    simulate_controlled(system, input, opts, &RunControl::new(), None)
 }
 
-/// [`simulate`] under a [`RunControl`] token: the stepper checkpoints as
-/// `transient-step` before every accepted step. A cancellation or deadline
-/// never errors — the run stops cleanly and returns the valid trajectory
-/// prefix with [`TransientResult::interrupted`] carrying the [`StopCause`]
-/// (at minimum the initial sample is always present).
+/// [`simulate`] under a [`RunControl`] token, optionally with the
+/// frozen-Jacobian factor of the implicit methods accounted against a shared
+/// session [`MemoryBudget`].
+///
+/// The stepper checkpoints as `transient-step` before every accepted step.
+/// A cancellation or deadline never errors — the run stops cleanly and
+/// returns the valid trajectory prefix with [`TransientResult::interrupted`]
+/// carrying the [`StopCause`] (at minimum the initial sample is always
+/// present).
+///
+/// With a `budget`, the factor is charged under
+/// [`INTEGRATOR_BUDGET_OWNER`] and the run's entry is released when it
+/// returns (success, error or interruption). Explicit (RK4) runs never
+/// charge the ledger.
 ///
 /// # Errors
 ///
-/// Same contract as [`simulate`] — interruption itself is not an error.
+/// Same contract as [`simulate`] — interruption itself is not an error —
+/// plus [`SimError::Budget`] when the factor cannot be accounted even after
+/// the ledger evicted every unpinned entry: typed backpressure instead of
+/// unbudgeted growth.
 pub fn simulate_controlled(
     system: &dyn PolynomialStateSpace,
     input: &dyn InputSignal,
     opts: &TransientOptions,
     control: &RunControl,
+    budget: Option<&MemoryBudget>,
 ) -> Result<TransientResult> {
-    simulate_impl(system, input, opts, Some(control), None)
+    let hook = budget.map(|budget| BudgetHook {
+        budget,
+        key: RUN_KEY.fetch_add(1, Ordering::Relaxed),
+    });
+    let out = simulate_impl(system, input, opts, control, hook.as_ref());
+    // Whatever happened, this run's factor is gone now — release its entry
+    // (a no-op if it was never charged or already evicted).
+    if let Some(hook) = &hook {
+        hook.budget.release(INTEGRATOR_BUDGET_OWNER, hook.key);
+    }
+    out
 }
 
 /// The budget owner string under which a run's frozen iteration matrix is
@@ -340,63 +363,11 @@ struct BudgetHook<'a> {
     key: u64,
 }
 
-/// [`simulate`] with the frozen-Jacobian factor of the implicit methods
-/// accounted against a shared session [`MemoryBudget`]. Explicit (RK4) runs
-/// never charge the ledger.
-///
-/// # Errors
-///
-/// Same contract as [`simulate`], plus [`SimError::Budget`] when the factor
-/// cannot be accounted even after the ledger evicted every unpinned entry —
-/// typed backpressure instead of unbudgeted growth.
-pub fn simulate_budgeted(
-    system: &dyn PolynomialStateSpace,
-    input: &dyn InputSignal,
-    opts: &TransientOptions,
-    budget: &MemoryBudget,
-) -> Result<TransientResult> {
-    run_budgeted(system, input, opts, None, budget)
-}
-
-/// [`simulate_budgeted`] under a [`RunControl`] token (the
-/// [`simulate_controlled`] checkpoint contract applies unchanged).
-///
-/// # Errors
-///
-/// Same contract as [`simulate_budgeted`].
-pub fn simulate_budgeted_controlled(
-    system: &dyn PolynomialStateSpace,
-    input: &dyn InputSignal,
-    opts: &TransientOptions,
-    control: &RunControl,
-    budget: &MemoryBudget,
-) -> Result<TransientResult> {
-    run_budgeted(system, input, opts, Some(control), budget)
-}
-
-fn run_budgeted(
-    system: &dyn PolynomialStateSpace,
-    input: &dyn InputSignal,
-    opts: &TransientOptions,
-    control: Option<&RunControl>,
-    budget: &MemoryBudget,
-) -> Result<TransientResult> {
-    let hook = BudgetHook {
-        budget,
-        key: RUN_KEY.fetch_add(1, Ordering::Relaxed),
-    };
-    let out = simulate_impl(system, input, opts, control, Some(&hook));
-    // Whatever happened, this run's factor is gone now — release its entry
-    // (a no-op if it was never charged or already evicted).
-    budget.release(INTEGRATOR_BUDGET_OWNER, hook.key);
-    out
-}
-
 fn simulate_impl(
     system: &dyn PolynomialStateSpace,
     input: &dyn InputSignal,
     opts: &TransientOptions,
-    control: Option<&RunControl>,
+    control: &RunControl,
     hook: Option<&BudgetHook<'_>>,
 ) -> Result<TransientResult> {
     let _span = vamor_obs::span!("transient_sim");
@@ -442,11 +413,9 @@ fn simulate_impl(
         if h <= 0.0 {
             break;
         }
-        if let Some(c) = control {
-            if c.checkpoint_with("transient-step", t).is_err() {
-                interrupted = c.stop_cause();
-                break;
-            }
+        if control.checkpoint_with("transient-step", t).is_err() {
+            interrupted = control.stop_cause();
+            break;
         }
         let newton_before = stats.newton_iterations;
         match opts.method {
@@ -519,7 +488,7 @@ fn simulate_adaptive(
     input: &dyn InputSignal,
     opts: &TransientOptions,
     adaptive: AdaptiveStepOptions,
-    control: Option<&RunControl>,
+    control: &RunControl,
     hook: Option<&BudgetHook<'_>>,
 ) -> Result<TransientResult> {
     let n = system.order();
@@ -548,11 +517,9 @@ fn simulate_adaptive(
     let mut calm_streak = 0usize;
     // vamor: allow(span-coverage, reason = "runs under the transient_sim span opened by simulate_impl, its only caller")
     while t < opts.t_end - 1e-12 * opts.dt {
-        if let Some(c) = control {
-            if c.checkpoint_with("transient-step", t).is_err() {
-                interrupted = c.stop_cause();
-                break;
-            }
+        if control.checkpoint_with("transient-step", t).is_err() {
+            interrupted = control.stop_cause();
+            break;
         }
         let h_step = h.min(opts.t_end - t);
         let newton_before = stats.newton_iterations;
@@ -1004,7 +971,14 @@ mod tests {
         let opts = TransientOptions::new(0.0, 1.0, 0.01)
             .with_method(IntegrationMethod::ImplicitTrapezoidal);
         let budget = MemoryBudget::new(1 << 20);
-        let budgeted = simulate_budgeted(&sys, &Step::new(1.0, 0.0), &opts, &budget).unwrap();
+        let budgeted = simulate_controlled(
+            &sys,
+            &Step::new(1.0, 0.0),
+            &opts,
+            &RunControl::new(),
+            Some(&budget),
+        )
+        .unwrap();
         let plain = simulate(&sys, &Step::new(1.0, 0.0), &opts).unwrap();
         assert_eq!(
             budgeted.outputs, plain.outputs,
@@ -1022,7 +996,13 @@ mod tests {
         // A 1-state dense factor needs 16 B; a 4 B budget with nothing to
         // evict must refuse with the typed error, never panic.
         let budget = MemoryBudget::new(4);
-        match simulate_budgeted(&sys, &Step::new(1.0, 0.0), &opts, &budget) {
+        match simulate_controlled(
+            &sys,
+            &Step::new(1.0, 0.0),
+            &opts,
+            &RunControl::new(),
+            Some(&budget),
+        ) {
             Err(SimError::Budget(vamor_linalg::BudgetError::Exhausted {
                 requested,
                 capacity,
@@ -1246,7 +1226,7 @@ mod tests {
                 handle.cancel();
             }
         });
-        let r = simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &control).unwrap();
+        let r = simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &control, None).unwrap();
         assert_eq!(r.interrupted, Some(StopCause::Cancelled));
         assert_eq!(r.stats.steps, 49, "50th checkpoint fails before its step");
         assert_eq!(r.len(), 50);
@@ -1258,13 +1238,46 @@ mod tests {
         }
     }
 
+    /// A budgeted implicit run that is cancelled mid-way still returns its
+    /// valid prefix and releases the integrator's ledger entry.
+    #[test]
+    fn cancelled_budgeted_run_returns_the_prefix_and_releases_its_entry() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+        let sys = decay_system(-1.0);
+        let opts = TransientOptions::new(0.0, 1.0, 0.01)
+            .with_method(IntegrationMethod::ImplicitTrapezoidal);
+        let budget = Arc::new(MemoryBudget::new(1 << 20));
+        let charged = Arc::new(AtomicUsize::new(0));
+        let control = RunControl::new();
+        let handle = control.clone();
+        let (ledger, peak) = (Arc::clone(&budget), Arc::clone(&charged));
+        let control = control.with_progress(move |event| {
+            peak.fetch_max(ledger.used(), Ordering::Relaxed);
+            if event.sequence >= 5 {
+                handle.cancel();
+            }
+        });
+        let r = simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &control, Some(&budget))
+            .unwrap();
+        assert_eq!(r.interrupted, Some(StopCause::Cancelled));
+        assert_eq!(r.stats.steps, 4, "the 5th checkpoint fails before its step");
+        assert_eq!(r.len(), 5);
+        assert!(
+            charged.load(Ordering::Relaxed) > 0,
+            "the run charged its factor"
+        );
+        assert_eq!(budget.used(), 0, "the interrupted run releases its entry");
+        assert_eq!(budget.entries(), 0);
+    }
+
     #[test]
     fn expired_deadline_yields_only_the_initial_sample() {
         let sys = decay_system(-1.0);
         let opts = TransientOptions::new(0.0, 1.0, 0.1)
             .with_method(IntegrationMethod::ImplicitTrapezoidal);
         let control = RunControl::new().with_deadline(std::time::Duration::ZERO);
-        let r = simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &control).unwrap();
+        let r = simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &control, None).unwrap();
         assert_eq!(r.interrupted, Some(StopCause::DeadlineExceeded));
         assert_eq!(r.len(), 1, "only the initial sample");
         assert_eq!(r.stats.steps, 0);
@@ -1284,7 +1297,8 @@ mod tests {
                 handle.cancel();
             }
         });
-        let r = simulate_controlled(&sys, &ExpPulse::new(1.0, 0.05, 5.0), &opts, &control).unwrap();
+        let r = simulate_controlled(&sys, &ExpPulse::new(1.0, 0.05, 5.0), &opts, &control, None)
+            .unwrap();
         assert_eq!(r.interrupted, Some(StopCause::Cancelled));
         assert!(*r.times.last().unwrap() < 30.0);
         assert!(r.output_channel(0).iter().all(|v| v.is_finite()));
@@ -1297,7 +1311,8 @@ mod tests {
             .with_method(IntegrationMethod::ImplicitTrapezoidal);
         let plain = simulate(&sys, &Step::new(1.0, 0.0), &opts).unwrap();
         let controlled =
-            simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &RunControl::new()).unwrap();
+            simulate_controlled(&sys, &Step::new(1.0, 0.0), &opts, &RunControl::new(), None)
+                .unwrap();
         assert_eq!(controlled.interrupted, None);
         assert_eq!(plain.times, controlled.times);
         for (a, b) in plain.outputs.iter().zip(controlled.outputs.iter()) {

@@ -114,8 +114,8 @@ fn returns_result(toks: &[Tok], f: &FnItem) -> bool {
     toks[f.ret.0..f.ret.1].iter().any(|t| t.is_ident("Result"))
 }
 
-/// L2 — checkpoint coverage. In any non-test function taking `&RunControl`
-/// (or `Option<&RunControl>`), every *outermost* `for`/`while`/`loop` body
+/// L2 — checkpoint coverage. In any non-test function taking `&RunControl`,
+/// every *outermost* `for`/`while`/`loop` body
 /// must contain a `checkpoint*` call somewhere inside it (nested positions
 /// count: the contract is one cooperative stop-test per outer iteration).
 pub fn checkpoint_coverage(model: &FileModel, file: &Path) -> Vec<Finding> {

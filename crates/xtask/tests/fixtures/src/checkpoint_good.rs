@@ -12,11 +12,11 @@ fn covered(control: &RunControl, items: &[f64]) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn helper_covered(control: Option<&RunControl>, items: &[f64]) -> Result<f64, String> {
+fn helper_covered(control: &RunControl, items: &[f64]) -> Result<f64, String> {
     let _span = vamor_obs::span!("stage");
     let mut acc = 0.0;
     for x in items {
-        checkpoint_stage(control, "stage")?;
+        checkpoint_batch(control, "stage")?;
         acc += x;
     }
     Ok(acc)
