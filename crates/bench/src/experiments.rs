@@ -703,7 +703,8 @@ pub fn acceptance_metrics(
 }
 
 /// Best-of-N walls of the tline35 acceptance reduce with the span
-/// subscriber off and on (see [`trace_overhead`]).
+/// subscriber off and on, timed in interleaved pairs (see
+/// [`trace_overhead`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOverheadReport {
     /// Best reduce wall with tracing disabled.
@@ -727,11 +728,14 @@ impl TraceOverheadReport {
 }
 
 /// Measures the observability overhead on the tline35 acceptance reduce:
-/// best-of-`repeats` wall with tracing disabled, then with both the span
-/// subscriber and the numerical-health event subscriber installed and
-/// recording. Toggles the process-global tracer — the previous trace
-/// buffer is drained before and after, so callers running under `--trace`
-/// lose their subscriber (the reproduce driver runs this standalone).
+/// `repeats` pairs of one reduce with tracing disabled and one with both
+/// the span subscriber and the numerical-health event subscriber installed
+/// and recording, alternating which side of a pair runs first, and the best
+/// wall per side. Interleaving puts a host-state change during the
+/// measurement on both sides alike instead of wholly on one. Toggles the
+/// process-global tracer — the previous trace buffer is drained before and
+/// after, so callers running under `--trace` lose their subscriber (the
+/// reproduce driver runs this standalone).
 ///
 /// # Errors
 ///
@@ -739,25 +743,34 @@ impl TraceOverheadReport {
 pub fn trace_overhead(repeats: usize) -> Result<TraceOverheadReport> {
     let line = TransmissionLine::current_driven(35)?;
     let spec = MomentSpec::paper_default();
-    let run_best = || -> Result<Duration> {
-        let mut best = Duration::MAX;
-        for _ in 0..repeats.max(1) {
-            let (rom, t) = timed(|| AssocReducer::new(spec).reduce(line.qldae()));
-            rom?;
-            best = best.min(t);
-        }
-        Ok(best)
+    let reduce_once = || -> Result<Duration> {
+        let (rom, t) = timed(|| AssocReducer::new(spec).reduce(line.qldae()));
+        rom?;
+        Ok(t)
     };
     // Warm-up: first-touch allocation and lazy statics land outside the
     // measured repeats.
-    run_best()?;
+    for _ in 0..repeats.max(1) {
+        reduce_once()?;
+    }
     let _ = vamor_obs::take_trace();
-    let uninstrumented = run_best()?;
-    vamor_obs::install();
-    vamor_obs::event::install();
-    let instrumented = run_best()?;
-    let spans_recorded = vamor_obs::take_trace().len();
-    let events_recorded = vamor_obs::event::take().records.len();
+    let mut uninstrumented = Duration::MAX;
+    let mut instrumented = Duration::MAX;
+    let mut spans_recorded = 0;
+    let mut events_recorded = 0;
+    for pair in 0..repeats.max(1) {
+        for traced in [pair % 2 == 1, pair % 2 == 0] {
+            if traced {
+                vamor_obs::install();
+                vamor_obs::event::install();
+                instrumented = instrumented.min(reduce_once()?);
+                spans_recorded += vamor_obs::take_trace().len();
+                events_recorded += vamor_obs::event::take().records.len();
+            } else {
+                uninstrumented = uninstrumented.min(reduce_once()?);
+            }
+        }
+    }
     Ok(TraceOverheadReport {
         uninstrumented,
         instrumented,

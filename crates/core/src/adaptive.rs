@@ -307,12 +307,6 @@ impl BandSampler {
         self.band
     }
 
-    /// Peak full-model kernel magnitudes over the band `(H₁, H₂, H₃)` — how
-    /// much of the band-limited response each Volterra order carries.
-    pub fn kernel_scales(&self) -> (f64, f64, f64) {
-        (self.scale_h1, self.scale_h2, self.scale_h3)
-    }
-
     /// True when the band response is carried almost entirely by `H₁`
     /// (higher kernels below 10 % of its peak). The two-sided output-Krylov
     /// move is only rational then: it doubles the matched `H₁` moments per
@@ -809,7 +803,6 @@ pub struct AdaptiveOutcome<R> {
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveReducer {
     spec: AdaptiveSpec,
-    sampler_opts: BandSamplerOptions,
     kind: ReducerKind,
     engine: ReductionEngine,
     backend: SolverBackend,
@@ -822,7 +815,6 @@ impl AdaptiveReducer {
     pub fn new(spec: AdaptiveSpec) -> Self {
         AdaptiveReducer {
             spec,
-            sampler_opts: BandSamplerOptions::default(),
             kind: ReducerKind::Assoc,
             engine: ReductionEngine::Auto,
             backend: SolverBackend::Auto,
@@ -852,12 +844,6 @@ impl AdaptiveReducer {
     /// Overrides the low-rank engine knobs.
     pub fn with_lowrank_options(mut self, opts: LowRankOptions) -> Self {
         self.lowrank_opts = opts;
-        self
-    }
-
-    /// Overrides the band-sampling grid sizes.
-    pub fn with_sampler_options(mut self, opts: BandSamplerOptions) -> Self {
-        self.sampler_opts = opts;
         self
     }
 
@@ -952,14 +938,14 @@ impl AdaptiveReducer {
             Some(sh) => BandSampler::for_qldae_with_cache(
                 qldae,
                 self.spec.band,
-                self.sampler_opts,
+                BandSamplerOptions::default(),
                 sh.sampler_cache,
                 control,
             )?,
             None => BandSampler::for_qldae_with_cache(
                 qldae,
                 self.spec.band,
-                self.sampler_opts,
+                BandSamplerOptions::default(),
                 &ShiftCache::new(qldae.g1_csr(), self.backend),
                 control,
             )?,

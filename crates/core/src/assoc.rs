@@ -299,8 +299,8 @@ impl SharedAssocArtifacts {
     pub fn build(qldae: &Qldae, backend: SolverBackend) -> Result<Self> {
         let n = qldae.g1_csr().rows();
         let sparse = backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(qldae.g1_csr(), sparse).map_err(MorError::Linalg)?;
+        let (g1_lu, recovery) = G1Factor::build_with_recovery(qldae.g1_csr(), sparse, None)
+            .map_err(MorError::Linalg)?;
         let g1_schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
         let lyap = SylvesterSolver::new_lyapunov_from_schur(&g1_schur);
         Ok(SharedAssocArtifacts {
@@ -1314,7 +1314,9 @@ pub(crate) mod tests {
             None => (&kron, kron_vec(&b, &b), 0),
         };
         let mut z = Matrix::from_fn(seed.len(), n, |i, j| seed[i] * b[j]);
-        let lu = G1Factor::build_with_recovery(q.g1_csr(), false).unwrap().0;
+        let lu = G1Factor::build_with_recovery(q.g1_csr(), false, None)
+            .unwrap()
+            .0;
         let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
         let mut chain = CauchyAccumulator::new(&lu, n, count, d_chain);
         for _ in 0..count {
@@ -1342,7 +1344,9 @@ pub(crate) mod tests {
         use vamor_linalg::ShiftedSolve;
         let (b_a, b_b) = (q.b().col(pair.0), q.b().col(pair.1));
         let kron = KronSumOp2::new(q.g1()).unwrap();
-        let lu = G1Factor::build_with_recovery(q.g1_csr(), false).unwrap().0;
+        let lu = G1Factor::build_with_recovery(q.g1_csr(), false, None)
+            .unwrap()
+            .0;
         let d_seed = h2_d1_seed(q, pair, &b_a, &b_b);
         let mut chain = CauchyAccumulator::new(&lu, b_a.len(), count, d_seed);
         let mut w = kron_vec(&b_a, &b_b);

@@ -257,7 +257,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         let csr = qldae.g1_csr();
         let sparse = backend.use_sparse(csr.rows(), SPARSE_AUTO_THRESHOLD);
         let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(csr, sparse).map_err(MorError::Linalg)?;
+            G1Factor::build_with_recovery(csr, sparse, None).map_err(MorError::Linalg)?;
         let solver = ShiftCache::new(csr, backend).with_capacity_bound(ADI_CACHE_CAPACITY);
         let shifts = shift_pool(&solver, qldae.b(), &opts)?;
         Ok(LowRankAssocMomentGenerator {

@@ -159,8 +159,8 @@ impl NormReducer {
         }
         let n = qldae.g1_csr().rows();
         let sparse = self.pipeline.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(qldae.g1_csr(), sparse).map_err(MorError::Linalg)?;
+        let (g1_lu, recovery) = G1Factor::build_with_recovery(qldae.g1_csr(), sparse, None)
+            .map_err(MorError::Linalg)?;
         // The dense engine solves the energy weight against one Schur form
         // of G₁, factored only when the weight is wanted (an unstabilized
         // frame asks the spectral guard's Hurwitz question lazily); the

@@ -56,8 +56,7 @@ use std::cell::OnceCell;
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
     eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, CsrMatrix, LuFactor, Matrix,
-    OrthoBasis, PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, SparseLu,
-    Vector,
+    OrthoBasis, PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, Vector,
 };
 use vamor_system::Qldae;
 
@@ -123,7 +122,8 @@ impl MomentSpec {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationReport {
     /// Pivot-threshold escalations the sparse LU took on near-singular
-    /// pivots (across every `G₁` factorization of the run).
+    /// pivots (across every `G₁` and two-sided `G₁ᵀ` factorization of the
+    /// run, all through `LuFactor::build_with_recovery`).
     pub pivot_escalations: usize,
     /// Sparse factorizations abandoned for the dense backend after the
     /// escalation ladder was exhausted.
@@ -864,13 +864,11 @@ impl AssocReducer {
         let csr = qldae.g1_csr();
         let n = csr.rows();
         let sparse = self.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
-        // Transposed factorization for the dual chains: sparse on the
-        // transposed stamp, dense on the transposed view.
-        let gt_lu = if sparse {
-            LuFactor::Sparse(SparseLu::factor(&csr.transpose()).map_err(MorError::Linalg)?)
-        } else {
-            LuFactor::Dense(qldae.g1().transpose().lu().map_err(MorError::Linalg)?)
-        };
+        // Transposed factorization for the dual chains, through the pivot
+        // degradation ladder in the backend the reducer picked.
+        let (gt_lu, recovery) = LuFactor::build_with_recovery(&csr.transpose(), sparse, None)
+            .map_err(MorError::Linalg)?;
+        stats.degradation.absorb_pivot(recovery);
         let mut wbasis = OrthoBasis::with_tolerance(n, self.deflation_tol);
         for row in 0..qldae.c().rows() {
             let mut y = Vector::from_fn(n, |j| qldae.c()[(row, j)]);

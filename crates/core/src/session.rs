@@ -514,7 +514,6 @@ impl StampEntry {
 #[derive(Debug)]
 pub struct ReductionSession {
     budget: Arc<MemoryBudget>,
-    backend: SolverBackend,
     registry: Mutex<HashMap<u64, StampEntry>>,
     requests: AtomicUsize,
     stamp_hits: AtomicUsize,
@@ -540,7 +539,6 @@ impl ReductionSession {
     pub fn with_budget(budget: Arc<MemoryBudget>) -> Self {
         ReductionSession {
             budget,
-            backend: SolverBackend::Auto,
             registry: Mutex::new(HashMap::new()),
             requests: AtomicUsize::new(0),
             stamp_hits: AtomicUsize::new(0),
@@ -549,13 +547,6 @@ impl ReductionSession {
             panics_contained: AtomicUsize::new(0),
             metrics: SessionCounters::new(),
         }
-    }
-
-    /// Overrides the linear-solver backend the shared artifacts are factored
-    /// with (requests must use reducers configured for the same backend).
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// The session's budget ledger. Hand it to `vamor_sim::simulate_controlled`
@@ -782,8 +773,8 @@ impl ReductionSession {
     /// LRU-evicted sibling stamps), and publishes it in the registry.
     fn build_entry(&self, fp: u64, qldae: &Qldae) -> Result<StampEntry, SessionError> {
         let _span = vamor_obs::span!("stamp_build");
-        let artifacts = SharedAssocArtifacts::build(qldae, self.backend)?;
-        let sampler = Arc::new(ShiftCache::new(qldae.g1_csr(), self.backend));
+        let artifacts = SharedAssocArtifacts::build(qldae, SolverBackend::Auto)?;
+        let sampler = Arc::new(ShiftCache::new(qldae.g1_csr(), SolverBackend::Auto));
         let digest = Self::probe_digest(&artifacts)?;
         let entry = StampEntry {
             artifacts,

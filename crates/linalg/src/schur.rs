@@ -142,11 +142,6 @@ impl SchurDecomposition {
     pub fn to_schur_coords(&self, x: &crate::Vector) -> crate::Vector {
         self.q.matvec_transpose(x)
     }
-
-    /// Transforms a vector back from Schur coordinates: `Q y`.
-    pub fn from_schur_coords(&self, y: &crate::Vector) -> crate::Vector {
-        self.q.matvec(y)
-    }
 }
 
 /// Householder reflector data for a 3-vector: returns the normalized `v` and

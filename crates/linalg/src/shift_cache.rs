@@ -359,13 +359,10 @@ impl ShiftCache {
         key: ShiftKey,
         build: impl FnOnce() -> Result<Factor>,
     ) -> Result<Arc<Factor>> {
-        let cached = self.lock_entries().get_mut(&key).map(|entry| {
+        if let Some(entry) = self.lock_entries().get_mut(&key) {
             entry.last_used = self.next_tick();
-            Arc::clone(&entry.factor)
-        });
-        if let Some(factor) = cached {
             self.count_hit();
-            return Ok(factor);
+            return Ok(Arc::clone(&entry.factor));
         }
         // Factor OUTSIDE the lock: holding the map mutex across an O(n³)
         // factorization would serialize the parallel moment chains during

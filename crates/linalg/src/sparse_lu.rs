@@ -23,12 +23,9 @@
 //! complex shift `λ` — exactly the `(G₁ + λI)` systems the Bartels–Stewart
 //! back-substitution walks along complex eigenvalue pairs.
 
-use std::sync::Arc;
-
 use crate::complex::Complex;
 use crate::error::LinalgError;
 use crate::lu::LuDecomposition;
-use crate::matrix::Matrix;
 use crate::sparse::CsrMatrix;
 use crate::vector::Vector;
 use crate::Result;
@@ -621,13 +618,9 @@ impl SparseLu {
     /// [`SparseLu::factor_shifted`] with an explicit relative pivot
     /// threshold `tau ∈ (0, 1]`: the structural diagonal is kept as pivot
     /// only while `|diag| ≥ tau · |best|`. `tau = 1` is full partial
-    /// pivoting (maximum stability, maximum fill) — the upper rung of the
-    /// degradation ladder for near-singular pivots.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SparseLu::factor_shifted`].
-    pub fn factor_shifted_with_threshold(
+    /// pivoting (maximum stability, maximum fill) — the last sparse rung of
+    /// [`LuFactor::build_with_recovery`].
+    fn factor_shifted_with_threshold(
         symbolic: &SparseLuSymbolic,
         a: &CsrMatrix,
         sigma: f64,
@@ -637,42 +630,6 @@ impl SparseLu {
         let (colptr, rowind, vals) = csc_with_shift(a, sigma);
         let f = factor_core(a.rows(), &colptr, &rowind, &vals, symbolic.order(), tau)?;
         Ok(SparseLu { f })
-    }
-
-    /// Factors `A + σI` walking the pivot-threshold escalation ladder: the
-    /// default threshold first, then progressively stricter (more
-    /// partial-pivoting-like) thresholds on a `Singular` failure. Returns
-    /// the factor together with the number of escalations taken (0 =
-    /// healthy first try).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SparseLu::factor_shifted`] when every rung fails;
-    /// non-`Singular` errors are returned immediately.
-    pub fn factor_shifted_with_recovery(
-        symbolic: &SparseLuSymbolic,
-        a: &CsrMatrix,
-        sigma: f64,
-    ) -> Result<(Self, usize)> {
-        let mut escalations = 0usize;
-        let mut last = None;
-        for &tau in &[PIVOT_TAU, 0.5, 1.0] {
-            match Self::factor_shifted_with_threshold(symbolic, a, sigma, tau) {
-                Ok(f) => return Ok((f, escalations)),
-                Err(e @ LinalgError::Singular(_)) => {
-                    escalations += 1;
-                    vamor_obs::event!(vamor_obs::Event::Degradation {
-                        rung: vamor_obs::event::DegradationRung::PivotEscalation,
-                        detail: tau,
-                    });
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            LinalgError::Singular("sparse lu: pivot escalation ladder exhausted".into())
-        }))
     }
 
     /// Dimension of the factored matrix.
@@ -797,29 +754,36 @@ fn check_shape(symbolic: &SparseLuSymbolic, a: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-/// Convenience alias used by callers that share one analysis across threads.
-pub type SharedSymbolic = Arc<SparseLuSymbolic>;
+/// The sparse pivot thresholds of the degradation ladder, tried in order
+/// (each at most once) before the dense fallback.
+const PIVOT_LADDER: [f64; 3] = [PIVOT_TAU, 0.5, 1.0];
 
-/// What the pivot-degradation ladder did to produce a factorization.
+/// What the pivot-degradation ladder of [`LuFactor::build_with_recovery`]
+/// did to produce a factorization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PivotRecovery {
-    /// Pivot-threshold escalations taken in the sparse backend.
+    /// Pivot-threshold escalations taken in the sparse backend (at most 2:
+    /// `τ = 0.1 → 0.5 → 1.0`).
     pub escalations: usize,
     /// True when the sparse backend was abandoned for the dense one.
     pub dense_fallback: bool,
 }
 
 impl PivotRecovery {
-    /// True when any recovery action was taken.
-    pub fn any(&self) -> bool {
-        self.escalations > 0 || self.dense_fallback
+    /// The recovery rungs taken, `escalations + dense_fallback`: one per
+    /// degradation event the ladder emitted (0 = healthy first try, 3 = a
+    /// dense fallback after both escalations).
+    pub fn rungs(&self) -> usize {
+        self.escalations + usize::from(self.dense_fallback)
     }
 }
 
 /// A factorization of a square matrix in either the dense or the sparse
-/// backend, with uniform solves. This is the dispatch point shared by the
-/// reducers' `G₁` chains and the implicit integrators' iteration matrices —
-/// solves agree to floating-point roundoff across backends.
+/// backend, with uniform solves. Every stamp factorization of the reducers
+/// (`G₁`, `G₁ᵀ`) and of the implicit integrators' sparse iteration matrices
+/// goes through [`LuFactor::build_with_recovery`], the one pivot
+/// degradation ladder — solves agree to floating-point roundoff across
+/// backends.
 #[derive(Debug)]
 pub enum LuFactor {
     /// Dense partial-pivoting LU.
@@ -829,51 +793,55 @@ pub enum LuFactor {
 }
 
 impl LuFactor {
-    /// Factors `a` (given both as a CSR stamp and a dense view) in the
-    /// requested backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the matrix is singular (either
-    /// backend) and shape errors per the underlying constructors.
-    pub fn build(a_csr: &CsrMatrix, a_dense: &Matrix, sparse: bool) -> Result<Self> {
-        if sparse {
-            Ok(LuFactor::Sparse(SparseLu::factor(a_csr)?))
-        } else {
-            Ok(LuFactor::Dense(LuDecomposition::new(a_dense)?))
-        }
-    }
-
     /// Factors the stamp `a_csr` walking the pivot degradation ladder — the
-    /// one `G₁` ladder of the workspace: a sparse request escalates the
-    /// pivot threshold on singular pivots and finally falls back to the
-    /// dense backend, reporting every rung in the returned
-    /// [`PivotRecovery`]. The dense view is materialized only for a dense
-    /// request or on the dense-fallback rung.
+    /// one ladder of the workspace. A sparse request tries the pivot
+    /// thresholds `τ = 0.1, 0.5, 1.0` once each on `symbolic` (or on a fresh
+    /// analysis of `a_csr` when `None`), then falls back to the dense
+    /// backend. Each rung taken emits exactly one degradation event — a
+    /// `PivotEscalation` (detail: the threshold escalated to) or the one
+    /// `DenseFallback` (detail: the escalations before it) — and is counted
+    /// in the returned [`PivotRecovery`]. A dense request factors the dense
+    /// view directly and never recovers; the dense view is materialized only
+    /// there or on the dense-fallback rung.
     ///
     /// # Errors
     ///
-    /// Only when every rung — including the dense fallback — fails.
-    pub fn build_with_recovery(a_csr: &CsrMatrix, sparse: bool) -> Result<(Self, PivotRecovery)> {
+    /// Shape errors of the symbolic analysis, and [`LinalgError::Singular`]
+    /// only when every rung — including the dense fallback — fails.
+    pub fn build_with_recovery(
+        a_csr: &CsrMatrix,
+        sparse: bool,
+        symbolic: Option<&SparseLuSymbolic>,
+    ) -> Result<(Self, PivotRecovery)> {
         let mut recovery = PivotRecovery::default();
         if sparse {
-            match SparseLuSymbolic::analyze(a_csr)
-                .and_then(|sym| SparseLu::factor_shifted_with_recovery(&sym, a_csr, 0.0))
-            {
-                Ok((lu, escalations)) => {
-                    recovery.escalations = escalations;
-                    return Ok((LuFactor::Sparse(lu), recovery));
+            let analysed;
+            let symbolic = match symbolic {
+                Some(s) => s,
+                None => {
+                    analysed = SparseLuSymbolic::analyze(a_csr)?;
+                    &analysed
                 }
-                Err(LinalgError::Singular(_)) => {
-                    recovery.escalations = 2;
-                    recovery.dense_fallback = true;
+            };
+            for (rung, &tau) in PIVOT_LADDER.iter().enumerate() {
+                match SparseLu::factor_shifted_with_threshold(symbolic, a_csr, 0.0, tau) {
+                    Ok(lu) => return Ok((LuFactor::Sparse(lu), recovery)),
+                    Err(LinalgError::Singular(_)) => {}
+                    Err(e) => return Err(e),
+                }
+                if let Some(&next) = PIVOT_LADDER.get(rung + 1) {
+                    recovery.escalations += 1;
                     vamor_obs::event!(vamor_obs::Event::Degradation {
-                        rung: vamor_obs::event::DegradationRung::DenseFallback,
-                        detail: recovery.escalations as f64,
+                        rung: vamor_obs::event::DegradationRung::PivotEscalation,
+                        detail: next,
                     });
                 }
-                Err(e) => return Err(e),
             }
+            recovery.dense_fallback = true;
+            vamor_obs::event!(vamor_obs::Event::Degradation {
+                rung: vamor_obs::event::DegradationRung::DenseFallback,
+                detail: recovery.escalations as f64,
+            });
         }
         let dense = LuDecomposition::new(&a_csr.to_dense())?;
         Ok((LuFactor::Dense(dense), recovery))

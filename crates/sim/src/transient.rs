@@ -1,12 +1,13 @@
-//! Fixed-step transient integrators for polynomial state-space systems.
+//! Transient integrators for polynomial state-space systems: explicit RK4
+//! and the implicit θ-method (trapezoidal, backward Euler) in one stepping
+//! loop, on a fixed grid or under the implicit methods' doubling/halving
+//! step controller.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    CsrMatrix, LinalgError, LuFactor, Matrix, MemoryBudget, RunControl, SolverBackend, SparseLu,
-    SparseLuSymbolic, StopCause, Vector,
+    LuFactor, Matrix, MemoryBudget, RunControl, SolverBackend, SparseLuSymbolic, StopCause, Vector,
 };
 use vamor_system::PolynomialStateSpace;
 
@@ -223,9 +224,11 @@ pub struct SolverStats {
     /// Steps rejected (and re-taken at half the size) by the embedded-error
     /// controller (0 on fixed-step runs).
     pub rejected_steps: usize,
-    /// Degraded-mode recoveries of the Jacobian factorization path: pivot
-    /// threshold escalations plus dense fallbacks taken after a singular
-    /// sparse factorization (0 on a healthy run).
+    /// Degraded-mode recoveries of the Jacobian factorization path: the
+    /// rungs the pivot degradation ladder took on the sparse path
+    /// ([`vamor_linalg::PivotRecovery::rungs`] — escalations plus dense
+    /// fallbacks), each reported as one degradation event (0 on a healthy
+    /// run).
     pub pivot_recoveries: usize,
 }
 
@@ -363,6 +366,11 @@ struct BudgetHook<'a> {
     key: u64,
 }
 
+/// The one stepping loop of every method. The step clock is either the
+/// fixed grid `t_k = t_start + k·dt` (the last step clamped to `t_end`) or,
+/// for the implicit methods with [`TransientOptions::adaptive`] set, the
+/// doubling/halving controller of [`AdaptiveStepOptions`]; RK4 always steps
+/// the fixed grid.
 fn simulate_impl(
     system: &dyn PolynomialStateSpace,
     input: &dyn InputSignal,
@@ -372,22 +380,21 @@ fn simulate_impl(
 ) -> Result<TransientResult> {
     let _span = vamor_obs::span!("transient_sim");
     opts.validate(system, input)?;
-    let implicit = matches!(
-        opts.method,
-        IntegrationMethod::ImplicitTrapezoidal | IntegrationMethod::BackwardEuler
-    );
-    if implicit {
-        if let Some(adaptive) = opts.adaptive {
-            return simulate_adaptive(system, input, opts, adaptive, control, hook);
-        }
-    }
+    // θ of the implicit θ-method: 1/2 trapezoidal, 1 backward Euler.
+    let theta = match opts.method {
+        IntegrationMethod::Rk4 => None,
+        IntegrationMethod::ImplicitTrapezoidal => Some(0.5),
+        IntegrationMethod::BackwardEuler => Some(1.0),
+    };
+    let adaptive = theta.and(opts.adaptive);
     let n = system.order();
     let steps = ((opts.t_end - opts.t_start) / opts.dt).ceil() as usize;
+    let capacity = if adaptive.is_some() { 0 } else { steps + 1 };
     let mut x = Vector::zeros(n);
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut outputs = Vec::with_capacity(steps + 1);
+    let mut times = Vec::with_capacity(capacity);
+    let mut outputs = Vec::with_capacity(capacity);
     let mut states = if opts.store_states {
-        Some(Vec::with_capacity(steps + 1))
+        Some(Vec::with_capacity(capacity))
     } else {
         None
     };
@@ -405,11 +412,26 @@ fn simulate_impl(
     let mut frozen: Option<FrozenJacobian> = None;
     let mut rk4_ws = Rk4Workspace::new(n);
     let mut interrupted = None;
+    // The controller's clock: the start of the next step, its size, and the
+    // consecutive comfortably-small error estimates before a doubling (one
+    // quiet step right after a front is not yet a trend).
+    let mut t_adaptive = opts.t_start;
+    let mut h_adaptive = opts.dt;
+    let mut calm_streak = 0usize;
 
-    for k in 0..steps {
-        let t = opts.t_start + k as f64 * opts.dt;
-        let t_next = (t + opts.dt).min(opts.t_end);
-        let h = t_next - t;
+    for k in 0.. {
+        let (t, h, t_next) = match adaptive {
+            None if k < steps => {
+                let t = opts.t_start + k as f64 * opts.dt;
+                let t_next = (t + opts.dt).min(opts.t_end);
+                (t, t_next - t, t_next)
+            }
+            Some(_) if t_adaptive < opts.t_end - 1e-12 * opts.dt => {
+                let h = h_adaptive.min(opts.t_end - t_adaptive);
+                (t_adaptive, h, t_adaptive + h)
+            }
+            _ => break,
+        };
         if h <= 0.0 {
             break;
         }
@@ -418,41 +440,61 @@ fn simulate_impl(
             break;
         }
         let newton_before = stats.newton_iterations;
-        match opts.method {
-            IntegrationMethod::Rk4 => rk4_step(system, input, t, h, &mut x, &mut rk4_ws),
-            IntegrationMethod::ImplicitTrapezoidal => {
-                x = implicit_step(
+        // The state before an implicit step with the step's raw error
+        // estimate, kept for the controller's reject decision.
+        let previous = match theta {
+            None => {
+                rk4_step(system, input, t, h, &mut x, &mut rk4_ws);
+                None
+            }
+            Some(theta) => {
+                let (x_next, gap) = implicit_step(
                     system,
                     input,
                     t,
                     h,
                     &x,
+                    theta,
                     opts,
                     &mut stats,
-                    true,
                     &mut frozen,
                     hook,
-                )?
-                .0;
+                )?;
+                Some((std::mem::replace(&mut x, x_next), gap))
             }
-            IntegrationMethod::BackwardEuler => {
-                x = implicit_step(
-                    system,
-                    input,
-                    t,
-                    h,
-                    &x,
-                    opts,
-                    &mut stats,
-                    false,
-                    &mut frozen,
-                    hook,
-                )?
-                .0;
-            }
-        }
+        };
         if !x.is_finite() {
             return Err(SimError::Diverged { time: t_next });
+        }
+        if let (Some(ctl), Some((x_prev, gap))) = (adaptive, previous) {
+            let estimate = gap / x.norm_inf().max(1.0);
+            if estimate > ctl.tol && h * 0.5 >= ctl.dt_min {
+                // Reject: halve and retake from the same state. The halved
+                // step is remembered, so a sharp front settles at its own
+                // step size instead of re-probing every step.
+                x = x_prev;
+                stats.rejected_steps += 1;
+                vamor_obs::event!(vamor_obs::Event::NewtonStep {
+                    step: stats.steps as u64,
+                    t,
+                    dt: h,
+                    iterations: (stats.newton_iterations - newton_before) as u32,
+                    accepted: false,
+                });
+                h_adaptive = h * 0.5;
+                calm_streak = 0;
+                continue;
+            }
+            t_adaptive = t_next;
+            if estimate <= 0.25 * ctl.tol {
+                calm_streak += 1;
+                if calm_streak >= 2 && h_adaptive * 2.0 <= ctl.dt_max {
+                    h_adaptive *= 2.0;
+                    calm_streak = 0;
+                }
+            } else {
+                calm_streak = 0;
+            }
         }
         stats.steps += 1;
         vamor_obs::event!(vamor_obs::Event::NewtonStep {
@@ -469,118 +511,6 @@ fn simulate_impl(
         }
     }
 
-    stats.publish();
-    Ok(TransientResult {
-        times,
-        outputs,
-        states,
-        stats,
-        interrupted,
-    })
-}
-
-/// The embedded-error driver of the implicit methods: step doubling/halving
-/// on the predictor–corrector gap (see [`AdaptiveStepOptions`]). The fixed
-/// grid path above is untouched — bit-identical trajectories when the
-/// controller is off.
-fn simulate_adaptive(
-    system: &dyn PolynomialStateSpace,
-    input: &dyn InputSignal,
-    opts: &TransientOptions,
-    adaptive: AdaptiveStepOptions,
-    control: &RunControl,
-    hook: Option<&BudgetHook<'_>>,
-) -> Result<TransientResult> {
-    let n = system.order();
-    let trapezoidal = opts.method == IntegrationMethod::ImplicitTrapezoidal;
-    let mut x = Vector::zeros(n);
-    let mut times = Vec::new();
-    let mut outputs = Vec::new();
-    let mut states = if opts.store_states {
-        Some(Vec::new())
-    } else {
-        None
-    };
-    let mut stats = SolverStats::default();
-    times.push(opts.t_start);
-    outputs.push(system.output(&x));
-    if let Some(s) = states.as_mut() {
-        s.push(x.clone());
-    }
-
-    let mut frozen: Option<FrozenJacobian> = None;
-    let mut t = opts.t_start;
-    let mut h = opts.dt;
-    let mut interrupted = None;
-    // Consecutive comfortably-small error estimates before a doubling: one
-    // quiet step right after a front is not yet a trend.
-    let mut calm_streak = 0usize;
-    // vamor: allow(span-coverage, reason = "runs under the transient_sim span opened by simulate_impl, its only caller")
-    while t < opts.t_end - 1e-12 * opts.dt {
-        if control.checkpoint_with("transient-step", t).is_err() {
-            interrupted = control.stop_cause();
-            break;
-        }
-        let h_step = h.min(opts.t_end - t);
-        let newton_before = stats.newton_iterations;
-        let (x_next, gap) = implicit_step(
-            system,
-            input,
-            t,
-            h_step,
-            &x,
-            opts,
-            &mut stats,
-            trapezoidal,
-            &mut frozen,
-            hook,
-        )?;
-        if !x_next.is_finite() {
-            return Err(SimError::Diverged { time: t + h_step });
-        }
-        let scale = x_next.norm_inf().max(1.0);
-        let estimate = gap / scale;
-        if estimate > adaptive.tol && h_step * 0.5 >= adaptive.dt_min {
-            // Reject: halve and retake from the same state. The halved step
-            // is remembered, so a sharp front settles at its own step size
-            // instead of re-probing every step.
-            stats.rejected_steps += 1;
-            vamor_obs::event!(vamor_obs::Event::NewtonStep {
-                step: stats.steps as u64,
-                t,
-                dt: h_step,
-                iterations: (stats.newton_iterations - newton_before) as u32,
-                accepted: false,
-            });
-            h = h_step * 0.5;
-            calm_streak = 0;
-            continue;
-        }
-        t += h_step;
-        x = x_next;
-        stats.steps += 1;
-        vamor_obs::event!(vamor_obs::Event::NewtonStep {
-            step: stats.steps as u64,
-            t,
-            dt: h_step,
-            iterations: (stats.newton_iterations - newton_before) as u32,
-            accepted: true,
-        });
-        times.push(t);
-        outputs.push(system.output(&x));
-        if let Some(s) = states.as_mut() {
-            s.push(x.clone());
-        }
-        if estimate <= 0.25 * adaptive.tol {
-            calm_streak += 1;
-            if calm_streak >= 2 && h * 2.0 <= adaptive.dt_max {
-                h *= 2.0;
-                calm_streak = 0;
-            }
-        } else {
-            calm_streak = 0;
-        }
-    }
     stats.publish();
     Ok(TransientResult {
         times,
@@ -640,10 +570,14 @@ fn rk4_step(
 struct FrozenJacobian {
     factor: LuFactor,
     h: f64,
-    symbolic: Option<Arc<SparseLuSymbolic>>,
+    symbolic: Option<SparseLuSymbolic>,
 }
 
-/// Factors the iteration matrix at the current iterate and records it.
+/// Factors the iteration matrix at the current iterate and records it. The
+/// sparse path goes through the pivot degradation ladder
+/// ([`LuFactor::build_with_recovery`]) on the run's one symbolic analysis
+/// and adds the rungs it took to [`SolverStats::pivot_recoveries`]; the
+/// dense path is a plain partial-pivoting LU.
 #[allow(clippy::too_many_arguments)] // private helper with two call sites; a config struct would just rename the arguments
 fn refresh_jacobian(
     system: &dyn PolynomialStateSpace,
@@ -656,6 +590,16 @@ fn refresh_jacobian(
     frozen: &mut Option<FrozenJacobian>,
     hook: Option<&BudgetHook<'_>>,
 ) -> Result<()> {
+    #[cfg(feature = "fault-injection")]
+    if injected_factor_fault() {
+        // An injected singular first attempt: the recovery is a retry of
+        // the same factorization, which is exactly the genuine one below.
+        stats.pivot_recoveries += 1;
+        vamor_obs::event!(vamor_obs::Event::Degradation {
+            rung: vamor_obs::event::DegradationRung::PivotEscalation,
+            detail: 0.0,
+        });
+    }
     let n = system.order();
     let want_sparse = opts.linear_solver.use_sparse(n, SPARSE_AUTO_THRESHOLD);
     let sparse_jac = if want_sparse {
@@ -663,48 +607,37 @@ fn refresh_jacobian(
     } else {
         None
     };
-    match sparse_jac {
+    let (factor, symbolic) = match sparse_jac {
         Some(jac) => {
             let m = jac.identity_plus_scaled(-theta * h);
             // Reuse the symbolic analysis from the previous factorization —
             // an elimination ordering stays valid for any numeric pattern.
             let symbolic = match frozen.take().and_then(|f| f.symbolic) {
                 Some(s) => s,
-                None => Arc::new(SparseLuSymbolic::analyze(&m).map_err(SimError::Linalg)?),
+                None => SparseLuSymbolic::analyze(&m).map_err(SimError::Linalg)?,
             };
-            let (factor, recoveries) = factor_sparse_with_ladder(&symbolic, &m)?;
-            stats.jacobian_factorizations += 1;
-            stats.pivot_recoveries += recoveries;
-            if matches!(factor, LuFactor::Sparse(_)) {
+            let (factor, recovery) = LuFactor::build_with_recovery(&m, true, Some(&symbolic))
+                .map_err(SimError::Linalg)?;
+            stats.pivot_recoveries += recovery.rungs();
+            if factor.is_sparse() {
                 stats.sparse_factorizations += 1;
             }
-            *frozen = Some(FrozenJacobian {
-                factor,
-                h,
-                symbolic: Some(symbolic),
-            });
+            (factor, Some(symbolic))
         }
         None => {
             let jac = system.jacobian_x(x, u);
             let mut iteration_matrix = Matrix::identity(n);
             iteration_matrix.axpy(-theta * h, &jac);
-            #[cfg(feature = "fault-injection")]
-            if injected_factor_fault().is_some() {
-                // An injected singular first attempt on the dense path:
-                // the recovery is a straight refactorization (dense partial
-                // pivoting has no threshold to escalate), which is exactly
-                // the genuine factorization below.
-                stats.pivot_recoveries += 1;
-            }
             let lu = iteration_matrix.lu().map_err(SimError::Linalg)?;
-            stats.jacobian_factorizations += 1;
-            *frozen = Some(FrozenJacobian {
-                factor: LuFactor::Dense(lu),
-                h,
-                symbolic: None,
-            });
+            (LuFactor::Dense(lu), None)
         }
-    }
+    };
+    stats.jacobian_factorizations += 1;
+    *frozen = Some(FrozenJacobian {
+        factor,
+        h,
+        symbolic,
+    });
     if let Some(hook) = hook {
         let bytes = frozen.as_ref().map_or(0, |f| f.factor.approx_bytes());
         if let Err(e) = hook.budget.charge(INTEGRATOR_BUDGET_OWNER, hook.key, bytes) {
@@ -719,13 +652,11 @@ fn refresh_jacobian(
 
 /// Consults the armed fault plan at the integrator's factorization seam; any
 /// planned fault kind maps onto this seam's one failure shape, a singular
-/// iteration matrix.
+/// first factorization attempt.
 #[cfg(feature = "fault-injection")]
-fn injected_factor_fault() -> Option<LinalgError> {
+fn injected_factor_fault() -> bool {
     use vamor_linalg::fault::{maybe, FaultSite};
-    maybe(FaultSite::IntegratorFactor).map(|_| {
-        LinalgError::Singular("fault injection: forced singular integrator iteration matrix".into())
-    })
+    maybe(FaultSite::IntegratorFactor).is_some()
 }
 
 /// Consults the armed fault plan at the integrator's Newton-update solve
@@ -733,8 +664,11 @@ fn injected_factor_fault() -> Option<LinalgError> {
 /// poisons the update (caught by the stepper's finite guard), a stall
 /// returns a zero update — a solve that makes no progress.
 #[cfg(feature = "fault-injection")]
-fn injected_newton_solve(rhs: &Vector) -> Option<std::result::Result<Vector, LinalgError>> {
+fn injected_newton_solve(
+    rhs: &Vector,
+) -> Option<std::result::Result<Vector, vamor_linalg::LinalgError>> {
     use vamor_linalg::fault::{maybe, FaultKind, FaultSite};
+    use vamor_linalg::LinalgError;
     Some(match maybe(FaultSite::IntegratorSolve)? {
         FaultKind::SingularFactor => Err(LinalgError::Singular(
             "fault injection: forced singular newton solve".into(),
@@ -748,60 +682,31 @@ fn injected_newton_solve(rhs: &Vector) -> Option<std::result::Result<Vector, Lin
     })
 }
 
-/// The degradation ladder of the sparse factorization path: a healthy
-/// factorization first; on a singular pivot, escalated (more
-/// partial-pivoting-like) thresholds; when the ladder is exhausted, a dense
-/// fallback factorization. Returns the factor with the number of recovery
-/// rungs taken (0 = healthy).
-fn factor_sparse_with_ladder(
-    symbolic: &SparseLuSymbolic,
-    m: &CsrMatrix,
-) -> Result<(LuFactor, usize)> {
-    #[cfg(feature = "fault-injection")]
-    let first = match injected_factor_fault() {
-        Some(e) => Err(e),
-        None => SparseLu::factor_with(symbolic, m),
-    };
-    #[cfg(not(feature = "fault-injection"))]
-    let first = SparseLu::factor_with(symbolic, m);
-    match first {
-        Ok(lu) => Ok((LuFactor::Sparse(lu), 0)),
-        Err(LinalgError::Singular(_)) => {
-            match SparseLu::factor_shifted_with_recovery(symbolic, m, 0.0) {
-                Ok((lu, escalations)) => Ok((LuFactor::Sparse(lu), escalations.max(1))),
-                Err(LinalgError::Singular(_)) => {
-                    let lu = m.to_dense().lu().map_err(SimError::Linalg)?;
-                    // All three threshold rungs failed plus the dense rung.
-                    Ok((LuFactor::Dense(lu), 4))
-                }
-                Err(e) => Err(SimError::Linalg(e)),
-            }
-        }
-        Err(e) => Err(SimError::Linalg(e)),
-    }
-}
-
-/// Advances one implicit step, returning the accepted state together with
-/// the predictor–corrector gap `‖x⁺ − x_pred‖∞` (the raw embedded error
-/// estimate consumed by the adaptive controller; ignored on fixed grids).
-#[allow(clippy::too_many_arguments)]
+/// Advances one step of the implicit θ-method (`θ = 1/2` trapezoidal,
+/// `θ = 1` backward Euler), returning the accepted state together with the
+/// predictor–corrector gap `‖x⁺ − x_pred‖∞` (the raw embedded error estimate
+/// consumed by the adaptive controller; ignored on fixed grids).
+///
+/// Kept out of line: inlined into its one caller, the stepping loop, the
+/// Newton iteration ran ~7–10 % slower on the 111-state receiver's dense
+/// fixed-step transient (best-of-batch walls, 2-core x86-64).
+#[allow(clippy::too_many_arguments)] // private helper with one call site; a config struct would just rename the arguments
+#[inline(never)]
 fn implicit_step(
     system: &dyn PolynomialStateSpace,
     input: &dyn InputSignal,
     t: f64,
     h: f64,
     x0: &Vector,
+    theta: f64,
     opts: &TransientOptions,
     stats: &mut SolverStats,
-    trapezoidal: bool,
     frozen: &mut Option<FrozenJacobian>,
     hook: Option<&BudgetHook<'_>>,
 ) -> Result<(Vector, f64)> {
     let u0 = input.sample(t);
     let u1 = input.sample(t + h);
     let f0 = system.rhs(x0, &u0);
-    // theta = 1/2 for trapezoidal, 1 for backward Euler.
-    let theta = if trapezoidal { 0.5 } else { 1.0 };
 
     // Predictor: explicit Euler.
     let mut x = x0.clone();

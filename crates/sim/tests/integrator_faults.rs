@@ -1,10 +1,13 @@
 //! Chaos coverage of the integrator seams under an armed fault plan.
 //!
-//! The armed plan is process-global, so this test lives in its own binary:
-//! no unarmed test shares its process and could hit an injected fault.
+//! The armed plan and the event subscriber are process-global, so this
+//! test lives in its own binary: no unarmed test shares its process and
+//! could hit an injected fault.
 #![cfg(feature = "fault-injection")]
 
 use vamor_linalg::fault::{arm, disarm, injected, FaultKind, FaultPlan};
+use vamor_obs::event;
+use vamor_obs::Event;
 use vamor_sim::{simulate, IntegrationMethod, JacobianPolicy, SimError, Step, TransientOptions};
 use vamor_system::{Qldae, QldaeBuilder};
 
@@ -19,7 +22,7 @@ fn decay_system(lambda: f64) -> Qldae {
 
 /// Injected factorization and solve faults must end in a finite trajectory
 /// plus a recovery count, or a typed error — never a panic, never silent NaN
-/// output.
+/// output. Every counted recovery is on the event stream.
 #[test]
 fn injected_integrator_faults_recover_or_fail_typed() {
     let sys = decay_system(-1000.0);
@@ -32,10 +35,16 @@ fn injected_integrator_faults_recover_or_fail_typed() {
         FaultKind::AdiStall,
     ] {
         for seed in [1u64, 7, 42] {
+            event::install();
             arm(FaultPlan::new(seed, kind));
             let outcome = simulate(&sys, &Step::new(1.0, 0.0), &opts);
             let fired = injected();
             disarm();
+            let degradations = event::take()
+                .records
+                .iter()
+                .filter(|r| matches!(r.event, Event::Degradation { .. }))
+                .count();
             match outcome {
                 Ok(r) => {
                     assert!(
@@ -50,6 +59,10 @@ fn injected_integrator_faults_recover_or_fail_typed() {
                             "{kind:?}/{seed}: recovery went uncounted"
                         );
                     }
+                    assert_eq!(
+                        degradations, r.stats.pivot_recoveries,
+                        "{kind:?}/{seed}: every counted recovery emits one degradation event"
+                    );
                 }
                 Err(
                     SimError::NewtonFailed { .. } | SimError::Diverged { .. } | SimError::Linalg(_),

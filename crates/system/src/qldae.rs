@@ -263,15 +263,6 @@ impl Qldae {
         &self.c
     }
 
-    /// Column `k` of the input matrix as a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= self.num_inputs()`.
-    pub fn input_column(&self, k: usize) -> Vector {
-        self.b.col(k)
-    }
-
     /// True if the system has a (nonzero) bilinear `D₁` term.
     pub fn has_d1(&self) -> bool {
         self.d1.iter().any(|d| d.nnz() > 0)

@@ -468,7 +468,13 @@ fn guard_live_end(model: &FileModel, acq: usize, f: &FnItem) -> usize {
     }
     let projected = toks.get(chain).is_some_and(|t| t.is_punct('.'));
     if !let_bound || projected {
-        // Temporary: dies at the end of this statement.
+        // Temporary: dies at the end of this statement. A statement headed
+        // by `if`/`if let`/`match`/`while` has no `;` of its own: its
+        // temporaries live through its blocks (edition 2021) and die at the
+        // close of the last one, `else` chains included.
+        let block_stmt = toks
+            .get(s)
+            .is_some_and(|t| ["if", "match", "while", "else"].contains(&t.text.as_str()));
         let mut j = acq;
         while j < body_close {
             if toks[j].is_punct(';') {
@@ -476,6 +482,12 @@ fn guard_live_end(model: &FileModel, acq: usize, f: &FnItem) -> usize {
             }
             if toks[j].is_punct('{') || toks[j].is_punct('(') || toks[j].is_punct('[') {
                 if let Some(&close) = model.matching.get(&j) {
+                    if block_stmt
+                        && toks[j].is_punct('{')
+                        && !toks.get(close + 1).is_some_and(|t| t.is_ident("else"))
+                    {
+                        return close + 1;
+                    }
                     j = close + 1;
                     continue;
                 }
@@ -612,6 +624,7 @@ const DEGRADATION_COUNTERS: &[&str] = &[
     "dense_fallbacks",
     "adi_shift_reselections",
     "adi_nonconverged",
+    "pivot_recoveries",
 ];
 
 /// L6 — degradation-events. Every degradation *construction* site (a

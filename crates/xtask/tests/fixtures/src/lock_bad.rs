@@ -1,5 +1,5 @@
-//! Known-bad lock-discipline fixture: re-acquisition and a caller-supplied
-//! callback run under the guard.
+//! Known-bad lock-discipline fixture: re-acquisition and caller-supplied
+//! callbacks run under the guard, also inside an `if let` block.
 
 impl Cache {
     fn double_acquire(&self) -> usize {
@@ -11,5 +11,12 @@ impl Cache {
     fn callback_under_guard(&self, refresh: impl Fn(usize) -> usize) -> usize {
         let entries = self.lock_entries();
         refresh(entries.len())
+    }
+
+    fn callback_inside_if_let(&self, key: usize, refresh: impl Fn(usize) -> usize) -> usize {
+        if let Some(&hit) = self.lock_entries().get(&key) {
+            return refresh(hit);
+        }
+        0
     }
 }

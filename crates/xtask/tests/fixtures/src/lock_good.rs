@@ -1,5 +1,6 @@
 //! Known-good lock-discipline fixture: statement-scoped temporaries,
-//! drop-ended liveness, and callbacks invoked only after release.
+//! drop-ended liveness, an `if let` hit path whose guard dies at the close
+//! of its block, and callbacks invoked only after release.
 
 impl Cache {
     fn temporaries_do_not_overlap(&self) -> usize {
@@ -13,5 +14,12 @@ impl Cache {
         let n = entries.len();
         drop(entries);
         refresh(n)
+    }
+
+    fn if_let_hit_path_then_build(&self, key: usize, build: impl Fn() -> usize) -> usize {
+        if let Some(&hit) = self.lock_entries().get(&key) {
+            return hit;
+        }
+        build()
     }
 }

@@ -116,14 +116,17 @@ fn span_coverage_accepts_spans_and_allows() {
 fn lock_discipline_catches_inversion_reacquire_and_callbacks() {
     let f = findings_for("lock_bad.rs");
     assert!(f.iter().all(|x| x.lint == "lock-discipline"));
-    assert_eq!(spans(&f), vec![(7, 22), (13, 9)]);
+    assert_eq!(spans(&f), vec![(7, 22), (13, 9), (18, 20)]);
     assert!(f[0].message.contains("re-acquired"));
     assert!(f[1].message.contains("caller-supplied `refresh`"));
+    // The temporary guard of an `if let` head lives through its block.
+    assert!(f[2].message.contains("caller-supplied `refresh`"));
 }
 
 #[test]
 fn lock_discipline_accepts_sanctioned_patterns() {
-    // Statement temporaries, drop-then-callback: clean.
+    // Statement temporaries, drop-then-callback, and a callback after an
+    // `if let` hit path (its temporary guard died with the block): clean.
     assert!(findings_for("lock_good.rs").is_empty());
 }
 
