@@ -27,6 +27,10 @@
 //!    improving ([`StopReason::Saturated`]), or an order/iteration budget is
 //!    hit. Every step is recorded in an [`AdaptiveTrace`].
 //!
+//! A run reads one stamp ([`crate::SharedAssocArtifacts`]), its own or a
+//! [`crate::ReductionSession`]'s: the estimator and every probe borrow its
+//! factorizations and energy weight, each built once per run.
+//!
 //! The driver runs under both reduction engines
 //! ([`crate::ReductionEngine::DenseSchur`] and
 //! [`crate::ReductionEngine::LowRank`]), so adaptivity works at 10⁴ states:
@@ -40,6 +44,7 @@ use crate::error::MorError;
 use crate::lowrank::{LowRankOptions, ReductionEngine};
 use crate::norm::NormReducer;
 use crate::reduce::{AssocReducer, MomentSpec, ReducedQldae};
+use crate::stamp::{SharedAssocArtifacts, StampConfig};
 use crate::volterra::VolterraKernels;
 use crate::Result;
 
@@ -193,16 +198,17 @@ impl BandSampler {
         opts: BandSamplerOptions,
     ) -> Result<Self> {
         let cache = ShiftCache::new(qldae.g1_csr(), backend);
-        Self::for_qldae_with_cache(qldae, band, opts, &cache, &RunControl::new())
+        Self::build(qldae, band, opts, &cache, &RunControl::new())
     }
 
-    /// The estimator build against a borrowed (possibly session-shared)
-    /// shift cache: `full_solves` reports only the factorizations *this*
-    /// build added, so a second build over a warm cache reports zero. The
-    /// per-frequency full-model solves checkpoint as `band-sample`; a stop
-    /// returns the typed [`LinalgError::Interrupted`] error, because no ROM
-    /// exists yet to degrade to.
-    pub(crate) fn for_qldae_with_cache(
+    /// The estimator build against a resolvent cache over `G₁` (a stamp's,
+    /// shared by every estimator over that stamp): `full_solves` reports
+    /// only the factorizations *this* build added, so a second build over a
+    /// warm cache reports zero. The per-frequency full-model solves
+    /// checkpoint as `band-sample`; a stop returns the typed
+    /// [`LinalgError::Interrupted`] error, because no ROM exists yet to
+    /// degrade to.
+    fn build(
         qldae: &Qldae,
         band: FrequencyBand,
         opts: BandSamplerOptions,
@@ -765,15 +771,6 @@ impl std::fmt::Debug for AdaptiveHooks<'_> {
     }
 }
 
-/// The session-shared solver state an adaptive run can borrow: the stamp's
-/// band shift cache (so estimator builds after the first add zero
-/// factorizations) and the shared `s = 0` chain artifacts.
-#[derive(Debug)]
-pub(crate) struct SharedAdaptiveContext<'a> {
-    pub(crate) sampler_cache: &'a ShiftCache,
-    pub(crate) artifacts: &'a crate::assoc::SharedAssocArtifacts,
-}
-
 /// A reduced model together with the trace that produced it.
 #[derive(Debug, Clone)]
 pub struct AdaptiveOutcome<R> {
@@ -864,7 +861,7 @@ impl AdaptiveReducer {
     /// [`MorError::Invalid`] for the NORM baseline on a system with a `G₃`
     /// ([`NormReducer`] has no cubic path).
     pub fn reduce(&self, qldae: &Qldae) -> Result<AdaptiveOutcome<ReducedQldae>> {
-        self.reduce_impl(qldae, &RunControl::new(), None, None)
+        self.reduce_controlled(qldae, &RunControl::new())
     }
 
     /// [`AdaptiveReducer::reduce`] under a [`RunControl`] token.
@@ -890,7 +887,7 @@ impl AdaptiveReducer {
         qldae: &Qldae,
         control: &RunControl,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
-        self.reduce_impl(qldae, control, None, None)
+        self.reduce_with_hooks(qldae, control, &AdaptiveHooks::default())
     }
 
     /// [`AdaptiveReducer::reduce`] with checkpoint/resume hooks: the
@@ -909,47 +906,43 @@ impl AdaptiveReducer {
         control: &RunControl,
         hooks: &AdaptiveHooks<'_>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
-        self.reduce_impl(qldae, control, None, Some(hooks))
+        let stamp = {
+            let _span = vamor_obs::span!("stamp_build");
+            SharedAssocArtifacts::new(qldae, self.stamp_config(qldae))?
+        };
+        self.reduce_on(qldae, &stamp, control, hooks)
     }
 
-    /// The session entry: shared sampler cache + shared chain artifacts,
-    /// optional checkpoint hooks.
-    pub(crate) fn reduce_session(
-        &self,
-        qldae: &Qldae,
-        control: &RunControl,
-        shared: &SharedAdaptiveContext<'_>,
-        hooks: Option<&AdaptiveHooks<'_>>,
-    ) -> Result<AdaptiveOutcome<ReducedQldae>> {
-        self.reduce_impl(qldae, control, Some(shared), hooks)
-    }
-
-    fn reduce_impl(
-        &self,
-        qldae: &Qldae,
-        control: &RunControl,
-        shared: Option<&SharedAdaptiveContext<'_>>,
-        hooks: Option<&AdaptiveHooks<'_>>,
-    ) -> Result<AdaptiveOutcome<ReducedQldae>> {
+    /// The stamp configuration every probe of a run reads.
+    pub(crate) fn stamp_config(&self, qldae: &Qldae) -> StampConfig {
         let n = qldae.g1_csr().rows();
+        StampConfig::resolve(
+            n,
+            self.backend,
+            self.engine.use_lowrank(n),
+            self.lowrank_opts,
+        )
+    }
+
+    /// One adaptive run over `stamp` (the run's own, or a session's): the
+    /// band estimator samples through the stamp's resolvent cache and every
+    /// probe reduces against the stamp's factorizations and energy weight.
+    pub(crate) fn reduce_on(
+        &self,
+        qldae: &Qldae,
+        stamp: &SharedAssocArtifacts,
+        control: &RunControl,
+        hooks: &AdaptiveHooks<'_>,
+    ) -> Result<AdaptiveOutcome<ReducedQldae>> {
         let quadratic = qldae.has_quadratic();
         let cubic = qldae.g3().is_some();
-        let sampler = match shared {
-            Some(sh) => BandSampler::for_qldae_with_cache(
-                qldae,
-                self.spec.band,
-                BandSamplerOptions::default(),
-                sh.sampler_cache,
-                control,
-            )?,
-            None => BandSampler::for_qldae_with_cache(
-                qldae,
-                self.spec.band,
-                BandSamplerOptions::default(),
-                &ShiftCache::new(qldae.g1_csr(), self.backend),
-                control,
-            )?,
-        };
+        let sampler = BandSampler::build(
+            qldae,
+            self.spec.band,
+            BandSamplerOptions::default(),
+            stamp.sampler(qldae),
+            control,
+        )?;
         let initial = AdaptiveConfig {
             spec: MomentSpec::new(2, usize::from(quadratic), usize::from(quadratic || cubic)),
             markov: 0,
@@ -972,7 +965,7 @@ impl AdaptiveReducer {
                 // greedy search cannot leave. The mode has no cubic path.
                 self.kind == ReducerKind::Assoc
                     && !cubic
-                    && !self.engine.use_lowrank(n)
+                    && !stamp.config().lowrank
                     && sampler.h1_dominated()
             }
             AdaptiveMove::LoosenDeflation => cfg.deflation_tol < 1e-8,
@@ -980,34 +973,25 @@ impl AdaptiveReducer {
             AdaptiveMove::ToggleStabilization => cfg.output_krylov == 0,
             AdaptiveMove::Boost => true,
         };
+        // Every probe reduces against the run's one stamp.
         let reduce = |cfg: &AdaptiveConfig| -> Result<ReducedQldae> {
             match self.kind {
-                ReducerKind::Assoc => {
-                    let reducer = AssocReducer::new(cfg.spec)
-                        .with_markov_moments(cfg.markov)
-                        .with_output_krylov(cfg.output_krylov)
-                        .with_deflation_tol(cfg.deflation_tol)
-                        .with_stabilized_projection(cfg.stabilized)
-                        .with_engine(self.engine)
-                        .with_solver_backend(self.backend)
-                        .with_lowrank_options(self.lowrank_opts);
-                    match shared {
-                        // Every probe of a session run solves against the
-                        // session's shared `s = 0` artifacts — the duplicate
-                        // G₁/Schur factorization per probe is gone.
-                        Some(sh) => reducer.reduce_with_shared(qldae, sh.artifacts, control),
-                        None => reducer.reduce_controlled(qldae, control),
-                    }
-                }
-                ReducerKind::Norm => {
-                    let reducer = NormReducer::new(cfg.spec)
-                        .with_deflation_tol(cfg.deflation_tol)
-                        .with_stabilized_projection(cfg.stabilized)
-                        .with_engine(self.engine)
-                        .with_solver_backend(self.backend)
-                        .with_lowrank_options(self.lowrank_opts);
-                    reducer.reduce_controlled(qldae, control)
-                }
+                ReducerKind::Assoc => AssocReducer::new(cfg.spec)
+                    .with_markov_moments(cfg.markov)
+                    .with_output_krylov(cfg.output_krylov)
+                    .with_deflation_tol(cfg.deflation_tol)
+                    .with_stabilized_projection(cfg.stabilized)
+                    .with_engine(self.engine)
+                    .with_solver_backend(self.backend)
+                    .with_lowrank_options(self.lowrank_opts)
+                    .reduce_on(qldae, stamp, control),
+                ReducerKind::Norm => NormReducer::new(cfg.spec)
+                    .with_deflation_tol(cfg.deflation_tol)
+                    .with_stabilized_projection(cfg.stabilized)
+                    .with_engine(self.engine)
+                    .with_solver_backend(self.backend)
+                    .with_lowrank_options(self.lowrank_opts)
+                    .reduce_on(qldae, stamp, control),
             }
         };
         // The NORM baseline has no Markov or output-Krylov knobs. `Boost`
@@ -1043,13 +1027,13 @@ impl AdaptiveReducer {
         reduce: &dyn Fn(&AdaptiveConfig) -> Result<ReducedQldae>,
         sampler: &BandSampler,
         control: &RunControl,
-        hooks: Option<&AdaptiveHooks<'_>>,
+        hooks: &AdaptiveHooks<'_>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
         let _span = vamor_obs::span!("adaptive_reduce");
         let mut cfg = initial;
         let mut rom = reduce(&cfg)?;
         let mut res = sampler.residual_qldae(rom.system())?;
-        let replay: &[(AdaptiveMove, f64)] = hooks.map_or(&[], |h| h.replay);
+        let replay = hooks.replay;
         let mut trace = AdaptiveTrace {
             steps: vec![AdaptiveStep {
                 mv: AdaptiveMove::Initial,
@@ -1060,7 +1044,7 @@ impl AdaptiveReducer {
             }],
             // A resumed run restores the prior run's probe count (the
             // replayed re-reductions are resume overhead, not new probes).
-            evaluations: match hooks.map_or(0, |h| h.resume_evaluations) {
+            evaluations: match hooks.resume_evaluations {
                 0 => 1,
                 prior => prior,
             },
@@ -1073,7 +1057,7 @@ impl AdaptiveReducer {
             residual: res.max(),
             gain: 0.0,
         });
-        let on_accept = hooks.and_then(|h| h.on_accept);
+        let on_accept = hooks.on_accept;
         // Resume-by-replay: the accepted moves of the checkpointed run are
         // pure `apply` transitions plus one deterministic reduction each, so
         // the replayed state is exactly what the uninterrupted run held

@@ -39,9 +39,6 @@
 //! dimension growing as `O(k₁+k₂+k₃)` instead of the `O(k₁+k₂³+k₃⁴)` of
 //! multivariate (NORM-style) moment matching.
 
-use std::sync::Arc;
-
-use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
     kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, SolverBackend, SylvesterSolver,
     Vector,
@@ -50,6 +47,8 @@ use vamor_system::Qldae;
 
 use crate::bigsmall::PairSplit;
 use crate::error::MorError;
+use crate::stamp::DenseSchur;
+pub use crate::stamp::SharedAssocArtifacts;
 use crate::Result;
 
 // The factorization of `G₁` the moment recursions solve against, in either
@@ -133,6 +132,18 @@ pub(crate) fn h1_chain(g1_lu: &G1Factor, seed: Vector, count: usize) -> Result<S
         }
     }
     Ok(out)
+}
+
+/// Column `input` of the input matrix `b`, or a typed error for an index
+/// past the system's inputs.
+pub(crate) fn input_column(qldae: &Qldae, input: usize) -> Result<Vector> {
+    if input >= qldae.b().cols() {
+        return Err(MorError::Invalid(format!(
+            "input index {input} out of range for a {}-input system",
+            qldae.b().cols()
+        )));
+    }
+    Ok(qldae.b().col(input))
 }
 
 /// The `D₁` seed of the `H₂` chain of the input pair `(a, b)`:
@@ -272,158 +283,60 @@ impl<'a> CauchyAccumulator<'a> {
     }
 }
 
-/// The stamp-keyed solver artifacts a [`ReductionSession`](crate::session)
-/// shares across requests: the `s = 0` factorization of `G₁`, its Schur
-/// form, and the Lyapunov solver over that form whose Schur-coordinate
-/// kernels run the `H₂`/`H₃` Kronecker walks. Cheap to clone (all `Arc`s);
-/// every artifact is immutable, so one set serves concurrent requests and
-/// none grows with use.
-#[derive(Debug, Clone)]
-pub struct SharedAssocArtifacts {
-    pub(crate) g1_lu: Arc<G1Factor>,
-    pub(crate) recovery: PivotRecovery,
-    pub(crate) g1_schur: Arc<SchurDecomposition>,
-    pub(crate) lyap: Arc<SylvesterSolver>,
-    pub(crate) n: usize,
-}
-
-impl SharedAssocArtifacts {
-    /// Factors the shared artifacts for `qldae` once: `LU(G₁)` through the
-    /// pivot degradation ladder in the backend `backend` picks, and one
-    /// Schur form of `G₁` with the Lyapunov solver built on it.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AssocMomentGenerator::new`] — a singular `G₁` is
-    /// reported as a typed error.
-    pub fn build(qldae: &Qldae, backend: SolverBackend) -> Result<Self> {
-        let n = qldae.g1_csr().rows();
-        let sparse = backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) = G1Factor::build_with_recovery(qldae.g1_csr(), sparse, None)
-            .map_err(MorError::Linalg)?;
-        let g1_schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
-        let lyap = SylvesterSolver::new_lyapunov_from_schur(&g1_schur);
-        Ok(SharedAssocArtifacts {
-            g1_lu: Arc::new(g1_lu),
-            recovery,
-            g1_schur: Arc::new(g1_schur),
-            lyap: Arc::new(lyap),
-            n,
-        })
-    }
-
-    /// System order the artifacts were factored for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The shared `s = 0` factorization of `G₁`.
-    pub(crate) fn g1_lu(&self) -> &G1Factor {
-        &self.g1_lu
-    }
-
-    /// Heap footprint for the session memory-budget governor: the `G₁`
-    /// factor, the Schur pair of `G₁` with its block list, and the Lyapunov
-    /// solver. Nothing in the artifacts grows after the build, so the
-    /// estimate is the held size.
-    pub fn approx_bytes(&self) -> usize {
-        self.g1_lu.approx_bytes()
-            + std::mem::size_of_val(self.g1_schur.q().as_slice())
-            + std::mem::size_of_val(self.g1_schur.t().as_slice())
-            + std::mem::size_of_val(self.g1_schur.blocks())
-            + self.lyap.approx_bytes()
-    }
-}
-
 /// Moment-vector generator for the associated transfer functions of a
 /// polynomial system.
 #[derive(Debug)]
 pub struct AssocMomentGenerator<'a> {
     qldae: &'a Qldae,
-    /// `LU(G₁)`, the Schur form of `G₁` (reused by every big-left/small-right
-    /// Sylvester solve) and the block operator — possibly session-shared.
-    shared: SharedAssocArtifacts,
+    /// The stamp whose `LU(G₁)` and Schur form of `G₁` every chain solves
+    /// against — possibly shared with other reductions.
+    stamp: SharedAssocArtifacts,
 }
 
 impl<'a> AssocMomentGenerator<'a> {
-    /// Prepares the cached factorizations (`LU(G₁)`, one shared Schur of
-    /// `G₁`, the shifted-LU cache of the block realization).
+    /// Prepares the cached factorizations: `LU(G₁)` (in the `Auto`
+    /// backend) and one Schur form of `G₁`.
     ///
     /// # Errors
     ///
     /// Returns an error if `G₁` is singular — expansion about `s = 0`
     /// requires a regular `G₁`, as in the paper.
     pub fn new(qldae: &'a Qldae) -> Result<Self> {
-        Self::with_options(qldae, SolverBackend::Auto)
+        Self::with_shared(
+            qldae,
+            &SharedAssocArtifacts::build(qldae, SolverBackend::Auto)?,
+        )
     }
 
-    /// Prepares the generator with an explicit linear-solver backend for the
-    /// `G₁` solves (the repeated `G₁⁻¹` applications of the moment chains
-    /// and the shifted top-block solves of the `H₃` realization). `Auto`
-    /// switches to the sparse direct solver at `n ≥ 256`; the `G₁ ⊕ G₁`
-    /// Schur machinery of the bottom block is dense in every mode.
+    /// Builds a generator on a stamp: `LU(G₁)` is the stamp's, and its
+    /// Schur form of `G₁` is factored here only if no reduction over the
+    /// stamp has asked for it yet, so every reduction borrowing one stamp
+    /// amortizes the same `s = 0` and Schur factorizations.
     ///
     /// # Errors
     ///
-    /// Same contract as [`AssocMomentGenerator::new`].
-    pub fn with_options(qldae: &'a Qldae, backend: SolverBackend) -> Result<Self> {
-        let shared = SharedAssocArtifacts::build(qldae, backend)?;
-        Ok(AssocMomentGenerator { qldae, shared })
-    }
-
-    /// Builds a generator on top of session-shared artifacts: no
-    /// factorization happens here — the `G₁` LU, the Schur form and the
-    /// block operator (with its shifted-solve cache) are the shared ones,
-    /// so every request of a session amortizes the same `s = 0` and
-    /// eigenvalue-shift factorizations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorError::Invalid`] when the artifacts were factored for a
-    /// different system order than `qldae`.
+    /// Returns [`MorError::Invalid`] when the stamp was factored for a
+    /// different system order than `qldae`, and a typed error when the
+    /// Schur iteration fails.
     pub fn with_shared(qldae: &'a Qldae, shared: &SharedAssocArtifacts) -> Result<Self> {
-        if shared.n != qldae.g1().rows() {
+        if shared.n() != qldae.g1().rows() {
             return Err(MorError::Invalid(format!(
                 "shared artifacts were factored for order {} but the system has order {}",
-                shared.n,
+                shared.n(),
                 qldae.g1().rows()
             )));
         }
+        shared.dense(qldae)?;
         Ok(AssocMomentGenerator {
             qldae,
-            shared: shared.clone(),
+            stamp: shared.clone(),
         })
     }
 
     /// What the pivot degradation ladder did while factoring `G₁`
     /// (`PivotRecovery::default()` = healthy first try).
     pub fn pivot_recovery(&self) -> PivotRecovery {
-        self.shared.recovery
-    }
-
-    /// The cached Schur form of `G₁`, so downstream consumers (the
-    /// stabilized projection, the spectral guard) can reuse it instead of
-    /// refactorizing.
-    pub fn g1_schur(&self) -> &SchurDecomposition {
-        &self.shared.g1_schur
-    }
-
-    fn n(&self) -> usize {
-        self.qldae.g1().rows()
-    }
-
-    fn b_col(&self, input: usize) -> Result<Vector> {
-        if input >= self.qldae.b().cols() {
-            return Err(MorError::Invalid(format!(
-                "input index {input} out of range for a {}-input system",
-                self.qldae.b().cols()
-            )));
-        }
-        Ok(self.qldae.b().col(input))
-    }
-
-    fn d1(&self, input: usize) -> Option<&CsrMatrix> {
-        self.qldae.d1().get(input)
+        self.stamp.recovery()
     }
 
     /// Moments of `H₁(s) = (sI − G₁)⁻¹ b` about `s = 0`:
@@ -438,7 +351,7 @@ impl<'a> AssocMomentGenerator<'a> {
     ///
     /// Returns an error for an invalid input index or a failed solve.
     pub fn h1_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        h1_chain(&self.shared.g1_lu, self.b_col(input)?, count)
+        h1_chain(self.stamp.g1_lu(), input_column(self.qldae, input)?, count)
     }
 
     /// Moments of the associated second-order transfer function `H₂(s)`
@@ -474,18 +387,16 @@ impl<'a> AssocMomentGenerator<'a> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
         }
-        let b_a = self.b_col(input_a)?;
-        let b_b = self.b_col(input_b)?;
+        let b_a = input_column(self.qldae, input_a)?;
+        let b_b = input_column(self.qldae, input_b)?;
         let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
-        let mut chain = CauchyAccumulator::new(&self.shared.g1_lu, self.n(), count, d_seed);
-        let schur = &*self.shared.g1_schur;
-        let mut read = KronRead::new(self.qldae.g2(), self.n());
+        let DenseSchur { schur, lyap } = self.stamp.dense(self.qldae)?;
+        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
+        let mut read = KronRead::new(self.qldae.g2(), self.stamp.n());
         // vec(Ŵ₀) = vec(Qᵀ b_b b_aᵀ Q) = b̂_a ⊗ b̂_b.
         let mut w = kron_vec(&schur.to_schur_coords(&b_a), &schur.to_schur_coords(&b_b));
         for _ in 0..count {
-            self.shared
-                .lyap
-                .solve_schur_shifted_into(0.0, w.as_mut_slice())
+            lyap.solve_schur_shifted_into(0.0, w.as_mut_slice())
                 .map_err(MorError::Linalg)?;
             chain.push(&read.apply2(schur.q(), w.as_slice()))?;
             chain.rescale(&mut [&mut w], &mut []);
@@ -520,12 +431,12 @@ impl<'a> AssocMomentGenerator<'a> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
         }
-        let n = self.n();
-        let b = self.b_col(input)?;
-        let d1 = self.d1(input);
+        let n = self.stamp.n();
+        let b = input_column(self.qldae, input)?;
+        let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
         let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
-        let (schur, lyap) = (&*self.shared.g1_schur, &*self.shared.lyap);
+        let DenseSchur { schur, lyap } = self.stamp.dense(self.qldae)?;
         let q = schur.q();
         let b_hat = schur.to_schur_coords(&b);
         // Bottom block, row e = vec(X̂_e): X̂₀ = (b̂ ⊗ b̂) b̂ᵀ.
@@ -543,7 +454,7 @@ impl<'a> AssocMomentGenerator<'a> {
         let mut read3 = self.qldae.g3().map(|g3| KronRead::new(g3, n));
         let mut pair = vec![0.0; 2 * n * n];
         let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
-        let mut chain = CauchyAccumulator::new(&self.shared.g1_lu, n, count, d_chain);
+        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
         for _ in 0..count {
             solve_kron3_schur_into(lyap, schur, &mut bottom, &mut pair)?;
             let quadratic = match (read2.as_mut(), top.as_mut()) {
@@ -590,9 +501,9 @@ impl<'a> AssocMomentGenerator<'a> {
     ///
     /// Returns an error for an invalid input index.
     pub fn dense_h2_realization(&self, input: usize) -> Result<(Matrix, Vector, Matrix)> {
-        let n = self.n();
-        let b = self.b_col(input)?;
-        let d1b = self.d1(input).map(|d| d.matvec(&b));
+        let n = self.stamp.n();
+        let b = input_column(self.qldae, input)?;
+        let d1b = self.qldae.d1().get(input).map(|d| d.matvec(&b));
         let dim = n + n * n;
         let mut a = Matrix::zeros(dim, dim);
         a.set_block(0, 0, self.qldae.g1());
@@ -1499,25 +1410,68 @@ pub(crate) mod tests {
         }
     }
 
-    /// The memory-budget estimate is exactly what the artifacts hold: the
-    /// `G₁` factor, the Schur pair with its block list, and the Lyapunov
-    /// solver (two Schur pairs, their transposes and two block lists). No
-    /// block operator, `G₁ ⊕ G₁` copy or shifted-solve cache is held.
+    /// The memory-budget estimate is exactly what the stamp holds: the
+    /// eager `G₁` factor, then each part built on use, once it exists — the
+    /// Schur pair with its block list and the Lyapunov solver (two Schur
+    /// pairs, their transposes and two block lists), the energy weight's
+    /// Cholesky factor, the band sampler's cache, and on the low-rank
+    /// engine the chain shift cache with its shift pool and the LR-ADI
+    /// factor. A session's re-price after a request sees the parts the
+    /// request built.
     #[test]
     fn artifact_estimate_covers_every_held_matrix() {
+        use crate::stamp::{EnergyWeight, StampConfig};
+        use vamor_linalg::RunControl;
         let rx = vamor_circuits::RfReceiver::new(4).unwrap();
         let q = rx.qldae();
-        let shared = SharedAssocArtifacts::build(q, SolverBackend::Auto).unwrap();
-        let n = shared.n();
+        let reducer = crate::AssocReducer::new(crate::MomentSpec::new(2, 1, 1));
+        let stamp = SharedAssocArtifacts::new(q, reducer.stamp_config(q)).unwrap();
+        let n = stamp.n();
         let dense = n * n * std::mem::size_of::<f64>();
-        let blocks = std::mem::size_of_val(shared.g1_schur.blocks());
-        let held = shared.g1_lu.approx_bytes() // LU(G₁)
+        let lu = stamp.g1_lu().approx_bytes();
+        assert_eq!(stamp.approx_bytes(), lu);
+        let blocks = std::mem::size_of_val(stamp.dense(q).unwrap().schur.blocks());
+        let with_schur = lu
             + 2 * dense + blocks // Schur Q, T and blocks
             + 6 * dense + 2 * blocks; // Lyapunov solver Qa, Ta, Qb, Tb, Qaᵀ, Qbᵀ
-        assert_eq!(shared.approx_bytes(), held);
-        // A moment run leaves the artifacts as built.
-        let generator = AssocMomentGenerator::with_shared(q, &shared).unwrap();
+        assert_eq!(stamp.approx_bytes(), with_schur);
+        // `build` is the eager dense stamp: LU(G₁) and the Schur parts.
+        let built = SharedAssocArtifacts::build(q, SolverBackend::Auto).unwrap();
+        assert_eq!(built.approx_bytes(), with_schur);
+        stamp.weight(q, &RunControl::new()).unwrap();
+        let weighted = with_schur + dense; // the Cholesky factor L
+        assert_eq!(stamp.approx_bytes(), weighted);
+        // A moment run leaves the stamp as built.
+        let generator = AssocMomentGenerator::with_shared(q, &stamp).unwrap();
         generator.h3_moments_scaled(0, 2).unwrap();
-        assert_eq!(shared.approx_bytes(), held);
+        assert_eq!(stamp.approx_bytes(), weighted);
+        // A session prices the parts a stabilized request built.
+        let session = crate::ReductionSession::unbounded();
+        session.reduce(q, &reducer, &RunControl::new()).unwrap();
+        assert_eq!(session.budget().used(), weighted);
+        // The sampler's dense G₁, before any frequency is factored.
+        stamp.sampler(q);
+        assert_eq!(stamp.approx_bytes(), weighted + dense);
+
+        // Low-rank engine: the chain cache and shift pool, then the factor Z.
+        let config = StampConfig::resolve(n, SolverBackend::Auto, true, Default::default());
+        let stamp = SharedAssocArtifacts::new(q, config).unwrap();
+        assert_eq!(stamp.approx_bytes(), lu);
+        let chain = stamp.chain(q).unwrap();
+        let chained =
+            lu + chain.cache.approx_bytes() + chain.shifts.len() * std::mem::size_of::<f64>();
+        assert!(
+            chain.cache.approx_bytes() > dense,
+            "the pool build holds factors"
+        );
+        assert_eq!(stamp.approx_bytes(), chained);
+        let EnergyWeight::LowRank(w) = stamp.weight(q, &RunControl::new()).unwrap() else {
+            panic!("a low-rank stamp builds the LR-ADI weight");
+        };
+        let z = w.z.as_ref().expect("a converged weight on the receiver");
+        assert_eq!(
+            stamp.approx_bytes(),
+            chained + z.rows() * z.cols() * std::mem::size_of::<f64>()
+        );
     }
 }

@@ -25,38 +25,19 @@ use vamor_linalg::{Complex, Matrix, SchurDecomposition, ShiftedSolve, Vector};
 use crate::error::MorError;
 use crate::Result;
 
-/// Solves `Op · X + X · B = R` for `X` (`Op.dim() × B.rows()`).
+/// Solves `Op · X + X · B = R` for `X` (`Op.dim() × B.rows()`), given the
+/// real Schur decomposition `schur` of `Bᵀ`.
+///
+/// The moment recursions call the solver repeatedly with the *same* small
+/// coefficient, whose Schur form already exists inside the cached
+/// Kronecker-sum machinery; taking it as an argument keeps the Francis-QR
+/// iteration out of every call.
 ///
 /// # Errors
 ///
 /// * [`MorError::Invalid`] if the shapes are inconsistent.
-/// * [`MorError::Linalg`] if the Schur factorization of `B` fails or a
-///   shifted solve encounters a singular pencil (an eigenvalue of `Op` plus an
-///   eigenvalue of `B` hits zero).
-pub fn solve_sylvester_big_small(op: &dyn ShiftedSolve, b: &Matrix, r: &Matrix) -> Result<Matrix> {
-    if !b.is_square() {
-        return Err(MorError::Invalid(format!(
-            "right coefficient must be square, got {}x{}",
-            b.rows(),
-            b.cols()
-        )));
-    }
-    // Schur of Bᵀ:  Bᵀ = Q S Qᵀ  =>  Qᵀ B Q = Sᵀ.
-    let schur = SchurDecomposition::new(&b.transpose()).map_err(MorError::Linalg)?;
-    solve_sylvester_big_small_with_schur(op, &schur, r)
-}
-
-/// Variant of [`solve_sylvester_big_small`] taking the Schur decomposition of
-/// `Bᵀ` precomputed.
-///
-/// The moment recursions call the solver repeatedly with the *same* small
-/// coefficient (`B = G₁ᵀ`), and its Schur form already exists inside the
-/// cached Kronecker-sum machinery; passing it in removes a full Francis-QR
-/// iteration from every call after the first.
-///
-/// # Errors
-///
-/// Same contract as [`solve_sylvester_big_small`].
+/// * [`MorError::Linalg`] if a shifted solve encounters a singular pencil
+///   (an eigenvalue of `Op` plus an eigenvalue of `B` hits zero).
 pub fn solve_sylvester_big_small_with_schur(
     op: &dyn ShiftedSolve,
     schur: &SchurDecomposition,
@@ -279,6 +260,12 @@ mod tests {
     use crate::operators::KronSumOp2;
     use vamor_linalg::{kron_sum, solve_sylvester};
 
+    /// `Op · X + X · B = R` through a locally built Schur form of `Bᵀ`.
+    fn solve_big_small(op: &dyn ShiftedSolve, b: &Matrix, r: &Matrix) -> Result<Matrix> {
+        let schur = SchurDecomposition::new(&b.transpose()).map_err(MorError::Linalg)?;
+        solve_sylvester_big_small_with_schur(op, &schur, r)
+    }
+
     fn stable(n: usize, seed: u64) -> Matrix {
         let mut state = seed.max(1);
         let mut next = move || {
@@ -302,7 +289,7 @@ mod tests {
         let b =
             Matrix::from_rows(&[&[-1.0, 0.4, 0.0], &[0.0, -2.5, 0.1], &[0.0, 0.0, -4.0]]).unwrap();
         let r = Matrix::from_fn(9, 3, |i, j| ((i + 1) * (j + 2)) as f64 / 5.0);
-        let x = solve_sylvester_big_small(&op, &b, &r).unwrap();
+        let x = solve_big_small(&op, &b, &r).unwrap();
         let dense_op = kron_sum(&a, &a);
         let x_ref = solve_sylvester(&dense_op, &b, &r).unwrap();
         assert!(
@@ -320,7 +307,7 @@ mod tests {
         let b =
             Matrix::from_rows(&[&[-1.0, 2.0, 0.3], &[-2.0, -1.0, 0.5], &[0.0, 0.0, -3.0]]).unwrap();
         let r = Matrix::from_fn(9, 3, |i, j| (i as f64 - j as f64) * 0.3 + 1.0);
-        let x = solve_sylvester_big_small(&op, &b, &r).unwrap();
+        let x = solve_big_small(&op, &b, &r).unwrap();
         let dense_op = kron_sum(&a, &a);
         let x_ref = solve_sylvester(&dense_op, &b, &r).unwrap();
         assert!(
@@ -342,7 +329,7 @@ mod tests {
             b
         };
         let r = Matrix::from_fn(16, 5, |i, j| ((i * 3 + j * 7) % 11) as f64 - 5.0);
-        let x = solve_sylvester_big_small(&op, &b, &r).unwrap();
+        let x = solve_big_small(&op, &b, &r).unwrap();
         // Residual via structured apply.
         let mut residual: f64 = 0.0;
         let xb = x.matmul(&b);
@@ -361,9 +348,7 @@ mod tests {
         let a = stable(2, 3);
         let op = KronSumOp2::new(&a).unwrap();
         let b = stable(3, 4);
-        assert!(
-            solve_sylvester_big_small(&op, &Matrix::zeros(2, 3), &Matrix::zeros(4, 2)).is_err()
-        );
-        assert!(solve_sylvester_big_small(&op, &b, &Matrix::zeros(4, 2)).is_err());
+        assert!(solve_big_small(&op, &Matrix::zeros(2, 3), &Matrix::zeros(4, 2)).is_err());
+        assert!(solve_big_small(&op, &b, &Matrix::zeros(4, 2)).is_err());
     }
 }

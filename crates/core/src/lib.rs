@@ -47,6 +47,7 @@ pub mod par;
 pub mod project;
 pub mod reduce;
 pub mod session;
+mod stamp;
 pub mod volterra;
 
 pub use adaptive::{
@@ -55,7 +56,7 @@ pub use adaptive::{
     ReducerKind, StopReason,
 };
 pub use assoc::{AssocMomentGenerator, ScaledMoments, SharedAssocArtifacts};
-pub use bigsmall::{solve_sylvester_big_small, solve_sylvester_big_small_with_schur};
+pub use bigsmall::solve_sylvester_big_small_with_schur;
 pub use control::{ProgressEvent, RunControl, StopCause};
 pub use error::MorError;
 pub use lowrank::{

@@ -55,18 +55,20 @@ use vamor_linalg::lowrank::{
     lr_adi_lyapunov, rational_krylov_basis, AdiShift, AdiShiftOptions, LrAdiOptions, LrAdiStats,
     ShiftedSolve,
 };
-use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
     kron_vec, CholeskyDecomposition, CsrMatrix, LinalgError, Matrix, PivotRecovery, RunControl,
     ShiftCache, SolverBackend, SylvesterSolver, Vector,
 };
 use vamor_system::Qldae;
 
-use crate::assoc::{h1_chain, h2_d1_seed, h3_forcing, CauchyAccumulator, G1Factor, ScaledMoments};
+use crate::assoc::{
+    h1_chain, h2_d1_seed, h3_forcing, input_column, CauchyAccumulator, ScaledMoments,
+};
 use crate::bigsmall::solve_sylvester_big_small_with_schur;
 use crate::error::MorError;
 use crate::operators::KronSumOp2;
 use crate::project::cubic_matvec_kron;
+use crate::stamp::{SharedAssocArtifacts, StampConfig};
 use crate::Result;
 
 /// State dimension from which [`ReductionEngine::Auto`] selects the
@@ -228,6 +230,33 @@ fn pool_seed(n: usize, b: &Matrix) -> Vector {
     seed
 }
 
+/// The low-rank engine's chain solver: the shifted cache over `G₁` the
+/// rational-Krylov bases and the fADI top blocks solve against, and the
+/// heuristic ADI shift pool (positive magnitudes, large to small) one Ritz
+/// sweep over it selects.
+#[derive(Debug)]
+pub(crate) struct ChainShifts {
+    pub(crate) cache: ShiftCache,
+    pub(crate) shifts: Vec<f64>,
+}
+
+impl ChainShifts {
+    pub(crate) fn build(
+        qldae: &Qldae,
+        backend: SolverBackend,
+        opts: &LowRankOptions,
+    ) -> Result<Self> {
+        let cache =
+            ShiftCache::new(qldae.g1_csr(), backend).with_capacity_bound(ADI_CACHE_CAPACITY);
+        let shifts = shift_pool(&cache, qldae.b(), opts)?;
+        Ok(ChainShifts { cache, shifts })
+    }
+
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.cache.approx_bytes() + std::mem::size_of_val(self.shifts.as_slice())
+    }
+}
+
 /// Rational-Krylov moment-vector generator for the associated transfer
 /// functions of a polynomial system — the low-rank engine's counterpart of
 /// [`crate::AssocMomentGenerator`]. Produces the same `H₁`/`H₂`/`H₃` scaled
@@ -236,11 +265,9 @@ fn pool_seed(n: usize, b: &Matrix) -> Vector {
 #[derive(Debug)]
 pub struct LowRankAssocMomentGenerator<'a> {
     qldae: &'a Qldae,
-    g1_lu: G1Factor,
-    recovery: PivotRecovery,
-    solver: ShiftCache,
-    shifts: Vec<f64>,
-    opts: LowRankOptions,
+    /// The stamp whose `LU(G₁)`, chain shift cache and shift pool every
+    /// chain solves against — possibly shared with other reductions.
+    stamp: SharedAssocArtifacts,
     control: RunControl,
     diagnostics: Mutex<LowRankDiagnostics>,
 }
@@ -254,19 +281,19 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
     /// Returns an error if `G₁` is singular (the `s = 0` expansion point
     /// requires a regular `G₁`, exactly like the dense generator).
     pub fn new(qldae: &'a Qldae, backend: SolverBackend, opts: LowRankOptions) -> Result<Self> {
-        let csr = qldae.g1_csr();
-        let sparse = backend.use_sparse(csr.rows(), SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) =
-            G1Factor::build_with_recovery(csr, sparse, None).map_err(MorError::Linalg)?;
-        let solver = ShiftCache::new(csr, backend).with_capacity_bound(ADI_CACHE_CAPACITY);
-        let shifts = shift_pool(&solver, qldae.b(), &opts)?;
+        let n = qldae.g1_csr().rows();
+        let stamp = SharedAssocArtifacts::new(qldae, StampConfig::resolve(n, backend, true, opts))?;
+        Self::with_stamp(qldae, &stamp)
+    }
+
+    /// The generator over a low-rank stamp; its chain shift cache and shift
+    /// pool are built here only if no reduction over the stamp has asked
+    /// for them yet.
+    pub(crate) fn with_stamp(qldae: &'a Qldae, stamp: &SharedAssocArtifacts) -> Result<Self> {
+        stamp.chain(qldae)?;
         Ok(LowRankAssocMomentGenerator {
             qldae,
-            g1_lu,
-            recovery,
-            solver,
-            shifts,
-            opts,
+            stamp: stamp.clone(),
             control: RunControl::new(),
             diagnostics: Mutex::new(LowRankDiagnostics::default()),
         })
@@ -285,35 +312,12 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
     /// What the pivot degradation ladder did while factoring `G₁`
     /// (`PivotRecovery::default()` = healthy first try).
     pub fn pivot_recovery(&self) -> PivotRecovery {
-        self.recovery
-    }
-
-    /// The heuristic ADI shift pool (positive magnitudes, large to small).
-    pub fn shifts(&self) -> &[f64] {
-        &self.shifts
+        self.stamp.recovery()
     }
 
     /// Aggregated ADI/basis diagnostics of every chain generated so far.
     pub fn diagnostics(&self) -> LowRankDiagnostics {
         *self.diagnostics.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn n(&self) -> usize {
-        self.qldae.g1_csr().rows()
-    }
-
-    fn b_col(&self, input: usize) -> Result<Vector> {
-        if input >= self.qldae.b().cols() {
-            return Err(MorError::Invalid(format!(
-                "input index {input} out of range for a {}-input system",
-                self.qldae.b().cols()
-            )));
-        }
-        Ok(self.qldae.b().col(input))
-    }
-
-    fn d1(&self, input: usize) -> Option<&CsrMatrix> {
-        self.qldae.d1().get(input)
     }
 
     fn record(&self, iterations: usize, residual: f64, basis_dim: usize) {
@@ -330,17 +334,18 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
     ///
     /// Returns an error for an invalid input index or a failed solve.
     pub fn h1_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
-        h1_chain(&self.g1_lu, self.b_col(input)?, count)
+        h1_chain(self.stamp.g1_lu(), input_column(self.qldae, input)?, count)
     }
 
     /// A chain basis plus its reduced matrix `H = Qᵀ G₁ Q`.
     fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<(Matrix, Vec<Vector>, Matrix)> {
+        let chain = self.stamp.chain(self.qldae)?;
         let q = rational_krylov_basis(
-            &self.solver,
+            &chain.cache,
             seeds,
-            &self.shifts,
+            &chain.shifts,
             depth,
-            self.opts.chain_basis_cap,
+            self.stamp.config().opts.chain_basis_cap,
             &self.control,
         )
         .map_err(MorError::Linalg)?;
@@ -368,9 +373,9 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
         }
-        let n = self.n();
-        let b_a = self.b_col(input_a)?;
-        let b_b = self.b_col(input_b)?;
+        let n = self.stamp.n();
+        let b_a = input_column(self.qldae, input_a)?;
+        let b_b = input_column(self.qldae, input_b)?;
         let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
 
         let mut seeds = vec![b_a.clone()];
@@ -385,7 +390,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         // Ŵ₀ = b̂_b b̂_aᵀ  (W₀ = unvec(b_a ⊗ b_b) = b_b b_aᵀ).
         let mut what = Matrix::from_fn(k, k, |i, j| bhat_b[i] * bhat_a[j]);
 
-        let mut chain = CauchyAccumulator::new(&self.g1_lu, n, count, d_seed);
+        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_seed);
         for _ in 0..count {
             self.control
                 .checkpoint("lowrank-chain-step")
@@ -419,9 +424,9 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
         }
-        let n = self.n();
-        let b = self.b_col(input)?;
-        let d1 = self.d1(input);
+        let n = self.stamp.n();
+        let b = input_column(self.qldae, input)?;
+        let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
         let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
         let g3 = self.qldae.g3();
@@ -447,14 +452,16 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         // Non-strict: the chain tolerates a residual above `adi_tol` (the
         // stall ladder still perturbs shifts), and the nonconvergence is
         // recorded in the diagnostics instead of aborting the chain.
+        let opts = self.stamp.config().opts;
+        let chain_shifts = self.stamp.chain(self.qldae)?;
         let adi = LrAdiOptions {
-            tol: self.opts.adi_tol,
-            max_iterations: self.opts.adi_max_iterations,
+            tol: opts.adi_tol,
+            max_iterations: opts.adi_max_iterations,
             strict: false,
             ..LrAdiOptions::default()
         };
 
-        let mut chain = CauchyAccumulator::new(&self.g1_lu, n, count, d_chain);
+        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
         for _ in 0..count {
             self.control
                 .checkpoint("lowrank-chain-step")
@@ -498,10 +505,10 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                     v_rhs.set_col(tu.cols() + j, qj);
                 }
                 let sol = fadi_lyapunov(
-                    &self.solver,
+                    &chain_shifts.cache,
                     &u_rhs,
                     &v_rhs,
-                    &self.shifts,
+                    &chain_shifts.shifts,
                     &adi,
                     &self.control,
                 )
@@ -510,7 +517,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .absorb_adi(&sol.stats, adi.tol, k);
-                (*tu, *tv) = compress_factors(&sol.u, &sol.v, self.opts.compress_tol)
+                (*tu, *tv) = compress_factors(&sol.u, &sol.v, opts.compress_tol)
                     .map_err(MorError::Linalg)?;
                 // ν = vec(S) + vec(Sᵀ) with S = T = U Vᵀ, then G₂ ν.
                 let mut g2nu_k = Vector::zeros(n);
@@ -541,6 +548,7 @@ pub type LowRankCubicMomentGenerator<'a> = LowRankAssocMomentGenerator<'a>;
 /// when the ADI run fails or stalls (the caller degrades to plain Galerkin
 /// with the spectral guard, mirroring the dense frame's behaviour for
 /// non-Hurwitz systems).
+#[derive(Debug)]
 pub(crate) struct LowRankWeight {
     pub z: Option<Matrix>,
     pub adi_iterations: usize,

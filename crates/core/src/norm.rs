@@ -7,11 +7,13 @@
 //! `O(k₂³)` and `O(k₃⁴)` — the "dimensionality curse" the associated
 //! transform removes. This module implements that baseline so the paper's
 //! size and runtime comparisons (Table 1, Figs. 3–4) can be reproduced.
-//! Only the candidate generation is NORM's own: the basis is settled,
-//! weighted, guarded and projected by the proposed method's pipeline (see
-//! [`crate::reduce`]).
+//! Only the candidate generation is NORM's own: the chains solve against
+//! the same stamp's `LU(G₁)` as the proposed method, and the basis is
+//! settled, weighted, guarded and projected by its pipeline (see
+//! [`crate::reduce`]). The stamp's Schur form of `G₁` is factored only for
+//! a stabilized dense reduction, which needs it for the energy weight.
 
-use vamor_linalg::{OrthoBasis, RunControl, SchurDecomposition, SolverBackend, Vector};
+use vamor_linalg::{OrthoBasis, RunControl, SolverBackend, Vector};
 use vamor_system::Qldae;
 
 use crate::assoc::G1Factor;
@@ -20,8 +22,8 @@ use crate::lowrank::{LowRankOptions, ReductionEngine};
 use crate::reduce::{
     run_chains, AssocReducer, MomentSpec, ReducedQldae, ReductionStats, StabilizationFrame,
 };
+use crate::stamp::SharedAssocArtifacts;
 use crate::Result;
-use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 
 /// The multivariate moment-matching (NORM-style) reducer used as the paper's
 /// baseline.
@@ -93,13 +95,6 @@ impl NormReducer {
         self
     }
 
-    /// Enables the post-projection spectral guard (see
-    /// [`crate::AssocReducer::with_spectral_guard`]).
-    pub fn with_spectral_guard(mut self, enabled: bool) -> Self {
-        self.pipeline = self.pipeline.with_spectral_guard(enabled);
-        self
-    }
-
     /// The moment specification.
     pub fn spec(&self) -> MomentSpec {
         self.pipeline.spec()
@@ -148,48 +143,55 @@ impl NormReducer {
     /// Same contract as [`NormReducer::reduce`], plus `Interrupted` on a
     /// stop.
     pub fn reduce_controlled(&self, qldae: &Qldae, control: &RunControl) -> Result<ReducedQldae> {
-        let _span = vamor_obs::span!("norm_reduce");
-        let spec = self.spec();
-        spec.validate()?;
+        self.validate(qldae)?;
+        let stamp = SharedAssocArtifacts::new(qldae, self.pipeline.stamp_config(qldae))?;
+        self.reduce_on(qldae, &stamp, control)
+    }
+
+    fn validate(&self, qldae: &Qldae) -> Result<()> {
+        self.spec().validate()?;
         if qldae.g3().is_some() {
             return Err(MorError::Invalid(
                 "the NORM baseline has no cubic path; reduce systems with a G3 with AssocReducer"
                     .into(),
             ));
         }
-        let n = qldae.g1_csr().rows();
-        let sparse = self.pipeline.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
-        let (g1_lu, recovery) = G1Factor::build_with_recovery(qldae.g1_csr(), sparse, None)
-            .map_err(MorError::Linalg)?;
-        // The dense engine solves the energy weight against one Schur form
-        // of G₁, factored only when the weight is wanted (an unstabilized
-        // frame asks the spectral guard's Hurwitz question lazily); the
-        // low-rank engine never materializes the dense G₁ view.
-        let frame = if self.pipeline.engine.use_lowrank(n) {
-            StabilizationFrame::low_rank(
-                qldae.g1_csr(),
-                qldae.c(),
-                self.pipeline.lowrank_opts.weight_regularization,
-            )
-        } else {
-            let schur = self
-                .pipeline
-                .stabilized
-                .then(|| SchurDecomposition::new(qldae.g1()))
-                .transpose()
-                .map_err(MorError::Linalg)?;
-            StabilizationFrame::dense(self.pipeline.stabilized, qldae.g1(), schur.as_ref())
-        };
-        let mut basis = OrthoBasis::with_tolerance(n, self.pipeline.deflation_tol);
+        Ok(())
+    }
+
+    /// The NORM reduce core, borrowing the factorizations of `stamp` (of
+    /// the pipeline's `stamp_config`): the chains solve against its
+    /// `LU(G₁)`, and only a stabilized run asks for its energy weight.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`NormReducer::reduce_controlled`].
+    pub(crate) fn reduce_on(
+        &self,
+        qldae: &Qldae,
+        stamp: &SharedAssocArtifacts,
+        control: &RunControl,
+    ) -> Result<ReducedQldae> {
+        let _span = vamor_obs::span!("norm_reduce");
+        self.validate(qldae)?;
+        let spec = self.spec();
+        let n = stamp.n();
+        let g1_lu = stamp.g1_lu();
         let mut stats = ReductionStats::default();
-        stats.degradation.absorb_pivot(recovery);
+        stats.degradation.absorb_pivot(stamp.recovery());
+        let mut frame = StabilizationFrame::new(qldae, stamp);
+        if self.pipeline.stabilized && !frame.is_lowrank() {
+            frame.weigh(control, &mut stats)?;
+        }
+
+        let mut basis = OrthoBasis::with_tolerance(n, self.pipeline.deflation_tol);
 
         // First-order chains A_a = G1^{-(a+1)} b per input, computed on
         // worker threads (one independent chain per input).
         let max_chain = spec.k1.max(spec.k2).max(spec.k3).max(1);
         let input_columns: Vec<Vector> = (0..qldae.b().cols()).map(|i| qldae.b().col(i)).collect();
         let chains: Vec<Vec<Vector>> = run_chains(input_columns, control, |b| {
-            resolvent_chain(&g1_lu, b, max_chain - 1)
+            resolvent_chain(g1_lu, b, max_chain - 1)
         })?;
 
         for chain in &chains {
@@ -231,7 +233,7 @@ impl NormReducer {
             }
             let degrees: Vec<usize> = seeds.iter().map(|(_, _, degree)| *degree).collect();
             let computed = run_chains(seeds, control, |(seed, extra, _)| {
-                resolvent_chain(&g1_lu, seed, extra)
+                resolvent_chain(g1_lu, seed, extra)
             })?;
             for (chain, base_degree) in computed.into_iter().zip(degrees) {
                 control.checkpoint("norm-basis")?;
@@ -276,7 +278,7 @@ impl NormReducer {
                 }
             }
             let computed = run_chains(seeds, control, |(seed, extra, _)| {
-                resolvent_chain(&g1_lu, seed, extra)
+                resolvent_chain(g1_lu, seed, extra)
             })?;
             for chain in computed {
                 control.checkpoint("norm-basis")?;

@@ -77,12 +77,6 @@ impl KronSumOp2 {
     pub fn a_schur(&self) -> SchurDecomposition {
         self.solver.a_schur_decomposition()
     }
-
-    /// Approximate heap footprint in bytes: the factor `A` plus the Schur
-    /// machinery of the solver.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of_val(self.a.as_slice()) + self.solver.approx_bytes()
-    }
 }
 
 impl ShiftedSolve for KronSumOp2 {
@@ -125,8 +119,6 @@ pub struct BlockH2Op {
     g2: CsrMatrix,
     kron: KronSumOp2,
     g1_shifted: ShiftCache,
-    /// Size of the operator as built (see [`BlockH2Op::approx_bytes`]).
-    built_bytes: usize,
     n: usize,
 }
 
@@ -199,16 +191,11 @@ impl BlockH2Op {
         // Fail fast (as the pre-cache constructor did) if G1 itself is
         // singular: the σ = 0 expansion point requires a regular G1.
         g1_shifted.factor(0.0).map_err(MorError::Linalg)?;
-        let built_bytes = std::mem::size_of_val(g1.as_slice())
-            + g2.nnz() * (std::mem::size_of::<f64>() + std::mem::size_of::<usize>())
-            + kron.approx_bytes()
-            + g1_shifted.approx_bytes();
         Ok(BlockH2Op {
             g1: g1.clone(),
             g2: g2.clone(),
             kron,
             g1_shifted,
-            built_bytes,
             n,
         })
     }
@@ -216,20 +203,6 @@ impl BlockH2Op {
     /// The shifted-solve cache for `G₁` (exposed for diagnostics and tests).
     pub fn shift_cache(&self) -> &ShiftCache {
         &self.g1_shifted
-    }
-
-    /// The `G₁ ⊕ G₁` operator of the bottom block.
-    pub fn kron(&self) -> &KronSumOp2 {
-        &self.kron
-    }
-
-    /// Approximate heap footprint of the operator as built, in bytes: the
-    /// dense `G₁`, the `G₂` stamp, the `G₁ ⊕ G₁` operator, and the
-    /// shifted-solve cache's base with the `σ = 0` factor of the regularity
-    /// probe. The cache grows beyond this as shifts accumulate
-    /// ([`ShiftCache::approx_bytes`] prices its current size).
-    pub fn approx_bytes(&self) -> usize {
-        self.built_bytes
     }
 
     /// The state dimension `n` of the underlying QLDAE.

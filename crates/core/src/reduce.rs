@@ -6,7 +6,7 @@
 //! At paper sizes (the 100-stage line of Fig. 2, the 173-state receiver of
 //! Fig. 4) the naive one-sided Galerkin projection of the seed went unstable
 //! in transient. [`AssocReducer`] now runs a three-stage stabilization
-//! pipeline, each stage independently toggleable:
+//! pipeline (only the energy inner product can be switched off):
 //!
 //! 1. **Moment scaling** — the `H₁`/`H₂`/`H₃` chains are generated by the
 //!    `*_moments_scaled` variants of [`crate::AssocMomentGenerator`]: every
@@ -44,29 +44,30 @@
 //! in how it generates candidates. **Collect** enriches with Markov vectors,
 //! fans the chain plan out over the worker threads and inserts the chains
 //! into the basis in plan order. **Finish** settles the basis (deflation record,
-//! pivoted QR), builds the energy weight where the engine defers it, runs
+//! pivoted QR), applies the energy weight where the engine defers it, runs
 //! the spectral guard, projects, and publishes [`ReductionStats`]. The
 //! engine split lives in one private frame type: the dense engine weights
 //! candidates with the Cholesky factor of its Schur Lyapunov weight before
 //! insertion; the low-rank engine accumulates Euclidean candidates and
 //! applies its LR-ADI factored weight after re-orthogonalization.
+//! Both stages read every factorization, the energy weight included, off
+//! one stamp ([`SharedAssocArtifacts`]): a private one for
+//! [`AssocReducer::reduce`], a whole greedy run's, or a session's.
 
-use std::cell::OnceCell;
-
-use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, CsrMatrix, LuFactor, Matrix,
-    OrthoBasis, PivotRecovery, PivotedQr, RunControl, SchurDecomposition, SolverBackend, Vector,
+    eigenvalues, CholeskyDecomposition, LuFactor, Matrix, OrthoBasis, PivotRecovery, PivotedQr,
+    RunControl, SolverBackend, Vector,
 };
 use vamor_system::Qldae;
 
-use crate::assoc::{AssocMomentGenerator, ScaledMoments, SharedAssocArtifacts};
+use crate::assoc::{AssocMomentGenerator, ScaledMoments};
 use crate::error::MorError;
 use crate::lowrank::{
-    csr_matmul, lowrank_vw, lowrank_weight, LowRankAssocMomentGenerator, LowRankDiagnostics,
-    LowRankOptions, ReductionEngine,
+    csr_matmul, lowrank_vw, LowRankAssocMomentGenerator, LowRankDiagnostics, LowRankOptions,
+    ReductionEngine,
 };
 use crate::project::project_qldae_petrov;
+use crate::stamp::{EnergyWeight, SharedAssocArtifacts, StampConfig};
 use crate::Result;
 
 /// How many moments of each Volterra order the reduced model must match.
@@ -122,8 +123,8 @@ impl MomentSpec {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationReport {
     /// Pivot-threshold escalations the sparse LU took on near-singular
-    /// pivots (across every `G₁` and two-sided `G₁ᵀ` factorization of the
-    /// run, all through `LuFactor::build_with_recovery`).
+    /// pivots (in the `G₁` factorization of the stamp the run read and the
+    /// two-sided `G₁ᵀ` one, both through `LuFactor::build_with_recovery`).
     pub pivot_escalations: usize,
     /// Sparse factorizations abandoned for the dense backend after the
     /// escalation ladder was exhausted.
@@ -181,8 +182,8 @@ pub struct ReductionStats {
     /// Largest `log10` candidate magnitude discarded by the per-chain moment
     /// scaling (0 when no chain grew beyond unit scale).
     pub moment_log10_peak: f64,
-    /// Spectral abscissa (largest real part) of the reduced `G₁ᵣ`; `NaN`
-    /// when the spectral guard was disabled and never computed it.
+    /// Spectral abscissa (largest real part) of the reduced `G₁ᵣ`, as the
+    /// spectral guard last computed it.
     pub spectral_abscissa: f64,
     /// Final projection dimension (reduced order).
     pub projection_dim: usize,
@@ -358,104 +359,71 @@ where
     .collect()
 }
 
-/// The engine-specific half of the projection pipeline: where the energy
-/// weight lives, how candidates enter the working frame, how the projection
-/// pair is recovered from it, and how `G₁` is applied (the dense view on the
-/// dense engine, the CSR stamp on the low-rank engine, which never
-/// materializes the dense `G₁`).
-pub(crate) enum StabilizationFrame<'a> {
-    /// The congruence frame of the dense engine: candidates are mapped
-    /// through `v ↦ Lᵀv` (with `M = LLᵀ` the Lyapunov weight of `G₁`, solved
-    /// against its Schur form before insertion), orthonormalized in Euclidean
-    /// coordinates there, and mapped back as `V = L⁻ᵀQ̃`, `W = LQ̃` — so
-    /// `WᵀV = I` and `G₁ᵣ = WᵀG₁V` inherits the dissipativity of the full
-    /// matrix. `chol` is `None` (plain Galerkin) when the weight was not
-    /// requested or `G₁` is not Hurwitz.
-    Dense {
-        g1: &'a Matrix,
-        chol: Option<CholeskyDecomposition>,
-        /// Full `G₁` Hurwitz by its Schur eigenvalues: only then can the
-        /// spectral guard restore a stable reduction by dropping columns.
-        /// Read off the frame's Schur form when it has one, else computed
-        /// on first use — only a reduction the guard finds unstable asks.
-        g1_hurwitz: OnceCell<bool>,
-    },
-    /// The low-rank engine: candidates are accumulated in Euclidean
-    /// coordinates and the LR-ADI factored weight `M ≈ ZZᵀ` is built after
-    /// re-orthogonalization ([`StabilizationFrame::weigh`]); the oblique
-    /// pair comes from [`lowrank_vw`].
-    LowRank {
-        g1: &'a CsrMatrix,
-        c: &'a Matrix,
-        z: Option<Matrix>,
-        regularization: f64,
-    },
+/// The energy weight a frame projects with, borrowed from the stamp.
+#[derive(Clone, Copy)]
+enum FrameWeight<'a> {
+    /// Plain Galerkin: not requested, or the weight could not be built.
+    Plain,
+    /// The dense engine's congruence frame: candidates are mapped through
+    /// `v ↦ Lᵀv` (with `M = LLᵀ` the Lyapunov weight of `G₁`) before
+    /// insertion, orthonormalized in Euclidean coordinates there, and
+    /// mapped back as `V = L⁻ᵀQ̃`, `W = LQ̃` — so `WᵀV = I` and
+    /// `G₁ᵣ = WᵀG₁V` inherits the dissipativity of the full matrix.
+    Dense(&'a CholeskyDecomposition),
+    /// The low-rank engine's LR-ADI factor `M ≈ ZZᵀ`, applied after
+    /// re-orthogonalization; the oblique pair comes from [`lowrank_vw`].
+    LowRank(&'a Matrix),
+}
+
+/// The engine-specific half of the projection pipeline, read off the stamp:
+/// where the energy weight lives, how candidates enter the working frame,
+/// how the projection pair is recovered from it, and how `G₁` is applied
+/// (the dense view on the dense engine, the CSR stamp on the low-rank
+/// engine, which never materializes the dense `G₁`).
+pub(crate) struct StabilizationFrame<'a> {
+    qldae: &'a Qldae,
+    stamp: &'a SharedAssocArtifacts,
+    weight: FrameWeight<'a>,
 }
 
 impl<'a> StabilizationFrame<'a> {
-    /// The dense frame. The energy weight is solved against `g1_schur`,
-    /// which a `stabilized` frame needs; without it, or when `G₁` is not
-    /// Hurwitz (the Lyapunov weight is then not positive definite), the
-    /// frame degrades to the identity and the flow reduces to plain
-    /// Galerkin.
-    pub(crate) fn dense(
-        stabilized: bool,
-        g1: &'a Matrix,
-        g1_schur: Option<&SchurDecomposition>,
-    ) -> Self {
-        let chol = g1_schur
-            .filter(|_| stabilized)
-            .and_then(|schur| lyapunov_weight_with_schur(schur).ok())
-            .and_then(|m| CholeskyDecomposition::new(&m).ok());
-        let g1_hurwitz = OnceCell::new();
-        if let Some(schur) = g1_schur {
-            let _ = g1_hurwitz.set(schur.eigenvalues().iter().all(|z| z.re < 0.0));
-        }
-        StabilizationFrame::Dense {
-            g1,
-            chol,
-            g1_hurwitz,
+    /// The unweighted frame of `stamp`'s engine.
+    pub(crate) fn new(qldae: &'a Qldae, stamp: &'a SharedAssocArtifacts) -> Self {
+        StabilizationFrame {
+            qldae,
+            stamp,
+            weight: FrameWeight::Plain,
         }
     }
 
-    /// The low-rank frame (unweighted until [`StabilizationFrame::weigh`]).
-    pub(crate) fn low_rank(g1: &'a CsrMatrix, c: &'a Matrix, regularization: f64) -> Self {
-        StabilizationFrame::LowRank {
-            g1,
-            c,
-            z: None,
-            regularization,
-        }
+    /// True on the low-rank engine, which weighs the basis after
+    /// re-orthogonalization instead of the candidates on insertion.
+    pub(crate) fn is_lowrank(&self) -> bool {
+        self.stamp.config().lowrank
     }
 
-    /// Solves the low-rank engine's LR-ADI energy weight into the frame and
-    /// records its ADI cost in `stats`; the dense frame was weighted at
-    /// construction, so this is a no-op there.
-    fn weigh(
-        &mut self,
-        backend: SolverBackend,
-        opts: &LowRankOptions,
-        control: &RunControl,
-        stats: &mut ReductionStats,
-    ) -> Result<()> {
-        if let StabilizationFrame::LowRank { g1, c, z, .. } = self {
-            let _span = vamor_obs::span!("energy_weight");
-            let weight = lowrank_weight(g1, c, backend, opts, control)?;
-            stats.adi_iterations += weight.adi_iterations;
-            stats.adi_residual = weight.adi_residual;
-            stats.degradation.adi_shift_reselections += weight.shift_reselections;
-            stats.degradation.adi_nonconverged += usize::from(weight.nonconverged);
-            *z = weight.z;
-        }
+    /// Puts the stamp's energy weight into effect (built on the stamp's
+    /// first stabilized use) and copies its ADI record into `stats`.
+    pub(crate) fn weigh(&mut self, control: &RunControl, stats: &mut ReductionStats) -> Result<()> {
+        self.weight = match self.stamp.weight(self.qldae, control)? {
+            EnergyWeight::Dense(chol) => {
+                chol.as_ref().map_or(FrameWeight::Plain, FrameWeight::Dense)
+            }
+            EnergyWeight::LowRank(w) => {
+                stats.adi_iterations += w.adi_iterations;
+                stats.adi_residual = w.adi_residual;
+                stats.degradation.adi_shift_reselections += w.shift_reselections;
+                stats.degradation.adi_nonconverged += usize::from(w.nonconverged);
+                w.z.as_ref()
+                    .map_or(FrameWeight::Plain, FrameWeight::LowRank)
+            }
+        };
         Ok(())
     }
 
     /// True when the energy inner product is in effect.
     fn is_active(&self) -> bool {
-        match self {
-            StabilizationFrame::Dense { chol, .. } => chol.is_some(),
-            StabilizationFrame::LowRank { z, .. } => z.is_some(),
-        }
+        !matches!(self.weight, FrameWeight::Plain)
     }
 
     /// Markov vectors `b, G₁b, …` for one input column, unit-normalized.
@@ -469,9 +437,10 @@ impl<'a> StabilizationFrame<'a> {
             }
             v.scale_mut(1.0 / norm);
             out.push(v.clone());
-            v = match self {
-                StabilizationFrame::Dense { g1, .. } => g1.matvec(&v),
-                StabilizationFrame::LowRank { g1, .. } => g1.matvec(&v),
+            v = if self.is_lowrank() {
+                self.qldae.g1_csr().matvec(&v)
+            } else {
+                self.qldae.g1().matvec(&v)
             };
         }
         out
@@ -484,13 +453,9 @@ impl<'a> StabilizationFrame<'a> {
         basis: &mut OrthoBasis,
         candidates: impl IntoIterator<Item = Vector>,
     ) -> Result<()> {
-        let chol = match self {
-            StabilizationFrame::Dense { chol, .. } => chol.as_ref(),
-            StabilizationFrame::LowRank { .. } => None,
-        };
         basis
-            .extend_from(candidates.into_iter().map(|v| match chol {
-                Some(chol) => {
+            .extend_from(candidates.into_iter().map(|v| match self.weight {
+                FrameWeight::Dense(chol) => {
                     let mut t = chol.lt_matvec(&v);
                     let norm = t.norm2();
                     if norm > 0.0 && norm.is_finite() {
@@ -498,7 +463,7 @@ impl<'a> StabilizationFrame<'a> {
                     }
                     t
                 }
-                None => v,
+                FrameWeight::Plain | FrameWeight::LowRank(_) => v,
             }))
             .map_err(MorError::Linalg)?;
         Ok(())
@@ -507,26 +472,27 @@ impl<'a> StabilizationFrame<'a> {
     /// Recovers the projection pair `(V, W)` from the orthonormal working
     /// basis.
     fn recover(&self, qtil: &Matrix) -> Result<(Matrix, Matrix)> {
-        match self {
-            StabilizationFrame::Dense {
-                chol: Some(chol), ..
-            } => {
+        match self.weight {
+            FrameWeight::Dense(chol) => {
                 let v = chol.solve_lt_matrix(qtil).map_err(MorError::Linalg)?;
                 let w = chol.l_matmul(qtil).map_err(MorError::Linalg)?;
                 Ok((v, w))
             }
-            StabilizationFrame::Dense { chol: None, .. } => Ok((qtil.clone(), qtil.clone())),
-            StabilizationFrame::LowRank {
-                z, regularization, ..
-            } => lowrank_vw(qtil, z.as_ref(), *regularization),
+            FrameWeight::LowRank(z) => lowrank_vw(
+                qtil,
+                Some(z),
+                self.stamp.config().opts.weight_regularization,
+            ),
+            FrameWeight::Plain => Ok((qtil.clone(), qtil.clone())),
         }
     }
 
     /// The guard's trial product `G₁ᵣ = Wᵀ G₁ V`.
     fn reduced_g1(&self, v: &Matrix, w: &Matrix) -> Matrix {
-        let g1v = match self {
-            StabilizationFrame::Dense { g1, .. } => g1.matmul(v),
-            StabilizationFrame::LowRank { g1, .. } => csr_matmul(g1, v),
+        let g1v = if self.is_lowrank() {
+            csr_matmul(self.qldae.g1_csr(), v)
+        } else {
+            self.qldae.g1().matmul(v)
         };
         w.transpose().matmul(&g1v)
     }
@@ -537,12 +503,7 @@ impl<'a> StabilizationFrame<'a> {
     /// low-rank engine cannot afford that `O(n³)` check, so on a genuinely
     /// unstable full model its guard stops at one column.
     fn restartable(&self) -> bool {
-        match self {
-            StabilizationFrame::Dense { g1, g1_hurwitz, .. } => {
-                *g1_hurwitz.get_or_init(|| eigenvalues(g1).is_ok_and(|eig| eig.is_hurwitz()))
-            }
-            StabilizationFrame::LowRank { .. } => true,
-        }
+        self.is_lowrank() || self.stamp.g1_hurwitz(self.qldae)
     }
 }
 
@@ -556,26 +517,23 @@ fn project_guarded(
     qldae: &Qldae,
     mut qtil: Matrix,
     frame: &StabilizationFrame,
-    guard: bool,
     stats: &mut ReductionStats,
 ) -> Result<(Qldae, Matrix)> {
     let _span = vamor_obs::span!("project");
     let (mut v, mut w) = frame.recover(&qtil)?;
-    if guard {
-        let mut eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
+    let mut eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
+    stats.spectral_abscissa = eig.spectral_abscissa();
+    while !eig.is_hurwitz() && qtil.cols() > 1 && frame.restartable() {
+        qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
+        stats.restarts += 1;
+        vamor_obs::event!(vamor_obs::Event::SpectralRestart {
+            restart: stats.restarts as u32,
+            abscissa: eig.spectral_abscissa(),
+            dim: qtil.cols() as u32,
+        });
+        (v, w) = frame.recover(&qtil)?;
+        eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
         stats.spectral_abscissa = eig.spectral_abscissa();
-        while !eig.is_hurwitz() && qtil.cols() > 1 && frame.restartable() {
-            qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
-            stats.restarts += 1;
-            vamor_obs::event!(vamor_obs::Event::SpectralRestart {
-                restart: stats.restarts as u32,
-                abscissa: eig.spectral_abscissa(),
-                dim: qtil.cols() as u32,
-            });
-            (v, w) = frame.recover(&qtil)?;
-            eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
-            stats.spectral_abscissa = eig.spectral_abscissa();
-        }
     }
     let system = project_qldae_petrov(qldae, &v, &w)?;
     Ok((system, v))
@@ -606,10 +564,9 @@ pub struct AssocReducer {
     pub(crate) deflation_tol: f64,
     markov_moments: usize,
     pub(crate) stabilized: bool,
-    spectral_guard: bool,
-    pub(crate) backend: SolverBackend,
-    pub(crate) engine: ReductionEngine,
-    pub(crate) lowrank_opts: LowRankOptions,
+    backend: SolverBackend,
+    engine: ReductionEngine,
+    lowrank_opts: LowRankOptions,
     output_krylov: usize,
 }
 
@@ -624,7 +581,6 @@ impl AssocReducer {
             deflation_tol: OrthoBasis::DEFAULT_TOL,
             markov_moments: 0,
             stabilized: true,
-            spectral_guard: true,
             backend: SolverBackend::Auto,
             engine: ReductionEngine::Auto,
             lowrank_opts: LowRankOptions::default(),
@@ -699,15 +655,6 @@ impl AssocReducer {
         self
     }
 
-    /// Enables the post-projection spectral check (and restart-by-dropping
-    /// when the reduced matrix is unstable while the full one is not). On by
-    /// default; when disabled, [`ReductionStats::spectral_abscissa`] stays
-    /// `NaN`.
-    pub fn with_spectral_guard(mut self, enabled: bool) -> Self {
-        self.spectral_guard = enabled;
-        self
-    }
-
     /// The moment specification.
     pub fn spec(&self) -> MomentSpec {
         self.spec
@@ -724,29 +671,7 @@ impl AssocReducer {
     /// singular, or every candidate vector deflates, and
     /// [`MorError::Invalid`] for the two-sided mode on a system with a `G₃`.
     pub fn reduce(&self, qldae: &Qldae) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, &RunControl::new(), None)
-    }
-
-    /// [`AssocReducer::reduce`] against session-shared solver artifacts: the
-    /// moment generator reuses the session's `G₁` factorization and Schur
-    /// form instead of refactorizing them, so a sequence of reductions over
-    /// one stamp pays the `s = 0` factorization and the Schur decomposition
-    /// exactly once. The shared artifacts are consulted only on the dense
-    /// engine; the low-rank engine ignores them and factors per run, exactly
-    /// as [`AssocReducer::reduce`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AssocReducer::reduce_controlled`], plus
-    /// [`MorError::Invalid`] when `shared` was factored for a different
-    /// system order.
-    pub(crate) fn reduce_with_shared(
-        &self,
-        qldae: &Qldae,
-        shared: &SharedAssocArtifacts,
-        control: &RunControl,
-    ) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, control, Some(shared))
+        self.reduce_controlled(qldae, &RunControl::new())
     }
 
     /// [`AssocReducer::reduce`] under a cooperative [`RunControl`]: the token
@@ -763,16 +688,23 @@ impl AssocReducer {
     /// Same contract as [`AssocReducer::reduce`], plus `Interrupted` on a
     /// stop.
     pub fn reduce_controlled(&self, qldae: &Qldae, control: &RunControl) -> Result<ReducedQldae> {
-        self.reduce_impl(qldae, control, None)
+        self.validate(qldae)?;
+        let stamp = SharedAssocArtifacts::new(qldae, self.stamp_config(qldae))?;
+        self.reduce_on(qldae, &stamp, control)
     }
 
-    fn reduce_impl(
-        &self,
-        qldae: &Qldae,
-        control: &RunControl,
-        shared: Option<&SharedAssocArtifacts>,
-    ) -> Result<ReducedQldae> {
-        let _span = vamor_obs::span!("assoc_reduce");
+    /// The stamp configuration this reducer reads: its backend and
+    /// low-rank options, and the low-rank engine where it resolves to it
+    /// (never in the two-sided mode, which needs the dense machinery).
+    pub(crate) fn stamp_config(&self, qldae: &Qldae) -> StampConfig {
+        let n = qldae.g1_csr().rows();
+        let lowrank = self.engine.use_lowrank(n) && self.output_krylov == 0;
+        StampConfig::resolve(n, self.backend, lowrank, self.lowrank_opts)
+    }
+
+    /// Rejects configurations no engine can run, before anything is
+    /// factored.
+    fn validate(&self, qldae: &Qldae) -> Result<()> {
         self.spec.validate()?;
         if self.output_krylov > 0 && qldae.g3().is_some() {
             // Reject loudly rather than silently returning a one-sided
@@ -782,7 +714,6 @@ impl AssocReducer {
                     .into(),
             ));
         }
-        let csr = qldae.g1_csr();
         // The two-sided mode needs the dense machinery: `Auto` simply
         // resolves to it; an *explicit* low-rank selection is a
         // contradiction and fails loudly.
@@ -791,60 +722,70 @@ impl AssocReducer {
                 "the two-sided output-Krylov mode requires the dense engine".into(),
             ));
         }
+        Ok(())
+    }
+
+    /// The reduce core every reduction runs, borrowing the factorizations
+    /// of `stamp` (private to this reduction, one greedy run's, or a
+    /// session's), which must be of [`AssocReducer::stamp_config`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`AssocReducer::reduce_controlled`].
+    pub(crate) fn reduce_on(
+        &self,
+        qldae: &Qldae,
+        stamp: &SharedAssocArtifacts,
+        control: &RunControl,
+    ) -> Result<ReducedQldae> {
+        let _span = vamor_obs::span!("assoc_reduce");
+        self.validate(qldae)?;
         let spec = self.spec;
         let plan = Chain::plan(qldae, spec);
-        let (basis, frame, mut stats) =
-            if self.engine.use_lowrank(csr.rows()) && self.output_krylov == 0 {
-                let generator =
-                    LowRankAssocMomentGenerator::new(qldae, self.backend, self.lowrank_opts)?
-                        .with_control(control.clone());
-                let frame = StabilizationFrame::low_rank(
-                    csr,
-                    qldae.c(),
-                    self.lowrank_opts.weight_regularization,
-                );
-                let (basis, mut stats) = self.collect(
+        let mut stats = ReductionStats::default();
+        stats.degradation.absorb_pivot(stamp.recovery());
+        let mut frame = StabilizationFrame::new(qldae, stamp);
+        // The two-sided mode chooses W from the output Krylov spaces, which
+        // replaces the energy-weighted W = MV — it runs the plain frame.
+        if self.stabilized && self.output_krylov == 0 && !frame.is_lowrank() {
+            frame.weigh(control, &mut stats)?;
+        }
+        let basis = if frame.is_lowrank() {
+            let generator = LowRankAssocMomentGenerator::with_stamp(qldae, stamp)?
+                .with_control(control.clone());
+            let basis =
+                self.collect(
                     &frame,
                     qldae.b(),
                     plan,
                     control,
-                    generator.pivot_recovery(),
+                    &mut stats,
                     |chain| match chain {
                         Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
                         Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
                         Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
                     },
                 )?;
-                stats.absorb_chain_diagnostics(generator.diagnostics());
-                (basis, frame, stats)
-            } else {
-                let generator = match shared {
-                    Some(shared) => AssocMomentGenerator::with_shared(qldae, shared)?,
-                    None => AssocMomentGenerator::with_options(qldae, self.backend)?,
-                };
-                // The two-sided mode chooses W from the output Krylov
-                // spaces, which replaces the energy-weighted W = MV — run
-                // the plain frame there.
-                let stabilized = self.stabilized && self.output_krylov == 0;
-                let frame =
-                    StabilizationFrame::dense(stabilized, qldae.g1(), Some(generator.g1_schur()));
-                let (basis, stats) = self.collect(
-                    &frame,
-                    qldae.b(),
-                    plan,
-                    control,
-                    generator.pivot_recovery(),
-                    |chain| match chain {
-                        Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-                        Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
-                        Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-                    },
-                )?;
-                (basis, frame, stats)
-            };
+            stats.absorb_chain_diagnostics(generator.diagnostics());
+            basis
+        } else {
+            let generator = AssocMomentGenerator::with_shared(qldae, stamp)?;
+            self.collect(
+                &frame,
+                qldae.b(),
+                plan,
+                control,
+                &mut stats,
+                |chain| match chain {
+                    Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
+                    Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
+                    Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                },
+            )?
+        };
         if self.output_krylov > 0 {
             let qtil = self.settle(basis, &mut stats)?;
-            return self.finish_two_sided(qldae, qtil, stats);
+            return self.finish_two_sided(qldae, stamp.config().sparse, qtil, stats);
         }
         self.finish(qldae, basis, frame, stats, control)
     }
@@ -858,14 +799,14 @@ impl AssocReducer {
     fn finish_two_sided(
         &self,
         qldae: &Qldae,
+        sparse: bool,
         qtil: Matrix,
         mut stats: ReductionStats,
     ) -> Result<ReducedQldae> {
         let csr = qldae.g1_csr();
         let n = csr.rows();
-        let sparse = self.backend.use_sparse(n, SPARSE_AUTO_THRESHOLD);
         // Transposed factorization for the dual chains, through the pivot
-        // degradation ladder in the backend the reducer picked.
+        // degradation ladder in the stamp's backend.
         let (gt_lu, recovery) = LuFactor::build_with_recovery(&csr.transpose(), sparse, None)
             .map_err(MorError::Linalg)?;
         stats.degradation.absorb_pivot(recovery);
@@ -911,20 +852,18 @@ impl AssocReducer {
                     continue;
                 }
             };
-            if self.spectral_guard {
-                let g1r = w.transpose().matmul(&csr_matmul(csr, &vq));
-                let eig = eigenvalues(&g1r).map_err(MorError::Linalg)?;
-                stats.spectral_abscissa = eig.spectral_abscissa();
-                if !eig.is_hurwitz() && q > 1 {
-                    q -= 1;
-                    stats.restarts += 1;
-                    vamor_obs::event!(vamor_obs::Event::SpectralRestart {
-                        restart: stats.restarts as u32,
-                        abscissa: eig.spectral_abscissa(),
-                        dim: q as u32,
-                    });
-                    continue;
-                }
+            let g1r = w.transpose().matmul(&csr_matmul(csr, &vq));
+            let eig = eigenvalues(&g1r).map_err(MorError::Linalg)?;
+            stats.spectral_abscissa = eig.spectral_abscissa();
+            if !eig.is_hurwitz() && q > 1 {
+                q -= 1;
+                stats.restarts += 1;
+                vamor_obs::event!(vamor_obs::Event::SpectralRestart {
+                    restart: stats.restarts as u32,
+                    abscissa: eig.spectral_abscissa(),
+                    dim: q as u32,
+                });
+                continue;
             }
             break (project_qldae_petrov(qldae, &vq, &w)?, vq);
         };
@@ -947,12 +886,10 @@ impl AssocReducer {
         b: &Matrix,
         plan: Vec<Chain>,
         control: &RunControl,
-        recovery: PivotRecovery,
+        stats: &mut ReductionStats,
         compute: impl Fn(Chain) -> Result<ScaledMoments> + Sync,
-    ) -> Result<(OrthoBasis, ReductionStats)> {
+    ) -> Result<OrthoBasis> {
         let mut basis = OrthoBasis::with_tolerance(b.rows(), self.deflation_tol);
-        let mut stats = ReductionStats::default();
-        stats.degradation.absorb_pivot(recovery);
 
         // Markov enrichment first: these vectors carry the high-frequency
         // behaviour and must not be relegated behind deep moment chains.
@@ -985,7 +922,7 @@ impl AssocReducer {
             stats.moment_log10_peak = stats.moment_log10_peak.max(moments.log10_peak());
             frame.insert(&mut basis, moments.vectors)?;
         }
-        Ok((basis, stats))
+        Ok(basis)
     }
 
     /// Settles a collected basis: rejects an empty one, records deflation,
@@ -1015,8 +952,9 @@ impl AssocReducer {
     }
 
     /// The finish stage of the reduction pipeline (shared with the NORM
-    /// baseline): settles the basis, builds the low-rank energy weight, runs
-    /// the spectral guard, projects, and publishes the run's statistics.
+    /// baseline): settles the basis, puts the low-rank energy weight into
+    /// effect, runs the spectral guard, projects, and publishes the run's
+    /// statistics.
     pub(crate) fn finish(
         &self,
         qldae: &Qldae,
@@ -1026,13 +964,12 @@ impl AssocReducer {
         control: &RunControl,
     ) -> Result<ReducedQldae> {
         let qtil = self.settle(basis, &mut stats)?;
-        if self.stabilized {
-            frame.weigh(self.backend, &self.lowrank_opts, control, &mut stats)?;
+        if self.stabilized && frame.is_lowrank() {
+            frame.weigh(control, &mut stats)?;
         }
         stats.energy_weighted = frame.is_active();
-        stats.lowrank_engine = matches!(frame, StabilizationFrame::LowRank { .. });
-        let (system, projection) =
-            project_guarded(qldae, qtil, &frame, self.spectral_guard, &mut stats)?;
+        stats.lowrank_engine = frame.is_lowrank();
+        let (system, projection) = project_guarded(qldae, qtil, &frame, &mut stats)?;
         stats.projection_dim = projection.cols();
         stats.publish();
         Ok(ReducedQldae {
@@ -1051,6 +988,10 @@ mod tests {
     use vamor_system::QldaeBuilder;
 
     fn small_qldae() -> Qldae {
+        qldae_with_g33(-3.0)
+    }
+
+    fn qldae_with_g33(g33: f64) -> Qldae {
         QldaeBuilder::new(4, 1)
             .g1_entry(0, 0, -1.0)
             .g1_entry(0, 1, 0.4)
@@ -1058,7 +999,7 @@ mod tests {
             .g1_entry(1, 2, 0.3)
             .g1_entry(2, 2, -1.4)
             .g1_entry(2, 3, 0.2)
-            .g1_entry(3, 3, -3.0)
+            .g1_entry(3, 3, g33)
             .g1_entry(3, 0, 0.1)
             .g2_entry(0, 1, 1, 0.3)
             .g2_entry(2, 0, 3, -0.2)
@@ -1111,25 +1052,41 @@ mod tests {
         }
     }
 
-    /// A dense frame built without a Schur form (an unstabilized NORM
-    /// reduction) answers the guard's Hurwitz question on demand, with the
-    /// verdict a Schur-carrying frame reads off its eigenvalues.
+    /// A dense stamp without a Schur form (an unstabilized NORM reduction
+    /// factors none) answers the guard's Hurwitz question on demand, with
+    /// the verdict a stamp holding its Schur form reads off the eigenvalues.
     #[test]
     fn schur_free_dense_frame_decides_restartability_lazily() {
-        let stable = small_qldae().g1().clone();
-        let mut unstable = stable.clone();
-        unstable[(3, 3)] = 0.5;
-        for (g1, hurwitz) in [(&stable, true), (&unstable, false)] {
-            let schur = SchurDecomposition::new(g1).unwrap();
-            let eager = StabilizationFrame::dense(false, g1, Some(&schur));
-            let lazy = StabilizationFrame::dense(false, g1, None);
-            assert!(!lazy.is_active() && !eager.is_active());
-            assert_eq!(eager.restartable(), hurwitz);
-            assert_eq!(lazy.restartable(), hurwitz);
+        for (g33, hurwitz) in [(-3.0, true), (0.5, false)] {
+            let q = qldae_with_g33(g33);
+            let config = AssocReducer::new(MomentSpec::new(2, 1, 0)).stamp_config(&q);
+            let lazy = SharedAssocArtifacts::new(&q, config).unwrap();
+            let eager = SharedAssocArtifacts::new(&q, config).unwrap();
+            eager.dense(&q).unwrap();
+            let lazy_frame = StabilizationFrame::new(&q, &lazy);
+            let eager_frame = StabilizationFrame::new(&q, &eager);
+            assert!(!lazy_frame.is_active() && !eager_frame.is_active());
+            assert_eq!(eager_frame.restartable(), hurwitz);
+            assert_eq!(lazy_frame.restartable(), hurwitz);
+            // The verdict built no Schur form into the lazy stamp.
+            assert!(lazy.approx_bytes() < eager.approx_bytes());
         }
-        // A stabilized frame needs the Schur form for its weight.
-        let schur = SchurDecomposition::new(&stable).unwrap();
-        assert!(StabilizationFrame::dense(true, &stable, Some(&schur)).is_active());
+        // An unstabilized NORM reduction factors no Schur form into its
+        // stamp; a stabilized frame reads the weight off the Schur form.
+        let q = small_qldae();
+        let spec = MomentSpec::new(2, 1, 0);
+        let stamp =
+            SharedAssocArtifacts::new(&q, AssocReducer::new(spec).stamp_config(&q)).unwrap();
+        crate::NormReducer::new(spec)
+            .with_stabilized_projection(false)
+            .reduce_on(&q, &stamp, &RunControl::new())
+            .unwrap();
+        assert_eq!(stamp.approx_bytes(), stamp.g1_lu().approx_bytes());
+        let mut frame = StabilizationFrame::new(&q, &stamp);
+        frame
+            .weigh(&RunControl::new(), &mut ReductionStats::default())
+            .unwrap();
+        assert!(frame.is_active());
     }
 
     #[test]
@@ -1270,16 +1227,5 @@ mod tests {
         let rom_tight = tight.reduce(&q).unwrap();
         assert!(rom_loose.order() <= rom_tight.order());
         assert!(rom_loose.stats().deflated >= rom_tight.stats().deflated);
-    }
-
-    #[test]
-    fn disabling_the_guard_skips_the_spectral_check() {
-        let q = small_qldae();
-        let rom = AssocReducer::new(MomentSpec::new(2, 1, 0))
-            .with_spectral_guard(false)
-            .reduce(&q)
-            .unwrap();
-        assert!(rom.stats().spectral_abscissa.is_nan());
-        assert!(!rom.stats().is_stable()); // "not verified", not "unstable"
     }
 }

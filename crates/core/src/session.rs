@@ -1,23 +1,20 @@
-//! Resilient reduction sessions: one shared solver-cache context for every
-//! reduction/estimation request over the same stamped system.
+//! Resilient reduction sessions: one registry of stamps for every
+//! reduction/estimation request over the same system.
 //!
-//! A [`ReductionSession`] owns, per sparsity-stamp fingerprint:
-//!
-//! * the shared `s = 0` chain artifacts ([`SharedAssocArtifacts`] — `LU(G₁)`,
-//!   its Schur form and the Lyapunov solver over it, fixed in size once
-//!   built), and
-//! * the band-estimator shift cache (so every band frequency is factored
-//!   exactly once per session, not once per estimator build).
-//!
-//! Before the session, the adaptive driver and the band estimator each
-//! refactored `σ = 0` and the band shifts privately per probe; routing both
-//! through one stamp entry removes that duplicate work entirely (see the
-//! factored-once regression tests).
+//! A [`ReductionSession`] keeps one stamp ([`SharedAssocArtifacts`], see
+//! its module) per system fingerprint and resolved engine configuration —
+//! the same type a solo reduction or a greedy run builds privately, so a
+//! request under the session reads exactly the factorizations it would
+//! build alone: `LU(G₁)`, the band-estimator shift cache (every band
+//! frequency is factored once per session, not once per estimator build),
+//! the engine's Schur form or chain shift pool, and the energy weight.
 //!
 //! Three resilience layers wrap the sharing:
 //!
-//! 1. **Memory budgeting** — every cached artifact is byte-accounted in the
-//!    session's [`MemoryBudget`]; stamp entries are LRU-evicted across caches
+//! 1. **Memory budgeting** — every stamp is byte-accounted in the session's
+//!    [`MemoryBudget`] when it is built and re-priced after each request
+//!    (the parts a request built on first use, and the shift caches'
+//!    growth); stamp entries are LRU-evicted across caches
 //!    under the single budget (the transient integrator's frozen factors
 //!    share the same ledger via [`ReductionSession::budget`]), and a charge
 //!    that cannot fit surfaces as typed
@@ -73,9 +70,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use vamor_linalg::{
-    BudgetError, EvictionRecord, MemoryBudget, RunControl, ShiftCache, SolverBackend, Vector,
-};
+use vamor_linalg::{BudgetError, EvictionRecord, MemoryBudget, RunControl, Vector};
 use vamor_system::Qldae;
 
 #[cfg(feature = "fault-injection")]
@@ -83,14 +78,13 @@ use vamor_linalg::fault::{maybe, FaultKind, FaultSite};
 
 use crate::adaptive::{
     AdaptiveHooks, AdaptiveMove, AdaptiveOutcome, AdaptiveReducer, AdaptiveTrace,
-    SharedAdaptiveContext,
 };
-use crate::assoc::SharedAssocArtifacts;
 use crate::error::MorError;
 use crate::reduce::{AssocReducer, ReducedQldae};
+use crate::stamp::{SharedAssocArtifacts, StampConfig};
 
-/// Budget owner tag of the per-stamp shared artifacts (chain factorizations
-/// plus the band-estimator shift cache, priced together).
+/// Budget owner tag of the session's stamps (every factorization a stamp
+/// holds, the band-estimator shift cache included, priced together).
 pub const STAMP_BUDGET_OWNER: &str = "stamp";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -136,7 +130,8 @@ pub enum SessionError {
     /// cached entry *and* its fresh rebuild) — the request was not served,
     /// and the corrupted entries were quarantined.
     CacheCorrupt {
-        /// Stamp fingerprint of the quarantined entry.
+        /// Registry key of the quarantined stamp (the system fingerprint
+        /// hashed with the stamp's engine configuration).
         fingerprint: u64,
     },
     /// Checkpoint save/load failed (torn file, version or system mismatch).
@@ -478,18 +473,11 @@ impl fmt::Debug for SessionCounters {
 
 #[derive(Debug, Clone)]
 struct StampEntry {
-    artifacts: SharedAssocArtifacts,
-    sampler: Arc<ShiftCache>,
-    /// Probe digest of the artifacts at build time; re-derived and compared
-    /// on every fetch so a corrupted entry is caught before any request
+    stamp: SharedAssocArtifacts,
+    /// Probe digest of the stamp at build time; re-derived and compared on
+    /// every fetch so a corrupted entry is caught before any request
     /// consumes it.
     digest: u64,
-}
-
-impl StampEntry {
-    fn bytes(&self) -> usize {
-        self.artifacts.approx_bytes() + self.sampler.approx_bytes()
-    }
 }
 
 /// The shared solver-cache context (see the module docs).
@@ -505,7 +493,7 @@ impl StampEntry {
 /// let a = session.reduce(line.qldae(), &reducer, &control)?;
 /// let b = session.reduce(line.qldae(), &reducer, &control)?;
 /// assert_eq!(a.order(), b.order());
-/// // Both requests shared one G1 factorization:
+/// // Both requests shared one stamp (one G1 factorization):
 /// assert_eq!(session.stats().stamp_builds, 1);
 /// assert_eq!(session.stats().stamp_hits, 1);
 /// # Ok(())
@@ -568,9 +556,8 @@ impl ReductionSession {
     }
 
     /// Stamp fingerprint of a system: FNV-1a over the CSR sparsity patterns
-    /// and exact value bits of every matrix that feeds the shared artifacts,
-    /// plus the cubic `G₃` when the system has one (so checkpoints bind to
-    /// it too).
+    /// and exact value bits of `G₁`, `G₂`, `D₁` and the cubic `G₃` when the
+    /// system has one (checkpoints bind to it).
     pub fn fingerprint(qldae: &Qldae) -> u64 {
         let mut h = FNV_OFFSET;
         for csr in std::iter::once(qldae.g1_csr())
@@ -609,9 +596,22 @@ impl ReductionSession {
         self.registry.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// One reduction under the session: shared `s = 0` artifacts, isolated
-    /// child scope, panic containment, corruption quarantine, budget
-    /// accounting.
+    /// The registry key of the stamp a request reads: the system
+    /// fingerprint, the input and output matrices (the low-rank shift pool
+    /// and energy weight read them) and the resolved engine configuration,
+    /// whose `Debug` form spells every field exactly.
+    fn stamp_key(qldae: &Qldae, config: StampConfig) -> u64 {
+        let shape = format!("{config:?} {}", qldae.b().cols());
+        let mut h = fnv1a(shape.as_bytes(), Self::fingerprint(qldae));
+        for v in qldae.b().as_slice().iter().chain(qldae.c().as_slice()) {
+            h = fnv1a_u64(v.to_bits(), h);
+        }
+        h
+    }
+
+    /// One reduction under the session: the stamp of the reducer's engine
+    /// configuration, isolated child scope, panic containment, corruption
+    /// quarantine, budget accounting.
     ///
     /// # Errors
     ///
@@ -623,20 +623,19 @@ impl ReductionSession {
         control: &RunControl,
     ) -> Result<ReducedQldae, SessionError> {
         self.isolated(control, |child| {
-            let fp = Self::fingerprint(qldae);
-            let entry = self.acquire(fp, qldae)?;
-            let _pin = self.budget.pin(STAMP_BUDGET_OWNER, fp);
-            let rom = reducer.reduce_with_shared(qldae, &entry.artifacts, child)?;
-            self.reprice(fp, &entry);
+            let (key, entry) = self.acquire(qldae, reducer.stamp_config(qldae))?;
+            let _pin = self.budget.pin(STAMP_BUDGET_OWNER, key);
+            let rom = reducer.reduce_on(qldae, &entry.stamp, child)?;
+            self.reprice(key, &entry);
             Ok(rom)
         })
     }
 
     /// One adaptive run under the session: the band estimator solves through
-    /// the stamp's shared shift cache (zero full-model factorizations after
-    /// the first request), every probe reduces against the shared `s = 0`
-    /// artifacts, and an optional [`CheckpointPlan`] makes the run
-    /// killable/resumable.
+    /// the stamp's shift cache (zero full-model factorizations after the
+    /// first request), every probe reduces against the stamp's
+    /// factorizations and energy weight, and an optional [`CheckpointPlan`]
+    /// makes the run killable/resumable.
     ///
     /// # Errors
     ///
@@ -674,12 +673,8 @@ impl ReductionSession {
                 }
                 _ => (Vec::new(), 0),
             };
-            let entry = self.acquire(fp, qldae)?;
-            let _pin = self.budget.pin(STAMP_BUDGET_OWNER, fp);
-            let shared = SharedAdaptiveContext {
-                sampler_cache: &entry.sampler,
-                artifacts: &entry.artifacts,
-            };
+            let (key, entry) = self.acquire(qldae, reducer.stamp_config(qldae))?;
+            let _pin = self.budget.pin(STAMP_BUDGET_OWNER, key);
             // `on_accept` is infallible by signature; the first write
             // failure is parked here and surfaced after the run (the ROM is
             // still returned to a caller that inspects the error's source).
@@ -698,11 +693,11 @@ impl ReductionSession {
                 resume_evaluations,
                 on_accept: plan.map(|_| &writer as &dyn Fn(&AdaptiveTrace)),
             };
-            let out = reducer.reduce_session(qldae, child, &shared, Some(&hooks))?;
+            let out = reducer.reduce_on(qldae, &entry.stamp, child, &hooks)?;
             if let Some(e) = write_error.into_inner() {
                 return Err(e.into());
             }
-            self.reprice(fp, &entry);
+            self.reprice(key, &entry);
             Ok(out)
         })
     }
@@ -736,23 +731,29 @@ impl ReductionSession {
         }
     }
 
-    /// Fetches (or builds) the validated stamp entry for `fp`. A cached
-    /// entry that fails digest validation is quarantined — removed from the
-    /// registry and the ledger — and the fetch retries exactly once against
-    /// a fresh factorization; a second failure is typed.
-    fn acquire(&self, fp: u64, qldae: &Qldae) -> Result<StampEntry, SessionError> {
+    /// Fetches (or builds) the validated stamp entry of `config`, with its
+    /// registry key. A cached entry that fails digest validation is
+    /// quarantined — removed from the registry and the ledger — and the
+    /// fetch retries exactly once against a fresh factorization; a second
+    /// failure is typed.
+    fn acquire(
+        &self,
+        qldae: &Qldae,
+        config: StampConfig,
+    ) -> Result<(u64, StampEntry), SessionError> {
+        let key = Self::stamp_key(qldae, config);
         for _attempt in 0..2 {
-            let cached = self.lock_registry().get(&fp).cloned();
+            let cached = self.lock_registry().get(&key).cloned();
             let (entry, fresh_build) = match cached {
                 Some(entry) => (entry, false),
-                None => (self.build_entry(fp, qldae)?, true),
+                None => (self.build_entry(key, qldae, config)?, true),
             };
             // Corruption seam + validation: re-derive the probe digest from
-            // the artifacts and compare against the stored one (which the
+            // the stamp and compare against the stored one (which the
             // `CacheCorrupt` fault flips). A mismatch on either side means
             // this entry must not serve any request.
             let stored = Self::observed_digest(entry.digest);
-            let derived = Self::probe_digest(&entry.artifacts)?;
+            let derived = Self::probe_digest(&entry.stamp)?;
             if stored == derived {
                 if fresh_build {
                     self.stamp_builds.fetch_add(1, Ordering::Relaxed);
@@ -761,39 +762,46 @@ impl ReductionSession {
                     self.stamp_hits.fetch_add(1, Ordering::Relaxed);
                     self.metrics.stamp_hits.inc();
                 }
-                self.budget.touch(STAMP_BUDGET_OWNER, fp);
-                return Ok(entry);
+                self.budget.touch(STAMP_BUDGET_OWNER, key);
+                return Ok((key, entry));
             }
-            self.quarantine(fp);
+            self.quarantine(key);
         }
-        Err(SessionError::CacheCorrupt { fingerprint: fp })
+        Err(SessionError::CacheCorrupt { fingerprint: key })
     }
 
-    /// Factors a fresh stamp entry, charges the budget (dropping any
-    /// LRU-evicted sibling stamps), and publishes it in the registry.
-    fn build_entry(&self, fp: u64, qldae: &Qldae) -> Result<StampEntry, SessionError> {
+    /// Factors a fresh stamp (its eager `LU(G₁)`), charges the budget
+    /// (dropping any LRU-evicted sibling stamps), and publishes it in the
+    /// registry.
+    fn build_entry(
+        &self,
+        key: u64,
+        qldae: &Qldae,
+        config: StampConfig,
+    ) -> Result<StampEntry, SessionError> {
         let _span = vamor_obs::span!("stamp_build");
-        let artifacts = SharedAssocArtifacts::build(qldae, SolverBackend::Auto)?;
-        let sampler = Arc::new(ShiftCache::new(qldae.g1_csr(), SolverBackend::Auto));
-        let digest = Self::probe_digest(&artifacts)?;
-        let entry = StampEntry {
-            artifacts,
-            sampler,
-            digest,
-        };
-        let evicted = self.budget.charge(STAMP_BUDGET_OWNER, fp, entry.bytes())?;
+        let stamp = SharedAssocArtifacts::new(qldae, config)?;
+        let digest = Self::probe_digest(&stamp)?;
+        let entry = StampEntry { stamp, digest };
+        let evicted = self
+            .budget
+            .charge(STAMP_BUDGET_OWNER, key, entry.stamp.approx_bytes())?;
         self.apply_evictions(&evicted);
-        self.lock_registry().insert(fp, entry.clone());
+        self.lock_registry().insert(key, entry.clone());
         Ok(entry)
     }
 
-    /// Re-prices a stamp entry after a request (its band-estimator shift
-    /// cache grew). A refused re-price demotes the entry to uncached — the request
-    /// already completed, so the budget wins and the cache loses.
-    fn reprice(&self, fp: u64, entry: &StampEntry) {
-        match self.budget.charge(STAMP_BUDGET_OWNER, fp, entry.bytes()) {
+    /// Re-prices a stamp after a request: the parts it built on first use
+    /// and its shift caches' growth. A refused re-price demotes the entry
+    /// to uncached — the request already completed, so the budget wins and
+    /// the cache loses.
+    fn reprice(&self, key: u64, entry: &StampEntry) {
+        match self
+            .budget
+            .charge(STAMP_BUDGET_OWNER, key, entry.stamp.approx_bytes())
+        {
             Ok(evicted) => self.apply_evictions(&evicted),
-            Err(_) => self.quarantine(fp),
+            Err(_) => self.quarantine(key),
         }
     }
 
@@ -806,18 +814,18 @@ impl ReductionSession {
         }
     }
 
-    /// Removes `fp` from both the registry and the ledger (corruption
+    /// Removes `key` from both the registry and the ledger (corruption
     /// quarantine or budget demotion). In-flight requests holding clones of
-    /// the entry are unaffected — the artifacts are `Arc`-backed.
-    fn quarantine(&self, fp: u64) {
+    /// the entry are unaffected — the stamp is `Arc`-backed.
+    fn quarantine(&self, key: u64) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         self.metrics.quarantined.inc();
         vamor_obs::event!(vamor_obs::Event::CacheQuarantine {
             context: "session",
             entries: 1,
         });
-        self.lock_registry().remove(&fp);
-        self.budget.release(STAMP_BUDGET_OWNER, fp);
+        self.lock_registry().remove(&key);
+        self.budget.release(STAMP_BUDGET_OWNER, key);
     }
 
     /// The digest a fetch observes — the `CacheCorrupt` fault flips it, the
@@ -830,13 +838,13 @@ impl ReductionSession {
         digest
     }
 
-    /// Content digest of the shared artifacts: the exact bits of
-    /// `G₁⁻¹ e₁`, which any corruption of the factorization perturbs.
-    fn probe_digest(artifacts: &SharedAssocArtifacts) -> Result<u64, SessionError> {
-        let n = artifacts.n();
+    /// Content digest of a stamp: the exact bits of `G₁⁻¹ e₁`, which any
+    /// corruption of the factorization perturbs.
+    fn probe_digest(stamp: &SharedAssocArtifacts) -> Result<u64, SessionError> {
+        let n = stamp.n();
         let mut e1 = Vector::zeros(n);
         e1[0] = 1.0;
-        let x = artifacts
+        let x = stamp
             .g1_lu()
             .solve(&e1)
             .map_err(|e| SessionError::Mor(MorError::Linalg(e)))?;

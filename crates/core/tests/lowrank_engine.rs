@@ -266,17 +266,21 @@ fn output_krylov_rejects_the_lowrank_engine() {
 /// report the same recovery — and a singular stamp fails both.
 #[test]
 fn dense_and_lowrank_generators_report_the_same_pivot_recovery() {
-    use vamor_core::{AssocMomentGenerator, LowRankAssocMomentGenerator, LowRankOptions};
+    use vamor_core::{
+        AssocMomentGenerator, LowRankAssocMomentGenerator, LowRankOptions, SharedAssocArtifacts,
+    };
     use vamor_linalg::SolverBackend;
 
     let line = TransmissionLine::voltage_driven(8).expect("circuit");
     let varistor = VaristorCircuit::new(12).expect("circuit");
     let opts = LowRankOptions::default();
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        let dense = AssocMomentGenerator::with_options(line.qldae(), backend).expect("dense");
+        let stamp = SharedAssocArtifacts::build(line.qldae(), backend).expect("stamp");
+        let dense = AssocMomentGenerator::with_shared(line.qldae(), &stamp).expect("dense");
         let low = LowRankAssocMomentGenerator::new(line.qldae(), backend, opts).expect("low");
         assert_eq!(dense.pivot_recovery(), low.pivot_recovery(), "{backend:?}");
-        let dense = AssocMomentGenerator::with_options(varistor.qldae(), backend).expect("dense");
+        let stamp = SharedAssocArtifacts::build(varistor.qldae(), backend).expect("stamp");
+        let dense = AssocMomentGenerator::with_shared(varistor.qldae(), &stamp).expect("dense");
         let low = LowRankAssocMomentGenerator::new(varistor.qldae(), backend, opts).expect("low");
         assert_eq!(dense.pivot_recovery(), low.pivot_recovery(), "{backend:?}");
     }
@@ -290,7 +294,7 @@ fn dense_and_lowrank_generators_report_the_same_pivot_recovery() {
         .build()
         .expect("singular stamp still builds");
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-        assert!(AssocMomentGenerator::with_options(&singular, backend).is_err());
+        assert!(SharedAssocArtifacts::build(&singular, backend).is_err());
         assert!(LowRankAssocMomentGenerator::new(&singular, backend, opts).is_err());
     }
 }

@@ -10,7 +10,7 @@ use vamor_circuits::{TransmissionLine, VaristorCircuit};
 use vamor_core::{
     AdaptiveCheckpoint, AdaptiveHooks, AdaptiveReducer, AdaptiveSpec, AssocReducer,
     CheckpointError, CheckpointPlan, FrequencyBand, MomentSpec, ReductionSession, RunControl,
-    SessionError,
+    SessionError, SolverBackend,
 };
 
 fn test_dir(name: &str) -> std::path::PathBuf {
@@ -111,6 +111,37 @@ fn shared_cubic_reduction_matches_unshared_bit_for_bit() {
     };
     assert_eq!(g3_entries(&shared), g3_entries(&direct));
     assert_eq!(session.stats().stamp_builds, 1);
+}
+
+/// A session request reads the factorizations its reducer would build
+/// alone: on a 256-state line, where `Auto` picks the sparse LU, a
+/// `Dense`-backend reducer gets a dense `G₁` factor under the session too,
+/// so its ROM is bit-identical to the solo ROM, and an `Auto` request on
+/// the same system gets a stamp of its own.
+#[test]
+fn session_requests_get_the_stamp_of_their_solver_backend() {
+    let line = TransmissionLine::current_driven(256).unwrap();
+    let spec = MomentSpec::new(4, 1, 0);
+    let dense = AssocReducer::new(spec).with_solver_backend(SolverBackend::Dense);
+    let solo = dense.reduce(line.qldae()).unwrap();
+    let session = ReductionSession::unbounded();
+    let shared = session
+        .reduce(line.qldae(), &dense, &RunControl::new())
+        .unwrap();
+    assert_eq!(
+        shared.projection().as_slice(),
+        solo.projection().as_slice(),
+        "the session ROM's projection differs from the solo ROM's"
+    );
+    assert_eq!(
+        shared.system().g1().as_slice(),
+        solo.system().g1().as_slice(),
+        "the session ROM's reduced G1 differs from the solo ROM's"
+    );
+    session
+        .reduce(line.qldae(), &AssocReducer::new(spec), &RunControl::new())
+        .unwrap();
+    assert_eq!(session.stats().stamp_builds, 2);
 }
 
 /// A budget too small for even one stamp entry refuses the request with
