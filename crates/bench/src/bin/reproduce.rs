@@ -695,34 +695,26 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs [`vamor_bench::trace_overhead`] and enforces the ≤5% tracing-tax
-/// bound, retrying once — best-of-5 pairs are robust, but a loaded CI box
-/// can still land one scheduler hiccup on the instrumented side.
+/// Runs [`vamor_bench::trace_overhead_guard`] and prints every attempt.
 fn run_overhead_guard() -> Result<(), String> {
-    let mut last_ratio = f64::NAN;
-    for attempt in 0..2 {
-        let r = vamor_bench::trace_overhead(5).map_err(|e| e.to_string())?;
-        println!("\n== Tracing overhead guard (tline35 reduce, best of 5) ==");
+    let mut attempt = 0;
+    vamor_bench::trace_overhead_guard(|r| {
+        println!("\n== Tracing overhead guard (tline35 reduce batches, median of pairs) ==");
         println!(
-            "uninstrumented {:.3} ms, instrumented {:.3} ms ({} spans, {} events): ratio {:.3}{}",
+            "{} pairs of {}-reduce batches: uninstrumented {:.3} ms, instrumented {:.3} ms \
+             ({} spans, {} events): ratio {:.3}{}",
+            r.pairs,
+            r.batch,
             r.uninstrumented.as_secs_f64() * 1e3,
             r.instrumented.as_secs_f64() * 1e3,
             r.spans_recorded,
             r.events_recorded,
-            r.ratio(),
+            r.ratio,
             if attempt > 0 { " (retry)" } else { "" }
         );
-        if r.spans_recorded == 0 {
-            return Err("instrumented phase recorded no spans".into());
-        }
-        last_ratio = r.ratio();
-        if last_ratio <= 1.05 {
-            return Ok(());
-        }
-    }
-    Err(format!(
-        "instrumented reduce is {last_ratio:.3}x uninstrumented (bound 1.05) after retry"
-    ))
+        attempt += 1;
+    })
+    .map(|_| ())
 }
 
 fn print_deadline_run(r: &DeadlineRunReport) {

@@ -702,78 +702,133 @@ pub fn acceptance_metrics(
     })
 }
 
-/// Best-of-N walls of the tline35 acceptance reduce with the span
-/// subscriber off and on, timed in interleaved pairs (see
-/// [`trace_overhead`]).
+/// Walls of batches of the tline35 acceptance reduce with the span
+/// subscriber off and on, timed in back-to-back pairs (see
+/// [`trace_overhead_guard`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOverheadReport {
-    /// Best reduce wall with tracing disabled.
+    /// Back-to-back reduces per timed batch.
+    pub batch: usize,
+    /// Timed pairs of one uninstrumented and one instrumented batch.
+    pub pairs: usize,
+    /// Median batch wall with tracing disabled.
     pub uninstrumented: Duration,
-    /// Best reduce wall with the subscriber installed and recording.
+    /// Median batch wall with the subscriber installed and recording.
     pub instrumented: Duration,
-    /// Spans recorded during the instrumented repeats (sanity: must be > 0,
+    /// The tracing tax on the hot path: the median over the pairs of
+    /// instrumented / uninstrumented batch wall.
+    pub ratio: f64,
+    /// Spans recorded during the instrumented batches (sanity: must be > 0,
     /// otherwise the "instrumented" phase measured nothing).
     pub spans_recorded: usize,
-    /// Numerical-health events recorded during the instrumented repeats —
+    /// Numerical-health events recorded during the instrumented batches —
     /// the event subscriber is armed alongside the span subscriber, so the
     /// overhead ratio bounds both layers at once.
     pub events_recorded: usize,
 }
 
-impl TraceOverheadReport {
-    /// `instrumented / uninstrumented` — the tracing tax on the hot path.
-    pub fn ratio(&self) -> f64 {
-        self.instrumented.as_secs_f64() / self.uninstrumented.as_secs_f64().max(1e-12)
-    }
-}
+/// The tracing tax [`trace_overhead_guard`] allows: an instrumented batch
+/// may take at most this multiple of an uninstrumented one.
+const TRACE_OVERHEAD_BOUND: f64 = 1.05;
 
-/// Measures the observability overhead on the tline35 acceptance reduce:
-/// `repeats` pairs of one reduce with tracing disabled and one with both
-/// the span subscriber and the numerical-health event subscriber installed
-/// and recording, alternating which side of a pair runs first, and the best
-/// wall per side. Interleaving puts a host-state change during the
-/// measurement on both sides alike instead of wholly on one. Toggles the
-/// process-global tracer — the previous trace buffer is drained before and
-/// after, so callers running under `--trace` lose their subscriber (the
-/// reproduce driver runs this standalone).
+/// Attempts [`trace_overhead_guard`] makes before it reports a failure.
+const TRACE_OVERHEAD_ATTEMPTS: usize = 2;
+
+/// The shortest wall of one timed batch. A single tline35 reduce takes a
+/// few milliseconds, where one scheduler hiccup moves a sample by more than
+/// the bound; a batch of about ten averages such hiccups out.
+const TRACE_OVERHEAD_BATCH_WALL: Duration = Duration::from_millis(50);
+
+/// Timed pairs per attempt: odd, so the median is one pair's ratio.
+const TRACE_OVERHEAD_PAIRS: usize = 11;
+
+/// The tracing-tax guard: the instrumented tline35 reduce (spans and
+/// numerical-health events recording) stays within 1.05× the
+/// uninstrumented one. Each attempt times 11 back-to-back pairs of reduce
+/// batches of at least 50 ms ([`TraceOverheadReport`]); the guard passes
+/// on the first attempt within the bound and makes two. `observe` sees
+/// every attempt's report, in order. Toggles the process-global tracer, so
+/// a caller running under `--trace` loses its subscriber.
 ///
 /// # Errors
 ///
-/// Propagates circuit construction and reduction failures.
-pub fn trace_overhead(repeats: usize) -> Result<TraceOverheadReport> {
+/// A message with the last ratio when no attempt is within the bound, or
+/// when the instrumented phase recorded no spans or a reduce failed.
+pub fn trace_overhead_guard(
+    mut observe: impl FnMut(&TraceOverheadReport),
+) -> std::result::Result<TraceOverheadReport, String> {
+    let mut ratio = f64::NAN;
+    for _ in 0..TRACE_OVERHEAD_ATTEMPTS {
+        let report = trace_overhead().map_err(|e| e.to_string())?;
+        observe(&report);
+        if report.spans_recorded == 0 {
+            return Err("instrumented phase recorded no spans".into());
+        }
+        ratio = report.ratio;
+        if ratio <= TRACE_OVERHEAD_BOUND {
+            return Ok(report);
+        }
+    }
+    Err(format!(
+        "instrumented reduce is {ratio:.3}x uninstrumented (bound {TRACE_OVERHEAD_BOUND}) \
+         after {TRACE_OVERHEAD_ATTEMPTS} attempts"
+    ))
+}
+
+/// Measures the observability overhead on the tline35 acceptance reduce:
+/// [`TRACE_OVERHEAD_PAIRS`] pairs of one batch of back-to-back reduces with
+/// tracing disabled and one with both the span subscriber and the
+/// numerical-health event subscriber installed and recording, alternating
+/// which side of a pair runs first. The batch holds as many reduces as the
+/// warm-up says fill [`TRACE_OVERHEAD_BATCH_WALL`]. The ratio is the median
+/// of the pairs' ratios, not a ratio of best walls: the host switches
+/// between a fast and a slow state that last about a second and differ by
+/// up to 1.5×, so the best wall per side compares whichever side caught a
+/// rare fast dip, while the two batches of one pair mostly share a state
+/// and the median drops the pairs a switch splits. The previous trace
+/// buffer is drained before and after.
+fn trace_overhead() -> Result<TraceOverheadReport> {
     let line = TransmissionLine::current_driven(35)?;
     let spec = MomentSpec::paper_default();
-    let reduce_once = || -> Result<Duration> {
-        let (rom, t) = timed(|| AssocReducer::new(spec).reduce(line.qldae()));
-        rom?;
-        Ok(t)
+    let reduce_batch = |batch: usize| -> Result<f64> {
+        let start = Instant::now();
+        for _ in 0..batch {
+            AssocReducer::new(spec).reduce(line.qldae())?;
+        }
+        Ok(start.elapsed().as_secs_f64())
     };
     // Warm-up: first-touch allocation and lazy statics land outside the
-    // measured repeats.
-    for _ in 0..repeats.max(1) {
-        reduce_once()?;
+    // measured pairs, and the best single reduce sizes the batch.
+    let mut single = f64::INFINITY;
+    for _ in 0..5 {
+        single = single.min(reduce_batch(1)?);
     }
+    let batch =
+        ((TRACE_OVERHEAD_BATCH_WALL.as_secs_f64() / single.max(1e-9)).ceil() as usize).max(1);
     let _ = vamor_obs::take_trace();
-    let mut uninstrumented = Duration::MAX;
-    let mut instrumented = Duration::MAX;
+    let (mut uninstrumented, mut instrumented, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     let mut spans_recorded = 0;
     let mut events_recorded = 0;
-    for pair in 0..repeats.max(1) {
+    for pair in 0..TRACE_OVERHEAD_PAIRS {
         for traced in [pair % 2 == 1, pair % 2 == 0] {
             if traced {
                 vamor_obs::install();
                 vamor_obs::event::install();
-                instrumented = instrumented.min(reduce_once()?);
+                instrumented.push(reduce_batch(batch)?);
                 spans_recorded += vamor_obs::take_trace().len();
                 events_recorded += vamor_obs::event::take().records.len();
             } else {
-                uninstrumented = uninstrumented.min(reduce_once()?);
+                uninstrumented.push(reduce_batch(batch)?);
             }
         }
+        ratios.push(instrumented[pair] / uninstrumented[pair].max(1e-12));
     }
     Ok(TraceOverheadReport {
-        uninstrumented,
-        instrumented,
+        batch,
+        pairs: TRACE_OVERHEAD_PAIRS,
+        uninstrumented: Duration::from_secs_f64(median_f64(&uninstrumented)),
+        instrumented: Duration::from_secs_f64(median_f64(&instrumented)),
+        ratio: median_f64(&ratios),
         spans_recorded,
         events_recorded,
     })
@@ -857,10 +912,11 @@ impl SparseScalingReport {
 /// so one scheduler hiccup cannot move either number.
 pub const FACTOR_REPEATS: usize = 5;
 
-fn median_f64(samples: &[f64; FACTOR_REPEATS]) -> f64 {
-    let mut sorted = *samples;
+/// The median of an odd number of samples (the upper one of an even).
+fn median_f64(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    sorted[FACTOR_REPEATS / 2]
+    sorted[sorted.len() / 2]
 }
 
 /// Runs the PR-3 sparse-scaling benchmark (see [`SparseScalingReport`]).

@@ -23,7 +23,7 @@ pub use experiments::{
     adaptive_resume_run, fig2_adaptive_spec, fig2_voltage_line, fig2_voltage_line_with,
     fig3_adaptive_spec, fig3_current_line, fig3_current_line_with, fig4_adaptive_spec,
     fig4_rf_receiver, fig4_rf_receiver_with, fig5_adaptive_spec, fig5_varistor, fig5_varistor_with,
-    lowrank_scaling, scaling_subspace_dims, sparse_scaling, trace_overhead, AblationRow,
+    lowrank_scaling, scaling_subspace_dims, sparse_scaling, trace_overhead_guard, AblationRow,
     AcceptanceMetrics, AdaptiveExperimentReport, AdaptiveFigReport, AdaptiveSummary,
     DeadlineRunReport, ExperimentError, LowRankScalingReport, ResumeReport, ScalingRow,
     SparseScalingReport, Timings, TraceOverheadReport, TransientComparison,

@@ -40,14 +40,12 @@
 //! multivariate (NORM-style) moment matching.
 
 use vamor_linalg::{
-    kron_vec, CsrMatrix, Matrix, PivotRecovery, SchurDecomposition, SolverBackend, SylvesterSolver,
-    Vector,
+    kron_vec, CsrMatrix, Matrix, PivotRecovery, SolverBackend, SylvesterSolver, Vector,
 };
 use vamor_system::Qldae;
 
 use crate::bigsmall::PairSplit;
 use crate::error::MorError;
-use crate::stamp::DenseSchur;
 pub use crate::stamp::SharedAssocArtifacts;
 use crate::Result;
 
@@ -326,7 +324,7 @@ impl<'a> AssocMomentGenerator<'a> {
                 qldae.g1().rows()
             )));
         }
-        shared.dense(qldae)?;
+        shared.lyap(qldae)?;
         Ok(AssocMomentGenerator {
             qldae,
             stamp: shared.clone(),
@@ -390,7 +388,8 @@ impl<'a> AssocMomentGenerator<'a> {
         let b_a = input_column(self.qldae, input_a)?;
         let b_b = input_column(self.qldae, input_b)?;
         let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
-        let DenseSchur { schur, lyap } = self.stamp.dense(self.qldae)?;
+        let lyap = self.stamp.lyap(self.qldae)?;
+        let schur = lyap.schur();
         let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
         let mut read = KronRead::new(self.qldae.g2(), self.stamp.n());
         // vec(Ŵ₀) = vec(Qᵀ b_b b_aᵀ Q) = b̂_a ⊗ b̂_b.
@@ -436,7 +435,8 @@ impl<'a> AssocMomentGenerator<'a> {
         let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
         let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
-        let DenseSchur { schur, lyap } = self.stamp.dense(self.qldae)?;
+        let lyap = self.stamp.lyap(self.qldae)?;
+        let schur = lyap.schur();
         let q = schur.q();
         let b_hat = schur.to_schur_coords(&b);
         // Bottom block, row e = vec(X̂_e): X̂₀ = (b̂ ⊗ b̂) b̂ᵀ.
@@ -456,7 +456,7 @@ impl<'a> AssocMomentGenerator<'a> {
         let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
         let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
         for _ in 0..count {
-            solve_kron3_schur_into(lyap, schur, &mut bottom, &mut pair)?;
+            solve_kron3_schur_into(lyap, &mut bottom, &mut pair)?;
             let quadratic = match (read2.as_mut(), top.as_mut()) {
                 (Some(read), Some(top)) => {
                     // T Ẑ_t + Ẑ_t Tᵀ = Ẑ_t,prev − Qᵀ G₂ (Q⊗Q) X̂, where column
@@ -644,7 +644,8 @@ fn gather2(q: &Matrix, w_hat: &[f64], cols: &[usize], u: &mut [f64], out: &mut [
 }
 
 /// Solves the three-mode Kronecker-sum equation `(T⊕T⊕T) vec(X̂) = vec(R̂)`
-/// of the `H₃` bottom block in `G₁`'s Schur coordinates, in place:
+/// of the `H₃` bottom block in the Schur coordinates of `lyap`'s `G₁`, in
+/// place:
 /// `T X̂_e + X̂_e Tᵀ + Σ_f T[e, f] X̂_f = R̂_e` for every outer index `e`, on
 /// the `n × n²` matrix whose row `e` holds `vec(R̂_e)` on entry and
 /// `vec(X̂_e)` on return.
@@ -655,12 +656,8 @@ fn gather2(q: &Matrix, w_hat: &[f64], cols: &[usize], u: &mut [f64], out: &mut [
 /// `T`, and a 2×2 block is diagonalized ([`PairSplit`]) into one complex
 /// (or, on the margin, two real) shifted solves through the `pair` scratch
 /// of `2·n²` entries.
-fn solve_kron3_schur_into(
-    lyap: &SylvesterSolver,
-    schur: &SchurDecomposition,
-    xt: &mut Matrix,
-    pair: &mut [f64],
-) -> Result<()> {
+fn solve_kron3_schur_into(lyap: &SylvesterSolver, xt: &mut Matrix, pair: &mut [f64]) -> Result<()> {
+    let schur = lyap.schur();
     let t = schur.t();
     let nn = xt.cols();
     if xt.rows() != t.rows() || nn != t.rows() * t.rows() || pair.len() != 2 * nn {
@@ -802,7 +799,7 @@ fn triple_kron_as_matrix(b: &Vector) -> Matrix {
 pub(crate) mod tests {
     use super::*;
     use vamor_linalg::kron::{unvec, vec_of};
-    use vamor_linalg::{kron_sum, CooMatrix};
+    use vamor_linalg::{kron_sum, CooMatrix, SchurDecomposition};
     use vamor_system::QldaeBuilder;
 
     fn small_qldae(with_d1: bool) -> Qldae {
@@ -1383,8 +1380,8 @@ pub(crate) mod tests {
     #[test]
     fn three_mode_schur_solve_has_small_residual() {
         for copies in [1, 4] {
-            let schur = mixed_block_schur(copies);
-            let t = schur.t();
+            let lyap = SylvesterSolver::lyapunov(mixed_block_schur(copies));
+            let t = lyap.schur().t();
             let n = t.rows();
             // The 2×2 blocks take both branches of the pair split.
             assert!(matches!(
@@ -1395,29 +1392,27 @@ pub(crate) mod tests {
                 PairSplit::new(t[(3, 3)], t[(4, 3)], t[(3, 4)], t[(4, 4)]).unwrap(),
                 PairSplit::Real { .. }
             ));
-            let lyap = SylvesterSolver::new_lyapunov_from_schur(&schur);
             let rhs = Matrix::from_fn(n, n * n, |e, r| ((e * 11 + r * 5) % 13) as f64 - 6.0);
             let mut x = rhs.clone();
             let mut pair = vec![0.0; 2 * n * n];
-            solve_kron3_schur_into(&lyap, &schur, &mut x, &mut pair).unwrap();
+            solve_kron3_schur_into(&lyap, &mut x, &mut pair).unwrap();
             let residual = (&kron3_apply(t, &x) - &rhs).max_abs() / rhs.max_abs();
             assert!(
                 residual < 1e-12,
                 "n = {n}: relative residual {residual:.3e}"
             );
             // Wrong shapes are typed errors, not panics.
-            assert!(solve_kron3_schur_into(&lyap, &schur, &mut x, &mut pair[..n]).is_err());
+            assert!(solve_kron3_schur_into(&lyap, &mut x, &mut pair[..n]).is_err());
         }
     }
 
     /// The memory-budget estimate is exactly what the stamp holds: the
     /// eager `G₁` factor, then each part built on use, once it exists — the
-    /// Schur pair with its block list and the Lyapunov solver (two Schur
-    /// pairs, their transposes and two block lists), the energy weight's
-    /// Cholesky factor, the band sampler's cache, and on the low-rank
-    /// engine the chain shift cache with its shift pool and the LR-ADI
-    /// factor. A session's re-price after a request sees the parts the
-    /// request built.
+    /// one Schur pair of `G₁` with its block list (the Lyapunov solver holds
+    /// nothing else), the energy weight's Cholesky factor, the band
+    /// sampler's cache, and on the low-rank engine the chain shift cache
+    /// with its shift pool and the LR-ADI factor. A session's re-price
+    /// after a request sees the parts the request built.
     #[test]
     fn artifact_estimate_covers_every_held_matrix() {
         use crate::stamp::{EnergyWeight, StampConfig};
@@ -1430,10 +1425,8 @@ pub(crate) mod tests {
         let dense = n * n * std::mem::size_of::<f64>();
         let lu = stamp.g1_lu().approx_bytes();
         assert_eq!(stamp.approx_bytes(), lu);
-        let blocks = std::mem::size_of_val(stamp.dense(q).unwrap().schur.blocks());
-        let with_schur = lu
-            + 2 * dense + blocks // Schur Q, T and blocks
-            + 6 * dense + 2 * blocks; // Lyapunov solver Qa, Ta, Qb, Tb, Qaᵀ, Qbᵀ
+        let blocks = std::mem::size_of_val(stamp.lyap(q).unwrap().schur().blocks());
+        let with_schur = lu + 2 * dense + blocks; // Schur Q, T and blocks, once
         assert_eq!(stamp.approx_bytes(), with_schur);
         // `build` is the eager dense stamp: LU(G₁) and the Schur parts.
         let built = SharedAssocArtifacts::build(q, SolverBackend::Auto).unwrap();

@@ -57,7 +57,7 @@ use vamor_linalg::lowrank::{
 };
 use vamor_linalg::{
     kron_vec, CholeskyDecomposition, CsrMatrix, LinalgError, Matrix, PivotRecovery, RunControl,
-    ShiftCache, SolverBackend, SylvesterSolver, Vector,
+    SchurDecomposition, ShiftCache, SolverBackend, SylvesterSolver, Vector,
 };
 use vamor_system::Qldae;
 
@@ -384,7 +384,8 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         }
         let (q, q_cols, h) = self.chain_frame(&seeds, count + 1)?;
         let k = q.cols();
-        let lyap = SylvesterSolver::new_lyapunov(&h).map_err(MorError::Linalg)?;
+        let lyap =
+            SylvesterSolver::lyapunov(SchurDecomposition::new(&h).map_err(MorError::Linalg)?);
         let bhat_a = q.matvec_transpose(&b_a);
         let bhat_b = q.matvec_transpose(&b_b);
         // Ŵ₀ = b̂_b b̂_aᵀ  (W₀ = unvec(b_a ⊗ b_b) = b_b b_aᵀ).

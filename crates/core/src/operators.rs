@@ -31,9 +31,10 @@ fn vec_of(m: &Matrix) -> Vector {
     vamor_linalg::kron::vec_of(m)
 }
 
-/// The Kronecker sum `A ⊕ A` of a square matrix with itself, with cached
-/// Schur machinery for shifted solves. Used for `G₁ ⊕ G₁` (and its transpose
-/// when solving for the decoupling matrix `Π` of Eq. 18).
+/// The Kronecker sum `A ⊕ A` of a square matrix with itself, with shifted
+/// solves on one Schur form of `A`. The low-rank engine's `H₃` Tucker core
+/// runs on it for the projected `k × k` matrix `Qᵀ G₁ Q`; [`BlockH2Op`]
+/// wraps one for `G₁ ⊕ G₁`.
 #[derive(Debug, Clone)]
 pub struct KronSumOp2 {
     a: Matrix,
@@ -42,9 +43,9 @@ pub struct KronSumOp2 {
 }
 
 impl KronSumOp2 {
-    /// Builds the operator for `A ⊕ A` with a single Schur factorization of
-    /// `A` shared between both coefficients of the underlying Lyapunov-shaped
-    /// Sylvester solver.
+    /// Builds the operator for `A ⊕ A` on a single Schur factorization of
+    /// `A`, which serves both coefficients of the Lyapunov-shaped Sylvester
+    /// solver.
     ///
     /// # Errors
     ///
@@ -58,7 +59,8 @@ impl KronSumOp2 {
                 a.cols()
             )));
         }
-        let solver = SylvesterSolver::new_lyapunov(a).map_err(MorError::Linalg)?;
+        let schur = SchurDecomposition::new(a).map_err(MorError::Linalg)?;
+        let solver = SylvesterSolver::lyapunov(schur);
         Ok(KronSumOp2 {
             a: a.clone(),
             solver,
@@ -71,11 +73,11 @@ impl KronSumOp2 {
         &self.a
     }
 
-    /// The Schur decomposition of `A` cached inside the solver, cloned out
-    /// for reuse by other recursions over the spectrum of `A` (e.g. the
+    /// The Schur decomposition of `A` the solver holds, cloned out for
+    /// reuse by other recursions over the spectrum of `A` (e.g. the
     /// big-left/small-right Sylvester solves of [`crate::bigsmall`]).
     pub fn a_schur(&self) -> SchurDecomposition {
-        self.solver.a_schur_decomposition()
+        self.solver.schur().clone()
     }
 }
 

@@ -55,8 +55,8 @@
 //! [`AssocReducer::reduce`], a whole greedy run's, or a session's.
 
 use vamor_linalg::{
-    eigenvalues, CholeskyDecomposition, LuFactor, Matrix, OrthoBasis, PivotRecovery, PivotedQr,
-    RunControl, SolverBackend, Vector,
+    eigenvalues, CholeskyDecomposition, Matrix, OrthoBasis, PivotRecovery, PivotedQr, RunControl,
+    SolverBackend, Vector,
 };
 use vamor_system::Qldae;
 
@@ -123,8 +123,10 @@ impl MomentSpec {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationReport {
     /// Pivot-threshold escalations the sparse LU took on near-singular
-    /// pivots (in the `G₁` factorization of the stamp the run read and the
-    /// two-sided `G₁ᵀ` one, both through `LuFactor::build_with_recovery`).
+    /// pivots in the factorizations of the stamp the run read, both through
+    /// `LuFactor::build_with_recovery`: `LU(G₁)`, and on a two-sided run
+    /// `LU(G₁ᵀ)`. The stamp factors each once, and every ROM over it
+    /// counts what its ladder did.
     pub pivot_escalations: usize,
     /// Sparse factorizations abandoned for the dense backend after the
     /// escalation ladder was exhausted.
@@ -785,7 +787,7 @@ impl AssocReducer {
         };
         if self.output_krylov > 0 {
             let qtil = self.settle(basis, &mut stats)?;
-            return self.finish_two_sided(qldae, stamp.config().sparse, qtil, stats);
+            return self.finish_two_sided(qldae, stamp, qtil, stats);
         }
         self.finish(qldae, basis, frame, stats, control)
     }
@@ -796,20 +798,18 @@ impl AssocReducer {
     /// pair is bi-orthonormalized to `WᵀV = I`. With `q` columns a side, the
     /// reduced `H₁` matches `2q` moments (`q` from the input space, `q` more
     /// from the output space) — double the one-sided count per basis vector.
+    /// The dual chains solve against the stamp's `LU(G₁ᵀ)`.
     fn finish_two_sided(
         &self,
         qldae: &Qldae,
-        sparse: bool,
+        stamp: &SharedAssocArtifacts,
         qtil: Matrix,
         mut stats: ReductionStats,
     ) -> Result<ReducedQldae> {
         let csr = qldae.g1_csr();
         let n = csr.rows();
-        // Transposed factorization for the dual chains, through the pivot
-        // degradation ladder in the stamp's backend.
-        let (gt_lu, recovery) = LuFactor::build_with_recovery(&csr.transpose(), sparse, None)
-            .map_err(MorError::Linalg)?;
-        stats.degradation.absorb_pivot(recovery);
+        let (gt_lu, recovery) = stamp.g1t_lu(qldae)?;
+        stats.degradation.absorb_pivot(*recovery);
         let mut wbasis = OrthoBasis::with_tolerance(n, self.deflation_tol);
         for row in 0..qldae.c().rows() {
             let mut y = Vector::from_fn(n, |j| qldae.c()[(row, j)]);
@@ -1062,7 +1062,7 @@ mod tests {
             let config = AssocReducer::new(MomentSpec::new(2, 1, 0)).stamp_config(&q);
             let lazy = SharedAssocArtifacts::new(&q, config).unwrap();
             let eager = SharedAssocArtifacts::new(&q, config).unwrap();
-            eager.dense(&q).unwrap();
+            eager.lyap(&q).unwrap();
             let lazy_frame = StabilizationFrame::new(&q, &lazy);
             let eager_frame = StabilizationFrame::new(&q, &eager);
             assert!(!lazy_frame.is_active() && !eager_frame.is_active());
@@ -1087,6 +1087,46 @@ mod tests {
             .weigh(&RunControl::new(), &mut ReductionStats::default())
             .unwrap();
         assert!(frame.is_active());
+    }
+
+    /// Two-sided reductions over one stamp factor `G₁ᵀ` once: the first
+    /// grows the stamp by the Schur form and the `G₁ᵀ` factor, the second
+    /// by nothing; both ROMs are bit-equal to a solo reduction's, and each
+    /// ROM's degradation report counts the ladders of `LU(G₁)` and
+    /// `LU(G₁ᵀ)`.
+    #[test]
+    fn two_sided_reductions_over_one_stamp_factor_g1t_once() {
+        let line = vamor_circuits::TransmissionLine::current_driven(20).unwrap();
+        let q = line.qldae();
+        let reducer = AssocReducer::new(MomentSpec::new(4, 2, 0)).with_output_krylov(2);
+        let solo = reducer.reduce(q).unwrap();
+        let stamp = SharedAssocArtifacts::new(q, reducer.stamp_config(q)).unwrap();
+        let before = stamp.approx_bytes();
+        let control = RunControl::new();
+        let roms = [
+            reducer.reduce_on(q, &stamp, &control).unwrap(),
+            reducer.reduce_on(q, &stamp, &control).unwrap(),
+        ];
+        let n = stamp.n();
+        let schur = 2 * n * n * std::mem::size_of::<f64>()
+            + std::mem::size_of_val(stamp.lyap(q).unwrap().schur().blocks());
+        let (g1t, g1t_recovery) = stamp.g1t_lu(q).unwrap();
+        assert_eq!(stamp.approx_bytes(), before + schur + g1t.approx_bytes());
+        let mut ladders = DegradationReport::default();
+        ladders.absorb_pivot(stamp.recovery());
+        ladders.absorb_pivot(*g1t_recovery);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rom in &roms {
+            assert_eq!(bits(rom.projection()), bits(solo.projection()));
+            assert_eq!(bits(rom.system().g1()), bits(solo.system().g1()));
+            // `Debug`, since the plain-Galerkin `adi_residual` is NaN.
+            assert_eq!(format!("{:?}", rom.stats()), format!("{:?}", solo.stats()));
+            let got = rom.stats().degradation;
+            assert_eq!(
+                (got.pivot_escalations, got.dense_fallbacks),
+                (ladders.pivot_escalations, ladders.dense_fallbacks)
+            );
+        }
     }
 
     #[test]
@@ -1123,7 +1163,8 @@ mod tests {
             .reduce(&q)
             .unwrap();
         // V is M-orthonormal for the Lyapunov weight of G₁.
-        let m = vamor_linalg::lyapunov_weight(q.g1()).unwrap();
+        let schur = vamor_linalg::SchurDecomposition::new(q.g1()).unwrap();
+        let m = vamor_linalg::lyapunov_weight(&schur).unwrap();
         let v = rom.projection();
         let gram = v.transpose().matmul(&m.matmul(v));
         assert!(

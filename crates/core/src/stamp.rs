@@ -10,10 +10,13 @@
 //! * **eagerly** — `LU(G₁)` through the pivot degradation ladder, with its
 //!   [`PivotRecovery`];
 //! * **on first use** — the band sampler's [`ShiftCache`] (a plain
-//!   reduction never samples); on the dense engine the Schur form of `G₁`
-//!   and the Lyapunov solver over it (an unstabilized NORM reduction never
-//!   asks for them); on the low-rank engine the chain [`ShiftCache`] and
-//!   the Ritz shift pool;
+//!   reduction never samples); `LU(G₁ᵀ)` through the same ladder, with its
+//!   [`PivotRecovery`], for the dual chains of a two-sided reduction; on
+//!   the dense engine the Lyapunov solver over the Schur form of `G₁` (an
+//!   unstabilized NORM reduction never asks for it), which holds the
+//!   stamp's one copy of that form: the `H₂`/`H₃` chains, the energy weight
+//!   and the Hurwitz verdict all read it there; on the low-rank engine the
+//!   chain [`ShiftCache`] and the Ritz shift pool;
 //! * **the energy weight, on the first stabilized use** — the Cholesky
 //!   factor of the dense Schur Lyapunov weight, or the low-rank LR-ADI
 //!   factor `Z` together with its ADI record, which every ROM's
@@ -28,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    eigenvalues, lyapunov_weight_with_schur, CholeskyDecomposition, PivotRecovery, RunControl,
+    eigenvalues, lyapunov_weight, CholeskyDecomposition, PivotRecovery, RunControl,
     SchurDecomposition, ShiftCache, SolverBackend, SylvesterSolver,
 };
 use vamor_system::Qldae;
@@ -76,14 +79,6 @@ impl StampConfig {
     }
 }
 
-/// The dense engine's Schur form of `G₁` and the Lyapunov solver over it,
-/// whose Schur-coordinate kernels run the `H₂`/`H₃` Kronecker walks.
-#[derive(Debug)]
-pub(crate) struct DenseSchur {
-    pub(crate) schur: SchurDecomposition,
-    pub(crate) lyap: SylvesterSolver,
-}
-
 /// The energy weight of the stabilized projection.
 #[derive(Debug)]
 pub(crate) enum EnergyWeight {
@@ -101,7 +96,8 @@ struct StampParts {
     g1_lu: G1Factor,
     recovery: PivotRecovery,
     sampler: OnceLock<ShiftCache>,
-    dense: OnceLock<DenseSchur>,
+    lyap: OnceLock<SylvesterSolver>,
+    g1t_lu: OnceLock<(G1Factor, PivotRecovery)>,
     chain: OnceLock<ChainShifts>,
     weight: OnceLock<EnergyWeight>,
     g1_hurwitz: OnceLock<bool>,
@@ -118,8 +114,9 @@ pub struct SharedAssocArtifacts {
 
 impl SharedAssocArtifacts {
     /// The dense-engine stamp of `qldae`, built eagerly: `LU(G₁)` through
-    /// the pivot degradation ladder in the backend `backend` picks, and one
-    /// Schur form of `G₁` with the Lyapunov solver built on it.
+    /// the pivot degradation ladder in the backend `backend` picks, and the
+    /// Lyapunov solver over the Schur form of `G₁`, the stamp's one copy of
+    /// that form. The other parts are built on first use.
     ///
     /// # Errors
     ///
@@ -129,7 +126,7 @@ impl SharedAssocArtifacts {
         let n = qldae.g1_csr().rows();
         let config = StampConfig::resolve(n, backend, false, LowRankOptions::default());
         let stamp = Self::new(qldae, config)?;
-        stamp.dense(qldae)?;
+        stamp.lyap(qldae)?;
         Ok(stamp)
     }
 
@@ -144,7 +141,8 @@ impl SharedAssocArtifacts {
                 g1_lu,
                 recovery,
                 sampler: OnceLock::new(),
-                dense: OnceLock::new(),
+                lyap: OnceLock::new(),
+                g1t_lu: OnceLock::new(),
                 chain: OnceLock::new(),
                 weight: OnceLock::new(),
                 g1_hurwitz: OnceLock::new(),
@@ -179,13 +177,22 @@ impl SharedAssocArtifacts {
             .get_or_init(|| ShiftCache::new(qldae.g1_csr(), backend))
     }
 
-    /// The Schur form of `G₁` and its Lyapunov solver, factored on first
-    /// use.
-    pub(crate) fn dense(&self, qldae: &Qldae) -> Result<&DenseSchur> {
-        built_once(&self.parts.dense, || {
+    /// The Lyapunov solver over the Schur form of `G₁`, factored on first
+    /// use; its Schur-coordinate kernels run the `H₂`/`H₃` Kronecker walks.
+    pub(crate) fn lyap(&self, qldae: &Qldae) -> Result<&SylvesterSolver> {
+        built_once(&self.parts.lyap, || {
             let schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
-            let lyap = SylvesterSolver::new_lyapunov_from_schur(&schur);
-            Ok(DenseSchur { schur, lyap })
+            Ok(SylvesterSolver::lyapunov(schur))
+        })
+    }
+
+    /// `LU(G₁ᵀ)` through the pivot degradation ladder in the stamp's
+    /// backend, with what the ladder did, factored on first use.
+    pub(crate) fn g1t_lu(&self, qldae: &Qldae) -> Result<&(G1Factor, PivotRecovery)> {
+        let sparse = self.parts.config.sparse;
+        built_once(&self.parts.g1t_lu, || {
+            G1Factor::build_with_recovery(&qldae.g1_csr().transpose(), sparse, None)
+                .map_err(MorError::Linalg)
         })
     }
 
@@ -209,7 +216,7 @@ impl SharedAssocArtifacts {
                 let weight = lowrank_weight(qldae.g1_csr(), qldae.c(), backend, opts, control)?;
                 return Ok(EnergyWeight::LowRank(weight));
             }
-            let m = lyapunov_weight_with_schur(&self.dense(qldae)?.schur);
+            let m = lyapunov_weight(self.lyap(qldae)?.schur());
             Ok(EnergyWeight::Dense(
                 m.ok().and_then(|m| CholeskyDecomposition::new(&m).ok()),
             ))
@@ -223,26 +230,28 @@ impl SharedAssocArtifacts {
         *self
             .parts
             .g1_hurwitz
-            .get_or_init(|| match self.parts.dense.get() {
-                Some(dense) => dense.schur.eigenvalues().iter().all(|z| z.re < 0.0),
+            .get_or_init(|| match self.parts.lyap.get() {
+                Some(lyap) => lyap.schur().eigenvalues().iter().all(|z| z.re < 0.0),
                 None => eigenvalues(qldae.g1()).is_ok_and(|eig| eig.is_hurwitz()),
             })
     }
 
     /// Heap footprint for the session memory-budget governor: the `G₁`
     /// factor, plus every part built on use once it exists — the band
-    /// sampler's cache, the Schur pair of `G₁` with its block list and the
-    /// Lyapunov solver, the chain shift cache with its shift pool, and the
-    /// energy weight's factor. The shift caches grow as they memoize, so
-    /// the estimate is the size held at the time of the call.
+    /// sampler's cache, the Schur pair of `G₁` with its block list (the
+    /// Lyapunov solver's only data), the `G₁ᵀ` factor, the chain shift
+    /// cache with its shift pool, and the energy weight's factor. The shift
+    /// caches grow as they memoize, so the estimate is the size held at the
+    /// time of the call.
     pub fn approx_bytes(&self) -> usize {
         let p = &self.parts;
-        let dense = p.dense.get().map_or(0, |d| {
-            std::mem::size_of_val(d.schur.q().as_slice())
-                + std::mem::size_of_val(d.schur.t().as_slice())
-                + std::mem::size_of_val(d.schur.blocks())
-                + d.lyap.approx_bytes()
+        let dense = p.lyap.get().map_or(0, |lyap| {
+            let schur = lyap.schur();
+            std::mem::size_of_val(schur.q().as_slice())
+                + std::mem::size_of_val(schur.t().as_slice())
+                + std::mem::size_of_val(schur.blocks())
         });
+        let g1t = p.g1t_lu.get().map_or(0, |(lu, _)| lu.approx_bytes());
         let chain = p.chain.get().map_or(0, ChainShifts::approx_bytes);
         let weight = p.weight.get().map_or(0, |w| match w {
             EnergyWeight::Dense(chol) => chol
@@ -254,7 +263,7 @@ impl SharedAssocArtifacts {
             }
         });
         let sampler = p.sampler.get().map_or(0, ShiftCache::approx_bytes);
-        p.g1_lu.approx_bytes() + sampler + dense + chain + weight
+        p.g1_lu.approx_bytes() + sampler + dense + g1t + chain + weight
     }
 }
 

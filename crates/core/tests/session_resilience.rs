@@ -178,10 +178,10 @@ fn stamps_are_lru_evicted_under_the_shared_budget() {
     let b = TransmissionLine::current_driven(17).unwrap();
     let reducer = AssocReducer::new(MomentSpec::new(2, 1, 0));
     let control = RunControl::new();
-    // Big enough for one 17-state stamp (G1 LU + Schur + block op with its
-    // G1 ⊕ G1 solver and shift cache, plus the band-sampler cache), far too
-    // small for two.
-    let session = ReductionSession::new(45_000);
+    // Big enough for one 17-state stamp after a stabilized request (G1 LU,
+    // the Schur form of G1 and the Cholesky weight: 9656 bytes; the
+    // 16-state one holds 8576), far too small for two.
+    let session = ReductionSession::new(13_000);
 
     session.reduce(a.qldae(), &reducer, &control).unwrap();
     session.reduce(b.qldae(), &reducer, &control).unwrap();

@@ -100,9 +100,7 @@ pub use sparse::{CooMatrix, CsrMatrix};
 pub use sparse_lu::{
     LuFactor, PivotRecovery, SolverBackend, SparseLu, SparseLuSymbolic, SparseZLu,
 };
-pub use sylvester::{
-    lyapunov_weight, lyapunov_weight_with_schur, solve_lyapunov, solve_sylvester, SylvesterSolver,
-};
+pub use sylvester::{lyapunov_weight, solve_sylvester, SylvesterSolver};
 pub use vector::Vector;
 pub use zmatrix::{ZLuDecomposition, ZMatrix, ZVector};
 

@@ -1171,6 +1171,7 @@ pub fn rational_krylov_basis(
 mod tests {
     use super::*;
     use crate::control::StopCause;
+    use crate::schur::SchurDecomposition;
     use crate::sparse::CsrMatrix;
     use crate::sparse_lu::SolverBackend;
     use crate::sylvester::lyapunov_weight;
@@ -1258,7 +1259,7 @@ mod tests {
                 sol.stats.residual,
                 sol.stats.iterations
             );
-            let dense = lyapunov_weight(&a).unwrap();
+            let dense = lyapunov_weight(&SchurDecomposition::new(&a).unwrap()).unwrap();
             assert!(
                 (&m - &dense).max_abs() <= 1e-7 * (1.0 + dense.max_abs()),
                 "n={n}: ZZᵀ vs dense weight diff {:.3e}",
@@ -1456,7 +1457,7 @@ mod tests {
             sol.stats.residual
         );
         let m = sol.z.matmul(&sol.z.transpose());
-        let dense = lyapunov_weight(&a).unwrap();
+        let dense = lyapunov_weight(&SchurDecomposition::new(&a).unwrap()).unwrap();
         assert!(
             (&m - &dense).max_abs() <= 1e-7 * (1.0 + dense.max_abs()),
             "pair ZZᵀ vs dense weight diff {:.3e}",

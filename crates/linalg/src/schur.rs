@@ -60,9 +60,7 @@ impl SchurDecomposition {
         Ok(SchurDecomposition { q, t, blocks })
     }
 
-    /// Reassembles a decomposition from previously computed factors, so a
-    /// Schur form cached elsewhere (e.g. inside a
-    /// [`crate::SylvesterSolver`]) can be reused without refactorizing.
+    /// Reassembles a decomposition from previously computed factors.
     ///
     /// The caller is trusted to pass a consistent triple: `q` orthogonal, `t`
     /// upper quasi-triangular and `blocks` its diagonal block structure.

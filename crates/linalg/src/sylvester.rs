@@ -7,19 +7,24 @@
 //! `(G₁ − σI) Y + Y G₁ᵀ = −R`, which Bartels–Stewart handles in `O(n³)` using
 //! only the `n × n` Schur factorization of `G₁`.
 //!
-//! [`SylvesterSolver`] caches the Schur factorizations of its two coefficient
-//! matrices so that the many repeated solves of moment generation cost a
-//! single quasi-triangular back-substitution each. Complex-shifted solves
-//! (needed when an outer recursion walks over 2×2 Schur blocks of another
-//! matrix) are supported as well.
+//! [`SylvesterSolver`] holds the Schur factorizations of its coefficient
+//! matrices — one, for the Lyapunov shape `A X + X Aᵀ` — so that the many
+//! repeated solves of moment generation cost a single quasi-triangular
+//! back-substitution each. Complex-shifted solves (needed when an outer
+//! recursion walks over 2×2 Schur blocks of another matrix) are supported
+//! as well.
 
 use crate::complex::Complex;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::schur::{SchurBlock, SchurDecomposition};
+use crate::schur::SchurDecomposition;
 use crate::Result;
 
 /// Cached Bartels–Stewart solver for `A X + X B = C` with fixed `A`, `B`.
+///
+/// The solver holds its coefficients as Schur forms: `A`'s, and `Bᵀ`'s
+/// unless `B = Aᵀ` (the Lyapunov shape of every Kronecker-sum operator),
+/// where `Bᵀ`'s Schur form is `A`'s own and is held once.
 ///
 /// ```
 /// use vamor_linalg::{Matrix, SylvesterSolver};
@@ -36,20 +41,11 @@ use crate::Result;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SylvesterSolver {
-    na: usize,
-    nb: usize,
-    /// Schur factors of `A`: `A = Qa Ta Qaᵀ`.
-    qa: Matrix,
-    ta: Matrix,
-    blocks_a: Vec<SchurBlock>,
-    /// Schur factors of `Bᵀ`: `Qb Tb Qbᵀ` (so `Qbᵀ B Qb = Tbᵀ`).
-    qb: Matrix,
-    tb: Matrix,
-    blocks_b: Vec<SchurBlock>,
-    /// Precomputed `Qaᵀ` / `Qbᵀ`, so the hot solve paths never re-allocate
-    /// transposes.
-    qat: Matrix,
-    qbt: Matrix,
+    /// Schur form of `A`: `A = Qa Ta Qaᵀ`.
+    a: SchurDecomposition,
+    /// Schur form of `Bᵀ`: `Bᵀ = Qb Tb Qbᵀ` (so `Qbᵀ B Qb = Tbᵀ`); `None`
+    /// for the Lyapunov shape `B = Aᵀ`, whose `Bᵀ` is `A`.
+    b: Option<SchurDecomposition>,
 }
 
 impl SylvesterSolver {
@@ -72,114 +68,33 @@ impl SylvesterSolver {
                 cols: b.cols(),
             });
         }
-        let sa = SchurDecomposition::new(a)?;
-        let sb = SchurDecomposition::new(&b.transpose())?;
         Ok(SylvesterSolver {
-            na: a.rows(),
-            nb: b.rows(),
-            qa: sa.q().clone(),
-            ta: sa.t().clone(),
-            blocks_a: sa.blocks().to_vec(),
-            qb: sb.q().clone(),
-            tb: sb.t().clone(),
-            blocks_b: sb.blocks().to_vec(),
-            qat: sa.q().transpose(),
-            qbt: sb.q().transpose(),
+            a: SchurDecomposition::new(a)?,
+            b: Some(SchurDecomposition::new(&b.transpose())?),
         })
     }
 
-    /// Builds a solver for the Lyapunov-structured equation `A X + X Aᵀ = C`
-    /// with a **single** Schur factorization.
-    ///
-    /// [`SylvesterSolver::new`] called with `(A, Aᵀ)` computes the Schur form
-    /// of `A` twice (once for the left coefficient, once for `(Aᵀ)ᵀ`); the
-    /// Kronecker-sum operators of the MOR hot path always have this symmetric
-    /// shape, so sharing the factorization halves their setup cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `a` is not square or its Schur factorization fails.
-    pub fn new_lyapunov(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let sa = SchurDecomposition::new(a)?;
-        Ok(SylvesterSolver {
-            na: a.rows(),
-            nb: a.rows(),
-            qa: sa.q().clone(),
-            ta: sa.t().clone(),
-            blocks_a: sa.blocks().to_vec(),
-            qb: sa.q().clone(),
-            tb: sa.t().clone(),
-            blocks_b: sa.blocks().to_vec(),
-            qat: sa.q().transpose(),
-            qbt: sa.q().transpose(),
-        })
+    /// The solver of the Lyapunov-shaped equation `A X + X Aᵀ = C` on the
+    /// Schur form of `A`, which it takes over: one Schur form serves both
+    /// coefficients, and building the solver costs nothing beyond it.
+    pub fn lyapunov(schur: SchurDecomposition) -> Self {
+        SylvesterSolver { a: schur, b: None }
     }
 
-    /// Builds a Lyapunov-structured solver (`A X + X Aᵀ = C`) from an
-    /// already computed Schur form of `A`, skipping the QR iteration entirely.
-    ///
-    /// The MOR reducers hold a cached Schur form of `G₁`; the stabilized
-    /// projection needs one extra Lyapunov solve against `G₁ᵀ`
-    /// ([`lyapunov_weight_with_schur`]), which this constructor (combined with
-    /// [`crate::SchurDecomposition::adjoint`]) makes an `O(n²)` setup instead
-    /// of a second `O(n³)` factorization.
-    pub fn new_lyapunov_from_schur(sa: &SchurDecomposition) -> Self {
-        SylvesterSolver {
-            na: sa.dim(),
-            nb: sa.dim(),
-            qa: sa.q().clone(),
-            ta: sa.t().clone(),
-            blocks_a: sa.blocks().to_vec(),
-            qb: sa.q().clone(),
-            tb: sa.t().clone(),
-            blocks_b: sa.blocks().to_vec(),
-            qat: sa.q().transpose(),
-            qbt: sa.q().transpose(),
-        }
+    /// The Schur form of the `A` coefficient.
+    pub fn schur(&self) -> &SchurDecomposition {
+        &self.a
     }
 
-    /// The Schur factorization of the `A` coefficient as a standalone
-    /// decomposition (cloned), so callers can reuse it for other
-    /// `A`-spectrum-driven recursions without refactorizing.
-    pub fn a_schur_decomposition(&self) -> crate::schur::SchurDecomposition {
-        crate::schur::SchurDecomposition::from_parts(
-            self.qa.clone(),
-            self.ta.clone(),
-            self.blocks_a.clone(),
-        )
+    /// The Schur form of `Bᵀ`.
+    fn schur_bt(&self) -> &SchurDecomposition {
+        self.b.as_ref().unwrap_or(&self.a)
     }
 
-    /// Approximate heap footprint in bytes, for memory-budget accounting:
-    /// the two Schur pairs and their precomputed transposes (six dense
-    /// matrices; the Lyapunov-shaped constructors hold the `A` factors in
-    /// both slots) plus the block lists.
-    pub fn approx_bytes(&self) -> usize {
-        let dense: usize = [&self.qa, &self.ta, &self.qb, &self.tb, &self.qat, &self.qbt]
-            .iter()
-            .map(|m| std::mem::size_of_val(m.as_slice()))
-            .sum();
-        dense + (self.blocks_a.len() + self.blocks_b.len()) * std::mem::size_of::<SchurBlock>()
-    }
-
-    /// Row dimension (`A` side).
-    pub fn rows(&self) -> usize {
-        self.na
-    }
-
-    /// Column dimension (`B` side).
-    pub fn cols(&self) -> usize {
-        self.nb
-    }
-
-    /// The Schur factors `(Q, T)` of the `A` coefficient.
-    pub fn a_schur(&self) -> (&Matrix, &Matrix) {
-        (&self.qa, &self.ta)
+    /// `(na, nb)`: the row count of `X` (`A` side) and its column count
+    /// (`B` side).
+    fn dims(&self) -> (usize, usize) {
+        (self.a.dim(), self.schur_bt().dim())
     }
 
     /// Solves `A X + X B = C`.
@@ -202,21 +117,21 @@ impl SylvesterSolver {
     /// The right-hand side is moved into Schur coordinates, solved there by
     /// [`SylvesterSolver::solve_schur_shifted_into`] and moved back.
     pub fn solve_shifted(&self, shift: f64, c: &Matrix) -> Result<Matrix> {
-        if c.rows() != self.na || c.cols() != self.nb {
+        let (na, nb) = self.dims();
+        if c.rows() != na || c.cols() != nb {
             return Err(LinalgError::DimensionMismatch(format!(
-                "sylvester solve: rhs is {}x{}, expected {}x{}",
+                "sylvester solve: rhs is {}x{}, expected {na}x{nb}",
                 c.rows(),
                 c.cols(),
-                self.na,
-                self.nb
             )));
         }
+        let (qa, qb) = (self.a.q(), self.schur_bt().q());
         // C̃ᵀ = (Qaᵀ C Qb)ᵀ = Qbᵀ Cᵀ Qa, rows of `yt` are columns of C̃ (and,
         // after the solve, of Y).
-        let mut yt = self.qbt.matmul(&c.transpose()).matmul(&self.qa);
+        let mut yt = qb.transpose().matmul(&c.transpose()).matmul(qa);
         self.solve_schur_shifted_into(shift, yt.as_mut_slice())?;
         // X = Qa Y Qbᵀ = (Qb Yt Qaᵀ)ᵀ with Y = Ytᵀ.
-        Ok(self.qb.matmul(&yt).matmul(&self.qat).transpose())
+        Ok(qb.matmul(&yt).matmul(&qa.transpose()).transpose())
     }
 
     /// Solves `(Ta + σ I) Y + Y Tbᵀ = C̃` in Schur coordinates, in place:
@@ -235,9 +150,10 @@ impl SylvesterSolver {
     /// `na · nb` long, [`LinalgError::Singular`] when
     /// `λ_i(A) + σ + λ_j(B) = 0`.
     pub fn solve_schur_shifted_into(&self, shift: f64, yt: &mut [f64]) -> Result<()> {
-        let (na, nb) = (self.na, self.nb);
+        let (na, nb) = self.dims();
         self.check_schur_len("sylvester schur solve", yt.len())?;
-        for jb in self.blocks_b.iter().rev() {
+        let (ta, tb) = (self.a.t(), self.schur_bt().t());
+        for jb in self.schur_bt().blocks().iter().rev() {
             let (j0, sj) = (jb.start, jb.size);
             // Rows ≥ j0+sj are solved columns; rows j0..j0+sj still hold
             // the right-hand side of the current column block.
@@ -247,7 +163,7 @@ impl SylvesterSolver {
                 let j = j0 + cl;
                 let row = &mut head[j * na..(j + 1) * na];
                 for k in (j0 + sj)..nb {
-                    let coef = self.tb[(j, k)];
+                    let coef = tb[(j, k)];
                     if coef != 0.0 {
                         let ycol = &solved[(k - j0 - sj) * na..(k - j0 - sj + 1) * na];
                         for (r, &v) in row.iter_mut().zip(ycol.iter()) {
@@ -261,11 +177,11 @@ impl SylvesterSolver {
             let mut s_block = [[0.0f64; 2]; 2];
             for (p, row) in s_block.iter_mut().enumerate().take(sj) {
                 for (q, v) in row.iter_mut().enumerate().take(sj) {
-                    *v = self.tb[(j0 + q, j0 + p)];
+                    *v = tb[(j0 + q, j0 + p)];
                 }
             }
 
-            for ib in self.blocks_a.iter().rev() {
+            for ib in self.a.blocks().iter().rev() {
                 let (i0, si) = (ib.start, ib.size);
                 let dim = si * sj;
                 // Local RHS minus coupling with already-solved row blocks;
@@ -275,7 +191,7 @@ impl SylvesterSolver {
                     let ycol = &cols[cl * na..(cl + 1) * na];
                     for rl in 0..si {
                         let i = i0 + rl;
-                        let ta_row = self.ta.row(i);
+                        let ta_row = ta.row(i);
                         let mut acc = ycol[i];
                         for (t, v) in ta_row[(i0 + si)..].iter().zip(ycol[(i0 + si)..].iter()) {
                             acc -= t * v;
@@ -287,7 +203,7 @@ impl SylvesterSolver {
                 let mut m = [[0.0f64; 4]; 4];
                 for p in 0..si {
                     for q in 0..si {
-                        let mut v = self.ta[(i0 + p, i0 + q)];
+                        let mut v = ta[(i0 + p, i0 + q)];
                         if p == q {
                             v += shift;
                         }
@@ -338,26 +254,23 @@ impl SylvesterSolver {
         c_re: &Matrix,
         c_im: &Matrix,
     ) -> Result<(Matrix, Matrix)> {
-        if c_re.rows() != self.na
-            || c_re.cols() != self.nb
-            || c_im.rows() != self.na
-            || c_im.cols() != self.nb
-        {
+        let (na, nb) = self.dims();
+        if c_re.rows() != na || c_re.cols() != nb || c_im.rows() != na || c_im.cols() != nb {
             return Err(LinalgError::DimensionMismatch(format!(
-                "sylvester complex solve: rhs is {}x{} / {}x{}, expected {}x{}",
+                "sylvester complex solve: rhs is {}x{} / {}x{}, expected {na}x{nb}",
                 c_re.rows(),
                 c_re.cols(),
                 c_im.rows(),
                 c_im.cols(),
-                self.na,
-                self.nb
             )));
         }
-        let mut yt_re = self.qat.matmul(c_re).matmul(&self.qb).transpose();
-        let mut yt_im = self.qat.matmul(c_im).matmul(&self.qb).transpose();
+        let (qa, qb) = (self.a.q(), self.schur_bt().q());
+        let (qat, qbt) = (qa.transpose(), qb.transpose());
+        let mut yt_re = qat.matmul(c_re).matmul(qb).transpose();
+        let mut yt_im = qat.matmul(c_im).matmul(qb).transpose();
         self.solve_schur_shifted_complex_into(shift, yt_re.as_mut_slice(), yt_im.as_mut_slice())?;
-        let x_re = self.qa.matmul(&yt_re.transpose()).matmul(&self.qbt);
-        let x_im = self.qa.matmul(&yt_im.transpose()).matmul(&self.qbt);
+        let x_re = qa.matmul(&yt_re.transpose()).matmul(&qbt);
+        let x_im = qa.matmul(&yt_im.transpose()).matmul(&qbt);
         Ok((x_re, x_im))
     }
 
@@ -378,10 +291,11 @@ impl SylvesterSolver {
         yt_re: &mut [f64],
         yt_im: &mut [f64],
     ) -> Result<()> {
-        let (na, nb) = (self.na, self.nb);
+        let (na, nb) = self.dims();
         self.check_schur_len("sylvester complex schur solve", yt_re.len())?;
         self.check_schur_len("sylvester complex schur solve", yt_im.len())?;
-        for jb in self.blocks_b.iter().rev() {
+        let (ta, tb) = (self.a.t(), self.schur_bt().t());
+        for jb in self.schur_bt().blocks().iter().rev() {
             let (j0, sj) = (jb.start, jb.size);
             let (head_re, solved_re) = yt_re.split_at_mut((j0 + sj) * na);
             let (head_im, solved_im) = yt_im.split_at_mut((j0 + sj) * na);
@@ -390,7 +304,7 @@ impl SylvesterSolver {
                 let row_re = &mut head_re[j * na..(j + 1) * na];
                 let row_im = &mut head_im[j * na..(j + 1) * na];
                 for k in (j0 + sj)..nb {
-                    let coef = self.tb[(j, k)];
+                    let coef = tb[(j, k)];
                     if coef != 0.0 {
                         let off = (k - j0 - sj) * na;
                         let (y_re, y_im) = (&solved_re[off..off + na], &solved_im[off..off + na]);
@@ -408,15 +322,15 @@ impl SylvesterSolver {
             let mut s_block = [[0.0f64; 2]; 2];
             for (p, row) in s_block.iter_mut().enumerate().take(sj) {
                 for (q, v) in row.iter_mut().enumerate().take(sj) {
-                    *v = self.tb[(j0 + q, j0 + p)];
+                    *v = tb[(j0 + q, j0 + p)];
                 }
             }
 
-            for ib in self.blocks_a.iter().rev() {
+            for ib in self.a.blocks().iter().rev() {
                 let (i0, si) = (ib.start, ib.size);
                 let dim = si * sj;
                 let mut w = [Complex::ZERO; 4];
-                let (ta, cols) = (&self.ta, (&*cols_re, &*cols_im));
+                let cols = (&*cols_re, &*cols_im);
                 match (si, sj) {
                     (1, 1) => block_coupling::<1, 1>(ta, i0, cols, na, &mut w),
                     (1, _) => block_coupling::<1, 2>(ta, i0, cols, na, &mut w),
@@ -426,7 +340,7 @@ impl SylvesterSolver {
                 let mut m = [[Complex::ZERO; 4]; 4];
                 for p in 0..si {
                     for q in 0..si {
-                        let mut v = Complex::from_real(self.ta[(i0 + p, i0 + q)]);
+                        let mut v = Complex::from_real(ta[(i0 + p, i0 + q)]);
                         if p == q {
                             v += shift;
                         }
@@ -461,12 +375,12 @@ impl SylvesterSolver {
     }
 
     fn check_schur_len(&self, what: &str, len: usize) -> Result<()> {
-        if len == self.na * self.nb {
+        let (na, nb) = self.dims();
+        if len == na * nb {
             Ok(())
         } else {
             Err(LinalgError::DimensionMismatch(format!(
-                "{what}: buffer has {len} entries, expected {}x{}",
-                self.nb, self.na
+                "{what}: buffer has {len} entries, expected {nb}x{na}"
             )))
         }
     }
@@ -610,17 +524,9 @@ pub fn solve_sylvester(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<Matrix> {
     SylvesterSolver::new(a, b)?.solve(c)
 }
 
-/// One-shot solve of the Lyapunov-type equation `A X + X Aᵀ = C`.
-///
-/// # Errors
-///
-/// See [`SylvesterSolver::solve`].
-pub fn solve_lyapunov(a: &Matrix, c: &Matrix) -> Result<Matrix> {
-    SylvesterSolver::new(a, &a.transpose())?.solve(c)
-}
-
-/// Gram matrix `M` of the energy inner product of a Hurwitz matrix `A`:
-/// the unique symmetric positive definite solution of
+/// Gram matrix `M` of the energy inner product of a Hurwitz matrix `A`,
+/// from the Schur form of `A`: the unique symmetric positive definite
+/// solution of
 ///
 /// ```text
 /// Aᵀ M + M A = −I.
@@ -630,28 +536,17 @@ pub fn solve_lyapunov(a: &Matrix, c: &Matrix) -> Result<Matrix> {
 /// basis `V` with `Vᵀ M V = I`, the Galerkin-reduced matrix
 /// `A_r = Vᵀ M A V` satisfies `A_r + A_rᵀ = Vᵀ (M A + Aᵀ M) V = −VᵀV ≺ 0`
 /// and is therefore Hurwitz — the stability guarantee behind the stabilized
-/// projection of the MOR flow.
+/// projection of the MOR flow. The equation is Lyapunov-shaped in `Aᵀ`,
+/// whose Schur form ([`SchurDecomposition::adjoint`]) is derived in
+/// `O(n²)` and is the solver's only copy.
 ///
 /// # Errors
 ///
-/// Propagates Schur/Sylvester failures; returns
-/// [`LinalgError::Singular`] (from the downstream Cholesky) only indirectly —
-/// for a non-Hurwitz `A` the solution exists but is not positive definite.
-pub fn lyapunov_weight(a: &Matrix) -> Result<Matrix> {
-    let schur = SchurDecomposition::new(a)?;
-    lyapunov_weight_with_schur(&schur)
-}
-
-/// [`lyapunov_weight`] reusing an existing Schur form of `A` (the adjoint
-/// form needed for the transposed equation is derived in `O(n²)`).
-///
-/// # Errors
-///
-/// Same contract as [`lyapunov_weight`].
-pub fn lyapunov_weight_with_schur(schur_of_a: &SchurDecomposition) -> Result<Matrix> {
+/// Propagates Sylvester failures; for a non-Hurwitz `A` the solution exists
+/// but is not positive definite, which only the downstream Cholesky reports.
+pub fn lyapunov_weight(schur_of_a: &SchurDecomposition) -> Result<Matrix> {
     let n = schur_of_a.dim();
-    // Aᵀ M + M A = −I  is Lyapunov-structured in Aᵀ.
-    let solver = SylvesterSolver::new_lyapunov_from_schur(&schur_of_a.adjoint());
+    let solver = SylvesterSolver::lyapunov(schur_of_a.adjoint());
     let mut neg_i = Matrix::zeros(n, n);
     for i in 0..n {
         neg_i[(i, i)] = -1.0;
@@ -700,7 +595,9 @@ mod tests {
     fn lyapunov_solution_of_stable_system_is_found() {
         let a = stable_matrix(7, 42);
         let c = Matrix::identity(7).scaled(-1.0);
-        let x = solve_lyapunov(&a, &c).unwrap();
+        let x = SylvesterSolver::lyapunov(SchurDecomposition::new(&a).unwrap())
+            .solve(&c)
+            .unwrap();
         let res = (&(&a.matmul(&x) + &x.matmul(&a.transpose())) - &c).max_abs();
         assert!(res < 1e-9);
         // For a Hurwitz A and C = -I the solution is symmetric positive definite.
@@ -714,32 +611,33 @@ mod tests {
     fn lyapunov_weight_is_spd_and_satisfies_the_equation() {
         for (n, seed) in [(5usize, 11u64), (9, 12)] {
             let a = stable_matrix(n, seed);
-            let m = lyapunov_weight(&a).unwrap();
+            let schur = SchurDecomposition::new(&a).unwrap();
+            let m = lyapunov_weight(&schur).unwrap();
             // Aᵀ M + M A = -I.
             let res = &(&a.transpose().matmul(&m) + &m.matmul(&a)) + &Matrix::identity(n);
             assert!(res.max_abs() < 1e-9, "residual {}", res.max_abs());
             // Exactly symmetric (post-symmetrization) and positive definite.
             assert!((&m - &m.transpose()).max_abs() == 0.0);
             assert!(crate::cholesky::CholeskyDecomposition::new(&m).is_ok());
-            // The cached-Schur variant agrees.
-            let schur = SchurDecomposition::new(&a).unwrap();
-            let m2 = lyapunov_weight_with_schur(&schur).unwrap();
-            assert!((&m - &m2).max_abs() < 1e-10);
+            // The general two-Schur-form solver on `(Aᵀ, A)` agrees.
+            let m2 =
+                solve_sylvester(&a.transpose(), &a, &Matrix::identity(n).scaled(-1.0)).unwrap();
+            assert!((&m - &m2.symmetric_part()).max_abs() < 1e-10);
         }
     }
 
     #[test]
     fn lyapunov_from_schur_matches_fresh_factorization() {
+        // The one-Schur-form solver agrees with the general one, which
+        // factors `A` and `(Aᵀ)ᵀ` separately.
         let a = stable_matrix(6, 31);
         let c = Matrix::from_fn(6, 6, |i, j| ((i * 3 + j) % 7) as f64 - 3.0);
-        let fresh = SylvesterSolver::new_lyapunov(&a)
+        let fresh = SylvesterSolver::new(&a, &a.transpose())
             .unwrap()
             .solve(&c)
             .unwrap();
         let schur = SchurDecomposition::new(&a).unwrap();
-        let reused = SylvesterSolver::new_lyapunov_from_schur(&schur)
-            .solve(&c)
-            .unwrap();
+        let reused = SylvesterSolver::lyapunov(schur).solve(&c).unwrap();
         assert!((&fresh - &reused).max_abs() < 1e-10);
     }
 
@@ -812,9 +710,11 @@ mod tests {
         let a = stable_matrix(3, 1);
         let b = stable_matrix(2, 2);
         let solver = SylvesterSolver::new(&a, &b).unwrap();
-        assert_eq!(solver.rows(), 3);
-        assert_eq!(solver.cols(), 2);
         assert!(solver.solve(&Matrix::zeros(2, 3)).is_err());
+        assert!(solver.solve(&Matrix::zeros(3, 2)).is_ok());
+        let lyap = SylvesterSolver::lyapunov(SchurDecomposition::new(&a).unwrap());
+        assert!(lyap.solve(&Matrix::zeros(3, 2)).is_err());
+        assert!(lyap.solve_schur_shifted_into(0.0, &mut [0.0; 6]).is_err());
         assert!(SylvesterSolver::new(&Matrix::zeros(2, 3), &b).is_err());
     }
 

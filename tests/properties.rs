@@ -8,7 +8,9 @@
 //! every run exercises the same fixed set of pseudo-random systems.
 
 use vamor::core::{AssocReducer, MomentSpec, VolterraKernels};
-use vamor::linalg::{kron_sum, kron_vec, solve_lyapunov, Complex, CooMatrix, Matrix, Vector};
+use vamor::linalg::{
+    kron_sum, kron_vec, Complex, CooMatrix, Matrix, SchurDecomposition, SylvesterSolver, Vector,
+};
 use vamor::sim::{max_relative_error, simulate, SinePulse, TransientOptions};
 use vamor::system::{PolynomialStateSpace, Qldae};
 
@@ -155,7 +157,8 @@ fn kron_sum_and_lyapunov_are_inverse_operations() {
             a[(i, i + 1)] = 0.2;
         }
         let c = Matrix::from_fn(n, n, |_, _| rng.uniform(-1.0, 1.0));
-        let x = solve_lyapunov(&a, &c).unwrap();
+        let lyap = SylvesterSolver::lyapunov(SchurDecomposition::new(&a).unwrap());
+        let x = lyap.solve(&c).unwrap();
         let residual = (&(&a.matmul(&x) + &x.matmul(&a.transpose())) - &c).max_abs();
         assert!(
             residual < 1e-8,
