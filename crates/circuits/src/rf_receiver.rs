@@ -225,4 +225,28 @@ mod tests {
         assert!(nnz < 2 * rx.qldae().order(), "G2 should stay sparse: {nnz}");
         assert!(RfReceiver::new(2).is_err());
     }
+
+    #[test]
+    fn sparse_full_model_keeps_the_csr_evaluation_bit_for_bit() {
+        // The symmetric-packed evaluation would hold n·n(n+1)/2 numbers for a
+        // G₂ with a handful of entries, so the stamp is evaluated as CSR and
+        // its rhs is the plain CSR sum, bit for bit.
+        let rx = RfReceiver::new(20).unwrap();
+        let q = rx.qldae();
+        let n = q.order();
+        let x = Vector::from_fn(n, |i| ((i as f64) * 0.37).sin() * 0.8);
+        let u = [0.45, -0.2];
+        let mut expected = q.g1_csr().matvec(&x);
+        expected.axpy(1.0, &q.g2().matvec_kron(&x, &x));
+        for (k, &uk) in u.iter().enumerate() {
+            expected.axpy(uk, &q.b().col(k));
+        }
+        let got = q.rhs(&x, &u);
+        let bits = |v: &Vector| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expected));
+        let unforced = q.rhs(&x, &[0.0, 0.0]);
+        let mut expected = q.g1_csr().matvec(&x);
+        expected.axpy(1.0, &q.g2().matvec_kron(&x, &x));
+        assert_eq!(bits(&unforced), bits(&expected));
+    }
 }

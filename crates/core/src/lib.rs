@@ -66,7 +66,7 @@ pub use lowrank::{
 pub use norm::NormReducer;
 pub use operators::{BlockH2Op, KronSumOp2};
 pub use par::{parallel_map, try_parallel_map};
-pub use project::{cubic_matvec_kron, project_qldae, project_qldae_petrov};
+pub use project::{project_qldae, project_qldae_petrov};
 pub use reduce::{
     AssocReducer, DegradationReport, MomentSpec, ReducedCubicOde, ReducedQldae, ReductionStats,
 };

@@ -67,7 +67,6 @@ use crate::assoc::{
 use crate::bigsmall::solve_sylvester_big_small_with_schur;
 use crate::error::MorError;
 use crate::operators::KronSumOp2;
-use crate::project::cubic_matvec_kron;
 use crate::stamp::{SharedAssocArtifacts, StampConfig};
 use crate::Result;
 
@@ -480,10 +479,10 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                 for (j, qj) in q_cols.iter().enumerate() {
                     let c_lj = q.matvec(&cl.col(j));
                     if let Some(g2) = g2 {
-                        mcol.axpy(1.0, &g2.matvec_kron(qj, &c_lj));
+                        g2.matvec_kron_add_into(qj, &c_lj, &mut mcol);
                     }
                     if let (Some(g3), Some(w)) = (g3, g3w_k.as_mut()) {
-                        w.axpy(1.0, &cubic_matvec_kron(g3, &q_cols[l], qj, &c_lj));
+                        g3.matvec_kron3_add_into(&q_cols[l], qj, &c_lj, w);
                     }
                 }
                 if let Some(m) = m.as_mut() {

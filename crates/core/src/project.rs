@@ -42,7 +42,7 @@ pub fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
 ///
 /// The reduced quadratic and cubic couplings are assembled column-by-column
 /// through the Kronecker-structured products `G₂ (v_p ⊗ v_q)` and
-/// `G₃ (v_p ⊗ v_q ⊗ v_r)` ([`cubic_matvec_kron`]) so neither `n × n²` nor
+/// `G₃ (v_p ⊗ v_q ⊗ v_r)` ([`CsrMatrix::matvec_kron3`]) so neither `n × n²` nor
 /// `n × n³` matrix is densified, and each reduced bilinear term `D₁ₖ` is
 /// likewise built one sparse matvec per basis column — no `O(n²)`
 /// densification. An absent `G₂`/`G₃` stays absent and costs nothing.
@@ -88,7 +88,7 @@ pub fn project_qldae_petrov(qldae: &Qldae, v: &Matrix, w: &Matrix) -> Result<Qld
         for (p, vp) in columns.iter().enumerate() {
             for (r, vr) in columns.iter().enumerate() {
                 for (s, vs) in columns.iter().enumerate() {
-                    let col = cubic_matvec_kron(g3, vp, vr, vs);
+                    let col = g3.matvec_kron3(vp, vr, vs);
                     let reduced = w.matvec_transpose(&col);
                     for i in 0..q {
                         if reduced[i] != 0.0 {
@@ -129,44 +129,6 @@ pub fn project_qldae_petrov(qldae: &Qldae, v: &Matrix, w: &Matrix) -> Result<Qld
     }
 }
 
-/// `G₃ (x ⊗ y ⊗ z)` without materializing the Kronecker product.
-///
-/// # Panics
-///
-/// Panics if `x`, `y`, `z` do not all have the same length `n` with
-/// `g3.cols() == n³`. (This used to be a `debug_assert!`, which let release
-/// builds index out of bounds or silently fold mismatched coordinates.)
-pub fn cubic_matvec_kron(g3: &CsrMatrix, x: &Vector, y: &Vector, z: &Vector) -> Vector {
-    let n = x.len();
-    assert_eq!(
-        y.len(),
-        n,
-        "cubic_matvec_kron: x has length {n} but y has length {}",
-        y.len()
-    );
-    assert_eq!(
-        z.len(),
-        n,
-        "cubic_matvec_kron: x has length {n} but z has length {}",
-        z.len()
-    );
-    assert_eq!(
-        g3.cols(),
-        n * n * n,
-        "cubic_matvec_kron: G3 has {} columns, expected {n}^3 = {}",
-        g3.cols(),
-        n * n * n
-    );
-    let mut out = Vector::zeros(g3.rows());
-    for (i, col, g) in g3.iter() {
-        let p = col / (n * n);
-        let q = (col / n) % n;
-        let r = col % n;
-        out[i] += g * x[p] * y[q] * z[r];
-    }
-    out
-}
-
 fn validate_basis_pair(v: &Matrix, w: &Matrix, n: usize) -> Result<()> {
     if v.rows() != n {
         return Err(MorError::Invalid(format!(
@@ -195,7 +157,7 @@ fn validate_basis_pair(v: &Matrix, w: &Matrix, n: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vamor_linalg::{kron_vec, OrthoBasis};
+    use vamor_linalg::OrthoBasis;
     use vamor_system::{PolynomialStateSpace, QldaeBuilder};
 
     fn toy_qldae() -> Qldae {
@@ -302,48 +264,6 @@ mod tests {
         let expected = v.matvec_transpose(&ode.rhs(&x_full, &[0.1]));
         let got = reduced.rhs(&xr, &[0.1]);
         assert!((&expected - &got).norm_inf() < 1e-12);
-    }
-
-    #[test]
-    fn cubic_matvec_kron_matches_explicit_kron() {
-        let n = 2;
-        let mut g3 = CooMatrix::new(n, n * n * n);
-        g3.push(0, 3, 2.0);
-        g3.push(1, 6, -1.5);
-        g3.push(1, 0, 0.5);
-        let g3 = g3.to_csr();
-        let x = Vector::from_slice(&[1.0, -2.0]);
-        let y = Vector::from_slice(&[0.5, 3.0]);
-        let z = Vector::from_slice(&[-1.0, 0.25]);
-        let explicit = g3.matvec(&kron_vec(&x, &kron_vec(&y, &z)));
-        let structured = cubic_matvec_kron(&g3, &x, &y, &z);
-        assert!((&explicit - &structured).norm_inf() < 1e-14);
-    }
-
-    #[test]
-    #[should_panic(expected = "cubic_matvec_kron: G3 has")]
-    fn cubic_matvec_kron_rejects_dimension_mismatch_in_release_too() {
-        // G3 sized for n = 2 but fed n = 3 vectors: before the fix this was a
-        // debug_assert, so release builds read garbage indices.
-        let mut g3 = CooMatrix::new(2, 8);
-        g3.push(0, 3, 1.0);
-        let g3 = g3.to_csr();
-        let x = Vector::zeros(3);
-        let _ = cubic_matvec_kron(&g3, &x, &x, &x);
-    }
-
-    #[test]
-    #[should_panic(expected = "cubic_matvec_kron: x has length")]
-    fn cubic_matvec_kron_rejects_mixed_operand_lengths() {
-        let mut g3 = CooMatrix::new(2, 8);
-        g3.push(0, 3, 1.0);
-        let g3 = g3.to_csr();
-        let _ = cubic_matvec_kron(
-            &g3.clone(),
-            &Vector::zeros(2),
-            &Vector::zeros(3),
-            &Vector::zeros(2),
-        );
     }
 
     #[test]

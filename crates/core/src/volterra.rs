@@ -77,7 +77,7 @@ fn zvector_from_parts(re: &Vector, im: &Vector) -> ZVector {
 /// Evaluator for the first three Volterra transfer functions of a
 /// polynomial system, with all frequencies referring to a single chosen
 /// input channel. The Kronecker products are applied through the structured
-/// `G₂ (x ⊗ y)` and [`crate::project::cubic_matvec_kron`] matvecs
+/// `G₂ (x ⊗ y)` and `G₃ (x ⊗ y ⊗ z)` matvecs ([`CsrMatrix::matvec_kron3`])
 /// (real/imaginary split), so the `n²`/`n³` vectors are never formed.
 #[derive(Debug)]
 pub struct VolterraKernels<'a> {
@@ -280,18 +280,18 @@ fn g2_kron_complex(g2: &CsrMatrix, a: &ZVector, b: &ZVector) -> ZVector {
 /// the multilinear expansion over real/imaginary parts (eight real
 /// triple-Kronecker matvecs, never forming the `n³` vector).
 fn cubic_times_complex(g3: &CsrMatrix, a: &ZVector, b: &ZVector, c: &ZVector) -> ZVector {
-    use crate::project::cubic_matvec_kron as k;
+    let k = |x: &Vector, y: &Vector, z: &Vector| g3.matvec_kron3(x, y, z);
     let (ar, ai) = (a.real(), a.imag());
     let (br, bi) = (b.real(), b.imag());
     let (cr, ci) = (c.real(), c.imag());
-    let mut re = k(g3, &ar, &br, &cr);
-    re.axpy(-1.0, &k(g3, &ar, &bi, &ci));
-    re.axpy(-1.0, &k(g3, &ai, &br, &ci));
-    re.axpy(-1.0, &k(g3, &ai, &bi, &cr));
-    let mut im = k(g3, &ar, &br, &ci);
-    im.axpy(1.0, &k(g3, &ar, &bi, &cr));
-    im.axpy(1.0, &k(g3, &ai, &br, &cr));
-    im.axpy(-1.0, &k(g3, &ai, &bi, &ci));
+    let mut re = k(&ar, &br, &cr);
+    re.axpy(-1.0, &k(&ar, &bi, &ci));
+    re.axpy(-1.0, &k(&ai, &br, &ci));
+    re.axpy(-1.0, &k(&ai, &bi, &cr));
+    let mut im = k(&ar, &br, &ci);
+    im.axpy(1.0, &k(&ar, &bi, &cr));
+    im.axpy(1.0, &k(&ai, &br, &cr));
+    im.axpy(-1.0, &k(&ai, &bi, &ci));
     zvector_from_parts(&re, &im)
 }
 

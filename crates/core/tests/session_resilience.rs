@@ -178,10 +178,16 @@ fn stamps_are_lru_evicted_under_the_shared_budget() {
     let b = TransmissionLine::current_driven(17).unwrap();
     let reducer = AssocReducer::new(MomentSpec::new(2, 1, 0));
     let control = RunControl::new();
-    // Big enough for one 17-state stamp after a stabilized request (G1 LU,
-    // the Schur form of G1 and the Cholesky weight: 9656 bytes; the
-    // 16-state one holds 8576), far too small for two.
-    let session = ReductionSession::new(13_000);
+    // Each stamp's `approx_bytes()` after a stabilized request, as a
+    // session of its own prices it; the shared budget has room for the
+    // larger stamp but not for both, whatever the stamp layout holds.
+    let stamp_bytes = |line: &TransmissionLine| {
+        let own = ReductionSession::unbounded();
+        own.reduce(line.qldae(), &reducer, &control).unwrap();
+        own.budget().used()
+    };
+    let (bytes_a, bytes_b) = (stamp_bytes(&a), stamp_bytes(&b));
+    let session = ReductionSession::new(bytes_a.max(bytes_b) + bytes_a.min(bytes_b) / 2);
 
     session.reduce(a.qldae(), &reducer, &control).unwrap();
     session.reduce(b.qldae(), &reducer, &control).unwrap();

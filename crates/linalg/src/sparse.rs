@@ -135,6 +135,11 @@ fn assemble_csr(
         }
     }
     flush(current, &mut indptr, &mut indices, &mut values);
+    // The pushes leave up to twice the stored entries allocated; a matrix
+    // kept for a system's lifetime (a projected ROM's dense `G₃ᵣ`) would
+    // hold that slack for good.
+    indices.shrink_to_fit();
+    values.shrink_to_fit();
     for r in 0..rows {
         indptr[r + 1] += indptr[r];
     }
@@ -400,22 +405,117 @@ impl CsrMatrix {
     ///
     /// Panics if `x.len() * y.len() != self.cols()`.
     pub fn matvec_kron(&self, x: &Vector, y: &Vector) -> Vector {
+        let mut out = Vector::zeros(self.rows);
+        self.matvec_kron_add_into(x, y, &mut out);
+        out
+    }
+
+    /// Accumulates `out += A (x ⊗ y)`, the allocation-free form of
+    /// [`CsrMatrix::matvec_kron`]: each row's sum is formed in the same order
+    /// and then added, so `out + matvec_kron(x, y)` is bit-equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() * y.len() != self.cols()` or
+    /// `out.len() != self.rows()`.
+    pub fn matvec_kron_add_into(&self, x: &Vector, y: &Vector, out: &mut Vector) {
         assert_eq!(
             x.len() * y.len(),
             self.cols,
             "csr matvec_kron: dimension mismatch"
         );
+        assert_eq!(
+            out.len(),
+            self.rows,
+            "csr matvec_kron: output length mismatch"
+        );
         let ny = y.len();
-        let mut out = Vector::zeros(self.rows);
         for r in 0..self.rows {
             let mut acc = 0.0;
             for k in self.indptr[r]..self.indptr[r + 1] {
                 let col = self.indices[k];
                 acc += self.values[k] * x[col / ny] * y[col % ny];
             }
-            out[r] = acc;
+            out[r] += acc;
         }
+    }
+
+    /// Product with the triple Kronecker column `x ⊗ y ⊗ z` without forming
+    /// it: `G₃ (x ⊗ y ⊗ z)` for a cubic coupling `G₃` (shape `m × n³`, column
+    /// `p·n² + q·n + r` multiplying `x_p y_q z_r`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, `y`, `z` do not all have the same length `n` with
+    /// `self.cols() == n³`.
+    pub fn matvec_kron3(&self, x: &Vector, y: &Vector, z: &Vector) -> Vector {
+        let mut out = Vector::zeros(self.rows);
+        self.matvec_kron3_add_into(x, y, z, &mut out);
         out
+    }
+
+    /// Accumulates `out += A (x ⊗ y ⊗ z)`, the allocation-free form of
+    /// [`CsrMatrix::matvec_kron3`] (bit-equal to adding its result).
+    ///
+    /// # Panics
+    ///
+    /// As [`CsrMatrix::matvec_kron3`], and if `out.len() != self.rows()`.
+    pub fn matvec_kron3_add_into(&self, x: &Vector, y: &Vector, z: &Vector, out: &mut Vector) {
+        let n = x.len();
+        assert_eq!(
+            y.len(),
+            n,
+            "csr matvec_kron3: x has length {n} but y has length {}",
+            y.len()
+        );
+        assert_eq!(
+            z.len(),
+            n,
+            "csr matvec_kron3: x has length {n} but z has length {}",
+            z.len()
+        );
+        assert_eq!(
+            self.cols,
+            n * n * n,
+            "csr matvec_kron3: {} columns, expected {n}^3 = {}",
+            self.cols,
+            n * n * n
+        );
+        assert_eq!(
+            out.len(),
+            self.rows,
+            "csr matvec_kron3: output length mismatch"
+        );
+        for r in 0..self.rows {
+            let mut acc = 0.0;
+            for k in self.indptr[r]..self.indptr[r + 1] {
+                let col = self.indices[k];
+                acc += self.values[k] * x[col / (n * n)] * y[(col / n) % n] * z[col % n];
+            }
+            out[r] += acc;
+        }
+    }
+
+    /// Accumulates `y += alpha · A x`, the allocation-free form of
+    /// `y.axpy(alpha, &A.matvec(x))` (bit-equal to it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
+    pub fn matvec_add_into(&self, alpha: f64, x: &Vector, y: &mut Vector) {
+        assert_eq!(x.len(), self.cols, "csr matvec: dimension mismatch");
+        assert_eq!(
+            y.len(),
+            self.rows,
+            "csr matvec_add_into: output length mismatch"
+        );
+        for r in 0..self.rows {
+            let mut acc = 0.0;
+            for k in self.indptr[r]..self.indptr[r + 1] {
+                acc += self.values[k] * x[self.indices[k]];
+            }
+            y[r] += alpha * acc;
+        }
     }
 
     /// Converts to a dense matrix (intended for tests / small problems).
@@ -521,6 +621,85 @@ mod tests {
         let explicit = a.matvec(&kron_vec(&x, &y));
         let structured = a.matvec_kron(&x, &y);
         assert!((&explicit - &structured).norm_inf() < 1e-14);
+    }
+
+    #[test]
+    fn kron3_structured_matvec_matches_explicit() {
+        let n = 2;
+        let mut coo = CooMatrix::new(n, n * n * n);
+        coo.push(0, 3, 2.0);
+        coo.push(1, 6, -1.5);
+        coo.push(1, 0, 0.5);
+        let g3 = coo.to_csr();
+        let x = Vector::from_slice(&[1.0, -2.0]);
+        let y = Vector::from_slice(&[0.5, 3.0]);
+        let z = Vector::from_slice(&[-1.0, 0.25]);
+        let explicit = g3.matvec(&kron_vec(&x, &kron_vec(&y, &z)));
+        let structured = g3.matvec_kron3(&x, &y, &z);
+        assert!((&explicit - &structured).norm_inf() < 1e-14);
+    }
+
+    #[test]
+    #[should_panic(expected = "csr matvec_kron3: 8 columns")]
+    fn kron3_matvec_rejects_dimension_mismatch_in_release_too() {
+        // G3 sized for n = 2 but fed n = 3 vectors: a debug-only check would
+        // let release builds read garbage indices.
+        let mut coo = CooMatrix::new(2, 8);
+        coo.push(0, 3, 1.0);
+        let x = Vector::zeros(3);
+        let _ = coo.to_csr().matvec_kron3(&x, &x, &x);
+    }
+
+    #[test]
+    #[should_panic(expected = "csr matvec_kron3: x has length")]
+    fn kron3_matvec_rejects_mixed_operand_lengths() {
+        let mut coo = CooMatrix::new(2, 8);
+        coo.push(0, 3, 1.0);
+        let _ = coo
+            .to_csr()
+            .matvec_kron3(&Vector::zeros(2), &Vector::zeros(3), &Vector::zeros(2));
+    }
+
+    #[test]
+    fn add_into_kernels_equal_adding_the_allocating_products_bitwise() {
+        let mut coo = CooMatrix::new(3, 27);
+        for (r, c, v) in [
+            (0, 0, 0.3),
+            (0, 13, -1.1),
+            (1, 5, 2.7),
+            (2, 26, 0.9),
+            (2, 7, -0.4),
+        ] {
+            coo.push(r, c, v);
+        }
+        let a3 = coo.to_csr();
+        let mut coo = CooMatrix::new(3, 9);
+        for (r, c, v) in [(0, 1, 0.7), (0, 3, -0.2), (2, 8, 1.3), (1, 4, 0.6)] {
+            coo.push(r, c, v);
+        }
+        let a2 = coo.to_csr();
+        let a1 = ladder(3);
+        let x = Vector::from_slice(&[0.37, -1.9, 0.011]);
+        let y = Vector::from_slice(&[1.3, 0.25, -0.7]);
+        let base = Vector::from_slice(&[0.1, -3.3, 2.2]);
+
+        let mut expected = base.clone();
+        expected.axpy(1.0, &a2.matvec_kron(&x, &y));
+        let mut got = base.clone();
+        a2.matvec_kron_add_into(&x, &y, &mut got);
+        assert_eq!(got, expected);
+
+        let mut expected = base.clone();
+        expected.axpy(1.0, &a3.matvec_kron3(&x, &y, &x));
+        let mut got = base.clone();
+        a3.matvec_kron3_add_into(&x, &y, &x, &mut got);
+        assert_eq!(got, expected);
+
+        let mut expected = base.clone();
+        expected.axpy(-0.35, &a1.matvec(&x));
+        let mut got = base;
+        a1.matvec_add_into(-0.35, &x, &mut got);
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -34,12 +34,25 @@ use crate::Result;
 /// Lyapunov weights) is materialized lazily on first use of [`Qldae::g1`]
 /// and cached, so purely sparse consumers (the implicit transient at scale)
 /// never pay for it.
+///
+/// The time-domain evaluation ([`PolynomialStateSpace::rhs`] and both
+/// Jacobians) reads `G₂` and `G₃` in a *symmetric-packed* form when that is
+/// no larger than their CSR: one dense `n`-vector per monomial — `M₂ =
+/// n(n+1)/2` rows, row `(p ≤ q)` holding `G₂[:, pn+q] + G₂[:, qn+p]`, and
+/// `M₃ = n(n+1)(n+2)/6` rows, row `(p ≤ q ≤ r)` holding the sum of every
+/// distinct permutation's `G₃` column. Each monomial is then formed once
+/// and added as one contiguous axpy. A coupling is packed exactly when
+/// `n·M ≤ nnz`, which the dense couplings of a projected ROM meet and the
+/// sparse stamps of a circuit do not, so full models keep the CSR
+/// evaluation. The packed form is built lazily on first evaluation;
+/// [`Qldae::g2`] and [`Qldae::g3`] always return the CSR.
 #[derive(Debug, Clone)]
 pub struct Qldae {
     g1: CsrMatrix,
     g1_dense: OnceLock<Matrix>,
     g2: CsrMatrix,
     g3: Option<CsrMatrix>,
+    packed: OnceLock<PackedCouplings>,
     d1: Vec<CsrMatrix>,
     b: Matrix,
     c: Matrix,
@@ -153,6 +166,7 @@ impl Qldae {
             g1_dense,
             g2,
             g3: None,
+            packed: OnceLock::new(),
             d1,
             b,
             c,
@@ -177,6 +191,7 @@ impl Qldae {
             )));
         }
         self.g3 = (g3.nnz() > 0).then_some(g3);
+        self.packed = OnceLock::new();
         Ok(self)
     }
 
@@ -284,17 +299,89 @@ impl Qldae {
         self.g2.matvec_kron(x, x)
     }
 
-    /// Evaluates `G₃ (x ⊗ x ⊗ x)` without forming the Kronecker cube.
-    fn cubic_term(g3: &CsrMatrix, x: &Vector) -> Vector {
-        let n = x.len();
-        let mut out = Vector::zeros(n);
-        for (i, col, g) in g3.iter() {
-            let p = col / (n * n);
-            let q = (col / n) % n;
-            let r = col % n;
-            out[i] += g * x[p] * x[q] * x[r];
+    /// The symmetric-packed couplings, built on first use.
+    fn packed(&self) -> &PackedCouplings {
+        self.packed
+            .get_or_init(|| PackedCouplings::new(&self.g2, self.g3.as_ref(), self.order()))
+    }
+
+    /// Accumulates `G₂ (x ⊗ x) + G₃ (x ⊗ x ⊗ x)` into `out`, each coupling
+    /// from its packed form when it has one and from its CSR otherwise.
+    fn polynomial_terms_into(&self, x: &Vector, out: &mut Vector) {
+        let packed = self.packed();
+        match &packed.g2 {
+            Some(rows) => packed_quadratic_into(rows, x.as_slice(), out.as_mut_slice()),
+            None if self.g2.nnz() > 0 => self.g2.matvec_kron_add_into(x, x, out),
+            None => {}
         }
-        out
+        match (&packed.g3, &self.g3) {
+            (Some(rows), _) => packed_cubic_into(rows, x.as_slice(), out.as_mut_slice()),
+            (None, Some(g3)) => g3.matvec_kron3_add_into(x, x, x, out),
+            (None, None) => {}
+        }
+    }
+
+    /// Calls `add(i, j, v)` for every contribution `v` to `∂f/∂x[i, j]` at
+    /// `(x, u)`: the `G₁` stamp, then the `G₂`, `G₃` (packed or CSR) and
+    /// `D₁` terms. One entry may be reported several times; the caller sums.
+    fn for_each_jacobian_entry(
+        &self,
+        x: &Vector,
+        u: &[f64],
+        mut add: impl FnMut(usize, usize, f64),
+    ) {
+        let n = self.order();
+        for (i, j, v) in self.g1.iter() {
+            add(i, j, v);
+        }
+        let packed = self.packed();
+        // d/dx_j [G₂ (x⊗x)]_i = Σ_{(i, p*n+q)} g * (δ_{pj} x_q + x_p δ_{qj});
+        // a packed row (p ≤ q) contributes the same two terms.
+        match &packed.g2 {
+            Some(rows) => {
+                for ((p, q), row) in pairs(n).zip(rows.chunks_exact(n)) {
+                    for (i, &g) in row.iter().enumerate() {
+                        add(i, p, g * x[q]);
+                        add(i, q, g * x[p]);
+                    }
+                }
+            }
+            None => {
+                for (i, col, g) in self.g2.iter() {
+                    let (p, q) = (col / n, col % n);
+                    add(i, p, g * x[q]);
+                    add(i, q, g * x[p]);
+                }
+            }
+        }
+        match &packed.g3 {
+            Some(rows) => {
+                for ((p, q, r), row) in triples(n).zip(rows.chunks_exact(n)) {
+                    for (i, &g) in row.iter().enumerate() {
+                        add(i, p, g * x[q] * x[r]);
+                        add(i, q, g * x[p] * x[r]);
+                        add(i, r, g * x[p] * x[q]);
+                    }
+                }
+            }
+            None => {
+                for (i, col, g) in self.g3.iter().flat_map(CsrMatrix::iter) {
+                    let (p, q, r) = (col / (n * n), (col / n) % n, col % n);
+                    add(i, p, g * x[q] * x[r]);
+                    add(i, q, g * x[p] * x[r]);
+                    add(i, r, g * x[p] * x[q]);
+                }
+            }
+        }
+        for (k, &uk) in u.iter().enumerate() {
+            if uk != 0.0 {
+                if let Some(dk) = self.d1.get(k) {
+                    for (i, j, v) in dk.iter() {
+                        add(i, j, uk * v);
+                    }
+                }
+            }
+        }
     }
 
     /// The linearization around the origin as an [`LtiSystem`]
@@ -336,6 +423,106 @@ fn apply_inverse_to_sparse(
     Ok(coo.into_csr())
 }
 
+/// The symmetric-packed time-domain form of `G₂` and `G₃` (see [`Qldae`]):
+/// row-major, one `n`-row per monomial in lexicographic order of its sorted
+/// indices. `None` means the coupling is evaluated from its CSR.
+#[derive(Debug, Clone)]
+struct PackedCouplings {
+    g2: Option<Vec<f64>>,
+    g3: Option<Vec<f64>>,
+}
+
+impl PackedCouplings {
+    fn new(g2: &CsrMatrix, g3: Option<&CsrMatrix>, n: usize) -> Self {
+        let m2 = n.checked_mul(n + 1).map(|v| v / 2);
+        let m3 = n
+            .checked_mul(n + 1)
+            .and_then(|v| v.checked_mul(n + 2))
+            .map(|v| v / 6);
+        PackedCouplings {
+            g2: pack(g2, n, m2, |col| {
+                let (p, q) = (col / n, col % n);
+                pair_index(n, p.min(q), p.max(q))
+            }),
+            g3: g3.and_then(|g3| {
+                pack(g3, n, m3, |col| {
+                    let mut idx = [col / (n * n), (col / n) % n, col % n];
+                    idx.sort_unstable();
+                    triple_index(n, idx[0], idx[1], idx[2])
+                })
+            }),
+        }
+    }
+}
+
+/// Sums each column of the coupling `g` into the packed row `row_of(col)`,
+/// or returns `None` when the `monomials × n` rows would hold more numbers
+/// than `g` stores (or their count overflows).
+fn pack(
+    g: &CsrMatrix,
+    n: usize,
+    monomials: Option<usize>,
+    row_of: impl Fn(usize) -> usize,
+) -> Option<Vec<f64>> {
+    let len = monomials?.checked_mul(n)?;
+    if g.nnz() == 0 || len > g.nnz() {
+        return None;
+    }
+    let mut rows = vec![0.0; len];
+    for (i, col, v) in g.iter() {
+        rows[row_of(col) * n + i] += v;
+    }
+    Some(rows)
+}
+
+/// Row of the monomial `x_p x_q` (`p ≤ q < n`) in lexicographic order:
+/// the pairs with a first index below `p`, then `q − p`.
+fn pair_index(n: usize, p: usize, q: usize) -> usize {
+    let below = |k: usize| k * (k + 1) / 2;
+    below(n) - below(n - p) + (q - p)
+}
+
+/// Row of the monomial `x_p x_q x_r` (`p ≤ q ≤ r < n`) in lexicographic
+/// order: the triples with a first index below `p`, then the pairs
+/// `(q', r')` of `[p, n)` with `q' < q`, then `r − q`.
+fn triple_index(n: usize, p: usize, q: usize, r: usize) -> usize {
+    let pairs_below = |k: usize| k * (k + 1) / 2;
+    let triples_below = |k: usize| k * (k + 1) * (k + 2) / 6;
+    triples_below(n) - triples_below(n - p) + pairs_below(n - p) - pairs_below(n - q) + (r - q)
+}
+
+/// The monomials `x_p x_q` (`p ≤ q < n`) in packed-row order.
+fn pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |p| (p..n).map(move |q| (p, q)))
+}
+
+/// The monomials `x_p x_q x_r` (`p ≤ q ≤ r < n`) in packed-row order.
+fn triples(n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    pairs(n).flat_map(move |(p, q)| (q..n).map(move |r| (p, q, r)))
+}
+
+/// Accumulates `Σ_{p≤q} x_p x_q · row(p, q)` into `out`: each monomial
+/// once, then one contiguous axpy of its packed row.
+fn packed_quadratic_into(rows: &[f64], x: &[f64], out: &mut [f64]) {
+    for ((p, q), row) in pairs(x.len()).zip(rows.chunks_exact(x.len())) {
+        axpy_into(x[p] * x[q], row, out);
+    }
+}
+
+/// Accumulates `Σ_{p≤q≤r} x_p x_q x_r · row(p, q, r)` into `out`, as
+/// [`packed_quadratic_into`] does for the pairs.
+fn packed_cubic_into(rows: &[f64], x: &[f64], out: &mut [f64]) {
+    for ((p, q, r), row) in triples(x.len()).zip(rows.chunks_exact(x.len())) {
+        axpy_into(x[p] * x[q] * x[r], row, out);
+    }
+}
+
+fn axpy_into(c: f64, row: &[f64], out: &mut [f64]) {
+    for (o, &g) in out.iter_mut().zip(row) {
+        *o += c * g;
+    }
+}
+
 impl PolynomialStateSpace for Qldae {
     fn order(&self) -> usize {
         self.g1.rows()
@@ -357,17 +544,14 @@ impl PolynomialStateSpace for Qldae {
             "qldae rhs: input dimension mismatch"
         );
         let mut dx = self.g1.matvec(x);
-        if self.g2.nnz() > 0 {
-            dx.axpy(1.0, &self.quadratic_term(x));
-        }
-        if let Some(g3) = &self.g3 {
-            dx.axpy(1.0, &Self::cubic_term(g3, x));
-        }
+        self.polynomial_terms_into(x, &mut dx);
         for (k, &uk) in u.iter().enumerate() {
             if uk != 0.0 {
-                dx.axpy(uk, &self.b.col(k));
+                for (i, d) in dx.iter_mut().enumerate() {
+                    *d += uk * self.b[(i, k)];
+                }
                 if let Some(dk) = self.d1.get(k) {
-                    dx.axpy(uk, &dk.matvec(x));
+                    dk.matvec_add_into(uk, x, &mut dx);
                 }
             }
         }
@@ -387,33 +571,7 @@ impl PolynomialStateSpace for Qldae {
         );
         let n = self.order();
         let mut jac = Matrix::zeros(n, n);
-        for (i, j, v) in self.g1.iter() {
-            jac[(i, j)] += v;
-        }
-        // d/dx_j [G2 (x⊗x)]_i = Σ_{(i, p*n+q)} g * (δ_{pj} x_q + x_p δ_{qj}).
-        for (i, col, g) in self.g2.iter() {
-            let p = col / n;
-            let q = col % n;
-            jac[(i, p)] += g * x[q];
-            jac[(i, q)] += g * x[p];
-        }
-        for (i, col, g) in self.g3.iter().flat_map(CsrMatrix::iter) {
-            let p = col / (n * n);
-            let q = (col / n) % n;
-            let r = col % n;
-            jac[(i, p)] += g * x[q] * x[r];
-            jac[(i, q)] += g * x[p] * x[r];
-            jac[(i, r)] += g * x[p] * x[q];
-        }
-        for (k, &uk) in u.iter().enumerate() {
-            if uk != 0.0 {
-                if let Some(dk) = self.d1.get(k) {
-                    for (i, j, v) in dk.iter() {
-                        jac[(i, j)] += uk * v;
-                    }
-                }
-            }
-        }
+        self.for_each_jacobian_entry(x, u, |i, j, v| jac[(i, j)] += v);
         jac
     }
 
@@ -430,32 +588,7 @@ impl PolynomialStateSpace for Qldae {
         );
         let n = self.order();
         let mut coo = CooMatrix::new(n, n);
-        for (i, j, v) in self.g1.iter() {
-            coo.push(i, j, v);
-        }
-        for (i, col, g) in self.g2.iter() {
-            let p = col / n;
-            let q = col % n;
-            coo.push(i, p, g * x[q]);
-            coo.push(i, q, g * x[p]);
-        }
-        for (i, col, g) in self.g3.iter().flat_map(CsrMatrix::iter) {
-            let p = col / (n * n);
-            let q = (col / n) % n;
-            let r = col % n;
-            coo.push(i, p, g * x[q] * x[r]);
-            coo.push(i, q, g * x[p] * x[r]);
-            coo.push(i, r, g * x[p] * x[q]);
-        }
-        for (k, &uk) in u.iter().enumerate() {
-            if uk != 0.0 {
-                if let Some(dk) = self.d1.get(k) {
-                    for (i, j, v) in dk.iter() {
-                        coo.push(i, j, uk * v);
-                    }
-                }
-            }
-        }
+        self.for_each_jacobian_entry(x, u, |i, j, v| coo.push(i, j, v));
         Some(coo.into_csr())
     }
 
@@ -603,7 +736,7 @@ impl QldaeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vamor_linalg::CooMatrix;
+    use vamor_linalg::{kron_vec, CooMatrix};
 
     fn toy() -> Qldae {
         // x1' = -x1 + 0.3 x1 x2 + u + 0.1 x2 u
@@ -679,6 +812,154 @@ mod tests {
         .unwrap();
         assert!((&sq.rhs(&x, &u) - &q.rhs(&x, &u)).norm_inf() < 1e-14);
         assert!((sq.g1() - q.g1()).max_abs() < 1e-14);
+    }
+
+    /// Deterministic values in `[-1, 1)` (a 64-bit LCG).
+    fn lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// `G₁ x + G₂ (x⊗x) + G₃ (x⊗x⊗x) + Σ_k u_k (b_k + D₁ᵏ x)` and its
+    /// Jacobian `G₁ + G₂ (I⊗x + x⊗I) + G₃ (I⊗x⊗x + x⊗I⊗x + x⊗x⊗I) + Σ_k u_k
+    /// D₁ᵏ`, every Kronecker product formed explicitly.
+    fn explicit(q: &Qldae, x: &Vector, u: &[f64]) -> (Vector, Matrix) {
+        let n = q.order();
+        let x2 = kron_vec(x, x);
+        let mut f = q.g1().matvec(x);
+        f.axpy(1.0, &q.g2().matvec(&x2));
+        let mut jac = q.g1().clone();
+        for j in 0..n {
+            let e = Vector::unit(n, j);
+            let mut col = q.g2().matvec(&kron_vec(&e, x));
+            col.axpy(1.0, &q.g2().matvec(&kron_vec(x, &e)));
+            if let Some(g3) = q.g3() {
+                for term in [
+                    kron_vec(&e, &x2),
+                    kron_vec(x, &kron_vec(&e, x)),
+                    kron_vec(&x2, &e),
+                ] {
+                    col.axpy(1.0, &g3.matvec(&term));
+                }
+            }
+            for i in 0..n {
+                jac[(i, j)] += col[i];
+            }
+        }
+        if let Some(g3) = q.g3() {
+            f.axpy(1.0, &g3.matvec(&kron_vec(x, &x2)));
+        }
+        for (k, &uk) in u.iter().enumerate() {
+            f.axpy(uk, &q.b().col(k));
+            if let Some(dk) = q.d1().get(k) {
+                f.axpy(uk, &dk.matvec(x));
+                jac.axpy(uk, &dk.to_dense());
+            }
+        }
+        (f, jac)
+    }
+
+    fn assert_matches_explicit(q: &Qldae, x: &Vector, u: &[f64]) {
+        let (f, jac) = explicit(q, x, u);
+        let rhs_err = (&q.rhs(x, u) - &f).norm_inf() / f.norm_inf();
+        assert!(rhs_err <= 1e-12, "rhs relative error {rhs_err:.3e}");
+        let scale = jac.max_abs();
+        let dense_err = (&q.jacobian_x(x, u) - &jac).max_abs() / scale;
+        assert!(
+            dense_err <= 1e-12,
+            "jacobian_x relative error {dense_err:.3e}"
+        );
+        let csr = q.jacobian_csr(x, u).expect("qldae provides CSR stamps");
+        let csr_err = (&csr.to_dense() - &jac).max_abs() / scale;
+        assert!(
+            csr_err <= 1e-12,
+            "jacobian_csr relative error {csr_err:.3e}"
+        );
+    }
+
+    /// A dense `n`-state system whose `G₂[i, pq] ≠ G₂[i, qp]` and whose six
+    /// `G₃` permutation columns all differ, with one bilinear input.
+    fn dense_random(n: usize) -> Qldae {
+        let mut next = lcg(7);
+        let g1 = Matrix::from_fn(n, n, |i, j| if i == j { -4.0 } else { 0.3 * next() });
+        let g2 = CsrMatrix::from_dense(&Matrix::from_fn(n, n * n, |_, _| next()), 0.0);
+        let g3 = CsrMatrix::from_dense(&Matrix::from_fn(n, n * n * n, |_, _| next()), 0.0);
+        let d1 = CsrMatrix::from_dense(&Matrix::from_fn(n, n, |_, _| 0.2 * next()), 0.0);
+        let b = Matrix::from_fn(n, 2, |_, _| next());
+        let c = Matrix::from_fn(1, n, |_, _| next());
+        Qldae::new(g1, g2, vec![d1, CsrMatrix::zeros(n, n)], b, c)
+            .unwrap()
+            .with_g3(g3)
+            .unwrap()
+    }
+
+    #[test]
+    fn packed_evaluation_matches_explicit_kronecker_products() {
+        let n = 7;
+        let q = dense_random(n);
+        assert_eq!(q.g2().nnz(), n * n * n);
+        assert_eq!(q.g3().map(CsrMatrix::nnz), Some(n * n * n * n));
+        let mut next = lcg(11);
+        let x = Vector::from_fn(n, |_| next());
+        assert_matches_explicit(&q, &x, &[0.6, -1.3]);
+        assert_matches_explicit(&q, &x, &[0.0, 0.0]);
+        let packed = q.packed();
+        assert_eq!(
+            packed.g2.as_ref().map(Vec::len),
+            Some(n * (n * (n + 1) / 2))
+        );
+        assert_eq!(
+            packed.g3.as_ref().map(Vec::len),
+            Some(n * (n * (n + 1) * (n + 2) / 6))
+        );
+    }
+
+    #[test]
+    fn couplings_are_packed_exactly_when_no_larger_than_their_csr() {
+        // n = 2: M₂ = 3 monomials (n·M₂ = 6 numbers), M₃ = 4 (n·M₃ = 8).
+        let n = 2;
+        let mut next = lcg(3);
+        let x = Vector::from_slice(&[0.8, -1.7]);
+        for (g2_nnz, g3_nnz) in [(6, 8), (5, 7), (6, 7), (5, 8), (0, 8), (6, 0)] {
+            let mut g2 = CooMatrix::new(n, n * n);
+            for k in 0..g2_nnz {
+                g2.push(k % n, k / n, 0.5 + next().abs());
+            }
+            let mut g3 = CooMatrix::new(n, n * n * n);
+            for k in 0..g3_nnz {
+                g3.push(k % n, k / n, 0.5 + next().abs());
+            }
+            let g1 = Matrix::from_rows(&[&[-1.0, 0.2], &[0.1, -2.0]]).unwrap();
+            let b = Matrix::from_rows(&[&[1.0], &[0.5]]).unwrap();
+            let c = Matrix::from_rows(&[&[0.0, 1.0]]).unwrap();
+            let plain = Qldae::new(g1, g2.into_csr(), Vec::new(), b, c).unwrap();
+            // Evaluating before `with_g3` builds a packed form without G₃,
+            // which attaching G₃ must discard.
+            let _ = plain.rhs(&x, &[0.3]);
+            let q = plain.with_g3(g3.into_csr()).unwrap();
+            assert_matches_explicit(&q, &x, &[0.3]);
+            let packed = q.packed();
+            assert_eq!(packed.g2.is_some(), g2_nnz == 6, "G₂ with {g2_nnz} entries");
+            assert_eq!(packed.g3.is_some(), g3_nnz == 8, "G₃ with {g3_nnz} entries");
+        }
+    }
+
+    #[test]
+    fn packed_index_maps_enumerate_monomials_in_row_order() {
+        let n = 5;
+        for (m, (p, q)) in pairs(n).enumerate() {
+            assert_eq!(pair_index(n, p, q), m);
+        }
+        for (m, (p, q, r)) in triples(n).enumerate() {
+            assert_eq!(triple_index(n, p, q, r), m);
+        }
+        assert_eq!(pairs(n).count(), n * (n + 1) / 2);
+        assert_eq!(triples(n).count(), n * (n + 1) * (n + 2) / 6);
     }
 
     #[test]

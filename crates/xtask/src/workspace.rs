@@ -28,8 +28,8 @@ impl AnalyzeConfig {
     /// obs sources, indexing checks on the cache/control/par orchestration
     /// modules, lock discipline on `shift_cache.rs` and the session shared
     /// state (`budget.rs`, `session.rs`), allocation checks on the dense
-    /// kernel files and the Schur-coordinate chain kernels (`sylvester.rs`,
-    /// `assoc.rs`).
+    /// kernel files, the Schur-coordinate chain kernels (`sylvester.rs`,
+    /// `assoc.rs`) and the polynomial-term evaluation (`qldae.rs`).
     pub fn vamor() -> Self {
         AnalyzeConfig {
             panic_dirs: [
@@ -60,6 +60,7 @@ impl AnalyzeConfig {
                 "crates/linalg/src/kron.rs",
                 "crates/linalg/src/sylvester.rs",
                 "crates/core/src/assoc.rs",
+                "crates/system/src/qldae.rs",
             ]
             .iter()
             .map(PathBuf::from)
@@ -211,9 +212,12 @@ mod tests {
         assert!(cfg
             .lock_files
             .contains(&PathBuf::from("crates/core/src/session.rs")));
-        assert_eq!(cfg.alloc_files.len(), 6);
+        assert_eq!(cfg.alloc_files.len(), 7);
         assert!(cfg
             .alloc_files
             .contains(&PathBuf::from("crates/linalg/src/sylvester.rs")));
+        assert!(cfg
+            .alloc_files
+            .contains(&PathBuf::from("crates/system/src/qldae.rs")));
     }
 }
