@@ -29,7 +29,9 @@
 //!
 //! A run reads one stamp ([`crate::SharedAssocArtifacts`]), its own or a
 //! [`crate::ReductionSession`]'s: the estimator and every probe borrow its
-//! factorizations and energy weight, each built once per run.
+//! factorizations and energy weight, each built once per run, and the
+//! probes share every moment chain they have in common (see
+//! [`AdaptiveReducer`]).
 //!
 //! The driver runs under both reduction engines
 //! ([`crate::ReductionEngine::DenseSchur`] and
@@ -43,7 +45,7 @@ use vamor_system::Qldae;
 use crate::error::MorError;
 use crate::lowrank::{LowRankOptions, ReductionEngine};
 use crate::norm::NormReducer;
-use crate::reduce::{AssocReducer, MomentSpec, ReducedQldae};
+use crate::reduce::{AssocReducer, ChainMemo, MomentSpec, ReducedQldae};
 use crate::stamp::{SharedAssocArtifacts, StampConfig};
 use crate::volterra::VolterraKernels;
 use crate::Result;
@@ -352,6 +354,7 @@ impl BandSampler {
     }
 
     fn residual_with(&self, evaluators: &[VolterraKernels<'_>]) -> Result<BandResidual> {
+        let _span = vamor_obs::span!("band_residual");
         let mut out = BandResidual {
             h1: 0.0,
             h2: 0.0,
@@ -699,6 +702,10 @@ pub struct AdaptiveTrace {
     /// Full-model solves of the band estimator (each band frequency factored
     /// once).
     pub full_model_solves: usize,
+    /// Moment chains the run built, each `(chain, depth)` once.
+    pub chain_builds: usize,
+    /// Chain requests of the run's reductions answered without a build.
+    pub chain_reuses: usize,
     /// Why the search stopped.
     pub stop: StopReason,
 }
@@ -784,6 +791,17 @@ pub struct AdaptiveOutcome<R> {
 /// [`NormReducer`] behind an [`AdaptiveSpec`] — band plus tolerance — and
 /// grows the configuration until the band residual saturates or a budget is
 /// hit.
+///
+/// A probe pays only for what its move changes. Every probe reduces against
+/// the run's one stamp, and an associated-transform run also holds the
+/// moment chains its probes built, keyed by chain and depth (no other knob
+/// changes a chain over a fixed stamp): a probe builds only the chains its
+/// move deepened, each `(chain, depth)` is built once per run
+/// ([`AdaptiveTrace::chain_builds`]), and after each accepted move the run
+/// drops the chains no later probe can read. The memoized chains replay
+/// their own diagnostics, so every ROM is bit-identical to a fresh
+/// [`AssocReducer`] run of its configuration. The NORM baseline's chains
+/// are rebuilt per probe.
 ///
 /// ```
 /// use vamor_circuits::TransmissionLine;
@@ -973,7 +991,9 @@ impl AdaptiveReducer {
             AdaptiveMove::ToggleStabilization => cfg.output_krylov == 0,
             AdaptiveMove::Boost => true,
         };
-        // Every probe reduces against the run's one stamp.
+        // Every probe reduces against the run's one stamp and builds only
+        // the moment chains no earlier probe of the run built.
+        let memo = ChainMemo::default();
         let reduce = |cfg: &AdaptiveConfig| -> Result<ReducedQldae> {
             match self.kind {
                 ReducerKind::Assoc => AssocReducer::new(cfg.spec)
@@ -984,7 +1004,7 @@ impl AdaptiveReducer {
                     .with_engine(self.engine)
                     .with_solver_backend(self.backend)
                     .with_lowrank_options(self.lowrank_opts)
-                    .reduce_on(qldae, stamp, control),
+                    .reduce_on(qldae, stamp, &memo, control),
                 ReducerKind::Norm => NormReducer::new(cfg.spec)
                     .with_deflation_tol(cfg.deflation_tol)
                     .with_stabilized_projection(cfg.stabilized)
@@ -1003,7 +1023,18 @@ impl AdaptiveReducer {
                 && !(self.kind == ReducerKind::Norm
                     && matches!(mv, AdaptiveMove::AddMarkov | AdaptiveMove::AddOutputKrylov))
         };
-        self.run(initial, &legal_norm, &reduce, &sampler, control, hooks)
+        let mut out = self.run(
+            initial,
+            &legal_norm,
+            &reduce,
+            &sampler,
+            &memo,
+            control,
+            hooks,
+        )?;
+        out.trace.chain_builds = memo.builds();
+        out.trace.chain_reuses = memo.reuses();
+        Ok(out)
     }
 
     /// Forwarding name of [`AdaptiveReducer::reduce`], which covers cubic
@@ -1019,13 +1050,16 @@ impl AdaptiveReducer {
     /// The greedy loop: estimate, probe every legal move, accept the best
     /// residual-decrease-per-added-column, stop on
     /// tolerance/saturation/budget. Returns the best ROM *seen* (which is
-    /// the final one — moves are only accepted when they improve).
+    /// the final one — moves are only accepted when they improve). After
+    /// every accepted move `memo` drops the chains no later probe can read.
+    #[allow(clippy::too_many_arguments)] // private loop with one call site; a config struct would just rename the arguments
     fn run(
         &self,
         initial: AdaptiveConfig,
         legal: &dyn Fn(AdaptiveMove, &AdaptiveConfig) -> bool,
         reduce: &dyn Fn(&AdaptiveConfig) -> Result<ReducedQldae>,
         sampler: &BandSampler,
+        memo: &ChainMemo,
         control: &RunControl,
         hooks: &AdaptiveHooks<'_>,
     ) -> Result<AdaptiveOutcome<ReducedQldae>> {
@@ -1049,6 +1083,8 @@ impl AdaptiveReducer {
                 prior => prior,
             },
             full_model_solves: sampler.full_solves(),
+            chain_builds: 0,
+            chain_reuses: 0,
             stop: StopReason::IterationBudget,
         };
         vamor_obs::event!(vamor_obs::Event::GreedyAccept {
@@ -1069,6 +1105,7 @@ impl AdaptiveReducer {
                 continue;
             }
             cfg = cfg.apply(mv);
+            memo.retain(cfg.spec);
             rom = match reduce(&cfg) {
                 Ok(rom2) => rom2,
                 Err(MorError::Linalg(LinalgError::Interrupted(cause))) => {
@@ -1225,6 +1262,7 @@ impl AdaptiveReducer {
             cfg = cfg2;
             rom = rom2;
             res = res2;
+            memo.retain(cfg.spec);
             trace.steps.push(AdaptiveStep {
                 mv,
                 config: cfg,
@@ -1249,6 +1287,8 @@ impl AdaptiveReducer {
         }
         vamor_obs::counter("adaptive.runs").inc();
         vamor_obs::counter("adaptive.evaluations").add(trace.evaluations as u64);
+        vamor_obs::counter("adaptive.chain_builds").add(memo.builds() as u64);
+        vamor_obs::counter("adaptive.chain_reuses").add(memo.reuses() as u64);
         vamor_obs::counter("adaptive.moves_accepted")
             .add(trace.steps.len().saturating_sub(1) as u64);
         Ok(AdaptiveOutcome { rom, trace })
@@ -1258,6 +1298,8 @@ impl AdaptiveReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::Chain;
+    use std::collections::HashSet;
     use vamor_system::QldaeBuilder;
 
     fn chain_qldae(n: usize) -> Qldae {
@@ -1538,6 +1580,93 @@ mod tests {
         assert!(
             outcome.trace.final_residual() >= uncancelled.trace.final_residual(),
             "the full run must do at least as well as the preempted one"
+        );
+    }
+
+    /// The distinct `(chain, depth)` keys a finished run's reductions asked
+    /// for: the initial configuration's, and every move's from each round
+    /// the run probed. Only the depth moves change a key, and a move of an
+    /// order the system lacks plans no chain of that order.
+    fn visited_chain_keys(q: &Qldae, trace: &AdaptiveTrace) -> HashSet<(Chain, usize)> {
+        let keys = |cfg: AdaptiveConfig| {
+            Chain::plan(q, cfg.spec)
+                .into_iter()
+                .map(move |chain| (chain, chain.depth(cfg.spec)))
+        };
+        // A run that stopped at the head of a round (tolerance reached or
+        // iterations spent) did not probe from its last accepted step.
+        let probed_last = matches!(trace.stop, StopReason::Saturated | StopReason::OrderBudget);
+        let rounds = trace.steps.len() - usize::from(!probed_last);
+        let mut visited: HashSet<_> = keys(trace.steps[0].config).collect();
+        for step in &trace.steps[..rounds] {
+            for mv in ALL_MOVES {
+                visited.extend(keys(step.config.apply(mv)));
+            }
+        }
+        visited
+    }
+
+    /// Runs the driver on `engine`, then rebuilds its final configuration
+    /// with a plain reducer on a fresh stamp: the memoized chains must give
+    /// the same ROM bit for bit, and every chain the run visited must have
+    /// been built exactly once.
+    fn assert_memoized_run_matches_a_fresh_reduction(
+        q: &Qldae,
+        spec: AdaptiveSpec,
+        engine: ReductionEngine,
+    ) {
+        let outcome = AdaptiveReducer::new(spec)
+            .with_engine(engine)
+            .reduce(q)
+            .unwrap();
+        let trace = &outcome.trace;
+        assert!(trace.steps.len() > 1, "the run must accept a move");
+        assert_eq!(
+            trace.chain_builds,
+            visited_chain_keys(q, trace).len(),
+            "each visited (chain, depth) is built exactly once"
+        );
+        assert!(trace.chain_reuses > 0);
+
+        let cfg = trace.steps[trace.steps.len() - 1].config;
+        let fresh = AssocReducer::new(cfg.spec)
+            .with_markov_moments(cfg.markov)
+            .with_output_krylov(cfg.output_krylov)
+            .with_deflation_tol(cfg.deflation_tol)
+            .with_stabilized_projection(cfg.stabilized)
+            .with_engine(engine)
+            .reduce(q)
+            .unwrap();
+        let bits = |m: &vamor_linalg::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let rom = &outcome.rom;
+        assert_eq!(bits(rom.projection()), bits(fresh.projection()));
+        assert_eq!(bits(rom.system().g1()), bits(fresh.system().g1()));
+        let (ours, theirs) = (rom.stats(), fresh.stats());
+        assert_eq!(ours.lowrank_engine, engine == ReductionEngine::LowRank);
+        assert_eq!(ours.adi_iterations, theirs.adi_iterations);
+        assert_eq!(ours.chain_basis_dim, theirs.chain_basis_dim);
+        assert_eq!(ours.degradation, theirs.degradation);
+    }
+
+    #[test]
+    fn memoized_chains_give_a_fresh_reductions_rom_on_the_dense_engine() {
+        let q = chain_qldae(20);
+        let spec =
+            AdaptiveSpec::new(FrequencyBand::new(0.05, 2.0).unwrap(), 1e-9).with_max_iterations(4);
+        assert_memoized_run_matches_a_fresh_reduction(&q, spec, ReductionEngine::DenseSchur);
+    }
+
+    #[test]
+    fn memoized_chains_give_a_fresh_reductions_rom_on_the_lowrank_engine() {
+        let circuit = vamor_circuits::VaristorCircuit::new(16).unwrap();
+        let spec =
+            AdaptiveSpec::new(FrequencyBand::new(0.02, 4.0).unwrap(), 1e-9).with_max_iterations(3);
+        assert_memoized_run_matches_a_fresh_reduction(
+            circuit.qldae(),
+            spec,
+            ReductionEngine::LowRank,
         );
     }
 }

@@ -160,6 +160,16 @@ impl LowRankDiagnostics {
         self.chain_basis_dim = self.chain_basis_dim.max(basis_dim);
     }
 
+    /// Folds another run's diagnostics in: sums the counts, keeps the
+    /// larger peak residual and basis dimension.
+    pub(crate) fn merge(&mut self, other: &LowRankDiagnostics) {
+        self.adi_iterations += other.adi_iterations;
+        self.adi_peak_residual = self.adi_peak_residual.max(other.adi_peak_residual);
+        self.chain_basis_dim = self.chain_basis_dim.max(other.chain_basis_dim);
+        self.adi_shift_reselections += other.adi_shift_reselections;
+        self.adi_nonconverged += other.adi_nonconverged;
+    }
+
     fn absorb_adi(&mut self, stats: &LrAdiStats, tol: f64, basis_dim: usize) {
         self.absorb(stats.iterations, stats.residual, basis_dim);
         self.adi_shift_reselections += stats.shift_reselections;

@@ -54,6 +54,9 @@
 //! one stamp ([`SharedAssocArtifacts`]): a private one for
 //! [`AssocReducer::reduce`], a whole greedy run's, or a session's.
 
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+
 use vamor_linalg::{
     eigenvalues, CholeskyDecomposition, Matrix, OrthoBasis, PivotRecovery, PivotedQr, RunControl,
     SolverBackend, Vector,
@@ -313,19 +316,28 @@ pub type ReducedCubicOde = ReducedQldae;
 
 /// One independent moment chain of a reduction run (the unit of work
 /// distributed over the scoped worker threads).
-#[derive(Debug, Clone, Copy)]
-enum Chain {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Chain {
     H1 { input: usize },
     H2 { a: usize, b: usize },
     H3 { input: usize },
 }
 
 impl Chain {
+    /// The number of moments `spec` asks of this chain.
+    pub(crate) fn depth(self, spec: MomentSpec) -> usize {
+        match self {
+            Chain::H1 { .. } => spec.k1,
+            Chain::H2 { .. } => spec.k2,
+            Chain::H3 { .. } => spec.k3,
+        }
+    }
+
     /// The chains of one run in basis-insertion order: every `H₁` chain,
     /// then the `H₂` input pairs `a ≤ b`, then every `H₃` chain. `H₂` runs
     /// only when the system has a quadratic part (a nonzero `G₂` or a `D₁`),
     /// `H₃` when it has a quadratic or a cubic part.
-    fn plan(qldae: &Qldae, spec: MomentSpec) -> Vec<Chain> {
+    pub(crate) fn plan(qldae: &Qldae, spec: MomentSpec) -> Vec<Chain> {
         let num_inputs = qldae.b().cols();
         let quadratic = qldae.has_quadratic();
         let h1 = (0..num_inputs).map(|input| Chain::H1 { input });
@@ -336,6 +348,79 @@ impl Chain {
             .filter(|_| spec.k3 > 0 && (quadratic || qldae.g3().is_some()))
             .map(|input| Chain::H3 { input });
         h1.chain(h2).chain(h3).collect()
+    }
+}
+
+/// A built moment chain: its scaled moments and the low-rank ADI/basis
+/// diagnostics its build recorded (empty on the dense engine).
+#[derive(Debug, Clone)]
+struct BuiltChain {
+    moments: ScaledMoments,
+    diagnostics: LowRankDiagnostics,
+}
+
+/// The moment chains already built over one stamp, keyed by chain and
+/// depth. Nothing else a reducer is configured with changes a chain over a
+/// fixed stamp, so a greedy run holds one memo and every probe builds only
+/// the chains its move changed; a plain reduction passes a fresh one. Only
+/// chains that finished with finite candidates are held: an interrupted or
+/// faulted chain is built again by the next reduction that asks for it.
+#[derive(Debug, Default)]
+pub(crate) struct ChainMemo {
+    chains: RefCell<HashMap<(Chain, usize), BuiltChain>>,
+    builds: Cell<usize>,
+    reuses: Cell<usize>,
+}
+
+impl ChainMemo {
+    /// Chains built through this memo.
+    pub(crate) fn builds(&self) -> usize {
+        self.builds.get()
+    }
+
+    /// Chain requests answered from this memo without a build.
+    pub(crate) fn reuses(&self) -> usize {
+        self.reuses.get()
+    }
+
+    /// Drops every chain shallower than `spec` asks for. A greedy move
+    /// never lowers a depth, so once a run holds `spec` no later probe reads
+    /// those; a deeper chain a rejected probe built stays for the next round
+    /// of probes.
+    pub(crate) fn retain(&self, spec: MomentSpec) {
+        self.chains
+            .borrow_mut()
+            .retain(|&(chain, depth), _| depth >= chain.depth(spec));
+    }
+
+    /// The keys of `keys` this memo does not hold; the others count as
+    /// reuses.
+    fn missing(&self, keys: &[(Chain, usize)]) -> Vec<(Chain, usize)> {
+        let chains = self.chains.borrow();
+        let missing: Vec<_> = keys
+            .iter()
+            .copied()
+            .filter(|key| !chains.contains_key(key))
+            .collect();
+        self.reuses
+            .set(self.reuses.get() + keys.len() - missing.len());
+        missing
+    }
+
+    fn insert(&self, key: (Chain, usize), built: BuiltChain) {
+        self.builds.set(self.builds.get() + 1);
+        if built
+            .moments
+            .vectors
+            .iter()
+            .all(|v| v.iter().all(|x| x.is_finite()))
+        {
+            self.chains.borrow_mut().insert(key, built);
+        }
+    }
+
+    fn get(&self, key: &(Chain, usize)) -> Option<BuiltChain> {
+        self.chains.borrow().get(key).cloned()
     }
 }
 
@@ -692,7 +777,7 @@ impl AssocReducer {
     pub fn reduce_controlled(&self, qldae: &Qldae, control: &RunControl) -> Result<ReducedQldae> {
         self.validate(qldae)?;
         let stamp = SharedAssocArtifacts::new(qldae, self.stamp_config(qldae))?;
-        self.reduce_on(qldae, &stamp, control)
+        self.reduce_on(qldae, &stamp, &ChainMemo::default(), control)
     }
 
     /// The stamp configuration this reducer reads: its backend and
@@ -729,7 +814,9 @@ impl AssocReducer {
 
     /// The reduce core every reduction runs, borrowing the factorizations
     /// of `stamp` (private to this reduction, one greedy run's, or a
-    /// session's), which must be of [`AssocReducer::stamp_config`].
+    /// session's), which must be of [`AssocReducer::stamp_config`], and the
+    /// moment chains `memo` holds over that stamp (a fresh memo for a plain
+    /// reduction, the run's own for a greedy probe).
     ///
     /// # Errors
     ///
@@ -738,6 +825,7 @@ impl AssocReducer {
         &self,
         qldae: &Qldae,
         stamp: &SharedAssocArtifacts,
+        memo: &ChainMemo,
         control: &RunControl,
     ) -> Result<ReducedQldae> {
         let _span = vamor_obs::span!("assoc_reduce");
@@ -753,23 +841,32 @@ impl AssocReducer {
             frame.weigh(control, &mut stats)?;
         }
         let basis = if frame.is_lowrank() {
-            let generator = LowRankAssocMomentGenerator::with_stamp(qldae, stamp)?
-                .with_control(control.clone());
-            let basis =
-                self.collect(
-                    &frame,
-                    qldae.b(),
-                    plan,
-                    control,
-                    &mut stats,
-                    |chain| match chain {
+            // The stamp's chain shift pool is built once, before the
+            // fan-out. Each chain then runs its own generator, so its
+            // diagnostics are its own and a memoized chain replays exactly
+            // what its build recorded.
+            stamp.chain(qldae)?;
+            self.collect(
+                &frame,
+                qldae.b(),
+                plan,
+                control,
+                memo,
+                &mut stats,
+                |chain| {
+                    let generator = LowRankAssocMomentGenerator::with_stamp(qldae, stamp)?
+                        .with_control(control.clone());
+                    let moments = match chain {
                         Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
                         Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
                         Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
-                    },
-                )?;
-            stats.absorb_chain_diagnostics(generator.diagnostics());
-            basis
+                    }?;
+                    Ok(BuiltChain {
+                        moments,
+                        diagnostics: generator.diagnostics(),
+                    })
+                },
+            )?
         } else {
             let generator = AssocMomentGenerator::with_shared(qldae, stamp)?;
             self.collect(
@@ -777,11 +874,18 @@ impl AssocReducer {
                 qldae.b(),
                 plan,
                 control,
+                memo,
                 &mut stats,
-                |chain| match chain {
-                    Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
-                    Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
-                    Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                |chain| {
+                    let moments = match chain {
+                        Chain::H1 { input } => generator.h1_moments_scaled(input, spec.k1),
+                        Chain::H2 { a, b } => generator.h2_moments_scaled(a, b, spec.k2),
+                        Chain::H3 { input } => generator.h3_moments_scaled(input, spec.k3),
+                    }?;
+                    Ok(BuiltChain {
+                        moments,
+                        diagnostics: LowRankDiagnostics::default(),
+                    })
                 },
             )?
         };
@@ -878,16 +982,19 @@ impl AssocReducer {
 
     /// The collect stage of the reduction pipeline: Markov enrichment, then
     /// the chain `plan` fanned out over [`run_chains`] (one `compute` call
-    /// per chain), then insertion of every chain into the basis through
-    /// `frame`, in plan order.
+    /// per chain `memo` does not hold yet), then insertion of every chain
+    /// into the basis through `frame`, in plan order, folding each chain's
+    /// diagnostics into `stats`.
+    #[allow(clippy::too_many_arguments)] // private stage with two call sites; a config struct would just rename the arguments
     fn collect(
         &self,
         frame: &StabilizationFrame,
         b: &Matrix,
         plan: Vec<Chain>,
         control: &RunControl,
+        memo: &ChainMemo,
         stats: &mut ReductionStats,
-        compute: impl Fn(Chain) -> Result<ScaledMoments> + Sync,
+        compute: impl Fn(Chain) -> Result<BuiltChain> + Sync,
     ) -> Result<OrthoBasis> {
         let mut basis = OrthoBasis::with_tolerance(b.rows(), self.deflation_tol);
 
@@ -902,26 +1009,49 @@ impl AssocReducer {
         }
 
         // The chains are independent given the generator's immutable cached
-        // factorizations, so they run on scoped worker threads; results are
-        // inserted in plan order, which keeps the basis deterministic.
-        let results = run_chains(plan, control, |chain| {
-            let _span = vamor_obs::span!(match chain {
-                Chain::H1 { .. } => "chain_h1",
-                Chain::H2 { .. } => "chain_h2",
-                Chain::H3 { .. } => "chain_h3",
-            });
-            Ok((chain, compute(chain)?))
-        })?;
-        for (chain, moments) in results {
+        // factorizations, so the ones the memo lacks run on scoped worker
+        // threads; every chain is inserted in plan order, which keeps the
+        // basis deterministic.
+        let keys: Vec<(Chain, usize)> = plan
+            .into_iter()
+            .map(|chain| (chain, chain.depth(self.spec)))
+            .collect();
+        let mut built: HashMap<(Chain, usize), BuiltChain> =
+            run_chains(memo.missing(&keys), control, |key| {
+                let _span = vamor_obs::span!(match key.0 {
+                    Chain::H1 { .. } => "chain_h1",
+                    Chain::H2 { .. } => "chain_h2",
+                    Chain::H3 { .. } => "chain_h3",
+                });
+                Ok((key, compute(key.0)?))
+            })?
+            .into_iter()
+            .collect();
+        let mut diagnostics = LowRankDiagnostics::default();
+        for key in keys {
             control.checkpoint("basis-insert")?;
-            *match chain {
+            let BuiltChain {
+                moments,
+                diagnostics: own,
+            } = match built.remove(&key) {
+                Some(chain) => {
+                    memo.insert(key, chain.clone());
+                    chain
+                }
+                None => memo.get(&key).ok_or_else(|| {
+                    MorError::Invalid(format!("moment chain {key:?} was neither built nor held"))
+                })?,
+            };
+            *match key.0 {
                 Chain::H1 { .. } => &mut stats.h1_candidates,
                 Chain::H2 { .. } => &mut stats.h2_candidates,
                 Chain::H3 { .. } => &mut stats.h3_candidates,
             } += moments.vectors.len();
             stats.moment_log10_peak = stats.moment_log10_peak.max(moments.log10_peak());
+            diagnostics.merge(&own);
             frame.insert(&mut basis, moments.vectors)?;
         }
+        stats.absorb_chain_diagnostics(diagnostics);
         Ok(basis)
     }
 
@@ -1104,8 +1234,12 @@ mod tests {
         let before = stamp.approx_bytes();
         let control = RunControl::new();
         let roms = [
-            reducer.reduce_on(q, &stamp, &control).unwrap(),
-            reducer.reduce_on(q, &stamp, &control).unwrap(),
+            reducer
+                .reduce_on(q, &stamp, &ChainMemo::default(), &control)
+                .unwrap(),
+            reducer
+                .reduce_on(q, &stamp, &ChainMemo::default(), &control)
+                .unwrap(),
         ];
         let n = stamp.n();
         let schur = 2 * n * n * std::mem::size_of::<f64>()

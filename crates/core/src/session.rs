@@ -80,7 +80,7 @@ use crate::adaptive::{
     AdaptiveHooks, AdaptiveMove, AdaptiveOutcome, AdaptiveReducer, AdaptiveTrace,
 };
 use crate::error::MorError;
-use crate::reduce::{AssocReducer, ReducedQldae};
+use crate::reduce::{AssocReducer, ChainMemo, ReducedQldae};
 use crate::stamp::{SharedAssocArtifacts, StampConfig};
 
 /// Budget owner tag of the session's stamps (every factorization a stamp
@@ -625,7 +625,7 @@ impl ReductionSession {
         self.isolated(control, |child| {
             let (key, entry) = self.acquire(qldae, reducer.stamp_config(qldae))?;
             let _pin = self.budget.pin(STAMP_BUDGET_OWNER, key);
-            let rom = reducer.reduce_on(qldae, &entry.stamp, child)?;
+            let rom = reducer.reduce_on(qldae, &entry.stamp, &ChainMemo::default(), child)?;
             self.reprice(key, &entry);
             Ok(rom)
         })

@@ -49,7 +49,7 @@ impl Resolvent<'_> {
                 let (re, im) = cache
                     .solve_resolvent(s, &rhs.real(), &rhs.imag())
                     .map_err(MorError::Linalg)?;
-                Ok(zvector_from_parts(&re, &im))
+                Ok(ZVector::from_parts(&re, &im))
             }
         }
     }
@@ -66,19 +66,14 @@ fn check_cache_dim(cache_dim: usize, n: usize) -> Result<()> {
     Ok(())
 }
 
-fn zvector_from_parts(re: &Vector, im: &Vector) -> ZVector {
-    ZVector::from(
-        (0..re.len())
-            .map(|i| Complex::new(re[i], im[i]))
-            .collect::<Vec<_>>(),
-    )
-}
-
 /// Evaluator for the first three Volterra transfer functions of a
 /// polynomial system, with all frequencies referring to a single chosen
-/// input channel. The Kronecker products are applied through the structured
-/// `G₂ (x ⊗ y)` and `G₃ (x ⊗ y ⊗ z)` matvecs ([`CsrMatrix::matvec_kron3`])
-/// (real/imaginary split), so the `n²`/`n³` vectors are never formed.
+/// input channel. The symmetrized couplings `G₂ (a⊗b + b⊗a)` and
+/// `G₃ Σ_σ (a⊗b⊗c)` go through [`Qldae::symmetric_quadratic`] and
+/// [`Qldae::symmetric_cubic`], so the `n²`/`n³` vectors are never formed: a
+/// ROM's dense couplings are read in their symmetric-packed form (one
+/// coefficient and one complex axpy per monomial), a sparse full model's
+/// through the structured CSR Kronecker matvecs on the real/imaginary split.
 #[derive(Debug)]
 pub struct VolterraKernels<'a> {
     qldae: &'a Qldae,
@@ -156,7 +151,7 @@ impl<'a> VolterraKernels<'a> {
     }
 
     /// Second-order kernel `H₂(s₁, s₂)` (an `n`-vector). The Kronecker
-    /// products are applied through the structured `G₂ (x ⊗ y)` matvec — the
+    /// products are applied through [`Qldae::symmetric_quadratic`] — the
     /// `n²` vector is never formed, so band sweeps stay affordable at
     /// 10⁴ states.
     ///
@@ -166,12 +161,8 @@ impl<'a> VolterraKernels<'a> {
     pub fn h2(&self, s1: Complex, s2: Complex) -> Result<ZVector> {
         let h1_a = self.h1(s1)?;
         let h1_b = self.h1(s2)?;
-        let mut rhs = g2_kron_complex(self.qldae.g2(), &h1_a, &h1_b);
-        zaxpy(
-            &mut rhs,
-            Complex::ONE,
-            &g2_kron_complex(self.qldae.g2(), &h1_b, &h1_a),
-        );
+        let mut rhs = ZVector::zeros(self.n());
+        self.qldae.symmetric_quadratic(&h1_a, &h1_b, &mut rhs);
         if let Some(d1) = self.d1() {
             let mut sum = h1_a.clone();
             zaxpy(&mut sum, Complex::ONE, &h1_b);
@@ -200,11 +191,8 @@ impl<'a> VolterraKernels<'a> {
                 self.h2(s1, s3)?, // partner of s2
                 self.h2(s1, s2)?, // partner of s3
             ];
-            for k in 0..3 {
-                let g2_term = g2_kron_complex(self.qldae.g2(), &h1[k], &h2[k]);
-                zaxpy(&mut rhs, Complex::ONE, &g2_term);
-                let g2_term_rev = g2_kron_complex(self.qldae.g2(), &h2[k], &h1[k]);
-                zaxpy(&mut rhs, Complex::ONE, &g2_term_rev);
+            for (h1k, h2k) in h1.iter().zip(&h2) {
+                self.qldae.symmetric_quadratic(h1k, h2k, &mut rhs);
             }
             if let Some(d1) = self.d1() {
                 for h2k in &h2 {
@@ -212,23 +200,8 @@ impl<'a> VolterraKernels<'a> {
                 }
             }
         }
-        if let Some(g3) = self.qldae.g3() {
-            // All six orderings of H₁(s₁)⊗H₁(s₂)⊗H₁(s₃).
-            for (a, b, c) in [
-                (0usize, 1usize, 2usize),
-                (0, 2, 1),
-                (1, 0, 2),
-                (1, 2, 0),
-                (2, 0, 1),
-                (2, 1, 0),
-            ] {
-                zaxpy(
-                    &mut rhs,
-                    Complex::ONE,
-                    &cubic_times_complex(g3, &h1[a], &h1[b], &h1[c]),
-                );
-            }
-        }
+        // All six orderings of H₁(s₁)⊗H₁(s₂)⊗H₁(s₃).
+        self.qldae.symmetric_cubic(&h1[0], &h1[1], &h1[2], &mut rhs);
         let mut h3 = self.resolvent_solve(s1 + s2 + s3, &rhs)?;
         h3.scale_mut(Complex::from_real(1.0 / 3.0));
         Ok(h3)
@@ -264,46 +237,9 @@ impl<'a> VolterraKernels<'a> {
     }
 }
 
-/// `G₂ (a ⊗ b)` for complex vectors through the structured real kernel
-/// (four real Kronecker matvecs, never forming the `n²` vector).
-fn g2_kron_complex(g2: &CsrMatrix, a: &ZVector, b: &ZVector) -> ZVector {
-    let (ar, ai) = (a.real(), a.imag());
-    let (br, bi) = (b.real(), b.imag());
-    let mut re = g2.matvec_kron(&ar, &br);
-    re.axpy(-1.0, &g2.matvec_kron(&ai, &bi));
-    let mut im = g2.matvec_kron(&ar, &bi);
-    im.axpy(1.0, &g2.matvec_kron(&ai, &br));
-    zvector_from_parts(&re, &im)
-}
-
-/// `G₃ (a ⊗ b ⊗ c)` for complex vectors through the structured real kernel:
-/// the multilinear expansion over real/imaginary parts (eight real
-/// triple-Kronecker matvecs, never forming the `n³` vector).
-fn cubic_times_complex(g3: &CsrMatrix, a: &ZVector, b: &ZVector, c: &ZVector) -> ZVector {
-    let k = |x: &Vector, y: &Vector, z: &Vector| g3.matvec_kron3(x, y, z);
-    let (ar, ai) = (a.real(), a.imag());
-    let (br, bi) = (b.real(), b.imag());
-    let (cr, ci) = (c.real(), c.imag());
-    let mut re = k(&ar, &br, &cr);
-    re.axpy(-1.0, &k(&ar, &bi, &ci));
-    re.axpy(-1.0, &k(&ai, &br, &ci));
-    re.axpy(-1.0, &k(&ai, &bi, &cr));
-    let mut im = k(&ar, &br, &ci);
-    im.axpy(1.0, &k(&ar, &bi, &cr));
-    im.axpy(1.0, &k(&ai, &br, &cr));
-    im.axpy(-1.0, &k(&ai, &bi, &ci));
-    zvector_from_parts(&re, &im)
-}
-
 /// Real sparse matrix times complex vector.
 pub(crate) fn sparse_times_complex(m: &CsrMatrix, x: &ZVector) -> ZVector {
-    let re = m.matvec(&x.real());
-    let im = m.matvec(&x.imag());
-    let mut out = ZVector::zeros(m.rows());
-    for i in 0..m.rows() {
-        out[i] = Complex::new(re[i], im[i]);
-    }
-    out
+    ZVector::from_parts(&m.matvec(&x.real()), &m.matvec(&x.imag()))
 }
 
 fn zaxpy(y: &mut ZVector, alpha: Complex, x: &ZVector) {
@@ -460,5 +396,218 @@ mod tests {
         let s = Complex::new(0.0, 2.0);
         let h_lti = lti.transfer_function(s).unwrap()[(0, 0)];
         assert!(close(kern.output_h1(s).unwrap(), h_lti, 1e-12));
+    }
+
+    fn zkron(a: &ZVector, b: &ZVector) -> ZVector {
+        ZVector::from(
+            a.iter()
+                .flat_map(|&x| b.iter().map(move |&y| x * y))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// `M v` for a real CSR `M` and a complex `v`.
+    fn zmatvec(m: &CsrMatrix, v: &ZVector) -> ZVector {
+        ZVector::from_parts(&m.matvec(&v.real()), &m.matvec(&v.imag()))
+    }
+
+    /// `H₂`/`H₃` at `(s, s)`, `(s, −s)`, `(s, s, s)` and `(s, s, −s)` with
+    /// every Kronecker vector formed explicitly and dense resolvents.
+    fn explicit_kernels(q: &Qldae, s: Complex) -> Vec<ZVector> {
+        let b = ZVector::from_real(&q.b().col(0));
+        let d1 = q.d1().first();
+        let solve = |s: Complex, rhs: &ZVector| {
+            ZMatrix::shifted_identity_minus(s, q.g1())
+                .solve(rhs)
+                .unwrap()
+        };
+        let h1 = |s: Complex| solve(s, &b);
+        let h2 = |s1: Complex, s2: Complex| {
+            let (a, c) = (h1(s1), h1(s2));
+            let mut rhs = zmatvec(q.g2(), &zkron(&a, &c));
+            rhs.axpy(Complex::ONE, &zmatvec(q.g2(), &zkron(&c, &a)));
+            if let Some(d1) = d1 {
+                rhs.axpy(Complex::ONE, &zmatvec(d1, &a));
+                rhs.axpy(Complex::ONE, &zmatvec(d1, &c));
+            }
+            let mut h = solve(s1 + s2, &rhs);
+            h.scale_mut(Complex::from_real(0.5));
+            h
+        };
+        let h3 = |s: [Complex; 3]| {
+            let ones = [h1(s[0]), h1(s[1]), h1(s[2])];
+            let twos = [h2(s[1], s[2]), h2(s[0], s[2]), h2(s[0], s[1])];
+            let mut rhs = ZVector::zeros(q.g1().rows());
+            for (a, c) in ones.iter().zip(&twos) {
+                rhs.axpy(Complex::ONE, &zmatvec(q.g2(), &zkron(a, c)));
+                rhs.axpy(Complex::ONE, &zmatvec(q.g2(), &zkron(c, a)));
+                if let Some(d1) = d1 {
+                    rhs.axpy(Complex::ONE, &zmatvec(d1, c));
+                }
+            }
+            let g3 = q.g3().unwrap();
+            for [i, j, k] in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let v = zkron(&ones[i], &zkron(&ones[j], &ones[k]));
+                rhs.axpy(Complex::ONE, &zmatvec(g3, &v));
+            }
+            let mut h = solve(s[0] + s[1] + s[2], &rhs);
+            h.scale_mut(Complex::from_real(1.0 / 3.0));
+            h
+        };
+        vec![h2(s, s), h2(s, -s), h3([s, s, s]), h3([s, s, -s])]
+    }
+
+    /// The same four samples through [`VolterraKernels`].
+    fn kernel_samples(kern: &VolterraKernels<'_>, s: Complex) -> Vec<ZVector> {
+        vec![
+            kern.h2(s, s).unwrap(),
+            kern.h2(s, -s).unwrap(),
+            kern.h3(s, s, s).unwrap(),
+            kern.h3(s, s, -s).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn packed_kernels_match_explicit_kronecker_products() {
+        // A dense ROM-like system: asymmetric G₂, a G₃ whose six
+        // permutation columns differ, a bilinear D₁ — packed couplings.
+        let n = 6;
+        let mut state = 17_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let g1 = Matrix::from_fn(n, n, |i, j| if i == j { -3.0 } else { 0.3 * next() });
+        let g2 = CsrMatrix::from_dense(&Matrix::from_fn(n, n * n, |_, _| next()), 0.0);
+        let g3 = CsrMatrix::from_dense(&Matrix::from_fn(n, n * n * n, |_, _| next()), 0.0);
+        let d1 = CsrMatrix::from_dense(&Matrix::from_fn(n, n, |_, _| 0.2 * next()), 0.0);
+        let b = Matrix::from_fn(n, 1, |_, _| next());
+        let c = Matrix::from_fn(1, n, |_, _| next());
+        let q = Qldae::new(g1, g2, vec![d1], b, c)
+            .unwrap()
+            .with_g3(g3)
+            .unwrap();
+        let kern = VolterraKernels::new(&q, 0).unwrap();
+        for s in [Complex::new(0.0, 0.7), Complex::new(0.1, -1.9)] {
+            for (ours, expected) in kernel_samples(&kern, s)
+                .iter()
+                .zip(&explicit_kernels(&q, s))
+            {
+                let scale = expected.norm2();
+                let mut diff = ours.clone();
+                diff.axpy(-Complex::ONE, expected);
+                assert!(
+                    diff.norm2() <= 1e-12 * scale,
+                    "kernel at {s} off by {:.3e} of {scale:.3e}",
+                    diff.norm2()
+                );
+            }
+        }
+    }
+
+    /// The real/imaginary-split CSR arithmetic of the sparse full-model
+    /// samples, term by term in its fixed order: `G₂ (a⊗b)` then
+    /// `G₂ (b⊗a)`, the three `H₁⊗H₂` pairs, the `D₁` terms, then the six
+    /// `G₃` orderings.
+    fn csr_split_samples(kern: &VolterraKernels<'_>, q: &Qldae, s: Complex) -> Vec<ZVector> {
+        let kron = |a: &ZVector, b: &ZVector| {
+            let (ar, ai, br, bi) = (a.real(), a.imag(), b.real(), b.imag());
+            let mut re = q.g2().matvec_kron(&ar, &br);
+            re.axpy(-1.0, &q.g2().matvec_kron(&ai, &bi));
+            let mut im = q.g2().matvec_kron(&ar, &bi);
+            im.axpy(1.0, &q.g2().matvec_kron(&ai, &br));
+            ZVector::from_parts(&re, &im)
+        };
+        let kron3 = |g3: &CsrMatrix, a: &ZVector, b: &ZVector, c: &ZVector| {
+            let k = |x: &Vector, y: &Vector, z: &Vector| g3.matvec_kron3(x, y, z);
+            let (ar, ai, br, bi, cr, ci) =
+                (a.real(), a.imag(), b.real(), b.imag(), c.real(), c.imag());
+            let mut re = k(&ar, &br, &cr);
+            re.axpy(-1.0, &k(&ar, &bi, &ci));
+            re.axpy(-1.0, &k(&ai, &br, &ci));
+            re.axpy(-1.0, &k(&ai, &bi, &cr));
+            let mut im = k(&ar, &br, &ci);
+            im.axpy(1.0, &k(&ar, &bi, &cr));
+            im.axpy(1.0, &k(&ai, &br, &cr));
+            im.axpy(-1.0, &k(&ai, &bi, &ci));
+            ZVector::from_parts(&re, &im)
+        };
+        let h2 = |s1: Complex, s2: Complex| {
+            let (a, b) = (kern.h1(s1).unwrap(), kern.h1(s2).unwrap());
+            let mut rhs = kron(&a, &b);
+            rhs.axpy(Complex::ONE, &kron(&b, &a));
+            if let Some(d1) = q.d1().first() {
+                let mut sum = a.clone();
+                sum.axpy(Complex::ONE, &b);
+                rhs.axpy(Complex::ONE, &sparse_times_complex(d1, &sum));
+            }
+            let mut h = kern.resolvent_solve(s1 + s2, &rhs).unwrap();
+            h.scale_mut(Complex::from_real(0.5));
+            h
+        };
+        let h3 = |s: [Complex; 3]| {
+            let ones = s.map(|si| kern.h1(si).unwrap());
+            let mut rhs = ZVector::zeros(q.g1_csr().rows());
+            if q.has_quadratic() {
+                let twos = [h2(s[1], s[2]), h2(s[0], s[2]), h2(s[0], s[1])];
+                for (a, c) in ones.iter().zip(&twos) {
+                    rhs.axpy(Complex::ONE, &kron(a, c));
+                    rhs.axpy(Complex::ONE, &kron(c, a));
+                }
+                if let Some(d1) = q.d1().first() {
+                    for c in &twos {
+                        rhs.axpy(Complex::ONE, &sparse_times_complex(d1, c));
+                    }
+                }
+            }
+            if let Some(g3) = q.g3() {
+                for [i, j, k] in [
+                    [0, 1, 2],
+                    [0, 2, 1],
+                    [1, 0, 2],
+                    [1, 2, 0],
+                    [2, 0, 1],
+                    [2, 1, 0],
+                ] {
+                    rhs.axpy(Complex::ONE, &kron3(g3, &ones[i], &ones[j], &ones[k]));
+                }
+            }
+            let mut h = kern.resolvent_solve(s[0] + s[1] + s[2], &rhs).unwrap();
+            h.scale_mut(Complex::from_real(1.0 / 3.0));
+            h
+        };
+        vec![h2(s, s), h2(s, -s), h3([s, s, s]), h3([s, s, -s])]
+    }
+
+    #[test]
+    fn sparse_full_model_samples_keep_the_csr_arithmetic_bit_for_bit() {
+        use vamor_circuits::{RfReceiver, TransmissionLine, VaristorCircuit};
+        let line = TransmissionLine::voltage_driven(12).unwrap();
+        let rx = RfReceiver::new(6).unwrap();
+        let varistor = VaristorCircuit::new(10).unwrap();
+        assert!(line.qldae().has_d1());
+        let bits = |v: &ZVector| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for q in [line.qldae(), rx.qldae(), varistor.qldae()] {
+            let cache = ShiftCache::new(q.g1_csr(), vamor_linalg::SolverBackend::Auto);
+            let kern = VolterraKernels::with_cache(q, 0, &cache).unwrap();
+            for s in [Complex::new(0.0, 0.3), Complex::new(0.0, 2.1)] {
+                let ours = kernel_samples(&kern, s);
+                let reference = csr_split_samples(&kern, q, s);
+                for (x, y) in ours.iter().zip(&reference) {
+                    assert_eq!(bits(x), bits(y), "sample at {s} moved");
+                }
+            }
+        }
     }
 }

@@ -37,6 +37,22 @@ impl ZVector {
         }
     }
 
+    /// Creates a complex vector from its real and imaginary parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn from_parts(re: &Vector, im: &Vector) -> Self {
+        assert_eq!(re.len(), im.len(), "from_parts: length mismatch");
+        ZVector {
+            data: re
+                .iter()
+                .zip(im.iter())
+                .map(|(&r, &i)| Complex::new(r, i))
+                .collect(),
+        }
+    }
+
     /// Creates a vector from a slice of complex entries.
     pub fn from_slice(values: &[Complex]) -> Self {
         ZVector {
@@ -57,6 +73,11 @@ impl ZVector {
     /// Borrows the entries.
     pub fn as_slice(&self) -> &[Complex] {
         &self.data
+    }
+
+    /// Mutably borrows the entries.
+    pub fn as_mut_slice(&mut self) -> &mut [Complex] {
+        &mut self.data
     }
 
     /// The real parts as a [`Vector`].

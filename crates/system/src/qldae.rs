@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use vamor_linalg::{CooMatrix, CsrMatrix, Matrix, Vector};
+use vamor_linalg::{Complex, CooMatrix, CsrMatrix, Matrix, Vector, ZVector};
 
 use crate::error::SystemError;
 use crate::lti::LtiSystem;
@@ -299,6 +299,81 @@ impl Qldae {
         self.g2.matvec_kron(x, x)
     }
 
+    /// Adds `G₂ (a ⊗ b + b ⊗ a)` into `out` for complex `a`, `b` — the
+    /// quadratic coupling of the Volterra transfer functions. A packed `G₂`
+    /// forms each monomial's symmetric coefficient `a_p b_q + a_q b_p` once
+    /// and adds its row with one complex axpy; a CSR `G₂` applies the
+    /// structured real kernel to the real/imaginary parts, `a ⊗ b` first,
+    /// then `b ⊗ a`, each added into `out` as it is formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vector's length is not [`PolynomialStateSpace::order`].
+    pub fn symmetric_quadratic(&self, a: &ZVector, b: &ZVector, out: &mut ZVector) {
+        let n = self.order();
+        assert!(
+            a.len() == n && b.len() == n && out.len() == n,
+            "symmetric_quadratic: dimension mismatch"
+        );
+        match &self.packed().g2 {
+            Some(rows) => {
+                let (a, b) = (a.as_slice(), b.as_slice());
+                for ((p, q), row) in pairs(n).zip(rows.chunks_exact(n)) {
+                    zaxpy_row(a[p] * b[q] + a[q] * b[p], row, out.as_mut_slice());
+                }
+            }
+            None if self.g2.nnz() > 0 => {
+                out.axpy(Complex::ONE, &kron_complex(&self.g2, a, b));
+                out.axpy(Complex::ONE, &kron_complex(&self.g2, b, a));
+            }
+            None => {}
+        }
+    }
+
+    /// Adds `G₃ Σ_σ (x_σ₁ ⊗ x_σ₂ ⊗ x_σ₃)` into `out`, the sum over the six
+    /// orderings of `(x₁, x₂, x₃) = (a, b, c)` — the cubic coupling of the
+    /// Volterra transfer functions. A packed `G₃` forms each monomial's
+    /// symmetric coefficient once and adds its row with one complex axpy; a
+    /// CSR `G₃` applies the structured real triple-Kronecker kernel to the
+    /// real/imaginary parts of each ordering in turn, `a ⊗ b ⊗ c` first,
+    /// each added into `out` as it is formed. A system without a `G₃` adds
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vector's length is not [`PolynomialStateSpace::order`].
+    pub fn symmetric_cubic(&self, a: &ZVector, b: &ZVector, c: &ZVector, out: &mut ZVector) {
+        let n = self.order();
+        assert!(
+            a.len() == n && b.len() == n && c.len() == n && out.len() == n,
+            "symmetric_cubic: dimension mismatch"
+        );
+        match (&self.packed().g3, &self.g3) {
+            (Some(rows), _) => {
+                let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_slice());
+                for ((p, q, r), row) in triples(n).zip(rows.chunks_exact(n)) {
+                    let coefficient = a[p] * (b[q] * c[r] + b[r] * c[q])
+                        + a[q] * (b[p] * c[r] + b[r] * c[p])
+                        + a[r] * (b[p] * c[q] + b[q] * c[p]);
+                    zaxpy_row(coefficient, row, out.as_mut_slice());
+                }
+            }
+            (None, Some(g3)) => {
+                for (x, y, z) in [
+                    (a, b, c),
+                    (a, c, b),
+                    (b, a, c),
+                    (b, c, a),
+                    (c, a, b),
+                    (c, b, a),
+                ] {
+                    out.axpy(Complex::ONE, &kron3_complex(g3, x, y, z));
+                }
+            }
+            (None, None) => {}
+        }
+    }
+
     /// The symmetric-packed couplings, built on first use.
     fn packed(&self) -> &PackedCouplings {
         self.packed
@@ -521,6 +596,44 @@ fn axpy_into(c: f64, row: &[f64], out: &mut [f64]) {
     for (o, &g) in out.iter_mut().zip(row) {
         *o += c * g;
     }
+}
+
+/// `out += c · row` for a complex `c` and a real packed row.
+fn zaxpy_row(c: Complex, row: &[f64], out: &mut [Complex]) {
+    for (o, &g) in out.iter_mut().zip(row) {
+        *o += c * g;
+    }
+}
+
+/// `G (a ⊗ b)` for complex vectors through the structured real kernel
+/// (four real Kronecker matvecs, never forming the `n²` vector).
+fn kron_complex(g: &CsrMatrix, a: &ZVector, b: &ZVector) -> ZVector {
+    let (ar, ai) = (a.real(), a.imag());
+    let (br, bi) = (b.real(), b.imag());
+    let mut re = g.matvec_kron(&ar, &br);
+    re.axpy(-1.0, &g.matvec_kron(&ai, &bi));
+    let mut im = g.matvec_kron(&ar, &bi);
+    im.axpy(1.0, &g.matvec_kron(&ai, &br));
+    ZVector::from_parts(&re, &im)
+}
+
+/// `G (a ⊗ b ⊗ c)` for complex vectors through the structured real kernel:
+/// the multilinear expansion over real/imaginary parts (eight real
+/// triple-Kronecker matvecs, never forming the `n³` vector).
+fn kron3_complex(g: &CsrMatrix, a: &ZVector, b: &ZVector, c: &ZVector) -> ZVector {
+    let k = |x: &Vector, y: &Vector, z: &Vector| g.matvec_kron3(x, y, z);
+    let (ar, ai) = (a.real(), a.imag());
+    let (br, bi) = (b.real(), b.imag());
+    let (cr, ci) = (c.real(), c.imag());
+    let mut re = k(&ar, &br, &cr);
+    re.axpy(-1.0, &k(&ar, &bi, &ci));
+    re.axpy(-1.0, &k(&ai, &br, &ci));
+    re.axpy(-1.0, &k(&ai, &bi, &cr));
+    let mut im = k(&ar, &br, &ci);
+    im.axpy(1.0, &k(&ar, &bi, &cr));
+    im.axpy(1.0, &k(&ai, &br, &cr));
+    im.axpy(-1.0, &k(&ai, &bi, &ci));
+    ZVector::from_parts(&re, &im)
 }
 
 impl PolynomialStateSpace for Qldae {
@@ -917,6 +1030,100 @@ mod tests {
             packed.g3.as_ref().map(Vec::len),
             Some(n * (n * (n + 1) * (n + 2) / 6))
         );
+    }
+
+    /// A system like [`dense_random`] whose `G₂`/`G₃` keep one entry in
+    /// five: still asymmetric, and sparse enough to stay in CSR form.
+    fn sparse_random(n: usize) -> Qldae {
+        let mut next = lcg(13);
+        let mut thinned = |cols: usize| {
+            let mut g = CooMatrix::new(n, cols);
+            for i in 0..n {
+                for j in (0..cols).filter(|j| (i + j) % 5 == 0) {
+                    g.push(i, j, next());
+                }
+            }
+            g.into_csr()
+        };
+        let (g2, g3) = (thinned(n * n), thinned(n * n * n));
+        let g1 = Matrix::from_fn(n, n, |i, j| if i == j { -4.0 } else { 0.0 });
+        let b = Matrix::from_fn(n, 1, |i, _| 1.0 / (1.0 + i as f64));
+        let c = Matrix::from_fn(1, n, |_, j| if j == 0 { 1.0 } else { 0.0 });
+        Qldae::new(g1, g2, Vec::new(), b, c)
+            .unwrap()
+            .with_g3(g3)
+            .unwrap()
+    }
+
+    /// `G (x₁ ⊗ … ⊗ x_k)` for complex factors, the Kronecker vector formed
+    /// explicitly and its real and imaginary parts applied separately.
+    fn explicit_complex(g: &CsrMatrix, factors: &[&ZVector]) -> ZVector {
+        let kron = factors
+            .iter()
+            .fold(ZVector::from_slice(&[Complex::ONE]), |acc, f| {
+                ZVector::from(
+                    acc.iter()
+                        .flat_map(|&x| f.iter().map(move |&y| x * y))
+                        .collect::<Vec<_>>(),
+                )
+            });
+        ZVector::from_parts(&g.matvec(&kron.real()), &g.matvec(&kron.imag()))
+    }
+
+    #[test]
+    fn symmetric_couplings_match_explicit_complex_kronecker_products() {
+        let n = 6;
+        let mut next = lcg(5);
+        let mut random = || {
+            ZVector::from(
+                (0..n)
+                    .map(|_| Complex::new(next(), next()))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let (a, b, c, base) = (random(), random(), random(), random());
+        // `H₁(−iω)` is the conjugate of `H₁(iω)`: the (s, s, −s) sample.
+        let a_conj = ZVector::from(a.iter().map(|z| z.conj()).collect::<Vec<_>>());
+        let rel_err = |ours: &ZVector, expected: &ZVector| {
+            let scale = expected.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let diff = ours
+                .iter()
+                .zip(expected.iter())
+                .map(|(&x, &y)| (x - y).abs())
+                .fold(0.0, f64::max);
+            diff / scale
+        };
+        for (q, packed) in [(dense_random(n), true), (sparse_random(n), false)] {
+            assert_eq!(q.packed().g2.is_some(), packed);
+            assert_eq!(q.packed().g3.is_some(), packed);
+            let g3 = q.g3().expect("cubic coupling");
+            for (x, y, z) in [(&a, &b, &c), (&a, &a, &a), (&a, &a, &a_conj)] {
+                // Both kernels add into what `out` already holds.
+                let mut expected = base.clone();
+                expected.axpy(Complex::ONE, &explicit_complex(q.g2(), &[x, y]));
+                expected.axpy(Complex::ONE, &explicit_complex(q.g2(), &[y, x]));
+                let mut ours = base.clone();
+                q.symmetric_quadratic(x, y, &mut ours);
+                let err = rel_err(&ours, &expected);
+                assert!(err <= 1e-12, "quadratic (packed: {packed}) error {err:.3e}");
+
+                let mut expected = base.clone();
+                for order in [
+                    [x, y, z],
+                    [x, z, y],
+                    [y, x, z],
+                    [y, z, x],
+                    [z, x, y],
+                    [z, y, x],
+                ] {
+                    expected.axpy(Complex::ONE, &explicit_complex(g3, &order));
+                }
+                let mut ours = base.clone();
+                q.symmetric_cubic(x, y, z, &mut ours);
+                let err = rel_err(&ours, &expected);
+                assert!(err <= 1e-12, "cubic (packed: {packed}) error {err:.3e}");
+            }
+        }
     }
 
     #[test]
