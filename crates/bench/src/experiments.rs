@@ -175,13 +175,6 @@ impl TransientComparison {
         relative_error_series(&self.y_full, &self.y_proposed)
     }
 
-    /// Relative error series of the NORM ROM, if present.
-    pub fn relative_error_norm(&self) -> Option<Vec<f64>> {
-        self.y_norm
-            .as_ref()
-            .map(|y| relative_error_series(&self.y_full, y))
-    }
-
     /// Maximum relative error of the proposed ROM.
     pub fn max_error_proposed(&self) -> f64 {
         max_relative_error(&self.y_full, &self.y_proposed)

@@ -15,36 +15,35 @@
 //! The Taylor (moment) expansion of these functions around `s = 0` is what
 //! the projection matrix must span. [`AssocMomentGenerator`] computes those
 //! moment vectors directly from the structured realizations, with every
-//! Kronecker mode held in the real Schur coordinates of `G₁ = Q T Qᵀ`:
+//! Kronecker mode held in the decoupled coordinates of `G₁ = V D V⁻¹`: the
+//! stamp's real Schur form `G₁ = Q T Qᵀ`, block-diagonalized once
+//! (`V = Q Y`, `D` block diagonal in 1×1 and standardized 2×2 blocks, see
+//! [`vamor_linalg::BlockDiagonalSchur`]). There the Kronecker sums of `G₁`
+//! fall apart into independent block pairs and triples of at most 8
+//! unknowns:
 //!
 //! * the `G₁⊕G₁` resolvent powers of `H₂` are Lyapunov solves
-//!   `T Ŵ + Ŵ Tᵀ = Ŵ_prev` on `Ŵ = Qᵀ W Q`, run in place by
-//!   [`SylvesterSolver::solve_schur_shifted_into`] with no basis change per
-//!   moment;
+//!   `D Ŵ + Ŵ Dᵀ = Ŵ_prev` on `Ŵ = V⁻¹ W V⁻ᵀ`, `O(n²)` per moment;
 //! * the `G₁⊕G̃₂` resolvent powers of `H₃` split into the `n²×n` bottom
 //!   block — the `G₁⊕G₁⊕G₁` resolvent the `G₃` term reads — and, with a
 //!   `G₂`, the `n×n` top block `G₁ Z_t + Z_t G₁ᵀ = Z_t,prev − G₂ Z_b`. The
-//!   bottom block stays in Schur coordinates for the whole chain: each
-//!   moment is one in-place three-mode quasi-triangular back-substitution
-//!   (an outer loop over `T`'s Schur blocks whose inner two-mode shifted
-//!   solves run directly on `T`, a 2×2 outer block diagonalized to one
-//!   complex shift). The two terms of `H̃₃` are transposes of one another,
-//!   so one walk serves both, and one walk serves both nonlinear orders;
-//! * the read-outs `G₂ w`, `G₂ Z_b` and `G₃ vec(Z_b)` back-transform only
-//!   the entries their sparse columns touch (`nnz · n²` flops per column
-//!   instead of an `n⁴` basis change), so the chain factors no shifted `G₁`
-//!   and makes no per-column GEMM,
+//!   bottom block stays in the decoupled coordinates for the whole chain:
+//!   each moment is one in-place three-mode solve of independent block
+//!   triples, `O(n³)`, and the top block one `O(n²)` Lyapunov solve. The
+//!   two terms of `H̃₃` are transposes of one another, so one walk serves
+//!   both, and one walk serves both nonlinear orders;
+//! * the read-outs `G₂ w`, `G₂ Z_b` and `G₃ vec(Z_b)` back-transform through
+//!   `V` only the entries their sparse columns touch (`nnz · n²` flops per
+//!   column instead of an `n⁴` basis change), so the chain factors no
+//!   shifted `G₁` and makes no per-column GEMM,
 //!
 //! exactly the computational structure §2.3 of the paper describes, with the
 //! dimension growing as `O(k₁+k₂+k₃)` instead of the `O(k₁+k₂³+k₃⁴)` of
 //! multivariate (NORM-style) moment matching.
 
-use vamor_linalg::{
-    kron_vec, CsrMatrix, Matrix, PivotRecovery, SolverBackend, SylvesterSolver, Vector,
-};
+use vamor_linalg::{kron_vec, CsrMatrix, Matrix, PivotRecovery, SolverBackend, Vector};
 use vamor_system::Qldae;
 
-use crate::bigsmall::PairSplit;
 use crate::error::MorError;
 pub use crate::stamp::SharedAssocArtifacts;
 use crate::Result;
@@ -286,14 +285,14 @@ impl<'a> CauchyAccumulator<'a> {
 #[derive(Debug)]
 pub struct AssocMomentGenerator<'a> {
     qldae: &'a Qldae,
-    /// The stamp whose `LU(G₁)` and Schur form of `G₁` every chain solves
-    /// against — possibly shared with other reductions.
+    /// The stamp whose `LU(G₁)` and decoupled form of `G₁` every chain
+    /// solves against — possibly shared with other reductions.
     stamp: SharedAssocArtifacts,
 }
 
 impl<'a> AssocMomentGenerator<'a> {
     /// Prepares the cached factorizations: `LU(G₁)` (in the `Auto`
-    /// backend) and one Schur form of `G₁`.
+    /// backend) and one block-diagonalized Schur form of `G₁`.
     ///
     /// # Errors
     ///
@@ -307,9 +306,10 @@ impl<'a> AssocMomentGenerator<'a> {
     }
 
     /// Builds a generator on a stamp: `LU(G₁)` is the stamp's, and its
-    /// Schur form of `G₁` is factored here only if no reduction over the
-    /// stamp has asked for it yet, so every reduction borrowing one stamp
-    /// amortizes the same `s = 0` and Schur factorizations.
+    /// block-diagonalized Schur form of `G₁` is built here only if no
+    /// reduction over the stamp has asked for it yet, so every reduction
+    /// borrowing one stamp amortizes the same `s = 0` factorization and
+    /// decoupling.
     ///
     /// # Errors
     ///
@@ -324,7 +324,7 @@ impl<'a> AssocMomentGenerator<'a> {
                 qldae.g1().rows()
             )));
         }
-        shared.lyap(qldae)?;
+        shared.decoupled(qldae)?;
         Ok(AssocMomentGenerator {
             qldae,
             stamp: shared.clone(),
@@ -360,10 +360,10 @@ impl<'a> AssocMomentGenerator<'a> {
     /// `d = D₁ᵃ b_b + D₁ᵇ b_a` (halved for a repeated input so the SISO case
     /// reduces to the paper's `D₁ b`).
     ///
-    /// The `w_j` iterate stays in `G₁`'s Schur coordinates for the whole
-    /// chain (`Ŵ_j = Qᵀ W_j Q`, one in-place Lyapunov back-substitution on
-    /// `T` per moment), and `G₂ w_j` back-transforms only the entries of
-    /// `W_j` that `G₂` reads.
+    /// The `w_j` iterate stays in `G₁`'s decoupled coordinates for the whole
+    /// chain (`Ŵ_j = V⁻¹ W_j V⁻ᵀ`, one in-place `O(n²)` Lyapunov solve on
+    /// `D` per moment), and `G₂ w_j` back-transforms through `V` only the
+    /// entries of `W_j` that `G₂` reads.
     ///
     /// The whole recursion state (the `Ŵ_j` iterate, the Cauchy
     /// accumulators and the `D₁` chain) is rescaled by a common factor after
@@ -388,16 +388,19 @@ impl<'a> AssocMomentGenerator<'a> {
         let b_a = input_column(self.qldae, input_a)?;
         let b_b = input_column(self.qldae, input_b)?;
         let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
-        let lyap = self.stamp.lyap(self.qldae)?;
-        let schur = lyap.schur();
+        let dec = self.stamp.decoupled(self.qldae)?;
         let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
         let mut read = KronRead::new(self.qldae.g2(), self.stamp.n());
-        // vec(Ŵ₀) = vec(Qᵀ b_b b_aᵀ Q) = b̂_a ⊗ b̂_b.
-        let mut w = kron_vec(&schur.to_schur_coords(&b_a), &schur.to_schur_coords(&b_b));
+        // vec(Ŵ₀) = vec(V⁻¹ b_b b_aᵀ V⁻ᵀ) = b̂_a ⊗ b̂_b.
+        let mut w = kron_vec(&dec.to_coords(&b_a), &dec.to_coords(&b_b));
         for _ in 0..count {
-            lyap.solve_schur_shifted_into(0.0, w.as_mut_slice())
+            dec.solve_kron2_into(w.as_mut_slice())
                 .map_err(MorError::Linalg)?;
-            chain.push(&read.apply2(schur.q(), w.as_slice()))?;
+            let forcing = {
+                let _span = vamor_obs::span!("chain_readout");
+                read.apply2(dec.v(), w.as_slice())
+            };
+            chain.push(&forcing)?;
             chain.rescale(&mut [&mut w], &mut []);
         }
         Ok(chain.finish())
@@ -406,26 +409,31 @@ impl<'a> AssocMomentGenerator<'a> {
     /// Moments of the associated third-order transfer function `H₃(s)` about
     /// `s = 0` for a single input, per the realization in the module docs.
     /// One Kronecker walk `Z_j` of `Op Z + Z G₁ᵀ = Z_{j−1}`, split into
-    /// blocks that live in `G₁`'s Schur coordinates for the whole chain:
+    /// blocks that live in `G₁`'s decoupled coordinates (`G₁ = V D V⁻¹`) for
+    /// the whole chain:
     ///
     /// * the `n² × n` bottom block `(G₁⊕G₁⊕G₁)^{-(j+1)} (b⊗b⊗b)`, seeded
-    ///   with `(b̂⊗b̂) b̂ᵀ` and advanced by one in-place three-mode
-    ///   back-substitution per moment; the `G₃` read-out back-transforms
-    ///   only the entries `G₃` reads;
+    ///   with `(b̂⊗b̂) b̂ᵀ` (`b̂ = V⁻¹ b`) and advanced by one in-place
+    ///   three-mode solve per moment: `D`'s block triples are independent
+    ///   systems of at most 8 unknowns (a merged cluster's by back-substitution
+    ///   inside its own triples), `O(n³)` in all; the `G₃` read-out
+    ///   back-transforms through `V` only the entries `G₃` reads;
     /// * with a `G₂` (`Op = G̃₂` from `b̃₂ bᵀ`), the `n × n` top block
-    ///   `G₁ Z_t + Z_t G₁ᵀ = Z_t,prev − G₂ Z_b`, one Lyapunov solve on `T`
-    ///   per moment whose forcing needs only the rows of `(Q⊗Q) X̂` that
-    ///   `G₂` reads; it feeds `ν_j = vec(Z_t) + vec(Z_tᵀ)` to `G₂`.
+    ///   `G₁ Z_t + Z_t G₁ᵀ = Z_t,prev − G₂ Z_b`, one `O(n²)` Lyapunov solve
+    ///   on `D` per moment whose forcing `V⁻¹ G₂ (V⊗V) X̂` needs only the
+    ///   entries of `(V⊗V) X̂` that `G₂` reads; it feeds
+    ///   `ν_j = vec(Z_t) + vec(Z_tᵀ)` to `G₂`.
     ///
     /// Both read-outs feed one Cauchy accumulator, and the `D₁² b` chain is
-    /// added when the input has a `D₁`. No shifted `G₁` is factored. Chain
-    /// scaling as in [`AssocMomentGenerator::h2_moments_scaled`]; here the
-    /// rescaled state additionally includes both blocks of the walk.
+    /// added when the input has a `D₁`. No shifted `G₁` is factored, and the
+    /// bottom block is the chain's one `n³` array. Chain scaling as in
+    /// [`AssocMomentGenerator::h2_moments_scaled`]; here the rescaled state
+    /// additionally includes both blocks of the walk.
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid input index or singular pencils in the
-    /// inner Sylvester solves.
+    /// Returns an error for an invalid input index or a singular
+    /// Kronecker-sum pencil.
     pub fn h3_moments_scaled(&self, input: usize, count: usize) -> Result<ScaledMoments> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
@@ -435,57 +443,63 @@ impl<'a> AssocMomentGenerator<'a> {
         let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
         let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
-        let lyap = self.stamp.lyap(self.qldae)?;
-        let schur = lyap.schur();
-        let q = schur.q();
-        let b_hat = schur.to_schur_coords(&b);
+        let dec = self.stamp.decoupled(self.qldae)?;
+        let (v, v_inv) = (dec.v(), dec.v_inv());
+        let b_hat = dec.to_coords(&b);
         // Bottom block, row e = vec(X̂_e): X̂₀ = (b̂ ⊗ b̂) b̂ᵀ.
         let bb = kron_vec(&b_hat, &b_hat);
         let mut bottom = Matrix::from_fn(n, n * n, |e, r| b_hat[e] * bb[r]);
-        // Top block, row c = column c of Ẑ_t: Ẑ_t,₀ = Qᵀ (D₁b) b̂ᵀ.
+        // Top block, row c = column c of Ẑ_t: Ẑ_t,₀ = V⁻¹ (D₁b) b̂ᵀ.
         let mut top = g2.map(|_| match &d1b {
             Some(db) => {
-                let d_hat = schur.to_schur_coords(db);
+                let d_hat = dec.to_coords(db);
                 Matrix::from_fn(n, n, |c, r| d_hat[r] * b_hat[c])
             }
             None => Matrix::zeros(n, n),
         });
         let mut read2 = g2.map(|g2| KronRead::new(g2, n));
         let mut read3 = self.qldae.g3().map(|g3| KronRead::new(g3, n));
-        let mut pair = vec![0.0; 2 * n * n];
+        let mut nonzero: Vec<(usize, f64)> = Vec::with_capacity(n);
         let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
         let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
         for _ in 0..count {
-            solve_kron3_schur_into(lyap, &mut bottom, &mut pair)?;
-            let quadratic = match (read2.as_mut(), top.as_mut()) {
-                (Some(read), Some(top)) => {
-                    // T Ẑ_t + Ẑ_t Tᵀ = Ẑ_t,prev − Qᵀ G₂ (Q⊗Q) X̂, where column
-                    // e of G₂ (Q⊗Q) X̂ is G₂ vec(Q X̂_e Qᵀ).
-                    for e in 0..n {
-                        let p = read.apply2(q, bottom.row(e));
-                        let row = top.row_mut(e);
-                        for (i, &pi) in p.as_slice().iter().enumerate() {
-                            if pi != 0.0 {
-                                for (r, &qi) in row.iter_mut().zip(q.row(i)) {
-                                    *r -= pi * qi;
-                                }
+            {
+                let _span = vamor_obs::span!("kron3_solve");
+                dec.solve_kron3_into(bottom.as_mut_slice())
+                    .map_err(MorError::Linalg)?;
+            }
+            let forcing = {
+                let _span = vamor_obs::span!("chain_readout");
+                let quadratic = match (read2.as_mut(), top.as_mut()) {
+                    (Some(read), Some(top)) => {
+                        // D Ẑ_t + Ẑ_t Dᵀ = Ẑ_t,prev − V⁻¹ G₂ (V⊗V) X̂, where column
+                        // e of G₂ (V⊗V) X̂ is G₂ vec(V X̂_e Vᵀ).
+                        for e in 0..n {
+                            let p = read.apply2(v, bottom.row(e));
+                            nonzero.clear();
+                            nonzero
+                                .extend(p.iter().copied().enumerate().filter(|&(_, pi)| pi != 0.0));
+                            for (r, out) in top.row_mut(e).iter_mut().enumerate() {
+                                let vr = v_inv.row(r);
+                                *out -= nonzero.iter().map(|&(i, pi)| pi * vr[i]).sum::<f64>();
                             }
                         }
+                        dec.solve_kron2_into(top.as_mut_slice())
+                            .map_err(MorError::Linalg)?;
+                        // ν = vec(Z_t) + vec(Z_tᵀ) with Z_t = V Ẑ_t Vᵀ: G₂ reads
+                        // V (Ẑ_t + Ẑ_tᵀ) Vᵀ.
+                        let zt = top.as_slice();
+                        let sym: Vec<f64> = (0..n * n)
+                            .map(|k| zt[k] + zt[(k % n) * n + k / n])
+                            .collect();
+                        Some(read.apply2(v, &sym))
                     }
-                    lyap.solve_schur_shifted_into(0.0, top.as_mut_slice())
-                        .map_err(MorError::Linalg)?;
-                    // ν = vec(Z_t) + vec(Z_tᵀ) with Z_t = Q Ẑ_t Qᵀ: G₂ reads
-                    // Q (Ẑ_t + Ẑ_tᵀ) Qᵀ.
-                    let zt = top.as_slice();
-                    let sym: Vec<f64> = (0..n * n)
-                        .map(|k| zt[k] + zt[(k % n) * n + k / n])
-                        .collect();
-                    Some(read.apply2(q, &sym))
-                }
-                _ => None,
+                    _ => None,
+                };
+                let cubic = read3.as_mut().map(|read| read.apply3(v, &bottom));
+                h3_forcing(quadratic, cubic, n)
             };
-            let cubic = read3.as_mut().map(|read| read.apply3(q, &bottom));
-            chain.push(&h3_forcing(quadratic, cubic, n))?;
+            chain.push(&forcing)?;
             let mut matrices: Vec<&mut Matrix> = vec![&mut bottom];
             matrices.extend(top.as_mut());
             chain.rescale(&mut [], &mut matrices);
@@ -529,8 +543,8 @@ fn btilde(b: &Vector, d1b: Option<&Vector>) -> Vector {
 }
 
 /// A sparse read-out `G` (`G₂`, `n × n²`, or `G₃`, `n × n³`) of a Kronecker
-/// operand held in `G₁`'s Schur coordinates. Only the entries of the
-/// original-coordinate operand that `G`'s columns touch are
+/// operand held in `G₁`'s decoupled coordinates (basis `V`). Only the
+/// entries of the original-coordinate operand that `G`'s columns touch are
 /// back-transformed; the distinct columns are sorted, so they come grouped
 /// by their outer modes.
 struct KronRead<'g> {
@@ -566,17 +580,17 @@ impl<'g> KronRead<'g> {
         }
     }
 
-    /// `G vec(Q Ŵ Qᵀ)` for a two-mode operand `Ŵ` given as `vec(Ŵ)`.
-    fn apply2(&mut self, q: &Matrix, w_hat: &[f64]) -> Vector {
-        gather2(q, w_hat, &self.cols, &mut self.u, &mut self.values);
+    /// `G vec(V Ŵ Vᵀ)` for a two-mode operand `Ŵ` given as `vec(Ŵ)`.
+    fn apply2(&mut self, v: &Matrix, w_hat: &[f64]) -> Vector {
+        gather2(v, w_hat, &self.cols, &mut self.u, &mut self.values);
         self.spmv()
     }
 
-    /// `G vec(Z)` for the three-mode operand `Z = (Q⊗Q) X̂ Qᵀ`, with `X̂`
+    /// `G vec(Z)` for the three-mode operand `Z = (V⊗V) X̂ Vᵀ`, with `X̂`
     /// held as the `n × n²` matrix of rows `vec(X̂_e)`: for each outer index
-    /// `c` that `G` reads, `Y_c = Σ_e Q[c, e] X̂_e`, then the two-mode
-    /// entries of `Q Y_c Qᵀ`.
-    fn apply3(&mut self, q: &Matrix, xt: &Matrix) -> Vector {
+    /// `c` that `G` reads, `Y_c = Σ_e V[c, e] X̂_e`, then the two-mode
+    /// entries of `V Y_c Vᵀ`.
+    fn apply3(&mut self, v: &Matrix, xt: &Matrix) -> Vector {
         let nn = xt.cols();
         self.y.resize(nn, 0.0);
         let mut lo = 0;
@@ -584,15 +598,15 @@ impl<'g> KronRead<'g> {
             let c = self.cols[lo] / nn;
             let hi = lo + self.cols[lo..].iter().take_while(|&&k| k / nn == c).count();
             self.y.fill(0.0);
-            for (e, &qce) in q.row(c).iter().enumerate() {
-                if qce != 0.0 {
+            for (e, &vce) in v.row(c).iter().enumerate() {
+                if vce != 0.0 {
                     for (y, &x) in self.y.iter_mut().zip(xt.row(e)) {
-                        *y += qce * x;
+                        *y += vce * x;
                     }
                 }
             }
             gather2(
-                q,
+                v,
                 &self.y,
                 &self.cols[lo..hi],
                 &mut self.u,
@@ -618,171 +632,28 @@ impl<'g> KronRead<'g> {
     }
 }
 
-/// For each `k` of the ascending `cols`, the entry `(i, j)` of `Q Ŵ Qᵀ` with
+/// For each `k` of the ascending `cols`, the entry `(i, j)` of `V Ŵ Vᵀ` with
 /// `i = k mod n`, `j = ⌊k / n⌋ mod n`, written to `out`. Each distinct `j`
-/// costs one `u = Ŵ Q[j, :]ᵀ` (`n²` flops over contiguous columns of
-/// `Ŵ`), each entry one `Q[i, :] · u`.
-fn gather2(q: &Matrix, w_hat: &[f64], cols: &[usize], u: &mut [f64], out: &mut [f64]) {
-    let n = q.rows();
+/// costs one `u = Ŵ V[j, :]ᵀ` (`n²` flops over contiguous columns of
+/// `Ŵ`), each entry one `V[i, :] · u`.
+fn gather2(v: &Matrix, w_hat: &[f64], cols: &[usize], u: &mut [f64], out: &mut [f64]) {
+    let n = v.rows();
     let mut lo = 0;
     while lo < cols.len() {
         let j = (cols[lo] / n) % n;
         let hi = lo + cols[lo..].iter().take_while(|&&k| (k / n) % n == j).count();
         u.fill(0.0);
-        for (&qjb, w_col) in q.row(j).iter().zip(w_hat.chunks_exact(n)) {
-            if qjb != 0.0 {
+        for (&vjb, w_col) in v.row(j).iter().zip(w_hat.chunks_exact(n)) {
+            if vjb != 0.0 {
                 for (x, &w) in u.iter_mut().zip(w_col) {
-                    *x += qjb * w;
+                    *x += vjb * w;
                 }
             }
         }
         for (&k, o) in cols[lo..hi].iter().zip(&mut out[lo..hi]) {
-            *o = q.row(k % n).iter().zip(u.iter()).map(|(a, b)| a * b).sum();
+            *o = v.row(k % n).iter().zip(u.iter()).map(|(a, b)| a * b).sum();
         }
         lo = hi;
-    }
-}
-
-/// Solves the three-mode Kronecker-sum equation `(T⊕T⊕T) vec(X̂) = vec(R̂)`
-/// of the `H₃` bottom block in the Schur coordinates of `lyap`'s `G₁`, in
-/// place:
-/// `T X̂_e + X̂_e Tᵀ + Σ_f T[e, f] X̂_f = R̂_e` for every outer index `e`, on
-/// the `n × n²` matrix whose row `e` holds `vec(R̂_e)` on entry and
-/// `vec(X̂_e)` on return.
-///
-/// Backward over `T`'s Schur blocks: the coupling to the solved rows is a
-/// contiguous row update (deferred for panels of solved rows and applied
-/// by [`close_panel`]), a 1×1 block is one real shifted two-mode solve on
-/// `T`, and a 2×2 block is diagonalized ([`PairSplit`]) into one complex
-/// (or, on the margin, two real) shifted solves through the `pair` scratch
-/// of `2·n²` entries.
-fn solve_kron3_schur_into(lyap: &SylvesterSolver, xt: &mut Matrix, pair: &mut [f64]) -> Result<()> {
-    let schur = lyap.schur();
-    let t = schur.t();
-    let nn = xt.cols();
-    if xt.rows() != t.rows() || nn != t.rows() * t.rows() || pair.len() != 2 * nn {
-        return Err(MorError::Invalid(format!(
-            "three-mode solve: operand {}x{nn} and scratch {} for a {}-state Schur form",
-            xt.rows(),
-            pair.len(),
-            t.rows()
-        )));
-    }
-    let (p1, p2) = pair.split_at_mut(nn);
-    let data = xt.as_mut_slice();
-    // Rows from `panel_end` on are solved and already subtracted from every
-    // row above them; the solved rows of the open panel before it are not.
-    let mut panel_end = t.rows();
-    for block in schur.blocks().iter().rev() {
-        let (e0, s) = (block.start, block.size);
-        let (head, solved) = data.split_at_mut((e0 + s) * nn);
-        let rows = &mut head[e0 * nn..];
-        // R̂_e − Σ_f T[e, f] X̂_f over the open panel's solved rows.
-        let open = &solved[..(panel_end - e0 - s) * nn];
-        for (le, row) in rows.chunks_exact_mut(nn).enumerate() {
-            for (f, x_f) in open.chunks_exact(nn).enumerate() {
-                let coef = t[(e0 + le, e0 + s + f)];
-                if coef != 0.0 {
-                    for (r, &x) in row.iter_mut().zip(x_f) {
-                        *r -= coef * x;
-                    }
-                }
-            }
-        }
-        match s {
-            1 => lyap
-                .solve_schur_shifted_into(t[(e0, e0)], rows)
-                .map_err(MorError::Linalg)?,
-            2 => {
-                let (ra, rb) = rows.split_at_mut(nn);
-                let m = (t[(e0, e0)], t[(e0 + 1, e0)], t[(e0, e0 + 1)]);
-                match PairSplit::new(m.0, m.1, m.2, t[(e0 + 1, e0 + 1)])? {
-                    PairSplit::Real {
-                        shifts,
-                        w: [w1, w2],
-                        inv,
-                    } => {
-                        // Y = X W: (T⊕T + λᵢ I) yᵢ = (R W)ᵢ, then X = Y W⁻¹.
-                        for (((y1, y2), &a), &b) in
-                            p1.iter_mut().zip(p2.iter_mut()).zip(&*ra).zip(&*rb)
-                        {
-                            *y1 = a * w1.0 + w1.1 * b;
-                            *y2 = a * w2.0 + w2.1 * b;
-                        }
-                        lyap.solve_schur_shifted_into(shifts[0], p1)
-                            .map_err(MorError::Linalg)?;
-                        lyap.solve_schur_shifted_into(shifts[1], p2)
-                            .map_err(MorError::Linalg)?;
-                        for (((a, b), &y1), &y2) in
-                            ra.iter_mut().zip(rb.iter_mut()).zip(&*p1).zip(&*p2)
-                        {
-                            *a = y1 * inv[0][0] + inv[1][0] * y2;
-                            *b = y1 * inv[0][1] + inv[1][1] * y2;
-                        }
-                    }
-                    PairSplit::Complex {
-                        lambda,
-                        w: (w0, w1),
-                        inv0: (c0, c1),
-                    } => {
-                        // (T⊕T + λ I) y = w0 r_a + w1 r_b, then the columns
-                        // are 2·Re(c · y).
-                        for (((re, im), &a), &b) in
-                            p1.iter_mut().zip(p2.iter_mut()).zip(&*ra).zip(&*rb)
-                        {
-                            *re = a * w0.re + w1.re * b;
-                            *im = a * w0.im + w1.im * b;
-                        }
-                        lyap.solve_schur_shifted_complex_into(lambda, p1, p2)
-                            .map_err(MorError::Linalg)?;
-                        for (((a, b), &re), &im) in
-                            ra.iter_mut().zip(rb.iter_mut()).zip(&*p1).zip(&*p2)
-                        {
-                            *a = re * (2.0 * c0.re) + (-2.0 * c0.im) * im;
-                            *b = re * (2.0 * c1.re) + (-2.0 * c1.im) * im;
-                        }
-                    }
-                }
-            }
-            other => {
-                return Err(MorError::Invalid(format!(
-                    "unexpected schur block size {other}"
-                )))
-            }
-        }
-        if panel_end - e0 >= KRON3_PANEL_ROWS && e0 > 0 {
-            let (above, panel) = data.split_at_mut(e0 * nn);
-            close_panel(t, above, &panel[..(panel_end - e0) * nn], e0);
-            panel_end = e0;
-        }
-    }
-    Ok(())
-}
-
-/// Solved rows of the three-mode back-substitution whose coupling to the
-/// rows above is deferred and applied in one sweep.
-const KRON3_PANEL_ROWS: usize = 16;
-
-/// `X̂_g −= Σ_f T[g, f] X̂_f` for every row `g` of `above` and every row `f`
-/// of a closed panel starting at row `p0`, swept in column chunks so a
-/// target chunk stays in L1 while the panel's rows stream through: each
-/// row above is read once per panel instead of once per solved row.
-fn close_panel(t: &Matrix, above: &mut [f64], panel: &[f64], p0: usize) {
-    const CHUNK: usize = 512;
-    let nn = t.rows() * t.rows();
-    for c0 in (0..nn).step_by(CHUNK) {
-        let c1 = (c0 + CHUNK).min(nn);
-        for (g, row) in above.chunks_exact_mut(nn).enumerate() {
-            let target = &mut row[c0..c1];
-            for (f, x_f) in panel.chunks_exact(nn).enumerate() {
-                let coef = t[(g, p0 + f)];
-                if coef != 0.0 {
-                    for (r, &x) in target.iter_mut().zip(&x_f[c0..c1]) {
-                        *r -= coef * x;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1359,57 +1230,88 @@ pub(crate) mod tests {
         SchurDecomposition::from_parts(q, t, blocks)
     }
 
-    /// `T X̂_e + X̂_e Tᵀ + Σ_f T[e, f] X̂_f` for every row `e` = `vec(X̂_e)`.
-    fn kron3_apply(t: &Matrix, x: &Matrix) -> Matrix {
-        let n = t.rows();
+    /// `D X̂_e + X̂_e Dᵀ + Σ_f D[e, f] X̂_f` for every row `e` = `vec(X̂_e)`.
+    fn kron3_apply(d: &Matrix, x: &Matrix) -> Matrix {
+        let n = d.rows();
         let mode = |e: usize| unvec(&Vector::from_slice(x.row(e)), n, n).unwrap();
         let mut out = Matrix::zeros(n, n * n);
         for e in 0..n {
             let xe = mode(e);
-            let mut y = &t.matmul(&xe) + &xe.matmul(&t.transpose());
+            let mut y = &d.matmul(&xe) + &xe.matmul(&d.transpose());
             for f in 0..n {
-                y.axpy(t[(e, f)], &mode(f));
+                y.axpy(d[(e, f)], &mode(f));
             }
             out.row_mut(e).copy_from_slice(vec_of(&y).as_slice());
         }
         out
     }
 
-    /// The three-mode kernel on a `T` with every block kind, at a size that
-    /// fits in one deferred-coupling panel and at one that closes panels.
+    /// The three-mode kernel on a Schur form with every block kind — 1×1,
+    /// complex 2×2 and real-eigenvalue 2×2 blocks — repeated once and four
+    /// times: `D = V⁻¹ G₁ V` is block diagonal with the listed blocks (the
+    /// complex pairs standardized, the real pairs split; the four copies'
+    /// close eigenvalues merge into clusters, whose block of `D` is `T`'s),
+    /// and the solve in its coordinates has a small residual.
     #[test]
     fn three_mode_schur_solve_has_small_residual() {
+        use vamor_linalg::{BlockDiagonalSchur, DiagBlock};
         for copies in [1, 4] {
-            let lyap = SylvesterSolver::lyapunov(mixed_block_schur(copies));
-            let t = lyap.schur().t();
-            let n = t.rows();
-            // The 2×2 blocks take both branches of the pair split.
-            assert!(matches!(
-                PairSplit::new(t[(0, 0)], t[(1, 0)], t[(0, 1)], t[(1, 1)]).unwrap(),
-                PairSplit::Complex { .. }
-            ));
-            assert!(matches!(
-                PairSplit::new(t[(3, 3)], t[(4, 3)], t[(3, 4)], t[(4, 4)]).unwrap(),
-                PairSplit::Real { .. }
-            ));
+            let schur = mixed_block_schur(copies);
+            let g1 = schur.q().matmul(schur.t()).matmul(&schur.q().transpose());
+            let dec = BlockDiagonalSchur::new(schur);
+            let d = dec.v_inv().matmul(&g1).matmul(dec.v());
+            let n = d.rows();
+            let mut listed = Matrix::zeros(n, n);
+            for block in dec.blocks() {
+                let k = block.start();
+                match *block {
+                    DiagBlock::Real { lambda, .. } => listed[(k, k)] = lambda,
+                    DiagBlock::Complex { alpha, beta, .. } => {
+                        listed[(k, k)] = alpha;
+                        listed[(k, k + 1)] = beta;
+                        listed[(k + 1, k)] = -beta;
+                        listed[(k + 1, k + 1)] = alpha;
+                    }
+                    DiagBlock::Cluster { start, size } => {
+                        for r in start..start + size {
+                            for c in start..start + size {
+                                listed[(r, c)] = dec.schur().t()[(r, c)];
+                            }
+                        }
+                    }
+                }
+            }
+            assert!((&d - &listed).max_abs() < 1e-12 * g1.max_abs());
+            let clusters = dec
+                .blocks()
+                .iter()
+                .filter(|b| matches!(b, DiagBlock::Cluster { .. }))
+                .count();
+            if copies == 1 {
+                // The complex pair, the 1×1 block and the split real pair.
+                assert_eq!(dec.blocks().len(), 4);
+                assert_eq!(clusters, 0);
+            } else {
+                assert!(clusters > 0);
+            }
             let rhs = Matrix::from_fn(n, n * n, |e, r| ((e * 11 + r * 5) % 13) as f64 - 6.0);
             let mut x = rhs.clone();
-            let mut pair = vec![0.0; 2 * n * n];
-            solve_kron3_schur_into(&lyap, &mut x, &mut pair).unwrap();
-            let residual = (&kron3_apply(t, &x) - &rhs).max_abs() / rhs.max_abs();
+            dec.solve_kron3_into(x.as_mut_slice()).unwrap();
+            let residual = (&kron3_apply(&listed, &x) - &rhs).max_abs() / rhs.max_abs();
             assert!(
                 residual < 1e-12,
                 "n = {n}: relative residual {residual:.3e}"
             );
             // Wrong shapes are typed errors, not panics.
-            assert!(solve_kron3_schur_into(&lyap, &mut x, &mut pair[..n]).is_err());
+            assert!(dec.solve_kron3_into(&mut x.as_mut_slice()[n..]).is_err());
         }
     }
 
     /// The memory-budget estimate is exactly what the stamp holds: the
     /// eager `G₁` factor, then each part built on use, once it exists — the
-    /// one Schur pair of `G₁` with its block list (the Lyapunov solver holds
-    /// nothing else), the energy weight's Cholesky factor, the band
+    /// one Schur pair of `G₁` with its block list, the decoupling basis `V`
+    /// and `V⁻¹` with the block list of `D`, the energy weight's Cholesky
+    /// factor, the band
     /// sampler's cache, and on the low-rank engine the chain shift cache
     /// with its shift pool and the LR-ADI factor. A session's re-price
     /// after a request sees the parts the request built.
@@ -1425,8 +1327,11 @@ pub(crate) mod tests {
         let dense = n * n * std::mem::size_of::<f64>();
         let lu = stamp.g1_lu().approx_bytes();
         assert_eq!(stamp.approx_bytes(), lu);
-        let blocks = std::mem::size_of_val(stamp.lyap(q).unwrap().schur().blocks());
-        let with_schur = lu + 2 * dense + blocks; // Schur Q, T and blocks, once
+        let dec = stamp.decoupled(q).unwrap();
+        let blocks =
+            std::mem::size_of_val(dec.schur().blocks()) + std::mem::size_of_val(dec.blocks());
+        // Schur Q, T and blocks once, V, V⁻¹ and D's blocks.
+        let with_schur = lu + 4 * dense + blocks;
         assert_eq!(stamp.approx_bytes(), with_schur);
         // `build` is the eager dense stamp: LU(G₁) and the Schur parts.
         let built = SharedAssocArtifacts::build(q, SolverBackend::Auto).unwrap();

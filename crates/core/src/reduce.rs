@@ -1192,7 +1192,7 @@ mod tests {
             let config = AssocReducer::new(MomentSpec::new(2, 1, 0)).stamp_config(&q);
             let lazy = SharedAssocArtifacts::new(&q, config).unwrap();
             let eager = SharedAssocArtifacts::new(&q, config).unwrap();
-            eager.lyap(&q).unwrap();
+            eager.decoupled(&q).unwrap();
             let lazy_frame = StabilizationFrame::new(&q, &lazy);
             let eager_frame = StabilizationFrame::new(&q, &eager);
             assert!(!lazy_frame.is_active() && !eager_frame.is_active());
@@ -1220,9 +1220,9 @@ mod tests {
     }
 
     /// Two-sided reductions over one stamp factor `G₁ᵀ` once: the first
-    /// grows the stamp by the Schur form and the `G₁ᵀ` factor, the second
-    /// by nothing; both ROMs are bit-equal to a solo reduction's, and each
-    /// ROM's degradation report counts the ladders of `LU(G₁)` and
+    /// grows the stamp by the decoupled Schur form and the `G₁ᵀ` factor,
+    /// the second by nothing; both ROMs are bit-equal to a solo reduction's,
+    /// and each ROM's degradation report counts the ladders of `LU(G₁)` and
     /// `LU(G₁ᵀ)`.
     #[test]
     fn two_sided_reductions_over_one_stamp_factor_g1t_once() {
@@ -1242,8 +1242,10 @@ mod tests {
                 .unwrap(),
         ];
         let n = stamp.n();
-        let schur = 2 * n * n * std::mem::size_of::<f64>()
-            + std::mem::size_of_val(stamp.lyap(q).unwrap().schur().blocks());
+        let dec = stamp.decoupled(q).unwrap();
+        let schur = 4 * n * n * std::mem::size_of::<f64>()
+            + std::mem::size_of_val(dec.schur().blocks())
+            + std::mem::size_of_val(dec.blocks());
         let (g1t, g1t_recovery) = stamp.g1t_lu(q).unwrap();
         assert_eq!(stamp.approx_bytes(), before + schur + g1t.approx_bytes());
         let mut ladders = DegradationReport::default();

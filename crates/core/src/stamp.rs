@@ -12,11 +12,13 @@
 //! * **on first use** — the band sampler's [`ShiftCache`] (a plain
 //!   reduction never samples); `LU(G₁ᵀ)` through the same ladder, with its
 //!   [`PivotRecovery`], for the dual chains of a two-sided reduction; on
-//!   the dense engine the Lyapunov solver over the Schur form of `G₁` (an
-//!   unstabilized NORM reduction never asks for it), which holds the
-//!   stamp's one copy of that form: the `H₂`/`H₃` chains, the energy weight
-//!   and the Hurwitz verdict all read it there; on the low-rank engine the
-//!   chain [`ShiftCache`] and the Ritz shift pool;
+//!   the dense engine the Schur form `G₁ = Q T Qᵀ` with its block
+//!   diagonalization `G₁ = V D V⁻¹` (an unstabilized NORM reduction never
+//!   asks for them): the stamp's one copy of the Schur form, which the
+//!   energy weight and the Hurwitz verdict read, beside `V = Q Y` and
+//!   `V⁻¹` (two more `n × n` matrices, `O(n³)` once), in whose coordinates
+//!   the `H₂`/`H₃` chains run; on the low-rank engine the chain
+//!   [`ShiftCache`] and the Ritz shift pool;
 //! * **the energy weight, on the first stabilized use** — the Cholesky
 //!   factor of the dense Schur Lyapunov weight, or the low-rank LR-ADI
 //!   factor `Z` together with its ADI record, which every ROM's
@@ -31,8 +33,8 @@ use std::sync::{Arc, OnceLock};
 
 use vamor_linalg::sparse_lu::SPARSE_AUTO_THRESHOLD;
 use vamor_linalg::{
-    eigenvalues, lyapunov_weight, CholeskyDecomposition, PivotRecovery, RunControl,
-    SchurDecomposition, ShiftCache, SolverBackend, SylvesterSolver,
+    eigenvalues, lyapunov_weight, BlockDiagonalSchur, CholeskyDecomposition, PivotRecovery,
+    RunControl, SchurDecomposition, ShiftCache, SolverBackend,
 };
 use vamor_system::Qldae;
 
@@ -96,7 +98,7 @@ struct StampParts {
     g1_lu: G1Factor,
     recovery: PivotRecovery,
     sampler: OnceLock<ShiftCache>,
-    lyap: OnceLock<SylvesterSolver>,
+    decoupled: OnceLock<BlockDiagonalSchur>,
     g1t_lu: OnceLock<(G1Factor, PivotRecovery)>,
     chain: OnceLock<ChainShifts>,
     weight: OnceLock<EnergyWeight>,
@@ -115,8 +117,8 @@ pub struct SharedAssocArtifacts {
 impl SharedAssocArtifacts {
     /// The dense-engine stamp of `qldae`, built eagerly: `LU(G₁)` through
     /// the pivot degradation ladder in the backend `backend` picks, and the
-    /// Lyapunov solver over the Schur form of `G₁`, the stamp's one copy of
-    /// that form. The other parts are built on first use.
+    /// Schur form of `G₁` with its block diagonalization. The other parts
+    /// are built on first use.
     ///
     /// # Errors
     ///
@@ -126,7 +128,7 @@ impl SharedAssocArtifacts {
         let n = qldae.g1_csr().rows();
         let config = StampConfig::resolve(n, backend, false, LowRankOptions::default());
         let stamp = Self::new(qldae, config)?;
-        stamp.lyap(qldae)?;
+        stamp.decoupled(qldae)?;
         Ok(stamp)
     }
 
@@ -141,7 +143,7 @@ impl SharedAssocArtifacts {
                 g1_lu,
                 recovery,
                 sampler: OnceLock::new(),
-                lyap: OnceLock::new(),
+                decoupled: OnceLock::new(),
                 g1t_lu: OnceLock::new(),
                 chain: OnceLock::new(),
                 weight: OnceLock::new(),
@@ -177,12 +179,13 @@ impl SharedAssocArtifacts {
             .get_or_init(|| ShiftCache::new(qldae.g1_csr(), backend))
     }
 
-    /// The Lyapunov solver over the Schur form of `G₁`, factored on first
-    /// use; its Schur-coordinate kernels run the `H₂`/`H₃` Kronecker walks.
-    pub(crate) fn lyap(&self, qldae: &Qldae) -> Result<&SylvesterSolver> {
-        built_once(&self.parts.lyap, || {
+    /// The Schur form of `G₁` and its block diagonalization, built on first
+    /// use; the `H₂`/`H₃` Kronecker walks run in its decoupled coordinates.
+    pub(crate) fn decoupled(&self, qldae: &Qldae) -> Result<&BlockDiagonalSchur> {
+        built_once(&self.parts.decoupled, || {
             let schur = SchurDecomposition::new(qldae.g1()).map_err(MorError::Linalg)?;
-            Ok(SylvesterSolver::lyapunov(schur))
+            let _span = vamor_obs::span!("block_diagonalize");
+            Ok(BlockDiagonalSchur::new(schur))
         })
     }
 
@@ -216,7 +219,7 @@ impl SharedAssocArtifacts {
                 let weight = lowrank_weight(qldae.g1_csr(), qldae.c(), backend, opts, control)?;
                 return Ok(EnergyWeight::LowRank(weight));
             }
-            let m = lyapunov_weight(self.lyap(qldae)?.schur());
+            let m = lyapunov_weight(self.decoupled(qldae)?.schur());
             Ok(EnergyWeight::Dense(
                 m.ok().and_then(|m| CholeskyDecomposition::new(&m).ok()),
             ))
@@ -230,27 +233,25 @@ impl SharedAssocArtifacts {
         *self
             .parts
             .g1_hurwitz
-            .get_or_init(|| match self.parts.lyap.get() {
-                Some(lyap) => lyap.schur().eigenvalues().iter().all(|z| z.re < 0.0),
+            .get_or_init(|| match self.parts.decoupled.get() {
+                Some(d) => d.schur().eigenvalues().iter().all(|z| z.re < 0.0),
                 None => eigenvalues(qldae.g1()).is_ok_and(|eig| eig.is_hurwitz()),
             })
     }
 
     /// Heap footprint for the session memory-budget governor: the `G₁`
     /// factor, plus every part built on use once it exists — the band
-    /// sampler's cache, the Schur pair of `G₁` with its block list (the
-    /// Lyapunov solver's only data), the `G₁ᵀ` factor, the chain shift
-    /// cache with its shift pool, and the energy weight's factor. The shift
-    /// caches grow as they memoize, so the estimate is the size held at the
-    /// time of the call.
+    /// sampler's cache, the Schur pair of `G₁` with its block list beside
+    /// `V`, `V⁻¹` and the block list of `D`, the `G₁ᵀ` factor, the chain
+    /// shift cache with its shift pool, and the energy weight's factor. The
+    /// shift caches grow as they memoize, so the estimate is the size held
+    /// at the time of the call.
     pub fn approx_bytes(&self) -> usize {
         let p = &self.parts;
-        let dense = p.lyap.get().map_or(0, |lyap| {
-            let schur = lyap.schur();
-            std::mem::size_of_val(schur.q().as_slice())
-                + std::mem::size_of_val(schur.t().as_slice())
-                + std::mem::size_of_val(schur.blocks())
-        });
+        let dense = p
+            .decoupled
+            .get()
+            .map_or(0, BlockDiagonalSchur::approx_bytes);
         let g1t = p.g1t_lu.get().map_or(0, |(lu, _)| lu.approx_bytes());
         let chain = p.chain.get().map_or(0, ChainShifts::approx_bytes);
         let weight = p.weight.get().map_or(0, |w| match w {

@@ -159,16 +159,19 @@ impl<'a> VolterraKernels<'a> {
     ///
     /// Returns an error if any involved resolvent is singular.
     pub fn h2(&self, s1: Complex, s2: Complex) -> Result<ZVector> {
-        let h1_a = self.h1(s1)?;
-        let h1_b = self.h1(s2)?;
+        self.h2_from(s1 + s2, &self.h1(s1)?, &self.h1(s2)?)
+    }
+
+    /// `H₂` at the frequency sum `s` from its two `H₁` samples.
+    fn h2_from(&self, s: Complex, h1_a: &ZVector, h1_b: &ZVector) -> Result<ZVector> {
         let mut rhs = ZVector::zeros(self.n());
-        self.qldae.symmetric_quadratic(&h1_a, &h1_b, &mut rhs);
+        self.qldae.symmetric_quadratic(h1_a, h1_b, &mut rhs);
         if let Some(d1) = self.d1() {
             let mut sum = h1_a.clone();
-            zaxpy(&mut sum, Complex::ONE, &h1_b);
+            zaxpy(&mut sum, Complex::ONE, h1_b);
             zaxpy(&mut rhs, Complex::ONE, &sparse_times_complex(d1, &sum));
         }
-        let mut h2 = self.resolvent_solve(s1 + s2, &rhs)?;
+        let mut h2 = self.resolvent_solve(s, &rhs)?;
         h2.scale_mut(Complex::from_real(0.5));
         Ok(h2)
     }
@@ -177,19 +180,30 @@ impl<'a> VolterraKernels<'a> {
     /// `G₂`/`D₁`-mediated `H₁⊗H₂` terms when the system has a quadratic
     /// part, plus the direct cubic contribution
     /// `G₃ Σ_perms H₁(s_{σ1})⊗H₁(s_{σ2})⊗H₁(s_{σ3})` when it has a `G₃`.
+    /// Each distinct frequency's `H₁` is solved once and serves all three
+    /// `H₂` partners, so a sample costs at most three `H₁` solves, three
+    /// `H₂` solves and the `H₃` solve.
     ///
     /// # Errors
     ///
     /// Returns an error if any involved resolvent is singular.
     pub fn h3(&self, s1: Complex, s2: Complex, s3: Complex) -> Result<ZVector> {
-        let h1 = [self.h1(s1)?, self.h1(s2)?, self.h1(s3)?];
+        let freqs = [s1, s2, s3];
+        let mut h1: Vec<ZVector> = Vec::with_capacity(3);
+        for (k, &s) in freqs.iter().enumerate() {
+            let sample = match freqs[..k].iter().position(|&p| p == s) {
+                Some(same) => h1[same].clone(),
+                None => self.h1(s)?,
+            };
+            h1.push(sample);
+        }
         let n = self.n();
         let mut rhs = ZVector::zeros(n);
         if self.qldae.has_quadratic() {
             let h2 = [
-                self.h2(s2, s3)?, // partner of s1
-                self.h2(s1, s3)?, // partner of s2
-                self.h2(s1, s2)?, // partner of s3
+                self.h2_from(s2 + s3, &h1[1], &h1[2])?, // partner of s1
+                self.h2_from(s1 + s3, &h1[0], &h1[2])?, // partner of s2
+                self.h2_from(s1 + s2, &h1[0], &h1[1])?, // partner of s3
             ];
             for (h1k, h2k) in h1.iter().zip(&h2) {
                 self.qldae.symmetric_quadratic(h1k, h2k, &mut rhs);
@@ -606,6 +620,66 @@ mod tests {
                 let reference = csr_split_samples(&kern, q, s);
                 for (x, y) in ours.iter().zip(&reference) {
                     assert_eq!(bits(x), bits(y), "sample at {s} moved");
+                }
+            }
+        }
+    }
+
+    /// `H₃` composed as before the `H₁` reuse: three `H₁` solves, then each
+    /// `H₂` partner through [`VolterraKernels::h2`] with its own two.
+    fn nine_solve_h3(kern: &VolterraKernels<'_>, s: [Complex; 3]) -> ZVector {
+        let q = kern.qldae;
+        let h1 = s.map(|si| kern.h1(si).unwrap());
+        let mut rhs = ZVector::zeros(kern.n());
+        if q.has_quadratic() {
+            let h2 = [
+                kern.h2(s[1], s[2]).unwrap(),
+                kern.h2(s[0], s[2]).unwrap(),
+                kern.h2(s[0], s[1]).unwrap(),
+            ];
+            for (h1k, h2k) in h1.iter().zip(&h2) {
+                q.symmetric_quadratic(h1k, h2k, &mut rhs);
+            }
+            if let Some(d1) = kern.d1() {
+                for h2k in &h2 {
+                    zaxpy(&mut rhs, Complex::ONE, &sparse_times_complex(d1, h2k));
+                }
+            }
+        }
+        q.symmetric_cubic(&h1[0], &h1[1], &h1[2], &mut rhs);
+        let mut h3 = kern.resolvent_solve(s[0] + s[1] + s[2], &rhs).unwrap();
+        h3.scale_mut(Complex::from_real(1.0 / 3.0));
+        h3
+    }
+
+    /// Reusing each distinct frequency's `H₁` changes no bit of an `H₃`
+    /// sample: on full models (quadratic with `D₁`, quadratic, cubic) and
+    /// on a projected ROM, through the dense and the cached resolvent, at
+    /// repeated and at distinct frequencies.
+    #[test]
+    fn h3_reuses_its_h1_solves_bit_for_bit() {
+        use vamor_circuits::{RfReceiver, TransmissionLine, VaristorCircuit};
+        let line = TransmissionLine::voltage_driven(8).unwrap();
+        let rx = RfReceiver::new(4).unwrap();
+        let varistor = VaristorCircuit::new(8).unwrap();
+        let rom = crate::AssocReducer::new(crate::MomentSpec::new(4, 2, 1))
+            .reduce(rx.qldae())
+            .unwrap();
+        let bits = |v: &ZVector| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let (s, t) = (Complex::new(0.0, 0.4), Complex::new(0.05, 1.3));
+        let triples = [[s, s, s], [s, s, -s], [s, t, -t], [t, s, Complex::ZERO]];
+        for q in [line.qldae(), rx.qldae(), varistor.qldae(), rom.system()] {
+            let cache = ShiftCache::new(q.g1_csr(), vamor_linalg::SolverBackend::Auto);
+            for kern in [
+                VolterraKernels::new(q, 0).unwrap(),
+                VolterraKernels::with_cache(q, 0, &cache).unwrap(),
+            ] {
+                for [s1, s2, s3] in triples {
+                    let ours = kern.h3(s1, s2, s3).unwrap();
+                    let before = nine_solve_h3(&kern, [s1, s2, s3]);
+                    assert_eq!(bits(&ours), bits(&before), "H3({s1}, {s2}, {s3}) moved");
                 }
             }
         }

@@ -369,11 +369,6 @@ impl MemoryBudget {
         self.lock_ledger().evicted_total
     }
 
-    /// Recent evictions, oldest first (bounded history).
-    pub fn eviction_ledger(&self) -> Vec<EvictionRecord> {
-        self.lock_ledger().history.clone()
-    }
-
     /// True when `(owner, key)` is currently accounted.
     pub fn contains(&self, owner: &'static str, key: u64) -> bool {
         self.lock_ledger()

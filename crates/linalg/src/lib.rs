@@ -49,6 +49,7 @@
 //! ```
 
 pub mod arnoldi;
+pub mod blockdiag;
 pub mod budget;
 pub mod cholesky;
 pub mod complex;
@@ -76,6 +77,7 @@ pub mod vector;
 pub mod zmatrix;
 
 pub use arnoldi::{arnoldi, ArnoldiResult};
+pub use blockdiag::{BlockDiagonalSchur, DiagBlock};
 pub use budget::{BudgetError, EvictionRecord, MemoryBudget, PinGuard};
 pub use cholesky::CholeskyDecomposition;
 pub use complex::Complex;

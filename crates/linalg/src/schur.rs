@@ -135,11 +135,6 @@ impl SchurDecomposition {
             .collect();
         SchurDecomposition { q, t, blocks }
     }
-
-    /// Transforms a vector into Schur coordinates: `Qᵀ x`.
-    pub fn to_schur_coords(&self, x: &crate::Vector) -> crate::Vector {
-        self.q.matvec_transpose(x)
-    }
 }
 
 /// Householder reflector data for a 3-vector: returns the normalized `v` and
@@ -450,7 +445,7 @@ fn scan_blocks(t: &Matrix) -> Vec<SchurBlock> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn test_matrix(n: usize, seed: u64) -> Matrix {
@@ -489,14 +484,10 @@ mod tests {
         s
     }
 
-    /// Regression: an 18x18 state matrix from the fig4 RF-receiver flow
-    /// whose trailing 4x4 block is a tight eigenvalue cluster at -0.01
-    /// (repeated RC poles, couplings ~1e-11). The naive first column
-    /// h^2 - s*h + t cancels to pure rounding noise there, breaking shift
-    /// transmission and stalling the QR iteration at the per-eigenvalue
-    /// limit; the difference-form first column must converge it.
-    #[test]
-    fn clustered_spectrum_from_fig4_rf_receiver_converges() {
+    /// An 18x18 state matrix from the fig4 RF-receiver flow whose trailing
+    /// 4x4 block is a tight eigenvalue cluster at -0.01 (repeated RC poles,
+    /// couplings ~1e-11).
+    pub(crate) fn fig4_cluster_matrix() -> Matrix {
         const DUMP: &str = "-1.01366258488708103e-2 -1.41309195195805427e-3 -5.91795126024863543e-3 8.55044800601433355e-4 -1.06361001016497549e-4 -1.55698754706209676e-4 -4.06093777702382520e-3 -3.15865553702587799e-3 -4.42996371530615923e-3 8.01754743797025769e-5 -9.35268433038435572e-4 -3.55524364775763435e-4 -1.13498259038051028e-2 1.58740789734017427e-5 2.73589643673707427e-3 -8.59533208644736035e-5 -7.23430740119615674e-3 -2.57545456415514103e-3\n4.21930144103164692e-3 -1.63261169863934026e-2 4.52789352364442281e-3 -2.49832140329095962e-4 -3.57863904532993197e-4 3.34079085932901523e-3 7.23014861242112644e-3 2.41672418723707120e-3 1.64285576989687300e-2 3.22718802822752554e-4 5.03868591835111759e-3 -3.85808122325089278e-3 8.07176052529012464e-3 6.75222788157673216e-3 -3.08135298152476846e-3 4.05902709820016305e-3 -1.14731374154576713e-3 1.70884601099121555e-2\n6.36327037638713816e-2 -1.33728761312704975e-1 -3.02240849136802235e-2 7.26110772561773532e-2 6.75548156070047284e-3 4.78292188320619122e-2 -2.22857938333283490e-2 -1.61318451210380499e-2 -1.04104795145379833e-1 3.03143818983627996e-3 5.73792205078235903e-2 -1.01360566283113684e-1 3.46727431690669552e-1 1.21658082050157546e-1 7.80325660815288202e-1 6.24610450723018656e-2 -2.71213817979505500e-1 -2.68437938478617855e-1\n-6.76213181958501552e-2 9.33900893131649201e-2 -1.29561545275971770e-2 -7.73976685457770930e-2 4.32908396473108675e-3 -5.22306390868268328e-2 -1.34392541912477896e-2 -6.91523593850201703e-3 3.52704768357912663e-3 -2.50090179984694370e-3 -7.38205910227291984e-2 5.87040639635969669e-2 -2.41728369445848683e-2 -1.09228807992584553e-1 2.62266943034574970e-2 -6.55031252535936137e-2 -3.87633472058256309e-2 -4.31854793341305936e-3\n-1.83181352423186859e-4 -3.81680128606792484e-5 -1.85565631844794598e-3 -9.35565098830974076e-4 -1.00644730148595728e-2 -1.31054151991834614e-4 3.66467151552721314e-4 -9.90440584473690567e-4 2.09036251098264992e-4 -9.51930156163566482e-4 -2.34762402151638907e-4 1.66020102369418917e-4 -3.80235040017153688e-3 -3.19014100960450183e-4 -2.05853754548828522e-3 -1.76624758257041745e-4 -1.35972594390729672e-3 3.31030937580448724e-4\n1.35809722437463167e-3 -3.19261063419761480e-3 -4.45639509754347952e-3 2.08962692750786026e-3 -1.81543882250544423e-4 -8.99090585978257889e-3 -2.91433703111424044e-3 -2.37856251784132437e-3 -3.36840997484732585e-3 -3.57186155100527912e-4 8.47398167681071143e-4 -1.57149340106009982e-3 -8.56808971484169547e-3 2.38628142470755219e-3 1.68477300327382336e-3 1.35264259306165082e-3 -5.13545145924862879e-3 -1.67605858311583168e-3\n1.88211624553648260e-1 -2.96885439361981140e-1 3.50921276467803340e-3 1.91644782613804132e-1 -4.88635799086608019e-3 1.44407434861417411e-1 -4.89695858894432373e-3 1.87301210204440121e-3 -5.95266934930821986e-2 7.76964655579813306e-3 1.95376967261014806e-1 -1.97146483933200833e-1 2.79634887607430604e-1 3.17775344603559440e-1 4.94783773618352296e-1 1.82981934446872024e-1 -1.30668407726441699e-1 -1.48257673231092485e-1\n-5.42862016683450660e-2 5.20857076213387046e-2 9.77927909191705566e-3 -3.06012372585127181e-2 1.18332500077358883e-2 -4.30331215508395759e-2 -3.66822833461995859e-2 -2.17855992631097103e-2 -7.27912877218360871e-2 -1.83237448237972699e-3 -6.65317906377522333e-2 1.80870992894616549e-2 2.54835346166858323e-1 -7.53304204864094357e-2 5.70181739431605994e-1 -5.20802850553101424e-2 -1.98206675760826095e-1 -1.89042049445392157e-1\n4.22389116468205386e-2 -5.25444538321633431e-2 -5.66058505713394784e-3 4.99730588877262544e-2 -2.28419331905925331e-3 3.25789758540237367e-2 8.85143021882398191e-3 -3.02128854180110616e-3 -9.99599779976779457e-2 1.98756157274119659e-3 4.72794203804179913e-2 -3.45604017855819304e-2 -1.27470192348726752e-2 6.76309579550802287e-2 -2.34415320985334151e-2 4.08644664016975523e-2 5.42567417837185803e-2 -1.07649160098973740e-1\n-1.68810277934811537e-4 1.69811842239606635e-4 -2.86463937291807466e-4 -1.36083566361715289e-4 2.42149613542654733e-5 -1.22716147766280286e-4 -1.84555515665505045e-4 -1.52897660339120146e-4 -2.07963120469256452e-4 -1.01686791452903404e-2 -2.18517807040337982e-4 1.27415350929871587e-4 -5.51183102929260829e-4 -2.82456383884803876e-4 1.07054531530115964e-4 -1.66671066460281740e-4 -3.50418261185491005e-4 -1.50775877993485579e-4\n1.12571161000473915e-2 -1.87255119142814598e-2 -7.91721738494506090e-3 1.09645939408804637e-2 -9.97360802481099019e-4 8.64162865853411108e-3 -2.39255385629496241e-3 -4.22574661923713537e-3 -2.31148706357281811e-3 7.99804492412351008e-4 1.03307097404036667e-3 -1.06811719138854393e-2 -1.56355170006412837e-2 1.85690102292796477e-2 -1.26851663690750452e-3 1.09778704012261901e-2 -8.20249668998294067e-3 2.45623413686191444e-3\n1.80731428877957753e-4 7.85298866793388288e-4 8.19475055020628743e-3 -6.39913026516022868e-4 1.62687341068716248e-4 1.73393899484404072e-4 3.74157665718111458e-3 4.37387755688901491e-3 9.24161402717361621e-3 1.70813995038307872e-4 7.83604320981214184e-4 -1.00831017131057746e-2 1.59957822005864538e-2 2.20584818396482921e-4 3.01614831890835997e-3 1.40061192002460453e-4 3.97119501984054442e-3 8.30480084733921028e-3\n3.90653042242765924e-2 -7.50078550173161468e-2 -1.11297374702578292e-1 8.17892960657401989e-3 -6.20153261991426581e-3 3.04522234670179873e-2 1.29966635355782765e-2 -5.94040155792250682e-2 -4.63764488793206378e-2 1.35192998770286153e-3 3.76701176958629813e-2 -3.67008751645072073e-2 -2.26721302796723478e-1 6.35301060107090476e-2 -8.01258185150423019e-2 3.81272424490128603e-2 -7.19912094495350069e-2 -4.27196738522816269e-2\n-2.36654138321003814e-3 8.95416648681195354e-4 -1.09199361465902745e-2 -7.71267659095462303e-4 -5.73417929973855765e-5 -1.90313605946639897e-3 -6.95325322616272608e-3 -5.82842190761142555e-3 -9.08575915374047229e-3 8.96695279307378203e-4 -3.78421864535141922e-3 1.44274951423206937e-3 -2.10231346333471375e-2 -1.35014908666841217e-2 3.03494203213358410e-3 -2.22029845389841744e-3 -1.16445207274424364e-2 -6.67395247582021518e-3\n-1.42909285186897002e-2 1.39414907887383168e-2 -9.02634579059350683e-2 -3.34821815659908373e-2 -2.05602842577570126e-3 -1.07005382765996537e-2 5.48019588089125858e-4 -4.81773435717392090e-2 -5.49134049678050920e-2 -7.56625925247980907e-4 -1.63949713092847241e-2 1.56858293360164804e-2 -1.82390095046915141e-1 -2.48457454642873679e-2 -1.16900544884586469e-1 -1.38025155667214437e-2 -2.45194161105476358e-2 -5.68445141598583822e-2\n-7.99757378203942671e-4 -3.67140350955617173e-4 -5.66000861837280371e-3 2.36364587406315025e-4 -5.20702509283209086e-5 -6.66095923265142735e-4 -4.05305522659994179e-3 -3.02098087257689002e-3 -4.42712088017421790e-3 2.83663468637144307e-4 -1.61166540691166905e-3 2.57252639371265482e-4 -1.08300190461549616e-2 -1.06961577781311307e-3 2.88569221860488639e-3 -1.07305224073916683e-2 -7.00422423868288929e-3 -2.78557104835171860e-3\n-1.39139598021190201e-3 -9.80411241078381519e-3 -9.48530358617876400e-3 -1.24670213825250793e-2 -6.45772554659886457e-4 -1.07429192681855962e-3 2.06756251083655123e-3 -5.06269912936098930e-3 5.42983016715137060e-2 9.14139057870369016e-5 -4.50781134033641749e-3 -3.14174812387332325e-3 -1.94648050647580895e-2 -7.82241233876561056e-4 2.62001831048578222e-2 -1.18249296358395421e-3 -7.04610378247390035e-2 6.70759188385748606e-2\n-3.74904095440815252e-2 6.74172306094158597e-2 1.48624102664612900e-2 -1.79700161511234802e-2 4.34122486476039293e-3 -2.90690560117857696e-2 -3.91454841464009863e-3 7.93268352800840897e-3 -1.06935510673376935e-1 -1.61243728170897276e-3 -3.71036761902476947e-2 3.63403075106278478e-2 3.05993722700894505e-2 -6.15669186953638412e-2 3.02730231017914325e-2 -3.65137066140388405e-2 5.32275362173038891e-2 -1.57314378655912579e-1";
         let rows: Vec<Vec<f64>> = DUMP
             .lines()
@@ -505,7 +496,22 @@ mod tests {
         let n = rows.len();
         assert_eq!(n, 18);
         assert!(rows.iter().all(|r| r.len() == n));
-        let a = Matrix::from_fn(n, n, |i, j| rows[i][j]);
+        Matrix::from_fn(n, n, |i, j| rows[i][j])
+    }
+
+    /// A defective 3x3 Jordan block at eigenvalue 2.
+    pub(crate) fn jordan_matrix() -> Matrix {
+        Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[0.0, 2.0, 1.0], &[0.0, 0.0, 2.0]]).unwrap()
+    }
+
+    /// Regression: the fig4 cluster matrix. The naive first column
+    /// h^2 - s*h + t cancels to pure rounding noise at its repeated-pole
+    /// cluster, breaking shift transmission and stalling the QR iteration
+    /// at the per-eigenvalue limit; the difference-form first column must
+    /// converge it.
+    #[test]
+    fn clustered_spectrum_from_fig4_rf_receiver_converges() {
+        let a = fig4_cluster_matrix();
         let s = check_schur(&a, 1e-10);
         // The cluster: at least 8 eigenvalues within 1e-8 of -0.01.
         let near = s
@@ -608,7 +614,7 @@ mod tests {
 
     #[test]
     fn defective_jordan_block_converges() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[0.0, 2.0, 1.0], &[0.0, 0.0, 2.0]]).unwrap();
+        let a = jordan_matrix();
         let s = check_schur(&a, 1e-10);
         for z in s.eigenvalues() {
             assert!((z.re - 2.0).abs() < 1e-7);

@@ -59,7 +59,7 @@ impl CooMatrix {
         self.triplets.is_empty()
     }
 
-    /// Appends an entry; duplicates are summed on conversion.
+    /// Appends an entry; duplicates are summed on conversion, in push order.
     ///
     /// # Panics
     ///
@@ -74,15 +74,17 @@ impl CooMatrix {
         }
     }
 
-    /// Converts to compressed sparse row format, summing duplicates and
-    /// dropping explicit zeros. The triplet list itself is not cloned: only a
-    /// permutation of indices into it is sorted. Prefer [`CooMatrix::into_csr`]
-    /// when the builder is no longer needed.
+    /// Converts to compressed sparse row format, summing duplicates in the
+    /// order they were pushed and dropping explicit zeros. The triplet list
+    /// itself is not cloned: only a permutation of indices into it is
+    /// sorted. Prefer [`CooMatrix::into_csr`] when the builder is no longer
+    /// needed.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut order: Vec<usize> = (0..self.triplets.len()).collect();
+        // The push index breaks ties, so duplicates keep their push order.
         order.sort_unstable_by_key(|&k| {
             let (r, c, _) = self.triplets[k];
-            (r, c)
+            (r, c, k)
         });
         assemble_csr(
             self.rows,
@@ -92,9 +94,10 @@ impl CooMatrix {
     }
 
     /// Consumes the builder and converts to CSR, sorting the triplet storage
-    /// in place (no intermediate copies at all).
+    /// in place with a stable sort, so duplicates are summed in push order
+    /// as by [`CooMatrix::to_csr`].
     pub fn into_csr(mut self) -> CsrMatrix {
-        self.triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        self.triplets.sort_by_key(|&(r, c, _)| (r, c));
         let (rows, cols) = (self.rows, self.cols);
         assemble_csr(rows, cols, self.triplets.into_iter())
     }
@@ -596,6 +599,29 @@ mod tests {
         assert_eq!(csr.get(1, 2), 0.0);
         assert_eq!(csr.nnz(), 1);
         assert!(!coo.is_empty());
+    }
+
+    /// Duplicates are summed in push order: `1e16 + 1 − 1e16` is 0 there
+    /// (the entry is dropped) while `1e16 − 1e16 + 1` is 1, and the pushes
+    /// of 64 positions are interleaved in a scrambled order so that an
+    /// unstable sort would reorder some of them.
+    #[test]
+    fn duplicates_sum_in_push_order() {
+        let mut coo = CooMatrix::new(8, 8);
+        // Round k pushes entry k of [1e16, 1, −1e16] at even positions and
+        // of [1e16, −1e16, 1] at odd ones.
+        for round in [[1e16, 1e16], [1.0, -1e16], [-1e16, 1.0]] {
+            for pos in (0..64).map(|p| (p * 37 + 11) % 64) {
+                coo.push(pos % 8, pos / 8, round[pos % 2]);
+            }
+        }
+        for csr in [coo.to_csr(), coo.into_csr()] {
+            assert_eq!(csr.nnz(), 32);
+            for pos in 0..64 {
+                let expected = if pos % 2 == 0 { 0.0 } else { 1.0 };
+                assert_eq!(csr.get(pos % 8, pos / 8), expected, "position {pos}");
+            }
+        }
     }
 
     #[test]

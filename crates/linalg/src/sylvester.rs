@@ -115,7 +115,7 @@ impl SylvesterSolver {
     /// `λ_i(A) + σ + λ_j(B) = 0`.
     ///
     /// The right-hand side is moved into Schur coordinates, solved there by
-    /// [`SylvesterSolver::solve_schur_shifted_into`] and moved back.
+    /// a quasi-triangular back-substitution and moved back.
     pub fn solve_shifted(&self, shift: f64, c: &Matrix) -> Result<Matrix> {
         let (na, nb) = self.dims();
         if c.rows() != na || c.cols() != nb {
@@ -149,7 +149,7 @@ impl SylvesterSolver {
     /// [`LinalgError::DimensionMismatch`] for a buffer that is not
     /// `na · nb` long, [`LinalgError::Singular`] when
     /// `λ_i(A) + σ + λ_j(B) = 0`.
-    pub fn solve_schur_shifted_into(&self, shift: f64, yt: &mut [f64]) -> Result<()> {
+    fn solve_schur_shifted_into(&self, shift: f64, yt: &mut [f64]) -> Result<()> {
         let (na, nb) = self.dims();
         self.check_schur_len("sylvester schur solve", yt.len())?;
         let (ta, tb) = (self.a.t(), self.schur_bt().t());
@@ -240,9 +240,9 @@ impl SylvesterSolver {
     ///
     /// This is used when an outer Bartels–Stewart recursion over *another*
     /// matrix hits a 2×2 (complex-pair) Schur block and the per-eigenvalue
-    /// shifted solves become complex. The solve itself is
-    /// [`SylvesterSolver::solve_schur_shifted_complex_into`] between the
-    /// transforms into and out of Schur coordinates.
+    /// shifted solves become complex. The solve itself is a complex
+    /// quasi-triangular back-substitution between the transforms into and
+    /// out of Schur coordinates.
     ///
     /// # Errors
     ///
@@ -274,7 +274,7 @@ impl SylvesterSolver {
         Ok((x_re, x_im))
     }
 
-    /// Complex analogue of [`SylvesterSolver::solve_schur_shifted_into`]:
+    /// Complex analogue of `solve_schur_shifted_into`:
     /// solves `(Ta + λ I) Y + Y Tbᵀ = C̃` in place on the split real and
     /// imaginary parts, each in the same transposed (column-major `vec`)
     /// layout. The coefficients of `Ta`/`Tb` are real, so every coupling
@@ -285,7 +285,7 @@ impl SylvesterSolver {
     /// [`LinalgError::DimensionMismatch`] for buffers that are not
     /// `na · nb` long, [`LinalgError::Singular`] when
     /// `λ_i(A) + λ + λ_j(B) = 0`.
-    pub fn solve_schur_shifted_complex_into(
+    fn solve_schur_shifted_complex_into(
         &self,
         shift: Complex,
         yt_re: &mut [f64],

@@ -40,11 +40,6 @@ impl Vector {
         }
     }
 
-    /// Creates a vector taking ownership of `values`.
-    pub fn from_vec(values: Vec<f64>) -> Self {
-        Vector { data: values }
-    }
-
     /// Creates a vector from a generating function of the index.
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> f64) -> Self {
         Vector {
@@ -82,11 +77,6 @@ impl Vector {
     /// Borrows the entries as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Iterates over the entries.

@@ -326,13 +326,6 @@ pub fn take() -> EventLog {
     }
 }
 
-/// Total events dropped to the sink bound since install (or the last
-/// [`take`]). Exposed separately so long runs can watch for truncation
-/// before draining.
-pub fn dropped_events() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
 /// Flushes the calling thread's buffer into the sink without stopping the
 /// subscriber. Worker threads whose records must be visible to a drain on
 /// another thread call this at a quiescent point — `scope`d threads signal
