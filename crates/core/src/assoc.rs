@@ -39,9 +39,16 @@
 //!
 //! exactly the computational structure §2.3 of the paper describes, with the
 //! dimension growing as `O(k₁+k₂+k₃)` instead of the `O(k₁+k₂³+k₃⁴)` of
-//! multivariate (NORM-style) moment matching.
+//! multivariate (NORM-style) moment matching. The low-rank engine
+//! ([`crate::LowRankAssocMomentGenerator`]) runs the same `H₂`/`H₃`
+//! recursion in the decoupled coordinates of each chain's Krylov frame.
 
-use vamor_linalg::{kron_vec, CsrMatrix, Matrix, PivotRecovery, SolverBackend, Vector};
+use std::borrow::Cow;
+
+use vamor_linalg::{
+    kron_vec, BlockDiagonalSchur, CsrMatrix, Matrix, PivotRecovery, RunControl, SchurDecomposition,
+    SolverBackend, Vector,
+};
 use vamor_system::Qldae;
 
 use crate::error::MorError;
@@ -172,7 +179,7 @@ pub(crate) fn h2_d1_seed(
 /// The forcing of one `H₃` step: the `G₂` read-out of the top block plus the
 /// `G₃` read-out of the bottom block, each present only when the system has
 /// that term.
-pub(crate) fn h3_forcing(quadratic: Option<Vector>, cubic: Option<Vector>, n: usize) -> Vector {
+fn h3_forcing(quadratic: Option<Vector>, cubic: Option<Vector>, n: usize) -> Vector {
     match (quadratic, cubic) {
         (Some(mut f), Some(c)) => {
             f.axpy(1.0, &c);
@@ -388,22 +395,16 @@ impl<'a> AssocMomentGenerator<'a> {
         let b_a = input_column(self.qldae, input_a)?;
         let b_b = input_column(self.qldae, input_b)?;
         let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
-        let dec = self.stamp.decoupled(self.qldae)?;
-        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
-        let mut read = KronRead::new(self.qldae.g2(), self.stamp.n());
-        // vec(Ŵ₀) = vec(V⁻¹ b_b b_aᵀ V⁻ᵀ) = b̂_a ⊗ b̂_b.
-        let mut w = kron_vec(&dec.to_coords(&b_a), &dec.to_coords(&b_b));
-        for _ in 0..count {
-            dec.solve_kron2_into(w.as_mut_slice())
-                .map_err(MorError::Linalg)?;
-            let forcing = {
-                let _span = vamor_obs::span!("chain_readout");
-                read.apply2(dec.v(), w.as_slice())
-            };
-            chain.push(&forcing)?;
-            chain.rescale(&mut [&mut w], &mut []);
-        }
-        Ok(chain.finish())
+        let frame = ChainFrame::full(self.stamp.decoupled(self.qldae)?);
+        let chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
+        h2_recursion(
+            &frame,
+            self.qldae.g2(),
+            (&b_a, &b_b),
+            chain,
+            count,
+            &RunControl::new(),
+        )
     }
 
     /// Moments of the associated third-order transfer function `H₃(s)` about
@@ -442,69 +443,29 @@ impl<'a> AssocMomentGenerator<'a> {
         let b = input_column(self.qldae, input)?;
         let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
-        let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
-        let dec = self.stamp.decoupled(self.qldae)?;
-        let (v, v_inv) = (dec.v(), dec.v_inv());
-        let b_hat = dec.to_coords(&b);
-        // Bottom block, row e = vec(X̂_e): X̂₀ = (b̂ ⊗ b̂) b̂ᵀ.
-        let bb = kron_vec(&b_hat, &b_hat);
-        let mut bottom = Matrix::from_fn(n, n * n, |e, r| b_hat[e] * bb[r]);
+        let frame = ChainFrame::full(self.stamp.decoupled(self.qldae)?);
         // Top block, row c = column c of Ẑ_t: Ẑ_t,₀ = V⁻¹ (D₁b) b̂ᵀ.
-        let mut top = g2.map(|_| match &d1b {
-            Some(db) => {
-                let d_hat = dec.to_coords(db);
-                Matrix::from_fn(n, n, |c, r| d_hat[r] * b_hat[c])
-            }
-            None => Matrix::zeros(n, n),
+        let top = (self.qldae.g2().nnz() > 0).then(|| {
+            let b_hat = frame.to_coords(&b);
+            TopBlock::Decoupled(match &d1b {
+                Some(db) => {
+                    let d_hat = frame.to_coords(db);
+                    Matrix::from_fn(n, n, |c, r| d_hat[r] * b_hat[c])
+                }
+                None => Matrix::zeros(n, n),
+            })
         });
-        let mut read2 = g2.map(|g2| KronRead::new(g2, n));
-        let mut read3 = self.qldae.g3().map(|g3| KronRead::new(g3, n));
-        let mut nonzero: Vec<(usize, f64)> = Vec::with_capacity(n);
         let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
-        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
-        for _ in 0..count {
-            {
-                let _span = vamor_obs::span!("kron3_solve");
-                dec.solve_kron3_into(bottom.as_mut_slice())
-                    .map_err(MorError::Linalg)?;
-            }
-            let forcing = {
-                let _span = vamor_obs::span!("chain_readout");
-                let quadratic = match (read2.as_mut(), top.as_mut()) {
-                    (Some(read), Some(top)) => {
-                        // D Ẑ_t + Ẑ_t Dᵀ = Ẑ_t,prev − V⁻¹ G₂ (V⊗V) X̂, where column
-                        // e of G₂ (V⊗V) X̂ is G₂ vec(V X̂_e Vᵀ).
-                        for e in 0..n {
-                            let p = read.apply2(v, bottom.row(e));
-                            nonzero.clear();
-                            nonzero
-                                .extend(p.iter().copied().enumerate().filter(|&(_, pi)| pi != 0.0));
-                            for (r, out) in top.row_mut(e).iter_mut().enumerate() {
-                                let vr = v_inv.row(r);
-                                *out -= nonzero.iter().map(|&(i, pi)| pi * vr[i]).sum::<f64>();
-                            }
-                        }
-                        dec.solve_kron2_into(top.as_mut_slice())
-                            .map_err(MorError::Linalg)?;
-                        // ν = vec(Z_t) + vec(Z_tᵀ) with Z_t = V Ẑ_t Vᵀ: G₂ reads
-                        // V (Ẑ_t + Ẑ_tᵀ) Vᵀ.
-                        let zt = top.as_slice();
-                        let sym: Vec<f64> = (0..n * n)
-                            .map(|k| zt[k] + zt[(k % n) * n + k / n])
-                            .collect();
-                        Some(read.apply2(v, &sym))
-                    }
-                    _ => None,
-                };
-                let cubic = read3.as_mut().map(|read| read.apply3(v, &bottom));
-                h3_forcing(quadratic, cubic, n)
-            };
-            chain.push(&forcing)?;
-            let mut matrices: Vec<&mut Matrix> = vec![&mut bottom];
-            matrices.extend(top.as_mut());
-            chain.rescale(&mut [], &mut matrices);
-        }
-        Ok(chain.finish())
+        let chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
+        h3_recursion(
+            &frame,
+            self.qldae,
+            &b,
+            top,
+            chain,
+            count,
+            &RunControl::new(),
+        )
     }
 
     /// Explicit dense realization `(G̃₂, b̃₂, c̃₂)` of the associated `H₂(s)`
@@ -542,8 +503,222 @@ fn btilde(b: &Vector, d1b: Option<&Vector>) -> Vector {
     top.concat(&kron_vec(b, b))
 }
 
+/// The frame an `H₂`/`H₃` recursion runs in: a basis `V` (`n × k`) whose
+/// coordinates `x̂` turn the Kronecker sums of `G₁` into independent block
+/// pairs and triples of a block-diagonal `D` (`k × k`). The dense engine's
+/// frame is the whole state space, `G₁ = V D V⁻¹` from the stamp. A
+/// low-rank chain's is its Krylov frame: with the orthonormal `Q` and the
+/// projected `H = Qᵀ G₁ Q = V_H D V_H⁻¹`, `V = Q V_H` and `x̂ = V_H⁻¹ Qᵀ x`.
+pub(crate) struct ChainFrame<'a> {
+    dec: Cow<'a, BlockDiagonalSchur>,
+    /// `Q` of a Krylov frame; `None` for the whole state space.
+    q: Option<Matrix>,
+    v: Cow<'a, Matrix>,
+}
+
+impl<'a> ChainFrame<'a> {
+    /// The whole state space, decoupled by `G₁ = V D V⁻¹`.
+    pub(crate) fn full(dec: &'a BlockDiagonalSchur) -> Self {
+        ChainFrame {
+            dec: Cow::Borrowed(dec),
+            q: None,
+            v: Cow::Borrowed(dec.v()),
+        }
+    }
+
+    /// The Krylov frame of the orthonormal `q`, decoupled by
+    /// `h = qᵀ G₁ q = V_H D V_H⁻¹`.
+    ///
+    /// # Errors
+    ///
+    /// A typed error when the Schur iteration on `h` fails.
+    pub(crate) fn krylov(q: Matrix, h: &Matrix) -> Result<ChainFrame<'static>> {
+        let dec = BlockDiagonalSchur::new(SchurDecomposition::new(h).map_err(MorError::Linalg)?);
+        let v = q.matmul(dec.v());
+        Ok(ChainFrame {
+            dec: Cow::Owned(dec),
+            q: Some(q),
+            v: Cow::Owned(v),
+        })
+    }
+
+    /// `x̂`: `V⁻¹ x`, or `V_H⁻¹ Qᵀ x` in a Krylov frame.
+    fn to_coords(&self, x: &Vector) -> Vector {
+        match &self.q {
+            Some(q) => self.dec.to_coords(&q.matvec_transpose(x)),
+            None => self.dec.to_coords(x),
+        }
+    }
+}
+
+/// A factored Lyapunov solve, `(U₀, W₀) ↦ (U, W)`.
+pub(crate) type FactoredSolve<'a> = dyn Fn(&Matrix, &Matrix) -> Result<(Matrix, Matrix)> + 'a;
+
+/// The `n × n` top block of the `H₃` walk,
+/// `G₁ Z_t + Z_t G₁ᵀ = Z_t,prev − G₂ Z_b`: the one part of the recursion
+/// that differs between the engines.
+pub(crate) enum TopBlock<'a> {
+    /// `Ẑ_t = V⁻¹ Z_t V⁻ᵀ` on the whole-space frame (row `c` = column `c`):
+    /// one `O(n²)` Lyapunov solve on `D` per moment, its forcing
+    /// `G₂ (V⊗V) X̂` mapped through `V⁻¹`.
+    Decoupled(Matrix),
+    /// `Z_t = U Wᵀ` in the original coordinates of a Krylov frame, one
+    /// factored solve per moment: `solve(U₀, W₀)` returns the compressed
+    /// factors of `Z` in `G₁ Z + Z G₁ᵀ = U₀ W₀ᵀ`.
+    Factored {
+        u: Matrix,
+        w: Matrix,
+        solve: &'a FactoredSolve<'a>,
+    },
+}
+
+impl TopBlock<'_> {
+    /// Advances the block by one moment against the bottom block `X̂`
+    /// (rows `vec(X̂_e)`) and returns its read-out `G₂ ν` with
+    /// `ν = vec(Z_t) + vec(Z_tᵀ)`.
+    fn step(&mut self, frame: &ChainFrame, read: &mut KronRead, bottom: &Matrix) -> Result<Vector> {
+        let v = frame.v.as_ref();
+        match self {
+            TopBlock::Decoupled(top) => {
+                let n = v.rows();
+                let v_inv = frame.dec.v_inv();
+                let mut nonzero: Vec<(usize, f64)> = Vec::with_capacity(n);
+                // D Ẑ_t + Ẑ_t Dᵀ = Ẑ_t,prev − V⁻¹ G₂ (V⊗V) X̂, where column e
+                // of G₂ (V⊗V) X̂ is G₂ vec(V X̂_e Vᵀ).
+                for e in 0..n {
+                    let p = read.apply2(v, bottom.row(e));
+                    nonzero.clear();
+                    nonzero.extend(p.iter().copied().enumerate().filter(|&(_, pi)| pi != 0.0));
+                    for (r, out) in top.row_mut(e).iter_mut().enumerate() {
+                        let vr = v_inv.row(r);
+                        *out -= nonzero.iter().map(|&(i, pi)| pi * vr[i]).sum::<f64>();
+                    }
+                }
+                frame
+                    .dec
+                    .solve_kron2_into(top.as_mut_slice())
+                    .map_err(MorError::Linalg)?;
+                // ν = vec(Z_t) + vec(Z_tᵀ) with Z_t = V Ẑ_t Vᵀ: G₂ reads
+                // V (Ẑ_t + Ẑ_tᵀ) Vᵀ.
+                let zt = top.as_slice();
+                let sym: Vec<f64> = (0..n * n)
+                    .map(|k| zt[k] + zt[(k % n) * n + k / n])
+                    .collect();
+                Ok(read.apply2(v, &sym))
+            }
+            TopBlock::Factored { u, w, solve } => {
+                let Some(q) = &frame.q else {
+                    return Err(MorError::Invalid(
+                        "a factored top block needs a Krylov frame".into(),
+                    ));
+                };
+                // G₂ Z_b = M′ Vᵀ = (M′ V_Hᵀ) Qᵀ, column e of M′ being
+                // G₂ vec(V X̂_e Vᵀ).
+                let mut m = Matrix::zeros(v.rows(), v.cols());
+                for e in 0..v.cols() {
+                    m.set_col(e, &read.apply2(v, bottom.row(e)));
+                }
+                let forcing = m.matmul(&frame.dec.v().transpose()).scaled(-1.0);
+                let stack = |a: &Matrix, b: &Matrix| a.hstack(b).map_err(MorError::Linalg);
+                (*u, *w) = solve(&stack(u, &forcing)?, &stack(w, q)?)?;
+                let mut g2nu = Vector::zeros(v.rows());
+                for l in 0..u.cols() {
+                    let (ul, wl) = (u.col(l), w.col(l));
+                    g2nu.axpy(1.0, &read.g.matvec_kron(&wl, &ul));
+                    g2nu.axpy(1.0, &read.g.matvec_kron(&ul, &wl));
+                }
+                Ok(g2nu)
+            }
+        }
+    }
+
+    /// The part of the block the chain rescales.
+    fn state_mut(&mut self) -> &mut Matrix {
+        match self {
+            TopBlock::Decoupled(top) => top,
+            TopBlock::Factored { u, .. } => u,
+        }
+    }
+}
+
+/// The `H₂` chain of the input pair `(b_a, b_b)` in `frame`: the iterate
+/// `Ŵ_j` (`k × k`, `vec(Ŵ₀) = b̂_a ⊗ b̂_b`) advances by one in-place
+/// Lyapunov solve `D Ŵ_j + Ŵ_j Dᵀ = Ŵ_{j−1}` per moment and feeds
+/// `G₂ vec(V Ŵ_j Vᵀ)` to `chain`.
+pub(crate) fn h2_recursion(
+    frame: &ChainFrame,
+    g2: &CsrMatrix,
+    (b_a, b_b): (&Vector, &Vector),
+    mut chain: CauchyAccumulator,
+    count: usize,
+    control: &RunControl,
+) -> Result<ScaledMoments> {
+    let mut read = KronRead::new(g2, frame.v.cols());
+    let mut w = kron_vec(&frame.to_coords(b_a), &frame.to_coords(b_b));
+    for _ in 0..count {
+        control.checkpoint("chain-step").map_err(MorError::Linalg)?;
+        frame
+            .dec
+            .solve_kron2_into(w.as_mut_slice())
+            .map_err(MorError::Linalg)?;
+        let forcing = {
+            let _span = vamor_obs::span!("chain_readout");
+            read.apply2(&frame.v, w.as_slice())
+        };
+        chain.push(&forcing)?;
+        chain.rescale(&mut [&mut w], &mut []);
+    }
+    Ok(chain.finish())
+}
+
+/// The `H₃` chain of the input column `b` in `frame`: the bottom block `X̂`
+/// (`k × k²`, row `e` = `vec(X̂_e)`, seeded with `(b̂⊗b̂) b̂ᵀ`) advances by
+/// one in-place three-mode solve per moment, and with a `G₂` the `top`
+/// block against it. The top block's `G₂` read-out and the bottom block's
+/// `G₃ vec((V⊗V) X̂ Vᵀ)` feed `chain`.
+pub(crate) fn h3_recursion(
+    frame: &ChainFrame,
+    qldae: &Qldae,
+    b: &Vector,
+    mut top: Option<TopBlock>,
+    mut chain: CauchyAccumulator,
+    count: usize,
+    control: &RunControl,
+) -> Result<ScaledMoments> {
+    let k = frame.v.cols();
+    let b_hat = frame.to_coords(b);
+    let bb = kron_vec(&b_hat, &b_hat);
+    let mut bottom = Matrix::from_fn(k, k * k, |e, r| b_hat[e] * bb[r]);
+    let mut read2 = top.as_ref().map(|_| KronRead::new(qldae.g2(), k));
+    let mut read3 = qldae.g3().map(|g3| KronRead::new(g3, k));
+    for _ in 0..count {
+        control.checkpoint("chain-step").map_err(MorError::Linalg)?;
+        {
+            let _span = vamor_obs::span!("kron3_solve");
+            frame
+                .dec
+                .solve_kron3_into(bottom.as_mut_slice())
+                .map_err(MorError::Linalg)?;
+        }
+        let forcing = {
+            let _span = vamor_obs::span!("chain_readout");
+            let quadratic = match (read2.as_mut(), top.as_mut()) {
+                (Some(read), Some(top)) => Some(top.step(frame, read, &bottom)?),
+                _ => None,
+            };
+            let cubic = read3.as_mut().map(|read| read.apply3(&frame.v, &bottom));
+            h3_forcing(quadratic, cubic, frame.v.rows())
+        };
+        chain.push(&forcing)?;
+        let mut matrices: Vec<&mut Matrix> = vec![&mut bottom];
+        matrices.extend(top.as_mut().map(TopBlock::state_mut));
+        chain.rescale(&mut [], &mut matrices);
+    }
+    Ok(chain.finish())
+}
+
 /// A sparse read-out `G` (`G₂`, `n × n²`, or `G₃`, `n × n³`) of a Kronecker
-/// operand held in `G₁`'s decoupled coordinates (basis `V`). Only the
+/// operand held in a frame's coordinates (basis `V`, `n × k`). Only the
 /// entries of the original-coordinate operand that `G`'s columns touch are
 /// back-transformed; the distinct columns are sorted, so they come grouped
 /// by their outer modes.
@@ -555,14 +730,15 @@ struct KronRead<'g> {
     slots: Vec<usize>,
     /// Gathered operand entries, one per `cols` slot.
     values: Vec<f64>,
-    /// Scratch of `n` (two-mode inner product) and `n²` (three-mode outer
+    /// Scratch of `k` (two-mode inner product) and `k²` (three-mode outer
     /// contraction) entries.
     u: Vec<f64>,
     y: Vec<f64>,
 }
 
 impl<'g> KronRead<'g> {
-    fn new(g: &'g CsrMatrix, n: usize) -> Self {
+    /// The read-out of `g` for operands in `k` coordinates.
+    fn new(g: &'g CsrMatrix, k: usize) -> Self {
         let mut cols: Vec<usize> = g.iter().map(|(_, c, _)| c).collect();
         cols.sort_unstable();
         cols.dedup();
@@ -575,7 +751,7 @@ impl<'g> KronRead<'g> {
             values: vec![0.0; cols.len()],
             cols,
             slots,
-            u: vec![0.0; n],
+            u: vec![0.0; k],
             y: Vec::new(),
         }
     }
@@ -587,12 +763,12 @@ impl<'g> KronRead<'g> {
     }
 
     /// `G vec(Z)` for the three-mode operand `Z = (V⊗V) X̂ Vᵀ`, with `X̂`
-    /// held as the `n × n²` matrix of rows `vec(X̂_e)`: for each outer index
+    /// held as the `k × k²` matrix of rows `vec(X̂_e)`: for each outer index
     /// `c` that `G` reads, `Y_c = Σ_e V[c, e] X̂_e`, then the two-mode
     /// entries of `V Y_c Vᵀ`.
     fn apply3(&mut self, v: &Matrix, xt: &Matrix) -> Vector {
-        let nn = xt.cols();
-        self.y.resize(nn, 0.0);
+        let nn = v.rows() * v.rows();
+        self.y.resize(xt.cols(), 0.0);
         let mut lo = 0;
         while lo < self.cols.len() {
             let c = self.cols[lo] / nn;
@@ -632,26 +808,36 @@ impl<'g> KronRead<'g> {
     }
 }
 
-/// For each `k` of the ascending `cols`, the entry `(i, j)` of `V Ŵ Vᵀ` with
-/// `i = k mod n`, `j = ⌊k / n⌋ mod n`, written to `out`. Each distinct `j`
-/// costs one `u = Ŵ V[j, :]ᵀ` (`n²` flops over contiguous columns of
-/// `Ŵ`), each entry one `V[i, :] · u`.
+/// For each index of the ascending `cols`, the entry `(i, j)` of `V Ŵ Vᵀ`
+/// (`V` of `n × k`, `Ŵ` of `k × k`) with `i = index mod n`,
+/// `j = ⌊index / n⌋ mod n`, written to `out`. Each distinct `j` costs one
+/// `u = Ŵ V[j, :]ᵀ` (`k²` flops over contiguous columns of `Ŵ`), each entry
+/// one `V[i, :] · u`.
 fn gather2(v: &Matrix, w_hat: &[f64], cols: &[usize], u: &mut [f64], out: &mut [f64]) {
-    let n = v.rows();
+    let (n, k) = (v.rows(), v.cols());
     let mut lo = 0;
     while lo < cols.len() {
         let j = (cols[lo] / n) % n;
-        let hi = lo + cols[lo..].iter().take_while(|&&k| (k / n) % n == j).count();
+        let hi = lo
+            + cols[lo..]
+                .iter()
+                .take_while(|&&index| (index / n) % n == j)
+                .count();
         u.fill(0.0);
-        for (&vjb, w_col) in v.row(j).iter().zip(w_hat.chunks_exact(n)) {
+        for (&vjb, w_col) in v.row(j).iter().zip(w_hat.chunks_exact(k)) {
             if vjb != 0.0 {
                 for (x, &w) in u.iter_mut().zip(w_col) {
                     *x += vjb * w;
                 }
             }
         }
-        for (&k, o) in cols[lo..hi].iter().zip(&mut out[lo..hi]) {
-            *o = v.row(k % n).iter().zip(u.iter()).map(|(a, b)| a * b).sum();
+        for (&index, o) in cols[lo..hi].iter().zip(&mut out[lo..hi]) {
+            *o = v
+                .row(index % n)
+                .iter()
+                .zip(u.iter())
+                .map(|(a, b)| a * b)
+                .sum();
         }
         lo = hi;
     }
@@ -669,8 +855,12 @@ fn triple_kron_as_matrix(b: &Vector) -> Matrix {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::lowrank::csr_matmul;
     use vamor_linalg::kron::{unvec, vec_of};
-    use vamor_linalg::{kron_sum, CooMatrix, SchurDecomposition};
+    use vamor_linalg::lowrank::{
+        compress_factors, fadi_lyapunov, rational_krylov_basis, LrAdiOptions,
+    };
+    use vamor_linalg::{kron_sum, CooMatrix, RunControl, SchurDecomposition};
     use vamor_system::QldaeBuilder;
 
     fn small_qldae(with_d1: bool) -> Qldae {
@@ -1116,22 +1306,32 @@ pub(crate) mod tests {
         chain.finish()
     }
 
-    /// The pre-Schur-resident `H₂` walk: `w_j` solved through
-    /// [`crate::operators::KronSumOp2`] in original coordinates.
-    fn oracle_h2_moments(q: &Qldae, pair: (usize, usize), count: usize) -> ScaledMoments {
+    /// The pre-Schur-resident `H₂` walk, projected on an orthonormal
+    /// `basis` (the identity for the full space): `ŵ_j` solved through
+    /// [`crate::operators::KronSumOp2`] of `H = basisᵀ G₁ basis` and read
+    /// out as `G₂ (basis ⊗ basis) ŵ_j`.
+    fn oracle_h2_moments(
+        q: &Qldae,
+        pair: (usize, usize),
+        count: usize,
+        basis: &Matrix,
+    ) -> ScaledMoments {
         use crate::operators::KronSumOp2;
         use vamor_linalg::ShiftedSolve;
         let (b_a, b_b) = (q.b().col(pair.0), q.b().col(pair.1));
-        let kron = KronSumOp2::new(q.g1()).unwrap();
+        let h = basis.transpose().matmul(&q.g1().matmul(basis));
+        let kron = KronSumOp2::new(&h).unwrap();
+        let lift = vamor_linalg::kron(basis, basis);
         let lu = G1Factor::build_with_recovery(q.g1_csr(), false, None)
             .unwrap()
             .0;
         let d_seed = h2_d1_seed(q, pair, &b_a, &b_b);
         let mut chain = CauchyAccumulator::new(&lu, b_a.len(), count, d_seed);
-        let mut w = kron_vec(&b_a, &b_b);
+        let project = |x: &Vector| basis.matvec_transpose(x);
+        let mut w = kron_vec(&project(&b_a), &project(&b_b));
         for _ in 0..count {
             w = kron.solve_shifted(0.0, &w).unwrap();
-            chain.push(&q.g2().matvec(&w)).unwrap();
+            chain.push(&q.g2().matvec(&lift.matvec(&w))).unwrap();
             chain.rescale(&mut [&mut w], &mut []);
         }
         chain.finish()
@@ -1179,11 +1379,157 @@ pub(crate) mod tests {
                     for other in input..q.b().cols() {
                         let what = format!("{name} H2 inputs ({input}, {other})");
                         let ours = generator.h2_moments_scaled(input, other, 3).unwrap();
-                        let oracle = oracle_h2_moments(q, (input, other), 3);
+                        let identity = Matrix::identity(q.g1().rows());
+                        let oracle = oracle_h2_moments(q, (input, other), 3, &identity);
                         assert_matches_oracle(&ours, &oracle, 1e-10, &what);
                     }
                 }
             }
+        }
+    }
+
+    /// A low-rank chain frame's `Q`, rebuilt as
+    /// [`crate::LowRankAssocMomentGenerator`] builds it over `stamp`.
+    fn krylov_basis(
+        qldae: &Qldae,
+        stamp: &SharedAssocArtifacts,
+        seeds: &[Vector],
+        depth: usize,
+    ) -> Matrix {
+        let chain = stamp.chain(qldae).unwrap();
+        rational_krylov_basis(
+            &chain.cache,
+            seeds,
+            &chain.shifts,
+            depth,
+            stamp.config().opts.chain_basis_cap,
+            &RunControl::new(),
+        )
+        .unwrap()
+    }
+
+    /// The Tucker-core `H₃` walk the frame recursion replaced: the bottom
+    /// block as the `k² × k` core `Ĉ` (`B = (Q⊗Q) Ĉ Qᵀ`) advanced by the
+    /// big-small solver on `H ⊕ H`, and the fADI top block forced by
+    /// `M Qᵀ`, column `l` of `M` being `G₂ vec(Q Ĉ_l Qᵀ)`.
+    fn tucker_h3_moments(
+        qldae: &Qldae,
+        stamp: &SharedAssocArtifacts,
+        input: usize,
+        count: usize,
+    ) -> ScaledMoments {
+        use crate::bigsmall::solve_sylvester_big_small_with_schur;
+        use crate::operators::KronSumOp2;
+        let n = qldae.g1().rows();
+        let b = qldae.b().col(input);
+        let d1 = qldae.d1().get(input);
+        let d1b = d1.map(|d| d.matvec(&b));
+        let q = krylov_basis(qldae, stamp, std::slice::from_ref(&b), count + 2);
+        let k = q.cols();
+        let h = q.transpose().matmul(&csr_matmul(qldae.g1_csr(), &q));
+        let kron = KronSumOp2::new(&h).unwrap();
+        let schur = kron.a_schur();
+        let bhat = q.matvec_transpose(&b);
+        let bb = vamor_linalg::kron_vec(&bhat, &bhat);
+        let mut core = Matrix::from_fn(k * k, k, |i, l| bb[i] * bhat[l]);
+        let (mut tu, mut tv) = match &d1b {
+            Some(db) if db.norm2() > 0.0 => (
+                Matrix::from_fn(n, 1, |i, _| db[i]),
+                Matrix::from_fn(n, 1, |i, _| b[i]),
+            ),
+            _ => (Matrix::zeros(n, 1), Matrix::zeros(n, 1)),
+        };
+        let opts = stamp.config().opts;
+        let shifts = stamp.chain(qldae).unwrap();
+        let adi = LrAdiOptions {
+            tol: opts.adi_tol,
+            max_iterations: opts.adi_max_iterations,
+            strict: false,
+            ..LrAdiOptions::default()
+        };
+        let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
+        let mut chain = CauchyAccumulator::new(stamp.g1_lu(), n, count, d_chain);
+        for _ in 0..count {
+            core = solve_sylvester_big_small_with_schur(&kron, &schur, &core).unwrap();
+            let mut m = Matrix::zeros(n, k);
+            for l in 0..k {
+                let cl = unvec(&core.col(l), k, k).unwrap();
+                let mut col = Vector::zeros(n);
+                for j in 0..k {
+                    col.axpy(
+                        1.0,
+                        &qldae.g2().matvec_kron(&q.col(j), &q.matvec(&cl.col(j))),
+                    );
+                }
+                m.set_col(l, &col);
+            }
+            let mut u0 = Matrix::zeros(n, tu.cols() + k);
+            let mut v0 = Matrix::zeros(n, tu.cols() + k);
+            for j in 0..tu.cols() {
+                u0.set_col(j, &tu.col(j));
+                v0.set_col(j, &tv.col(j));
+            }
+            for j in 0..k {
+                u0.set_col(tu.cols() + j, &m.col(j).scaled(-1.0));
+                v0.set_col(tu.cols() + j, &q.col(j));
+            }
+            let sol = fadi_lyapunov(
+                &shifts.cache,
+                &u0,
+                &v0,
+                &shifts.shifts,
+                &adi,
+                &RunControl::new(),
+            )
+            .unwrap();
+            (tu, tv) = compress_factors(&sol.u, &sol.v, opts.compress_tol).unwrap();
+            let mut g2nu = Vector::zeros(n);
+            for l in 0..tu.cols() {
+                g2nu.axpy(1.0, &qldae.g2().matvec_kron(&tv.col(l), &tu.col(l)));
+                g2nu.axpy(1.0, &qldae.g2().matvec_kron(&tu.col(l), &tv.col(l)));
+            }
+            chain.push(&g2nu).unwrap();
+            chain.rescale(&mut [], &mut [&mut core, &mut tu]);
+        }
+        chain.finish()
+    }
+
+    /// On the 20-section receiver the Krylov frames do not saturate the
+    /// state space and the top block's fADI stalls, so its low-rank chains
+    /// are compared with the Kronecker-sum walks projected on the same
+    /// frames (the Tucker core for `H₃`) rather than with the dense chains:
+    /// both inputs, the `H₂` cross pair, and frames full of standardized
+    /// complex pairs.
+    #[test]
+    fn lowrank_receiver_chains_match_the_tucker_walk() {
+        use crate::stamp::StampConfig;
+        let rx = vamor_circuits::RfReceiver::new(20).unwrap();
+        let q = rx.qldae();
+        let config = StampConfig::resolve(
+            q.g1().rows(),
+            SolverBackend::Dense,
+            true,
+            Default::default(),
+        );
+        let stamp = SharedAssocArtifacts::new(q, config).unwrap();
+        let low = crate::LowRankAssocMomentGenerator::with_stamp(q, &stamp).unwrap();
+        for input in 0..2 {
+            for other in input..2 {
+                let seeds = [q.b().col(input), q.b().col(other)];
+                let basis = krylov_basis(q, &stamp, &seeds[..1 + usize::from(input != other)], 5);
+                assert_matches_oracle(
+                    &low.h2_moments_scaled(input, other, 4).unwrap(),
+                    &oracle_h2_moments(q, (input, other), 4, &basis),
+                    1e-12,
+                    &format!("h2 ({input}, {other})"),
+                );
+            }
+            assert_matches_oracle(
+                &low.h3_moments_scaled(input, 3).unwrap(),
+                &tucker_h3_moments(q, &stamp, input, 3),
+                1e-12,
+                &format!("h3 input {input}"),
+            );
         }
     }
 
@@ -1307,6 +1653,119 @@ pub(crate) mod tests {
         }
     }
 
+    /// The square read-outs the rectangular `KronRead` generalizes, as they
+    /// were: `gather2` splits `G`'s column index and sizes the operand by the
+    /// same `n`, and `apply3` groups `G₃`'s columns by the operand's `n²`.
+    fn square_apply2(g: &CsrMatrix, v: &Matrix, w_hat: &[f64]) -> Vector {
+        let mut read = KronRead::new(g, v.rows());
+        square_gather2(v, w_hat, &read.cols, &mut read.u, &mut read.values);
+        read.spmv()
+    }
+
+    fn square_apply3(g: &CsrMatrix, v: &Matrix, xt: &Matrix) -> Vector {
+        let mut read = KronRead::new(g, v.rows());
+        let nn = xt.cols();
+        read.y.resize(nn, 0.0);
+        let mut lo = 0;
+        while lo < read.cols.len() {
+            let c = read.cols[lo] / nn;
+            let hi = lo + read.cols[lo..].iter().take_while(|&&k| k / nn == c).count();
+            read.y.fill(0.0);
+            for (e, &vce) in v.row(c).iter().enumerate() {
+                if vce != 0.0 {
+                    for (y, &x) in read.y.iter_mut().zip(xt.row(e)) {
+                        *y += vce * x;
+                    }
+                }
+            }
+            square_gather2(
+                v,
+                &read.y,
+                &read.cols[lo..hi],
+                &mut read.u,
+                &mut read.values[lo..hi],
+            );
+            lo = hi;
+        }
+        read.spmv()
+    }
+
+    fn square_gather2(v: &Matrix, w_hat: &[f64], cols: &[usize], u: &mut [f64], out: &mut [f64]) {
+        let n = v.rows();
+        let mut lo = 0;
+        while lo < cols.len() {
+            let j = (cols[lo] / n) % n;
+            let hi = lo + cols[lo..].iter().take_while(|&&k| (k / n) % n == j).count();
+            u.fill(0.0);
+            for (&vjb, w_col) in v.row(j).iter().zip(w_hat.chunks_exact(n)) {
+                if vjb != 0.0 {
+                    for (x, &w) in u.iter_mut().zip(w_col) {
+                        *x += vjb * w;
+                    }
+                }
+            }
+            for (&k, o) in cols[lo..hi].iter().zip(&mut out[lo..hi]) {
+                *o = v.row(k % n).iter().zip(u.iter()).map(|(a, b)| a * b).sum();
+            }
+            lo = hi;
+        }
+    }
+
+    /// A read-out through a rectangular basis `V` (`n × k`, `k < n`) equals
+    /// `G` applied to the explicitly formed original-coordinate operand, and
+    /// through a square one it is bit-equal to the square read-out.
+    #[test]
+    fn rectangular_read_outs_match_explicit_operands() {
+        let mut state = 11_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let n = 7;
+        let pick = |u: f64, m: usize| (((u + 0.5) * m as f64) as usize).min(m - 1);
+        let (mut g2, mut g3) = (CooMatrix::new(n, n * n), CooMatrix::new(n, n * n * n));
+        for i in 0..n {
+            for _ in 0..3 {
+                g2.push(i, pick(next(), n * n), next());
+                g3.push(i, pick(next(), n * n * n), next());
+            }
+        }
+        let (g2, g3) = (g2.to_csr(), g3.to_csr());
+        let rel = |a: &Vector, b: &Vector| (a - b).norm_inf() / b.norm_inf();
+        for k in [3, n] {
+            let v = Matrix::from_fn(n, k, |_, _| next());
+            let w_hat = Matrix::from_fn(k, k, |_, _| next());
+            let xt = Matrix::from_fn(k, k * k, |_, _| next());
+            let two = KronRead::new(&g2, k).apply2(&v, vec_of(&w_hat).as_slice());
+            let three = KronRead::new(&g3, k).apply3(&v, &xt);
+            // G₂ vec(V Ŵ Vᵀ) and G₃ vec((V⊗V) X̂ Vᵀ), formed explicitly:
+            // column c of (V⊗V) X̂ Vᵀ is Σ_e V[c, e] vec(V X̂_e Vᵀ).
+            let explicit2 = g2.matvec(&vec_of(&v.matmul(&w_hat).matmul(&v.transpose())));
+            let mut z = Vector::zeros(n * n * n);
+            for e in 0..k {
+                let xe = unvec(&Vector::from_slice(xt.row(e)), k, k).unwrap();
+                let mode = vec_of(&v.matmul(&xe).matmul(&v.transpose()));
+                for c in 0..n {
+                    for (r, &m) in mode.as_slice().iter().enumerate() {
+                        z[c * n * n + r] += v[(c, e)] * m;
+                    }
+                }
+            }
+            let explicit3 = g3.matvec(&z);
+            assert!(rel(&two, &explicit2) <= 1e-12, "k = {k}: apply2");
+            assert!(rel(&three, &explicit3) <= 1e-12, "k = {k}: apply3");
+            if k == n {
+                let bits =
+                    |x: &Vector| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let square2 = square_apply2(&g2, &v, vec_of(&w_hat).as_slice());
+                assert_eq!(bits(&two), bits(&square2));
+                assert_eq!(bits(&three), bits(&square_apply3(&g3, &v, &xt)));
+            }
+        }
+    }
+
     /// The memory-budget estimate is exactly what the stamp holds: the
     /// eager `G₁` factor, then each part built on use, once it exists — the
     /// one Schur pair of `G₁` with its block list, the decoupling basis `V`
@@ -1318,7 +1777,6 @@ pub(crate) mod tests {
     #[test]
     fn artifact_estimate_covers_every_held_matrix() {
         use crate::stamp::{EnergyWeight, StampConfig};
-        use vamor_linalg::RunControl;
         let rx = vamor_circuits::RfReceiver::new(4).unwrap();
         let q = rx.qldae();
         let reducer = crate::AssocReducer::new(crate::MomentSpec::new(2, 1, 1));

@@ -8,11 +8,10 @@
 //! The resolvent `(sI − G₁ ⊕ G̃₂)⁻¹` of the third-order associated transform
 //! is, in `vec` space, a Sylvester equation of this shape: its *left*
 //! coefficient is the huge block matrix `G̃₂` (never formed) and its *right*
-//! coefficient the small `G₁ᵀ`. This generic solver serves the low-rank
-//! engine's Tucker core (`Op = H ⊕ H` for the small projected `H`) and the
-//! public API; the dense moment generator runs the same back-substitution
-//! with every mode held in `G₁`'s Schur coordinates instead
-//! ([`crate::assoc`]).
+//! coefficient the small `G₁ᵀ`. No moment chain calls this generic solver
+//! any more: both engines run one recursion in block-diagonalized
+//! coordinates ([`crate::assoc`]). It stays public for the benchmark's
+//! per-layer probes and serves as the test oracle of those chains.
 //!
 //! The right coefficient is reduced to real Schur form; the left coefficient
 //! only needs shifted solves, which [`ShiftedSolve`] provides. Columns are

@@ -4,27 +4,30 @@
 //!
 //! # Why a second engine
 //!
-//! The dense flow ([`crate::AssocMomentGenerator`]) factors `G₁` with a real
-//! Schur decomposition and walks Bartels–Stewart back-substitutions for every
-//! `(G₁ ⊕ G₁)⁻¹` application — `O(n³)` setup and `O(n³)` per chain step, plus
-//! a dense `n × n` Lyapunov weight for the stabilized projection. All of it
+//! The dense flow ([`crate::AssocMomentGenerator`]) block-diagonalizes a
+//! real Schur form of `G₁` and runs its Kronecker-sum solves in those
+//! decoupled coordinates — `O(n³)` setup and `O(n³)` per `H₃` moment, plus a
+//! dense `n × n` Lyapunov weight for the stabilized projection. All of it
 //! stops scaling near 10³ states. This module provides the same moment
 //! chains and the same oblique projection built exclusively from **shifted
 //! sparse solves** `(G₁ + σI)⁻¹` (near-linear via the PR-3 sparse LU):
 //!
-//! * **Chains** — every Kronecker-sum recursion is projected onto a small
+//! * **Chains** — every Kronecker-sum recursion runs in a small frame: the
 //!   orthonormal *rational Krylov* basis `Q` of `(G₁, b)`
-//!   ([`vamor_linalg::rational_krylov_basis`]): the inverse-power block of
-//!   `Q` reproduces the Taylor directions about `s = 0`, the ADI-shift block
-//!   provides the spectral coverage, and the `n²`- (or `n³`-) dimensional
-//!   chain iterates are carried as `Q`-congruence factors
-//!   (`W_j = Q Ŵ_j Qᵀ`, Tucker cores for the triple Kronecker sums) with all
-//!   dense arithmetic confined to the `k × k` core, `k ≪ n`. When `k`
-//!   saturates the state dimension the projection is exact, so at seed/test
-//!   sizes the low-rank chains reproduce the dense Bartels–Stewart chains to
-//!   roundoff. `H₃`'s top block is recovered by factored ADI
-//!   ([`vamor_linalg::fadi_lyapunov`]) with rank compression after every
-//!   step.
+//!   ([`vamor_linalg::rational_krylov_basis`]), whose inverse-power block
+//!   reproduces the Taylor directions about `s = 0` and whose ADI-shift
+//!   block provides the spectral coverage. The projected `H = Qᵀ G₁ Q` is
+//!   block-diagonalized once per chain, `H = V_H D V_H⁻¹`
+//!   ([`vamor_linalg::BlockDiagonalSchur`]), and the dense engine's own
+//!   recursion then runs in the decoupled frame `V = Q V_H` (`n × k`,
+//!   coordinates `x̂ = V_H⁻¹ Qᵀ x`): the `n²`- and `n³`-dimensional iterates
+//!   are `k × k` and `k × k²` arrays solved block by block, and the `G₂`/`G₃`
+//!   read-outs back-transform through `V` only the entries they touch, with
+//!   `k ≪ n`. When `k` saturates the state dimension the projection is
+//!   exact, so at test sizes the low-rank chains reproduce the dense chains
+//!   to roundoff. `H₃`'s top block is the one engine-specific step: it is
+//!   recovered by factored ADI ([`vamor_linalg::fadi_lyapunov`]) on `G₁`
+//!   with rank compression after every step.
 //! * **Weight** — the energy inner product is the LR-ADI observability
 //!   Gramian `M ≈ Z Zᵀ` of `G₁ᵀ M + M G₁ = −CᵀC`
 //!   ([`vamor_linalg::lr_adi_lyapunov`]), consumed *in factored form*: the
@@ -49,24 +52,22 @@
 
 use std::sync::Mutex;
 
-use vamor_linalg::kron::unvec;
 use vamor_linalg::lowrank::{
     compress_factors, fadi_lyapunov, heuristic_adi_shift_pairs, heuristic_adi_shifts,
     lr_adi_lyapunov, rational_krylov_basis, AdiShift, AdiShiftOptions, LrAdiOptions, LrAdiStats,
     ShiftedSolve,
 };
 use vamor_linalg::{
-    kron_vec, CholeskyDecomposition, CsrMatrix, LinalgError, Matrix, PivotRecovery, RunControl,
-    SchurDecomposition, ShiftCache, SolverBackend, SylvesterSolver, Vector,
+    CholeskyDecomposition, CsrMatrix, LinalgError, Matrix, PivotRecovery, RunControl, ShiftCache,
+    SolverBackend, Vector,
 };
 use vamor_system::Qldae;
 
 use crate::assoc::{
-    h1_chain, h2_d1_seed, h3_forcing, input_column, CauchyAccumulator, ScaledMoments,
+    h1_chain, h2_d1_seed, h2_recursion, h3_recursion, input_column, CauchyAccumulator, ChainFrame,
+    ScaledMoments, TopBlock,
 };
-use crate::bigsmall::solve_sylvester_big_small_with_schur;
 use crate::error::MorError;
-use crate::operators::KronSumOp2;
 use crate::stamp::{SharedAssocArtifacts, StampConfig};
 use crate::Result;
 
@@ -170,8 +171,8 @@ impl LowRankDiagnostics {
         self.adi_nonconverged += other.adi_nonconverged;
     }
 
-    fn absorb_adi(&mut self, stats: &LrAdiStats, tol: f64, basis_dim: usize) {
-        self.absorb(stats.iterations, stats.residual, basis_dim);
+    fn absorb_adi(&mut self, stats: &LrAdiStats, tol: f64) {
+        self.absorb(stats.iterations, stats.residual, 0);
         self.adi_shift_reselections += stats.shift_reselections;
         if !(stats.residual.is_finite() && stats.residual <= tol) {
             // vamor: allow(degradation-events, reason = "aggregation, not detection: the LR-ADI solver already emitted `adi_nonconverged` at its own tail; this re-derives the count from its published stats")
@@ -346,8 +347,9 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         h1_chain(self.stamp.g1_lu(), input_column(self.qldae, input)?, count)
     }
 
-    /// A chain basis plus its reduced matrix `H = Qᵀ G₁ Q`.
-    fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<(Matrix, Vec<Vector>, Matrix)> {
+    /// The chain's Krylov frame: the orthonormal rational-Krylov basis `Q`
+    /// of `seeds`, decoupled by its reduced matrix `H = Qᵀ G₁ Q`.
+    fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<ChainFrame<'static>> {
         let chain = self.stamp.chain(self.qldae)?;
         let q = rational_krylov_basis(
             &chain.cache,
@@ -360,15 +362,13 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         .map_err(MorError::Linalg)?;
         let f = csr_matmul(self.qldae.g1_csr(), &q);
         let h = q.transpose().matmul(&f);
-        let k = q.cols();
-        let q_cols: Vec<Vector> = (0..k).map(|j| q.col(j)).collect();
-        self.record(0, 0.0, k);
-        Ok((q, q_cols, h))
+        self.record(0, 0.0, q.cols());
+        ChainFrame::krylov(q, &h)
     }
 
-    /// `H₂` scaled moments via the `Q`-projected Lyapunov chain
-    /// `H Ŵ_{j+1} + Ŵ_{j+1} Hᵀ = Ŵ_j` (see the module docs). Mirrors
-    /// [`crate::AssocMomentGenerator::h2_moments_scaled`] term for term.
+    /// `H₂` scaled moments: the dense engine's recursion
+    /// ([`crate::AssocMomentGenerator::h2_moments_scaled`]) run in the
+    /// chain's Krylov frame (see the module docs).
     ///
     /// # Errors
     ///
@@ -382,50 +382,30 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         if count == 0 {
             return Ok(ScaledMoments::with_capacity(0));
         }
-        let n = self.stamp.n();
         let b_a = input_column(self.qldae, input_a)?;
         let b_b = input_column(self.qldae, input_b)?;
         let d_seed = h2_d1_seed(self.qldae, (input_a, input_b), &b_a, &b_b);
-
         let mut seeds = vec![b_a.clone()];
         if input_a != input_b {
             seeds.push(b_b.clone());
         }
-        let (q, q_cols, h) = self.chain_frame(&seeds, count + 1)?;
-        let k = q.cols();
-        let lyap =
-            SylvesterSolver::lyapunov(SchurDecomposition::new(&h).map_err(MorError::Linalg)?);
-        let bhat_a = q.matvec_transpose(&b_a);
-        let bhat_b = q.matvec_transpose(&b_b);
-        // Ŵ₀ = b̂_b b̂_aᵀ  (W₀ = unvec(b_a ⊗ b_b) = b_b b_aᵀ).
-        let mut what = Matrix::from_fn(k, k, |i, j| bhat_b[i] * bhat_a[j]);
-
-        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_seed);
-        for _ in 0..count {
-            self.control
-                .checkpoint("lowrank-chain-step")
-                .map_err(MorError::Linalg)?;
-            what = lyap.solve(&what).map_err(MorError::Linalg)?;
-            // G₂ vec(Q Ŵ Qᵀ) assembled one basis column at a time:
-            // W = Σ_j (Q Ŵ e_j) q_jᵀ and vec(c q_jᵀ) = q_j ⊗ c.
-            let mut g2w_k = Vector::zeros(n);
-            for (j, qj) in q_cols.iter().enumerate() {
-                let cj = q.matvec(&what.col(j));
-                g2w_k.axpy(1.0, &self.qldae.g2().matvec_kron(qj, &cj));
-            }
-            chain.push(&g2w_k)?;
-            chain.rescale(&mut [], &mut [&mut what]);
-        }
-        Ok(chain.finish())
+        let frame = self.chain_frame(&seeds, count + 1)?;
+        let chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
+        h2_recursion(
+            &frame,
+            self.qldae.g2(),
+            (&b_a, &b_b),
+            chain,
+            count,
+            &self.control,
+        )
     }
 
-    /// `H₃` scaled moments: the `(G₁⊕G₁) ⊕ G₁` bottom block runs as a Tucker
-    /// core chain in the `Q`-frame; with a `G₂` the `G̃₂` top block is
-    /// recovered by factored ADI with rank compression (see the module
-    /// docs), and with a `G₃` the core is read out through `k²` structured
-    /// triple-Kronecker matvecs per step. Both read-outs feed one Cauchy
-    /// accumulator. Mirrors [`crate::AssocMomentGenerator::h3_moments_scaled`]
-    /// term for term.
+    /// `H₃` scaled moments: the dense engine's recursion
+    /// ([`crate::AssocMomentGenerator::h3_moments_scaled`]) run in the
+    /// chain's Krylov frame, except that with a `G₂` the top block is
+    /// recovered by factored ADI on `G₁` with rank compression (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -438,115 +418,41 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         let b = input_column(self.qldae, input)?;
         let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
-        let g2 = Some(self.qldae.g2()).filter(|g2| g2.nnz() > 0);
-        let g3 = self.qldae.g3();
-
-        let (q, q_cols, h) = self.chain_frame(std::slice::from_ref(&b), count + 2)?;
-        let k = q.cols();
-        let kron_small = KronSumOp2::new(&h)?;
-        let schur_small = kron_small.a_schur();
-        let bhat = q.matvec_transpose(&b);
-        let bhat_kron = kron_vec(&bhat, &bhat);
-        // Tucker core of the bottom block: B_j = (Q ⊗ Q) Ĉ_j Qᵀ,
-        // Ĉ₀ = (b̂ ⊗ b̂) b̂ᵀ.
-        let mut core = Matrix::from_fn(k * k, k, |i, l| bhat_kron[i] * bhat[l]);
-        // Top block T_j = U Vᵀ, T₀ = (D₁b) bᵀ — only `G₂` reads it.
-        let mut top = g2.map(|_| match &d1b {
-            Some(db) if db.norm2() > 0.0 => (
-                Matrix::from_fn(n, 1, |i, _| db[i]),
-                Matrix::from_fn(n, 1, |i, _| b[i]),
-            ),
-            _ => (Matrix::zeros(n, 1), Matrix::zeros(n, 1)),
-        });
-        let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
+        let frame = self.chain_frame(std::slice::from_ref(&b), count + 2)?;
+        let opts = self.stamp.config().opts;
+        let shifts = self.stamp.chain(self.qldae)?;
         // Non-strict: the chain tolerates a residual above `adi_tol` (the
         // stall ladder still perturbs shifts), and the nonconvergence is
         // recorded in the diagnostics instead of aborting the chain.
-        let opts = self.stamp.config().opts;
-        let chain_shifts = self.stamp.chain(self.qldae)?;
         let adi = LrAdiOptions {
             tol: opts.adi_tol,
             max_iterations: opts.adi_max_iterations,
             strict: false,
             ..LrAdiOptions::default()
         };
-
-        let mut chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
-        for _ in 0..count {
-            self.control
-                .checkpoint("lowrank-chain-step")
+        let fadi = |u0: &Matrix, w0: &Matrix| {
+            let sol = fadi_lyapunov(&shifts.cache, u0, w0, &shifts.shifts, &adi, &self.control)
                 .map_err(MorError::Linalg)?;
-            // Bottom block: (H ⊕ H) Ĉ + Ĉ Hᵀ = Ĉ_prev in the small frame.
-            core = solve_sylvester_big_small_with_schur(&kron_small, &schur_small, &core)?;
-            // One pass over the core columns: M = G₂ ∘ ((Q ⊗ Q) Ĉ) (column l
-            // is G₂ vec(Q Ĉ_l Qᵀ)) and G₃ vec(W) with
-            // vec(W) = Σ_{l,j} q_l ⊗ q_j ⊗ (Q Ĉ_l e_j).
-            let mut m = g2.map(|_| Matrix::zeros(n, k));
-            let mut g3w_k = g3.map(|_| Vector::zeros(n));
-            for l in 0..k {
-                let cl = unvec(&core.col(l), k, k).map_err(MorError::Linalg)?;
-                let mut mcol = Vector::zeros(n);
-                for (j, qj) in q_cols.iter().enumerate() {
-                    let c_lj = q.matvec(&cl.col(j));
-                    if let Some(g2) = g2 {
-                        g2.matvec_kron_add_into(qj, &c_lj, &mut mcol);
-                    }
-                    if let (Some(g3), Some(w)) = (g3, g3w_k.as_mut()) {
-                        g3.matvec_kron3_add_into(&q_cols[l], qj, &c_lj, w);
-                    }
-                }
-                if let Some(m) = m.as_mut() {
-                    m.set_col(l, &mcol);
-                }
-            }
-            let mut quadratic = None;
-            if let (Some(g2), Some(m), Some((tu, tv))) = (g2, &m, top.as_mut()) {
-                // Top block: G₁ T + T G₁ᵀ = T_prev − M Qᵀ, solved by factored
-                // ADI.
-                let cols = tu.cols() + k;
-                let mut u_rhs = Matrix::zeros(n, cols);
-                let mut v_rhs = Matrix::zeros(n, cols);
-                for j in 0..tu.cols() {
-                    u_rhs.set_col(j, &tu.col(j));
-                    v_rhs.set_col(j, &tv.col(j));
-                }
-                for (j, qj) in q_cols.iter().enumerate() {
-                    u_rhs.set_col(tu.cols() + j, &m.col(j).scaled(-1.0));
-                    v_rhs.set_col(tu.cols() + j, qj);
-                }
-                let sol = fadi_lyapunov(
-                    &chain_shifts.cache,
-                    &u_rhs,
-                    &v_rhs,
-                    &chain_shifts.shifts,
-                    &adi,
-                    &self.control,
-                )
-                .map_err(MorError::Linalg)?;
-                self.diagnostics
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .absorb_adi(&sol.stats, adi.tol, k);
-                (*tu, *tv) = compress_factors(&sol.u, &sol.v, opts.compress_tol)
-                    .map_err(MorError::Linalg)?;
-                // ν = vec(S) + vec(Sᵀ) with S = T = U Vᵀ, then G₂ ν.
-                let mut g2nu_k = Vector::zeros(n);
-                for l in 0..tu.cols() {
-                    let ul = tu.col(l);
-                    let vl = tv.col(l);
-                    g2nu_k.axpy(1.0, &g2.matvec_kron(&vl, &ul));
-                    g2nu_k.axpy(1.0, &g2.matvec_kron(&ul, &vl));
-                }
-                quadratic = Some(g2nu_k);
-            }
-            chain.push(&h3_forcing(quadratic, g3w_k, n))?;
-            // The Tucker core and the top factor are part of the rescaled
-            // recursion state.
-            let mut matrices: Vec<&mut Matrix> = vec![&mut core];
-            matrices.extend(top.as_mut().map(|(tu, _)| tu));
-            chain.rescale(&mut [], &mut matrices);
-        }
-        Ok(chain.finish())
+            self.diagnostics
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .absorb_adi(&sol.stats, adi.tol);
+            compress_factors(&sol.u, &sol.v, opts.compress_tol).map_err(MorError::Linalg)
+        };
+        // Top block Z_t = U Wᵀ, Z_t,₀ = (D₁b) bᵀ — only `G₂` reads it.
+        let top = (self.qldae.g2().nnz() > 0).then(|| {
+            let (u, w) = match &d1b {
+                Some(db) if db.norm2() > 0.0 => (
+                    Matrix::from_fn(n, 1, |i, _| db[i]),
+                    Matrix::from_fn(n, 1, |i, _| b[i]),
+                ),
+                _ => (Matrix::zeros(n, 1), Matrix::zeros(n, 1)),
+            };
+            TopBlock::Factored { u, w, solve: &fadi }
+        });
+        let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
+        let chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);
+        h3_recursion(&frame, self.qldae, &b, top, chain, count, &self.control)
     }
 }
 
@@ -695,7 +601,7 @@ pub(crate) fn lowrank_vw(
 mod tests {
     use super::*;
     use crate::assoc::AssocMomentGenerator;
-    use vamor_linalg::CooMatrix;
+    use vamor_linalg::{CooMatrix, SchurDecomposition};
     use vamor_system::QldaeBuilder;
 
     fn chain_qldae(n: usize, with_d1: bool) -> Qldae {
@@ -735,16 +641,58 @@ mod tests {
         }
     }
 
-    /// The issue's satellite property test: rational-Krylov chains against
-    /// the dense Bartels–Stewart chains — at these sizes the chain basis
-    /// saturates the state space, so the Galerkin projection is exact and
-    /// the two generators agree to roundoff.
+    /// A damped oscillatory chain with two inputs, a `D₁` on the second, a
+    /// `G₂` and a `G₃`: `G₁`'s antisymmetric coupling gives complex pairs
+    /// only, so every Krylov frame decouples into standardized 2×2 blocks.
+    /// Its spectrum yields a one-shift pool, so a frame of `count` moments
+    /// holds `count + 3` columns or fewer; at `n = 6` they span the state
+    /// space.
+    fn oscillatory_qldae(n: usize) -> Qldae {
+        let mut b = QldaeBuilder::new(n, 2);
+        for i in 0..n {
+            b = b.g1_entry(i, i, -(0.6 + 0.1 * i as f64));
+            if i + 1 < n {
+                b = b.g1_entry(i, i + 1, 0.9).g1_entry(i + 1, i, -0.9);
+            }
+        }
+        let mut g3 = CooMatrix::new(n, n * n * n);
+        g3.push(1, 0, 0.2);
+        g3.push(n - 1, n * n + 2 * n + 1, -0.1);
+        b.g2_entry(0, 0, 1, 0.3)
+            .g2_entry(n - 1, 0, 0, -0.2)
+            .g2_entry(2, 3, 1, 0.25)
+            .d1_entry(1, 0, 2, 0.2)
+            .b_entry(0, 0, 1.0)
+            .b_entry(3, 0, 0.5)
+            .b_entry(n - 1, 1, 1.0)
+            .b_entry(1, 1, -0.4)
+            .output_state(n - 1)
+            .build()
+            .unwrap()
+            .with_g3(g3.to_csr())
+            .unwrap()
+    }
+
+    /// Rational-Krylov chains against the dense chains: at these sizes the
+    /// chain bases span all, or on the 12- and 14-state chains 10 columns,
+    /// of the state space, and the two generators agree to roundoff or near
+    /// it. The oscillatory system's `H₂` cross pair and both inputs' `H₃`
+    /// chains check the frames' standardized 2×2 blocks and the
+    /// factored-ADI top block.
     #[test]
     fn lowrank_chains_match_dense_chains() {
+        let oscillatory = oscillatory_qldae(6);
+        let g1 = oscillatory.g1();
+        let dec = vamor_linalg::BlockDiagonalSchur::new(SchurDecomposition::new(g1).unwrap());
+        assert!(dec
+            .blocks()
+            .iter()
+            .all(|b| matches!(b, vamor_linalg::DiagBlock::Complex { .. })));
         let systems = [
             chain_qldae(14, false),
             chain_qldae(14, true),
             crate::assoc::tests::mixed_qldae(12, 7),
+            oscillatory,
         ];
         for q in systems {
             let dense = AssocMomentGenerator::new(&q).unwrap();
@@ -754,24 +702,29 @@ mod tests {
                 LowRankOptions::default(),
             )
             .unwrap();
-            assert_chains_close(
-                &dense.h1_moments_scaled(0, 5).unwrap(),
-                &low.h1_moments_scaled(0, 5).unwrap(),
-                1e-12,
-                "h1",
-            );
-            assert_chains_close(
-                &dense.h2_moments_scaled(0, 0, 4).unwrap(),
-                &low.h2_moments_scaled(0, 0, 4).unwrap(),
-                1e-9,
-                "h2",
-            );
-            assert_chains_close(
-                &dense.h3_moments_scaled(0, 3).unwrap(),
-                &low.h3_moments_scaled(0, 3).unwrap(),
-                1e-8,
-                "h3",
-            );
+            let inputs = q.b().cols();
+            for input in 0..inputs {
+                assert_chains_close(
+                    &dense.h1_moments_scaled(input, 5).unwrap(),
+                    &low.h1_moments_scaled(input, 5).unwrap(),
+                    1e-12,
+                    &format!("h1 input {input}"),
+                );
+                for other in input..inputs {
+                    assert_chains_close(
+                        &dense.h2_moments_scaled(input, other, 4).unwrap(),
+                        &low.h2_moments_scaled(input, other, 4).unwrap(),
+                        1e-9,
+                        &format!("h2 inputs ({input}, {other})"),
+                    );
+                }
+                assert_chains_close(
+                    &dense.h3_moments_scaled(input, 3).unwrap(),
+                    &low.h3_moments_scaled(input, 3).unwrap(),
+                    1e-8,
+                    &format!("h3 input {input}"),
+                );
+            }
             let diag = low.diagnostics();
             assert!(diag.chain_basis_dim >= 1);
             assert!(diag.adi_peak_residual <= 1e-8 || diag.adi_iterations == 0);

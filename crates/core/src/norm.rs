@@ -103,7 +103,8 @@ impl NormReducer {
     /// Number of candidate vectors the multivariate expansion generates for a
     /// single-input system (before deflation): `k₁` first-order directions,
     /// `O(k₂³)` second-order directions and `O(k₃⁴)` third-order directions.
-    pub fn candidate_count(&self, num_inputs: usize) -> usize {
+    #[cfg(test)]
+    fn candidate_count(&self, num_inputs: usize) -> usize {
         let MomentSpec { k1, k2, k3 } = self.spec();
         // Second order: indices (p, a, b) with p + a + b <= k2 - 1.
         let second = if k2 == 0 {
@@ -312,7 +313,8 @@ fn resolvent_chain(g1_lu: &G1Factor, seed: Vector, extra: usize) -> Result<Vec<V
 }
 
 /// Number of tuples of `k` non-negative integers with sum at most `max_sum`
-/// (used only for the size estimate in [`NormReducer::candidate_count`]).
+/// (used only for the size estimate in `NormReducer::candidate_count`).
+#[cfg(test)]
 fn compositions_upto(k: usize, max_sum: usize) -> usize {
     // C(max_sum + k, k)
     let mut num = 1usize;

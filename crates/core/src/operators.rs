@@ -9,8 +9,11 @@
 //!
 //! which must never be formed explicitly. Both implement
 //! [`vamor_linalg::ShiftedSolve`] — the minimal interface (`apply`,
-//! real/complex shifted solves) required by the moment recursions and by
-//! the big-left/small-right Sylvester solver in [`crate::bigsmall`].
+//! real/complex shifted solves) the big-left/small-right Sylvester solver in
+//! [`crate::bigsmall`] needs. The moment chains of both engines no longer
+//! use them (they solve in block-diagonalized coordinates, see
+//! [`crate::assoc`]); the operators stay public for the benchmark's
+//! per-layer probes and serve as the test oracle of those chains.
 
 use vamor_linalg::{
     Complex, CsrMatrix, Matrix, SchurDecomposition, ShiftCache, ShiftedSolve, SolverBackend,
@@ -32,9 +35,7 @@ fn vec_of(m: &Matrix) -> Vector {
 }
 
 /// The Kronecker sum `A ⊕ A` of a square matrix with itself, with shifted
-/// solves on one Schur form of `A`. The low-rank engine's `H₃` Tucker core
-/// runs on it for the projected `k × k` matrix `Qᵀ G₁ Q`; [`BlockH2Op`]
-/// wraps one for `G₁ ⊕ G₁`.
+/// solves on one Schur form of `A`. [`BlockH2Op`] wraps one for `G₁ ⊕ G₁`.
 #[derive(Debug, Clone)]
 pub struct KronSumOp2 {
     a: Matrix,
@@ -208,7 +209,8 @@ impl BlockH2Op {
     }
 
     /// The state dimension `n` of the underlying QLDAE.
-    pub fn state_dim(&self) -> usize {
+    #[cfg(test)]
+    fn state_dim(&self) -> usize {
         self.n
     }
 
@@ -231,7 +233,8 @@ impl BlockH2Op {
     }
 
     /// Applies the output map `c̃₂ = [Iₙ 0]` (keeps the first `n` entries).
-    pub fn apply_ctilde(&self, x: &Vector) -> Vector {
+    #[cfg(test)]
+    fn apply_ctilde(&self, x: &Vector) -> Vector {
         x.slice(0, self.n)
     }
 }

@@ -28,7 +28,8 @@ use crate::Result;
 /// Returns [`MorError::Invalid`] if `V` has the wrong row count or more
 /// columns than rows, and propagates construction errors of the reduced
 /// system.
-pub fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
+#[cfg(test)]
+fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
     project_qldae_petrov(qldae, v, v)
 }
 
@@ -49,7 +50,9 @@ pub fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
 ///
 /// # Errors
 ///
-/// Same contract as [`project_qldae`], plus a shape check on `W`.
+/// Returns [`MorError::Invalid`] if `V` or `W` has the wrong row count, `V`
+/// has more columns than rows, or `W` is not shaped like `V`, and
+/// propagates construction errors of the reduced system.
 pub fn project_qldae_petrov(qldae: &Qldae, v: &Matrix, w: &Matrix) -> Result<Qldae> {
     let n = qldae.g1_csr().rows();
     validate_basis_pair(v, w, n)?;

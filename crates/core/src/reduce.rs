@@ -306,7 +306,8 @@ impl ReducedQldae {
     }
 
     /// Lifts a reduced state back to the full space: `x ≈ V x_r`.
-    pub fn lift(&self, xr: &vamor_linalg::Vector) -> vamor_linalg::Vector {
+    #[cfg(test)]
+    fn lift(&self, xr: &vamor_linalg::Vector) -> vamor_linalg::Vector {
         self.projection.matvec(xr)
     }
 }

@@ -42,7 +42,8 @@ impl Eigenvalues {
     /// This is the solvability condition of the Sylvester equation
     /// `G₁ Π + G₂ = Π (G₁ ⊕ G₁)` used by the associated-transform decoupling
     /// (it always holds for Hurwitz `G₁`).
-    pub fn kron_sum_solvable(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    fn kron_sum_solvable(&self, tol: f64) -> bool {
         for a in &self.values {
             for b in &self.values {
                 for c in &self.values {

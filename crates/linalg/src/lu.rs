@@ -175,7 +175,8 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_transpose(&self, b: &Vector) -> Result<Vector> {
+    #[cfg(test)]
+    fn solve_transpose(&self, b: &Vector) -> Result<Vector> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch(format!(
                 "lu solve_transpose: rhs has length {}, expected {}",
@@ -233,7 +234,8 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Propagates errors from the inverse computation.
-    pub fn rcond_estimate(&self, a: &Matrix) -> Result<f64> {
+    #[cfg(test)]
+    fn rcond_estimate(&self, a: &Matrix) -> Result<f64> {
         let inv = self.inverse()?;
         let denom = a.norm_inf() * inv.norm_inf();
         if denom == 0.0 {

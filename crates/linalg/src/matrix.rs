@@ -82,22 +82,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `data.len() != rows*cols`.
-    pub fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "from_row_major: expected {} entries, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Creates a matrix from a generating function of the (row, column) index.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);

@@ -187,7 +187,8 @@ impl OrthoBasis {
     /// # Panics
     ///
     /// Panics if `v.len() != self.dim()`.
-    pub fn project_coefficients(&self, v: &Vector) -> Vector {
+    #[cfg(test)]
+    fn project_coefficients(&self, v: &Vector) -> Vector {
         assert_eq!(v.len(), self.dim, "project: dimension mismatch");
         Vector::from_fn(self.columns.len(), |k| self.columns[k].dot(v))
     }

@@ -114,7 +114,8 @@ impl Vector {
     }
 
     /// Sum of absolute entries (1-norm).
-    pub fn norm1(&self) -> f64 {
+    #[cfg(test)]
+    fn norm1(&self) -> f64 {
         self.data.iter().map(|x| x.abs()).sum()
     }
 
@@ -176,7 +177,8 @@ impl Vector {
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Vector {
+    #[cfg(test)]
+    fn hadamard(&self, other: &Vector) -> Vector {
         assert_eq!(self.len(), other.len(), "hadamard: length mismatch");
         Vector {
             data: self
