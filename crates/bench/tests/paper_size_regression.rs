@@ -63,7 +63,7 @@ fn fig4_paper_size_rom_is_stable_and_accurate() {
 fn spectral_guard_restores_stability_on_plain_galerkin() {
     // The receiver's non-normal LC cascade is exactly the case where plain
     // one-sided Galerkin produces an unstable reduced matrix: the guard
-    // drops trailing candidates until the reduced spectrum is clean, and
+    // drops candidates until the reduced spectrum is clean, and
     // its restart count proves the full basis was unstable.
     let rx = RfReceiver::new(16).expect("circuit");
     let guarded = AssocReducer::new(MomentSpec::new(8, 4, 2))

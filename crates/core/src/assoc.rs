@@ -511,9 +511,9 @@ fn btilde(b: &Vector, d1b: Option<&Vector>) -> Vector {
 /// projected `H = Qᵀ G₁ Q = V_H D V_H⁻¹`, `V = Q V_H` and `x̂ = V_H⁻¹ Qᵀ x`.
 pub(crate) struct ChainFrame<'a> {
     dec: Cow<'a, BlockDiagonalSchur>,
-    /// `Q` of a Krylov frame; `None` for the whole state space.
-    q: Option<Matrix>,
     v: Cow<'a, Matrix>,
+    /// The coordinate map `x ↦ x̂` (`k × n`): `V⁻¹`, or `V_H⁻¹ Qᵀ`.
+    v_inv: Cow<'a, Matrix>,
 }
 
 impl<'a> ChainFrame<'a> {
@@ -521,8 +521,8 @@ impl<'a> ChainFrame<'a> {
     pub(crate) fn full(dec: &'a BlockDiagonalSchur) -> Self {
         ChainFrame {
             dec: Cow::Borrowed(dec),
-            q: None,
             v: Cow::Borrowed(dec.v()),
+            v_inv: Cow::Borrowed(dec.v_inv()),
         }
     }
 
@@ -532,22 +532,20 @@ impl<'a> ChainFrame<'a> {
     /// # Errors
     ///
     /// A typed error when the Schur iteration on `h` fails.
-    pub(crate) fn krylov(q: Matrix, h: &Matrix) -> Result<ChainFrame<'static>> {
+    pub(crate) fn krylov(q: &Matrix, h: &Matrix) -> Result<ChainFrame<'static>> {
         let dec = BlockDiagonalSchur::new(SchurDecomposition::new(h).map_err(MorError::Linalg)?);
         let v = q.matmul(dec.v());
+        let v_inv = dec.v_inv().matmul(&q.transpose());
         Ok(ChainFrame {
             dec: Cow::Owned(dec),
-            q: Some(q),
             v: Cow::Owned(v),
+            v_inv: Cow::Owned(v_inv),
         })
     }
 
-    /// `x̂`: `V⁻¹ x`, or `V_H⁻¹ Qᵀ x` in a Krylov frame.
+    /// `x̂ = V⁻¹ x` (`V_H⁻¹ Qᵀ x` in a Krylov frame).
     fn to_coords(&self, x: &Vector) -> Vector {
-        match &self.q {
-            Some(q) => self.dec.to_coords(&q.matvec_transpose(x)),
-            None => self.dec.to_coords(x),
-        }
+        self.v_inv.matvec(x)
     }
 }
 
@@ -558,16 +556,18 @@ pub(crate) type FactoredSolve<'a> = dyn Fn(&Matrix, &Matrix) -> Result<(Matrix, 
 /// `G₁ Z_t + Z_t G₁ᵀ = Z_t,prev − G₂ Z_b`: the one part of the recursion
 /// that differs between the engines.
 pub(crate) enum TopBlock<'a> {
-    /// `Ẑ_t = V⁻¹ Z_t V⁻ᵀ` on the whole-space frame (row `c` = column `c`):
-    /// one `O(n²)` Lyapunov solve on `D` per moment, its forcing
+    /// `Ẑ_t = V⁻¹ Z_t V⁻ᵀ` in the frame's coordinates (row `c` = column
+    /// `c`): one `O(k²)` Lyapunov solve on `D` per moment, its forcing
     /// `G₂ (V⊗V) X̂` mapped through `V⁻¹`.
     Decoupled(Matrix),
-    /// `Z_t = U Wᵀ` in the original coordinates of a Krylov frame, one
-    /// factored solve per moment: `solve(U₀, W₀)` returns the compressed
-    /// factors of `Z` in `G₁ Z + Z G₁ᵀ = U₀ W₀ᵀ`.
+    /// `Z_t = U Wᵀ` in the original coordinates, one factored solve per
+    /// moment: `solve(U₀, W₀)` returns the compressed factors of `Z` in
+    /// `G₁ Z + Z G₁ᵀ = U₀ W₀ᵀ`. `q` is the Krylov frame's orthonormal
+    /// basis (`V = Q V_H`), the forcing's right factor.
     Factored {
         u: Matrix,
         w: Matrix,
+        q: &'a Matrix,
         solve: &'a FactoredSolve<'a>,
     },
 }
@@ -580,12 +580,12 @@ impl TopBlock<'_> {
         let v = frame.v.as_ref();
         match self {
             TopBlock::Decoupled(top) => {
-                let n = v.rows();
-                let v_inv = frame.dec.v_inv();
+                let (n, k) = (v.rows(), v.cols());
+                let v_inv = frame.v_inv.as_ref();
                 let mut nonzero: Vec<(usize, f64)> = Vec::with_capacity(n);
                 // D Ẑ_t + Ẑ_t Dᵀ = Ẑ_t,prev − V⁻¹ G₂ (V⊗V) X̂, where column e
                 // of G₂ (V⊗V) X̂ is G₂ vec(V X̂_e Vᵀ).
-                for e in 0..n {
+                for e in 0..k {
                     let p = read.apply2(v, bottom.row(e));
                     nonzero.clear();
                     nonzero.extend(p.iter().copied().enumerate().filter(|&(_, pi)| pi != 0.0));
@@ -601,17 +601,12 @@ impl TopBlock<'_> {
                 // ν = vec(Z_t) + vec(Z_tᵀ) with Z_t = V Ẑ_t Vᵀ: G₂ reads
                 // V (Ẑ_t + Ẑ_tᵀ) Vᵀ.
                 let zt = top.as_slice();
-                let sym: Vec<f64> = (0..n * n)
-                    .map(|k| zt[k] + zt[(k % n) * n + k / n])
+                let sym: Vec<f64> = (0..k * k)
+                    .map(|i| zt[i] + zt[(i % k) * k + i / k])
                     .collect();
                 Ok(read.apply2(v, &sym))
             }
-            TopBlock::Factored { u, w, solve } => {
-                let Some(q) = &frame.q else {
-                    return Err(MorError::Invalid(
-                        "a factored top block needs a Krylov frame".into(),
-                    ));
-                };
+            TopBlock::Factored { u, w, q, solve } => {
                 // G₂ Z_b = M′ Vᵀ = (M′ V_Hᵀ) Qᵀ, column e of M′ being
                 // G₂ vec(V X̂_e Vᵀ).
                 let mut m = Matrix::zeros(v.rows(), v.cols());

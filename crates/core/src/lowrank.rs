@@ -348,8 +348,9 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
     }
 
     /// The chain's Krylov frame: the orthonormal rational-Krylov basis `Q`
-    /// of `seeds`, decoupled by its reduced matrix `H = Qᵀ G₁ Q`.
-    fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<ChainFrame<'static>> {
+    /// of `seeds`, decoupled by its reduced matrix `H = Qᵀ G₁ Q`. Returns
+    /// `Q` too: the factored `H₃` top block's right forcing factor.
+    fn chain_frame(&self, seeds: &[Vector], depth: usize) -> Result<(Matrix, ChainFrame<'static>)> {
         let chain = self.stamp.chain(self.qldae)?;
         let q = rational_krylov_basis(
             &chain.cache,
@@ -363,7 +364,8 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         let f = csr_matmul(self.qldae.g1_csr(), &q);
         let h = q.transpose().matmul(&f);
         self.record(0, 0.0, q.cols());
-        ChainFrame::krylov(q, &h)
+        let frame = ChainFrame::krylov(&q, &h)?;
+        Ok((q, frame))
     }
 
     /// `H₂` scaled moments: the dense engine's recursion
@@ -389,7 +391,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         if input_a != input_b {
             seeds.push(b_b.clone());
         }
-        let frame = self.chain_frame(&seeds, count + 1)?;
+        let (_, frame) = self.chain_frame(&seeds, count + 1)?;
         let chain = CauchyAccumulator::new(self.stamp.g1_lu(), self.stamp.n(), count, d_seed);
         h2_recursion(
             &frame,
@@ -418,7 +420,7 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
         let b = input_column(self.qldae, input)?;
         let d1 = self.qldae.d1().get(input);
         let d1b = d1.map(|d| d.matvec(&b));
-        let frame = self.chain_frame(std::slice::from_ref(&b), count + 2)?;
+        let (q, frame) = self.chain_frame(std::slice::from_ref(&b), count + 2)?;
         let opts = self.stamp.config().opts;
         let shifts = self.stamp.chain(self.qldae)?;
         // Non-strict: the chain tolerates a residual above `adi_tol` (the
@@ -448,7 +450,12 @@ impl<'a> LowRankAssocMomentGenerator<'a> {
                 ),
                 _ => (Matrix::zeros(n, 1), Matrix::zeros(n, 1)),
             };
-            TopBlock::Factored { u, w, solve: &fadi }
+            TopBlock::Factored {
+                u,
+                w,
+                q: &q,
+                solve: &fadi,
+            }
         });
         let d_chain = d1.zip(d1b.as_ref()).map(|(d, db)| d.matvec(db));
         let chain = CauchyAccumulator::new(self.stamp.g1_lu(), n, count, d_chain);

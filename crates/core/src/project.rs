@@ -15,26 +15,9 @@ use vamor_system::Qldae;
 use crate::error::MorError;
 use crate::Result;
 
-/// Projects a QLDAE onto the column space of `V` (`n × q`, orthonormal
-/// columns):
-///
-/// ```text
-/// G₁ᵣ = Vᵀ G₁ V,   G₂ᵣ = Vᵀ G₂ (V ⊗ V),   G₃ᵣ = Vᵀ G₃ (V ⊗ V ⊗ V),
-/// D₁ᵣ = Vᵀ D₁ V,   Bᵣ = Vᵀ B,             Cᵣ = C V.
-/// ```
-///
-/// # Errors
-///
-/// Returns [`MorError::Invalid`] if `V` has the wrong row count or more
-/// columns than rows, and propagates construction errors of the reduced
-/// system.
-#[cfg(test)]
-fn project_qldae(qldae: &Qldae, v: &Matrix) -> Result<Qldae> {
-    project_qldae_petrov(qldae, v, v)
-}
-
 /// Oblique (Petrov–Galerkin) projection of a QLDAE with test basis `W`
-/// (`Wᵀ V = I` is the caller's responsibility):
+/// (`Wᵀ V = I` is the caller's responsibility; `W = V` with orthonormal
+/// columns is the one-sided Galerkin projection):
 ///
 /// ```text
 /// G₁ᵣ = Wᵀ G₁ V,   G₂ᵣ = Wᵀ G₂ (V ⊗ V),   G₃ᵣ = Wᵀ G₃ (V ⊗ V ⊗ V),
@@ -186,7 +169,11 @@ mod tests {
     #[test]
     fn projection_with_identity_basis_is_lossless() {
         let q = toy_qldae();
-        let reduced = project_qldae(&q, &identity_basis(3)).unwrap();
+        let reduced = {
+            let v = identity_basis(3);
+            project_qldae_petrov(&q, &v, &v)
+        }
+        .unwrap();
         let x = Vector::from_slice(&[0.3, -0.2, 0.5]);
         let u = [0.7];
         assert!((&q.rhs(&x, &u) - &reduced.rhs(&x, &u)).norm_inf() < 1e-12);
@@ -203,7 +190,7 @@ mod tests {
         basis.insert(Vector::from_slice(&[1.0, 1.0, 0.0])).unwrap();
         basis.insert(Vector::from_slice(&[0.0, 1.0, 1.0])).unwrap();
         let v = basis.to_matrix().unwrap();
-        let reduced = project_qldae(&q, &v).unwrap();
+        let reduced = project_qldae_petrov(&q, &v, &v).unwrap();
         let xr = Vector::from_slice(&[0.4, -0.3]);
         let u = [0.25];
         let x_full = v.matvec(&xr);
@@ -260,7 +247,7 @@ mod tests {
         basis.insert(Vector::from_slice(&[1.0, 0.5, 0.0])).unwrap();
         basis.insert(Vector::from_slice(&[0.0, 0.5, 1.0])).unwrap();
         let v = basis.to_matrix().unwrap();
-        let reduced = project_qldae(&ode, &v).unwrap();
+        let reduced = project_qldae_petrov(&ode, &v, &v).unwrap();
         assert!(reduced.g3().is_some() && reduced.g2().nnz() == 0);
         let xr = Vector::from_slice(&[0.2, -0.6]);
         let x_full = v.matvec(&xr);
@@ -278,7 +265,7 @@ mod tests {
         basis.insert(Vector::from_slice(&[1.0, -1.0, 0.5])).unwrap();
         basis.insert(Vector::from_slice(&[0.2, 0.9, -0.3])).unwrap();
         let v = basis.to_matrix().unwrap();
-        let reduced = project_qldae(&q, &v).unwrap();
+        let reduced = project_qldae_petrov(&q, &v, &v).unwrap();
         let dense_ref = v.transpose().matmul(&q.d1()[0].to_dense().matmul(&v));
         assert!((&reduced.d1()[0].to_dense() - &dense_ref).max_abs() < 1e-13);
     }
@@ -286,7 +273,8 @@ mod tests {
     #[test]
     fn invalid_bases_are_rejected() {
         let q = toy_qldae();
-        assert!(project_qldae(&q, &Matrix::zeros(2, 1)).is_err());
-        assert!(project_qldae(&q, &Matrix::zeros(3, 4)).is_err());
+        for v in [Matrix::zeros(2, 1), Matrix::zeros(3, 4)] {
+            assert!(project_qldae_petrov(&q, &v, &v).is_err());
+        }
     }
 }

@@ -26,9 +26,11 @@
 //!    machine precision even when incremental Gram–Schmidt drifted.
 //! 3. **Spectral guard with restart** — after projection the reduced `G₁ᵣ`
 //!    spectrum is checked ([`ReductionStats::spectral_abscissa`]); if it is
-//!    not Hurwitz while the full `G₁` is, trailing candidates are dropped and
-//!    the projection rebuilt until stability is restored
-//!    ([`ReductionStats::restarts`]). With the energy inner product active
+//!    not Hurwitz while the full `G₁` is, candidates are dropped one at a
+//!    time and the projection rebuilt until stability is restored
+//!    ([`ReductionStats::restarts`]): the trailing-most candidate whose
+//!    removal restores it, else the one whose removal moves the abscissa
+//!    furthest left. With the energy inner product active
 //!    this is a pure backstop; it is what rescues the plain-Galerkin mode.
 //!
 //! Optionally the basis is enriched with a few *Markov* vectors
@@ -58,8 +60,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use vamor_linalg::{
-    eigenvalues, CholeskyDecomposition, Matrix, OrthoBasis, PivotRecovery, PivotedQr, RunControl,
-    SolverBackend, Vector,
+    eigenvalues, CholeskyDecomposition, Eigenvalues, Matrix, OrthoBasis, PivotRecovery, PivotedQr,
+    RunControl, SolverBackend, Vector,
 };
 use vamor_system::Qldae;
 
@@ -595,36 +597,107 @@ impl<'a> StabilizationFrame<'a> {
     }
 }
 
-/// The spectral guard: while the reduced linear part `Wᵀ G₁ V` is unstable
-/// and the frame is restartable, drops the trailing working-basis column.
-/// Only the cheap `G₁ᵣ` trial product is formed per dropped column; the
-/// expensive full nonlinear projection (`O(q²)`/`O(q³)` structured matvecs
-/// for `G₂`/`G₃`) runs exactly once, on the final basis. Returns the
-/// projected system together with the right basis used.
+/// Re-factors a Gram–Schmidt basis with a column-pivoted QR, dropping
+/// columns whose pivot falls below `1 /`
+/// [`AssocReducer::DEFAULT_QR_CONDITION_CAP`] of the leading one.
+fn reorthogonalize(accumulated: &Matrix) -> Result<Matrix> {
+    let _span = vamor_obs::span!("qr_reorth");
+    let qr = PivotedQr::new(accumulated).map_err(MorError::Linalg)?;
+    let rank = qr.rank(1.0 / AssocReducer::DEFAULT_QR_CONDITION_CAP).max(1);
+    Ok(qr.orthonormal_prefix(rank))
+}
+
+/// One trial of the spectral guard: the re-orthogonalized basis of the
+/// kept accumulated candidates, its projection pair and the spectrum of
+/// `Wᵀ G₁ V`.
+struct GuardTrial {
+    qtil: Matrix,
+    v: Matrix,
+    w: Matrix,
+    eig: Eigenvalues,
+}
+
+impl GuardTrial {
+    fn new(accumulated: &Matrix, kept: &[usize], frame: &StabilizationFrame) -> Result<Self> {
+        let sub = Matrix::from_fn(accumulated.rows(), kept.len(), |i, j| {
+            accumulated[(i, kept[j])]
+        });
+        let qtil = reorthogonalize(&sub)?;
+        let (v, w) = frame.recover(&qtil)?;
+        let eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
+        Ok(GuardTrial { qtil, v, w, eig })
+    }
+}
+
+/// Drops one candidate from `kept` (at least two): the trailing-most one
+/// whose removal makes `G₁ᵣ` Hurwitz, or, when no single removal does, the
+/// one whose removal moves the spectral abscissa furthest left (a leading
+/// candidate must win by more than a relative `√ε`, so near-ties go to the
+/// trailing one). Returns the trial without it.
+fn drop_candidate(
+    accumulated: &Matrix,
+    kept: &mut Vec<usize>,
+    frame: &StabilizationFrame,
+) -> Result<GuardTrial> {
+    let margin = f64::EPSILON.sqrt();
+    let mut best: Option<(usize, GuardTrial)> = None;
+    for slot in (0..kept.len()).rev() {
+        let mut rest = kept.clone();
+        rest.remove(slot);
+        let trial = GuardTrial::new(accumulated, &rest, frame)?;
+        if trial.eig.is_hurwitz() {
+            best = Some((slot, trial));
+            break;
+        }
+        let abscissa = trial.eig.spectral_abscissa();
+        let better = best.as_ref().is_none_or(|(_, b)| {
+            let leader = b.eig.spectral_abscissa();
+            abscissa < leader - margin * leader.abs()
+        });
+        if better {
+            best = Some((slot, trial));
+        }
+    }
+    let (slot, trial) = best.ok_or(MorError::EmptyProjection)?;
+    kept.remove(slot);
+    Ok(trial)
+}
+
+/// The spectral guard: re-orthogonalizes the accumulated basis and, while
+/// the reduced linear part `Wᵀ G₁ V` is unstable and the frame is
+/// restartable, drops one accumulated candidate ([`drop_candidate`]) and
+/// re-orthogonalizes the rest. Candidates are judged in insertion (plan)
+/// order, never in the pivoted QR's column order: the accumulated columns
+/// are orthonormal, so every QR pivot is a tie among unit norms and the
+/// column the QR puts last is decided by rounding. Only the cheap `G₁ᵣ`
+/// trial products are formed per dropped candidate; the expensive full
+/// nonlinear projection (`O(q²)`/`O(q³)` structured matvecs for `G₂`/`G₃`)
+/// runs exactly once, on the final basis. Returns the projected system
+/// together with the right basis used.
 fn project_guarded(
     qldae: &Qldae,
-    mut qtil: Matrix,
+    accumulated: &Matrix,
     frame: &StabilizationFrame,
     stats: &mut ReductionStats,
 ) -> Result<(Qldae, Matrix)> {
     let _span = vamor_obs::span!("project");
-    let (mut v, mut w) = frame.recover(&qtil)?;
-    let mut eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
-    stats.spectral_abscissa = eig.spectral_abscissa();
-    while !eig.is_hurwitz() && qtil.cols() > 1 && frame.restartable() {
-        qtil = qtil.submatrix(0, qtil.rows(), 0, qtil.cols() - 1);
+    let mut kept: Vec<usize> = (0..accumulated.cols()).collect();
+    let mut trial = GuardTrial::new(accumulated, &kept, frame)?;
+    stats.qr_dropped = kept.len() - trial.qtil.cols();
+    stats.spectral_abscissa = trial.eig.spectral_abscissa();
+    while !trial.eig.is_hurwitz() && kept.len() > 1 && frame.restartable() {
+        let abscissa = trial.eig.spectral_abscissa();
+        trial = drop_candidate(accumulated, &mut kept, frame)?;
         stats.restarts += 1;
         vamor_obs::event!(vamor_obs::Event::SpectralRestart {
             restart: stats.restarts as u32,
-            abscissa: eig.spectral_abscissa(),
-            dim: qtil.cols() as u32,
+            abscissa,
+            dim: trial.qtil.cols() as u32,
         });
-        (v, w) = frame.recover(&qtil)?;
-        eig = eigenvalues(&frame.reduced_g1(&v, &w)).map_err(MorError::Linalg)?;
-        stats.spectral_abscissa = eig.spectral_abscissa();
+        stats.spectral_abscissa = trial.eig.spectral_abscissa();
     }
-    let system = project_qldae_petrov(qldae, &v, &w)?;
-    Ok((system, v))
+    let system = project_qldae_petrov(qldae, &trial.v, &trial.w)?;
+    Ok((system, trial.v))
 }
 
 /// The paper's method: projection onto the moment spaces of the *associated*
@@ -891,7 +964,9 @@ impl AssocReducer {
             )?
         };
         if self.output_krylov > 0 {
-            let qtil = self.settle(basis, &mut stats)?;
+            let accumulated = self.settle(basis, &mut stats)?;
+            let qtil = reorthogonalize(&accumulated)?;
+            stats.qr_dropped = accumulated.cols() - qtil.cols();
             return self.finish_two_sided(qldae, stamp, qtil, stats);
         }
         self.finish(qldae, basis, frame, stats, control)
@@ -1057,9 +1132,7 @@ impl AssocReducer {
     }
 
     /// Settles a collected basis: rejects an empty one, records deflation,
-    /// and re-factors it with a column-pivoted QR, dropping columns whose
-    /// pivot falls below `1 /` [`AssocReducer::DEFAULT_QR_CONDITION_CAP`] of
-    /// the leading one.
+    /// and returns the accumulated columns in insertion order.
     fn settle(&self, basis: OrthoBasis, stats: &mut ReductionStats) -> Result<Matrix> {
         if basis.is_empty() {
             return Err(MorError::EmptyProjection);
@@ -1073,13 +1146,7 @@ impl AssocReducer {
                 tol: self.deflation_tol,
             });
         }
-        let accumulated = basis.to_matrix().map_err(MorError::Linalg)?;
-        let _span = vamor_obs::span!("qr_reorth");
-        let qr = PivotedQr::new(&accumulated).map_err(MorError::Linalg)?;
-        let rank = qr.rank(1.0 / Self::DEFAULT_QR_CONDITION_CAP).max(1);
-        let qtil = qr.orthonormal_prefix(rank);
-        stats.qr_dropped = accumulated.cols() - qtil.cols();
-        Ok(qtil)
+        basis.to_matrix().map_err(MorError::Linalg)
     }
 
     /// The finish stage of the reduction pipeline (shared with the NORM
@@ -1094,13 +1161,13 @@ impl AssocReducer {
         mut stats: ReductionStats,
         control: &RunControl,
     ) -> Result<ReducedQldae> {
-        let qtil = self.settle(basis, &mut stats)?;
+        let accumulated = self.settle(basis, &mut stats)?;
         if self.stabilized && frame.is_lowrank() {
             frame.weigh(control, &mut stats)?;
         }
         stats.energy_weighted = frame.is_active();
         stats.lowrank_engine = frame.is_lowrank();
-        let (system, projection) = project_guarded(qldae, qtil, &frame, &mut stats)?;
+        let (system, projection) = project_guarded(qldae, &accumulated, &frame, &mut stats)?;
         stats.projection_dim = projection.cols();
         stats.publish();
         Ok(ReducedQldae {
@@ -1218,6 +1285,76 @@ mod tests {
             .weigh(&RunControl::new(), &mut ReductionStats::default())
             .unwrap();
         assert!(frame.is_active());
+    }
+
+    /// The spectral guard is a function of the candidates' span, not of
+    /// their last bits. The accumulated columns are orthonormal, so the
+    /// pivoted QR orders them by rounding; a guard that cut in that order
+    /// kept a different basis after a rounding-level perturbation. The
+    /// plain-Galerkin receiver basis (Markov, `H₁`, `H₂`, `H₃` candidates)
+    /// needs restarts, and five perturbations of the candidates at 1e-14
+    /// keep the same restarts and the same span.
+    #[test]
+    fn spectral_guard_keeps_its_cut_under_rounding_noise() {
+        let rx = vamor_circuits::RfReceiver::new(16).unwrap();
+        let q = rx.qldae();
+        let n = q.g1_csr().rows();
+        let reducer = AssocReducer::new(MomentSpec::new(8, 4, 2)).with_stabilized_projection(false);
+        let stamp = SharedAssocArtifacts::new(q, reducer.stamp_config(q)).unwrap();
+        let frame = StabilizationFrame::new(q, &stamp);
+        let gen = AssocMomentGenerator::new(q).unwrap();
+        let mut candidates = Vec::new();
+        for input in 0..2 {
+            candidates.extend(frame.markov(q.b().col(input), 2));
+        }
+        for input in 0..2 {
+            candidates.extend(gen.h1_moments_scaled(input, 8).unwrap().vectors);
+        }
+        for (a, b) in [(0, 0), (0, 1), (1, 1)] {
+            candidates.extend(gen.h2_moments_scaled(a, b, 4).unwrap().vectors);
+        }
+        for input in 0..2 {
+            candidates.extend(gen.h3_moments_scaled(input, 2).unwrap().vectors);
+        }
+        let guard = |seed: u64| {
+            let mut state = seed;
+            let mut basis = OrthoBasis::new(n);
+            for c in &candidates {
+                let noisy = Vector::from_fn(n, |j| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                    let eps = if seed == 0 { 0.0 } else { 1e-14 };
+                    c[j] * (1.0 + eps * (2.0 * unit - 1.0))
+                });
+                basis.insert(noisy).unwrap();
+            }
+            let mut stats = ReductionStats::default();
+            let accumulated = basis.to_matrix().unwrap();
+            let (rom, v) = project_guarded(q, &accumulated, &frame, &mut stats).unwrap();
+            assert!(eigenvalues(rom.g1()).unwrap().is_hurwitz());
+            (v, stats.restarts)
+        };
+        let (reference, restarts) = guard(0);
+        assert!(
+            restarts > 0,
+            "the plain-Galerkin receiver basis must need the guard"
+        );
+        for seed in 1..=5 {
+            let (v, got) = guard(seed);
+            assert_eq!((v.cols(), got), (reference.cols(), restarts), "seed {seed}");
+            let overlap = v.transpose().matmul(&reference);
+            let off_span = (0..v.cols())
+                .map(|j| (1.0 - overlap.col(j).norm2().powi(2)).abs())
+                .fold(0.0, f64::max);
+            // Nearly dependent candidates amplify the noise to ~1e-6 here;
+            // a different cut leaves a whole direction out (~1).
+            assert!(
+                off_span < 1e-3,
+                "seed {seed}: spans differ by {off_span:.2e}"
+            );
+        }
     }
 
     /// Two-sided reductions over one stamp factor `G₁ᵀ` once: the first

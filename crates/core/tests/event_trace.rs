@@ -97,7 +97,7 @@ fn accepted_moves_appear_in_the_event_stream() {
     );
 
     // Every guard restart is reported as an event, on both engines: the
-    // plain-Galerkin receiver reduction needs dozens of them.
+    // plain-Galerkin receiver reduction needs them.
     let receiver = RfReceiver::new(16).unwrap();
     for engine in [ReductionEngine::DenseSchur, ReductionEngine::LowRank] {
         vamor_obs::event::install();
